@@ -4,6 +4,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -51,6 +52,24 @@ func TestPublicAPIBoundary(t *testing.T) {
 		})
 		if err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestRealPathDoesNotLinkSimulator pins the import graph of everything a
+// real replica is made of: the state machines, the codec, the transports
+// and the daemon run against types.Clock and must not (transitively, test
+// files aside) import the discrete-event simulator.
+func TestRealPathDoesNotLinkSimulator(t *testing.T) {
+	out, err := exec.Command("go", "list", "-deps",
+		"./internal/core", "./internal/pbft", "./internal/metrics", "./internal/wire",
+		"./internal/transport", "./cmd/orthrus-node").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go list -deps: %v\n%s", err, out)
+	}
+	for _, pkg := range strings.Fields(string(out)) {
+		if pkg == "repro/internal/simnet" {
+			t.Fatal("a real-path package depends on repro/internal/simnet; schedule against types.Clock instead")
 		}
 	}
 }

@@ -38,7 +38,6 @@ import (
 	_ "repro/internal/baseline" // register the comparison protocols
 	"repro/internal/core"
 	"repro/internal/registry"
-	"repro/internal/simnet"
 	"repro/internal/transport"
 	"repro/internal/types"
 	"repro/internal/workload"
@@ -104,41 +103,27 @@ func main() {
 // elapses. Split from main for tests.
 func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) error {
 	fs := flag.NewFlagSet("orthrus-node", flag.ContinueOnError)
-	id := fs.Int("id", -1, "replica id (index into -peers)")
+	var o nodeOptions
+	fs.IntVar(&o.id, "id", -1, "replica id (index into -peers)")
 	peers := fs.String("peers", "", "comma-separated host:port peer table, one per replica, index = id")
-	listen := fs.String("listen", "", "listen address override (default: the -peers entry for -id)")
-	protocol := fs.String("protocol", "Orthrus", "protocol to run: "+strings.Join(registry.Names(), ", "))
-	seed := fs.Int64("seed", 42, "genesis/workload seed; must match on every replica")
-	accounts := fs.Int("accounts", 0, "genesis account population (0 = workload default); must match on every replica")
-	load := fs.Float64("load", 0, "built-in open-loop client rate in tx/s (enable on exactly one node; 0 disables)")
-	duration := fs.Duration("duration", 0, "run length; 0 runs until SIGINT/SIGTERM")
-	stats := fs.Duration("stats", time.Second, "period of event=stats log lines")
-	queueCap := fs.Int("queue-cap", 0, "per-peer outbound queue cap in frames (0 = transport default 4096); overflow drops oldest and logs event=backpressure")
-	batch := fs.Int("batch", 0, "batch size (0 = engine default 4096)")
-	batchTimeout := fs.Duration("batch-timeout", 0, "proposal pulse period (0 = engine default 100ms)")
-	viewTimeout := fs.Duration("view-timeout", 0, "view-change timeout (0 = engine default 10s)")
-	epochLen := fs.Uint64("epoch", 0, "checkpoint epoch length in blocks (0 = engine default 32)")
+	fs.StringVar(&o.listen, "listen", "", "listen address override (default: the -peers entry for -id)")
+	fs.StringVar(&o.protocol, "protocol", "Orthrus", "protocol to run: "+strings.Join(registry.Names(), ", "))
+	fs.Int64Var(&o.seed, "seed", 42, "genesis/workload seed; must match on every replica")
+	fs.IntVar(&o.accounts, "accounts", 0, "genesis account population (0 = workload default); must match on every replica")
+	fs.Float64Var(&o.load, "load", 0, "built-in open-loop client rate in tx/s (enable on exactly one node; 0 disables)")
+	fs.DurationVar(&o.duration, "duration", 0, "run length; 0 runs until SIGINT/SIGTERM")
+	fs.DurationVar(&o.stats, "stats", time.Second, "period of event=stats log lines")
+	fs.IntVar(&o.queueCap, "queue-cap", 0, "per-peer outbound queue cap in frames (0 = transport default 4096); overflow drops oldest and logs event=backpressure")
+	fs.IntVar(&o.batchSize, "batch", 0, "batch size (0 = engine default 4096)")
+	fs.DurationVar(&o.batchTimeout, "batch-timeout", 0, "proposal pulse period (0 = engine default 100ms)")
+	fs.DurationVar(&o.viewTimeout, "view-timeout", 0, "view-change timeout (0 = engine default 10s)")
+	fs.Uint64Var(&o.epochLen, "epoch", 0, "checkpoint epoch length in blocks (0 = engine default 32)")
 	fs.SetOutput(stderr)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
 		}
 		return errAlreadyReported
-	}
-	o := nodeOptions{
-		id:           *id,
-		listen:       *listen,
-		protocol:     *protocol,
-		seed:         *seed,
-		accounts:     *accounts,
-		load:         *load,
-		duration:     *duration,
-		stats:        *stats,
-		queueCap:     *queueCap,
-		batchSize:    *batch,
-		batchTimeout: *batchTimeout,
-		viewTimeout:  *viewTimeout,
-		epochLen:     *epochLen,
 	}
 	if *peers != "" {
 		for _, p := range strings.Split(*peers, ",") {
@@ -186,7 +171,7 @@ func runNode(o nodeOptions, stdout, stderr io.Writer, stop <-chan struct{}) erro
 		}
 		o.listener = ln
 	}
-	node := transport.NewNode(o.id)
+	node := transport.NewNode()
 	tcp, err := transport.NewTCP(o.id, o.peers, node, transport.TCPOptions{
 		Listener: o.listener,
 		QueueCap: o.queueCap,
@@ -217,53 +202,49 @@ func runNode(o nodeOptions, stdout, stderr io.Writer, stop <-chan struct{}) erro
 		OnBlockDeliver: func(instance int, b *types.Block) {
 			blocks++
 		},
-		OnConfirm: func(tx *types.Transaction, success bool, at simnet.Time) {
+		OnConfirm: func(tx *types.Transaction, success bool, at types.Time) {
 			confirmed++
 			if !success {
 				aborted++
 			}
 		},
-		OnViewChange: func(instance int, view uint64, at simnet.Time) {
+		OnViewChange: func(instance int, view uint64, at types.Time) {
 			logf("view-change", "instance=%d view=%d", instance, view)
 		},
 	}
-	replica := core.NewReplica(ccfg, node.Sim(), tcp)
+	replica := core.NewReplica(ccfg, node, tcp)
 
-	// Recurring stats line, scheduled on the node's own timer queue so it
-	// reads the counters race-free on the loop goroutine. Backpressure and
+	// Recurring stats line, scheduled on the node's own clock so it reads
+	// the counters race-free on the loop goroutine. Backpressure and
 	// wire-error anomalies get their own structured events, emitted only
 	// when the counters moved since the previous tick — rate-limited to at
 	// most one line per stats period each, however many frames were
 	// dropped, so a wedged peer cannot flood the log.
-	sim := node.Sim()
 	var lastDropped, lastEncErrs, lastDecErrs uint64
-	var statsTick func()
-	statsTick = func() {
-		sim.After(simnet.Duration(o.stats), func() {
-			logf("stats", "blocks=%d confirmed=%d aborted=%d msgs=%d bytes=%d dropped=%d",
-				blocks, confirmed, aborted, tcp.Messages(), tcp.Bytes(), tcp.Dropped())
-			if d := tcp.Dropped(); d > lastDropped {
-				logf("backpressure", "dropped=%d total=%d", d-lastDropped, d)
-				lastDropped = d
-			}
-			if e, d := tcp.EncodeErrors(), tcp.DecodeErrors(); e > lastEncErrs || d > lastDecErrs {
-				logf("wire-error", "encode_errors=%d decode_errors=%d", e, d)
-				lastEncErrs, lastDecErrs = e, d
-			}
-			statsTick()
-		})
+	var statsTick func(_, _ any)
+	statsTick = func(_, _ any) {
+		logf("stats", "blocks=%d confirmed=%d aborted=%d msgs=%d bytes=%d dropped=%d",
+			blocks, confirmed, aborted, tcp.Messages(), tcp.Bytes(), tcp.Dropped())
+		if d := tcp.Dropped(); d > lastDropped {
+			logf("backpressure", "dropped=%d total=%d", d-lastDropped, d)
+			lastDropped = d
+		}
+		if e, d := tcp.EncodeErrors(), tcp.DecodeErrors(); e > lastEncErrs || d > lastDecErrs {
+			logf("wire-error", "encode_errors=%d decode_errors=%d", e, d)
+			lastEncErrs, lastDecErrs = e, d
+		}
+		types.CallAfter(node, o.stats, statsTick, nil, nil)
 	}
-	statsTick()
+	types.CallAfter(node, o.stats, statsTick, nil, nil)
 
 	logf("start", "protocol=%s n=%d f=%d addr=%s seed=%d load=%g",
 		o.protocol, n, f, tcp.Addr(), o.seed, o.load)
 	replica.Start()
 	node.Start(time.Now())
 
-	// Built-in open-loop client: submit each transaction to the leaders
-	// of its payer buckets plus the next f replicas (the censorship-
-	// resistant policy of Sec. V-B), over the same wire frames as
-	// protocol traffic.
+	// Built-in open-loop client: submit each transaction where
+	// core.SubmitRouter says (the censorship-resistant policy of Sec. V-B),
+	// over the same wire frames as protocol traffic.
 	clientQuit := make(chan struct{})
 	var clientWG sync.WaitGroup
 	if o.load > 0 {
@@ -272,8 +253,7 @@ func runNode(o nodeOptions, stdout, stderr io.Writer, stop <-chan struct{}) erro
 			defer clientWG.Done()
 			interval := time.Duration(float64(time.Second) / o.load)
 			epoch := time.Now()
-			targets := make([]int, 0, 2*(f+1)+1)
-			seen := make([]bool, n)
+			router := core.NewSubmitRouter(n, f)
 			for k := 0; ; k++ {
 				select {
 				case <-clientQuit:
@@ -289,8 +269,7 @@ func runNode(o nodeOptions, stdout, stderr io.Writer, stop <-chan struct{}) erro
 				}
 				tx := gen.Next()
 				tx.SubmitNS = int64(time.Since(epoch))
-				targets = submitTargets(targets[:0], seen, tx, n, f)
-				for _, target := range targets {
+				for _, target := range router.Targets(tx) {
 					tcp.Send(o.id, target, 0, &core.SubmitMsg{Tx: tx})
 				}
 			}
@@ -315,41 +294,4 @@ func runNode(o nodeOptions, stdout, stderr io.Writer, stop <-chan struct{}) erro
 	logf("stop", "reason=%s blocks=%d confirmed=%d aborted=%d msgs=%d bytes=%d dropped=%d",
 		reason, blocks, confirmed, aborted, tcp.Messages(), tcp.Bytes(), tcp.Dropped())
 	return nil
-}
-
-// submitTargets appends the replicas a client sends tx to, mirroring the
-// simulated harness's policy: replica 0, plus each payer bucket's initial
-// leader and the f replicas after it (m = n, so instance i's initial
-// leader is replica i). seen is scratch of length n, false on entry,
-// cleared again on return.
-func submitTargets(dst []int, seen []bool, tx *types.Transaction, n, f int) []int {
-	add := func(r int) {
-		r %= n
-		if !seen[r] {
-			seen[r] = true
-			dst = append(dst, r)
-		}
-	}
-	add(0)
-	hasPayer := false
-	for _, op := range tx.Ops {
-		if !op.IsPayerOp() {
-			continue
-		}
-		hasPayer = true
-		lead := core.BucketOf(op.Key, n)
-		for k := 0; k <= f; k++ {
-			add(lead + k)
-		}
-	}
-	if !hasPayer { // no payer ops: route by client
-		lead := core.BucketOf(tx.Client, n)
-		for k := 0; k <= f; k++ {
-			add(lead + k)
-		}
-	}
-	for _, r := range dst {
-		seen[r] = false
-	}
-	return dst
 }

@@ -1,22 +1,24 @@
 // Package cluster is the experiment harness: it assembles n replicas of a
-// chosen protocol over a simulated WAN or LAN, drives an open-loop client
-// workload, injects stragglers and faults, and measures what the paper
-// plots — throughput, client latency (submission to f+1 replies), 0.5 s
-// time series, and the five-stage latency breakdown.
+// chosen protocol, drives an open-loop client workload, and measures what
+// the paper plots — throughput, client latency (submission to f+1
+// replies), 0.5 s time series, and the five-stage latency breakdown.
+//
+// One collector (collect.go) does the configuration and the measuring for
+// every run; a backend supplies the engine. Run (sim.go) executes inside
+// the simulator over a modeled WAN or LAN, serial or sharded, and adds
+// what only a simulation can do: stragglers, faults, scenarios. RunReal
+// (real.go) executes the same replicas on transport.Proc's goroutines
+// under wall-clock time.
 package cluster
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/ledger"
 	"repro/internal/metrics"
-	"repro/internal/sb"
 	"repro/internal/scenario"
-	"repro/internal/simnet"
 	"repro/internal/types"
 	"repro/internal/workload"
 )
@@ -113,19 +115,23 @@ type Config struct {
 
 	Seed int64
 
-	// Observation hooks stream measurements out of a running simulation
-	// (the public orthrus SDK's Observer rides on these). All are optional
-	// and fire on the simulation goroutine in deterministic virtual-time
-	// order; they must only read, never mutate the cluster. OnWindow and
-	// Halt schedule one bookkeeping event per 0.5 s of virtual time, so
-	// Result.Events grows slightly when either is set; measured results are
-	// unaffected.
+	// Observation hooks stream measurements out of a running cluster (the
+	// public orthrus SDK's Observer rides on these). All are optional, and
+	// on every backend the collector calls them one at a time; they must
+	// only read, never mutate the cluster. In the simulator they fire on
+	// the simulation goroutine in deterministic virtual-time order (the
+	// sharded kernel replays them in that order at its barriers), and
+	// OnWindow and Halt schedule one bookkeeping event per 0.5 s of virtual
+	// time, so Result.Events grows slightly when either is set; measured
+	// results are unaffected. On the real backend they fire on replica
+	// goroutines under the harness's lock, in wall-clock order.
 
 	// OnConfirm fires at every client-visible confirmation (the (f+1)-th
-	// reply), with the reply's virtual arrival time.
-	OnConfirm func(tx *types.Transaction, success bool, reply simnet.Time)
+	// reply), with the reply's arrival time.
+	OnConfirm func(tx *types.Transaction, success bool, reply types.Time)
 	// OnWindow fires once per closed 0.5 s series bin, in order, including
-	// empty bins.
+	// empty bins: as each closes in the simulator, all at the end of a real
+	// run.
 	OnWindow func(w WindowStat)
 	// OnPhase fires once per scenario phase as soon as its measurement
 	// window is final — mid-run for phases that close before the run ends,
@@ -135,9 +141,10 @@ type Config struct {
 	// replica, before execution. The safety property suite records
 	// (replica, instance, SN, digest) through it; nil costs nothing.
 	OnBlockDeliver func(replica, instance int, b *types.Block)
-	// Halt is polled at every 0.5 s window boundary; returning true stops
-	// the simulation immediately (Result.Halted) with whatever has been
-	// measured so far. The public SDK wires context cancellation here.
+	// Halt is polled at every 0.5 s window boundary of a simulation and
+	// every 10 ms of a real run; returning true stops the run at once
+	// (Result.Halted) with whatever has been measured so far. The public
+	// SDK wires context cancellation here.
 	Halt func() bool
 	// CaptureState retains the observer replica's ledger store on the
 	// Result and checks that all replicas' final snapshots agree. Only
@@ -179,6 +186,9 @@ func (k Kernel) String() string {
 	return "serial"
 }
 
+// withDefaults fills the knobs the harness itself reads; zero replica
+// tuning knobs (batching, epoch length, timeouts) reach core.NewReplica as
+// zero and take its defaults there.
 func (c Config) withDefaults() Config {
 	if c.StragglerFactor <= 0 {
 		c.StragglerFactor = 10
@@ -192,18 +202,6 @@ func (c Config) withDefaults() Config {
 	if c.Drain <= 0 {
 		c.Drain = 2 * c.Duration
 	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 4096
-	}
-	if c.BatchTimeout <= 0 {
-		c.BatchTimeout = 100 * time.Millisecond
-	}
-	if c.EpochLen == 0 {
-		c.EpochLen = 32
-	}
-	if c.ViewTimeout <= 0 {
-		c.ViewTimeout = 10 * time.Second
-	}
 	if c.TxSize <= 0 {
 		c.TxSize = 500
 	}
@@ -211,6 +209,27 @@ func (c Config) withDefaults() Config {
 		c.LoadTPS = 1000
 	}
 	return c
+}
+
+// SimOnly lists, one reason each, the knobs set on c that only the
+// simulator implements: they mutate the simulated network or replica
+// lifecycles, or select a simulation engine. RunReal panics on the first;
+// the public SDK's Validate reports them all as typed errors.
+func (c Config) SimOnly() []string {
+	var why []string
+	add := func(set bool, reason string) {
+		if set {
+			why = append(why, reason)
+		}
+	}
+	add(c.AnalyticSB, "the real transport runs message-level PBFT only; disable AnalyticSB")
+	add(c.Scenario != nil, "scenarios mutate the simulated network; the real transport does not support them")
+	add(c.NIC, "the NIC bandwidth model is simulation-only; the real transport measures real links")
+	add(c.Stragglers > 0, "stragglers are simulation-only; the real transport cannot slow real replicas")
+	add(c.DetectableFaults > 0 || c.UndetectableFaults > 0, "fault injection is simulation-only; the real transport does not support it")
+	add(c.Kernel == KernelParallel, "the parallel kernel executes simulations; the real transport is already concurrent")
+	add(c.SampleLiveSet > 0, "live-set sampling walks every replica from a simulator event; the real transport does not support it")
+	return why
 }
 
 // Label returns a stable, human-readable key for this configuration; the
@@ -374,673 +393,4 @@ type LiveSetSample struct {
 func (r *Result) String() string {
 	return fmt.Sprintf("%-8s %s n=%-3d tput=%8.1f tps  lat(%s)  confirmed=%d aborted=%d vc=%d",
 		r.Protocol, r.Net, r.N, r.ThroughputTPS, r.Latency.String(), r.Confirmed, r.Aborted, r.ViewChanges)
-}
-
-// txMeta tracks client-side accounting for one transaction. It is stored
-// by value in a dense slice addressed by the transaction's run index
-// (types.Transaction.Idx, stamped at submission) — no per-transaction
-// pointer allocations and no ID hashing on the reply path — and carries
-// the client-visible reply time once the (f+1)-th reply lands.
-type txMeta struct {
-	id      types.TxID // content digest, for the observer's stage lookup
-	submit  simnet.Time
-	reply   simnet.Time // client-visible reply time; set when done
-	home    int32       // replica co-located with the submitting client
-	replies int32
-	done    bool
-}
-
-// hookRec is one deferred measurement-hook firing under the parallel
-// kernel. Shared accounting (confirmation counters, series bins, user
-// observers) cannot run on shard goroutines, so replica hooks append
-// these to their shard's log — stamped with the executing event's virtual
-// time and canonical key — and the coordinator replays the merged logs at
-// every barrier in exactly the order the serial loop would have fired
-// them.
-type hookRec struct {
-	at       simnet.Time
-	ord      uint64 // executing event's canonical key (simnet.Sim.ExecOrd)
-	tx       *types.Transaction
-	block    *types.Block
-	replica  int32
-	instance int32
-	success  bool
-	kind     uint8
-}
-
-// hookRec kinds.
-const (
-	hookConfirm uint8 = iota
-	hookBlock
-)
-
-// simPool recycles simulators across runs: Sim.Reset reuses the event
-// pool, queue buckets and scratch arenas a previous run grew, so
-// benchmark iterations and RunMany sweeps stop re-growing megabytes of
-// scheduler state per run. Reset restores the exact just-constructed
-// state, so results are identical whether a Sim is fresh or reused (the
-// determinism contract).
-var simPool = sync.Pool{New: func() any { return simnet.New(0) }}
-
-// Run executes one experiment and returns its measurements.
-func Run(cfg Config) *Result {
-	cfg = cfg.withDefaults()
-	if cfg.AnalyticSB && (cfg.DetectableFaults > 0 || cfg.UndetectableFaults > 0) {
-		panic("cluster: analytic SB does not support fault injection; use message-level PBFT")
-	}
-	if cfg.Scenario != nil {
-		if cfg.AnalyticSB {
-			panic("cluster: scenarios require message-level PBFT; disable AnalyticSB")
-		}
-		if err := cfg.Scenario.Validate(cfg.N); err != nil {
-			panic("cluster: " + err.Error())
-		}
-	}
-	if cfg.Kernel == KernelParallel {
-		if cfg.AnalyticSB {
-			panic("cluster: the parallel kernel requires message-level PBFT; disable AnalyticSB")
-		}
-		if cfg.NIC {
-			panic("cluster: the NIC bandwidth model requires the serial kernel")
-		}
-		if cfg.StragglerFactor < 1 {
-			panic("cluster: straggler speed-ups (factor < 1) require the serial kernel")
-		}
-		if cfg.Scenario != nil {
-			for _, e := range cfg.Scenario.Events {
-				if e.Kind == scenario.Straggle && e.Scale < 1 {
-					panic("cluster: scenario speed-ups (straggle scale < 1) require the serial kernel")
-				}
-			}
-		}
-		if cfg.SampleLiveSet > 0 {
-			panic("cluster: live-set sampling reads every replica from one bookkeeping event; use the serial kernel")
-		}
-	}
-	n := cfg.N
-	f := (n - 1) / 3
-	sim := simPool.Get().(*simnet.Sim)
-	sim.Reset(cfg.Seed)
-	defer func() {
-		sim.Reset(0) // drop references from this run before pooling
-		simPool.Put(sim)
-	}()
-
-	var model *simnet.GeoModel
-	if cfg.Net == LAN {
-		model = simnet.NewLAN()
-	} else {
-		model = simnet.NewWAN()
-	}
-	if cfg.AnalyticSB {
-		model.JitterFrac = 0 // closed-form times need deterministic delays
-	}
-	nw := simnet.NewNetwork(sim, n, model)
-	if cfg.NIC && !cfg.AnalyticSB {
-		model.BandwidthBps = 0 // serialization moves into the NIC queues
-		nw.SetNICBps(1e9)
-	}
-
-	// Engine selection: the sharded kernel executes the identical event
-	// schedule, so everything below is kernel-agnostic; the only parallel
-	// specialization is deferring shared-state measurement hooks into
-	// per-shard logs replayed at barriers. When the topology cannot shard
-	// usefully (one worker, too few nodes), fall back to the serial loop.
-	var kern *simnet.Kernel
-	var shardOf []int
-	nodeOn := func(i int) simnet.NodeSim { return simnet.On(sim, i) }
-	client := simnet.On(sim, n)
-	if cfg.Kernel == KernelParallel {
-		workers := cfg.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if plan, nshards := nw.PlanShards(workers); plan != nil {
-			kern = simnet.NewKernel(sim, nw, plan, nshards, n, workers)
-			shardOf = plan
-			nodeOn = kern.NodeOn
-			client = kern.ClientOn()
-		}
-	}
-
-	res := &Result{Protocol: cfg.Protocol.Name, Net: cfg.Net.String(), N: n,
-		Series: metrics.NewTimeSeries(500 * time.Millisecond), Breakdown: &metrics.Breakdown{},
-		Kernel: KernelSerial.String()}
-	if kern != nil {
-		res.Kernel = KernelParallel.String()
-		res.Shards = kern.NumShards()
-	}
-	var gen workload.Source = cfg.Source
-	if gen == nil {
-		gen = workload.New(cfg.Workload)
-	}
-	genesis := gen.Genesis()
-
-	// Client-side metadata, indexed by the dense run index stamped onto
-	// every submitted transaction (Idx-1).
-	meta := make([]txMeta, 0, 1024)
-
-	// Scenario phase windows: confirmations are binned by reply time into
-	// half-open windows delimited by the scenario's event times (see
-	// phaseTracker). The series buffers are sized for the whole run up
-	// front so the measurement path never reallocates them.
-	runEnd := cfg.Duration + cfg.Drain
-	res.Series.Reserve(int(runEnd/res.Series.Bin) + 2)
-	var pt *phaseTracker
-	if cfg.Scenario != nil {
-		pt = newPhaseTracker(cfg.Scenario, runEnd)
-	}
-	// Phases that close mid-run stream out the moment they are final; the
-	// rest (at minimum the last phase) are emitted at finalization below.
-	if pt != nil && cfg.OnPhase != nil {
-		for i := range pt.windows {
-			if pt.windows[i].End >= runEnd {
-				continue
-			}
-			i := i
-			sim.At(simnet.Time(pt.windows[i].End), func() {
-				pt.emitted[i] = true
-				cfg.OnPhase(pt.stat(i))
-			})
-		}
-	}
-
-	// Shared analytic SB instances, created lazily per instance index.
-	var analytic map[int]*sb.Instance
-	if cfg.AnalyticSB {
-		analytic = make(map[int]*sb.Instance)
-	}
-
-	windowEnd := simnet.Time(cfg.Duration)
-	// applyConfirm is the client-side confirmation accounting: the
-	// (f+1)-th replica reply makes a transaction client-visible. Serial
-	// runs call it straight from the replica's hook; parallel runs log
-	// hook firings per shard and replay them through this same function at
-	// kernel barriers, merged in canonical (at, ord) order — the exact
-	// serial call sequence.
-	applyConfirm := func(i int, tx *types.Transaction, success bool, at simnet.Time) {
-		if tx.Idx == 0 || tx.Idx > uint64(len(meta)) {
-			return
-		}
-		m := &meta[tx.Idx-1]
-		if m.done {
-			return
-		}
-		m.replies++
-		if m.replies < int32(f+1) {
-			return
-		}
-		m.done = true
-		reply := at + simnet.Time(nw.BaseDelay(i, int(m.home), 256))
-		m.reply = reply
-		lat := time.Duration(reply - m.submit)
-		res.Latency.Add(lat)
-		res.Series.Record(reply, lat)
-		if pt != nil {
-			pt.record(reply, lat)
-		}
-		if !success {
-			res.Aborted++
-		}
-		if reply >= simnet.Time(cfg.Warmup) && reply <= windowEnd {
-			res.Confirmed++
-		}
-		if cfg.OnConfirm != nil {
-			cfg.OnConfirm(tx, success, reply)
-		}
-	}
-	// Per-shard measurement logs for the parallel kernel: each shard's
-	// worker is the only writer of its log, and the coordinator drains
-	// them at barriers (see replayHooks below).
-	var hookLogs [][]hookRec
-	if kern != nil {
-		hookLogs = make([][]hookRec, kern.NumShards())
-	}
-	replicas := make([]*core.Replica, n)
-	for i := 0; i < n; i++ {
-		i := i
-		ccfg := core.Config{
-			N: n, F: f, ID: i, M: n,
-			Mode:             cfg.Protocol,
-			BatchSize:        cfg.BatchSize,
-			BatchTimeout:     cfg.BatchTimeout,
-			Window:           cfg.Window,
-			ViewTimeout:      cfg.ViewTimeout,
-			TxSize:           cfg.TxSize,
-			EpochLen:         cfg.EpochLen,
-			StateTransfer:    cfg.StateTransfer,
-			CensorshipBlocks: cfg.CensorshipBlocks,
-			Genesis:          genesis,
-			TraceStages:      i == 0,
-			OnConfirm: func(tx *types.Transaction, success bool, at simnet.Time) {
-				applyConfirm(i, tx, success, at)
-			},
-			OnViewChange: func(instance int, view uint64, at simnet.Time) {
-				if i == 0 {
-					res.ViewChanges++
-				}
-			},
-		}
-		if cfg.OnBlockDeliver != nil {
-			ccfg.OnBlockDeliver = func(instance int, b *types.Block) {
-				cfg.OnBlockDeliver(i, instance, b)
-			}
-		}
-		if kern != nil {
-			// Shared-state hooks fire on shard goroutines under the parallel
-			// kernel: defer them into the shard's log instead, stamped with
-			// the executing event's canonical key for barrier replay.
-			sh := shardOf[i]
-			ssim := nodeOn(i).S
-			ccfg.OnConfirm = func(tx *types.Transaction, success bool, at simnet.Time) {
-				hookLogs[sh] = append(hookLogs[sh], hookRec{
-					at: at, ord: ssim.ExecOrd(), tx: tx,
-					replica: int32(i), success: success, kind: hookConfirm,
-				})
-			}
-			if cfg.OnBlockDeliver != nil {
-				ccfg.OnBlockDeliver = func(instance int, b *types.Block) {
-					hookLogs[sh] = append(hookLogs[sh], hookRec{
-						at: ssim.Now(), ord: ssim.ExecOrd(), block: b,
-						replica: int32(i), instance: int32(instance), kind: hookBlock,
-					})
-				}
-			}
-		}
-		// Straggled instances are led by the highest-index replicas.
-		if cfg.Stragglers > 0 && i >= n-cfg.Stragglers {
-			ccfg.PulseScale = cfg.StragglerFactor
-		}
-		if cfg.UndetectableFaults > 0 && i >= n-cfg.UndetectableFaults {
-			ccfg.ByzantineMute = true
-		}
-		if cfg.AnalyticSB {
-			ccfg.SB = func(instance int, hooks core.SBHooks) core.SB {
-				inst, ok := analytic[instance]
-				if !ok {
-					inst = sb.NewInstance(sb.Config{
-						N: n, F: f, Instance: instance,
-						Window: cfg.Window, TxSize: cfg.TxSize,
-					}, sim, nw)
-					analytic[instance] = inst
-				}
-				return inst.Port(i, hooks.OnDeliver)
-			}
-		}
-		replicas[i] = core.NewReplica(ccfg, nodeOn(i), nw)
-	}
-	// Barrier replay for the parallel kernel: drain the per-shard hook
-	// logs in canonical (at, ord) order — a k-way merge of already-sorted
-	// logs — through the identical accounting the serial loop runs inline.
-	// Entries within one event (a block delivery followed by confirmations)
-	// share a key and replay in logged order.
-	var replayHooks func(simnet.Time)
-	if kern != nil {
-		replayIdx := make([]int, len(hookLogs))
-		replayHooks = func(simnet.Time) {
-			for {
-				best := -1
-				for s := range hookLogs {
-					if replayIdx[s] >= len(hookLogs[s]) {
-						continue
-					}
-					e := &hookLogs[s][replayIdx[s]]
-					if best == -1 {
-						best = s
-						continue
-					}
-					be := &hookLogs[best][replayIdx[best]]
-					if e.at < be.at || (e.at == be.at && e.ord < be.ord) {
-						best = s
-					}
-				}
-				if best == -1 {
-					break
-				}
-				e := hookLogs[best][replayIdx[best]]
-				replayIdx[best]++
-				switch e.kind {
-				case hookConfirm:
-					applyConfirm(int(e.replica), e.tx, e.success, e.at)
-				case hookBlock:
-					cfg.OnBlockDeliver(int(e.replica), int(e.instance), e.block)
-				}
-			}
-			for s := range hookLogs {
-				hookLogs[s] = hookLogs[s][:0]
-				replayIdx[s] = 0
-			}
-		}
-		kern.SetBarrierHook(replayHooks)
-	}
-	// Straggler network scaling: everything the straggled replicas send is
-	// slowed, modeling an instance that runs 10x slower end to end.
-	for s := 0; s < cfg.Stragglers; s++ {
-		nw.SetOutScale(n-1-s, cfg.StragglerFactor)
-	}
-	for _, r := range replicas {
-		r.Start()
-	}
-
-	// Detectable faults: crash the chosen replicas at FaultAt (Fig. 7).
-	if cfg.DetectableFaults > 0 {
-		at := simnet.Time(cfg.FaultAt)
-		for k := 0; k < cfg.DetectableFaults; k++ {
-			victim := n - 1 - k
-			sim.At(at, func() {
-				replicas[victim].Stop()
-				nw.SetDown(victim, true)
-			})
-		}
-	}
-
-	// Scenario events: compiled onto the simulator's timeline, mutating the
-	// network, the replica lifecycles and the client load factor mid-run.
-	loadMult := 1.0
-	if cfg.Scenario != nil {
-		cfg.Scenario.Apply(sim, scenario.Hooks{
-			Crash: func(id int) {
-				replicas[id].Stop()
-				nw.SetDown(id, true)
-			},
-			Recover: func(id int) {
-				nw.SetDown(id, false)
-				replicas[id].Recover()
-			},
-			Straggle: func(id int, scale float64) {
-				nw.SetOutScale(id, scale)
-				replicas[id].SetPulseScale(scale)
-			},
-			Partition:  func(groups [][]int) { nw.Partition(groups...) },
-			Heal:       nw.Heal,
-			LoadFactor: func(mult float64) { loadMult = mult },
-			Equivocate: func(id int) { replicas[id].SetEquivocate(true) },
-			Censor:     func(id int) { replicas[id].SetCensorAll(true) },
-			MuteLeader: func(id int) { replicas[id].SetMuteLeader(true) },
-		})
-	}
-
-	// Open-loop clients: one transaction every 1/(LoadTPS*loadMult)
-	// seconds, submitted to the (current) leaders of its buckets plus the
-	// next f replicas each (censorship resistance, Sec. V-B) and to the
-	// observer.
-	interval := time.Duration(float64(time.Second) / cfg.LoadTPS)
-	submitted := 0
-	// Per-transaction scratch, reused across the whole run (the simulation
-	// is single-threaded): target list plus a dedup vector indexed by
-	// replica. Individual submissions are scheduled as closure-free call
-	// events — one transaction allocates its metadata entry and nothing
-	// else on the client side.
-	targetBuf := make([]int, 0, 2*(f+1)+1)
-	targetSeen := make([]bool, n)
-	leaders := &leaderCache{n: n, m: make(map[types.Key]int, 1024)}
-	// The client rides its own scheduling affinity (node id n — a pure
-	// source, never a delivery target): under the parallel kernel the
-	// whole submission chain runs on the client shard and its cross-node
-	// hops merge into the replica shards, and under the serial loop the
-	// identical stamping keeps the canonical event keys kernel-independent.
-	var submitNext func(at simnet.Time)
-	submitNext = func(at simnet.Time) {
-		if at > windowEnd || (cfg.TotalTxs > 0 && submitted >= cfg.TotalTxs) {
-			return
-		}
-		client.At(at, func() {
-			tx := gen.Next()
-			tx.SubmitNS = int64(client.Now())
-			home := submitted % n
-			tx.Idx = uint64(submitted + 1) // dense run index for slice-addressed state
-			meta = append(meta, txMeta{id: tx.ID(), submit: client.Now(), home: int32(home)})
-			targetBuf = appendSubmitTargets(targetBuf[:0], targetSeen, leaders, tx, n, f)
-			for _, target := range targetBuf {
-				d := nw.BaseDelay(home, target, cfg.TxSize)
-				client.CallAtNode(target, client.Now()+simnet.Time(d), submitToReplica, replicas[target], tx)
-			}
-			submitted++
-			res.Submitted = submitted
-			gap := time.Duration(float64(interval) / loadMult)
-			if gap <= 0 {
-				gap = 1 // virtual time must advance or the loop never ends
-			}
-			submitNext(at + simnet.Time(gap))
-		})
-	}
-	submitNext(simnet.Time(cfg.Warmup) / 2)
-
-	// Streaming windows and cancellation: one bookkeeping event per 0.5 s
-	// of virtual time polls Halt and reports the just-closed series bin
-	// (final by the same argument as phaseStat's). Bins still open when the
-	// ticks end — a trailing partial bin, or bins reached only by replies
-	// landing after runEnd — are flushed after the simulation below.
-	windowsEmitted := 0
-	if cfg.OnWindow != nil || cfg.Halt != nil {
-		win := res.Series.Bin
-		var tick func(k int)
-		tick = func(k int) {
-			sim.At(simnet.Time(win)*simnet.Time(k), func() {
-				if cfg.Halt != nil && cfg.Halt() {
-					res.Halted = true
-					sim.Halt()
-					return
-				}
-				if cfg.OnWindow != nil {
-					i := k - 1
-					cfg.OnWindow(WindowStat{
-						Index:         i,
-						Start:         time.Duration(i) * win,
-						End:           time.Duration(k) * win,
-						Confirmed:     res.Series.Count(i),
-						ThroughputTPS: res.Series.Throughput(i),
-						MeanLatency:   res.Series.MeanLatency(i),
-					})
-					windowsEmitted = k
-				}
-				if simnet.Time(win)*simnet.Time(k+1) <= simnet.Time(runEnd) {
-					tick(k + 1)
-				}
-			})
-		}
-		tick(1)
-	}
-
-	// Live-set census ticks: one bookkeeping event per SampleLiveSet of
-	// virtual time walks every replica and records the retained-state sum
-	// plus the scheduler's pending events (serial kernel only — validated
-	// above; the walk would cross shard boundaries under the parallel one).
-	if cfg.SampleLiveSet > 0 {
-		var census func(k int)
-		census = func(k int) {
-			sim.At(simnet.Time(cfg.SampleLiveSet)*simnet.Time(k), func() {
-				s := LiveSetSample{
-					At:     cfg.SampleLiveSet * time.Duration(k),
-					Events: sim.Pending(),
-				}
-				for _, r := range replicas {
-					ls := r.LiveSet()
-					s.Trackers += ls.Trackers
-					s.Slots += ls.Slots
-					s.ExecQ += ls.ExecQ
-					s.GlogQ += ls.GlogQ
-					s.Escrows += ls.Escrows
-					s.Archive += ls.Archive
-					s.Retained += ls.Retained
-					s.CkptVotes += ls.CkptVotes
-				}
-				s.Total = s.Events + s.Trackers + s.Slots + s.ExecQ + s.GlogQ +
-					s.Escrows + s.Archive + s.Retained + s.CkptVotes
-				res.LiveSetSamples = append(res.LiveSetSamples, s)
-				if s.Total > res.LiveSetPeak {
-					res.LiveSetPeak = s.Total
-				}
-				if cfg.SampleLiveSet*time.Duration(k+1) <= runEnd {
-					census(k + 1)
-				}
-			})
-		}
-		census(1)
-	}
-
-	if kern != nil {
-		kern.Run(windowEnd + simnet.Time(cfg.Drain))
-		// The horizon window takes no barrier; drain hooks it logged.
-		replayHooks(0)
-		res.Events = kern.EventsProcessed()
-	} else {
-		sim.Run(windowEnd + simnet.Time(cfg.Drain))
-		res.Events = sim.EventsProcessed()
-	}
-	res.Messages = nw.Messages()
-
-	// A halted run measures only the elapsed virtual time: divide the
-	// confirmations by the window that actually ran, not the configured
-	// one, so partial throughput is a rate and not a fraction of one.
-	window := (cfg.Duration - cfg.Warmup).Seconds()
-	if res.Halted {
-		if end := time.Duration(sim.Now()); end < cfg.Duration {
-			window = (end - cfg.Warmup).Seconds()
-		}
-	}
-	if window > 0 {
-		res.ThroughputTPS = float64(res.Confirmed) / window
-	}
-	// Bins the ticker has not streamed yet — the partial bin past the last
-	// 0.5 s multiple, or bins opened by replies landing after runEnd — are
-	// closed now that the simulation stopped; emit them in order.
-	if cfg.OnWindow != nil {
-		for i := windowsEmitted; i < res.Series.Bins(); i++ {
-			cfg.OnWindow(WindowStat{
-				Index:         i,
-				Start:         time.Duration(i) * res.Series.Bin,
-				End:           time.Duration(i+1) * res.Series.Bin,
-				Confirmed:     res.Series.Count(i),
-				ThroughputTPS: res.Series.Throughput(i),
-				MeanLatency:   res.Series.MeanLatency(i),
-			})
-		}
-	}
-	// Phase finalization. On a halted run the recorded counts include
-	// confirmations whose replies had not landed when the simulation
-	// stopped; re-bin from the metadata so every window counts exactly the
-	// replies inside its clamped bounds, then clamp to the elapsed virtual
-	// time — phases the halt preempted entirely are never emitted.
-	if pt != nil {
-		elapsed := time.Duration(sim.Now())
-		if res.Halted {
-			pt.reset()
-			for i := range meta {
-				if m := &meta[i]; m.done && m.reply < simnet.Time(elapsed) {
-					pt.record(m.reply, time.Duration(m.reply-m.submit))
-				}
-			}
-		}
-		res.Phases = pt.finalize(elapsed, res.Halted)
-		if cfg.OnPhase != nil {
-			for i := range res.Phases {
-				if !pt.emitted[i] && !pt.skipped[i] {
-					cfg.OnPhase(res.Phases[i])
-				}
-			}
-		}
-	}
-
-	// Observer breakdown (Fig. 6): stage deltas from replica 0's trace plus
-	// the client-side reply time.
-	obs := replicas[0]
-	for i := range meta {
-		m := &meta[i]
-		st, ok := obs.Stages(m.id)
-		if !ok || st.Confirmed == 0 || st.Submit == 0 {
-			continue
-		}
-		res.Breakdown.Add(metrics.StageSend, time.Duration(st.Received-st.Submit))
-		res.Breakdown.Add(metrics.StagePreprocess, time.Duration(st.Proposed-st.Received))
-		res.Breakdown.Add(metrics.StagePartial, time.Duration(st.Delivered-st.Proposed))
-		res.Breakdown.Add(metrics.StageGlobal, time.Duration(st.Confirmed-st.Delivered))
-		if m.done && m.reply > st.Confirmed {
-			res.Breakdown.Add(metrics.StageReply, time.Duration(m.reply-st.Confirmed))
-		} else {
-			res.Breakdown.Add(metrics.StageReply, time.Duration(nw.BaseDelay(0, int(m.home), 256)))
-		}
-	}
-
-	for _, r := range replicas {
-		res.StateTransferApplied += r.StateTransferApplied()
-	}
-
-	if cfg.CaptureState {
-		res.State = replicas[0].Store()
-		snap := res.State.Snapshot()
-		res.Converged = true
-		for i := 1; i < n; i++ {
-			if !replicas[i].Store().Snapshot().Equal(snap) {
-				res.Converged = false
-				break
-			}
-		}
-	}
-	return res
-}
-
-// submitToReplica is the client-submission event callback: delivering a
-// transaction to one replica. Top-level so the scheduler's call events
-// carry it without a closure allocation.
-func submitToReplica(replica, tx any) {
-	_ = replica.(*core.Replica).SubmitTx(tx.(*types.Transaction))
-}
-
-// appendSubmitTargets appends the replicas a client sends tx to onto dst:
-// each involved instance's initial leader plus the f replicas after it,
-// and replica 0 (the tracing observer). m = n, so instance i's initial
-// leader is i. seen is caller-provided scratch of length n, all-false on
-// entry; it is cleared again before returning. Duplicate payers resolve to
-// already-seen leaders, so iterating ops directly matches the distinct
-// payer list. leaders memoizes the sha256-based key-to-leader mapping for
-// the run.
-func appendSubmitTargets(dst []int, seen []bool, leaders *leaderCache, tx *types.Transaction, n, f int) []int {
-	add := func(dst []int, r int) []int {
-		r %= n
-		if !seen[r] {
-			seen[r] = true
-			dst = append(dst, r)
-		}
-		return dst
-	}
-	dst = add(dst, 0)
-	hasPayer := false
-	for _, op := range tx.Ops {
-		if !op.IsPayerOp() {
-			continue
-		}
-		hasPayer = true
-		lead := leaders.of(op.Key)
-		for k := 0; k <= f; k++ {
-			dst = add(dst, lead+k)
-		}
-	}
-	if !hasPayer { // no payer ops: route by client
-		lead := leaders.of(tx.Client)
-		for k := 0; k <= f; k++ {
-			dst = add(dst, lead+k)
-		}
-	}
-	for _, r := range dst {
-		seen[r] = false
-	}
-	return dst
-}
-
-// leaderCache memoizes core.BucketOf per key for one run: the assignment
-// hashes the key with sha256, and the open-loop client resolves the same
-// few thousand account keys for the whole run.
-type leaderCache struct {
-	n int
-	m map[types.Key]int
-}
-
-func (c *leaderCache) of(k types.Key) int {
-	if v, ok := c.m[k]; ok {
-		return v
-	}
-	v := core.BucketOf(k, c.n)
-	c.m[k] = v
-	return v
 }

@@ -4,7 +4,7 @@ import (
 	"time"
 
 	"repro/internal/scenario"
-	"repro/internal/simnet"
+	"repro/internal/types"
 )
 
 // phaseTracker bins client-visible confirmations into the measurement
@@ -26,7 +26,7 @@ type phaseTracker struct {
 	lat     []time.Duration // per-window client-latency sums
 	emitted []bool          // streamed mid-run by OnPhase
 	skipped []bool          // halted before the window opened; never emitted
-	maxEnd  simnet.Time     // latest reply recorded in the final window
+	maxEnd  types.Time      // latest reply recorded in the final window
 }
 
 // newPhaseTracker derives the nominal windows from the scenario's event
@@ -61,10 +61,10 @@ func newPhaseTracker(scn *scenario.Scenario, runEnd time.Duration) *phaseTracker
 // which keeps zero-width windows (scenario events at or past the end of
 // the run) empty, and a reply exactly on a boundary goes to the window the
 // boundary opens — the half-open rule.
-func (pt *phaseTracker) indexOf(at simnet.Time) int {
+func (pt *phaseTracker) indexOf(at types.Time) int {
 	idx := 0
 	for i := 1; i < len(pt.windows); i++ {
-		if simnet.Time(pt.windows[i].Start) <= at {
+		if types.Time(pt.windows[i].Start) <= at {
 			idx = i
 		}
 	}
@@ -72,7 +72,7 @@ func (pt *phaseTracker) indexOf(at simnet.Time) int {
 }
 
 // record bins one confirmation by its client-visible reply time.
-func (pt *phaseTracker) record(reply simnet.Time, lat time.Duration) {
+func (pt *phaseTracker) record(reply types.Time, lat time.Duration) {
 	i := pt.indexOf(reply)
 	pt.windows[i].Confirmed++
 	pt.lat[i] += lat

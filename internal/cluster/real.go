@@ -2,14 +2,12 @@ package cluster
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
-	"repro/internal/simnet"
 	"repro/internal/transport"
 	"repro/internal/types"
-	"repro/internal/workload"
 )
 
 // KernelReal names the engine RunReal reports in Result.Kernel: replicas
@@ -17,135 +15,50 @@ import (
 // discrete-event simulator.
 const KernelReal = "real"
 
-// realMeta is the client-side accounting for one transaction under the
-// real backend. Unlike the simulator's dense Idx-addressed slice, entries
-// are keyed by content digest: the wire codec deliberately strips the
-// local Idx, so replica confirmation hooks see copies with Idx = 0.
-type realMeta struct {
-	submit  simnet.Time
-	reply   simnet.Time
-	replies int
-	done    bool
-}
-
 // RunReal executes one experiment over the in-process real transport
 // (transport.Proc) and returns measurements in the same Result shape as
-// the simulated Run: one event-loop goroutine per replica, wall-clock
-// timers, and every message wire-encoded and decoded between replicas.
+// the simulated Run. It is the real backend of the shared harness
+// (collector): one event-loop goroutine per replica with its wall clock,
+// every message wire-encoded and decoded between replicas, no reply hop to
+// model, a client goroutine paced by wall-clock deadlines, and one mutex
+// that delivers the n replica goroutines' hooks and the client's
+// submissions to the collector — and the user's observers — one at a time.
 //
 // The measured numbers are wall-clock facts about this machine, not
 // modeled WAN/LAN predictions, and they are not deterministic — two runs
 // with the same seed return similar, never identical, Results. Config.Net
-// only labels the result. Knobs that mutate the simulated network or
-// replica lifecycles (stragglers, faults, scenarios, the NIC model,
-// analytic SB, the parallel kernel) have no real-backend implementation
-// and panic, mirroring Run's treatment of invalid combinations; the
-// public SDK rejects them with a friendly error first.
+// only labels the result. OnWindow reports every series bin when the run
+// ends (there is no virtual-time tick to stream them on); Halt is polled
+// every 10 ms. Simulation-only knobs (Config.SimOnly) panic, mirroring
+// Run's treatment of invalid combinations; the public SDK rejects them
+// with a friendly error first.
 func RunReal(cfg Config) *Result {
 	cfg = cfg.withDefaults()
-	switch {
-	case cfg.AnalyticSB:
-		panic("cluster: the real transport backend requires message-level PBFT; disable AnalyticSB")
-	case cfg.Scenario != nil:
-		panic("cluster: scenarios run on the simulated network; the real transport backend does not support them")
-	case cfg.NIC:
-		panic("cluster: the NIC bandwidth model is simulation-only; the real transport backend measures real links")
-	case cfg.Stragglers > 0:
-		panic("cluster: stragglers are simulation-only; the real transport backend cannot slow real replicas")
-	case cfg.DetectableFaults > 0 || cfg.UndetectableFaults > 0:
-		panic("cluster: fault injection is simulation-only on the real transport backend")
-	case cfg.Kernel == KernelParallel:
-		panic("cluster: the parallel kernel executes simulations; the real transport backend is already concurrent")
+	if why := cfg.SimOnly(); len(why) > 0 {
+		panic("cluster: " + why[0])
 	}
 	n := cfg.N
-	f := (n - 1) / 3
-
 	proc := transport.NewProc(n)
-	res := &Result{Protocol: cfg.Protocol.Name, Net: cfg.Net.String(), N: n,
-		Series: metrics.NewTimeSeries(500 * time.Millisecond), Breakdown: &metrics.Breakdown{},
-		Kernel: KernelReal}
-	var gen workload.Source = cfg.Source
-	if gen == nil {
-		gen = workload.New(cfg.Workload)
-	}
-	genesis := gen.Genesis()
+	c := newCollector(cfg, KernelReal, func(int, int) time.Duration { return 0 })
+	res := c.res
 
-	// Confirmation hooks fire on n replica goroutines; one mutex funnels
-	// them through the same accounting the serial simulator runs inline.
-	// It also serializes the user-facing observation hooks, preserving the
-	// sim backend's one-at-a-time hook contract.
-	var mu sync.Mutex
-	meta := make(map[types.TxID]*realMeta, 1024)
-	order := make([]types.TxID, 0, 1024) // submission order, for the breakdown pass
-	doneN := 0
-	clientDone := false
-
-	windowEnd := simnet.Time(cfg.Duration)
-	// applyConfirm mirrors Run's closure of the same name: the (f+1)-th
-	// replica reply makes a transaction client-visible. There is no
-	// modeled reply hop to add — `at` is already the wall-clock time (ns
-	// since the epoch) at which the confirming replica answered.
-	applyConfirm := func(tx *types.Transaction, success bool, at simnet.Time) {
-		mu.Lock()
-		defer mu.Unlock()
-		m, ok := meta[tx.ID()]
-		if !ok || m.done {
-			return
+	var mu sync.Mutex // guards the collector
+	replicas := c.replicas(func(i int, ccfg core.Config) *core.Replica {
+		confirm, deliver := ccfg.OnConfirm, ccfg.OnBlockDeliver
+		ccfg.OnConfirm = func(tx *types.Transaction, success bool, at types.Time) {
+			mu.Lock()
+			confirm(tx, success, at)
+			mu.Unlock()
 		}
-		m.replies++
-		if m.replies < f+1 {
-			return
-		}
-		m.done = true
-		m.reply = at
-		doneN++
-		lat := time.Duration(at - m.submit)
-		res.Latency.Add(lat)
-		res.Series.Record(at, lat)
-		if !success {
-			res.Aborted++
-		}
-		if at >= simnet.Time(cfg.Warmup) && at <= windowEnd {
-			res.Confirmed++
-		}
-		if cfg.OnConfirm != nil {
-			cfg.OnConfirm(tx, success, at)
-		}
-	}
-
-	replicas := make([]*core.Replica, n)
-	for i := 0; i < n; i++ {
-		i := i
-		ccfg := core.Config{
-			N: n, F: f, ID: i, M: n,
-			Mode:             cfg.Protocol,
-			BatchSize:        cfg.BatchSize,
-			BatchTimeout:     cfg.BatchTimeout,
-			Window:           cfg.Window,
-			ViewTimeout:      cfg.ViewTimeout,
-			TxSize:           cfg.TxSize,
-			EpochLen:         cfg.EpochLen,
-			CensorshipBlocks: cfg.CensorshipBlocks,
-			Genesis:          genesis,
-			TraceStages:      i == 0,
-			OnConfirm:        applyConfirm,
-			OnViewChange: func(instance int, view uint64, at simnet.Time) {
-				if i == 0 {
-					mu.Lock()
-					res.ViewChanges++
-					mu.Unlock()
-				}
-			},
-		}
-		if cfg.OnBlockDeliver != nil {
+		if deliver != nil {
 			ccfg.OnBlockDeliver = func(instance int, b *types.Block) {
 				mu.Lock()
-				cfg.OnBlockDeliver(i, instance, b)
+				deliver(instance, b)
 				mu.Unlock()
 			}
 		}
-		replicas[i] = core.NewReplica(ccfg, proc.Node(i).Sim(), proc)
-	}
+		return core.NewReplica(ccfg, proc.Node(i), proc)
+	})
 	for _, r := range replicas {
 		r.Start() // queues the first pulses; nothing runs until the loops start
 	}
@@ -161,96 +74,62 @@ func RunReal(cfg Config) *Result {
 	// the targets, decoded per receiver like everything else, but uncounted,
 	// matching the sim harness where client traffic bypasses the network
 	// counters.
-	clientFinished := make(chan struct{})
+	var halted atomic.Bool
+	clientDone := make(chan struct{})
 	go func() {
-		defer close(clientFinished)
+		defer close(clientDone)
 		interval := time.Duration(float64(time.Second) / cfg.LoadTPS)
-		targetBuf := make([]int, 0, 2*(f+1)+1)
-		targetSeen := make([]bool, n)
-		leaders := &leaderCache{n: n, m: make(map[types.Key]int, 1024)}
-		submitted := 0
-		for k := 0; ; k++ {
+		router := core.NewSubmitRouter(n, c.f)
+		for k := 0; cfg.TotalTxs == 0 || k < cfg.TotalTxs; k++ {
 			at := cfg.Warmup/2 + time.Duration(k)*interval
-			if at > cfg.Duration || (cfg.TotalTxs > 0 && submitted >= cfg.TotalTxs) {
+			if at > cfg.Duration {
 				break
 			}
 			if d := time.Until(epoch.Add(at)); d > 0 {
 				time.Sleep(d)
 			}
-			tx := gen.Next()
-			now := simnet.Time(time.Since(epoch))
-			tx.SubmitNS = int64(now)
-			id := tx.ID()
+			if halted.Load() {
+				break
+			}
+			tx := c.gen.Next()
+			tx.ID() // hash outside the lock; submit reads the memo
+			now := types.Time(time.Since(epoch))
 			mu.Lock()
-			meta[id] = &realMeta{submit: now}
-			order = append(order, id)
+			c.submit(tx, now)
 			mu.Unlock()
-			targetBuf = appendSubmitTargets(targetBuf[:0], targetSeen, leaders, tx, n, f)
-			proc.InjectTo(n, targetBuf, &core.SubmitMsg{Tx: tx})
-			submitted++
+			proc.InjectTo(n, router.Targets(tx), &core.SubmitMsg{Tx: tx})
 		}
-		mu.Lock()
-		res.Submitted = submitted
-		clientDone = true
-		mu.Unlock()
 	}()
 
 	// Run until the drain budget expires, or earlier once every submitted
-	// transaction has confirmed (wall time is real here — don't waste it).
+	// transaction has confirmed (wall time is real here — don't waste it),
+	// or Halt says stop.
 	allDone := func() bool {
+		select {
+		case <-clientDone:
+		default:
+			return false
+		}
 		mu.Lock()
 		defer mu.Unlock()
-		return clientDone && doneN == len(order)
+		return c.done == len(c.meta)
 	}
 	deadline := epoch.Add(cfg.Duration + cfg.Drain)
-	for time.Now().Before(deadline) {
-		if allDone() {
+	for time.Now().Before(deadline) && !allDone() {
+		if cfg.Halt != nil && cfg.Halt() {
+			res.Halted = true
+			halted.Store(true)
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	<-clientFinished
+	<-clientDone
+	elapsed := time.Since(epoch)
 	proc.Stop() // replica goroutines are gone after this: reads below are safe
 
 	res.Messages = proc.Messages()
 	for i := 0; i < n; i++ {
-		res.Events += proc.Node(i).Sim().S.EventsProcessed()
+		res.Events += proc.Node(i).TimersFired()
 	}
-	if window := (cfg.Duration - cfg.Warmup).Seconds(); window > 0 {
-		res.ThroughputTPS = float64(res.Confirmed) / window
-	}
-
-	// Observer breakdown, as in Run; the reply stage is whatever wall time
-	// passed between the observer's confirmation and the client-visible
-	// (f+1)-th reply (zero when the observer itself completed the quorum).
-	obs := replicas[0]
-	for _, id := range order {
-		m := meta[id]
-		st, ok := obs.Stages(id)
-		if !ok || st.Confirmed == 0 || st.Submit == 0 {
-			continue
-		}
-		res.Breakdown.Add(metrics.StageSend, time.Duration(st.Received-st.Submit))
-		res.Breakdown.Add(metrics.StagePreprocess, time.Duration(st.Proposed-st.Received))
-		res.Breakdown.Add(metrics.StagePartial, time.Duration(st.Delivered-st.Proposed))
-		res.Breakdown.Add(metrics.StageGlobal, time.Duration(st.Confirmed-st.Delivered))
-		if m.done && m.reply > st.Confirmed {
-			res.Breakdown.Add(metrics.StageReply, time.Duration(m.reply-st.Confirmed))
-		} else {
-			res.Breakdown.Add(metrics.StageReply, 0)
-		}
-	}
-
-	if cfg.CaptureState {
-		res.State = replicas[0].Store()
-		snap := res.State.Snapshot()
-		res.Converged = true
-		for i := 1; i < n; i++ {
-			if !replicas[i].Store().Snapshot().Equal(snap) {
-				res.Converged = false
-				break
-			}
-		}
-	}
-	return res
+	return c.finish(replicas, elapsed)
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/simnet"
 	"repro/internal/transport"
 	"repro/internal/types"
 	"repro/internal/workload"
@@ -23,7 +22,7 @@ import (
 // RunReal rejects fault injection by design (the measured harness has no
 // scenario engine), so the cluster is built directly: replicas on
 // transport.Proc node loops, with the crash and recovery scheduled on the
-// victim's own loop via its node-pinned timer view before the loops start.
+// victim's own loop through its node clock before the loops start.
 func TestProcCrashRecoverCatchUp(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second wall-clock run")
@@ -49,32 +48,25 @@ func TestProcCrashRecoverCatchUp(t *testing.T) {
 		i := i
 		logs[i] = map[slot]types.BlockID{}
 		counts[i] = map[slot]int{}
-		ccfg := core.Config{
-			N: n, F: 1, ID: i, M: n,
-			Mode:          core.OrthrusMode(),
-			BatchSize:     4096,
-			BatchTimeout:  100 * time.Millisecond,
-			ViewTimeout:   10 * time.Second,
-			EpochLen:      4,
-			StateTransfer: true,
-			Genesis:       genesis,
-			OnBlockDeliver: func(instance int, b *types.Block) {
-				mu.Lock()
-				logs[i][slot{instance, b.SN}] = b.Digest()
-				counts[i][slot{instance, b.SN}]++
-				mu.Unlock()
-			},
+		ccfg := replicaConfig(Config{
+			N: n, Protocol: core.OrthrusMode(), EpochLen: 4, StateTransfer: true,
+		}.withDefaults(), i, genesis)
+		ccfg.OnBlockDeliver = func(instance int, b *types.Block) {
+			mu.Lock()
+			logs[i][slot{instance, b.SN}] = b.Digest()
+			counts[i][slot{instance, b.SN}]++
+			mu.Unlock()
 		}
-		replicas[i] = core.NewReplica(ccfg, proc.Node(i).Sim(), proc)
+		replicas[i] = core.NewReplica(ccfg, proc.Node(i), proc)
 	}
 	// The outage must stay inside the block-replay repair envelope: peers
 	// retain one epoch (EpochLen x BatchTimeout = 400 ms) of archive below
 	// the stable floor, so 300 ms down plus millisecond-scale in-process
-	// round trips is always repairable. Scheduled before Start so the
-	// victim's private timer queue is still single-threaded.
+	// round trips is always repairable. Scheduled before Start, while the
+	// victim's clock is still single-threaded.
 	vs := replicas[victim]
-	proc.Node(victim).Sim().At(simnet.Time(400*time.Millisecond), vs.Stop)
-	proc.Node(victim).Sim().At(simnet.Time(700*time.Millisecond), vs.Recover)
+	proc.Node(victim).CallAt(types.Time(400*time.Millisecond), func(_, _ any) { vs.Stop() }, nil, nil)
+	proc.Node(victim).CallAt(types.Time(700*time.Millisecond), func(_, _ any) { vs.Recover() }, nil, nil)
 
 	for _, r := range replicas {
 		r.Start()

@@ -38,6 +38,12 @@ const (
 	xvalTxs = 200
 )
 
+// xvalConfig is the cluster both backends' replicas are configured from
+// (through the harness's own replicaConfig): the engine defaults.
+func xvalConfig(mode core.Mode) Config {
+	return Config{N: xvalN, Protocol: mode}.withDefaults()
+}
+
 // runSimDigests commits the scripted workload on the simulated network
 // and returns each replica's committed tx-carrying block digests. All
 // transactions are submitted to every replica before the run starts, so
@@ -53,20 +59,11 @@ func runSimDigests(t *testing.T, mode core.Mode) []digestLog {
 	for i := 0; i < xvalN; i++ {
 		i := i
 		logs[i] = digestLog{}
-		ccfg := core.Config{
-			N: xvalN, F: 1, ID: i, M: xvalN,
-			Mode:         mode,
-			BatchSize:    4096,
-			BatchTimeout: 100 * time.Millisecond,
-			ViewTimeout:  10 * time.Second,
-			TxSize:       500,
-			EpochLen:     32,
-			Genesis:      genesis,
-			OnBlockDeliver: func(instance int, b *types.Block) {
-				if len(b.Txs) > 0 {
-					logs[i][blockKey{instance, b.SN}] = b.Digest()
-				}
-			},
+		ccfg := replicaConfig(xvalConfig(mode), i, genesis)
+		ccfg.OnBlockDeliver = func(instance int, b *types.Block) {
+			if len(b.Txs) > 0 {
+				logs[i][blockKey{instance, b.SN}] = b.Digest()
+			}
 		}
 		replicas[i] = core.NewReplica(ccfg, simnet.On(sim, i), nw)
 	}
@@ -100,24 +97,15 @@ func runRealDigests(t *testing.T, mode core.Mode, want digestLog) []digestLog {
 	for i := 0; i < xvalN; i++ {
 		i := i
 		logs[i] = digestLog{}
-		ccfg := core.Config{
-			N: xvalN, F: 1, ID: i, M: xvalN,
-			Mode:         mode,
-			BatchSize:    4096,
-			BatchTimeout: 100 * time.Millisecond,
-			ViewTimeout:  10 * time.Second,
-			TxSize:       500,
-			EpochLen:     32,
-			Genesis:      genesis,
-			OnBlockDeliver: func(instance int, b *types.Block) {
-				if len(b.Txs) > 0 {
-					mu.Lock()
-					logs[i][blockKey{instance, b.SN}] = b.Digest()
-					mu.Unlock()
-				}
-			},
+		ccfg := replicaConfig(xvalConfig(mode), i, genesis)
+		ccfg.OnBlockDeliver = func(instance int, b *types.Block) {
+			if len(b.Txs) > 0 {
+				mu.Lock()
+				logs[i][blockKey{instance, b.SN}] = b.Digest()
+				mu.Unlock()
+			}
 		}
-		replicas[i] = core.NewReplica(ccfg, proc.Node(i).Sim(), proc)
+		replicas[i] = core.NewReplica(ccfg, proc.Node(i), proc)
 	}
 	// Pre-start submission on this goroutine, in generation order: every
 	// replica's buckets hold the transactions in the identical sequence

@@ -1,0 +1,407 @@
+package cluster
+
+import (
+	"runtime"
+	"sync"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/sb"
+	"repro/internal/scenario"
+	"repro/internal/simnet"
+	"repro/internal/types"
+)
+
+// hookRec is one deferred measurement-hook firing under the parallel
+// kernel. Shared accounting (confirmation counters, series bins, user
+// observers) cannot run on shard goroutines, so replica hooks append
+// these to their shard's log — stamped with the executing event's virtual
+// time and canonical key — and the coordinator replays the merged logs at
+// every barrier in exactly the order the serial loop would have fired
+// them.
+type hookRec struct {
+	at       simnet.Time
+	ord      uint64 // executing event's canonical key (simnet.Sim.ExecOrd)
+	tx       *types.Transaction
+	block    *types.Block
+	replica  int32
+	instance int32
+	success  bool
+	kind     uint8
+}
+
+// hookRec kinds.
+const (
+	hookConfirm uint8 = iota
+	hookBlock
+)
+
+// simPool recycles simulators across runs: Sim.Reset reuses the event
+// pool, queue buckets and scratch arenas a previous run grew, so
+// benchmark iterations and RunMany sweeps stop re-growing megabytes of
+// scheduler state per run. Reset restores the exact just-constructed
+// state, so results are identical whether a Sim is fresh or reused (the
+// determinism contract).
+var simPool = sync.Pool{New: func() any { return simnet.New(0) }}
+
+// Run executes one experiment inside the discrete-event simulator and
+// returns its measurements. It is the simulated backend of the shared
+// harness (collector): virtual time, the modeled network — whose base delay
+// is also the reply hop — an event-driven client, and hooks that fire one
+// at a time by construction (serial loop) or by barrier replay (sharded
+// kernel).
+func Run(cfg Config) *Result {
+	cfg = cfg.withDefaults()
+	if cfg.AnalyticSB && (cfg.DetectableFaults > 0 || cfg.UndetectableFaults > 0) {
+		panic("cluster: analytic SB does not support fault injection; use message-level PBFT")
+	}
+	if cfg.Scenario != nil {
+		if cfg.AnalyticSB {
+			panic("cluster: scenarios require message-level PBFT; disable AnalyticSB")
+		}
+		if err := cfg.Scenario.Validate(cfg.N); err != nil {
+			panic("cluster: " + err.Error())
+		}
+	}
+	if cfg.Kernel == KernelParallel {
+		if cfg.AnalyticSB {
+			panic("cluster: the parallel kernel requires message-level PBFT; disable AnalyticSB")
+		}
+		if cfg.NIC {
+			panic("cluster: the NIC bandwidth model requires the serial kernel")
+		}
+		if cfg.StragglerFactor < 1 {
+			panic("cluster: straggler speed-ups (factor < 1) require the serial kernel")
+		}
+		if cfg.Scenario != nil {
+			for _, e := range cfg.Scenario.Events {
+				if e.Kind == scenario.Straggle && e.Scale < 1 {
+					panic("cluster: scenario speed-ups (straggle scale < 1) require the serial kernel")
+				}
+			}
+		}
+		if cfg.SampleLiveSet > 0 {
+			panic("cluster: live-set sampling reads every replica from one bookkeeping event; use the serial kernel")
+		}
+	}
+	n := cfg.N
+	sim := simPool.Get().(*simnet.Sim)
+	sim.Reset(cfg.Seed)
+	defer func() {
+		sim.Reset(0) // drop references from this run before pooling
+		simPool.Put(sim)
+	}()
+
+	var model *simnet.GeoModel
+	if cfg.Net == LAN {
+		model = simnet.NewLAN()
+	} else {
+		model = simnet.NewWAN()
+	}
+	if cfg.AnalyticSB {
+		model.JitterFrac = 0 // closed-form times need deterministic delays
+	}
+	nw := simnet.NewNetwork(sim, n, model)
+	if cfg.NIC && !cfg.AnalyticSB {
+		model.BandwidthBps = 0 // serialization moves into the NIC queues
+		nw.SetNICBps(1e9)
+	}
+
+	// Engine selection: the sharded kernel executes the identical event
+	// schedule, so everything below is kernel-agnostic; the only parallel
+	// specialization is deferring shared-state measurement hooks into
+	// per-shard logs replayed at barriers. When the topology cannot shard
+	// usefully (one worker, too few nodes), fall back to the serial loop.
+	var kern *simnet.Kernel
+	var shardOf []int
+	nodeOn := func(i int) simnet.NodeSim { return simnet.On(sim, i) }
+	client := simnet.On(sim, n)
+	kernel := KernelSerial
+	if cfg.Kernel == KernelParallel {
+		workers := cfg.Workers
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		if plan, nshards := nw.PlanShards(workers); plan != nil {
+			kern = simnet.NewKernel(sim, nw, plan, nshards, n, workers)
+			shardOf = plan
+			nodeOn = kern.NodeOn
+			client = kern.ClientOn()
+			kernel = KernelParallel
+		}
+	}
+
+	c := newCollector(cfg, kernel.String(), func(replica, home int) time.Duration {
+		return nw.BaseDelay(replica, home, 256)
+	})
+	res := c.res
+	runEnd := cfg.Duration + cfg.Drain
+	// Phases that close mid-run stream out the moment they are final; the
+	// rest (at minimum the last phase) are emitted at finalization.
+	if pt := c.pt; pt != nil && cfg.OnPhase != nil {
+		for i := range pt.windows {
+			if pt.windows[i].End >= runEnd {
+				continue
+			}
+			i := i
+			sim.At(simnet.Time(pt.windows[i].End), func() {
+				pt.emitted[i] = true
+				cfg.OnPhase(pt.stat(i))
+			})
+		}
+	}
+
+	// Shared analytic SB instances, created lazily per instance index.
+	var analytic map[int]*sb.Instance
+	if cfg.AnalyticSB {
+		analytic = make(map[int]*sb.Instance)
+	}
+	// Per-shard measurement logs for the parallel kernel: each shard's
+	// worker is the only writer of its log, and the coordinator drains
+	// them at barriers (see replayHooks below).
+	var hookLogs [][]hookRec
+	if kern != nil {
+		res.Shards = kern.NumShards()
+		hookLogs = make([][]hookRec, kern.NumShards())
+	}
+	replicas := c.replicas(func(i int, ccfg core.Config) *core.Replica {
+		if kern != nil {
+			// Shared-state hooks fire on shard goroutines under the parallel
+			// kernel: defer them into the shard's log instead, stamped with
+			// the executing event's canonical key for barrier replay.
+			sh := shardOf[i]
+			ssim := nodeOn(i).S
+			ccfg.OnConfirm = func(tx *types.Transaction, success bool, at simnet.Time) {
+				hookLogs[sh] = append(hookLogs[sh], hookRec{
+					at: at, ord: ssim.ExecOrd(), tx: tx,
+					replica: int32(i), success: success, kind: hookConfirm,
+				})
+			}
+			if cfg.OnBlockDeliver != nil {
+				ccfg.OnBlockDeliver = func(instance int, b *types.Block) {
+					hookLogs[sh] = append(hookLogs[sh], hookRec{
+						at: ssim.Now(), ord: ssim.ExecOrd(), block: b,
+						replica: int32(i), instance: int32(instance), kind: hookBlock,
+					})
+				}
+			}
+		}
+		if cfg.AnalyticSB {
+			ccfg.SB = func(instance int, hooks core.SBHooks) core.SB {
+				inst, ok := analytic[instance]
+				if !ok {
+					inst = sb.NewInstance(sb.Config{
+						N: n, F: c.f, Instance: instance,
+						Window: cfg.Window, TxSize: cfg.TxSize,
+					}, sim, nw)
+					analytic[instance] = inst
+				}
+				return inst.Port(i, hooks.OnDeliver)
+			}
+		}
+		return core.NewReplica(ccfg, nodeOn(i), nw)
+	})
+	// Barrier replay for the parallel kernel: drain the per-shard hook
+	// logs in canonical (at, ord) order — a k-way merge of already-sorted
+	// logs — through the identical accounting the serial loop runs inline.
+	// Entries within one event (a block delivery followed by confirmations)
+	// share a key and replay in logged order.
+	var replayHooks func(simnet.Time)
+	if kern != nil {
+		replayIdx := make([]int, len(hookLogs))
+		replayHooks = func(simnet.Time) {
+			for {
+				best := -1
+				for s := range hookLogs {
+					if replayIdx[s] >= len(hookLogs[s]) {
+						continue
+					}
+					e := &hookLogs[s][replayIdx[s]]
+					if best == -1 {
+						best = s
+						continue
+					}
+					be := &hookLogs[best][replayIdx[best]]
+					if e.at < be.at || (e.at == be.at && e.ord < be.ord) {
+						best = s
+					}
+				}
+				if best == -1 {
+					break
+				}
+				e := hookLogs[best][replayIdx[best]]
+				replayIdx[best]++
+				switch e.kind {
+				case hookConfirm:
+					c.confirm(int(e.replica), e.tx, e.success, e.at)
+				case hookBlock:
+					cfg.OnBlockDeliver(int(e.replica), int(e.instance), e.block)
+				}
+			}
+			for s := range hookLogs {
+				hookLogs[s] = hookLogs[s][:0]
+				replayIdx[s] = 0
+			}
+		}
+		kern.SetBarrierHook(replayHooks)
+	}
+	// Straggler network scaling: everything the straggled replicas send is
+	// slowed, modeling an instance that runs 10x slower end to end.
+	for s := 0; s < cfg.Stragglers; s++ {
+		nw.SetOutScale(n-1-s, cfg.StragglerFactor)
+	}
+	for _, r := range replicas {
+		r.Start()
+	}
+
+	// Detectable faults: crash the chosen replicas at FaultAt (Fig. 7).
+	if cfg.DetectableFaults > 0 {
+		at := simnet.Time(cfg.FaultAt)
+		for k := 0; k < cfg.DetectableFaults; k++ {
+			victim := n - 1 - k
+			sim.At(at, func() {
+				replicas[victim].Stop()
+				nw.SetDown(victim, true)
+			})
+		}
+	}
+
+	// Scenario events: compiled onto the simulator's timeline, mutating the
+	// network, the replica lifecycles and the client load factor mid-run.
+	loadMult := 1.0
+	if cfg.Scenario != nil {
+		cfg.Scenario.Apply(sim, scenario.Hooks{
+			Crash: func(id int) {
+				replicas[id].Stop()
+				nw.SetDown(id, true)
+			},
+			Recover: func(id int) {
+				nw.SetDown(id, false)
+				replicas[id].Recover()
+			},
+			Straggle: func(id int, scale float64) {
+				nw.SetOutScale(id, scale)
+				replicas[id].SetPulseScale(scale)
+			},
+			Partition:  func(groups [][]int) { nw.Partition(groups...) },
+			Heal:       nw.Heal,
+			LoadFactor: func(mult float64) { loadMult = mult },
+			Equivocate: func(id int) { replicas[id].SetEquivocate(true) },
+			Censor:     func(id int) { replicas[id].SetCensorAll(true) },
+			MuteLeader: func(id int) { replicas[id].SetMuteLeader(true) },
+		})
+	}
+
+	// Open-loop clients: one transaction every 1/(LoadTPS*loadMult)
+	// seconds, submitted to the replicas core.SubmitRouter names.
+	// Individual submissions are scheduled as closure-free call events —
+	// one transaction allocates its metadata entry and nothing else on the
+	// client side.
+	//
+	// The client rides its own scheduling affinity (node id n — a pure
+	// source, never a delivery target): under the parallel kernel the
+	// whole submission chain runs on the client shard and its cross-node
+	// hops merge into the replica shards, and under the serial loop the
+	// identical stamping keeps the canonical event keys kernel-independent.
+	interval := time.Duration(float64(time.Second) / cfg.LoadTPS)
+	windowEnd := simnet.Time(cfg.Duration)
+	router := core.NewSubmitRouter(n, c.f)
+	var submitNext func(at simnet.Time)
+	submitNext = func(at simnet.Time) {
+		if at > windowEnd || (cfg.TotalTxs > 0 && res.Submitted >= cfg.TotalTxs) {
+			return
+		}
+		client.At(at, func() {
+			tx := c.gen.Next()
+			home := c.submit(tx, client.Now())
+			for _, target := range router.Targets(tx) {
+				d := nw.BaseDelay(home, target, cfg.TxSize)
+				client.CallAtNode(target, client.Now()+simnet.Time(d), submitToReplica, replicas[target], tx)
+			}
+			gap := time.Duration(float64(interval) / loadMult)
+			if gap <= 0 {
+				gap = 1 // virtual time must advance or the loop never ends
+			}
+			submitNext(at + simnet.Time(gap))
+		})
+	}
+	submitNext(simnet.Time(cfg.Warmup) / 2)
+
+	// every runs fn(k) from a bookkeeping event at k*period of virtual time,
+	// k = 1, 2, ..., through the end of the run or until the simulation is
+	// halted.
+	every := func(period time.Duration, fn func(k int)) {
+		var arm func(k int)
+		arm = func(k int) {
+			sim.At(simnet.Time(period)*simnet.Time(k), func() {
+				fn(k)
+				if !sim.Halted() && period*time.Duration(k+1) <= runEnd {
+					arm(k + 1)
+				}
+			})
+		}
+		arm(1)
+	}
+	// Streaming windows and cancellation: every 0.5 s of virtual time, poll
+	// Halt and report the just-closed series bin (final by the same argument
+	// as phaseTracker.stat's). Bins still open when the ticks end are
+	// flushed at finalization.
+	if cfg.OnWindow != nil || cfg.Halt != nil {
+		every(res.Series.Bin, func(k int) {
+			if cfg.Halt != nil && cfg.Halt() {
+				res.Halted = true
+				sim.Halt()
+			} else if cfg.OnWindow != nil {
+				c.emitWindows(k)
+			}
+		})
+	}
+	// Live-set census: every SampleLiveSet of virtual time, walk every
+	// replica and record the retained-state sum plus the scheduler's pending
+	// events (serial kernel only — validated above; the walk would cross
+	// shard boundaries under the parallel one).
+	if cfg.SampleLiveSet > 0 {
+		every(cfg.SampleLiveSet, func(k int) {
+			s := LiveSetSample{
+				At:     cfg.SampleLiveSet * time.Duration(k),
+				Events: sim.Pending(),
+			}
+			for _, r := range replicas {
+				ls := r.LiveSet()
+				s.Trackers += ls.Trackers
+				s.Slots += ls.Slots
+				s.ExecQ += ls.ExecQ
+				s.GlogQ += ls.GlogQ
+				s.Escrows += ls.Escrows
+				s.Archive += ls.Archive
+				s.Retained += ls.Retained
+				s.CkptVotes += ls.CkptVotes
+			}
+			s.Total = s.Events + s.Trackers + s.Slots + s.ExecQ + s.GlogQ +
+				s.Escrows + s.Archive + s.Retained + s.CkptVotes
+			res.LiveSetSamples = append(res.LiveSetSamples, s)
+			if s.Total > res.LiveSetPeak {
+				res.LiveSetPeak = s.Total
+			}
+		})
+	}
+
+	if kern != nil {
+		kern.Run(simnet.Time(runEnd))
+		// The horizon window takes no barrier; drain hooks it logged.
+		replayHooks(0)
+		res.Events = kern.EventsProcessed()
+	} else {
+		sim.Run(simnet.Time(runEnd))
+		res.Events = sim.EventsProcessed()
+	}
+	res.Messages = nw.Messages()
+	return c.finish(replicas, time.Duration(sim.Now()))
+}
+
+// submitToReplica is the client-submission event callback: delivering a
+// transaction to one replica. Top-level so the scheduler's call events
+// carry it without a closure allocation.
+func submitToReplica(replica, tx any) {
+	_ = replica.(*core.Replica).SubmitTx(tx.(*types.Transaction))
+}

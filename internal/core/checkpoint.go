@@ -1,16 +1,6 @@
 package core
 
-import (
-	"crypto/sha256"
-
-	"repro/internal/partition"
-	"repro/internal/types"
-)
-
-// BucketOf returns the bucket/instance index an owned-object key maps to;
-// exported for the cluster harness and clients that want to route
-// submissions to the responsible instance's leader.
-func BucketOf(k types.Key, m int) int { return partition.Assign(k, m) }
+import "crypto/sha256"
 
 // maybeFinishEpoch checks whether every worker instance has delivered its
 // allotment for the current epoch; if so it broadcasts a checkpoint message

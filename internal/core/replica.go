@@ -9,7 +9,6 @@ import (
 	"repro/internal/order"
 	"repro/internal/partition"
 	"repro/internal/pbft"
-	"repro/internal/simnet"
 	"repro/internal/types"
 )
 
@@ -68,9 +67,9 @@ type Config struct {
 
 	// OnConfirm fires once per transaction when this replica confirms it
 	// (executed successfully or aborted).
-	OnConfirm func(tx *types.Transaction, success bool, at simnet.Time)
+	OnConfirm func(tx *types.Transaction, success bool, at types.Time)
 	// OnViewChange fires when an instance installs a new view.
-	OnViewChange func(instance int, view uint64, at simnet.Time)
+	OnViewChange func(instance int, view uint64, at types.Time)
 	// OnBlockDeliver fires on every worker-instance SB delivery, before the
 	// block executes. The safety property suite records (instance, SN,
 	// digest) triples through it to assert no two honest replicas ever
@@ -85,11 +84,11 @@ type Config struct {
 // StageTrace holds the five per-transaction timestamps of the paper's
 // latency breakdown (Fig. 6). Zero means "not reached".
 type StageTrace struct {
-	Submit    simnet.Time // client handed the tx to the system
-	Received  simnet.Time // replica received and bucketed it
-	Proposed  simnet.Time // first included in a broadcast block
-	Delivered simnet.Time // first SB delivery (partial order reached)
-	Confirmed simnet.Time // executed/aborted (global order if applicable)
+	Submit    types.Time // client handed the tx to the system
+	Received  types.Time // replica received and bucketed it
+	Proposed  types.Time // first included in a broadcast block
+	Delivered types.Time // first SB delivery (partial order reached)
+	Confirmed types.Time // executed/aborted (global order if applicable)
 }
 
 // CheckpointMsg is the end-of-epoch checkpoint broadcast (Sec. V-D).
@@ -114,7 +113,7 @@ type SubmitMsg struct {
 // carry messages over goroutine channels or TCP, ignoring the size hint in
 // favor of actual encoded wire sizes.
 type Network interface {
-	Register(id int, h simnet.Handler)
+	Register(id int, h types.Handler)
 	Send(from, to, size int, msg any)
 	Broadcast(from, size int, msg any)
 }
@@ -124,10 +123,11 @@ type Network interface {
 // resulting partial and global logs.
 type Replica struct {
 	cfg Config
-	// sim is the replica's node-pinned scheduling view (simnet.On(sim,
-	// ID)): proposal pulses and timers stamp this node's canonical key and
-	// execute on its shard under the parallel kernel.
-	sim simnet.NodeSim
+	// sim is the replica's clock. Under the simulator it is the node-pinned
+	// scheduling view simnet.On(sim, ID): proposal pulses and timers stamp
+	// this node's canonical key and execute on its shard under the parallel
+	// kernel. On real transports it is the replica's transport.Node.
+	sim types.Clock
 	nw  Network
 
 	sbs []SB // M worker SB instances (+1 sequencer if enabled)
@@ -240,7 +240,7 @@ type Replica struct {
 	// are released. The soak harness samples it through LiveSet.
 	liveTrackers int
 
-	stalledUntil simnet.Time // Mir-style global stall deadline
+	stalledUntil types.Time // Mir-style global stall deadline
 
 	// lastComplain remembers, per instance, one past the view this replica
 	// last complained about (0 = never), so the censorship detector votes
@@ -278,7 +278,7 @@ type pulseSlot struct {
 // NewReplica builds a replica attached to a network transport (simulated
 // or real; see Network). Call Start to begin proposing. The same Config
 // (except ID) must be used everywhere.
-func NewReplica(cfg Config, sim simnet.NodeSim, nw Network) *Replica {
+func NewReplica(cfg Config, sim types.Clock, nw Network) *Replica {
 	if cfg.M <= 0 {
 		cfg.M = cfg.N
 	}
@@ -543,7 +543,7 @@ func (r *Replica) SubmitTx(tx *types.Transaction) error {
 	}
 	if r.stages != nil {
 		st := r.stageOf(tx.ID())
-		st.Submit = simnet.Time(tx.SubmitNS)
+		st.Submit = types.Time(tx.SubmitNS)
 		if st.Received == 0 {
 			st.Received = r.sim.Now()
 		}
@@ -595,7 +595,7 @@ func (r *Replica) schedulePulse(instance int) {
 	}
 	// Closure-free: the pulse slot and generation ride in the pooled
 	// event's operands, so a steady proposal pulse allocates nothing.
-	r.sim.CallAfter(d, pulseFire, &r.pulseSlots[instance], r.pulseGen)
+	types.CallAfter(r.sim, d, pulseFire, &r.pulseSlots[instance], r.pulseGen)
 }
 
 // pulseFire is the pulse-loop callback (top-level so CallAfter schedules
@@ -819,7 +819,7 @@ func (r *Replica) onDeliver(instance int, b *types.Block) {
 		for i := range b.Txs {
 			st := r.stageOf(b.Txs[i].ID())
 			if st.Proposed == 0 {
-				st.Proposed = simnet.Time(b.ProposeNS)
+				st.Proposed = types.Time(b.ProposeNS)
 			}
 			if st.Delivered == 0 {
 				st.Delivered = r.sim.Now()
@@ -855,7 +855,7 @@ func (r *Replica) onViewChange(instance int, view uint64) {
 		r.proposedDebits = make(map[types.Key]types.Amount)
 	}
 	if r.cfg.Mode.EpochStallOnViewChange {
-		until := r.sim.Now() + simnet.Time(r.cfg.ViewTimeout)
+		until := r.sim.Now() + types.Time(r.cfg.ViewTimeout)
 		if until > r.stalledUntil {
 			r.stalledUntil = until
 		}

@@ -9,7 +9,7 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/simnet"
+	"repro/internal/types"
 )
 
 // Latency accumulates a latency distribution.
@@ -117,7 +117,7 @@ func (ts *TimeSeries) grow(idx int) {
 
 // Record adds a confirmation event at virtual time at with the given
 // client-observed latency.
-func (ts *TimeSeries) Record(at simnet.Time, latency time.Duration) {
+func (ts *TimeSeries) Record(at types.Time, latency time.Duration) {
 	idx := int(time.Duration(at) / ts.Bin)
 	if idx < 0 {
 		return

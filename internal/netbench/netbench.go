@@ -220,7 +220,7 @@ func runCell(backend string, n int, opts Options) (Cell, error) {
 		ts := make([]*transport.TCP, n)
 		nodes := make([]*transport.Node, n)
 		for i := range ts {
-			nodes[i] = transport.NewNode(i)
+			nodes[i] = transport.NewNode()
 			tr, err := transport.NewTCP(i, peers, nodes[i], transport.TCPOptions{Listener: listeners[i]})
 			if err != nil {
 				return Cell{}, err

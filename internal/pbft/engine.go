@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/simnet"
 	"repro/internal/types"
 )
 
@@ -229,10 +228,11 @@ func (r *slotRing) advanceBase() {
 type Engine struct {
 	cfg Config
 	tr  Transport
-	// sim is the replica's node-pinned scheduling view: timers and
-	// deadline wakeups stamp this node's canonical key and execute on its
-	// shard under the parallel kernel.
-	sim simnet.NodeSim
+	// sim is the replica's clock: virtual and node-pinned under the
+	// simulator (timers and deadline wakeups stamp this node's canonical
+	// key and execute on its shard under the parallel kernel), the node
+	// loop's wall clock on real transports.
+	sim types.Clock
 
 	view         uint64
 	viewChanging bool
@@ -260,9 +260,13 @@ type Engine struct {
 	// in-flight wakeup (a view change shrank the timeout), an extra wakeup
 	// is scheduled so detection is never late — stale later wakeups fire
 	// as no-ops.
-	progressDeadline simnet.Time
-	progressWakeAt   simnet.Time
-	vcTimer          *simnet.Timer
+	progressDeadline types.Time
+	progressWakeAt   types.Time
+	// vcGen invalidates the in-flight view-change escalation timeout: every
+	// event that would have cancelled it (a newer escalation, the view
+	// installing, Stop) bumps the generation, and a timeout carrying a stale
+	// one fires as a no-op.
+	vcGen uint64
 
 	delivered uint64 // count of delivered blocks
 	stopped   bool
@@ -288,7 +292,7 @@ type retainedEntry struct {
 
 // New creates an engine. The transport must deliver broadcast messages back
 // to the sender (self-delivery), which simnet.Network does.
-func New(cfg Config, tr Transport, sim simnet.NodeSim) *Engine {
+func New(cfg Config, tr Transport, sim types.Clock) *Engine {
 	if cfg.Window <= 0 {
 		cfg.Window = 4
 	}
@@ -344,10 +348,7 @@ func (e *Engine) CanPropose() bool {
 func (e *Engine) Stop() {
 	e.stopped = true
 	e.progressDeadline = 0
-	if e.vcTimer != nil {
-		e.vcTimer.Stop()
-		e.vcTimer = nil
-	}
+	e.vcGen++
 }
 
 // Resume undoes Stop: the engine handles messages and proposals again.
@@ -615,7 +616,7 @@ func (e *Engine) resetProgressTimer() {
 		e.progressDeadline = 0
 		return
 	}
-	e.progressDeadline = e.sim.Now() + simnet.Time(e.cfg.Timeout*e.timeoutMult)
+	e.progressDeadline = e.sim.Now() + types.Time(e.cfg.Timeout*e.timeoutMult)
 	e.armProgressWakeup()
 }
 
@@ -678,15 +679,17 @@ func (e *Engine) startViewChange(newView uint64) {
 	}
 	// If the new view does not install in time, escalate further.
 	e.timeoutMult *= 2
-	if e.vcTimer != nil {
-		e.vcTimer.Stop()
+	e.vcGen++
+	types.CallAfter(e.sim, e.cfg.Timeout*e.timeoutMult, escalateFire, e, e.vcGen)
+}
+
+// escalateFire is the view-change escalation timeout's callback.
+func escalateFire(a, b any) {
+	e := a.(*Engine)
+	if b.(uint64) != e.vcGen || e.stopped || !e.viewChanging {
+		return
 	}
-	e.vcTimer = e.sim.AfterTimer(e.cfg.Timeout*e.timeoutMult, func() {
-		if e.stopped || !e.viewChanging {
-			return
-		}
-		e.startViewChange(e.vcTarget + 1)
-	})
+	e.startViewChange(e.vcTarget + 1)
 }
 
 func (e *Engine) onViewChange(m *ViewChange) {
@@ -817,10 +820,7 @@ func (e *Engine) onNewView(from int, m *NewView) {
 	// Install the new view: reset undecided slots and replay re-proposals.
 	e.view = m.View
 	e.viewChanging = false
-	if e.vcTimer != nil {
-		e.vcTimer.Stop()
-		e.vcTimer = nil
-	}
+	e.vcGen++
 	for seq := e.slots.base; seq < e.slots.top; seq++ {
 		s := e.slots.get(seq)
 		if s == nil || seq < e.nextDeliver {

@@ -34,19 +34,17 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
+
+	"repro/internal/types"
 )
 
-// Time is virtual time in nanoseconds since simulation start.
-type Time int64
+// Time is virtual time in nanoseconds since simulation start. The type
+// lives in package types so the replica state machines can name it without
+// importing the simulator.
+type Time = types.Time
 
 // Duration re-exports time.Duration for readability at call sites.
 type Duration = time.Duration
-
-// String formats the virtual time as a duration.
-func (t Time) String() string { return time.Duration(t).String() }
-
-// Seconds returns the time in seconds.
-func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 
 // event is one scheduled callback. Exactly one of the two callback forms
 // is set: call (a function pointer with two operands — plain closures and
@@ -241,17 +239,6 @@ func (s *Sim) EventsProcessed() uint64 { return s.events }
 
 // Pending returns the number of queued events.
 func (s *Sim) Pending() int { return s.q.len() }
-
-// NextAt returns the timestamp of the earliest queued event, or false when
-// the queue is empty. Real-transport node loops use it to sleep exactly
-// until the next due timer instead of polling the wall clock.
-func (s *Sim) NextAt() (Time, bool) {
-	e := s.q.peek()
-	if e == nil {
-		return 0, false
-	}
-	return e.at, true
-}
 
 // alloc takes an event from the pool (or allocates the pool's first use of
 // this slot). The returned event is zeroed except for pooling bookkeeping.
@@ -461,8 +448,8 @@ func (s *Sim) RunAll(maxEvents uint64) uint64 {
 // NodeSim is a node-pinned view of a simulator: every scheduling call
 // stamps the node as both halves of the event's canonical key —
 // destination affinity and source — rather than inheriting the executing
-// event's. Replicas hold one (cluster constructs them with their own id),
-// so state-machine timers and pulses always land on the owning node's
+// event's. It is the simulator's types.Clock: replicas hold one (cluster
+// constructs them with their own id), so state-machine timers and pulses always land on the owning node's
 // shard and always draw from the node's own schedule counter — including
 // when they are armed from outside the node's own events (setup, scenario
 // recovery hooks at a kernel barrier), which keeps the canonical key a
@@ -497,12 +484,6 @@ func (n NodeSim) CallAt(t Time, fn func(a, b any), argA, argB any) {
 	n.S.schedule(e, t, n.Node, n.Node)
 }
 
-// CallAfter schedules fn(argA, argB) d after the current time on the
-// pinned node.
-func (n NodeSim) CallAfter(d Duration, fn func(a, b any), argA, argB any) {
-	n.CallAt(n.S.now+Time(d), fn, argA, argB)
-}
-
 // CallAtNode schedules fn(argA, argB) at absolute time t with an explicit
 // destination affinity, keeping the pinned node as the source — the
 // client-shard primitive for cross-node hops (submissions to replicas).
@@ -523,7 +504,7 @@ func (n NodeSim) AfterTimer(d Duration, fn func()) *Timer {
 }
 
 // Handler consumes a message delivered to a node.
-type Handler func(from int, msg any)
+type Handler = types.Handler
 
 // Network delivers messages between registered nodes over a latency model.
 type Network struct {

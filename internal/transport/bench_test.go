@@ -112,7 +112,7 @@ func benchTCPCluster(b *testing.B, n int, delivered *atomic.Uint64) []*TCP {
 	ts := make([]*TCP, n)
 	epoch := time.Now()
 	for i := range ts {
-		node := NewNode(i)
+		node := NewNode()
 		tr, err := NewTCP(i, peers, node, TCPOptions{Listener: listeners[i]})
 		if err != nil {
 			b.Fatal(err)

@@ -1,10 +1,11 @@
 package transport
 
 import (
+	"container/heap"
 	"sync"
 	"time"
 
-	"repro/internal/simnet"
+	"repro/internal/types"
 	"repro/internal/wire"
 )
 
@@ -19,24 +20,57 @@ type inMsg struct {
 	fr   *frame
 }
 
-// Node is one replica's wall-clock event loop: a private simnet.Sim used
-// as a timer queue (the unchanged core/pbft state machines schedule
-// against simnet.NodeSim), an inbox real transports enqueue decoded
-// messages into, and a goroutine that alternates between running due
-// timers and dispatching inbox messages. All replica code executes on
-// that goroutine.
+// timer is one pending CallAt. seq is the node's schedule count, so equal
+// deadlines fire in the order they were armed.
+type timer struct {
+	at   types.Time
+	seq  uint64
+	fn   func(a, b any)
+	a, b any
+}
+
+// timerHeap orders pending timers by (at, seq) for container/heap.
+type timerHeap []*timer
+
+func (h timerHeap) Len() int      { return len(h) }
+func (h timerHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h timerHeap) Less(i, j int) bool {
+	return h[i].at < h[j].at || (h[i].at == h[j].at && h[i].seq < h[j].seq)
+}
+func (h *timerHeap) Push(x any) { *h = append(*h, x.(*timer)) }
+func (h *timerHeap) Pop() any {
+	old := *h
+	last := len(old) - 1
+	t := old[last]
+	old[last] = nil
+	*h = old[:last]
+	return t
+}
+
+// Node is one replica's wall-clock event loop and its types.Clock: a
+// (deadline, seq) min-heap of timers, an inbox real transports enqueue
+// messages into, and a goroutine that alternates between firing due timers
+// and dispatching inbox messages. All replica code executes on that
+// goroutine, so Now and CallAt need no locks: call them from timer
+// callbacks and message handlers, or before Start.
 //
-// Lifecycle: NewNode, build the replica against Sim(), Register a handler
-// through the owning transport, then Start. Stop waits for the loop to
-// exit, after which no replica code runs.
+// Lifecycle: NewNode, build the replica against the node (its clock),
+// Register a handler through the owning transport, then Start. Stop waits
+// for the loop to exit, after which no replica code runs.
 type Node struct {
-	id  int
-	sim *simnet.Sim
+	// Loop-goroutine state. now is read from the wall clock once per loop
+	// pass (replicas read it per transaction); while a timer fires it is
+	// that timer's deadline, as under the simulator, so periodic timers
+	// re-armed from their own callback do not drift.
+	now    types.Time
+	timers timerHeap
+	seq    uint64
+	fired  uint64
 
 	mu      sync.Mutex
 	inbox   []inMsg
 	standby []inMsg // swap buffer: drain without holding the lock
-	handler simnet.Handler
+	handler types.Handler
 
 	// onWireErr observes frame-decode failures on the loop goroutine
 	// (set by the owning transport before Start; nil drops silently).
@@ -49,29 +83,35 @@ type Node struct {
 	epoch time.Time
 }
 
-// NewNode builds a node loop for replica id. The seed only affects the
-// private simulator's jitter RNG, which real transports never consult.
-func NewNode(id int) *Node {
+// NewNode builds one replica's node loop.
+func NewNode() *Node {
 	return &Node{
-		id:   id,
-		sim:  simnet.New(int64(id) + 1),
 		wake: make(chan struct{}, 1),
 		quit: make(chan struct{}),
 		done: make(chan struct{}),
 	}
 }
 
-// ID returns the replica id this node loop serves.
-func (n *Node) ID() int { return n.id }
+// Now implements types.Clock: zero before Start, then the wall-clock time
+// elapsed since the epoch passed to Start, as of the current loop pass.
+func (n *Node) Now() types.Time { return n.now }
 
-// Sim returns the node-pinned scheduling view replica constructors expect.
-// Before Start, the underlying clock reads zero; after Start it tracks
-// wall-clock time elapsed since the epoch passed to Start.
-func (n *Node) Sim() simnet.NodeSim { return simnet.On(n.sim, n.id) }
+// CallAt implements types.Clock: fn(a, b) runs on the loop goroutine once
+// the wall clock reaches t (clamped to Now).
+func (n *Node) CallAt(t types.Time, fn func(a, b any), a, b any) {
+	if t < n.now {
+		t = n.now
+	}
+	n.seq++
+	heap.Push(&n.timers, &timer{at: t, seq: n.seq, fn: fn, a: a, b: b})
+}
+
+// TimersFired returns how many timers have fired. Read it after Stop.
+func (n *Node) TimersFired() uint64 { return n.fired }
 
 // setHandler installs the replica's message handler (called by the owning
 // transport's Register).
-func (n *Node) setHandler(h simnet.Handler) {
+func (n *Node) setHandler(h types.Handler) {
 	n.mu.Lock()
 	n.handler = h
 	n.mu.Unlock()
@@ -101,7 +141,7 @@ func (n *Node) push(m inMsg) {
 	}
 }
 
-// Start launches the event loop. The epoch anchors virtual time zero: all
+// Start launches the event loop. The epoch anchors time zero: all
 // nodes of one cluster share it so their clocks agree, which keeps
 // wall-clock timer deadlines (BatchTimeout pulses, view-change timeouts)
 // aligned the way the shared simulator aligns them in simulation.
@@ -125,16 +165,23 @@ func (n *Node) Stop() {
 // a pulse timer pending, so this only covers startup and shutdown races.
 const idleWait = 10 * time.Millisecond
 
-// loop is the node's scheduler: advance the private simulator to the wall
-// clock (running every due timer), dispatch buffered inbound messages,
-// then sleep until the next timer deadline or an inbox signal.
+// loop is the node's scheduler: read the wall clock, fire every timer due
+// by then (including ones armed by the timers it fires), dispatch buffered
+// inbound messages, then sleep until the next timer deadline or an inbox
+// signal.
 func (n *Node) loop() {
 	defer close(n.done)
-	timer := time.NewTimer(idleWait)
-	defer timer.Stop()
+	sleep := time.NewTimer(idleWait)
+	defer sleep.Stop()
 	for {
-		now := simnet.Time(time.Since(n.epoch))
-		n.sim.Run(now)
+		now := types.Time(time.Since(n.epoch))
+		for len(n.timers) > 0 && n.timers[0].at <= now {
+			t := heap.Pop(&n.timers).(*timer)
+			n.now = t.at
+			n.fired++
+			t.fn(t.a, t.b)
+		}
+		n.now = now
 
 		n.mu.Lock()
 		pending := n.inbox
@@ -163,24 +210,26 @@ func (n *Node) loop() {
 		n.standby = pending[:0]
 
 		wait := idleWait
-		if next, ok := n.sim.NextAt(); ok {
-			wait = time.Duration(next - simnet.Time(time.Since(n.epoch)))
+		if len(n.timers) > 0 {
+			wait = time.Duration(n.timers[0].at - types.Time(time.Since(n.epoch)))
 			if wait < 0 {
 				wait = 0
 			}
 		}
-		if !timer.Stop() {
+		if !sleep.Stop() {
 			select {
-			case <-timer.C:
+			case <-sleep.C:
 			default:
 			}
 		}
-		timer.Reset(wait)
+		sleep.Reset(wait)
 		select {
 		case <-n.quit:
 			return
 		case <-n.wake:
-		case <-timer.C:
+		case <-sleep.C:
 		}
 	}
 }
+
+var _ types.Clock = (*Node)(nil)

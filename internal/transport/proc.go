@@ -4,7 +4,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/simnet"
+	"repro/internal/types"
 )
 
 // Proc is the in-process real transport: one Node event loop per replica
@@ -31,21 +31,21 @@ type Proc struct {
 func NewProc(n int) *Proc {
 	p := &Proc{nodes: make([]*Node, n)}
 	for i := range p.nodes {
-		p.nodes[i] = NewNode(i)
+		p.nodes[i] = NewNode()
 		p.nodes[i].onWireErr = func(error) { p.decodeErrs.Add(1) }
 	}
 	return p
 }
 
-// Node returns replica id's event loop (to build the replica against its
-// Sim and to drive Start/Stop).
+// Node returns replica id's event loop: the clock to build the replica
+// against, and the handle to drive Start/Stop.
 func (p *Proc) Node(id int) *Node { return p.nodes[id] }
 
 // Size returns the number of replica endpoints.
 func (p *Proc) Size() int { return len(p.nodes) }
 
 // Register implements Transport.
-func (p *Proc) Register(id int, h simnet.Handler) { p.nodes[id].setHandler(h) }
+func (p *Proc) Register(id int, h types.Handler) { p.nodes[id].setHandler(h) }
 
 // Start launches every node loop against one shared epoch.
 func (p *Proc) Start(epoch time.Time) {

@@ -106,33 +106,79 @@ func TestProcCountersUseEncodedSizes(t *testing.T) {
 	}
 }
 
-// TestNodeTimers pins the wall-clock slaving: a timer scheduled through
-// the node's NodeSim fires on the loop goroutine no earlier than its
-// wall-clock deadline, and virtual Now() tracks elapsed time since the
-// epoch at that moment.
+// The simulator's network is a Transport as-is (the seam was extracted from
+// its method set); asserted here so the package itself never links simnet.
+var _ Transport = (*simnet.Network)(nil)
+
+// TestNodeTimers pins the node's types.Clock: timers fire on the loop
+// goroutine no earlier than their wall-clock deadline and observe that
+// deadline as Now(); equal deadlines fire in schedule order; a timer armed
+// from a timer callback for an already-due deadline fires in the same loop
+// pass (before the pass's inbox dispatch); Now() is read once per pass, not
+// per call; and nothing fires after Stop.
 func TestNodeTimers(t *testing.T) {
-	type firing struct {
-		at   simnet.Time
-		wall time.Duration
-	}
-	n := NewNode(0)
-	sim := n.Sim()
-	fired := make(chan firing, 1)
-	start := time.Now()
-	sim.After(simnet.Duration(30*time.Millisecond), func() {
-		fired <- firing{at: sim.Now(), wall: time.Since(start)}
+	const due = types.Time(10 * time.Millisecond)
+	n := NewNode()
+	// order, firedWall and late are loop-goroutine state, read after Stop.
+	var order []string
+	note := func(a, _ any) { order = append(order, a.(string)) }
+	var start time.Time
+	var firedWall time.Duration
+	late := false
+	dispatched := make(chan struct{})
+	n.setHandler(func(_ int, msg any) {
+		before := n.Now()
+		time.Sleep(2 * time.Millisecond)
+		if n.Now() != before {
+			note("Now() moved within one loop pass", nil)
+		}
+		if before < due {
+			note("Now() behind a fired deadline", nil)
+		}
+		note(msg, nil)
+		close(dispatched)
 	})
+	n.CallAt(due, note, "first", nil)
+	n.CallAt(due, func(_, _ any) {
+		firedWall = time.Since(start)
+		if n.Now() != due {
+			note("Now() != deadline inside a timer", nil)
+		}
+		note("second", nil)
+		n.enqueue(0, "message")
+		n.CallAt(due-1, note, "nested", nil) // already due: clamped to now
+	}, nil, nil)
+	n.CallAt(due, note, "third", nil)
+	n.CallAt(10*due, func(_, _ any) { late = true }, nil, nil) // Stop lands well before
+	if n.Now() != 0 {
+		t.Fatalf("Now() = %v before Start, want 0", n.Now())
+	}
+	start = time.Now()
 	n.Start(start)
-	defer n.Stop()
 	select {
-	case f := <-fired:
-		if f.wall < 30*time.Millisecond {
-			t.Fatalf("timer fired after %s wall time, before its 30ms deadline", f.wall)
-		}
-		if f.at < simnet.Time(30*time.Millisecond) {
-			t.Fatalf("virtual Now() = %d at firing, before the 30ms deadline", f.at)
-		}
+	case <-dispatched:
 	case <-time.After(5 * time.Second):
-		t.Fatal("timer never fired")
+		n.Stop()
+		t.Fatalf("self-enqueued message never dispatched; fired so far: %v", order)
+	}
+	n.Stop()
+	time.Sleep(time.Until(start.Add(time.Duration(11 * due))))
+	if firedWall < time.Duration(due) {
+		t.Fatalf("timer fired after %s wall time, before its %s deadline", firedWall, due)
+	}
+	want := []string{"first", "second", "third", "nested", "message"}
+	if len(order) != len(want) {
+		t.Fatalf("firing order %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("firing order %v, want %v", order, want)
+		}
+	}
+	if late {
+		t.Fatal("a timer fired after Stop")
+	}
+	if got := n.TimersFired(); got != 4 {
+		t.Fatalf("TimersFired = %d, want 4", got)
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/simnet"
+	"repro/internal/types"
 	"repro/internal/wire"
 )
 
@@ -237,7 +237,7 @@ func (t *TCP) logf(format string, args ...any) {
 }
 
 // Register implements Transport for the one local replica.
-func (t *TCP) Register(id int, h simnet.Handler) {
+func (t *TCP) Register(id int, h types.Handler) {
 	if id != t.id {
 		panic(fmt.Sprintf("transport: Register(%d) on the replica-%d TCP endpoint", id, t.id))
 	}

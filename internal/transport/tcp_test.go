@@ -28,7 +28,7 @@ func tcpCluster(t *testing.T, n int) ([]*TCP, []*collector) {
 	cols := make([]*collector, n)
 	epoch := time.Now()
 	for i := range ts {
-		node := NewNode(i)
+		node := NewNode()
 		tr, err := NewTCP(i, peers, node, TCPOptions{Listener: listeners[i]})
 		if err != nil {
 			t.Fatal(err)
@@ -103,7 +103,7 @@ func TestTCPReconnectBackoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	peers := []string{ln0.Addr().String(), lateAddr}
-	node0 := NewNode(0)
+	node0 := NewNode()
 	tr0, err := NewTCP(0, peers, node0, TCPOptions{Listener: ln0, DialBackoffMax: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +126,7 @@ func TestTCPReconnectBackoff(t *testing.T) {
 	if err != nil {
 		t.Skipf("could not rebind %s: %v", lateAddr, err)
 	}
-	node1 := NewNode(1)
+	node1 := NewNode()
 	tr1, err := NewTCP(1, peers, node1, TCPOptions{Listener: ln1})
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func TestTCPCleanShutdown(t *testing.T) {
 	}
 	deadAddr := dead.Addr().String()
 	dead.Close()
-	node := NewNode(0)
+	node := NewNode()
 	tr, err := NewTCP(0, []string{"127.0.0.1:0", deadAddr}, node, TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +200,7 @@ func TestTCPQueueCapBoundsBlockedPeer(t *testing.T) {
 	lnDead.Close() // refuse connections: the writer loops in dial backoff
 
 	const cap = 8
-	node := NewNode(0)
+	node := NewNode()
 	tr, err := NewTCP(0, []string{lnSelf.Addr().String(), deadAddr}, node, TCPOptions{
 		Listener: lnSelf,
 		QueueCap: cap,

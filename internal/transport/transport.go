@@ -9,24 +9,23 @@
 //   - TCP, the same replicas over real sockets with length-prefixed
 //     framing, per-peer reconnect with backoff, and write timeouts.
 //
-// The unchanged core/pbft state machines schedule timers against
-// simnet.NodeSim. Real transports keep that contract with a Node per
-// replica: a private simnet.Sim used purely as a timer queue, slaved to
-// the wall clock by the node's event-loop goroutine. Everything a replica
-// does — timer callbacks and message handling — runs on that single
-// goroutine, preserving the simulator's single-threaded replica model, so
-// no replica state needs locks.
+// The core/pbft state machines run against one narrow clock, types.Clock
+// (Now and CallAt). The simulator implements it in virtual time; real
+// transports implement it with a Node per replica: a timer heap and an
+// inbox drained by one event-loop goroutine against the wall clock.
+// Everything a replica does — timer callbacks and message handling — runs
+// on that single goroutine, preserving the simulator's single-threaded
+// replica model, so no replica state needs locks. This package does not
+// link the simulator.
 //
-// Determinism caveat: under real transports, virtual time is the wall
-// clock. Two runs interleave differently, so event-level determinism is
-// gone; what survives is protocol-level agreement, which the sim-vs-real
+// Determinism caveat: under real transports, time is the wall clock. Two
+// runs interleave differently, so event-level determinism is gone; what
+// survives is protocol-level agreement, which the sim-vs-real
 // cross-validation harness (internal/cluster.RunReal and the X-val figure)
 // pins by comparing committed block digests.
 package transport
 
-import (
-	"repro/internal/simnet"
-)
+import "repro/internal/types"
 
 // Transport is the full transport seam: handler registration,
 // fire-and-forget sends, and delivered-traffic counters. The size argument
@@ -36,7 +35,7 @@ import (
 type Transport interface {
 	// Register installs the message handler for a replica id. Handlers run
 	// on the destination replica's event-loop goroutine.
-	Register(id int, h simnet.Handler)
+	Register(id int, h types.Handler)
 	// Send carries msg from replica `from` to replica `to`. The size hint
 	// is only meaningful to the simulator's bandwidth model.
 	Send(from, to, size int, msg any)
@@ -49,7 +48,3 @@ type Transport interface {
 	// the simulator, actual encoded wire sizes for real transports.
 	Bytes() uint64
 }
-
-// The simulator's network is a Transport as-is: the seam was extracted
-// from its method set.
-var _ Transport = (*simnet.Network)(nil)

@@ -80,11 +80,11 @@ const (
 	// sockets. Results are wall-clock measurements of this machine and
 	// are NOT deterministic or reproducible across runs; Net only labels
 	// the result. Simulation-only features are rejected by Validate:
-	// stragglers, crash/Byzantine faults, scenarios, the analytic SB and
-	// the parallel kernel. Observer.OnConfirm fires normally; OnWindow
-	// and OnPhase never fire, and context cancellation cannot interrupt
-	// a started real run (they are bookkeeping events of the simulated
-	// clock).
+	// stragglers, crash/Byzantine faults, scenarios, the analytic SB,
+	// the parallel kernel and live-set sampling. Observer.OnConfirm
+	// fires normally; OnWindow reports every window when the run ends
+	// rather than streaming (there is no simulated clock to tick), and
+	// OnPhase never fires (phases belong to scenarios).
 	TransportProc
 )
 
@@ -543,20 +543,8 @@ func (c Config) Validate() error {
 		bad("Transport", "must be TransportSim or TransportProc, got Transport(%d)", int(c.Transport))
 	}
 	if c.Transport == TransportProc {
-		if c.AnalyticSB {
-			bad("Transport", "the real transport runs message-level PBFT only; drop WithAnalyticSB")
-		}
-		if c.Scenario != nil {
-			bad("Transport", "scenarios mutate the simulated network; the real transport does not support them")
-		}
-		if c.Stragglers > 0 {
-			bad("Transport", "stragglers are simulation-only; the real transport cannot slow real replicas")
-		}
-		if c.CrashFaults > 0 || c.ByzantineFaults > 0 {
-			bad("Transport", "fault injection is simulation-only; the real transport does not support it")
-		}
-		if c.Kernel == KernelParallel {
-			bad("Transport", "the parallel kernel executes simulations; the real transport is already concurrent")
+		for _, reason := range c.knobs().SimOnly() {
+			bad("Transport", "%s", reason)
 		}
 	}
 	if c.Workers < 0 {
@@ -565,13 +553,8 @@ func (c Config) Validate() error {
 	if c.SampleLiveSet < 0 {
 		bad("SampleLiveSet", "must be non-negative, got %v", c.SampleLiveSet)
 	}
-	if c.SampleLiveSet > 0 {
-		if c.Kernel == KernelParallel {
-			bad("SampleLiveSet", "live-set sampling walks every replica from one bookkeeping event; use the serial kernel")
-		}
-		if c.Transport != TransportSim {
-			bad("SampleLiveSet", "live-set sampling is simulation-only; drop the real transport")
-		}
+	if c.SampleLiveSet > 0 && c.Kernel == KernelParallel {
+		bad("SampleLiveSet", "live-set sampling walks every replica from one bookkeeping event; use the serial kernel")
 	}
 	if c.Kernel == KernelParallel {
 		if c.AnalyticSB {
@@ -619,17 +602,13 @@ func (c Config) Validate() error {
 	return fmt.Errorf("%w: %w", ErrInvalidConfig, errors.Join(errs...))
 }
 
-// clusterConfig lowers a validated public Config onto the internal
-// experiment harness.
-func (c Config) clusterConfig() cluster.Config {
-	p, err := registry.Lookup(c.Protocol)
-	if err != nil {
-		// Unreachable after Validate; keep the panic message actionable.
-		panic("orthrus: clusterConfig on unvalidated Config: " + err.Error())
-	}
+// knobs maps the Config's plain fields onto the internal harness's, leaving
+// out what needs a validated Config to build (protocol, transaction
+// sources, observer). Validate reads the result to ask the harness which
+// knobs the chosen transport cannot honor.
+func (c Config) knobs() cluster.Config {
 	ccfg := cluster.Config{
 		N:                  c.Replicas,
-		Protocol:           p.New(),
 		Net:                cluster.NetProfile(c.Net),
 		Stragglers:         c.Stragglers,
 		StragglerFactor:    c.StragglerFactor,
@@ -665,6 +644,19 @@ func (c Config) clusterConfig() cluster.Config {
 	if c.Kernel == KernelParallel {
 		ccfg.Kernel = cluster.KernelParallel
 	}
+	return ccfg
+}
+
+// clusterConfig lowers a validated public Config onto the internal
+// experiment harness.
+func (c Config) clusterConfig() cluster.Config {
+	p, err := registry.Lookup(c.Protocol)
+	if err != nil {
+		// Unreachable after Validate; keep the panic message actionable.
+		panic("orthrus: clusterConfig on unvalidated Config: " + err.Error())
+	}
+	ccfg := c.knobs()
+	ccfg.Protocol = p.New()
 	// Each run gets its own copies of scripted or replayed transactions:
 	// the harness stamps per-run fields (submit time, cached digest) on
 	// submitted transactions, and a Trace carries a read cursor — sharing

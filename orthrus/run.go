@@ -17,11 +17,13 @@ func Run(ctx context.Context, opts ...Option) (*Result, error) {
 
 // Run validates the configuration and executes it. Invalid configurations
 // return an error wrapping ErrInvalidConfig without running anything. A
-// cancellable ctx is polled every 0.5 s of virtual time; on cancellation
-// the simulation stops and Run returns the partial Result (Halted true,
-// measurements covering only the virtual time before the stop) together
-// with the context's error. The run is deterministic for a given Config
-// (ctx aside): equal seeds reproduce results exactly, serial or parallel.
+// cancellable ctx is polled as the run advances — every 0.5 s of virtual
+// time in the simulator, every 10 ms of wall time on TransportProc; on
+// cancellation the run stops and Run returns the partial Result (Halted
+// true, measurements covering only the time before the stop) together
+// with the context's error. A simulated run is deterministic for a given
+// Config (ctx aside): equal seeds reproduce results exactly, serial or
+// parallel.
 func (c Config) Run(ctx context.Context) (*Result, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -30,16 +32,14 @@ func (c Config) Run(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 	ccfg := c.clusterConfig()
-	if c.Transport == TransportProc {
-		// The real backend runs on wall-clock time: there is no simulated
-		// 0.5 s bookkeeping tick to poll Halt on, so a started run always
-		// completes (bounded by Duration+Drain of real time).
-		return fromCluster(cluster.RunReal(ccfg)), nil
-	}
 	if ctx.Done() != nil {
 		ccfg.Halt = func() bool { return ctx.Err() != nil }
 	}
-	res := cluster.Run(ccfg)
+	run := cluster.Run
+	if c.Transport == TransportProc {
+		run = cluster.RunReal
+	}
+	res := run(ccfg)
 	if res.Halted {
 		return fromCluster(res), ctx.Err()
 	}

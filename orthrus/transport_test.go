@@ -3,6 +3,7 @@ package orthrus
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -95,5 +96,39 @@ func TestRunRealTransport(t *testing.T) {
 	}
 	if !res.Converged {
 		t.Fatal("replica states diverged")
+	}
+}
+
+// TestRunRealTransportCancel pins that a started TransportProc run honors
+// its context: cancelled mid-flight (from the first confirmation), a run
+// configured for a minute returns within moments, Halted, with the
+// context's error and the measurements taken so far.
+func TestRunRealTransportCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var once sync.Once
+	start := time.Now()
+	res, err := Run(ctx,
+		WithTransport(TransportProc),
+		WithReplicas(4),
+		WithLoad(300),
+		WithDuration(time.Minute),
+		WithWarmup(100*time.Millisecond),
+		WithBatching(4096, 20*time.Millisecond),
+		WithAccounts(64),
+		WithPayments(1),
+		WithObserver(ObserverFuncs{Confirm: func(TxInfo, bool, time.Duration) { once.Do(cancel) }}),
+	)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run error = %v, want context.Canceled", err)
+	}
+	if res == nil || !res.Halted {
+		t.Fatalf("Result = %+v, want a partial result with Halted set", res)
+	}
+	if took := time.Since(start); took > 10*time.Second {
+		t.Fatalf("cancelled run took %s of its configured minute", took)
+	}
+	if res.Submitted == 0 || res.Latency.Count == 0 {
+		t.Fatalf("no measurements before the cancel: submitted=%d latency=%+v", res.Submitted, res.Latency)
 	}
 }
