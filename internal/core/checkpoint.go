@@ -162,24 +162,13 @@ func (r *Replica) tryStabilize(e uint64, d [32]byte) {
 // and parallel kernels bit-identical.
 func (r *Replica) gcEpoch() {
 	r.buckets.GC()
-	for id, t := range r.trackers {
-		if t.done && t.occurSeen >= len(t.instances) {
-			delete(r.trackers, id)
-			r.liveTrackers--
-		}
+	// A released slot leaves the table once no bucket holds state for it.
+	for _, s := range r.release {
+		t := r.tracker(s)
+		*t = txTracker{gen: t.gen + 1}
+		r.buckets.Table().Unpin(s)
 	}
-	// Index-addressed trackers release in place; old transactions finish
-	// first, so a floor watermark keeps the scan amortized linear over the
-	// run instead of quadratic in total transactions.
-	for idx := r.trackersFloor; idx < len(r.trackersIdx); idx++ {
-		if t := r.trackersIdx[idx]; t != nil && t.done && t.occurSeen >= len(t.instances) {
-			r.trackersIdx[idx] = nil
-			r.liveTrackers--
-		}
-	}
-	for r.trackersFloor < len(r.trackersIdx) && r.trackersIdx[r.trackersFloor] == nil {
-		r.trackersFloor++
-	}
+	r.release = r.release[:0]
 	if r.archive != nil {
 		// The archive keeps one epoch of hysteresis below the stable floor:
 		// a replica that crashed shortly before the boundary asks for blocks

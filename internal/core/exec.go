@@ -3,6 +3,7 @@ package core
 import (
 	"math/bits"
 
+	"repro/internal/partition"
 	"repro/internal/types"
 )
 
@@ -25,102 +26,133 @@ import (
 
 // txTracker follows one transaction across the instances it was assigned
 // to: which instances escrowed its payer operations, how many global-log
-// occurrences have been processed, and its final outcome. Escrow progress
-// is a bitmask over positions in instances (a transaction belongs to a
-// handful of buckets at most), which keeps the tracker to two allocations
-// — the struct and its route slice — per transaction per replica.
+// occurrences have been processed, and its final outcome. Trackers live in
+// Replica.trk, addressed by the transaction's table slot.
 type txTracker struct {
-	tx        *types.Transaction
-	instances []int // buckets/instances the tx belongs to; aliases routeArr when short
-	// routeArr inlines the route storage for the common case (a payment
-	// touches one or two buckets, a contract a handful), so a tracker is
-	// one allocation, not two.
-	routeArr     [4]int
-	escrowedBits uint64 // bit i set: instances[i]'s payer ops escrowed
-	// escrowedHi extends the bitmask for route positions 64 and up: a
-	// transaction with more than 64 distinct payer buckets (unbounded
-	// payer lists are reachable through the SDK at large m) allocates one
-	// small overflow word slice; everything else stays on the inline word.
-	escrowedHi []uint64
-	occurSeen  int // glog occurrences processed so far
-	failed     bool
-	done       bool
+	tx *types.Transaction // first copy seen; dropped once confirmed
+	// The route (every payer's bucket for Orthrus, the first otherwise) is
+	// computed once per slot: n entries, in arr unless it outgrows it.
+	wide         *wideRoute
+	arr          [4]int
+	n            int32 // 0: the slot is not tracked
+	whole        bool  // every payer op maps to arr[0]: no leg needs Assign
+	failed, done bool
+	slot         partition.Slot
+	gen          uint32 // tracker incarnations of the slot; see txRef
+	occurSeen    int32  // glog occurrences processed so far
+	escrowedBits uint64 // bit i set: route()[i]'s payer ops escrowed
 }
 
-func (r *Replica) tracker(tx *types.Transaction) *txTracker {
-	// Fast path: transactions stamped with a dense run index (cluster.Run)
-	// resolve through a slice — no 32-byte key hashing per occurrence.
-	if i := tx.Idx; i != 0 {
-		if uint64(len(r.trackersIdx)) < i {
-			grown := make([]*txTracker, max(int(i), 2*len(r.trackersIdx)))
-			copy(grown, r.trackersIdx)
-			r.trackersIdx = grown
+// wideRoute holds a route longer than the inline array and the escrow bits
+// past 64 (the SDK allows that many distinct payer buckets at large m).
+type wideRoute struct {
+	route      []int
+	escrowedHi []uint64
+}
+
+// txRef is a slot with the tracker incarnation it was resolved for; once
+// the checkpoint GC releases the tracker the ref no longer matches (at).
+type txRef struct {
+	slot partition.Slot
+	gen  uint32
+}
+
+// delivered is a block with its transactions' refs, aligned with b.Txs.
+type delivered struct {
+	b    *types.Block
+	refs []txRef
+}
+
+func (t *txTracker) route() []int {
+	if t.wide != nil {
+		return t.wide.route
+	}
+	return t.arr[:t.n]
+}
+
+const trkChunk = 512 // trackers per chunk of Replica.trk; chunks never move
+
+func (r *Replica) tracker(s partition.Slot) *txTracker { return &r.trk[s/trkChunk][s%trkChunk] }
+
+// track interns tx and returns its tracker, starting one (and pinning the
+// slot) if the slot has none.
+func (r *Replica) track(tx *types.Transaction) *txTracker {
+	s := r.buckets.Table().Intern(tx)
+	for int(s) >= len(r.trk)*trkChunk {
+		r.trk = append(r.trk, make([]txTracker, trkChunk))
+	}
+	t := r.tracker(s)
+	if t.n == 0 {
+		route := r.buckets.AppendBucketsOf(t.arr[:0], tx)
+		if len(route) == 0 {
+			route = append(route, r.buckets.Assign(tx.Client))
 		}
-		if t := r.trackersIdx[i-1]; t != nil {
-			return t
+		t.whole = len(route) == 1
+		if !r.cfg.Mode.SplitMultiPayer {
+			route = route[:1]
 		}
-		t := r.newTracker(tx)
-		r.trackersIdx[i-1] = t
-		r.liveTrackers++
+		if t.n = int32(len(route)); len(route) > len(t.arr) {
+			t.wide = &wideRoute{route: route}
+		}
+		t.tx, t.slot = tx, s
+		r.buckets.Table().Pin(s)
+	}
+	return t
+}
+
+// refsOf interns every transaction of b; the refs are carved from a shared
+// chunk, one allocation per thousand rather than one per block.
+func (r *Replica) refsOf(b *types.Block) []txRef {
+	n := len(b.Txs)
+	if len(r.refChunk) < n {
+		r.refChunk = make([]txRef, max(n, 1024))
+	}
+	refs := r.refChunk[:n:n]
+	r.refChunk = r.refChunk[n:]
+	for i := range b.Txs {
+		t := r.track(&b.Txs[i])
+		refs[i] = txRef{t.slot, t.gen}
+	}
+	return refs
+}
+
+// at resolves a ref taken at delivery; a transaction delivered again after
+// its tracker was released is interned afresh, as a new arrival would be.
+func (r *Replica) at(ref txRef, tx *types.Transaction) *txTracker {
+	if t := r.tracker(ref.slot); t.gen == ref.gen && t.n != 0 {
 		return t
 	}
-	id := tx.ID()
-	t, ok := r.trackers[id]
-	if !ok {
-		t = r.newTracker(tx)
-		r.trackers[id] = t
-		r.liveTrackers++
-	}
-	return t
+	return r.track(tx)
 }
 
-// trackerSlabSize is the chunk size for tracker slab allocation.
-const trackerSlabSize = 256
-
-// newTracker builds a tracker with its route. Trackers are carved from a
-// replica-local slab (they live for the whole run, so there is nothing to
-// pool) and reuse the inline route array when the route is short — one
-// bulk allocation per 256 transactions instead of two per transaction.
-func (r *Replica) newTracker(tx *types.Transaction) *txTracker {
-	if len(r.trackerSlab) == 0 {
-		r.trackerSlab = make([]txTracker, trackerSlabSize)
-	}
-	t := &r.trackerSlab[0]
-	r.trackerSlab = r.trackerSlab[1:]
-	t.tx = tx
-	t.instances = r.appendRoute(t.routeArr[:0], tx)
-	return t
-}
-
-// escrowed reports whether the given instance's payer ops escrowed.
-func (t *txTracker) escrowed(instance int) bool {
-	for i, inst := range t.instances {
-		if inst == instance {
-			if i < 64 {
-				return t.escrowedBits&(1<<uint(i)) != 0
-			}
-			w := (i - 64) / 64
-			return w < len(t.escrowedHi) && t.escrowedHi[w]&(1<<uint((i-64)%64)) != 0
-		}
-	}
-	return false
-}
-
-// markEscrowed records a successful escrow phase on instance.
-func (t *txTracker) markEscrowed(instance int) {
-	for i, inst := range t.instances {
+// escrowBit locates instance's escrow flag: the word holding it and its
+// mask, or nil when the route does not include instance.
+func (t *txTracker) escrowBit(instance int) (*uint64, uint64) {
+	for i, inst := range t.route() {
 		if inst != instance {
 			continue
 		}
 		if i < 64 {
-			t.escrowedBits |= 1 << uint(i)
-			return
+			return &t.escrowedBits, 1 << uint(i)
 		}
-		if t.escrowedHi == nil {
-			t.escrowedHi = make([]uint64, (len(t.instances)-64+63)/64)
+		if t.wide.escrowedHi == nil {
+			t.wide.escrowedHi = make([]uint64, (t.n-1)/64)
 		}
-		t.escrowedHi[(i-64)/64] |= 1 << uint((i-64)%64)
-		return
+		return &t.wide.escrowedHi[i/64-1], 1 << uint(i%64)
+	}
+	return nil, 0
+}
+
+// escrowed reports whether the given instance's payer ops escrowed.
+func (t *txTracker) escrowed(instance int) bool {
+	w, bit := t.escrowBit(instance)
+	return w != nil && *w&bit != 0
+}
+
+// markEscrowed records a successful escrow phase on instance.
+func (t *txTracker) markEscrowed(instance int) {
+	if w, bit := t.escrowBit(instance); w != nil {
+		*w |= bit
 	}
 }
 
@@ -128,16 +160,12 @@ func (t *txTracker) markEscrowed(instance int) {
 // succeeded.
 func (t *txTracker) escrowedCount() int {
 	n := bits.OnesCount64(t.escrowedBits)
-	for _, w := range t.escrowedHi {
-		n += bits.OnesCount64(w)
+	if t.wide != nil {
+		for _, w := range t.wide.escrowedHi {
+			n += bits.OnesCount64(w)
+		}
 	}
 	return n
-}
-
-// ready reports whether the transaction's escrow phase concluded on every
-// instance it belongs to (successfully or by failing).
-func (t *txTracker) ready() bool {
-	return t.failed || t.done || t.escrowedCount() == len(t.instances)
 }
 
 // confirm finalizes a transaction at this replica: exactly once per tx.
@@ -160,6 +188,10 @@ func (r *Replica) confirm(t *txTracker, success bool) {
 	if r.cfg.OnConfirm != nil {
 		r.cfg.OnConfirm(t.tx, success, r.sim.Now())
 	}
+	t.tx = nil // stop pinning the decoded block (or submission) it sits in
+	if t.occurSeen >= t.n {
+		r.release = append(r.release, t.slot)
+	}
 }
 
 // drainExecQueues escrow-phases delivered blocks whose state references are
@@ -176,18 +208,21 @@ func (r *Replica) drainExecQueues() {
 				word &= word - 1
 				q, h := r.execQ[i], r.execQhead[i]
 				for h < len(q) {
-					b := q[h]
-					if r.cfg.Mode.FastPathPayments && !r.execState.Covers(b.State) {
+					d := q[h]
+					if r.cfg.Mode.FastPathPayments && !r.execState.Covers(d.b.State) {
 						break
 					}
-					q[h] = nil
+					q[h] = delivered{}
 					h++
-					r.execState[i] = b.SN + 1
+					r.execState[i] = d.b.SN + 1
 					if r.cfg.Mode.FastPathPayments {
-						r.execPartial(i, b)
+						r.execPartial(i, d)
 					}
-					if b.Proposer == r.cfg.ID {
-						r.releaseProposedDebits(b)
+					if d.b.Proposer == r.cfg.ID { // own block: release its promises
+						for k := range d.b.Txs {
+							tx := &d.b.Txs[k]
+							r.adjustPromised(tx, r.at(d.refs[k], tx), i, -1)
+						}
 					}
 					progress = true
 				}
@@ -209,17 +244,17 @@ func (r *Replica) drainExecQueues() {
 // abort the whole transaction if any escrow fails; once every involved
 // instance has escrowed, commit payments immediately. Contract transactions
 // keep their escrows and wait for the global log.
-func (r *Replica) execPartial(instance int, b *types.Block) {
-	for i := range b.Txs {
-		tx := &b.Txs[i]
-		t := r.tracker(tx)
+func (r *Replica) execPartial(instance int, d delivered) {
+	for i := range d.b.Txs {
+		tx := &d.b.Txs[i]
+		t := r.at(d.refs[i], tx)
 		if t.done || t.failed || t.escrowed(instance) {
 			continue
 		}
 		id := tx.ID()
 		ok := true
 		for _, op := range tx.Ops {
-			if !op.IsPayerOp() || r.buckets.Assign(op.Key) != instance {
+			if !op.IsPayerOp() || !r.legOn(t, op.Key, instance) {
 				continue
 			}
 			if !r.store.Escrow(op, id) {
@@ -236,7 +271,7 @@ func (r *Replica) execPartial(instance int, b *types.Block) {
 			continue
 		}
 		t.markEscrowed(instance)
-		if t.escrowedCount() == len(t.instances) && tx.Kind() == types.Payment {
+		if t.escrowedCount() == int(t.n) && tx.Kind() == types.Payment {
 			// All payer escrows committed: the payment is decided. Apply
 			// credits and confirm without waiting for the global log.
 			r.store.CommitEscrow(id)
@@ -257,8 +292,21 @@ func (r *Replica) applyCredits(tx *types.Transaction) {
 
 // glogCursor walks the transactions of one globally confirmed block.
 type glogCursor struct {
-	block *types.Block
-	next  int
+	delivered
+	next int
+}
+
+// enqueueGlobal queues globally confirmed blocks for in-order execution,
+// reuniting each with the refs its delivery resolved.
+func (r *Replica) enqueueGlobal(blocks []*types.Block) {
+	for _, gb := range blocks {
+		refs, ok := r.blockRefs[gb]
+		if !ok {
+			refs = r.refsOf(gb)
+		}
+		delete(r.blockRefs, gb)
+		r.glogQ = append(r.glogQ, glogCursor{delivered: delivered{gb, refs}})
+	}
 }
 
 // drainGlogQueue executes globally confirmed blocks strictly in order. The
@@ -267,36 +315,31 @@ type glogCursor struct {
 func (r *Replica) drainGlogQueue() {
 	for r.glogHead < len(r.glogQ) {
 		cur := &r.glogQ[r.glogHead]
-		for cur.next < len(cur.block.Txs) {
-			tx := &cur.block.Txs[cur.next]
-			t := r.tracker(tx)
-			if t.occurSeen+1 < len(t.instances) {
-				// Not the last occurrence of a multi-instance transaction:
-				// skip it here; the final occurrence executes it.
-				t.occurSeen++
-				cur.next++
-				continue
-			}
+		for cur.next < len(cur.b.Txs) {
+			tx := &cur.b.Txs[cur.next]
+			t := r.at(cur.refs[cur.next], tx)
+			// Only the last occurrence of a multi-instance transaction
+			// executes it. Under the fast path payments were settled from the
+			// partial logs; a contract waits here for its escrow phase, order
+			// preserved.
+			last := t.occurSeen+1 >= t.n
+			settled := t.done || t.failed
 			if r.cfg.Mode.FastPathPayments {
-				if tx.Kind() == types.Payment || t.done || t.failed {
-					// Payments confirmed (or aborted) via the fast path.
-					t.occurSeen++
-					cur.next++
-					continue
+				settled = settled || tx.Kind() == types.Payment
+				if last && !settled && t.escrowedCount() != int(t.n) {
+					return
 				}
-				if !t.ready() {
-					return // wait for the escrow phase; order preserved
-				}
-				t.occurSeen++
-				cur.next++
-				r.execContractOrthrus(t)
-				continue
 			}
-			// Baselines: everything executes sequentially in global order.
-			t.occurSeen++
 			cur.next++
-			if !t.done && !t.failed {
-				r.execSequential(t)
+			if t.occurSeen++; t.done && t.occurSeen == t.n {
+				r.release = append(r.release, t.slot) // finished: the next checkpoint GC frees it
+			}
+			if last && !settled {
+				if r.cfg.Mode.FastPathPayments {
+					r.execContractOrthrus(t)
+				} else {
+					r.execSequential(t) // baselines: sequential, in global order
+				}
 			}
 		}
 		r.glogQ[r.glogHead] = glogCursor{}
@@ -310,44 +353,33 @@ func (r *Replica) drainGlogQueue() {
 // position: shared-object operations run now (the non-commutative part),
 // then the escrows taken at partial-log time commit or abort together.
 func (r *Replica) execContractOrthrus(t *txTracker) {
-	id := t.tx.ID()
-	if t.failed || !r.store.AllEscrowed(t.tx) {
-		r.store.AbortEscrow(id)
-		r.confirm(t, false)
-		return
-	}
-	if !r.execShared(t.tx) {
-		r.store.AbortEscrow(id)
-		r.confirm(t, false)
-		return
-	}
-	r.store.CommitEscrow(id)
-	r.applyCredits(t.tx)
-	r.confirm(t, true)
+	r.settle(t, t.tx.ID(), !t.failed && r.store.AllEscrowed(t.tx))
 }
 
 // execSequential executes a transaction entirely at its global-log position
 // (the baseline protocols): payer debits, shared operations, then credits;
 // any failure rolls back via the escrow log.
 func (r *Replica) execSequential(t *txTracker) {
-	id := t.tx.ID()
+	id, ok := t.tx.ID(), true
 	for _, op := range t.tx.Ops {
-		if op.IsPayerOp() {
-			if !r.store.Escrow(op, id) {
-				r.store.AbortEscrow(id)
-				r.confirm(t, false)
-				return
-			}
+		if ok = !op.IsPayerOp() || r.store.Escrow(op, id); !ok {
+			break
 		}
 	}
-	if !r.execShared(t.tx) {
-		r.store.AbortEscrow(id)
-		r.confirm(t, false)
+	r.settle(t, id, ok)
+}
+
+// settle runs the shared operations of a transaction whose payer escrows
+// held, commits them and applies the credits; on any failure it aborts.
+func (r *Replica) settle(t *txTracker, id types.TxID, escrowed bool) {
+	if escrowed && r.execShared(t.tx) {
+		r.store.CommitEscrow(id)
+		r.applyCredits(t.tx)
+		r.confirm(t, true)
 		return
 	}
-	r.store.CommitEscrow(id)
-	r.applyCredits(t.tx)
-	r.confirm(t, true)
+	r.store.AbortEscrow(id)
+	r.confirm(t, false)
 }
 
 // execShared runs the shared-object operations of tx; it reports success.

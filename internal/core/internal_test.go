@@ -46,13 +46,13 @@ func TestRouteOfSplitVsNoSplit(t *testing.T) {
 	}, 1)
 
 	orthrus := newBareReplica(t, OrthrusMode())
-	if got := orthrus.routeOf(tx); len(got) != 2 {
+	if got := orthrus.track(tx).route(); len(got) != 2 {
 		t.Fatalf("split route = %v", got)
 	}
 	noSplit := OrthrusMode()
 	noSplit.SplitMultiPayer = false
 	base := newBareReplica(t, noSplit)
-	if got := base.routeOf(tx); len(got) != 1 {
+	if got := base.track(tx).route(); len(got) != 1 {
 		t.Fatalf("no-split route = %v", got)
 	}
 }
@@ -62,7 +62,7 @@ func TestRouteOfMintFallsBackToClient(t *testing.T) {
 	mint := &types.Transaction{Client: "faucet", Ops: []types.Op{
 		{Key: "alice", Type: types.Owned, Kind: types.OpIncrement, Amount: 5},
 	}}
-	got := r.routeOf(mint)
+	got := r.track(mint).route()
 	if len(got) != 1 || got[0] != partition.Assign("faucet", 4) {
 		t.Fatalf("mint route = %v", got)
 	}
@@ -73,18 +73,17 @@ func TestLegFeasibleTracksPromisedDebits(t *testing.T) {
 	inst := partition.Assign("alice", 4)
 	tx1 := types.NewPayment("alice", "bob", 60, 1)
 	tx2 := types.NewPayment("alice", "bob", 60, 2)
-	if !r.legFeasible(tx1, inst) {
+	if !r.legFeasible(tx1, r.track(tx1), inst) {
 		t.Fatal("tx1 should be feasible (balance 100)")
 	}
-	r.promiseDebits(tx1, inst)
-	if r.legFeasible(tx2, inst) {
+	r.adjustPromised(tx1, r.track(tx1), inst, +1)
+	if r.legFeasible(tx2, r.track(tx2), inst) {
 		t.Fatal("tx2 feasible despite 60 already promised of 100")
 	}
 	// Releasing the promise (block executed) restores feasibility of the
 	// *remaining* balance only; after the escrow the real balance governs.
-	b := &types.Block{Instance: inst, Proposer: 0, Txs: []types.Transaction{*tx1}}
-	r.releaseProposedDebits(b)
-	if !r.legFeasible(tx2, inst) {
+	r.adjustPromised(tx1, r.track(tx1), inst, -1)
+	if !r.legFeasible(tx2, r.track(tx2), inst) {
 		t.Fatal("promise not released")
 	}
 }
@@ -241,15 +240,14 @@ func TestGlogHeadBlockingPreservesOrder(t *testing.T) {
 		[]types.Op{types.NewSharedAssign("rec", 2)}, 2)
 	inst1 := partition.Assign("alice", 4)
 	// Track both transactions; only con2's escrow phase has run.
-	t1 := r.tracker(con1)
-	t2 := r.tracker(con2)
+	t1, t2 := r.track(con1), r.track(con2)
 	r.store.Escrow(con2.Ops[0], con2.ID())
-	t2.markEscrowed(t2.instances[0])
+	t2.markEscrowed(t2.route()[0])
 
-	r.glogQ = append(r.glogQ,
-		glogCursor{block: &types.Block{Instance: inst1, Txs: []types.Transaction{*con1}}},
-		glogCursor{block: &types.Block{Instance: t2.instances[0], Txs: []types.Transaction{*con2}}},
-	)
+	r.enqueueGlobal([]*types.Block{
+		{Instance: inst1, Txs: []types.Transaction{*con1}},
+		{Instance: t2.route()[0], Txs: []types.Transaction{*con2}},
+	})
 	r.drainGlogQueue()
 	if t1.done || t2.done {
 		t.Fatal("execution overtook an unready glog head")
@@ -257,7 +255,7 @@ func TestGlogHeadBlockingPreservesOrder(t *testing.T) {
 	// Complete con1's escrow phase; both must now execute in order, leaving
 	// rec = 2 (con2 last).
 	r.store.Escrow(con1.Ops[0], con1.ID())
-	t1.markEscrowed(t1.instances[0])
+	t1.markEscrowed(t1.route()[0])
 	r.drainGlogQueue()
 	if !t1.done || !t2.done {
 		t.Fatal("glog queue did not drain after head became ready")
@@ -289,11 +287,11 @@ func TestTrackerWideInstanceSets(t *testing.T) {
 	// payer buckets at large m) must track escrow progress exactly; the
 	// inline word overflows into escrowedHi.
 	for _, width := range []int{1, 2, 63, 64, 65, 100, 128} {
-		tr := &txTracker{instances: make([]int, width)}
-		for i := range tr.instances {
-			tr.instances[i] = i * 3 // arbitrary distinct instance ids
+		tr := &txTracker{wide: &wideRoute{route: make([]int, width)}, n: int32(width)}
+		for i := range tr.wide.route {
+			tr.wide.route[i] = i * 3 // arbitrary distinct instance ids
 		}
-		for i, inst := range tr.instances {
+		for i, inst := range tr.route() {
 			if tr.escrowed(inst) {
 				t.Fatalf("width %d: position %d escrowed before marking", width, i)
 			}
@@ -305,10 +303,10 @@ func TestTrackerWideInstanceSets(t *testing.T) {
 				t.Fatalf("width %d: escrowedCount = %d after %d marks", width, got, i+1)
 			}
 		}
-		if !tr.ready() {
+		if tr.escrowedCount() != width {
 			t.Fatalf("width %d: tracker not ready with every instance escrowed", width)
 		}
-		tr.markEscrowed(tr.instances[0]) // idempotent
+		tr.markEscrowed(tr.route()[0]) // idempotent
 		if got := tr.escrowedCount(); got != width {
 			t.Fatalf("width %d: re-mark changed count to %d", width, got)
 		}

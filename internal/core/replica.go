@@ -148,7 +148,7 @@ type Replica struct {
 	// blocks awaiting their escrow phase: consuming advances the head and
 	// a fully drained queue rewinds to its backing array instead of
 	// sliding off it, so steady-state delivery appends allocate nothing.
-	execQ     [][]*types.Block
+	execQ     [][]delivered
 	execQhead []int
 	// execQocc marks instances with a non-empty execQ (bit per instance):
 	// the escrow fixed point visits only live queues instead of scanning
@@ -164,25 +164,18 @@ type Replica struct {
 	// batches does not double-spend a payer across pipelined blocks.
 	proposedDebits map[types.Key]types.Amount
 
-	// Per-transaction trackers: transactions stamped with a dense run
-	// index (types.Transaction.Idx, assigned by cluster.Run) live in a
-	// slice addressed by Idx-1 — no 32-byte-key hashing on the deliver
-	// path. Unindexed transactions (direct API use, custom sources) fall
-	// back to the ID-keyed map.
-	trackersIdx []*txTracker
-	// trackersFloor is the index below which every trackersIdx entry has
-	// been released by gcEpoch; the GC scan resumes there, so releasing the
-	// whole run's trackers costs amortized O(1) per transaction.
-	trackersFloor int
-	trackerSlab   []txTracker
-	trackers      map[types.TxID]*txTracker
-	stages        map[types.TxID]*StageTrace
-
-	// routeBuf is the reusable scratch for bucket routing: SubmitTx and the
-	// leader's feasibility checks route every transaction without
-	// allocating. Replicas are single-threaded event handlers, so one
-	// buffer suffices; only tracker() retains routes (in its own slice).
-	routeBuf []int
+	// Per-transaction state is addressed by slot: buckets.Table() interns a
+	// transaction once per arrival — SubmitTx, and each transaction of a
+	// delivered block — and trk holds its tracker. Slots are replica-private:
+	// they travel beside blocks (delivered.refs), never inside the
+	// Transaction or Block the simulator shares across replicas. release
+	// lists the finished trackers the next checkpoint GC frees; blockRefs
+	// holds a block's refs until the global ordering confirms it.
+	trk       [][]txTracker
+	release   []partition.Slot
+	refChunk  []txRef
+	blockRefs map[*types.Block][]txRef
+	stages    map[types.TxID]*StageTrace
 
 	seqRefs []types.BlockRef // refs awaiting sequencer proposal
 
@@ -234,11 +227,6 @@ type Replica struct {
 	// stApplied counts blocks applied through catch-up (tests assert a
 	// recovered replica repaired its gap without pre-checkpoint replay).
 	stApplied uint64
-
-	// liveTrackers counts transaction trackers currently retained (map and
-	// index entries together); gcEpoch decrements it as finished trackers
-	// are released. The soak harness samples it through LiveSet.
-	liveTrackers int
 
 	stalledUntil types.Time // Mir-style global stall deadline
 
@@ -318,11 +306,11 @@ func NewReplica(cfg Config, sim types.Clock, nw Network) *Replica {
 		global:         cfg.Mode.NewGlobal(cfg.M),
 		state:          make(types.StateVector, cfg.M),
 		execState:      make(types.StateVector, cfg.M),
-		execQ:          make([][]*types.Block, cfg.M),
+		execQ:          make([][]delivered, cfg.M),
 		execQhead:      make([]int, cfg.M),
 		execQocc:       make([]uint64, (cfg.M+63)/64),
 		proposedDebits: make(map[types.Key]types.Amount),
-		trackers:       make(map[types.TxID]*txTracker),
+		blockRefs:      make(map[*types.Block][]txRef),
 		ckptVotes:      make(map[uint64]map[int][32]byte),
 		ckptHighest:    make([]uint64, cfg.N),
 		instHash:       make([][32]byte, cfg.M),
@@ -537,9 +525,9 @@ func (r *Replica) SubmitTx(tx *types.Transaction) error {
 	if err := tx.Validate(); err != nil {
 		return err
 	}
-	r.routeBuf = r.appendRoute(r.routeBuf[:0], tx)
-	for _, i := range r.routeBuf {
-		r.buckets.Bucket(i).Push(tx)
+	t := r.track(tx)
+	for _, i := range t.route() {
+		r.buckets.Bucket(i).PushSlot(tx, t.slot)
 	}
 	if r.stages != nil {
 		st := r.stageOf(tx.ID())
@@ -558,28 +546,6 @@ func (r *Replica) stageOf(id types.TxID) *StageTrace {
 		r.stages[id] = st
 	}
 	return st
-}
-
-// routeOf returns the bucket indices a transaction is assigned to under the
-// current mode (every payer's bucket for Orthrus, first bucket otherwise).
-// The result is freshly allocated; hot paths use appendRoute with the
-// replica's scratch buffer instead.
-func (r *Replica) routeOf(tx *types.Transaction) []int {
-	return r.appendRoute(nil, tx)
-}
-
-// appendRoute appends tx's bucket route onto dst and returns the extended
-// slice (see routeOf).
-func (r *Replica) appendRoute(dst []int, tx *types.Transaction) []int {
-	start := len(dst)
-	dst = r.buckets.AppendBucketsOf(dst, tx)
-	if len(dst) == start {
-		dst = append(dst, r.buckets.Assign(tx.Client))
-	}
-	if !r.cfg.Mode.SplitMultiPayer && len(dst)-start > 1 {
-		dst = dst[:start+1]
-	}
-	return dst
 }
 
 // --- proposal pulses ---
@@ -633,34 +599,36 @@ func (r *Replica) pulse(instance int) {
 	// state, accounting for debits already promised in pipelined blocks and
 	// earlier in this batch. Infeasible transactions are re-queued — their
 	// funds may arrive via a credit from another instance.
-	pulled := r.buckets.Bucket(instance).Pull(r.cfg.BatchSize)
+	bucket := r.buckets.Bucket(instance)
+	pulled := bucket.PullEntries(r.cfg.BatchSize)
 	batch := pulled[:0]
-	var requeue []*types.Transaction
-	for _, tx := range pulled {
-		if r.censorAll || (r.cfg.Censor != nil && r.cfg.Censor(tx)) {
-			requeue = append(requeue, tx) // Byzantine: silently skip
+	var requeue []partition.Entry
+	for _, q := range pulled {
+		if r.censorAll || (r.cfg.Censor != nil && r.cfg.Censor(q.Tx)) {
+			requeue = append(requeue, q) // Byzantine: silently skip
 			continue
 		}
-		if r.legFeasible(tx, instance) {
-			r.promiseDebits(tx, instance)
-			batch = append(batch, tx)
+		if t := r.tracker(q.Slot); r.legFeasible(q.Tx, t, instance) {
+			r.adjustPromised(q.Tx, t, instance, +1)
+			batch = append(batch, q)
 		} else {
-			requeue = append(requeue, tx)
+			requeue = append(requeue, q)
 		}
 	}
-	for _, tx := range requeue {
-		r.buckets.Bucket(instance).Push(tx)
+	for _, q := range requeue {
+		bucket.PushSlot(q.Tx, q.Slot)
 	}
 	b := &types.Block{
 		Instance:  instance,
 		SN:        e.NextProposeSeq(),
 		Rank:      r.rank.Highest() + 1,
 		State:     r.execState.Clone(),
+		Txs:       make([]types.Transaction, 0, len(batch)),
 		Proposer:  r.cfg.ID,
 		ProposeNS: int64(r.sim.Now()),
 	}
-	for _, tx := range batch {
-		b.Txs = append(b.Txs, *tx)
+	for _, q := range batch {
+		b.Txs = append(b.Txs, *q.Tx)
 	}
 	r.rank.Observe(b.Rank)
 	if r.cfg.Keys != nil {
@@ -670,16 +638,23 @@ func (r *Replica) pulse(instance int) {
 	_ = e.Propose(b) // CanPropose was checked; a race-free sim cannot fail here
 }
 
+// legOn reports whether the payer key of one of t's transaction's ops maps
+// to instance, read off the cached route when every payer shares a bucket.
+func (r *Replica) legOn(t *txTracker, payer types.Key, instance int) bool {
+	if t.whole {
+		return t.arr[0] == instance
+	}
+	return r.buckets.Assign(payer) == instance
+}
+
 // legFeasible reports whether the payer operations of tx handled by the
 // given instance could escrow under the current executed state, minus the
 // debits this leader has already promised elsewhere.
-func (r *Replica) legFeasible(tx *types.Transaction, instance int) bool {
+func (r *Replica) legFeasible(tx *types.Transaction, t *txTracker, instance int) bool {
+	split := r.cfg.Mode.SplitMultiPayer
 	for _, op := range tx.Ops {
-		if !op.IsPayerOp() {
-			continue
-		}
-		if r.cfg.Mode.SplitMultiPayer && r.buckets.Assign(op.Key) != instance {
-			continue // another instance validates that leg
+		if !op.IsPayerOp() || split && !r.legOn(t, op.Key, instance) {
+			continue // not a debit, or another instance validates that leg
 		}
 		if r.store.Balance(op.Key)-r.proposedDebits[op.Key]-op.Amount < op.Con {
 			return false
@@ -688,36 +663,19 @@ func (r *Replica) legFeasible(tx *types.Transaction, instance int) bool {
 	return true
 }
 
-// promiseDebits reserves the batch's debits against future feasibility
-// checks until the block executes.
-func (r *Replica) promiseDebits(tx *types.Transaction, instance int) {
+// adjustPromised moves the debits of tx's legs on instance into (sign +1)
+// or out of (-1) proposedDebits: a leader reserves a batch's debits until
+// its block reaches the escrow phase, where the real escrow holds the funds.
+func (r *Replica) adjustPromised(tx *types.Transaction, t *txTracker, instance int, sign types.Amount) {
+	split := r.cfg.Mode.SplitMultiPayer
 	for _, op := range tx.Ops {
-		if !op.IsPayerOp() {
+		if !op.IsPayerOp() || split && !r.legOn(t, op.Key, instance) {
 			continue
 		}
-		if r.cfg.Mode.SplitMultiPayer && r.buckets.Assign(op.Key) != instance {
-			continue
-		}
-		r.proposedDebits[op.Key] += op.Amount
-	}
-}
-
-// releaseProposedDebits undoes promiseDebits once a self-proposed block has
-// reached its escrow phase (the real escrow now holds the funds).
-func (r *Replica) releaseProposedDebits(b *types.Block) {
-	for i := range b.Txs {
-		for _, op := range b.Txs[i].Ops {
-			if !op.IsPayerOp() {
-				continue
-			}
-			if r.cfg.Mode.SplitMultiPayer && r.buckets.Assign(op.Key) != b.Instance {
-				continue
-			}
-			if v := r.proposedDebits[op.Key] - op.Amount; v > 0 {
-				r.proposedDebits[op.Key] = v
-			} else {
-				delete(r.proposedDebits, op.Key)
-			}
+		if v := r.proposedDebits[op.Key] + sign*op.Amount; v > 0 {
+			r.proposedDebits[op.Key] = v
+		} else {
+			delete(r.proposedDebits, op.Key)
 		}
 	}
 }
@@ -759,9 +717,7 @@ func (r *Replica) epochPaused(instance int) bool {
 func (r *Replica) onDeliver(instance int, b *types.Block) {
 	if instance == r.cfg.M {
 		// Dedicated sequencer block: drives DQBFT global confirmation.
-		for _, gb := range r.global.OnSequencerDeliver(b) {
-			r.glogQ = append(r.glogQ, glogCursor{block: gb})
-		}
+		r.enqueueGlobal(r.global.OnSequencerDeliver(b))
 		r.drainGlogQueue()
 		return
 	}
@@ -796,17 +752,18 @@ func (r *Replica) onDeliver(instance int, b *types.Block) {
 		r.archive[instance] = append(r.archive[instance], b)
 	}
 
-	// Mark contained transactions as in-flight so replaced leaders do not
-	// re-propose them from their bucket copies.
+	// Intern the block's transactions and mark them in-flight so replaced
+	// leaders do not re-propose them from their bucket copies.
+	dl := delivered{b: b, refs: r.refsOf(b)}
 	bucket := r.buckets.Bucket(instance)
-	for i := range b.Txs {
-		bucket.MarkConfirmed(&b.Txs[i])
+	for _, ref := range dl.refs {
+		bucket.MarkConfirmedSlot(ref.slot)
 	}
 	// Censorship detection (Sec. V-B): the leader keeps delivering blocks
 	// while an old, locally feasible transaction sits unproposed in this
 	// bucket — complain (vote for a view change), once per view.
 	bucket.Tick()
-	if tx, age, ok := bucket.Oldest(); ok && age > r.cfg.CensorshipBlocks && r.legFeasible(tx, instance) {
+	if e, age, ok := bucket.Oldest(); ok && age > r.cfg.CensorshipBlocks && r.legFeasible(e.Tx, r.tracker(e.Slot), instance) {
 		view := r.sbs[instance].View()
 		if last := r.lastComplain[instance]; last < view+1 {
 			r.lastComplain[instance] = view + 1
@@ -830,11 +787,10 @@ func (r *Replica) onDeliver(instance int, b *types.Block) {
 	// Queue the block for its escrow phase (gated on state coverage) and
 	// feed the global ordering; whatever became globally confirmed joins
 	// the in-order global execution queue.
-	r.execQ[instance] = append(r.execQ[instance], b)
+	r.execQ[instance] = append(r.execQ[instance], dl)
 	r.execQocc[instance>>6] |= 1 << uint(instance&63)
-	for _, gb := range r.global.OnWorkerDeliver(b) {
-		r.glogQ = append(r.glogQ, glogCursor{block: gb})
-	}
+	r.blockRefs[b] = dl.refs
+	r.enqueueGlobal(r.global.OnWorkerDeliver(b))
 	r.drainExecQueues()
 
 	// DQBFT: the sequencer leader queues a reference for ordering.

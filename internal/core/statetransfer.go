@@ -265,7 +265,7 @@ func (r *Replica) StateTransferApplied() uint64 { return r.stApplied }
 // across replicas; a flat profile after warmup is the "memory bounded at
 // any virtual-time horizon" acceptance signal.
 type LiveSet struct {
-	Trackers  int // transaction trackers retained (index + map)
+	Trackers  int // live transaction-table records (queued or tracked)
 	ExecQ     int // delivered blocks awaiting their escrow phase
 	GlogQ     int // globally confirmed blocks awaiting in-order execution
 	Escrows   int // live escrow-log entries in the ledger
@@ -284,7 +284,7 @@ func (s LiveSet) Total() int {
 // LiveSet reports the replica's current retained-state census.
 func (r *Replica) LiveSet() LiveSet {
 	ls := LiveSet{
-		Trackers: r.liveTrackers,
+		Trackers: r.buckets.Table().Live(),
 		Escrows:  r.store.EscrowCount(),
 		GlogQ:    len(r.glogQ) - r.glogHead,
 	}

@@ -30,36 +30,32 @@ func Assign(key types.Key, m int) int {
 // BucketsOf returns the distinct bucket indices a transaction belongs to:
 // one per payer (owned object with a decremental operation), ascending.
 func BucketsOf(tx *types.Transaction, m int) []int {
-	return AppendBucketsOf(nil, tx, m)
+	return appendBuckets(nil, tx, m, nil)
 }
 
-// txKey is the bucket bookkeeping key for a transaction: the dense
-// per-run index when the submission layer stamped one (no hashing at
-// all), otherwise the first eight bytes of the content digest with the
-// top bit set so the two key spaces cannot meet. The truncated-digest
-// fallback trades a 2^-63 collision chance for hashing 8 bytes instead
-// of 32 on every bucket operation; only direct API users (tests,
-// examples) take it.
-func txKey(tx *types.Transaction) uint64 {
-	if tx.Idx != 0 {
-		return tx.Idx
+// assignMemo is Assign through memo, a per-key cache (nil: none).
+func assignMemo(memo map[types.Key]int, key types.Key, m int) int {
+	b, ok := memo[key]
+	if !ok {
+		if b = Assign(key, m); memo != nil {
+			memo[key] = b
+		}
 	}
-	id := tx.ID()
-	return binary.BigEndian.Uint64(id[:8]) | 1<<63
+	return b
 }
 
-// AppendBucketsOf appends the distinct bucket indices of tx's payers onto
-// dst, ascending, and returns the extended slice. It allocates nothing
-// when dst has room — the replica hot path routes every transaction
-// through a reusable scratch buffer. Deduplication is a linear scan over
-// the appended region: transactions have a handful of payers at most.
-func AppendBucketsOf(dst []int, tx *types.Transaction, m int) []int {
+// appendBuckets appends the distinct bucket indices of tx's payers onto
+// dst, ascending, and returns the extended slice, assigning through memo
+// (see assignMemo). It allocates nothing when dst has room.
+// Deduplication is a linear scan over the appended region: transactions
+// have a handful of payers at most.
+func appendBuckets(dst []int, tx *types.Transaction, m int, memo map[types.Key]int) []int {
 	start := len(dst)
 	for _, op := range tx.Ops {
 		if !op.IsPayerOp() {
 			continue
 		}
-		b := Assign(op.Key, m)
+		b := assignMemo(memo, op.Key, m)
 		dup := false
 		for _, x := range dst[start:] {
 			if x == b {
@@ -81,177 +77,169 @@ func AppendBucketsOf(dst []int, tx *types.Transaction, m int) []int {
 	return dst
 }
 
-// Bucket is a FIFO of pending transactions for one instance, deduplicated
-// by transaction identity (txKey). Transactions leave the bucket when
-// pulled by the leader or removed after confirmation elsewhere.
-type Bucket struct {
-	queue   []*types.Transaction
-	present map[uint64]bool
-	// confirmed remembers transactions that were already confirmed so a
-	// late re-submission is not re-added (garbage collected at
-	// checkpoints).
-	confirmed map[uint64]bool
-	// clock counts block deliveries of the owning instance; firstSeen maps
-	// each pending transaction to the clock value when it first arrived.
-	// Together they age pending transactions in units of delivered blocks,
-	// which drives the censorship detector (Sec. V-B): a leader that keeps
-	// delivering blocks while an old feasible transaction stays queued is
-	// suspected of censoring it.
-	clock     uint64
-	firstSeen map[uint64]uint64
+// Entry is one queued transaction with its slot in the bucket's Table.
+type Entry struct {
+	Tx   *types.Transaction
+	Slot Slot
 }
 
-// NewBucket creates an empty bucket.
-func NewBucket() *Bucket {
-	return &Bucket{
-		present:   make(map[uint64]bool),
-		confirmed: make(map[uint64]bool),
-		firstSeen: make(map[uint64]uint64),
-	}
+// Bucket is a FIFO of pending transactions for one instance, deduplicated
+// by transaction identity. Transactions leave the bucket when pulled by
+// the leader or removed after confirmation elsewhere. What the bucket
+// knows about a transaction (its member) lives in the Table record.
+type Bucket struct {
+	t  *Table
+	id uint16
+	// queue is the FIFO, base the absolute position of queue[0]. Confirming
+	// mid-queue leaves a tombstone (Tx == nil) that Pull and Oldest skip.
+	queue []Entry
+	base  uint32
+	n     int // queued transactions, tombstones excluded
+	// clock counts the instance's block deliveries; against a member's
+	// firstSeen it gives the age the censorship detector reads (Sec. V-B).
+	clock uint32
+	dirty []Slot // what GC must visit: confirmed, or pulled and not re-queued
 }
+
+// NewBucket creates an empty bucket over a table of its own.
+func NewBucket() *Bucket { return &Bucket{t: newTable()} }
 
 // Tick advances the bucket's delivery clock (one per delivered block).
 func (b *Bucket) Tick() { b.clock++ }
 
 // Oldest returns the oldest queued transaction and its age in delivered
 // blocks since it first arrived (surviving re-queues).
-func (b *Bucket) Oldest() (tx *types.Transaction, age uint64, ok bool) {
-	if len(b.queue) == 0 {
-		return nil, 0, false
+func (b *Bucket) Oldest() (e Entry, age uint64, ok bool) {
+	for len(b.queue) > 0 && b.queue[0].Tx == nil {
+		b.queue, b.base = b.queue[1:], b.base+1
 	}
-	tx = b.queue[0]
-	return tx, b.clock - b.firstSeen[txKey(tx)], true
+	if len(b.queue) == 0 {
+		return Entry{}, 0, false
+	}
+	e = b.queue[0]
+	return e, uint64(b.clock - b.t.member(e.Slot, b.id).firstSeen), true
 }
 
 // Len returns the number of queued transactions.
-func (b *Bucket) Len() int { return len(b.queue) }
+func (b *Bucket) Len() int { return b.n }
 
 // Push appends tx unless it is already queued or was confirmed; it reports
 // whether the transaction was added.
-func (b *Bucket) Push(tx *types.Transaction) bool {
-	k := txKey(tx)
-	if b.present[k] || b.confirmed[k] {
+func (b *Bucket) Push(tx *types.Transaction) bool { return b.PushSlot(tx, b.t.Intern(tx)) }
+
+// PushSlot is Push for a transaction already interned as s.
+func (b *Bucket) PushSlot(tx *types.Transaction, s Slot) bool {
+	m := b.t.member(s, b.id)
+	if m.flags&(queued|confirmed) != 0 {
 		return false
 	}
-	b.present[k] = true
-	b.queue = append(b.queue, tx)
-	if _, seen := b.firstSeen[k]; !seen {
-		b.firstSeen[k] = b.clock
+	if m.flags&seen == 0 {
+		m.firstSeen = b.clock
 	}
+	m.flags |= queued | seen
+	m.pos = b.base + uint32(len(b.queue))
+	b.queue = append(b.queue, Entry{tx, s})
+	b.n++
 	return true
+}
+
+// list puts s on the GC list once.
+func (b *Bucket) list(m *member, s Slot) {
+	if m.flags&listed == 0 {
+		m.flags |= listed
+		b.dirty = append(b.dirty, s)
+	}
 }
 
 // Pull removes and returns up to max of the oldest transactions, in
 // arrival order. The leader calls it when assembling a block; pulled
-// transactions that fail feasibility are Pushed back and keep their
+// transactions that fail feasibility are pushed back and keep their
 // original age (firstSeen survives re-queues).
 func (b *Bucket) Pull(max int) []*types.Transaction {
-	if max > len(b.queue) {
-		max = len(b.queue)
-	}
-	out := b.queue[:max:max]
-	b.queue = b.queue[max:]
-	for _, tx := range out {
-		delete(b.present, txKey(tx))
+	es := b.PullEntries(max)
+	out := make([]*types.Transaction, len(es))
+	for i, e := range es {
+		out[i] = e.Tx
 	}
 	return out
 }
 
-// Peek returns up to max of the oldest queued transactions without
-// removing them (diagnostics and tests; leaders use Pull).
-func (b *Bucket) Peek(max int) []*types.Transaction {
-	if max > len(b.queue) {
-		max = len(b.queue)
+// PullEntries is Pull with each transaction's slot.
+func (b *Bucket) PullEntries(max int) []Entry {
+	out := make([]Entry, 0, min(max, b.n))
+	k := 0
+	for ; k < len(b.queue) && len(out) < max; k++ {
+		if e := b.queue[k]; e.Tx != nil {
+			m := b.t.member(e.Slot, b.id)
+			m.flags &^= queued
+			b.list(m, e.Slot)
+			out = append(out, e)
+		}
 	}
-	return b.queue[:max:max]
+	b.queue, b.base, b.n = b.queue[k:], b.base+uint32(k), b.n-len(out)
+	return out
 }
 
 // MarkConfirmed records that a transaction was confirmed (possibly via a
 // block from another replica's leader) and drops it from the queue.
-func (b *Bucket) MarkConfirmed(tx *types.Transaction) {
-	k := txKey(tx)
-	b.confirmed[k] = true
-	delete(b.firstSeen, k)
-	if !b.present[k] {
-		return
+func (b *Bucket) MarkConfirmed(tx *types.Transaction) { b.MarkConfirmedSlot(b.t.Intern(tx)) }
+
+// MarkConfirmedSlot is MarkConfirmed for a transaction interned as s.
+func (b *Bucket) MarkConfirmedSlot(s Slot) {
+	m := b.t.member(s, b.id)
+	if m.flags&queued != 0 {
+		b.queue[m.pos-b.base].Tx = nil
+		b.n--
 	}
-	delete(b.present, k)
-	for i, q := range b.queue {
-		if txKey(q) == k {
-			b.queue = append(b.queue[:i], b.queue[i+1:]...)
-			break
-		}
-	}
+	m.flags = m.flags&listed | confirmed
+	b.list(m, s)
 }
 
-// GC forgets confirmation records (run at stable checkpoints, Sec. V-D)
-// and prunes age marks for transactions no longer queued.
+// GC forgets confirmation records (run at stable checkpoints, Sec. V-D) and
+// age marks of transactions no longer queued; one nothing holds is freed.
 func (b *Bucket) GC() {
-	clear(b.confirmed)
-	for k := range b.firstSeen {
-		if !b.present[k] {
-			delete(b.firstSeen, k)
+	for _, s := range b.dirty {
+		m := b.t.member(s, b.id)
+		if m.flags &^= confirmed | listed; m.flags&queued == 0 {
+			m.flags = 0
+			b.t.release(s)
 		}
 	}
+	b.dirty = b.dirty[:0]
 }
 
-// Set manages the m buckets of one replica: one bucket per SB instance,
-// with transaction routing (Add) and cross-bucket bookkeeping.
+// Set manages the m buckets of one replica: one bucket per SB instance
+// over one shared Table, with transaction routing (Add) and cross-bucket
+// bookkeeping.
 type Set struct {
 	buckets []*Bucket
-	// assign memoizes Assign per key: the sha256-based mapping sits on
-	// every routing, feasibility and escrow path, and a replica resolves
-	// the same few thousand account keys over and over.
+	table   *Table
+	// assign memoizes Assign per key: the sha256-based mapping sits on the
+	// routing path, and a replica resolves the same few thousand account
+	// keys over and over.
 	assign map[types.Key]int
 }
 
 // NewSet creates m empty buckets.
 func NewSet(m int) *Set {
-	s := &Set{buckets: make([]*Bucket, m), assign: make(map[types.Key]int, 1024)}
+	s := &Set{buckets: make([]*Bucket, m), table: newTable(), assign: make(map[types.Key]int, 1024)}
 	for i := range s.buckets {
-		s.buckets[i] = NewBucket()
+		s.buckets[i] = &Bucket{t: s.table, id: uint16(i)}
 	}
 	return s
 }
 
+// Table returns the transaction table the set's buckets share.
+func (s *Set) Table() *Table { return s.table }
+
 // Assign maps key to its bucket exactly like the package-level Assign with
 // m = s.M(), memoized per key.
-func (s *Set) Assign(key types.Key) int {
-	if v, ok := s.assign[key]; ok {
-		return v
-	}
-	v := Assign(key, len(s.buckets))
-	s.assign[key] = v
-	return v
-}
+func (s *Set) Assign(key types.Key) int { return assignMemo(s.assign, key, len(s.buckets)) }
 
-// AppendBucketsOf is AppendBucketsOf(dst, tx, s.M()) through the set's
+// AppendBucketsOf appends BucketsOf(tx, s.M()) onto dst through the set's
 // memoized key assignment.
 func (s *Set) AppendBucketsOf(dst []int, tx *types.Transaction) []int {
-	start := len(dst)
-	for _, op := range tx.Ops {
-		if !op.IsPayerOp() {
-			continue
-		}
-		b := s.Assign(op.Key)
-		dup := false
-		for _, x := range dst[start:] {
-			if x == b {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			dst = append(dst, b)
-		}
-	}
-	out := dst[start:]
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return dst
+	return appendBuckets(dst, tx, len(s.buckets), s.assign)
 }
 
 // M returns the number of buckets (= SB instances).
@@ -268,20 +256,22 @@ func (s *Set) Add(tx *types.Transaction) ([]int, error) {
 	if err := tx.Validate(); err != nil {
 		return nil, err
 	}
-	idx := BucketsOf(tx, len(s.buckets))
+	idx := s.AppendBucketsOf(nil, tx)
 	if len(idx) == 0 {
-		idx = []int{Assign(tx.Client, len(s.buckets))}
+		idx = []int{s.Assign(tx.Client)}
 	}
+	slot := s.table.Intern(tx)
 	for _, i := range idx {
-		s.buckets[i].Push(tx)
+		s.buckets[i].PushSlot(tx, slot)
 	}
 	return idx, nil
 }
 
 // MarkConfirmed drops tx from all buckets.
 func (s *Set) MarkConfirmed(tx *types.Transaction) {
+	slot := s.table.Intern(tx)
 	for _, b := range s.buckets {
-		b.MarkConfirmed(tx)
+		b.MarkConfirmedSlot(slot)
 	}
 }
 

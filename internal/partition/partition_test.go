@@ -134,18 +134,6 @@ func TestBucketConfirmedNotReadded(t *testing.T) {
 	}
 }
 
-func TestBucketPeekDoesNotRemove(t *testing.T) {
-	b := NewBucket()
-	tx := types.NewPayment("alice", "bob", 1, 1)
-	b.Push(tx)
-	if got := b.Peek(5); len(got) != 1 {
-		t.Fatalf("peek = %d", len(got))
-	}
-	if b.Len() != 1 {
-		t.Fatal("peek removed element")
-	}
-}
-
 func TestSetAddRouting(t *testing.T) {
 	s := NewSet(4)
 	tx := types.NewPayment("alice", "bob", 5, 1)

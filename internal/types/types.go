@@ -148,11 +148,10 @@ type Transaction struct {
 	SubmitNS int64  // client submit time (virtual ns); not hashed
 
 	// Idx is a dense 1-based per-run index stamped by the submission layer
-	// (cluster.Run). It is not part of the content digest and carries no
-	// protocol meaning; replicas use it to index per-transaction state with
-	// a slice instead of hashing the 32-byte ID. 0 means "unindexed" —
-	// consumers must fall back to ID-keyed maps (transactions built
-	// directly by tests or custom sources).
+	// (cluster.Run). It is not part of the content digest, carries no
+	// protocol meaning and never crosses a wire; a replica that sees one
+	// identifies the transaction by it without hashing. 0 means unindexed:
+	// the transaction is identified by its ID (every real-transport arrival).
 	Idx uint64
 
 	id     TxID
@@ -211,33 +210,30 @@ func (tx *Transaction) TotalCredit() Amount {
 func (tx *Transaction) Balanced() bool { return tx.TotalDebit() == tx.TotalCredit() }
 
 // ID returns the transaction's content digest, computed lazily and cached.
-// The digest covers Ops, Client and Nonce (not Sig, Payload or timing).
+// The digest covers Ops, Client and Nonce (not Sig, Payload or timing); the
+// preimage is built on the stack (spilling to the heap past 384 bytes).
 func (tx *Transaction) ID() TxID {
 	if !tx.hashed {
-		h := sha256.New()
-		var buf [8]byte
-		writeStr := func(s string) {
-			binary.BigEndian.PutUint64(buf[:], uint64(len(s)))
-			h.Write(buf[:])
-			h.Write([]byte(s))
+		var stack [384]byte
+		buf := appendStr(stack[:0], string(tx.Client))
+		buf = binary.BigEndian.AppendUint64(buf, tx.Nonce)
+		buf = binary.BigEndian.AppendUint64(buf, uint64(len(tx.Ops)))
+		for i := range tx.Ops {
+			op := &tx.Ops[i]
+			buf = appendStr(buf, string(op.Key))
+			buf = append(buf, byte(op.Type), byte(op.Kind))
+			buf = binary.BigEndian.AppendUint64(buf, uint64(op.Amount))
+			buf = binary.BigEndian.AppendUint64(buf, uint64(op.Con))
 		}
-		writeStr(string(tx.Client))
-		binary.BigEndian.PutUint64(buf[:], tx.Nonce)
-		h.Write(buf[:])
-		binary.BigEndian.PutUint64(buf[:], uint64(len(tx.Ops)))
-		h.Write(buf[:])
-		for _, op := range tx.Ops {
-			writeStr(string(op.Key))
-			h.Write([]byte{byte(op.Type), byte(op.Kind)})
-			binary.BigEndian.PutUint64(buf[:], uint64(op.Amount))
-			h.Write(buf[:])
-			binary.BigEndian.PutUint64(buf[:], uint64(op.Con))
-			h.Write(buf[:])
-		}
-		copy(tx.id[:], h.Sum(nil))
+		tx.id = sha256.Sum256(buf)
 		tx.hashed = true
 	}
 	return tx.id
+}
+
+// appendStr appends s behind its eight-byte length.
+func appendStr(buf []byte, s string) []byte {
+	return append(binary.BigEndian.AppendUint64(buf, uint64(len(s))), s...)
 }
 
 // SigningBytes returns the canonical byte string a client signs.
@@ -375,33 +371,32 @@ type BlockRef struct {
 }
 
 // Digest returns the block's content digest (instance, sn, rank, state and
-// the IDs of contained transactions).
+// the IDs of contained transactions); a large block's preimage is heaped.
 func (b *Block) Digest() BlockID {
 	if !b.digested {
-		h := sha256.New()
-		var buf [8]byte
-		put := func(v uint64) {
-			binary.BigEndian.PutUint64(buf[:], v)
-			h.Write(buf[:])
+		var stack [4096]byte
+		buf := stack[:0]
+		if need := 8 * (6 + len(b.State) + 4*len(b.Txs) + 2*len(b.Refs)); need > len(stack) {
+			buf = make([]byte, 0, need)
 		}
-		put(uint64(b.Instance))
-		put(b.SN)
-		put(b.Rank)
-		put(uint64(len(b.State)))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(b.Instance))
+		buf = binary.BigEndian.AppendUint64(buf, b.SN)
+		buf = binary.BigEndian.AppendUint64(buf, b.Rank)
+		buf = binary.BigEndian.AppendUint64(buf, uint64(len(b.State)))
 		for _, v := range b.State {
-			put(v)
+			buf = binary.BigEndian.AppendUint64(buf, v)
 		}
-		put(uint64(len(b.Txs)))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(len(b.Txs)))
 		for i := range b.Txs {
 			id := b.Txs[i].ID()
-			h.Write(id[:])
+			buf = append(buf, id[:]...)
 		}
-		put(uint64(len(b.Refs)))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(len(b.Refs)))
 		for _, r := range b.Refs {
-			put(uint64(r.Instance))
-			put(r.SN)
+			buf = binary.BigEndian.AppendUint64(buf, uint64(r.Instance))
+			buf = binary.BigEndian.AppendUint64(buf, r.SN)
 		}
-		copy(b.digest[:], h.Sum(nil))
+		b.digest = sha256.Sum256(buf)
 		b.digested = true
 	}
 	return b.digest

@@ -13,8 +13,8 @@
 //
 // The codec deliberately omits fields that carry no protocol meaning
 // across a wire: Transaction.Idx is a per-run dense index stamped by the
-// local submission layer (receivers fall back to ID-keyed maps), so it
-// decodes as zero.
+// local submission layer, so it decodes as zero and every receiver
+// identifies the transaction by its full ID (partition.Table).
 //
 // Ownership: Decode is borrow-safe. The returned message never aliases
 // the input buffer — every variable-length field is copied into memory
