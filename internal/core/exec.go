@@ -91,8 +91,13 @@ func (r *Replica) track(tx *types.Transaction) *txTracker {
 		if !r.cfg.Mode.SplitMultiPayer {
 			route = route[:1]
 		}
-		if t.n = int32(len(route)); len(route) > len(t.arr) {
+		t.n = int32(len(route))
+		if len(route) > len(t.arr) {
 			t.wide = &wideRoute{route: route}
+		} else {
+			// More than len(arr) buckets spill the append (and its sort) to
+			// the heap even when the route is then cut back to its head.
+			copy(t.arr[:], route)
 		}
 		t.tx, t.slot = tx, s
 		r.buckets.Table().Pin(s)
@@ -125,34 +130,35 @@ func (r *Replica) at(ref txRef, tx *types.Transaction) *txTracker {
 	return r.track(tx)
 }
 
-// escrowBit locates instance's escrow flag: the word holding it and its
-// mask, or nil when the route does not include instance.
-func (t *txTracker) escrowBit(instance int) (*uint64, uint64) {
+// escrowed reports whether the given instance's payer ops escrowed.
+func (t *txTracker) escrowed(instance int) bool {
+	for i, inst := range t.route() {
+		if inst == instance {
+			if i < 64 {
+				return t.escrowedBits&(1<<uint(i)) != 0
+			}
+			w := (i - 64) / 64
+			return w < len(t.wide.escrowedHi) && t.wide.escrowedHi[w]&(1<<uint((i-64)%64)) != 0
+		}
+	}
+	return false
+}
+
+// markEscrowed records a successful escrow phase on instance.
+func (t *txTracker) markEscrowed(instance int) {
 	for i, inst := range t.route() {
 		if inst != instance {
 			continue
 		}
 		if i < 64 {
-			return &t.escrowedBits, 1 << uint(i)
+			t.escrowedBits |= 1 << uint(i)
+			return
 		}
 		if t.wide.escrowedHi == nil {
-			t.wide.escrowedHi = make([]uint64, (t.n-1)/64)
+			t.wide.escrowedHi = make([]uint64, (len(t.wide.route)-64+63)/64)
 		}
-		return &t.wide.escrowedHi[i/64-1], 1 << uint(i%64)
-	}
-	return nil, 0
-}
-
-// escrowed reports whether the given instance's payer ops escrowed.
-func (t *txTracker) escrowed(instance int) bool {
-	w, bit := t.escrowBit(instance)
-	return w != nil && *w&bit != 0
-}
-
-// markEscrowed records a successful escrow phase on instance.
-func (t *txTracker) markEscrowed(instance int) {
-	if w, bit := t.escrowBit(instance); w != nil {
-		*w |= bit
+		t.wide.escrowedHi[(i-64)/64] |= 1 << uint((i-64)%64)
+		return
 	}
 }
 
@@ -166,6 +172,12 @@ func (t *txTracker) escrowedCount() int {
 		}
 	}
 	return n
+}
+
+// ready reports whether the transaction's escrow phase concluded on every
+// instance it belongs to (successfully or by failing).
+func (t *txTracker) ready() bool {
+	return t.failed || t.done || t.escrowedCount() == int(t.n)
 }
 
 // confirm finalizes a transaction at this replica: exactly once per tx.
@@ -194,6 +206,16 @@ func (r *Replica) confirm(t *txTracker, success bool) {
 	}
 }
 
+// occurred counts one global-log occurrence of t. A tracker is finished
+// once it is confirmed and every occurrence has passed — whichever comes
+// last (here or in confirm) lists it for the next checkpoint GC to free.
+func (r *Replica) occurred(t *txTracker) {
+	t.occurSeen++
+	if t.done && t.occurSeen == t.n {
+		r.release = append(r.release, t.slot)
+	}
+}
+
 // drainExecQueues escrow-phases delivered blocks whose state references are
 // satisfied. One instance's progress can unblock another, so it loops until
 // a fixed point. The occupancy bitset keeps each pass proportional to the
@@ -218,11 +240,8 @@ func (r *Replica) drainExecQueues() {
 					if r.cfg.Mode.FastPathPayments {
 						r.execPartial(i, d)
 					}
-					if d.b.Proposer == r.cfg.ID { // own block: release its promises
-						for k := range d.b.Txs {
-							tx := &d.b.Txs[k]
-							r.adjustPromised(tx, r.at(d.refs[k], tx), i, -1)
-						}
+					if d.b.Proposer == r.cfg.ID {
+						r.releaseProposedDebits(d)
 					}
 					progress = true
 				}
@@ -318,28 +337,33 @@ func (r *Replica) drainGlogQueue() {
 		for cur.next < len(cur.b.Txs) {
 			tx := &cur.b.Txs[cur.next]
 			t := r.at(cur.refs[cur.next], tx)
-			// Only the last occurrence of a multi-instance transaction
-			// executes it. Under the fast path payments were settled from the
-			// partial logs; a contract waits here for its escrow phase, order
-			// preserved.
-			last := t.occurSeen+1 >= t.n
-			settled := t.done || t.failed
+			if t.occurSeen+1 < t.n {
+				// Not the last occurrence of a multi-instance transaction:
+				// skip it here; the final occurrence executes it.
+				r.occurred(t)
+				cur.next++
+				continue
+			}
 			if r.cfg.Mode.FastPathPayments {
-				settled = settled || tx.Kind() == types.Payment
-				if last && !settled && t.escrowedCount() != int(t.n) {
-					return
+				if tx.Kind() == types.Payment || t.done || t.failed {
+					// Payments confirmed (or aborted) via the fast path.
+					r.occurred(t)
+					cur.next++
+					continue
 				}
+				if !t.ready() {
+					return // wait for the escrow phase; order preserved
+				}
+				r.occurred(t)
+				cur.next++
+				r.execContractOrthrus(t)
+				continue
 			}
+			// Baselines: everything executes sequentially in global order.
+			r.occurred(t)
 			cur.next++
-			if t.occurSeen++; t.done && t.occurSeen == t.n {
-				r.release = append(r.release, t.slot) // finished: the next checkpoint GC frees it
-			}
-			if last && !settled {
-				if r.cfg.Mode.FastPathPayments {
-					r.execContractOrthrus(t)
-				} else {
-					r.execSequential(t) // baselines: sequential, in global order
-				}
+			if !t.done && !t.failed {
+				r.execSequential(t)
 			}
 		}
 		r.glogQ[r.glogHead] = glogCursor{}
@@ -353,33 +377,44 @@ func (r *Replica) drainGlogQueue() {
 // position: shared-object operations run now (the non-commutative part),
 // then the escrows taken at partial-log time commit or abort together.
 func (r *Replica) execContractOrthrus(t *txTracker) {
-	r.settle(t, t.tx.ID(), !t.failed && r.store.AllEscrowed(t.tx))
+	id := t.tx.ID()
+	if t.failed || !r.store.AllEscrowed(t.tx) {
+		r.store.AbortEscrow(id)
+		r.confirm(t, false)
+		return
+	}
+	if !r.execShared(t.tx) {
+		r.store.AbortEscrow(id)
+		r.confirm(t, false)
+		return
+	}
+	r.store.CommitEscrow(id)
+	r.applyCredits(t.tx)
+	r.confirm(t, true)
 }
 
 // execSequential executes a transaction entirely at its global-log position
 // (the baseline protocols): payer debits, shared operations, then credits;
 // any failure rolls back via the escrow log.
 func (r *Replica) execSequential(t *txTracker) {
-	id, ok := t.tx.ID(), true
+	id := t.tx.ID()
 	for _, op := range t.tx.Ops {
-		if ok = !op.IsPayerOp() || r.store.Escrow(op, id); !ok {
-			break
+		if op.IsPayerOp() {
+			if !r.store.Escrow(op, id) {
+				r.store.AbortEscrow(id)
+				r.confirm(t, false)
+				return
+			}
 		}
 	}
-	r.settle(t, id, ok)
-}
-
-// settle runs the shared operations of a transaction whose payer escrows
-// held, commits them and applies the credits; on any failure it aborts.
-func (r *Replica) settle(t *txTracker, id types.TxID, escrowed bool) {
-	if escrowed && r.execShared(t.tx) {
-		r.store.CommitEscrow(id)
-		r.applyCredits(t.tx)
-		r.confirm(t, true)
+	if !r.execShared(t.tx) {
+		r.store.AbortEscrow(id)
+		r.confirm(t, false)
 		return
 	}
-	r.store.AbortEscrow(id)
-	r.confirm(t, false)
+	r.store.CommitEscrow(id)
+	r.applyCredits(t.tx)
+	r.confirm(t, true)
 }
 
 // execShared runs the shared-object operations of tx; it reports success.

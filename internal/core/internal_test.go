@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -15,10 +17,15 @@ import (
 
 func newBareReplica(t *testing.T, mode Mode) *Replica {
 	t.Helper()
+	return newBareReplicaM(t, mode, 4)
+}
+
+func newBareReplicaM(t *testing.T, mode Mode, m int) *Replica {
+	t.Helper()
 	sim := simnet.New(1)
 	nw := simnet.NewNetwork(sim, 4, simnet.FixedModel{D: time.Millisecond})
 	cfg := Config{
-		N: 4, F: 1, ID: 0, M: 4,
+		N: 4, F: 1, ID: 0, M: m,
 		Mode:         mode,
 		BatchSize:    8,
 		BatchTimeout: 10 * time.Millisecond,
@@ -57,6 +64,44 @@ func TestRouteOfSplitVsNoSplit(t *testing.T) {
 	}
 }
 
+// TestRouteOfManyPayerBuckets covers routes that outgrow the tracker's
+// inline array: payers in six distinct buckets, listed in descending bucket
+// order so the first-listed payer is not the route's head.
+func TestRouteOfManyPayerBuckets(t *testing.T) {
+	const m = 16
+	var payers []types.Key
+	var want []int
+	for b := m - 1; len(payers) < 6; b -= 2 {
+		for i := 0; ; i++ {
+			k := types.Key(fmt.Sprintf("payer-%d", i))
+			if partition.Assign(k, m) == b {
+				payers = append(payers, k)
+				want = append([]int{b}, want...)
+				break
+			}
+		}
+	}
+	transfers := make([]types.Transfer, len(payers))
+	for i, p := range payers {
+		transfers[i] = types.Transfer{From: p, To: "z", Amount: 1}
+	}
+	tx := types.NewMultiPayment(payers[0], transfers, 1)
+
+	got := newBareReplicaM(t, OrthrusMode(), m).track(tx).route()
+	if !slices.Equal(got, want) {
+		t.Fatalf("split route = %v, want %v", got, want)
+	}
+	noSplit := OrthrusMode()
+	noSplit.SplitMultiPayer = false
+	tr := newBareReplicaM(t, noSplit, m).track(tx)
+	if got := tr.route(); len(got) != 1 || got[0] != want[0] {
+		t.Fatalf("no-split route = %v, want the smallest bucket [%d]", got, want[0])
+	}
+	if tr.whole {
+		t.Fatal("a six-bucket transaction cut to one route entry must still assign per leg")
+	}
+}
+
 func TestRouteOfMintFallsBackToClient(t *testing.T) {
 	r := newBareReplica(t, OrthrusMode())
 	mint := &types.Transaction{Client: "faucet", Ops: []types.Op{
@@ -76,13 +121,14 @@ func TestLegFeasibleTracksPromisedDebits(t *testing.T) {
 	if !r.legFeasible(tx1, r.track(tx1), inst) {
 		t.Fatal("tx1 should be feasible (balance 100)")
 	}
-	r.adjustPromised(tx1, r.track(tx1), inst, +1)
+	r.promiseDebits(tx1, r.track(tx1), inst)
 	if r.legFeasible(tx2, r.track(tx2), inst) {
 		t.Fatal("tx2 feasible despite 60 already promised of 100")
 	}
 	// Releasing the promise (block executed) restores feasibility of the
 	// *remaining* balance only; after the escrow the real balance governs.
-	r.adjustPromised(tx1, r.track(tx1), inst, -1)
+	b := &types.Block{Instance: inst, Proposer: 0, Txs: []types.Transaction{*tx1}}
+	r.releaseProposedDebits(delivered{b, r.refsOf(b)})
 	if !r.legFeasible(tx2, r.track(tx2), inst) {
 		t.Fatal("promise not released")
 	}

@@ -609,7 +609,7 @@ func (r *Replica) pulse(instance int) {
 			continue
 		}
 		if t := r.tracker(q.Slot); r.legFeasible(q.Tx, t, instance) {
-			r.adjustPromised(q.Tx, t, instance, +1)
+			r.promiseDebits(q.Tx, t, instance)
 			batch = append(batch, q)
 		} else {
 			requeue = append(requeue, q)
@@ -651,10 +651,12 @@ func (r *Replica) legOn(t *txTracker, payer types.Key, instance int) bool {
 // given instance could escrow under the current executed state, minus the
 // debits this leader has already promised elsewhere.
 func (r *Replica) legFeasible(tx *types.Transaction, t *txTracker, instance int) bool {
-	split := r.cfg.Mode.SplitMultiPayer
 	for _, op := range tx.Ops {
-		if !op.IsPayerOp() || split && !r.legOn(t, op.Key, instance) {
-			continue // not a debit, or another instance validates that leg
+		if !op.IsPayerOp() {
+			continue
+		}
+		if r.cfg.Mode.SplitMultiPayer && !r.legOn(t, op.Key, instance) {
+			continue // another instance validates that leg
 		}
 		if r.store.Balance(op.Key)-r.proposedDebits[op.Key]-op.Amount < op.Con {
 			return false
@@ -663,19 +665,38 @@ func (r *Replica) legFeasible(tx *types.Transaction, t *txTracker, instance int)
 	return true
 }
 
-// adjustPromised moves the debits of tx's legs on instance into (sign +1)
-// or out of (-1) proposedDebits: a leader reserves a batch's debits until
-// its block reaches the escrow phase, where the real escrow holds the funds.
-func (r *Replica) adjustPromised(tx *types.Transaction, t *txTracker, instance int, sign types.Amount) {
-	split := r.cfg.Mode.SplitMultiPayer
+// promiseDebits reserves the batch's debits against future feasibility
+// checks until the block executes.
+func (r *Replica) promiseDebits(tx *types.Transaction, t *txTracker, instance int) {
 	for _, op := range tx.Ops {
-		if !op.IsPayerOp() || split && !r.legOn(t, op.Key, instance) {
+		if !op.IsPayerOp() {
 			continue
 		}
-		if v := r.proposedDebits[op.Key] + sign*op.Amount; v > 0 {
-			r.proposedDebits[op.Key] = v
-		} else {
-			delete(r.proposedDebits, op.Key)
+		if r.cfg.Mode.SplitMultiPayer && !r.legOn(t, op.Key, instance) {
+			continue
+		}
+		r.proposedDebits[op.Key] += op.Amount
+	}
+}
+
+// releaseProposedDebits undoes promiseDebits once a self-proposed block has
+// reached its escrow phase (the real escrow now holds the funds).
+func (r *Replica) releaseProposedDebits(d delivered) {
+	for i := range d.b.Txs {
+		tx := &d.b.Txs[i]
+		t := r.at(d.refs[i], tx)
+		for _, op := range tx.Ops {
+			if !op.IsPayerOp() {
+				continue
+			}
+			if r.cfg.Mode.SplitMultiPayer && !r.legOn(t, op.Key, d.b.Instance) {
+				continue
+			}
+			if v := r.proposedDebits[op.Key] - op.Amount; v > 0 {
+				r.proposedDebits[op.Key] = v
+			} else {
+				delete(r.proposedDebits, op.Key)
+			}
 		}
 	}
 }

@@ -73,6 +73,13 @@ func (b *oracleBucket) Pull(max int) []*types.Transaction {
 	return out
 }
 
+func (b *oracleBucket) Peek(max int) []*types.Transaction {
+	if max > len(b.queue) {
+		max = len(b.queue)
+	}
+	return b.queue[:max:max]
+}
+
 func (b *oracleBucket) MarkConfirmed(tx *types.Transaction) {
 	k := oracleKey(tx)
 	b.confirmed[k] = true
@@ -171,6 +178,9 @@ func driveBuckets(t *testing.T, seed int64, steps int) bool {
 			t.Errorf("seed %d step %d: Oldest = (%v, %d, %v), oracle (%v, %d, %v)", seed, step, e.Tx, age, ok, otx, oage, ook)
 			return false
 		}
+		if n := rng.Intn(6); !sameTxs("Peek", b.Peek(n), o.Peek(n)) {
+			return false
+		}
 	}
 	// Drain: the full queue order must match, and once everything is
 	// confirmed and collected the table holds nothing.
@@ -242,44 +252,61 @@ func TestConfirmMidQueueKeepsOrderAndAge(t *testing.T) {
 	}
 }
 
-// TestSharedPrefixStaysTwoTransactions is the identity bugfix: with every
-// ID clipped to the same key (the shared 8-byte prefix a client could grind
-// for), distinct transactions land in one probe chain and must still be
-// interned, queued and confirmed independently — the truncated-digest key
-// merged them.
+// TestSharedPrefixStaysTwoTransactions is the identity bugfix: two IDs that
+// share their leading eight bytes (the pair a client could grind for, and
+// all the truncated-digest key looked at) hash to one index cell and must
+// still be interned, queued and confirmed independently, as must a third
+// record behind them in the same probe chain.
 func TestSharedPrefixStaysTwoTransactions(t *testing.T) {
 	set := NewSet(1)
-	set.Table().keyMask = 0
-	b := set.Bucket(0)
-	a1 := types.NewPayment("alice", "bob", 1, 1)
-	a2 := types.NewPayment("alice", "bob", 1, 2)
-	stamped := types.NewPayment("alice", "bob", 1, 3)
-	stamped.Idx = 7
-	if !b.Push(a1) || !b.Push(a2) || !b.Push(stamped) {
-		t.Fatal("a transaction sharing a key with a queued one was dropped as a duplicate")
+	tbl, b := set.Table(), set.Bucket(0)
+	id1 := types.NewPayment("alice", "bob", 1, 1).ID()
+	id2 := id1
+	id2[31] ^= 1 // same prefix, different transaction
+	id3 := id1
+	id3[8] ^= 1
+	if hash(&id1) != hash(&id2) || hash(&id1) != hash(&id3) {
+		t.Fatal("the constructed IDs do not collide")
 	}
-	s1, s2, s3 := set.Table().Intern(a1), set.Table().Intern(a2), set.Table().Intern(stamped)
-	if s1 == s2 || s1 == s3 || s2 == s3 {
-		t.Fatalf("slots %d %d %d: distinct transactions share a slot", s1, s2, s3)
+	txs := []*types.Transaction{
+		types.NewPayment("alice", "bob", 1, 1),
+		types.NewPayment("alice", "bob", 1, 2),
+		types.NewPayment("alice", "bob", 1, 3),
 	}
-	if b.Push(a1) {
+	s := []Slot{tbl.intern(id1), tbl.intern(id2), tbl.intern(id3)}
+	if s[0] == s[1] || s[0] == s[2] || s[1] == s[2] {
+		t.Fatalf("slots %v: distinct IDs share a slot", s)
+	}
+	if tbl.intern(id2) != s[1] || tbl.intern(id3) != s[2] {
+		t.Fatal("a chained ID did not resolve to its own slot again")
+	}
+	for i, tx := range txs {
+		if !b.PushSlot(tx, s[i]) {
+			t.Fatal("a transaction sharing a prefix with a queued one was dropped as a duplicate")
+		}
+	}
+	if b.PushSlot(txs[0], s[0]) {
 		t.Fatal("a true duplicate was queued twice")
 	}
-	b.MarkConfirmed(a1)
-	if b.Len() != 2 || b.Push(a1) {
+	b.MarkConfirmedSlot(s[0])
+	if b.Len() != 2 || b.PushSlot(txs[0], s[0]) {
 		t.Fatal("confirming one transaction must drop exactly it")
 	}
-	if got := b.Pull(3); len(got) != 2 || got[0] != a2 || got[1] != stamped {
+	// Freeing the head of the chain must keep the rest reachable.
+	b.GC()
+	if tbl.Live() != 2 || tbl.intern(id2) != s[1] || tbl.intern(id3) != s[2] {
+		t.Fatalf("live %d after freeing the chain's head; the rest must resolve", tbl.Live())
+	}
+	if got := b.Pull(3); len(got) != 2 || got[0] != txs[1] || got[1] != txs[2] {
 		t.Fatal("the other transactions of the chain did not stay queued in order")
 	}
-	// Freeing the middle of the chain must keep the rest reachable.
-	b.MarkConfirmed(a2)
-	b.MarkConfirmed(stamped)
+	b.MarkConfirmedSlot(s[1])
+	b.MarkConfirmedSlot(s[2])
 	b.GC()
-	if set.Table().Live() != 0 {
-		t.Fatalf("%d records left after collecting everything", set.Table().Live())
+	if tbl.Live() != 0 {
+		t.Fatalf("%d records left after collecting everything", tbl.Live())
 	}
-	if !b.Push(stamped) || set.Table().Intern(stamped) != set.Table().Intern(stamped) {
+	if again := tbl.intern(id1); !b.PushSlot(txs[0], again) || tbl.intern(id1) != again {
 		t.Fatal("a freed transaction could not be interned again")
 	}
 }

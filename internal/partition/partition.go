@@ -30,7 +30,13 @@ func Assign(key types.Key, m int) int {
 // BucketsOf returns the distinct bucket indices a transaction belongs to:
 // one per payer (owned object with a decremental operation), ascending.
 func BucketsOf(tx *types.Transaction, m int) []int {
-	return appendBuckets(nil, tx, m, nil)
+	return AppendBucketsOf(nil, tx, m)
+}
+
+// AppendBucketsOf appends BucketsOf(tx, m) onto dst and returns the
+// extended slice.
+func AppendBucketsOf(dst []int, tx *types.Transaction, m int) []int {
+	return appendBuckets(dst, tx, m, nil)
 }
 
 // assignMemo is Assign through memo, a per-key cache (nil: none).
@@ -101,9 +107,6 @@ type Bucket struct {
 	dirty []Slot // what GC must visit: confirmed, or pulled and not re-queued
 }
 
-// NewBucket creates an empty bucket over a table of its own.
-func NewBucket() *Bucket { return &Bucket{t: newTable()} }
-
 // Tick advances the bucket's delivery clock (one per delivered block).
 func (b *Bucket) Tick() { b.clock++ }
 
@@ -123,11 +126,8 @@ func (b *Bucket) Oldest() (e Entry, age uint64, ok bool) {
 // Len returns the number of queued transactions.
 func (b *Bucket) Len() int { return b.n }
 
-// Push appends tx unless it is already queued or was confirmed; it reports
-// whether the transaction was added.
-func (b *Bucket) Push(tx *types.Transaction) bool { return b.PushSlot(tx, b.t.Intern(tx)) }
-
-// PushSlot is Push for a transaction already interned as s.
+// PushSlot appends tx, interned in the bucket's table as s, unless it is
+// already queued or was confirmed; it reports whether it was added.
 func (b *Bucket) PushSlot(tx *types.Transaction, s Slot) bool {
 	m := b.t.member(s, b.id)
 	if m.flags&(queued|confirmed) != 0 {
@@ -180,11 +180,21 @@ func (b *Bucket) PullEntries(max int) []Entry {
 	return out
 }
 
-// MarkConfirmed records that a transaction was confirmed (possibly via a
-// block from another replica's leader) and drops it from the queue.
-func (b *Bucket) MarkConfirmed(tx *types.Transaction) { b.MarkConfirmedSlot(b.t.Intern(tx)) }
+// Peek returns up to max of the oldest queued transactions without
+// removing them (diagnostics and tests; leaders use Pull).
+func (b *Bucket) Peek(max int) []*types.Transaction {
+	out := make([]*types.Transaction, 0, min(max, b.n))
+	for k := 0; k < len(b.queue) && len(out) < max; k++ {
+		if tx := b.queue[k].Tx; tx != nil {
+			out = append(out, tx)
+		}
+	}
+	return out
+}
 
-// MarkConfirmedSlot is MarkConfirmed for a transaction interned as s.
+// MarkConfirmedSlot records that the transaction interned as s was
+// confirmed (possibly via a block from another replica's leader) and drops
+// it from the queue.
 func (b *Bucket) MarkConfirmedSlot(s Slot) {
 	m := b.t.member(s, b.id)
 	if m.flags&queued != 0 {
@@ -200,7 +210,8 @@ func (b *Bucket) MarkConfirmedSlot(s Slot) {
 func (b *Bucket) GC() {
 	for _, s := range b.dirty {
 		m := b.t.member(s, b.id)
-		if m.flags &^= confirmed | listed; m.flags&queued == 0 {
+		m.flags &^= confirmed | listed
+		if m.flags&queued == 0 {
 			m.flags = 0
 			b.t.release(s)
 		}

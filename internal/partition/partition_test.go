@@ -134,6 +134,48 @@ func TestBucketConfirmedNotReadded(t *testing.T) {
 	}
 }
 
+func TestBucketPeekDoesNotRemove(t *testing.T) {
+	b := NewBucket()
+	tx := types.NewPayment("alice", "bob", 1, 1)
+	b.Push(tx)
+	if got := b.Peek(5); len(got) != 1 {
+		t.Fatalf("peek = %d", len(got))
+	}
+	if b.Len() != 1 {
+		t.Fatal("peek removed element")
+	}
+}
+
+// TestBucketPeekSkipsTombstones confirms a transaction mid-queue and one at
+// the head: Peek returns the survivors in arrival order, honours max, and
+// leaves the queue as it was.
+func TestBucketPeekSkipsTombstones(t *testing.T) {
+	b := NewBucket()
+	txs := make([]*types.Transaction, 5)
+	for i := range txs {
+		txs[i] = types.NewPayment("alice", "bob", 1, uint64(i+1))
+		b.Push(txs[i])
+	}
+	b.MarkConfirmed(txs[2])
+	b.MarkConfirmed(txs[0])
+	got := b.Peek(5)
+	if len(got) != 3 || got[0] != txs[1] || got[1] != txs[3] || got[2] != txs[4] {
+		t.Fatalf("peek = %v, want txs 1, 3, 4", got)
+	}
+	if got := b.Peek(2); len(got) != 2 || got[0] != txs[1] || got[1] != txs[3] {
+		t.Fatalf("peek(2) = %v, want txs 1, 3", got)
+	}
+	if b.Len() != 3 {
+		t.Fatalf("Len = %d after peeking, want 3", b.Len())
+	}
+	if got := b.Pull(5); len(got) != 3 || got[0] != txs[1] {
+		t.Fatal("peek disturbed the queue")
+	}
+	if got := b.Peek(5); len(got) != 0 {
+		t.Fatalf("peek on an empty queue = %d", len(got))
+	}
+}
+
 func TestSetAddRouting(t *testing.T) {
 	s := NewSet(4)
 	tx := types.NewPayment("alice", "bob", 5, 1)

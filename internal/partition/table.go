@@ -24,13 +24,12 @@ const recChunk = 512
 // is one linear probe of an open-addressed index. A record lives while its
 // owner pins it or a bucket holds state for it; freed slots are recycled.
 type Table struct {
-	index   []entry // power-of-two open addressing, linear probing
-	shift   uint    // 32 - log2(len(index))
-	recs    [][]rec
-	next    Slot // slots ever allocated
-	free    []Slot
-	live    int
-	keyMask uint64 // all ones; tests clear bits to chain distinct IDs
+	index []entry // power-of-two open addressing, linear probing
+	shift uint    // 32 - log2(len(index))
+	recs  [][]rec
+	next  Slot // slots ever allocated
+	free  []Slot
+	live  int
 }
 
 // entry is one index cell: the transaction's 32-bit hash (its home cell is
@@ -67,7 +66,7 @@ type rec struct {
 }
 
 func newTable() *Table {
-	return &Table{index: make([]entry, 1024), shift: 32 - 10, keyMask: ^uint64(0)}
+	return &Table{index: make([]entry, 1024), shift: 32 - 10}
 }
 
 // Live returns the number of interned transactions.
@@ -78,8 +77,8 @@ func (t *Table) Cap() int { return int(t.next) }
 
 func (t *Table) rec(s Slot) *rec { return &t.recs[s/recChunk][s%recChunk] }
 
-func (t *Table) hash(id *types.TxID) uint32 {
-	return uint32((binary.BigEndian.Uint64(id[:8]) & t.keyMask) * 0x9E3779B97F4A7C15 >> 32)
+func hash(id *types.TxID) uint32 {
+	return uint32(binary.BigEndian.Uint64(id[:8]) * 0x9E3779B97F4A7C15 >> 32)
 }
 
 // Intern returns tx's slot, allocating one on first sight.
@@ -90,7 +89,12 @@ func (t *Table) Intern(tx *types.Transaction) Slot {
 	} else {
 		id = tx.ID()
 	}
-	h, mask := t.hash(&id), len(t.index)-1
+	return t.intern(id)
+}
+
+// intern is Intern for a record ID.
+func (t *Table) intern(id types.TxID) Slot {
+	h, mask := hash(&id), len(t.index)-1
 	i := int(h >> t.shift)
 	for ; t.index[i].ref != 0; i = (i + 1) & mask {
 		if e := t.index[i]; e.hash == h && t.rec(Slot(e.ref-1)).id == id {
@@ -101,13 +105,16 @@ func (t *Table) Intern(tx *types.Transaction) Slot {
 	if n := len(t.free); n > 0 {
 		s, t.free = t.free[n-1], t.free[:n-1]
 	} else {
-		if s, t.next = t.next, t.next+1; int(s) == len(t.recs)*recChunk {
+		s = t.next
+		t.next++
+		if int(s) == len(t.recs)*recChunk {
 			t.recs = append(t.recs, make([]rec, recChunk))
 		}
 	}
 	t.rec(s).id = id
 	t.index[i] = entry{hash: h, ref: uint32(s) + 1}
-	if t.live++; 2*t.live > len(t.index) {
+	t.live++
+	if 2*t.live > len(t.index) {
 		old := t.index
 		t.index, t.shift = make([]entry, 2*len(old)), t.shift-1
 		for _, e := range old {
@@ -171,7 +178,7 @@ func (t *Table) release(s Slot) {
 		}
 	}
 	mask := len(t.index) - 1
-	i := int(t.hash(&r.id) >> t.shift)
+	i := int(hash(&r.id) >> t.shift)
 	for t.index[i].ref != uint32(s)+1 {
 		i = (i + 1) & mask
 	}
