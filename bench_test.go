@@ -2,14 +2,15 @@ package repro
 
 // Benchmark harness: one benchmark per evaluation figure (Sec. VII), a
 // whole-suite benchmark that exercises the parallel runner
-// (BenchmarkFigureSuite), plus ablations for the design choices DESIGN.md
-// calls out and micro-benchmarks for the hot substrates. Figure benchmarks run scaled-down configurations
-// (the full paper-sized sweeps are cmd/orthrus-bench -scale 1); the custom
+// (BenchmarkFigureSuite), plus ablations for the design choices
+// ARCHITECTURE.md's "Data flow of one run" names in its consensus step
+// and micro-benchmarks for the hot substrates. Figure benchmarks run
+// scaled-down configurations (the full paper-sized sweeps are
+// cmd/orthrus-bench -scale 1); the custom
 // ReportMetric outputs — ktps, latency seconds — are the quantities the
 // paper plots, so regressions in protocol behavior show up directly.
 
 import (
-	"runtime"
 	"testing"
 	"time"
 
@@ -21,6 +22,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/order"
 	"repro/internal/pbft"
+	"repro/internal/perf"
 	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/simnet"
@@ -230,68 +232,45 @@ func BenchmarkFigureSuite(b *testing.B) {
 	}
 }
 
-// --- F-scale: hot-path scale benchmarks (allocs/op gated in CI) ---
+// --- the simulator perf grid's go-test mirrors (cells: internal/perf) ---
 
-// scaleBenchCfg is the fixed configuration of the BenchmarkScale cells and
-// the orthrus-bench -bench harness: message-level PBFT under NIC for n < 32
-// (the regime the allocation pass targets), analytic SB above. It is
-// deliberately identical across both harnesses so the BENCH_scale.json
-// artifact and the go-test numbers measure the same work.
-func scaleBenchCfg(mode core.Mode, n int) cluster.Config {
-	return cluster.Config{
-		N:            n,
-		Protocol:     mode,
-		Net:          cluster.WAN,
-		Workload:     workload.Config{Accounts: 4000, Seed: 42},
-		LoadTPS:      2000,
-		Duration:     4 * time.Second,
-		Warmup:       1 * time.Second,
-		Drain:        8 * time.Second,
-		BatchSize:    1024,
-		BatchTimeout: 100 * time.Millisecond,
-		EpochLen:     128,
-		ViewTimeout:  10 * time.Second,
-		AnalyticSB:   n >= 32,
-		NIC:          n < 32,
-		Seed:         42,
+// scaleCells is the part of the simulator grid BenchmarkScale runs: every
+// tier but the kernel pairs. -short keeps the n <= 10 base cells.
+func scaleCells(short bool) []perf.SimCell {
+	var cells []perf.SimCell
+	for _, c := range perf.SimGrid() {
+		if c.Tier != perf.TierKernel && (!short || (c.Tier == perf.TierBase && c.Cfg.N <= 10)) {
+			cells = append(cells, c)
+		}
 	}
+	return cells
 }
 
-// BenchmarkScale is the benchmark-gate on the simulator hot path: one run
-// per (protocol, n) cell with allocation accounting. The reported
-// sim-events/sec metric is the simulator's raw event rate — the quantity
-// the allocation-reduction pass optimizes — and allocs/op is the number CI
-// compares against BENCH_scale.json regressions.
+// kernelCells is the part BenchmarkScaleParallel runs: the kernel pairs.
+// The n = 100 pair dominates its wall clock and is trimmed under -short.
+func kernelCells(short bool) []perf.SimCell {
+	var cells []perf.SimCell
+	for _, c := range perf.SimGrid() {
+		if c.Tier == perf.TierKernel && (!short || c.Cfg.N <= 50) {
+			cells = append(cells, c)
+		}
+	}
+	return cells
+}
+
+// BenchmarkScale mirrors the BENCH_scale.json cells as go-test
+// benchmarks: one run per cell with allocation accounting, under the
+// cell's own id and configuration. The reported sim-events/s metric is
+// the simulator's raw event rate; `orthrus-bench -bench -compare` is what
+// CI gates, this is the same work under `go test -bench` tooling.
 func BenchmarkScale(b *testing.B) {
-	type cell struct {
-		mode core.Mode
-		n    int
-	}
-	var cells []cell
-	ns := []int{4, 10, 25}
-	if testing.Short() {
-		ns = []int{4, 10}
-	}
-	for _, mode := range []core.Mode{core.OrthrusMode(), baseline.ISSMode(), baseline.LadonMode()} {
-		for _, n := range ns {
-			cells = append(cells, cell{mode, n})
-		}
-	}
-	if !testing.Short() {
-		// The analytic large-n cells, completing the orthrus-bench -bench
-		// grid (BENCH_scale.json cells and these sub-benchmarks match
-		// one-to-one).
-		for _, n := range []int{50, 100} {
-			cells = append(cells, cell{core.OrthrusMode(), n})
-		}
-	}
-	for _, c := range cells {
+	for _, c := range scaleCells(testing.Short()) {
 		c := c
-		b.Run(c.mode.Name+"/n="+itoa(c.n), func(b *testing.B) {
+		b.Run(c.ID, func(b *testing.B) {
 			b.ReportAllocs()
 			var events uint64
 			for i := 0; i < b.N; i++ {
-				res := cluster.Run(scaleBenchCfg(c.mode, c.n))
+				res := cluster.Run(c.Cfg)
 				events += res.Events
 				reportCluster(b, res)
 			}
@@ -300,74 +279,32 @@ func BenchmarkScale(b *testing.B) {
 	}
 }
 
-// scaleKernelCfg is the fixed configuration of the BenchmarkScaleParallel
-// cells and the orthrus-bench kernel-tier cells: message-level PBFT with
-// the NIC model off — the regime the parallel kernel accepts — at a load
-// and window small enough that the serial/parallel pair fits the CI smoke
-// budget even at n = 100. It matches perfConfig's "kernel" tier so the
-// BENCH_scale.json parallel columns and these sub-benchmarks measure the
-// same work.
-func scaleKernelCfg(mode core.Mode, n int) cluster.Config {
-	return cluster.Config{
-		N:            n,
-		Protocol:     mode,
-		Net:          cluster.WAN,
-		Workload:     workload.Config{Accounts: 4000, Seed: 42},
-		LoadTPS:      500,
-		Duration:     1 * time.Second,
-		Warmup:       250 * time.Millisecond,
-		Drain:        1 * time.Second,
-		BatchSize:    1024,
-		BatchTimeout: 250 * time.Millisecond,
-		EpochLen:     128,
-		ViewTimeout:  10 * time.Second,
-		Seed:         42,
-	}
-}
-
 // BenchmarkScaleParallel pits the conservative parallel kernel against the
-// serial reference on the message-level NIC-off cells, asserting
-// bit-identical results while it measures: the serial/parallel ns/op ratio
-// is the kernel's speedup (≈1x on a single-core runner by construction —
-// the conservative windows add only barrier overhead there). The n = 100
-// pair dominates the sub-benchmark's wall clock and is trimmed under
-// -short.
+// serial reference on the kernel-pair cells, asserting bit-identical
+// results while it measures: the serial/parallel ns/op ratio is the
+// kernel's speedup (≈1x on a single-core runner by construction — the
+// conservative windows add only barrier overhead there).
 func BenchmarkScaleParallel(b *testing.B) {
-	ns := []int{50, 100}
-	if testing.Short() {
-		ns = []int{50}
-	}
-	for _, n := range ns {
-		n := n
-		serial := cluster.Run(scaleKernelCfg(core.OrthrusMode(), n))
-		for _, kern := range []cluster.Kernel{cluster.KernelSerial, cluster.KernelParallel} {
-			kern := kern
-			b.Run(kern.String()+"/n="+itoa(n), func(b *testing.B) {
+	for _, c := range kernelCells(testing.Short()) {
+		serial := cluster.Run(c.Cfg)
+		for _, cfg := range []cluster.Config{c.Cfg, perf.ParallelTwin(c.Cfg)} {
+			cfg := cfg
+			b.Run(c.ID+"/"+cfg.Kernel.String(), func(b *testing.B) {
 				b.ReportAllocs()
 				var events uint64
 				var shards int
 				for i := 0; i < b.N; i++ {
-					cfg := scaleKernelCfg(core.OrthrusMode(), n)
-					cfg.Kernel = kern
-					if kern == cluster.KernelParallel {
-						// Floor at two workers so a single-core runner still
-						// exercises the sharded path rather than the serial
-						// fallback.
-						if cfg.Workers = runtime.GOMAXPROCS(0); cfg.Workers < 2 {
-							cfg.Workers = 2
-						}
-					}
 					res := cluster.Run(cfg)
 					if res.Confirmed != serial.Confirmed || res.Events != serial.Events {
-						b.Fatalf("%s kernel diverged at n=%d: confirmed %d events %d, serial saw %d/%d",
-							kern, n, res.Confirmed, res.Events, serial.Confirmed, serial.Events)
+						b.Fatalf("%s kernel diverged on %s: confirmed %d events %d, serial saw %d/%d",
+							cfg.Kernel, c.ID, res.Confirmed, res.Events, serial.Confirmed, serial.Events)
 					}
 					events += res.Events
 					shards = res.Shards
 					reportCluster(b, res)
 				}
 				b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "sim-events/s")
-				if kern == cluster.KernelParallel {
+				if cfg.Kernel == cluster.KernelParallel {
 					b.ReportMetric(float64(shards), "shards")
 				}
 			})
@@ -375,7 +312,39 @@ func BenchmarkScaleParallel(b *testing.B) {
 	}
 }
 
-// --- ablations (DESIGN.md Sec. 4) ---
+// TestScaleBenchmarksRunTheGrid pins the mirrors to the artifact: the ids
+// BenchmarkScale and BenchmarkScaleParallel run are, between them, exactly
+// the BENCH_scale.json grid's, and -short only ever trims.
+func TestScaleBenchmarksRunTheGrid(t *testing.T) {
+	ran := map[string]bool{}
+	for _, c := range append(scaleCells(false), kernelCells(false)...) {
+		if ran[c.ID] {
+			t.Fatalf("cell %s runs twice", c.ID)
+		}
+		ran[c.ID] = true
+	}
+	grid := perf.SimGrid()
+	for _, c := range grid {
+		if !ran[c.ID] {
+			t.Errorf("grid cell %s has no go-test mirror", c.ID)
+		}
+	}
+	if len(ran) != len(grid) {
+		t.Errorf("mirrors run %d cells, the grid has %d", len(ran), len(grid))
+	}
+	short := append(scaleCells(true), kernelCells(true)...)
+	if len(short) == 0 || len(short) >= len(grid) {
+		t.Errorf("-short runs %d of %d cells", len(short), len(grid))
+	}
+	for _, c := range short {
+		if !ran[c.ID] {
+			t.Errorf("-short cell %s is not a grid cell", c.ID)
+		}
+	}
+}
+
+// --- ablations (ARCHITECTURE.md "Data flow of one run", step 4: the design
+// choices the consensus path is built from) ---
 
 // BenchmarkAblationOrdering swaps Orthrus's dynamic glog for the
 // predetermined one: contract latency under a straggler degrades toward

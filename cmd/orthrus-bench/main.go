@@ -12,8 +12,9 @@
 //	orthrus-bench -fig S1 -scenario crash-recover   # one dynamic-fault scenario
 //	orthrus-bench -parallel 1                       # force a serial run
 //	orthrus-bench -json BENCH_results.json          # write the JSON artifact
-//	orthrus-bench -bench -q                         # hot-path perf harness -> BENCH_scale.json
-//	orthrus-bench -bench -compare old.json          # perf harness + per-cell delta table vs old.json
+//	orthrus-bench -bench -q                         # simulator perf grid -> BENCH_scale.json
+//	orthrus-bench -bench-net -q                     # transport perf grid -> BENCH_net.json
+//	orthrus-bench -bench -compare BENCH_scale.json  # measure, print deltas, exit 2 outside tolerance
 //
 // Scale in (0,1] shrinks run durations, loads and the replica-count axis
 // proportionally; 1 is the paper-sized configuration. Runs fan out across
@@ -114,18 +115,48 @@ func main() {
 	}
 }
 
+// runBench measures one perf grid ("scale" or "net") through the SDK and
+// writes its artifact to jsonPath (default BENCH_<grid>.json). The
+// baseline is read before measuring, so -compare may name the very file
+// the run overwrites; a gate failure still writes the fresh artifact
+// before it is reported.
+func runBench(stdout, stderr io.Writer, grid, jsonPath, comparePath string, quiet bool) error {
+	if jsonPath == "" {
+		jsonPath = "BENCH_" + grid + ".json"
+	}
+	var baseline []byte
+	if comparePath != "" {
+		var err error
+		if baseline, err = os.ReadFile(comparePath); err != nil {
+			return fmt.Errorf("orthrus-bench: -compare: %w", err)
+		}
+	}
+	if quiet {
+		stdout = io.Discard
+	}
+	data, gateErr := orthrus.RunBench(grid, stdout, baseline)
+	if data == nil {
+		return gateErr
+	}
+	if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(stderr, "wrote %s\n", jsonPath)
+	return gateErr
+}
+
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("orthrus-bench", flag.ContinueOnError)
 	fig := fs.String("fig", "all", "comma-separated figures to regenerate: "+strings.Join(orthrus.FigureIDs(), ", ")+", "+orthrus.XValID+", "+orthrus.SoakID+", or all (which excludes the wall-clock "+orthrus.XValID+" and long-horizon "+orthrus.SoakID+")")
 	scn := fs.String("scenario", "", "comma-separated S1 scenarios to run: "+strings.Join(orthrus.ScenarioPresets(), ", ")+" (default all; only affects fig S1)")
 	scale := fs.Float64("scale", 0.25, "experiment scale in (0,1]; 1 = paper-sized")
 	parallel := fs.Int("parallel", 0, "worker pool size: 0 = all cores, 1 = serial")
-	jsonPath := fs.String("json", "", "write structured results to this path (e.g. BENCH_results.json; with -bench, defaults to BENCH_scale.json)")
+	jsonPath := fs.String("json", "", "write structured results to this path (e.g. BENCH_results.json; -bench and -bench-net default to BENCH_scale.json and BENCH_net.json)")
 	quiet := fs.Bool("q", false, "suppress the text rendering (useful with -json)")
 	list := fs.Bool("list", false, "list registered protocols, figures and scenario presets, then exit")
-	bench := fs.Bool("bench", false, "run the hot-path perf harness instead of figures and write the orthrus-bench-perf/v2 artifact")
-	benchNet := fs.Bool("bench-net", false, "run the real-transport perf harness instead of figures and write the orthrus-bench-net/v1 artifact (BENCH_net.json)")
-	compare := fs.String("compare", "", "with -bench: print a per-cell delta table (ns/op, allocs/op, events/s) against this orthrus-bench-perf/v2 artifact")
+	bench := fs.Bool("bench", false, "measure the simulator perf grid instead of figures and write its artifact (BENCH_scale.json)")
+	benchNet := fs.Bool("bench-net", false, "measure the real-transport perf grid instead of figures and write its artifact (BENCH_net.json)")
+	compare := fs.String("compare", "", "with -bench or -bench-net: gate the fresh measurement against this artifact of the same grid — print the per-column delta table and fail when a column leaves its tolerance or a baseline cell is missing")
 	fs.SetOutput(stderr)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -140,12 +171,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *bench || *benchNet {
-		// The perf harnesses have fixed grids: figure-mode flags would be
-		// silently ignored, so an explicit one is a usage error rather
-		// than a surprise artifact.
-		mode := "-bench"
+		// The perf grids are fixed: figure-mode flags would be silently
+		// ignored, so an explicit one is a usage error rather than a
+		// surprise artifact.
+		grid, mode := "scale", "-bench"
 		if *benchNet {
-			mode = "-bench-net"
+			grid, mode = "net", "-bench-net"
 		}
 		var conflicts []string
 		fs.Visit(func(f *flag.Flag) {
@@ -157,23 +188,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if len(conflicts) > 0 {
 			return fmt.Errorf("orthrus-bench: %s only apply to figure runs; drop with %s", strings.Join(conflicts, ", "), mode)
 		}
-	}
-	if *bench && *benchNet {
-		return fmt.Errorf("orthrus-bench: -bench and -bench-net are separate harnesses with separate artifacts; run them one at a time")
-	}
-	if *bench {
-		return runPerfBench(stdout, stderr, *jsonPath, *compare, *quiet, func(cfg orthrus.Config) (*orthrus.Result, error) {
-			return cfg.Run(context.Background())
-		})
-	}
-	if *benchNet {
-		if *compare != "" {
-			return fmt.Errorf("orthrus-bench: -compare diffs orthrus-bench-perf/v2 artifacts and only applies to -bench")
+		if *bench && *benchNet {
+			return fmt.Errorf("orthrus-bench: -bench and -bench-net are separate grids with separate artifacts; run them one at a time")
 		}
-		return runNetBench(stdout, stderr, *jsonPath, *quiet, orthrus.RunNetBench)
+		return runBench(stdout, stderr, grid, *jsonPath, *compare, *quiet)
 	}
 	if *compare != "" {
-		return fmt.Errorf("orthrus-bench: -compare requires -bench (it diffs orthrus-bench-perf/v2 artifacts)")
+		return fmt.Errorf("orthrus-bench: -compare requires -bench or -bench-net (it gates a perf artifact)")
 	}
 
 	// Reject rather than clamp out-of-range scales: the artifact records

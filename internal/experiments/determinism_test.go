@@ -85,6 +85,12 @@ func TestFigureParallelMatchesSerial(t *testing.T) {
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("FigureResult diverged:\nserial   %+v\nparallel %+v", serial, parallel)
 	}
+	// Breakdown smoke on the figure's two jobs: a total and all five stages.
+	for _, b := range serial[0].Breakdowns {
+		if b.Total <= 0 || len(b.Stages) != 5 {
+			t.Fatalf("empty or partial breakdown: %+v", b)
+		}
+	}
 	var serialText, parallelText bytes.Buffer
 	for _, f := range serial {
 		f.Render(&serialText)

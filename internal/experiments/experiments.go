@@ -29,7 +29,8 @@ import (
 	"repro/internal/workload"
 )
 
-// Scale bounds applied to every experiment.
+// clampScale bounds the scale of every experiment: RunScenarios applies it
+// once, before any job list is built.
 func clampScale(s float64) float64 {
 	if s <= 0 || s > 1 {
 		return 1
@@ -201,7 +202,6 @@ func toScenario(res *cluster.Result, name string) ScenarioResult {
 // sweepJobs is the Fig. 3 / Fig. 4 protocol-vs-replica-count grid for one
 // network profile and straggler count.
 func sweepJobs(net cluster.NetProfile, stragglers int, scale float64) []runner.Job {
-	scale = clampScale(scale)
 	var jobs []runner.Job
 	for _, n := range replicaCounts(scale) {
 		for _, mode := range baseline.AllModes() {
@@ -226,7 +226,6 @@ var paymentFractions = []float64{-1, 0.2, 0.4, 0.6, 0.8, 1.0}
 
 // paymentJobs runs Orthrus at n = 16 (WAN) across payment proportions.
 func paymentJobs(stragglers int, scale float64) []runner.Job {
-	scale = clampScale(scale)
 	var jobs []runner.Job
 	for _, frac := range paymentFractions {
 		cfg := baseConfig(core.OrthrusMode(), 16, cluster.WAN, scale)
@@ -254,7 +253,7 @@ func paymentRows(res []*cluster.Result, stragglers int) []Row {
 // breakdownJob is the Fig. 6 configuration (16 replicas, WAN, one
 // straggler) for one protocol.
 func breakdownJob(mode core.Mode, scale float64) runner.Job {
-	cfg := baseConfig(mode, 16, cluster.WAN, clampScale(scale))
+	cfg := baseConfig(mode, 16, cluster.WAN, scale)
 	cfg.Stragglers = 1
 	return runner.NewJob(cfg)
 }
@@ -263,7 +262,6 @@ func breakdownJob(mode core.Mode, scale float64) runner.Job {
 // crashing the given number of replicas at t = 9 s, view-change timeout
 // 10 s, measured in 0.5 s bins.
 func faultJob(faults int, scale float64) runner.Job {
-	scale = clampScale(scale)
 	cfg := baseConfig(core.OrthrusMode(), 16, cluster.WAN, 1)
 	cfg.AnalyticSB = false
 	cfg.NIC = true
@@ -282,7 +280,6 @@ var faultCounts = []int{0, 1, 5}
 // byzJobs runs Fig. 8: Orthrus with 0..5 Byzantine selective-participation
 // replicas (16 replicas, WAN).
 func byzJobs(scale float64) []runner.Job {
-	scale = clampScale(scale)
 	var jobs []runner.Job
 	for faults := 0; faults <= 5; faults++ {
 		cfg := baseConfig(core.OrthrusMode(), 16, cluster.WAN, scale)
@@ -372,7 +369,7 @@ func scaleJob(mode core.Mode, n int, scale float64) runner.Job {
 // scales with the submission window so crash recovery stays visible at
 // small scales.
 func scenarioJob(name string, mode core.Mode, scale float64) runner.Job {
-	cfg := baseConfig(mode, 10, cluster.WAN, clampScale(scale))
+	cfg := baseConfig(mode, 10, cluster.WAN, scale)
 	cfg.AnalyticSB = false
 	cfg.NIC = true
 	cfg.EpochLen = 64
@@ -404,35 +401,4 @@ func byzRows(res []*cluster.Result) []Row {
 		rows[i] = row
 	}
 	return rows
-}
-
-// --- direct sweep APIs (kept for callers that want rows, not figures) ---
-
-// Sweep runs the Fig. 3 / Fig. 4 protocol-vs-replica-count grid for one
-// network profile and straggler count and returns the rows.
-func Sweep(net cluster.NetProfile, stragglers int, scale float64) []Row {
-	return sweepRows(runner.Run(sweepJobs(net, stragglers, scale), runner.Options{}), stragglers)
-}
-
-// PaymentSweep runs Orthrus at n = 16 (WAN) across payment proportions.
-func PaymentSweep(stragglers int, scale float64) []Row {
-	return paymentRows(runner.Run(paymentJobs(stragglers, scale), runner.Options{}), stragglers)
-}
-
-// Breakdown runs the Fig. 6 configuration for one protocol and returns its
-// stage split.
-func Breakdown(mode core.Mode, scale float64) BreakdownResult {
-	res := runner.Run([]runner.Job{breakdownJob(mode, scale)}, runner.Options{})
-	return toBreakdown(res[0])
-}
-
-// FaultSeries runs one Fig. 7 fault count and returns its time series.
-func FaultSeries(faults int, scale float64) SeriesResult {
-	res := runner.Run([]runner.Job{faultJob(faults, scale)}, runner.Options{})
-	return toSeries(res[0], faults)
-}
-
-// UndetectableSweep runs Fig. 8 and returns the rows.
-func UndetectableSweep(scale float64) []Row {
-	return byzRows(runner.Run(byzJobs(scale), runner.Options{}))
 }

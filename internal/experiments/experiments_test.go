@@ -60,25 +60,16 @@ func TestBaseConfigRegimes(t *testing.T) {
 	}
 }
 
-func TestBreakdownSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a full miniature cluster")
-	}
-	b := Breakdown(core.OrthrusMode(), 0.2)
-	if b.Total <= 0 {
-		t.Fatal("empty breakdown")
-	}
-	if len(b.Stages) != 5 {
-		t.Fatalf("stages %v", b.Stages)
-	}
-}
-
 func TestFig1bOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full miniature cluster")
 	}
+	res, err := Run([]string{"1b"}, runner.Options{}, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	Fig1b(&buf, 0.2)
+	res[0].Render(&buf)
 	out := buf.String()
 	if !strings.Contains(out, "ISS") || !strings.Contains(out, "global%") {
 		t.Fatalf("unexpected output: %s", out)

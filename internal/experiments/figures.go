@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/baseline"
 	"repro/internal/cluster"
@@ -213,8 +212,14 @@ func s2Spec(scale float64) figureSpec {
 // over the F-scale replica-count axis, one table per protocol, each row
 // reporting throughput, latency and messages per client-visible commit.
 func fscaleSpec(scale float64) figureSpec {
+	return fscaleSpecOver(scaleReplicaCounts(scale), scale)
+}
+
+// fscaleSpecOver is fscaleSpec over an explicit replica-count axis (the
+// determinism test reaches the n = 25 and analytic cells at a scale whose
+// own axis stops at n = 10).
+func fscaleSpecOver(counts []int, scale float64) figureSpec {
 	title := figureTitle("F-scale")
-	counts := scaleReplicaCounts(scale)
 	modes := scaleProtocols()
 	var jobs []runner.Job
 	for _, mode := range modes {
@@ -356,62 +361,4 @@ func suiteJobs(selected []figureSpec) []runner.Job {
 		}
 	}
 	return jobs
-}
-
-// mustRun is the compatibility path for the fixed-id figure helpers, where
-// an unknown-id error is impossible.
-func mustRun(w io.Writer, id string, scale float64) {
-	res, err := Run([]string{id}, runner.Options{}, scale)
-	if err != nil {
-		panic(err)
-	}
-	res[0].Render(w)
-}
-
-// Fig1b reproduces the motivating breakdown: ISS with a 10x straggler.
-func Fig1b(w io.Writer, scale float64) { mustRun(w, "1b", scale) }
-
-// Fig3 reproduces Fig. 3 (WAN): throughput and latency of all six
-// protocols over 8..128 replicas, with zero and one straggler.
-func Fig3(w io.Writer, scale float64) { mustRun(w, "3", scale) }
-
-// Fig4 reproduces Fig. 4 (LAN).
-func Fig4(w io.Writer, scale float64) { mustRun(w, "4", scale) }
-
-// Fig5 reproduces Fig. 5: Orthrus under varying payment proportions, with
-// and without a straggler (16 replicas, WAN).
-func Fig5(w io.Writer, scale float64) { mustRun(w, "5", scale) }
-
-// Fig6 reproduces Fig. 6: latency breakdown of Orthrus vs ISS with a
-// straggler. Fig. 1b is the ISS row of the same experiment.
-func Fig6(w io.Writer, scale float64) { mustRun(w, "6", scale) }
-
-// Fig7 reproduces Fig. 7: throughput and latency over time with 0, 1 and 5
-// crash faults injected at t = 9 s.
-func Fig7(w io.Writer, scale float64) { mustRun(w, "7", scale) }
-
-// Fig8 reproduces Fig. 8.
-func Fig8(w io.Writer, scale float64) { mustRun(w, "8", scale) }
-
-// FigS1 runs the scenario suite (beyond the paper): every preset dynamic
-// fault/load scenario for Orthrus and two baselines, with per-phase
-// metric windows around each event.
-func FigS1(w io.Writer, scale float64) { mustRun(w, "S1", scale) }
-
-// FigS2 runs the adversary suite (beyond the paper): every Byzantine
-// attack preset — equivocation, censorship, silent leaders and a
-// view-change storm — for Orthrus and two baselines, with per-phase
-// metric windows around the attack onset.
-func FigS2(w io.Writer, scale float64) { mustRun(w, "S2", scale) }
-
-// All runs every figure at the given scale, sharing one worker pool across
-// the whole suite.
-func All(w io.Writer, scale float64) {
-	res, err := Run(FigureIDs(), runner.Options{}, scale)
-	if err != nil {
-		panic(err)
-	}
-	for _, f := range res {
-		f.Render(w)
-	}
 }

@@ -10,21 +10,39 @@ import (
 // TestScaleSerialMatchesParallel is the F-scale determinism regression:
 // the figure's JSON artifact must be byte-identical whether its job grid
 // runs serially or through the full worker pool, and race-clean under
-// -race (CI runs this in the -short -race job). The scale caps n in
-// -short mode: 0.05 trims the replica axis to {4, 10} message-level
-// cells; the full run adds the n=25 cell.
+// -race (CI runs this in the -short -race job). Both modes run at scale
+// 0.05, the cheapest load and window the figure has. -short runs the
+// figure as that scale selects it — the n in {4, 10} message-level cells,
+// through Run. The full run builds the figure's spec over {4, 25, 32}
+// instead: the two regimes that scale's own axis stops short of — the
+// n = 25 message-level cell and an analytic cell (n = 32 is the smallest)
+// — next to a small one. Pulling them in through a larger scale (0.25 is
+// the first whose axis has both) costs six times the wall clock for the
+// same regimes under more load.
 func TestScaleSerialMatchesParallel(t *testing.T) {
-	scale := 0.3
-	if testing.Short() {
-		scale = 0.05
+	const scale = 0.05
+	pass := func(workers int) ([]FigureResult, error) {
+		if testing.Short() {
+			return Run([]string{"F-scale"}, runner.Options{Workers: workers}, scale)
+		}
+		spec := fscaleSpecOver([]int{4, 25, 32}, scale)
+		return []FigureResult{spec.assemble(runner.Run(spec.jobs, runner.Options{Workers: workers}))}, nil
 	}
-	serial, err := Run([]string{"F-scale"}, runner.Options{Workers: 1}, scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := Run([]string{"F-scale"}, runner.Options{Workers: 8}, scale)
-	if err != nil {
-		t.Fatal(err)
+	// The two passes overlap: they share nothing but the simulator pool,
+	// which is the one thing that could leak state from run to run, so the
+	// serial pass doubles as a witness that a neighbouring pool does not
+	// disturb it (and on a multi-core host the test costs one pass, not two).
+	var serial []FigureResult
+	var serialErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		serial, serialErr = pass(1)
+	}()
+	parallel, err := pass(8)
+	<-done
+	if err != nil || serialErr != nil {
+		t.Fatal(err, serialErr)
 	}
 	sj, err := json.MarshalIndent(serial, "", "  ")
 	if err != nil {

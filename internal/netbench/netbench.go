@@ -2,11 +2,10 @@
 // wire encoding, framing, queuing, socket (or in-process) delivery and
 // decoding, with the consensus state machines replaced by
 // counting/timestamping handlers so the numbers isolate the transport
-// layer itself. It is the real-backend analogue of the simulator perf
-// harness behind `orthrus-bench -bench`: the artifact it produces
-// (BENCH_net.json, schema orthrus-bench-net/v1) is committed to the
-// repository and gated in CI against regressions the same way
-// BENCH_scale.json gates the simulation hot path.
+// layer itself. It is the measuring engine behind the transport grid of
+// internal/perf (`orthrus-bench -bench-net`, BENCH_net.json) and behind
+// the SDK's RunNetBench; which cells are gated, and at what tolerance,
+// is perf's business.
 //
 // Traffic shape: every replica broadcasts proposal-sized messages — a
 // pbft.PrePrepare carrying a block of TxsPerBlock transactions — as fast
@@ -32,10 +31,10 @@ import (
 	"repro/internal/types"
 )
 
-// Schema identifies the artifact format written by Run. v1 cells carry
+// Schema identifies the typed result Run returns. v1 cells carry
 // delivered message/byte totals, msgs/s, MB/s, allocations per delivered
-// message, and p50/p99 frame latency. Rates and latencies vary with the
-// host; allocs/msg is host-stable and is the primary regression gate.
+// message, and p50/p99 frame latency (BENCH_net.json holds the same
+// columns in perf.Schema). Only allocs/msg is host-stable.
 const Schema = "orthrus-bench-net/v1"
 
 // Cell is one measured (backend, n) point. A "message" is one delivered
@@ -72,13 +71,14 @@ type Cell struct {
 	P99LatencyNS int64 `json:"p99_latency_ns"`
 }
 
-// Artifact is the document `orthrus-bench -bench-net` writes.
+// Artifact is what Run returns: one Cell per measured (backend, n).
 type Artifact struct {
 	Schema string `json:"schema"`
 	Cells  []Cell `json:"cells"`
 }
 
-// Options tunes a Run; the zero value measures the standard grid.
+// Options tunes a Run, which measures exactly Backends x Sizes (the SDK's
+// RunNetBench fills a nil axis from perf's transport grid).
 type Options struct {
 	// Broadcasts overrides the per-sender broadcast count (0 sizes each
 	// cell to ~targetDeliveries total deliveries). Tests use small values.
@@ -86,9 +86,9 @@ type Options struct {
 	// TxsPerBlock sets the proposal payload shape (0 = 4 transactions,
 	// ~500 encoded bytes per message).
 	TxsPerBlock int
-	// Backends restricts the grid ("proc", "tcp"); nil measures both.
+	// Backends is the backend axis: "proc", "tcp".
 	Backends []string
-	// Sizes restricts the cluster-size axis; nil measures {4, 10}.
+	// Sizes is the cluster-size axis.
 	Sizes []int
 }
 
@@ -101,19 +101,12 @@ const targetDeliveries = 120_000
 // 4096-frame drop cap so a default run measures a drop-free data path.
 const maxOutstanding = 2048
 
-// Run measures the configured grid and returns the artifact.
+// Run measures every (backend, size) cell of opts and returns them in
+// that order.
 func Run(opts Options) (*Artifact, error) {
-	backends := opts.Backends
-	if backends == nil {
-		backends = []string{"proc", "tcp"}
-	}
-	sizes := opts.Sizes
-	if sizes == nil {
-		sizes = []int{4, 10}
-	}
 	art := &Artifact{Schema: Schema}
-	for _, backend := range backends {
-		for _, n := range sizes {
+	for _, backend := range opts.Backends {
+		for _, n := range opts.Sizes {
 			cell, err := runCell(backend, n, opts)
 			if err != nil {
 				return nil, fmt.Errorf("netbench: %s/n=%d: %w", backend, n, err)
@@ -135,10 +128,16 @@ type env struct {
 	close     func()
 }
 
-// sample builds the proposal message template one sender reuses: the
-// encoder runs synchronously inside Broadcast, so mutating the template's
-// ProposeNS between calls is race-free.
-func sample(from, txs int) *pbft.PrePrepare {
+// Proposal builds the proposal-shaped message every transport cell — and
+// every BenchmarkTransport* mirror — sends: a PrePrepare from replica from
+// carrying a block of txs payments (0 means the standard 4, ~500 encoded
+// bytes). A sender reuses one as a template: the encoder runs
+// synchronously inside Broadcast, so mutating its ProposeNS between calls
+// is race-free.
+func Proposal(from, txs int) *pbft.PrePrepare {
+	if txs <= 0 {
+		txs = 4
+	}
 	b := &types.Block{
 		Instance: from,
 		SN:       1,
@@ -166,10 +165,6 @@ func runCell(backend string, n int, opts Options) (Cell, error) {
 	broadcasts := opts.Broadcasts
 	if broadcasts <= 0 {
 		broadcasts = targetDeliveries / (n * n)
-	}
-	txs := opts.TxsPerBlock
-	if txs <= 0 {
-		txs = 4
 	}
 
 	// One latency slice per receiver, appended to only by that receiver's
@@ -267,7 +262,7 @@ func runCell(backend string, n int, opts Options) (Cell, error) {
 		wg.Add(1)
 		go func(from int) {
 			defer wg.Done()
-			tmpl := sample(from, txs)
+			tmpl := Proposal(from, opts.TxsPerBlock)
 			for k := 0; k < broadcasts; k++ {
 				for sent.Load()*uint64(n)-delivered.Load() > maxOutstanding {
 					time.Sleep(50 * time.Microsecond)

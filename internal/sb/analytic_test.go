@@ -88,9 +88,11 @@ func TestAnalyticWindowBackpressure(t *testing.T) {
 	}
 }
 
-// TestAnalyticMatchesMessageLevelPBFT is the validation experiment promised
-// in DESIGN.md: with the same deterministic latency model, the analytic
-// delivery times must equal message-level PBFT's delivery times exactly.
+// TestAnalyticMatchesMessageLevelPBFT is the validation behind
+// ARCHITECTURE.md's "Data flow of one run", step 1, which swaps the
+// analytic SB in for large n: with the same deterministic latency model,
+// the analytic delivery times must equal message-level PBFT's delivery
+// times exactly.
 func TestAnalyticMatchesMessageLevelPBFT(t *testing.T) {
 	const n, f = 7, 2
 	model := simnet.FixedModel{D: 15 * time.Millisecond}

@@ -1,4 +1,4 @@
-package transport
+package transport_test
 
 import (
 	"net"
@@ -6,33 +6,45 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/pbft"
-	"repro/internal/types"
+	"repro/internal/netbench"
+	"repro/internal/perf"
+	"repro/internal/transport"
 )
 
-// benchProposal builds the proposal-shaped message the netbench harness
-// broadcasts: a PrePrepare carrying a small block, the dominant bytes on
-// a consensus wire.
-func benchProposal() *pbft.PrePrepare {
-	b := &types.Block{
-		Instance: 0, SN: 1, Rank: 7,
-		State:    types.StateVector{3, 1, 4, 1, 5, 9, 2, 6},
-		Proposer: 0,
-		Sig:      []byte{0xCA, 0xFE},
+// The Broadcast benchmarks mirror the BENCH_net.json cells as go-test
+// benchmarks: same cell ids, same proposal shape (netbench.Proposal), one
+// sender instead of the artifact's all-senders flood. This file is an
+// external test package because perf and netbench import transport.
+
+// netCells is the part of the transport grid one backend's Broadcast
+// benchmark runs.
+func netCells(backend string) []perf.NetCell {
+	var cells []perf.NetCell
+	for _, c := range perf.NetGrid() {
+		if c.Backend == backend {
+			cells = append(cells, c)
+		}
 	}
-	for i := 0; i < 4; i++ {
-		b.Txs = append(b.Txs, types.Transaction{
-			Ops: []types.Op{
-				{Key: "payer-account-1", Type: types.Owned, Kind: types.OpDecrement, Amount: 30},
-				{Key: "payee-account-2", Type: types.Owned, Kind: types.OpIncrement, Amount: 30},
-			},
-			Client:  "client-account-3",
-			Nonce:   uint64(i),
-			Sig:     []byte{1, 2, 3, 4, 5, 6, 7, 8},
-			Payload: []byte{9, 9, 9, 9, 9, 9, 9, 9},
-		})
+	return cells
+}
+
+// TestBroadcastBenchmarksRunTheGrid pins the mirrors to the artifact: the
+// ids the two Broadcast benchmarks run are exactly the BENCH_net.json
+// grid's.
+func TestBroadcastBenchmarksRunTheGrid(t *testing.T) {
+	ran := map[string]bool{}
+	for _, c := range append(netCells("proc"), netCells("tcp")...) {
+		ran[c.ID] = true
 	}
-	return &pbft.PrePrepare{Instance: 0, View: 0, Seq: 1, Block: b}
+	grid := perf.NetGrid()
+	for _, c := range grid {
+		if !ran[c.ID] {
+			t.Errorf("grid cell %s has no go-test mirror", c.ID)
+		}
+	}
+	if len(ran) != len(grid) {
+		t.Errorf("mirrors run %d distinct cells, the grid has %d", len(ran), len(grid))
+	}
 }
 
 // drainCounter waits until the delivered count reaches want.
@@ -47,57 +59,59 @@ func drainCounter(b *testing.B, delivered *atomic.Uint64, want uint64) {
 	}
 }
 
+// flood sends b.N messages through send, pausing every 256 to keep
+// inboxes and outbound queues below their drop caps; each send yields
+// fanout deliveries.
+func flood(b *testing.B, delivered *atomic.Uint64, fanout int, send func()) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		send()
+		if i%256 == 255 {
+			drainCounter(b, delivered, uint64(i+1)*uint64(fanout))
+		}
+	}
+	drainCounter(b, delivered, uint64(b.N)*uint64(fanout))
+}
+
+// benchProc starts an n-node in-process cluster whose handlers bump the
+// shared delivered counter.
+func benchProc(b *testing.B, n int, delivered *atomic.Uint64) *transport.Proc {
+	p := transport.NewProc(n)
+	for i := 0; i < n; i++ {
+		p.Register(i, func(int, any) { delivered.Add(1) })
+	}
+	p.Start(time.Now())
+	b.Cleanup(p.Stop)
+	return p
+}
+
 // BenchmarkTransportProcBroadcast measures one Proc broadcast to an
 // n-replica cluster end to end (encode, enqueue, per-receiver decode,
 // handler dispatch); allocs/op covers all n deliveries.
 func BenchmarkTransportProcBroadcast(b *testing.B) {
-	for _, n := range []int{4, 10} {
-		b.Run(map[int]string{4: "n4", 10: "n10"}[n], func(b *testing.B) {
-			p := NewProc(n)
+	for _, c := range netCells("proc") {
+		c := c
+		b.Run(c.ID, func(b *testing.B) {
 			var delivered atomic.Uint64
-			for i := 0; i < n; i++ {
-				p.Register(i, func(int, any) { delivered.Add(1) })
-			}
-			p.Start(time.Now())
-			defer p.Stop()
-			msg := benchProposal()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.Broadcast(0, 0, msg)
-				if i%256 == 255 { // bound the inbox backlog
-					drainCounter(b, &delivered, uint64(i+1)*uint64(n))
-				}
-			}
-			drainCounter(b, &delivered, uint64(b.N)*uint64(n))
+			p := benchProc(b, c.N, &delivered)
+			msg := netbench.Proposal(0, 0)
+			flood(b, &delivered, c.N, func() { p.Broadcast(0, 0, msg) })
 		})
 	}
 }
 
 // BenchmarkTransportProcSend measures a single point-to-point Proc send.
 func BenchmarkTransportProcSend(b *testing.B) {
-	p := NewProc(2)
 	var delivered atomic.Uint64
-	for i := 0; i < 2; i++ {
-		p.Register(i, func(int, any) { delivered.Add(1) })
-	}
-	p.Start(time.Now())
-	defer p.Stop()
-	msg := benchProposal()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Send(0, 1, 0, msg)
-		if i%256 == 255 {
-			drainCounter(b, &delivered, uint64(i+1))
-		}
-	}
-	drainCounter(b, &delivered, uint64(b.N))
+	p := benchProc(b, 2, &delivered)
+	msg := netbench.Proposal(0, 0)
+	flood(b, &delivered, 1, func() { p.Send(0, 1, 0, msg) })
 }
 
 // benchTCPCluster builds an n-endpoint loopback cluster whose handlers
 // bump the shared delivered counter.
-func benchTCPCluster(b *testing.B, n int, delivered *atomic.Uint64) []*TCP {
+func benchTCPCluster(b *testing.B, n int, delivered *atomic.Uint64) []*transport.TCP {
 	b.Helper()
 	listeners := make([]net.Listener, n)
 	peers := make([]string, n)
@@ -109,11 +123,11 @@ func benchTCPCluster(b *testing.B, n int, delivered *atomic.Uint64) []*TCP {
 		listeners[i] = ln
 		peers[i] = ln.Addr().String()
 	}
-	ts := make([]*TCP, n)
+	ts := make([]*transport.TCP, n)
 	epoch := time.Now()
 	for i := range ts {
-		node := NewNode()
-		tr, err := NewTCP(i, peers, node, TCPOptions{Listener: listeners[i]})
+		node := transport.NewNode()
+		tr, err := transport.NewTCP(i, peers, node, transport.TCPOptions{Listener: listeners[i]})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -125,38 +139,26 @@ func benchTCPCluster(b *testing.B, n int, delivered *atomic.Uint64) []*TCP {
 	return ts
 }
 
-// BenchmarkTransportTCPBroadcast measures one TCP broadcast to a
-// 4-endpoint loopback cluster end to end: encode, framing, queueing,
-// socket writes and reads, decode, handler dispatch. allocs/op covers
-// all 4 deliveries (one local, three over sockets).
+// BenchmarkTransportTCPBroadcast measures one TCP broadcast to an
+// n-endpoint loopback cluster end to end: encode, framing, queueing,
+// socket writes and reads, decode, handler dispatch. allocs/op covers all
+// n deliveries (one local, the rest over sockets).
 func BenchmarkTransportTCPBroadcast(b *testing.B) {
-	const n = 4
-	var delivered atomic.Uint64
-	ts := benchTCPCluster(b, n, &delivered)
-	msg := benchProposal()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ts[0].Broadcast(0, 0, msg)
-		if i%256 == 255 { // keep outbound queues below the drop cap
-			drainCounter(b, &delivered, uint64(i+1)*uint64(n))
-		}
+	for _, c := range netCells("tcp") {
+		c := c
+		b.Run(c.ID, func(b *testing.B) {
+			var delivered atomic.Uint64
+			ts := benchTCPCluster(b, c.N, &delivered)
+			msg := netbench.Proposal(0, 0)
+			flood(b, &delivered, c.N, func() { ts[0].Broadcast(0, 0, msg) })
+		})
 	}
-	drainCounter(b, &delivered, uint64(b.N)*uint64(n))
 }
 
 // BenchmarkTransportTCPSend measures one point-to-point TCP frame.
 func BenchmarkTransportTCPSend(b *testing.B) {
 	var delivered atomic.Uint64
 	ts := benchTCPCluster(b, 2, &delivered)
-	msg := benchProposal()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ts[0].Send(0, 1, 0, msg)
-		if i%256 == 255 {
-			drainCounter(b, &delivered, uint64(i+1))
-		}
-	}
-	drainCounter(b, &delivered, uint64(b.N))
+	msg := netbench.Proposal(0, 0)
+	flood(b, &delivered, 1, func() { ts[0].Send(0, 1, 0, msg) })
 }

@@ -66,7 +66,7 @@ func frameStream(payloads ...[]byte) []byte {
 // encoding, a zero-length payload, back-to-back frames, a truncated
 // header, a truncated payload, and an oversized length prefix.
 func FuzzFrameReader(f *testing.F) {
-	proposal, err := encodeFrame(benchProposal())
+	proposal, err := encodeFrame(testProposal())
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -11,6 +11,21 @@ import (
 	"repro/internal/types"
 )
 
+// testProposal is the fixture of this package's correctness tests: a
+// proposal whose block, transactions and byte slices are all non-empty,
+// every amount 30. (The benchmark cells' traffic shape is
+// netbench.Proposal, which imports this package and so is out of reach
+// here.)
+func testProposal() *pbft.PrePrepare {
+	b := &types.Block{SN: 1, Sig: []byte{0xCA, 0xFE}}
+	for i := 0; i < 4; i++ {
+		tx := types.NewPayment("payer", "payee", 30, uint64(i))
+		tx.Sig, tx.Payload = []byte{1, 2, 3, 4}, []byte{9, 9, 9, 9}
+		b.Txs = append(b.Txs, *tx)
+	}
+	return &pbft.PrePrepare{Seq: 1, Block: b}
+}
+
 // TestBroadcastCopiesDoNotAlias pins the isolation contract of the
 // encode-once broadcast: every receiver decodes its own copy from the
 // shared immutable frame, so handlers on different node loops may mutate
@@ -55,7 +70,7 @@ func TestBroadcastCopiesDoNotAlias(t *testing.T) {
 	p.Start(time.Now())
 	defer p.Stop()
 	for k := 0; k < rounds; k++ {
-		p.Broadcast(0, 0, benchProposal())
+		p.Broadcast(0, 0, testProposal())
 	}
 	waitFor(t, func() bool { return delivered.Load() == n*rounds })
 	if e, d := p.EncodeErrors(), p.DecodeErrors(); e != 0 || d != 0 {
@@ -127,7 +142,7 @@ func TestTCPDecodeErrorsCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return ts[0].DecodeErrors() == 1 })
-	ts[1].Send(1, 0, 0, benchProposal())
+	ts[1].Send(1, 0, 0, testProposal())
 	waitFor(t, func() bool { return len(cols[0].snapshot()) == 1 })
 	if got := ts[0].Messages(); got != 1 {
 		t.Fatalf("Messages = %d, want 1 (the garbage frame must not count)", got)

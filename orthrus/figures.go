@@ -59,15 +59,25 @@ func RunFigures(ctx context.Context, ids []string, o FigureOptions) ([]FigureRes
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	scale := o.Scale
-	if scale == 0 {
-		scale = 1
-	}
-	if scale <= 0 || scale > 1 {
-		return nil, fmt.Errorf("%w: %w", ErrInvalidConfig,
-			&ValidationError{Field: "Scale", Reason: fmt.Sprintf("must be in (0,1], got %g", o.Scale)})
+	scale, err := figureScale(o.Scale)
+	if err != nil {
+		return nil, err
 	}
 	return experiments.RunScenarios(ids, o.Scenarios, runner.Options{Workers: o.Workers}, scale)
+}
+
+// figureScale resolves a figure entry point's scale argument: 0 (the zero
+// value) means 1, and anything else outside (0, 1] is rejected — results
+// must record the scale they actually ran at.
+func figureScale(scale float64) (float64, error) {
+	if scale == 0 {
+		return 1, nil
+	}
+	if scale < 0 || scale > 1 {
+		return 0, fmt.Errorf("%w: %w", ErrInvalidConfig,
+			&ValidationError{Field: "Scale", Reason: fmt.Sprintf("must be in (0,1], got %g", scale)})
+	}
+	return scale, nil
 }
 
 // XValID identifies the sim-vs-real cross-validation figure, which runs
@@ -91,12 +101,9 @@ func RunXVal(ctx context.Context, scale float64) (FigureResult, error) {
 	if err := ctx.Err(); err != nil {
 		return FigureResult{}, err
 	}
-	if scale == 0 {
-		scale = 1
-	}
-	if scale <= 0 || scale > 1 {
-		return FigureResult{}, fmt.Errorf("%w: %w", ErrInvalidConfig,
-			&ValidationError{Field: "Scale", Reason: fmt.Sprintf("must be in (0,1], got %g", scale)})
+	scale, err := figureScale(scale)
+	if err != nil {
+		return FigureResult{}, err
 	}
 	return experiments.XVal(scale)
 }
@@ -123,12 +130,9 @@ func RunSoak(ctx context.Context, scale float64) (FigureResult, error) {
 	if err := ctx.Err(); err != nil {
 		return FigureResult{}, err
 	}
-	if scale == 0 {
-		scale = 1
-	}
-	if scale <= 0 || scale > 1 {
-		return FigureResult{}, fmt.Errorf("%w: %w", ErrInvalidConfig,
-			&ValidationError{Field: "Scale", Reason: fmt.Sprintf("must be in (0,1], got %g", scale)})
+	scale, err := figureScale(scale)
+	if err != nil {
+		return FigureResult{}, err
 	}
 	return experiments.Soak(scale)
 }
