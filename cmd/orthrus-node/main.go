@@ -202,7 +202,7 @@ func runNode(o nodeOptions, stdout, stderr io.Writer, stop <-chan struct{}) erro
 		OnBlockDeliver: func(instance int, b *types.Block) {
 			blocks++
 		},
-		OnConfirm: func(tx *types.Transaction, success bool, at types.Time) {
+		OnConfirm: func(tx *types.Transaction, success bool, st core.StageTrace) {
 			confirmed++
 			if !success {
 				aborted++

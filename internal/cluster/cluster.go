@@ -232,6 +232,44 @@ func (c Config) SimOnly() []string {
 	return why
 }
 
+// Conflict is one cross-knob rule a Config breaks: the knob the public SDK
+// reports it under, and why.
+type Conflict struct{ Field, Reason string }
+
+// Conflicts lists the combinations of knobs on c that the simulator cannot
+// run: what the analytic SB model, the parallel kernel and the live-set
+// census each exclude. Run panics on the first; the public SDK's Validate
+// reports them all as typed errors.
+func (c Config) Conflicts() []Conflict {
+	var out []Conflict
+	add := func(broken bool, field, format string, args ...any) {
+		if broken {
+			out = append(out, Conflict{field, fmt.Sprintf(format, args...)})
+		}
+	}
+	add(c.AnalyticSB && (c.DetectableFaults > 0 || c.UndetectableFaults > 0),
+		"AnalyticSB", "the analytic model does not support fault injection; use message-level PBFT")
+	add(c.AnalyticSB && c.Scenario != nil,
+		"Scenario", "scenarios require message-level PBFT; disable AnalyticSB")
+	if c.Kernel != KernelParallel {
+		return out
+	}
+	add(c.AnalyticSB, "Kernel", "the parallel kernel requires message-level PBFT; disable AnalyticSB")
+	add(c.NIC, "Kernel", "the parallel kernel does not model the shared NIC; disable NIC")
+	// Its lookahead assumes no link runs faster than its base delay.
+	add(c.StragglerFactor > 0 && c.StragglerFactor < 1,
+		"Kernel", "straggler factor %g < 1 speeds links up; the parallel kernel's lookahead forbids it", c.StragglerFactor)
+	if c.Scenario != nil {
+		for i, e := range c.Scenario.Events {
+			add(e.Kind == scenario.Straggle && e.Scale < 1,
+				"Kernel", "scenario event %d straggles with scale %g < 1; the parallel kernel's lookahead forbids link speed-ups", i, e.Scale)
+		}
+	}
+	add(c.SampleLiveSet > 0,
+		"SampleLiveSet", "live-set sampling walks every replica from one bookkeeping event; use the serial kernel")
+	return out
+}
+
 // Label returns a stable, human-readable key for this configuration; the
 // runner's job lists use it to identify runs. It names the measured cell
 // (protocol, network, size, fault axis, scenario, transaction source), not

@@ -14,12 +14,13 @@ import (
 // by value in a dense slice in submission order — no per-transaction
 // pointer allocations.
 type txMeta struct {
-	id      types.TxID // content digest: the observer's stage key, and the wire-side lookup key
-	submit  types.Time
-	reply   types.Time // client-visible reply time; set when done
-	home    int32      // replica co-located with the submitting client
-	replies int32
-	done    bool
+	id       types.TxID // content digest: the wire-side lookup key
+	submit   types.Time
+	reply    types.Time // client-visible reply time; set when done
+	observed types.Time // observer replica's confirm time; zero: no trace counted
+	home     int32      // replica co-located with the submitting client
+	replies  int32
+	done     bool
 }
 
 // collector is the measurement half of a run, shared by every backend: it
@@ -93,7 +94,6 @@ func replicaConfig(cfg Config, id int, genesis func(*ledger.Store)) core.Config 
 		StateTransfer:    cfg.StateTransfer,
 		CensorshipBlocks: cfg.CensorshipBlocks,
 		Genesis:          genesis,
-		TraceStages:      id == 0,
 	}
 	// Straggled instances are led by the highest-index replicas.
 	if cfg.Stragglers > 0 && id >= n-cfg.Stragglers {
@@ -116,8 +116,8 @@ func (c *collector) replicas(mk func(i int, ccfg core.Config) *core.Replica) []*
 	for i := range out {
 		i := i
 		ccfg := replicaConfig(c.cfg, i, c.genesis)
-		ccfg.OnConfirm = func(tx *types.Transaction, success bool, at types.Time) {
-			c.confirm(i, tx, success, at)
+		ccfg.OnConfirm = func(tx *types.Transaction, success bool, st core.StageTrace) {
+			c.confirm(i, tx, success, st)
 		}
 		if i == 0 {
 			ccfg.OnViewChange = func(int, uint64, types.Time) { c.res.ViewChanges++ }
@@ -166,10 +166,24 @@ func (c *collector) lookup(tx *types.Transaction) *txMeta {
 }
 
 // confirm is the client-side confirmation accounting: replica confirmed tx
-// at time at, and the (f+1)-th such reply makes it client-visible.
-func (c *collector) confirm(replica int, tx *types.Transaction, success bool, at types.Time) {
+// at st.Confirmed, and the (f+1)-th such reply makes it client-visible.
+// Replica 0 is the Fig. 6 observer: the first trace it reports for a
+// transaction it received from the client (not only inside a block) is
+// folded into the first four breakdown stages here; finish adds the fifth.
+func (c *collector) confirm(replica int, tx *types.Transaction, success bool, st core.StageTrace) {
 	m := c.lookup(tx)
-	if m == nil || m.done {
+	if m == nil {
+		return
+	}
+	if replica == 0 && m.observed == 0 && st.Submit != 0 && st.Received != 0 {
+		m.observed = st.Confirmed
+		b := c.res.Breakdown
+		b.Add(metrics.StageSend, time.Duration(st.Received-st.Submit))
+		b.Add(metrics.StagePreprocess, time.Duration(st.Proposed-st.Received))
+		b.Add(metrics.StagePartial, time.Duration(st.Delivered-st.Proposed))
+		b.Add(metrics.StageGlobal, time.Duration(st.Confirmed-st.Delivered))
+	}
+	if m.done {
 		return
 	}
 	m.replies++
@@ -178,7 +192,7 @@ func (c *collector) confirm(replica int, tx *types.Transaction, success bool, at
 	}
 	m.done = true
 	c.done++
-	reply := at + types.Time(c.replyHop(replica, int(m.home)))
+	reply := st.Confirmed + types.Time(c.replyHop(replica, int(m.home)))
 	m.reply = reply
 	lat := time.Duration(reply - m.submit)
 	res := c.res
@@ -260,23 +274,17 @@ func (c *collector) finish(replicas []*core.Replica, elapsed time.Duration) *Res
 		}
 	}
 
-	// Observer breakdown (Fig. 6): stage deltas from replica 0's trace plus
-	// the client-side reply time — what passed between the observer's
-	// confirmation and the client-visible (f+1)-th reply, or the observer's
-	// own reply hop when it completed the quorum (or nobody did).
-	obs := replicas[0]
+	// Reply stage of the observer breakdown (Fig. 6; confirm folded in the
+	// other four): what passed between the observer's confirmation and the
+	// client-visible (f+1)-th reply, or the observer's own reply hop when it
+	// completed the quorum (or nobody did).
 	for i := range c.meta {
 		m := &c.meta[i]
-		st, ok := obs.Stages(m.id)
-		if !ok || st.Confirmed == 0 || st.Submit == 0 {
+		if m.observed == 0 {
 			continue
 		}
-		res.Breakdown.Add(metrics.StageSend, time.Duration(st.Received-st.Submit))
-		res.Breakdown.Add(metrics.StagePreprocess, time.Duration(st.Proposed-st.Received))
-		res.Breakdown.Add(metrics.StagePartial, time.Duration(st.Delivered-st.Proposed))
-		res.Breakdown.Add(metrics.StageGlobal, time.Duration(st.Confirmed-st.Delivered))
-		if m.done && m.reply > st.Confirmed {
-			res.Breakdown.Add(metrics.StageReply, time.Duration(m.reply-st.Confirmed))
+		if m.done && m.reply > m.observed {
+			res.Breakdown.Add(metrics.StageReply, time.Duration(m.reply-m.observed))
 		} else {
 			res.Breakdown.Add(metrics.StageReply, c.replyHop(0, int(m.home)))
 		}

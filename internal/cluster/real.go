@@ -45,9 +45,9 @@ func RunReal(cfg Config) *Result {
 	var mu sync.Mutex // guards the collector
 	replicas := c.replicas(func(i int, ccfg core.Config) *core.Replica {
 		confirm, deliver := ccfg.OnConfirm, ccfg.OnBlockDeliver
-		ccfg.OnConfirm = func(tx *types.Transaction, success bool, at types.Time) {
+		ccfg.OnConfirm = func(tx *types.Transaction, success bool, st core.StageTrace) {
 			mu.Lock()
-			confirm(tx, success, at)
+			confirm(tx, success, st)
 			mu.Unlock()
 		}
 		if deliver != nil {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/simnet"
 	"repro/internal/transport"
 	"repro/internal/types"
@@ -226,6 +227,12 @@ func TestRunRealSmoke(t *testing.T) {
 	}
 	if !res.Converged {
 		t.Fatal("replica states diverged")
+	}
+	// The observer's traces ride its confirmations on this backend too.
+	for s := metrics.StageSend; s <= metrics.StageReply; s++ {
+		if res.Breakdown.Mean(s) <= 0 {
+			t.Errorf("stage %v: mean %v, want > 0", s, res.Breakdown.Mean(s))
+		}
 	}
 }
 

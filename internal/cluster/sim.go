@@ -21,7 +21,8 @@ import (
 // them.
 type hookRec struct {
 	at       simnet.Time
-	ord      uint64 // executing event's canonical key (simnet.Sim.ExecOrd)
+	ord      uint64          // executing event's canonical key (simnet.Sim.ExecOrd)
+	st       core.StageTrace // hookConfirm: the confirming replica's trace
 	tx       *types.Transaction
 	block    *types.Block
 	replica  int32
@@ -52,36 +53,12 @@ var simPool = sync.Pool{New: func() any { return simnet.New(0) }}
 // kernel).
 func Run(cfg Config) *Result {
 	cfg = cfg.withDefaults()
-	if cfg.AnalyticSB && (cfg.DetectableFaults > 0 || cfg.UndetectableFaults > 0) {
-		panic("cluster: analytic SB does not support fault injection; use message-level PBFT")
+	if bad := cfg.Conflicts(); len(bad) > 0 {
+		panic("cluster: " + bad[0].Reason)
 	}
 	if cfg.Scenario != nil {
-		if cfg.AnalyticSB {
-			panic("cluster: scenarios require message-level PBFT; disable AnalyticSB")
-		}
 		if err := cfg.Scenario.Validate(cfg.N); err != nil {
 			panic("cluster: " + err.Error())
-		}
-	}
-	if cfg.Kernel == KernelParallel {
-		if cfg.AnalyticSB {
-			panic("cluster: the parallel kernel requires message-level PBFT; disable AnalyticSB")
-		}
-		if cfg.NIC {
-			panic("cluster: the NIC bandwidth model requires the serial kernel")
-		}
-		if cfg.StragglerFactor < 1 {
-			panic("cluster: straggler speed-ups (factor < 1) require the serial kernel")
-		}
-		if cfg.Scenario != nil {
-			for _, e := range cfg.Scenario.Events {
-				if e.Kind == scenario.Straggle && e.Scale < 1 {
-					panic("cluster: scenario speed-ups (straggle scale < 1) require the serial kernel")
-				}
-			}
-		}
-		if cfg.SampleLiveSet > 0 {
-			panic("cluster: live-set sampling reads every replica from one bookkeeping event; use the serial kernel")
 		}
 	}
 	n := cfg.N
@@ -171,9 +148,9 @@ func Run(cfg Config) *Result {
 			// the executing event's canonical key for barrier replay.
 			sh := shardOf[i]
 			ssim := nodeOn(i).S
-			ccfg.OnConfirm = func(tx *types.Transaction, success bool, at simnet.Time) {
+			ccfg.OnConfirm = func(tx *types.Transaction, success bool, st core.StageTrace) {
 				hookLogs[sh] = append(hookLogs[sh], hookRec{
-					at: at, ord: ssim.ExecOrd(), tx: tx,
+					at: st.Confirmed, ord: ssim.ExecOrd(), st: st, tx: tx,
 					replica: int32(i), success: success, kind: hookConfirm,
 				})
 			}
@@ -233,7 +210,7 @@ func Run(cfg Config) *Result {
 				replayIdx[best]++
 				switch e.kind {
 				case hookConfirm:
-					c.confirm(int(e.replica), e.tx, e.success, e.at)
+					c.confirm(int(e.replica), e.tx, e.success, e.st)
 				case hookBlock:
 					cfg.OnBlockDeliver(int(e.replica), int(e.instance), e.block)
 				}

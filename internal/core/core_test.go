@@ -36,7 +36,7 @@ func newTestCluster(t *testing.T, n int, mode core.Mode, genesis func(*ledger.St
 			ViewTimeout:  2 * time.Second,
 			EpochLen:     8,
 			Genesis:      genesis,
-			OnConfirm: func(tx *types.Transaction, success bool, at simnet.Time) {
+			OnConfirm: func(tx *types.Transaction, success bool, _ core.StageTrace) {
 				if _, dup := c.results[i][tx.ID()]; dup {
 					t.Errorf("replica %d confirmed tx %s twice", i, tx.ID())
 				}
@@ -329,12 +329,12 @@ func TestOrthrusPaymentFasterThanContract(t *testing.T) {
 			return
 		}
 		inner := cfg.OnConfirm
-		cfg.OnConfirm = func(tx *types.Transaction, success bool, at simnet.Time) {
-			inner(tx, success, at)
+		cfg.OnConfirm = func(tx *types.Transaction, success bool, st core.StageTrace) {
+			inner(tx, success, st)
 			if tx.Kind() == types.Payment {
-				payAt = at
+				payAt = st.Confirmed
 			} else {
-				conAt = at
+				conAt = st.Confirmed
 			}
 		}
 	})

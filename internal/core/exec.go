@@ -26,8 +26,10 @@ import (
 
 // txTracker follows one transaction across the instances it was assigned
 // to: which instances escrowed its payer operations, how many global-log
-// occurrences have been processed, and its final outcome. Trackers live in
-// Replica.trk, addressed by the transaction's table slot.
+// occurrences have been processed, its final outcome, and when this replica
+// first received it and first saw it proposed and delivered (zero: not yet)
+// — the stamps OnConfirm reports. Trackers live in Replica.trk, addressed by
+// the transaction's table slot.
 type txTracker struct {
 	tx *types.Transaction // first copy seen; dropped once confirmed
 	// The route (every payer's bucket for Orthrus, the first otherwise) is
@@ -41,6 +43,8 @@ type txTracker struct {
 	gen          uint32 // tracker incarnations of the slot; see txRef
 	occurSeen    int32  // glog occurrences processed so far
 	escrowedBits uint64 // bit i set: route()[i]'s payer ops escrowed
+
+	received, proposed, delivered types.Time
 }
 
 // wideRoute holds a route longer than the inline array and the escrow bits
@@ -191,14 +195,14 @@ func (r *Replica) confirm(t *txTracker, success bool) {
 	} else {
 		r.confirmedBad++
 	}
-	if r.stages != nil {
-		st := r.stageOf(t.tx.ID())
-		if st.Confirmed == 0 {
-			st.Confirmed = r.sim.Now()
-		}
-	}
 	if r.cfg.OnConfirm != nil {
-		r.cfg.OnConfirm(t.tx, success, r.sim.Now())
+		r.cfg.OnConfirm(t.tx, success, StageTrace{
+			Submit:    types.Time(t.tx.SubmitNS),
+			Received:  t.received,
+			Proposed:  t.proposed,
+			Delivered: t.delivered,
+			Confirmed: r.sim.Now(),
+		})
 	}
 	t.tx = nil // stop pinning the decoded block (or submission) it sits in
 	if t.occurSeen >= t.n {

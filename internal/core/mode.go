@@ -1,8 +1,9 @@
 // Package core implements the Multi-BFT replica framework and the Orthrus
 // protocol on top of it (paper Algorithm 1). A Replica runs m parallel
-// PBFT-based sequenced-broadcast instances over a simulated network,
-// partitions client transactions into buckets, maintains partial logs and a
-// global log, and executes transactions with the escrow mechanism.
+// PBFT-based sequenced-broadcast instances over its Network (the simulated
+// one or a real transport), partitions client transactions into buckets,
+// maintains partial logs and a global log, and executes transactions with
+// the escrow mechanism.
 //
 // The framework is parameterized by a Mode, which captures what
 // distinguishes the protocols the paper evaluates: how the global log is

@@ -60,21 +60,27 @@ func TestMirStallsAllInstancesOnViewChange(t *testing.T) {
 	}
 }
 
-// TestStageTraceOrdering: the observer's five timestamps must be
-// monotonically non-decreasing for confirmed transactions.
+// TestStageTraceOrdering: the five timestamps a replica hands OnConfirm
+// must be monotonically non-decreasing for confirmed transactions.
 func TestStageTraceOrdering(t *testing.T) {
+	var st core.StageTrace
 	c := newTestCluster(t, 4, core.OrthrusMode(), genesisRich("alice", "bob"), func(i int, cfg *core.Config) {
-		if i == 0 {
-			cfg.TraceStages = true
+		if i != 0 {
+			return
+		}
+		inner := cfg.OnConfirm
+		cfg.OnConfirm = func(tx *types.Transaction, success bool, got core.StageTrace) {
+			inner(tx, success, got)
+			st = got
 		}
 	})
+	c.run(10 * time.Millisecond) // a zero Submit would read as "no trace"
 	tx := types.NewPayment("alice", "bob", 5, 1)
 	c.submit(tx)
 	c.run(3 * time.Second)
 	c.requireOutcome(t, tx, true)
-	st, ok := c.replicas[0].Stages(tx.ID())
-	if !ok {
-		t.Fatal("no stage trace recorded")
+	if st.Submit == 0 || st.Received == 0 {
+		t.Fatalf("no stage trace handed over: %+v", st)
 	}
 	if st.Received < st.Submit || st.Proposed < st.Received ||
 		st.Delivered < st.Proposed || st.Confirmed < st.Delivered {

@@ -28,7 +28,6 @@ type Config struct {
 	ViewTimeout  time.Duration // PBFT view-change timeout (paper: 10 s)
 	TxSize       int           // modeled tx wire size (paper: 500 B)
 	EpochLen     uint64        // blocks per instance per epoch
-	EpochLead    int           // epochs an instance may run ahead (non-strict)
 
 	// ByzantineMute makes this replica vote only in the instance it leads
 	// (the undetectable fault of Sec. VII-E).
@@ -36,7 +35,7 @@ type Config struct {
 
 	// Censor is a Byzantine fault-injection hook: when this replica leads
 	// an instance, it silently skips transactions the predicate matches.
-	// Honest configurations leave it nil.
+	// Honest configurations leave it nil; SetCensorAll swaps it at runtime.
 	Censor func(tx *types.Transaction) bool
 
 	// CensorshipBlocks is the censorship detector's patience: if the
@@ -55,19 +54,16 @@ type Config struct {
 	StateTransfer bool
 
 	// SB overrides the sequenced-broadcast implementation; nil selects
-	// message-level PBFT over the simulated network.
+	// message-level PBFT over the replica's Network.
 	SB SBBuilder
-
-	// TraceStages records per-transaction stage timestamps (observer
-	// replicas only; it costs memory).
-	TraceStages bool
 
 	// Genesis initializes the ledger (same on every replica).
 	Genesis func(st *ledger.Store)
 
 	// OnConfirm fires once per transaction when this replica confirms it
-	// (executed successfully or aborted).
-	OnConfirm func(tx *types.Transaction, success bool, at types.Time)
+	// (executed successfully or aborted), with the transaction's stage
+	// trace; st.Confirmed is the time of the confirmation.
+	OnConfirm func(tx *types.Transaction, success bool, st StageTrace)
 	// OnViewChange fires when an instance installs a new view.
 	OnViewChange func(instance int, view uint64, at types.Time)
 	// OnBlockDeliver fires on every worker-instance SB delivery, before the
@@ -82,9 +78,10 @@ type Config struct {
 }
 
 // StageTrace holds the five per-transaction timestamps of the paper's
-// latency breakdown (Fig. 6). Zero means "not reached".
+// latency breakdown (Fig. 6), as one replica saw them. Received is zero
+// when the replica only ever met the transaction inside a block.
 type StageTrace struct {
-	Submit    types.Time // client handed the tx to the system
+	Submit    types.Time // client handed the tx to the system (tx.SubmitNS)
 	Received  types.Time // replica received and bucketed it
 	Proposed  types.Time // first included in a broadcast block
 	Delivered types.Time // first SB delivery (partial order reached)
@@ -175,7 +172,6 @@ type Replica struct {
 	release   []partition.Slot
 	refChunk  []txRef
 	blockRefs map[*types.Block][]txRef
-	stages    map[types.TxID]*StageTrace
 
 	seqRefs []types.BlockRef // refs awaiting sequencer proposal
 
@@ -239,9 +235,6 @@ type Replica struct {
 	// PBFT engine of the replica shares a pointer to it, so a scenario
 	// event flips the behavior across all instances the replica leads.
 	adversary pbft.Adversary
-	// censorAll makes the replica censor every transaction while leading
-	// (the scenario-driven variant of the cfg.Censor predicate).
-	censorAll bool
 
 	// Counters.
 	confirmedOK  uint64
@@ -291,9 +284,6 @@ func NewReplica(cfg Config, sim types.Clock, nw Network) *Replica {
 	if cfg.EpochLen == 0 {
 		cfg.EpochLen = 32
 	}
-	if cfg.EpochLead <= 0 {
-		cfg.EpochLead = 4
-	}
 	if cfg.CensorshipBlocks == 0 {
 		cfg.CensorshipBlocks = 64
 	}
@@ -321,9 +311,6 @@ func NewReplica(cfg Config, sim types.Clock, nw Network) *Replica {
 		r.archive = make([][]*types.Block, cfg.M)
 		r.archiveBase = make([]uint64, cfg.M)
 		r.stResps = make(map[int]*StateTransferResp)
-	}
-	if cfg.TraceStages {
-		r.stages = make(map[types.TxID]*StageTrace)
 	}
 	if cfg.Genesis != nil {
 		cfg.Genesis(r.store)
@@ -480,7 +467,12 @@ func (r *Replica) SetMuteLeader(on bool) { r.adversary.MuteLeader = on }
 // leading (or stops doing so): it keeps proposing empty blocks, so only
 // the bucket-aging censorship detector at honest replicas can rotate it
 // out.
-func (r *Replica) SetCensorAll(on bool) { r.censorAll = on }
+func (r *Replica) SetCensorAll(on bool) {
+	r.cfg.Censor = nil
+	if on {
+		r.cfg.Censor = func(*types.Transaction) bool { return true }
+	}
+}
 
 // SetPulseScale changes the replica's proposal-pulse multiplier at runtime
 // (scenario straggler injection): the next scheduled pulse picks it up.
@@ -504,18 +496,6 @@ func (r *Replica) Confirmed() (ok, failed uint64) { return r.confirmedOK, r.conf
 // PendingGlobal returns blocks delivered but not yet globally confirmed.
 func (r *Replica) PendingGlobal() int { return r.global.PendingCount() }
 
-// Stages returns the stage trace for a transaction (TraceStages only).
-func (r *Replica) Stages(id types.TxID) (StageTrace, bool) {
-	if r.stages == nil {
-		return StageTrace{}, false
-	}
-	s, ok := r.stages[id]
-	if !ok {
-		return StageTrace{}, false
-	}
-	return *s, true
-}
-
 // SubmitTx receives a client transaction (already transported; the cluster
 // layer models client-to-replica delay). Submit time travels in tx.SubmitNS.
 func (r *Replica) SubmitTx(tx *types.Transaction) error {
@@ -529,23 +509,10 @@ func (r *Replica) SubmitTx(tx *types.Transaction) error {
 	for _, i := range t.route() {
 		r.buckets.Bucket(i).PushSlot(tx, t.slot)
 	}
-	if r.stages != nil {
-		st := r.stageOf(tx.ID())
-		st.Submit = types.Time(tx.SubmitNS)
-		if st.Received == 0 {
-			st.Received = r.sim.Now()
-		}
+	if t.received == 0 {
+		t.received = r.sim.Now()
 	}
 	return nil
-}
-
-func (r *Replica) stageOf(id types.TxID) *StageTrace {
-	st, ok := r.stages[id]
-	if !ok {
-		st = &StageTrace{}
-		r.stages[id] = st
-	}
-	return st
 }
 
 // --- proposal pulses ---
@@ -604,7 +571,7 @@ func (r *Replica) pulse(instance int) {
 	batch := pulled[:0]
 	var requeue []partition.Entry
 	for _, q := range pulled {
-		if r.censorAll || (r.cfg.Censor != nil && r.cfg.Censor(q.Tx)) {
+		if r.cfg.Censor != nil && r.cfg.Censor(q.Tx) {
 			requeue = append(requeue, q) // Byzantine: silently skip
 			continue
 		}
@@ -718,6 +685,10 @@ func (r *Replica) pulseSequencer(e SB) {
 	_ = e.Propose(b)
 }
 
+// epochLead is how many epochs past the stable checkpoint an instance may
+// propose when the mode has no strict barrier.
+const epochLead = 4
+
 // epochPaused reports whether the instance must wait at an epoch barrier.
 func (r *Replica) epochPaused(instance int) bool {
 	delivered := r.state[instance]
@@ -727,8 +698,8 @@ func (r *Replica) epochPaused(instance int) bool {
 		return delivered >= (r.epoch+1)*r.cfg.EpochLen &&
 			uint64(r.sbs[instance].NextProposeSeq()) >= (r.epoch+1)*r.cfg.EpochLen
 	}
-	// Bounded run-ahead: at most EpochLead epochs past the stable one.
-	limit := (r.stableEpoch + uint64(r.cfg.EpochLead)) * r.cfg.EpochLen
+	// Bounded run-ahead: at most epochLead epochs past the stable one.
+	limit := (r.stableEpoch + epochLead) * r.cfg.EpochLen
 	return r.sbs[instance].NextProposeSeq() >= limit
 }
 
@@ -773,12 +744,17 @@ func (r *Replica) onDeliver(instance int, b *types.Block) {
 		r.archive[instance] = append(r.archive[instance], b)
 	}
 
-	// Intern the block's transactions and mark them in-flight so replaced
-	// leaders do not re-propose them from their bucket copies.
+	// Intern the block's transactions, stamp their first proposal and
+	// delivery, and mark them in-flight so replaced leaders do not
+	// re-propose them from their bucket copies.
 	dl := delivered{b: b, refs: r.refsOf(b)}
 	bucket := r.buckets.Bucket(instance)
+	now := r.sim.Now()
 	for _, ref := range dl.refs {
 		bucket.MarkConfirmedSlot(ref.slot)
+		if t := r.tracker(ref.slot); t.delivered == 0 {
+			t.proposed, t.delivered = types.Time(b.ProposeNS), now
+		}
 	}
 	// Censorship detection (Sec. V-B): the leader keeps delivering blocks
 	// while an old, locally feasible transaction sits unproposed in this
@@ -790,17 +766,6 @@ func (r *Replica) onDeliver(instance int, b *types.Block) {
 			r.lastComplain[instance] = view + 1
 			if c, okc := r.sbs[instance].(interface{ Complain() }); okc {
 				c.Complain()
-			}
-		}
-	}
-	if r.stages != nil {
-		for i := range b.Txs {
-			st := r.stageOf(b.Txs[i].ID())
-			if st.Proposed == 0 {
-				st.Proposed = types.Time(b.ProposeNS)
-			}
-			if st.Delivered == 0 {
-				st.Delivered = r.sim.Now()
 			}
 		}
 	}

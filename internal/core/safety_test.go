@@ -284,7 +284,7 @@ func newTestClusterSeed(t *testing.T, n int, mode core.Mode, genesis func(*ledge
 			ViewTimeout:  5 * time.Second,
 			EpochLen:     16,
 			Genesis:      genesis,
-			OnConfirm: func(tx *types.Transaction, success bool, at simnet.Time) {
+			OnConfirm: func(tx *types.Transaction, success bool, _ core.StageTrace) {
 				c.results[i][tx.ID()] = success
 			},
 		}

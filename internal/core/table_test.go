@@ -47,7 +47,7 @@ func TestUnstampedSharedPointersAcrossShards(t *testing.T) {
 			EpochLen:      4,
 			StateTransfer: true,
 			Genesis:       genesisRich(names...),
-			OnConfirm: func(tx *types.Transaction, success bool, at simnet.Time) {
+			OnConfirm: func(tx *types.Transaction, success bool, _ core.StageTrace) {
 				if _, dup := results[i][tx.ID()]; dup {
 					t.Errorf("replica %d confirmed tx %s twice", i, tx.ID())
 				}
@@ -130,11 +130,12 @@ func (c *captureNet) Broadcast(_, _ int, msg any) {
 	}
 }
 
-// idleClock never fires: the test drives the replica.
-type idleClock struct{}
+// handClock never fires and reads the time the test sets: the test drives
+// the replica.
+type handClock struct{ now types.Time }
 
-func (idleClock) Now() types.Time                             { return 0 }
-func (idleClock) CallAt(types.Time, func(a, b any), any, any) {}
+func (c *handClock) Now() types.Time                           { return c.now }
+func (*handClock) CallAt(types.Time, func(a, b any), any, any) {}
 
 // handSB is an SB the test delivers through by hand.
 type handSB struct{ deliver func(*types.Block) }
@@ -153,6 +154,10 @@ func (*handSB) Stop()                      {}
 // through one replica and checks that checkpoint GC recycles slots: the
 // table's capacity stops growing after the first few epochs, and its live
 // count (LiveSet.Trackers) returns to zero whenever nothing is in flight.
+// The replica is the harness's observer configuration (ID 0, OnConfirm
+// set), and the clock reads the epoch number plus one: the stage trace of
+// every confirmation must carry this epoch's stamps — Received only when
+// the client submission arrived — never a recycled slot's.
 func TestTableBoundedOverEpochs(t *testing.T) {
 	const m, epochLen, perBlock, epochs = 4, 4, 32, 48
 	names := accountNames(64)
@@ -163,6 +168,7 @@ func TestTableBoundedOverEpochs(t *testing.T) {
 	net := &captureNet{}
 	sbs := make([]*handSB, m)
 	confirmed := 0
+	clock := &handClock{}
 	r := core.NewReplica(core.Config{
 		N: 4, F: 1, ID: 0, M: m, Mode: core.OrthrusMode(), EpochLen: epochLen,
 		Genesis: genesisRich(names...),
@@ -170,15 +176,23 @@ func TestTableBoundedOverEpochs(t *testing.T) {
 			sbs[instance] = &handSB{deliver: hooks.OnDeliver}
 			return sbs[instance]
 		},
-		OnConfirm: func(_ *types.Transaction, ok bool, _ types.Time) {
+		OnConfirm: func(_ *types.Transaction, ok bool, st core.StageTrace) {
 			if ok {
 				confirmed++
 			}
+			want := core.StageTrace{Delivered: clock.now, Confirmed: clock.now}
+			if clock.now%2 == 1 {
+				want.Received = clock.now
+			}
+			if st != want {
+				t.Errorf("epoch %d: stage trace %+v, want %+v", clock.now-1, st, want)
+			}
 		},
-	}, idleClock{}, net)
+	}, clock, net)
 	nonce := uint64(0)
 	var capAt [epochs]int
 	for e := 0; e < epochs; e++ {
+		clock.now = types.Time(e + 1)
 		for sn := e * epochLen; sn < (e+1)*epochLen; sn++ {
 			for inst := 0; inst < m; inst++ {
 				b := &types.Block{Instance: inst, SN: uint64(sn), Rank: uint64(sn) + 1, Proposer: 1,

@@ -179,7 +179,7 @@ func simTrace(kind QueueKind, seed int64) []traceStamp {
 		haltAt := rng.Intn(n)
 		for i := 0; i < n; i++ {
 			i := i
-			switch rng.Intn(5) {
+			switch rng.Intn(4) {
 			case 0:
 				nw.Send(rng.Intn(4), rng.Intn(4), 128, rng.Intn(8))
 			case 1:
@@ -190,11 +190,6 @@ func simTrace(kind QueueKind, seed int64) []traceStamp {
 					}
 				})
 			case 2:
-				tm := s.AfterTimer(Duration(rng.Intn(2000)), record)
-				if rng.Intn(3) == 0 {
-					tm.Stop()
-				}
-			case 3:
 				On(s, rng.Intn(4)).After(Duration(rng.Intn(1500)), record)
 			default:
 				s.CallAfter(Duration(rng.Intn(100)), func(a, b any) { record() }, nil, nil)

@@ -73,13 +73,6 @@ func kernelWorkload(nw *Network, global *Sim, nodeOn func(int) NodeSim, client N
 					record(i, -2, m, ns.Now())
 					nw.Send(i, hop, 64+m%128, m-1)
 				})
-			case 1: // cancellable timer, deterministically stopped half the time
-				tm := ns.AfterTimer(Duration(m%5+1)*200*time.Microsecond, func() {
-					record(i, -3, m, ns.Now())
-				})
-				if (i+m)%2 == 0 {
-					tm.Stop()
-				}
 			default: // immediate hop
 				nw.Send(i, hop, 64+m%128, m-1)
 			}

@@ -146,9 +146,9 @@ func checkDisjoint(t *testing.T, s *Sim) {
 }
 
 // TestSchedulerTotalOrder drives random event loads — seeded sweeps over
-// mixed At/After/CallAt/AfterTimer scheduling, including events scheduled
-// from inside callbacks — and asserts every execution trace is totally
-// ordered by (at, ord). Every event here carries the global affinity, so
+// mixed At/After/CallAt scheduling, including events scheduled from inside
+// callbacks — and asserts every execution trace is totally ordered by
+// (at, ord). Every event here carries the global affinity, so
 // its canonical key reduces to the global per-source count and must
 // reflect scheduling order exactly. Both queue implementations are swept.
 func TestSchedulerTotalOrder(t *testing.T) {
@@ -176,7 +176,7 @@ func TestSchedulerTotalOrder(t *testing.T) {
 				schedule = func(depth int) {
 					at := s.Now() + Time(rng.Intn(1000))
 					ord := nextOrd() // the stamp the scheduler will assign next
-					switch rng.Intn(4) {
+					switch rng.Intn(3) {
 					case 0:
 						s.At(at, func() {
 							trace = append(trace, stamp{s.Now(), ord})
@@ -188,17 +188,10 @@ func TestSchedulerTotalOrder(t *testing.T) {
 						s.After(Duration(rng.Intn(1000)), func() {
 							trace = append(trace, stamp{s.Now(), ord})
 						})
-					case 2:
+					default:
 						s.CallAt(at, func(a, b any) {
 							trace = append(trace, stamp{s.Now(), ord})
 						}, nil, nil)
-					default:
-						tm := s.AfterTimer(Duration(rng.Intn(1000)), func() {
-							trace = append(trace, stamp{s.Now(), ord})
-						})
-						if rng.Intn(4) == 0 {
-							tm.Stop()
-						}
 					}
 				}
 				for i := 0; i < n; i++ {

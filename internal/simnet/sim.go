@@ -47,13 +47,13 @@ type Time = types.Time
 type Duration = time.Duration
 
 // event is one scheduled callback. Exactly one of the two callback forms
-// is set: call (a function pointer with two operands — plain closures and
-// cancellable timers ride in the operands, which hold func and pointer
-// values without boxing allocations) or nw (a network delivery encoded as
-// fields). Events are pooled: Step releases an event back to the
-// simulator's free list after its callback returns, zeroing every field
-// first. The struct is laid out to keep a popped event's queue links and
-// ordering key on its first cache line, and the whole event in two.
+// is set: call (a function pointer with two operands — plain closures ride
+// in the operands, which hold func and pointer values without boxing
+// allocations) or nw (a network delivery encoded as fields). Events are
+// pooled: Step releases an event back to the simulator's free list after
+// its callback returns, zeroing every field first. The struct is laid out
+// to keep a popped event's queue links and ordering key on its first cache
+// line, and the whole event in two.
 type event struct {
 	at  Time
 	ord uint64
@@ -125,14 +125,6 @@ func ordDst(ord uint64) int {
 // runFunc adapts a plain closure to the two-operand callback form (the
 // func value rides in argA; pointer-shaped, so no boxing allocation).
 func runFunc(a, _ any) { a.(func())() }
-
-// runTimer adapts a cancellable callback: the closure rides in argA, the
-// timer gate in argB.
-func runTimer(a, b any) {
-	if !b.(*Timer).stopped {
-		a.(func())()
-	}
-}
 
 // QueueKind selects the scheduler's event-queue implementation at Sim
 // construction.
@@ -343,32 +335,6 @@ func (s *Sim) CallAfter(d Duration, fn func(a, b any), argA, argB any) {
 	s.CallAt(s.now+Time(d), fn, argA, argB)
 }
 
-// Timer is a cancellable scheduled callback.
-type Timer struct {
-	stopped bool
-}
-
-// Stop cancels the timer; the callback will not run.
-func (t *Timer) Stop() { t.stopped = true }
-
-// Stopped reports whether the timer was cancelled.
-func (t *Timer) Stopped() bool { return t.stopped }
-
-// AfterTimer schedules fn after d and returns a handle that can cancel it.
-func (s *Sim) AfterTimer(d Duration, fn func()) *Timer {
-	return s.AfterTimerNode(s.cur, d, fn)
-}
-
-// AfterTimerNode is AfterTimer with an explicit node affinity (see
-// AtNode).
-func (s *Sim) AfterTimerNode(dst int, d Duration, fn func()) *Timer {
-	t := &Timer{}
-	e := s.alloc()
-	e.call, e.argA, e.argB = runTimer, fn, t
-	s.schedule(e, s.now+Time(d), dst, s.cur)
-	return t
-}
-
 // Step executes the next event. It returns false when the queue is empty.
 func (s *Sim) Step() bool {
 	e := s.q.pop()
@@ -491,16 +457,6 @@ func (n NodeSim) CallAtNode(dst int, t Time, fn func(a, b any), argA, argB any) 
 	e := n.S.alloc()
 	e.call, e.argA, e.argB = fn, argA, argB
 	n.S.schedule(e, t, dst, n.Node)
-}
-
-// AfterTimer schedules fn after d on the pinned node and returns a handle
-// that can cancel it.
-func (n NodeSim) AfterTimer(d Duration, fn func()) *Timer {
-	t := &Timer{}
-	e := n.S.alloc()
-	e.call, e.argA, e.argB = runTimer, fn, t
-	n.S.schedule(e, n.S.now+Time(d), n.Node, n.Node)
-	return t
 }
 
 // Handler consumes a message delivered to a node.

@@ -63,20 +63,6 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestTimerStop(t *testing.T) {
-	s := New(1)
-	fired := false
-	tm := s.AfterTimer(time.Millisecond, func() { fired = true })
-	tm.Stop()
-	s.RunAll(0)
-	if fired {
-		t.Fatal("stopped timer fired")
-	}
-	if !tm.Stopped() {
-		t.Fatal("Stopped() false after Stop")
-	}
-}
-
 func TestSchedulePastClamps(t *testing.T) {
 	s := New(1)
 	s.After(time.Second, func() {

@@ -530,11 +530,8 @@ func (c Config) Validate() error {
 	if c.TxSize < 0 {
 		bad("TxSize", "must be non-negative, got %d", c.TxSize)
 	}
-	if c.AnalyticSB && (c.CrashFaults > 0 || c.ByzantineFaults > 0) {
-		bad("AnalyticSB", "the analytic model does not support fault injection; use message-level PBFT")
-	}
-	if c.AnalyticSB && c.Scenario != nil {
-		bad("Scenario", "scenarios require message-level PBFT; drop WithAnalyticSB")
+	for _, k := range c.knobs().Conflicts() {
+		bad(k.Field, "%s", k.Reason)
 	}
 	if c.Kernel != KernelSerial && c.Kernel != KernelParallel {
 		bad("Kernel", "must be KernelSerial or KernelParallel, got Kernel(%d)", int(c.Kernel))
@@ -552,27 +549,6 @@ func (c Config) Validate() error {
 	}
 	if c.SampleLiveSet < 0 {
 		bad("SampleLiveSet", "must be non-negative, got %v", c.SampleLiveSet)
-	}
-	if c.SampleLiveSet > 0 && c.Kernel == KernelParallel {
-		bad("SampleLiveSet", "live-set sampling walks every replica from one bookkeeping event; use the serial kernel")
-	}
-	if c.Kernel == KernelParallel {
-		if c.AnalyticSB {
-			bad("Kernel", "the parallel kernel requires message-level PBFT; drop WithAnalyticSB")
-		}
-		if !c.DisableNIC && !c.AnalyticSB {
-			bad("Kernel", "the parallel kernel does not model the shared NIC; add WithNIC(false)")
-		}
-		if c.StragglerFactor > 0 && c.StragglerFactor < 1 {
-			bad("Kernel", "the parallel kernel's lookahead assumes no link runs faster than its base delay; StragglerFactor %g speeds links up", c.StragglerFactor)
-		}
-		if c.Scenario != nil {
-			for i, e := range c.Scenario.Events {
-				if e.Kind == scenariodsl.Straggle && e.Scale < 1 {
-					bad("Kernel", "scenario event %d straggles with scale %g < 1; the parallel kernel's lookahead forbids link speed-ups", i, e.Scale)
-				}
-			}
-		}
 	}
 	if c.Scenario != nil && c.Replicas >= 1 {
 		if err := c.Scenario.Validate(c.Replicas); err != nil {
@@ -605,7 +581,7 @@ func (c Config) Validate() error {
 // knobs maps the Config's plain fields onto the internal harness's, leaving
 // out what needs a validated Config to build (protocol, transaction
 // sources, observer). Validate reads the result to ask the harness which
-// knobs the chosen transport cannot honor.
+// knobs conflict and which the chosen transport cannot honor.
 func (c Config) knobs() cluster.Config {
 	ccfg := cluster.Config{
 		N:                  c.Replicas,
