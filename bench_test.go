@@ -33,21 +33,23 @@ import (
 // benchCfg is a laptop-sized configuration of the Sec. VII-A setup.
 func benchCfg(mode core.Mode, n int, net cluster.NetProfile) cluster.Config {
 	return cluster.Config{
-		N:            n,
-		Protocol:     mode,
-		Net:          net,
-		Workload:     workload.Config{Accounts: 4000, Seed: 42},
-		LoadTPS:      3000,
-		Duration:     6 * time.Second,
-		Warmup:       1 * time.Second,
-		Drain:        20 * time.Second,
-		BatchSize:    1024,
-		BatchTimeout: 100 * time.Millisecond,
-		EpochLen:     128,
-		ViewTimeout:  10 * time.Second,
-		AnalyticSB:   n >= 32,
-		NIC:          n < 32,
-		Seed:         42,
+		N:        n,
+		Protocol: mode,
+		Net:      net,
+		Workload: workload.Config{Accounts: 4000, Seed: 42},
+		LoadTPS:  3000,
+		Duration: 6 * time.Second,
+		Warmup:   1 * time.Second,
+		Drain:    20 * time.Second,
+		Params: core.Params{
+			BatchSize:    1024,
+			BatchTimeout: 100 * time.Millisecond,
+			EpochLen:     128,
+			ViewTimeout:  10 * time.Second,
+		},
+		AnalyticSB: n >= 32,
+		NIC:        n < 32,
+		Seed:       42,
 	}
 }
 
@@ -469,7 +471,7 @@ func BenchmarkPBFTRound(b *testing.B) {
 	engines := make([]*pbft.Engine, 4)
 	for i := 0; i < 4; i++ {
 		i := i
-		cfg := pbft.Config{N: 4, F: 1, ID: i, Instance: 0, Timeout: time.Hour, Window: 1 << 20,
+		cfg := pbft.Config{N: 4, F: 1, ID: i, Instance: 0, Timeout: time.Hour, Window: 1 << 20, TxSize: 500,
 			OnDeliver: func(blk *types.Block) {
 				if i == 0 {
 					delivered++

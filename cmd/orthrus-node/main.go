@@ -59,10 +59,7 @@ type nodeOptions struct {
 	stats    time.Duration // stats log line period
 	queueCap int           // per-peer outbound queue cap; 0 = transport default
 
-	batchSize    int
-	batchTimeout time.Duration
-	viewTimeout  time.Duration
-	epochLen     uint64
+	params core.Params // engine knobs; zeros take core's defaults
 
 	listener net.Listener // test injection; nil listens on listen/peers[id]
 }
@@ -114,10 +111,11 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) error {
 	fs.DurationVar(&o.duration, "duration", 0, "run length; 0 runs until SIGINT/SIGTERM")
 	fs.DurationVar(&o.stats, "stats", time.Second, "period of event=stats log lines")
 	fs.IntVar(&o.queueCap, "queue-cap", 0, "per-peer outbound queue cap in frames (0 = transport default 4096); overflow drops oldest and logs event=backpressure")
-	fs.IntVar(&o.batchSize, "batch", 0, "batch size (0 = engine default 4096)")
-	fs.DurationVar(&o.batchTimeout, "batch-timeout", 0, "proposal pulse period (0 = engine default 100ms)")
-	fs.DurationVar(&o.viewTimeout, "view-timeout", 0, "view-change timeout (0 = engine default 10s)")
-	fs.Uint64Var(&o.epochLen, "epoch", 0, "checkpoint epoch length in blocks (0 = engine default 32)")
+	def := core.Params{}.WithDefaults()
+	fs.IntVar(&o.params.BatchSize, "batch", 0, fmt.Sprintf("batch size (0 = engine default %d)", def.BatchSize))
+	fs.DurationVar(&o.params.BatchTimeout, "batch-timeout", 0, fmt.Sprintf("proposal pulse period (0 = engine default %v)", def.BatchTimeout))
+	fs.DurationVar(&o.params.ViewTimeout, "view-timeout", 0, fmt.Sprintf("view-change timeout (0 = engine default %v)", def.ViewTimeout))
+	fs.Uint64Var(&o.params.EpochLen, "epoch", 0, fmt.Sprintf("checkpoint epoch length in blocks (0 = engine default %d)", def.EpochLen))
 	fs.SetOutput(stderr)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -152,11 +150,12 @@ func runNode(o nodeOptions, stdout, stderr io.Writer, stop <-chan struct{}) erro
 	if o.load < 0 {
 		return fmt.Errorf("orthrus-node: -load must be non-negative, got %g", o.load)
 	}
+	if bad := o.params.Check(); len(bad) > 0 {
+		return fmt.Errorf("orthrus-node: invalid %s: %s", bad[0].Field, bad[0].Reason)
+	}
 	if o.stats <= 0 {
 		o.stats = time.Second
 	}
-	f := (n - 1) / 3
-
 	out := &syncWriter{w: stdout}
 	logf := func(event, format string, args ...any) {
 		out.logf("orthrus-node id=%d event=%s "+format, append([]any{o.id, event}, args...)...)
@@ -191,26 +190,18 @@ func runNode(o nodeOptions, stdout, stderr io.Writer, stop <-chan struct{}) erro
 	// (replica hooks and the stats timer both run there); the final stop
 	// line reads them after node.Stop, when the loop is gone.
 	var blocks, confirmed, aborted uint64
-	ccfg := core.Config{
-		N: n, F: f, ID: o.id, M: n,
-		Mode:         proto.New(),
-		BatchSize:    o.batchSize,
-		BatchTimeout: o.batchTimeout,
-		ViewTimeout:  o.viewTimeout,
-		EpochLen:     o.epochLen,
-		Genesis:      gen.Genesis(),
-		OnBlockDeliver: func(instance int, b *types.Block) {
-			blocks++
-		},
-		OnConfirm: func(tx *types.Transaction, success bool, st core.StageTrace) {
-			confirmed++
-			if !success {
-				aborted++
-			}
-		},
-		OnViewChange: func(instance int, view uint64, at types.Time) {
-			logf("view-change", "instance=%d view=%d", instance, view)
-		},
+	ccfg := core.NewConfig(n, o.id, proto.New(), o.params, gen.Genesis())
+	ccfg.OnBlockDeliver = func(instance int, b *types.Block) {
+		blocks++
+	}
+	ccfg.OnConfirm = func(tx *types.Transaction, success bool, st core.StageTrace) {
+		confirmed++
+		if !success {
+			aborted++
+		}
+	}
+	ccfg.OnViewChange = func(instance int, view uint64, at types.Time) {
+		logf("view-change", "instance=%d view=%d", instance, view)
 	}
 	replica := core.NewReplica(ccfg, node, tcp)
 
@@ -238,7 +229,7 @@ func runNode(o nodeOptions, stdout, stderr io.Writer, stop <-chan struct{}) erro
 	types.CallAfter(node, o.stats, statsTick, nil, nil)
 
 	logf("start", "protocol=%s n=%d f=%d addr=%s seed=%d load=%g",
-		o.protocol, n, f, tcp.Addr(), o.seed, o.load)
+		o.protocol, n, ccfg.F, tcp.Addr(), o.seed, o.load)
 	replica.Start()
 	node.Start(time.Now())
 
@@ -253,7 +244,7 @@ func runNode(o nodeOptions, stdout, stderr io.Writer, stop <-chan struct{}) erro
 			defer clientWG.Done()
 			interval := time.Duration(float64(time.Second) / o.load)
 			epoch := time.Now()
-			router := core.NewSubmitRouter(n, f)
+			router := core.NewSubmitRouter(n, ccfg.F)
 			for k := 0; ; k++ {
 				select {
 				case <-clientQuit:

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // lockedBuffer is an io.Writer the daemon writes and the test reads
@@ -51,6 +53,9 @@ func TestRunFlagErrors(t *testing.T) {
 		{"negative id", []string{"-peers", "a:1,b:2"}, "outside"},
 		{"unknown protocol", []string{"-id", "0", "-peers", "127.0.0.1:0", "-protocol", "NoSuch"}, "unknown protocol"},
 		{"negative load", []string{"-id", "0", "-peers", "127.0.0.1:0", "-load", "-1"}, "-load"},
+		{"negative batch", []string{"-id", "0", "-peers", "127.0.0.1:0", "-batch", "-1"}, "BatchSize"},
+		{"negative batch timeout", []string{"-id", "0", "-peers", "127.0.0.1:0", "-batch-timeout", "-1s"}, "BatchTimeout"},
+		{"negative view timeout", []string{"-id", "0", "-peers", "127.0.0.1:0", "-view-timeout", "-1s"}, "ViewTimeout"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -76,9 +81,11 @@ func TestRunUsageListsProtocols(t *testing.T) {
 	if err := run([]string{"-h"}, &stdout, &stderr, nil); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"Orthrus", "ISS"} {
+	// The engine defaults in the usage text are derived from core.Params.
+	for _, name := range []string{"Orthrus", "ISS",
+		"engine default 4096", "engine default 100ms", "engine default 10s", "engine default 32"} {
 		if !strings.Contains(stderr.String(), name) {
-			t.Fatalf("usage output missing protocol %q:\n%s", name, stderr.String())
+			t.Fatalf("usage output missing %q:\n%s", name, stderr.String())
 		}
 	}
 }
@@ -122,15 +129,14 @@ func TestTCPLoopbackCluster(t *testing.T) {
 		i := i
 		outs[i] = &lockedBuffer{}
 		o := nodeOptions{
-			id:           i,
-			peers:        peers,
-			protocol:     "Orthrus",
-			seed:         42,
-			accounts:     64,
-			stats:        50 * time.Millisecond,
-			batchTimeout: 50 * time.Millisecond,
-			viewTimeout:  10 * time.Second,
-			listener:     listeners[i],
+			id:       i,
+			peers:    peers,
+			protocol: "Orthrus",
+			seed:     42,
+			accounts: 64,
+			stats:    50 * time.Millisecond,
+			params:   core.Params{BatchTimeout: 50 * time.Millisecond, ViewTimeout: 10 * time.Second},
+			listener: listeners[i],
 		}
 		if i == 0 {
 			o.load = 200 // one client in the cluster

@@ -57,7 +57,7 @@ func run(args []string, w, stderr io.Writer) error {
 	load := fs.Float64("load", 10000, "client load in tx/s")
 	duration := fs.Duration("duration", 15*time.Second, "submission window")
 	payments := fs.Float64("payments", 0.46, "payment transaction fraction (0 uses the paper default; negative means all-contract)")
-	batch := fs.Int("batch", 4096, "batch size (txs per block)")
+	batch := fs.Int("batch", 0, "batch size in txs per block (0 = engine default)")
 	analytic := fs.Bool("analytic", false, "use the analytic quorum-time SB (fault-free only)")
 	kernel := fs.String("kernel", "serial", "discrete-event kernel: serial or parallel (parallel needs -nic=false)")
 	workers := fs.Int("workers", 0, "parallel-kernel worker pool size (0 = GOMAXPROCS)")
@@ -71,25 +71,14 @@ func run(args []string, w, stderr io.Writer) error {
 		return errAlreadyReported
 	}
 
-	// Pre-check the flags the SDK would reject, so errors speak in terms
-	// of what the user typed rather than Go options or internal packages.
-	if _, err := orthrus.LookupProtocol(*protocol); err != nil {
-		return fmt.Errorf("unknown protocol %q (want one of: %s)", *protocol, strings.Join(orthrus.ProtocolNames(), ", "))
-	}
+	// Pre-check what only the flags can get wrong; unknown protocols and
+	// combinations of valid flags are the SDK's to reject (Config.Validate
+	// names the field and lists the registered protocols).
 	if *scn != "" && *scnFile != "" {
 		return fmt.Errorf("-scenario and -scenario-file are mutually exclusive")
 	}
-	if (*scn != "" || *scnFile != "") && *analytic {
-		return fmt.Errorf("scenarios require message-level PBFT; drop -analytic")
-	}
 	if *kernel != "serial" && *kernel != "parallel" {
 		return fmt.Errorf("unknown kernel %q (want serial or parallel)", *kernel)
-	}
-	if *kernel == "parallel" && *nic {
-		return fmt.Errorf("the parallel kernel does not model the shared NIC; add -nic=false")
-	}
-	if *kernel == "parallel" && *analytic {
-		return fmt.Errorf("the parallel kernel requires message-level PBFT; drop -analytic")
 	}
 	net := orthrus.WAN
 	if *netName == "lan" {

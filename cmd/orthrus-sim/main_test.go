@@ -73,3 +73,29 @@ func TestRunScenarioFile(t *testing.T) {
 		t.Fatal("expected missing scenario file to error")
 	}
 }
+
+// TestRunRejectsFlagCombinations pins that combinations of individually
+// valid flags are rejected by the SDK's Validate, before anything runs
+// (nothing reaches stdout), under the name of the offending Config field.
+func TestRunRejectsFlagCombinations(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"scenario with analytic", []string{"-n", "4", "-scenario", "partition-heal", "-analytic"}, "invalid Scenario"},
+		{"parallel kernel with nic", []string{"-n", "4", "-kernel", "parallel"}, "invalid Kernel"},
+		{"parallel kernel with analytic", []string{"-n", "4", "-kernel", "parallel", "-nic=false", "-analytic"}, "invalid Kernel"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var out, errOut bytes.Buffer
+			err := run(c.args, &out, &errOut)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("run(%v) = %v, want an error containing %q", c.args, err, c.want)
+			}
+			if out.Len() != 0 {
+				t.Fatalf("rejected run wrote a summary: %q", out.String())
+			}
+		})
+	}
+}

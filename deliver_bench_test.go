@@ -68,7 +68,7 @@ func newDeliverHarness() *deliverHarness {
 		h.payers[b] = append(h.payers[b], k)
 	}
 	h.r = core.NewReplica(core.Config{
-		N: 4, F: 1, ID: 0, M: deliverM, Mode: core.OrthrusMode(), EpochLen: deliverEpochLen,
+		N: 4, F: 1, ID: 0, M: deliverM, Mode: core.OrthrusMode(), Params: core.Params{EpochLen: deliverEpochLen},
 		Genesis: func(st *ledger.Store) {
 			for _, k := range h.names {
 				st.Credit(k, 1<<40)

@@ -9,6 +9,11 @@
 // what only a simulation can do: stragglers, faults, scenarios. RunReal
 // (real.go) executes the same replicas on transport.Proc's goroutines
 // under wall-clock time.
+//
+// Config describes a run. The engine knobs are the embedded core.Params,
+// resolved once per run by withDefaults; SimOnly and Conflicts are the
+// harness's rules over the rest, in the shape (core.Violations) the public
+// SDK's Validate reports.
 package cluster
 
 import (
@@ -78,24 +83,12 @@ type Config struct {
 	Warmup   time.Duration // excluded from throughput accounting
 	Drain    time.Duration // extra time for in-flight txs to confirm
 
-	BatchSize    int
-	BatchTimeout time.Duration
-	Window       int
-	EpochLen     uint64
-	ViewTimeout  time.Duration
-	TxSize       int
-	// CensorshipBlocks is the per-bucket censorship detector's patience in
-	// delivered blocks (Sec. V-B); 0 selects the replica default of 64.
-	// Lower it when a scenario censors leaders so detection fits the run.
-	CensorshipBlocks uint64
-
-	// StateTransfer enables checkpoint-anchored catch-up (core.Config.
-	// StateTransfer): replicas archive delivered blocks up to the stable
-	// checkpoint floor and a recovering replica refills its log gap from
-	// 2f+1 peers instead of waiting for view-change no-ops. Scenario crash/
-	// recover churn over long horizons wants this on; the default off keeps
-	// the pre-existing recovery behavior.
-	StateTransfer bool
+	// Params are the engine knobs, the same on every replica (batching,
+	// pipeline window, epoch length, timeouts, transaction size, censorship
+	// patience, state transfer). Lower CensorshipBlocks when a scenario
+	// censors leaders so detection fits the run; scenario crash/recover churn
+	// over long horizons wants StateTransfer on.
+	core.Params
 
 	// SampleLiveSet, when positive, schedules a cluster-wide retained-state
 	// census every interval of virtual time: the sum of every replica's
@@ -186,10 +179,11 @@ func (k Kernel) String() string {
 	return "serial"
 }
 
-// withDefaults fills the knobs the harness itself reads; zero replica
-// tuning knobs (batching, epoch length, timeouts) reach core.NewReplica as
-// zero and take its defaults there.
+// withDefaults resolves the run's knobs once: the harness's own, and the
+// engine Params that the simulated client hop, the analytic SB and every
+// replica then read the same values of.
 func (c Config) withDefaults() Config {
+	c.Params = c.Params.WithDefaults()
 	if c.StragglerFactor <= 0 {
 		c.StragglerFactor = 10
 	}
@@ -202,70 +196,52 @@ func (c Config) withDefaults() Config {
 	if c.Drain <= 0 {
 		c.Drain = 2 * c.Duration
 	}
-	if c.TxSize <= 0 {
-		c.TxSize = 500
-	}
 	if c.LoadTPS <= 0 {
 		c.LoadTPS = 1000
 	}
 	return c
 }
 
-// SimOnly lists, one reason each, the knobs set on c that only the
-// simulator implements: they mutate the simulated network or replica
-// lifecycles, or select a simulation engine. RunReal panics on the first;
-// the public SDK's Validate reports them all as typed errors.
-func (c Config) SimOnly() []string {
-	var why []string
-	add := func(set bool, reason string) {
-		if set {
-			why = append(why, reason)
-		}
-	}
-	add(c.AnalyticSB, "the real transport runs message-level PBFT only; disable AnalyticSB")
-	add(c.Scenario != nil, "scenarios mutate the simulated network; the real transport does not support them")
-	add(c.NIC, "the NIC bandwidth model is simulation-only; the real transport measures real links")
-	add(c.Stragglers > 0, "stragglers are simulation-only; the real transport cannot slow real replicas")
-	add(c.DetectableFaults > 0 || c.UndetectableFaults > 0, "fault injection is simulation-only; the real transport does not support it")
-	add(c.Kernel == KernelParallel, "the parallel kernel executes simulations; the real transport is already concurrent")
-	add(c.SampleLiveSet > 0, "live-set sampling walks every replica from a simulator event; the real transport does not support it")
-	return why
+// SimOnly lists the knobs set on c that only the simulator implements: they
+// mutate the simulated network or replica lifecycles, or select a
+// simulation engine. RunReal panics on the first; the public SDK's Validate
+// reports them all as typed errors against the Transport field.
+func (c Config) SimOnly() (out core.Violations) {
+	const field = "Transport"
+	out.Add(c.AnalyticSB, field, "the real transport runs message-level PBFT only; disable AnalyticSB")
+	out.Add(c.Scenario != nil, field, "scenarios mutate the simulated network; the real transport does not support them")
+	out.Add(c.NIC, field, "the NIC bandwidth model is simulation-only; the real transport measures real links")
+	out.Add(c.Stragglers > 0, field, "stragglers are simulation-only; the real transport cannot slow real replicas")
+	out.Add(c.DetectableFaults > 0 || c.UndetectableFaults > 0, field, "fault injection is simulation-only; the real transport does not support it")
+	out.Add(c.Kernel == KernelParallel, field, "the parallel kernel executes simulations; the real transport is already concurrent")
+	out.Add(c.SampleLiveSet > 0, field, "live-set sampling walks every replica from a simulator event; the real transport does not support it")
+	return out
 }
-
-// Conflict is one cross-knob rule a Config breaks: the knob the public SDK
-// reports it under, and why.
-type Conflict struct{ Field, Reason string }
 
 // Conflicts lists the combinations of knobs on c that the simulator cannot
 // run: what the analytic SB model, the parallel kernel and the live-set
 // census each exclude. Run panics on the first; the public SDK's Validate
-// reports them all as typed errors.
-func (c Config) Conflicts() []Conflict {
-	var out []Conflict
-	add := func(broken bool, field, format string, args ...any) {
-		if broken {
-			out = append(out, Conflict{field, fmt.Sprintf(format, args...)})
-		}
-	}
-	add(c.AnalyticSB && (c.DetectableFaults > 0 || c.UndetectableFaults > 0),
+// reports them all as typed errors, each under the field named here.
+func (c Config) Conflicts() (out core.Violations) {
+	out.Add(c.AnalyticSB && (c.DetectableFaults > 0 || c.UndetectableFaults > 0),
 		"AnalyticSB", "the analytic model does not support fault injection; use message-level PBFT")
-	add(c.AnalyticSB && c.Scenario != nil,
+	out.Add(c.AnalyticSB && c.Scenario != nil,
 		"Scenario", "scenarios require message-level PBFT; disable AnalyticSB")
 	if c.Kernel != KernelParallel {
 		return out
 	}
-	add(c.AnalyticSB, "Kernel", "the parallel kernel requires message-level PBFT; disable AnalyticSB")
-	add(c.NIC, "Kernel", "the parallel kernel does not model the shared NIC; disable NIC")
+	out.Add(c.AnalyticSB, "Kernel", "the parallel kernel requires message-level PBFT; disable AnalyticSB")
+	out.Add(c.NIC, "Kernel", "the parallel kernel does not model the shared NIC; disable NIC")
 	// Its lookahead assumes no link runs faster than its base delay.
-	add(c.StragglerFactor > 0 && c.StragglerFactor < 1,
+	out.Add(c.StragglerFactor > 0 && c.StragglerFactor < 1,
 		"Kernel", "straggler factor %g < 1 speeds links up; the parallel kernel's lookahead forbids it", c.StragglerFactor)
 	if c.Scenario != nil {
 		for i, e := range c.Scenario.Events {
-			add(e.Kind == scenario.Straggle && e.Scale < 1,
+			out.Add(e.Kind == scenario.Straggle && e.Scale < 1,
 				"Kernel", "scenario event %d straggles with scale %g < 1; the parallel kernel's lookahead forbids link speed-ups", i, e.Scale)
 		}
 	}
-	add(c.SampleLiveSet > 0,
+	out.Add(c.SampleLiveSet > 0,
 		"SampleLiveSet", "live-set sampling walks every replica from one bookkeeping event; use the serial kernel")
 	return out
 }

@@ -13,19 +13,21 @@ import (
 
 func smallCfg(mode core.Mode) Config {
 	return Config{
-		N:            4,
-		Protocol:     mode,
-		Net:          LAN,
-		Workload:     workload.Config{Accounts: 200, Seed: 1},
-		LoadTPS:      400,
-		Duration:     4 * time.Second,
-		Warmup:       1 * time.Second,
-		Drain:        6 * time.Second,
-		BatchSize:    64,
-		BatchTimeout: 50 * time.Millisecond,
-		EpochLen:     16,
-		ViewTimeout:  2 * time.Second,
-		Seed:         7,
+		N:        4,
+		Protocol: mode,
+		Net:      LAN,
+		Workload: workload.Config{Accounts: 200, Seed: 1},
+		LoadTPS:  400,
+		Duration: 4 * time.Second,
+		Warmup:   1 * time.Second,
+		Drain:    6 * time.Second,
+		Params: core.Params{
+			BatchSize:    64,
+			BatchTimeout: 50 * time.Millisecond,
+			EpochLen:     16,
+			ViewTimeout:  2 * time.Second,
+		},
+		Seed: 7,
 	}
 }
 
@@ -70,6 +72,32 @@ func TestRunAnalyticSBSmall(t *testing.T) {
 	res := Run(cfg)
 	if res.Confirmed == 0 {
 		t.Fatal("analytic SB run confirmed nothing")
+	}
+}
+
+// TestParamsResolveOnceForBothSBs pins that the harness resolves the engine
+// Params once for everything that reads them: neither pbft.New nor
+// sb.NewInstance defaults anything itself (an unresolved Window would stall
+// every proposal), so on both SB paths a run with zero Params must measure
+// exactly what a run with the defaults spelled out measures, and a
+// non-default TxSize must reach both.
+func TestParamsResolveOnceForBothSBs(t *testing.T) {
+	for _, analytic := range []bool{false, true} {
+		cfg := smallCfg(core.OrthrusMode())
+		cfg.AnalyticSB, cfg.Duration = analytic, 2*time.Second
+		cfg.Params = core.Params{}
+		zero := Run(cfg)
+		cfg.Params = core.Params{}.WithDefaults()
+		explicit := Run(cfg)
+		if zero.Confirmed == 0 || zero.String() != explicit.String() ||
+			zero.Events != explicit.Events || zero.Messages != explicit.Messages {
+			t.Errorf("analytic=%v: zero Params and explicit defaults diverge:\n%s (%d events, %d msgs)\n%s (%d events, %d msgs)",
+				analytic, zero, zero.Events, zero.Messages, explicit, explicit.Events, explicit.Messages)
+		}
+		cfg.TxSize *= 20
+		if big := Run(cfg); big.Latency.Mean() <= explicit.Latency.Mean() {
+			t.Errorf("analytic=%v: 20x TxSize did not raise latency: %v vs %v", analytic, big.Latency.Mean(), explicit.Latency.Mean())
+		}
 	}
 }
 

@@ -82,19 +82,7 @@ func newCollector(cfg Config, kernel string, replyHop func(replica, home int) ti
 // core.Config; hooks are attached by collector.replicas.
 func replicaConfig(cfg Config, id int, genesis func(*ledger.Store)) core.Config {
 	n := cfg.N
-	ccfg := core.Config{
-		N: n, F: (n - 1) / 3, ID: id, M: n,
-		Mode:             cfg.Protocol,
-		BatchSize:        cfg.BatchSize,
-		BatchTimeout:     cfg.BatchTimeout,
-		Window:           cfg.Window,
-		ViewTimeout:      cfg.ViewTimeout,
-		TxSize:           cfg.TxSize,
-		EpochLen:         cfg.EpochLen,
-		StateTransfer:    cfg.StateTransfer,
-		CensorshipBlocks: cfg.CensorshipBlocks,
-		Genesis:          genesis,
-	}
+	ccfg := core.NewConfig(n, id, cfg.Protocol, cfg.Params, genesis)
 	// Straggled instances are led by the highest-index replicas.
 	if cfg.Stragglers > 0 && id >= n-cfg.Stragglers {
 		ccfg.PulseScale = cfg.StragglerFactor

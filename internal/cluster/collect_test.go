@@ -12,11 +12,13 @@ import (
 
 // TestReplicaConfigSameOnEveryBackend pins the one cluster.Config ->
 // core.Config assembly: whichever backend's collector builds the cluster,
-// every replica-facing knob reaches every replica (ID and hooks aside). The real backend used to assemble its own copy, which
-// dropped StateTransfer.
+// every replica-facing knob reaches every replica (ID and hooks aside), and
+// orthrus-node, handed the same Params, builds the same configuration
+// through the constructor it shares with the harness (core.NewConfig). The
+// real backend used to assemble its own copy, which dropped StateTransfer.
 func TestReplicaConfigSameOnEveryBackend(t *testing.T) {
 	const n = 7
-	defaults := core.Config{N: n, F: 2, M: n, TxSize: 500} // zero knobs take core.NewReplica's defaults
+	defaults := core.Config{N: n, F: 2, M: n, Params: core.Params{}.WithDefaults()}
 	rows := []struct {
 		name string
 		set  func(c *Config)
@@ -55,6 +57,9 @@ func TestReplicaConfigSameOnEveryBackend(t *testing.T) {
 				row.want(&want)
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s/%s: replica %d config\n got %+v\nwant %+v", row.name, kernel, i, got, want)
+				}
+				if daemon := core.NewConfig(n, i, core.Mode{}, cfg.Params, nil); !reflect.DeepEqual(daemon, want) {
+					t.Errorf("%s: orthrus-node replica %d config\n got %+v\nwant %+v", row.name, i, daemon, want)
 				}
 				return nil
 			})

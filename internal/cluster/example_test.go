@@ -15,17 +15,17 @@ import (
 // exactly reproducible.
 func ExampleRun() {
 	res := cluster.Run(cluster.Config{
-		N:         4,
-		Protocol:  core.OrthrusMode(),
-		Net:       cluster.LAN,
-		Workload:  workload.Config{Accounts: 200, Seed: 7},
-		LoadTPS:   400,
-		Duration:  2 * time.Second,
-		Warmup:    400 * time.Millisecond,
-		Drain:     4 * time.Second,
-		BatchSize: 64,
-		NIC:       true,
-		Seed:      7,
+		N:        4,
+		Protocol: core.OrthrusMode(),
+		Net:      cluster.LAN,
+		Workload: workload.Config{Accounts: 200, Seed: 7},
+		LoadTPS:  400,
+		Duration: 2 * time.Second,
+		Warmup:   400 * time.Millisecond,
+		Drain:    4 * time.Second,
+		Params:   core.Params{BatchSize: 64},
+		NIC:      true,
+		Seed:     7,
 	})
 	fmt.Println("protocol:", res.Protocol)
 	fmt.Println("confirmed some transactions:", res.Confirmed > 0)

@@ -108,19 +108,21 @@ func diffResults(t *testing.T, label string, serial, parallel *Result, so, po *o
 // boundaries constantly, short enough for the CI budget.
 func diffCfg(net NetProfile, seed int64) Config {
 	return Config{
-		N:            8,
-		Protocol:     core.OrthrusMode(),
-		Net:          net,
-		Workload:     workload.Config{Accounts: 150, Seed: seed},
-		LoadTPS:      300,
-		Duration:     2 * time.Second,
-		Warmup:       500 * time.Millisecond,
-		Drain:        3 * time.Second,
-		BatchSize:    32,
-		BatchTimeout: 40 * time.Millisecond,
-		EpochLen:     16,
-		ViewTimeout:  2 * time.Second,
-		Seed:         seed,
+		N:        8,
+		Protocol: core.OrthrusMode(),
+		Net:      net,
+		Workload: workload.Config{Accounts: 150, Seed: seed},
+		LoadTPS:  300,
+		Duration: 2 * time.Second,
+		Warmup:   500 * time.Millisecond,
+		Drain:    3 * time.Second,
+		Params: core.Params{
+			BatchSize:    32,
+			BatchTimeout: 40 * time.Millisecond,
+			EpochLen:     16,
+			ViewTimeout:  2 * time.Second,
+		},
+		Seed: seed,
 	}
 }
 

@@ -34,8 +34,8 @@ const KernelReal = "real"
 // with a friendly error first.
 func RunReal(cfg Config) *Result {
 	cfg = cfg.withDefaults()
-	if why := cfg.SimOnly(); len(why) > 0 {
-		panic("cluster: " + why[0])
+	if bad := cfg.SimOnly(); len(bad) > 0 {
+		panic("cluster: " + bad[0].Reason)
 	}
 	n := cfg.N
 	proc := transport.NewProc(n)

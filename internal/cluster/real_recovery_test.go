@@ -49,7 +49,7 @@ func TestProcCrashRecoverCatchUp(t *testing.T) {
 		logs[i] = map[slot]types.BlockID{}
 		counts[i] = map[slot]int{}
 		ccfg := replicaConfig(Config{
-			N: n, Protocol: core.OrthrusMode(), EpochLen: 4, StateTransfer: true,
+			N: n, Protocol: core.OrthrusMode(), Params: core.Params{EpochLen: 4, StateTransfer: true},
 		}.withDefaults(), i, genesis)
 		ccfg.OnBlockDeliver = func(instance int, b *types.Block) {
 			mu.Lock()

@@ -206,7 +206,7 @@ func TestRunRealSmoke(t *testing.T) {
 		Duration:     1200 * time.Millisecond,
 		Warmup:       400 * time.Millisecond,
 		Drain:        8 * time.Second,
-		BatchTimeout: 50 * time.Millisecond,
+		Params:       core.Params{BatchTimeout: 50 * time.Millisecond},
 		Workload:     workload.Config{Accounts: 64, PaymentFraction: 1, Seed: 3},
 		CaptureState: true,
 	})

@@ -14,21 +14,23 @@ import (
 // short window, so a 100-replica cluster run stays test-sized.
 func scaleCfg(mode core.Mode, n int) Config {
 	return Config{
-		N:            n,
-		Protocol:     mode,
-		Net:          WAN,
-		Workload:     workload.Config{Accounts: 500, Seed: 3},
-		LoadTPS:      300,
-		TotalTxs:     150,
-		Duration:     3 * time.Second,
-		Warmup:       500 * time.Millisecond,
-		Drain:        6 * time.Second,
-		BatchSize:    256,
-		BatchTimeout: 100 * time.Millisecond,
-		EpochLen:     64,
-		ViewTimeout:  10 * time.Second,
-		AnalyticSB:   true,
-		Seed:         11,
+		N:        n,
+		Protocol: mode,
+		Net:      WAN,
+		Workload: workload.Config{Accounts: 500, Seed: 3},
+		LoadTPS:  300,
+		TotalTxs: 150,
+		Duration: 3 * time.Second,
+		Warmup:   500 * time.Millisecond,
+		Drain:    6 * time.Second,
+		Params: core.Params{
+			BatchSize:    256,
+			BatchTimeout: 100 * time.Millisecond,
+			EpochLen:     64,
+			ViewTimeout:  10 * time.Second,
+		},
+		AnalyticSB: true,
+		Seed:       11,
 	}
 }
 

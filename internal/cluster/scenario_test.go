@@ -13,19 +13,21 @@ import (
 // message-level PBFT, short view timeout so fault recovery fits the run.
 func scenarioBase(n int, scn *scenario.Scenario) Config {
 	return Config{
-		N:           n,
-		Protocol:    core.OrthrusMode(),
-		Net:         LAN,
-		Scenario:    scn,
-		Workload:    workload.Config{Accounts: 500, Seed: 42},
-		LoadTPS:     400,
-		Duration:    6 * time.Second,
-		Warmup:      500 * time.Millisecond,
-		Drain:       6 * time.Second,
-		BatchSize:   64,
-		ViewTimeout: 1 * time.Second,
-		NIC:         true,
-		Seed:        42,
+		N:        n,
+		Protocol: core.OrthrusMode(),
+		Net:      LAN,
+		Scenario: scn,
+		Workload: workload.Config{Accounts: 500, Seed: 42},
+		LoadTPS:  400,
+		Duration: 6 * time.Second,
+		Warmup:   500 * time.Millisecond,
+		Drain:    6 * time.Second,
+		Params: core.Params{
+			BatchSize:   64,
+			ViewTimeout: 1 * time.Second,
+		},
+		NIC:  true,
+		Seed: 42,
 	}
 }
 

@@ -30,12 +30,14 @@ func newTestCluster(t *testing.T, n int, mode core.Mode, genesis func(*ledger.St
 		c.results[i] = make(map[types.TxID]bool)
 		cfg := core.Config{
 			N: n, F: (n - 1) / 3, ID: i, M: n,
-			Mode:         mode,
-			BatchSize:    8,
-			BatchTimeout: 30 * time.Millisecond,
-			ViewTimeout:  2 * time.Second,
-			EpochLen:     8,
-			Genesis:      genesis,
+			Mode: mode,
+			Params: core.Params{
+				BatchSize:    8,
+				BatchTimeout: 30 * time.Millisecond,
+				ViewTimeout:  2 * time.Second,
+				EpochLen:     8,
+			},
+			Genesis: genesis,
 			OnConfirm: func(tx *types.Transaction, success bool, _ core.StageTrace) {
 				if _, dup := c.results[i][tx.ID()]; dup {
 					t.Errorf("replica %d confirmed tx %s twice", i, tx.ID())

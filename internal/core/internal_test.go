@@ -26,9 +26,11 @@ func newBareReplicaM(t *testing.T, mode Mode, m int) *Replica {
 	nw := simnet.NewNetwork(sim, 4, simnet.FixedModel{D: time.Millisecond})
 	cfg := Config{
 		N: 4, F: 1, ID: 0, M: m,
-		Mode:         mode,
-		BatchSize:    8,
-		BatchTimeout: 10 * time.Millisecond,
+		Mode: mode,
+		Params: Params{
+			BatchSize:    8,
+			BatchTimeout: 10 * time.Millisecond,
+		},
 		Genesis: func(st *ledger.Store) {
 			st.Credit("alice", 100)
 			st.Credit("bob", 50)
@@ -138,7 +140,7 @@ func TestEpochDigestMatchesAcrossReplicas(t *testing.T) {
 	mk := func() *Replica {
 		sim := simnet.New(1)
 		nw := simnet.NewNetwork(sim, 4, simnet.FixedModel{D: time.Millisecond})
-		cfg := Config{N: 4, F: 1, ID: 0, M: 4, Mode: OrthrusMode(), EpochLen: 1}
+		cfg := Config{N: 4, F: 1, ID: 0, M: 4, Mode: OrthrusMode(), Params: Params{EpochLen: 1}}
 		return NewReplica(cfg, simnet.On(sim, cfg.ID), nw)
 	}
 	a, b := mk(), mk()
@@ -178,8 +180,8 @@ func epochReplica(t *testing.T, stateTransfer bool) *Replica {
 	t.Helper()
 	sim := simnet.New(1)
 	nw := simnet.NewNetwork(sim, 4, simnet.FixedModel{D: time.Millisecond})
-	cfg := Config{N: 4, F: 1, ID: 0, M: 4, Mode: OrthrusMode(), EpochLen: 1,
-		StateTransfer: stateTransfer}
+	cfg := Config{N: 4, F: 1, ID: 0, M: 4, Mode: OrthrusMode(),
+		Params: Params{EpochLen: 1, StateTransfer: stateTransfer}}
 	return NewReplica(cfg, simnet.On(sim, cfg.ID), nw)
 }
 
@@ -315,7 +317,7 @@ func TestByzantinePulseInterval(t *testing.T) {
 	sim := simnet.New(1)
 	nw := simnet.NewNetwork(sim, 4, simnet.FixedModel{D: time.Millisecond})
 	cfg := Config{N: 4, F: 1, ID: 2, M: 4, Mode: OrthrusMode(),
-		BatchTimeout: 10 * time.Millisecond, ViewTimeout: time.Second,
+		Params:        Params{BatchTimeout: 10 * time.Millisecond, ViewTimeout: time.Second},
 		ByzantineMute: true}
 	r := NewReplica(cfg, simnet.On(sim, cfg.ID), nw)
 	r.Start()

@@ -12,6 +12,10 @@
 // whether multi-payer transactions are split across instances, and how the
 // system reacts to leader failure. Package baseline provides the modes for
 // ISS, Mir-BFT, RCC, DQBFT and Ladon.
+//
+// Params (params.go) declares the engine knobs every replica must agree
+// on, with their only defaults and range check; Config embeds it beside
+// what is per replica.
 package core
 
 import (

@@ -1,0 +1,101 @@
+package core
+
+import (
+	"fmt"
+	"time"
+
+	"repro/internal/ledger"
+)
+
+// Params are the engine knobs every replica of a cluster must run with the
+// same values. This is their one declaration below the public SDK: Config
+// and the harness's cluster.Config embed it, the daemon binds its flags to
+// it, and WithDefaults and Check are the only default values and range
+// rules. A zero field means "the default".
+type Params struct {
+	BatchSize    int           // max transactions per block
+	BatchTimeout time.Duration // proposal pulse interval
+	Window       int           // pipelined proposals per instance
+	EpochLen     uint64        // blocks per instance per epoch
+	ViewTimeout  time.Duration // PBFT view-change timeout
+	TxSize       int           // modeled transaction wire size in bytes
+
+	// CensorshipBlocks is the censorship detector's patience: if the
+	// oldest feasible transaction in a bucket stays unproposed while this
+	// many blocks deliver, the replica complains and votes to replace the
+	// instance's leader (Sec. V-B).
+	CensorshipBlocks uint64
+
+	// StateTransfer enables checkpoint-anchored catch-up: the replica
+	// archives delivered blocks back to the stable-checkpoint floor, answers
+	// peers' StateTransferReq broadcasts with a CheckpointCert plus the
+	// block runs the requester is missing, and on Recover (or on observing a
+	// checkpoint quorum it cannot match locally) requests the same from its
+	// peers. Off by default: without it Recover keeps the pre-existing
+	// contract (rejoin voting, leave the delivery gap).
+	StateTransfer bool
+}
+
+// WithDefaults returns p with every unset knob at its default: the paper's
+// evaluation parameters (Sec. VII-A: 4096-transaction batches, 500-byte
+// transactions, 10 s view-change timeout) and this implementation's choices
+// for the rest. It is idempotent.
+func (p Params) WithDefaults() Params {
+	if p.BatchSize <= 0 {
+		p.BatchSize = 4096
+	}
+	if p.BatchTimeout <= 0 {
+		p.BatchTimeout = 100 * time.Millisecond
+	}
+	if p.Window <= 0 {
+		p.Window = 4
+	}
+	if p.EpochLen == 0 {
+		p.EpochLen = 32
+	}
+	if p.ViewTimeout <= 0 {
+		p.ViewTimeout = 10 * time.Second
+	}
+	if p.TxSize <= 0 {
+		p.TxSize = 500
+	}
+	if p.CensorshipBlocks == 0 {
+		p.CensorshipBlocks = 64
+	}
+	return p
+}
+
+// Violation is one rule a configuration breaks: the field the public SDK
+// reports it under, and why.
+type Violation struct{ Field, Reason string }
+
+// Violations collects broken rules in the order they were checked; Params
+// and the harness's cluster.Config both report theirs in this shape.
+type Violations []Violation
+
+// Add records a violation of field when broken.
+func (v *Violations) Add(broken bool, field, format string, args ...any) {
+	if broken {
+		*v = append(*v, Violation{field, fmt.Sprintf(format, args...)})
+	}
+}
+
+// Check lists the fields of p no engine can run with. WithDefaults reads a
+// negative value as unset, so whoever takes Params from outside the program
+// (the SDK's Validate, the daemon's flags) rejects these first.
+func (p Params) Check() (out Violations) {
+	const reason = "must be non-negative, got %v"
+	out.Add(p.BatchSize < 0, "BatchSize", reason, p.BatchSize)
+	out.Add(p.BatchTimeout < 0, "BatchTimeout", reason, p.BatchTimeout)
+	out.Add(p.Window < 0, "Window", reason, p.Window)
+	out.Add(p.ViewTimeout < 0, "ViewTimeout", reason, p.ViewTimeout)
+	out.Add(p.TxSize < 0, "TxSize", reason, p.TxSize)
+	return out
+}
+
+// NewConfig is replica id's configuration in an n-replica cluster (m = n
+// instances, f = (n-1)/3) running mode with p resolved: what the harness
+// and the daemon both build before attaching their hooks.
+func NewConfig(n, id int, mode Mode, p Params, genesis func(*ledger.Store)) Config {
+	return Config{N: n, F: (n - 1) / 3, ID: id, M: n, Mode: mode, Params: p.WithDefaults(), Genesis: genesis}
+}

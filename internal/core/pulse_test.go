@@ -47,9 +47,9 @@ func TestPulseStaleWakeupAfterRecover(t *testing.T) {
 			sb := &countingSB{}
 			r := NewReplica(Config{
 				N: 1, F: 0, ID: 0, M: 1,
-				Mode:         Mode{Name: "stub", NewGlobal: func(m int) GlobalOrdering { return WorkerOrdering{Ord: nil} }},
-				BatchTimeout: 100 * time.Millisecond,
-				SB:           func(instance int, hooks SBHooks) SB { return sb },
+				Mode:   Mode{Name: "stub", NewGlobal: func(m int) GlobalOrdering { return WorkerOrdering{Ord: nil} }},
+				Params: Params{BatchTimeout: 100 * time.Millisecond},
+				SB:     func(instance int, hooks SBHooks) SB { return sb },
 			}, simnet.On(sim, 0), nw)
 			r.Start() // first pulse at t=100ms
 			sim.Run(simnet.Time(150 * time.Millisecond))

@@ -21,13 +21,9 @@ type Config struct {
 
 	Mode Mode
 
-	BatchSize    int           // max transactions per block (paper: 4096)
-	BatchTimeout time.Duration // proposal pulse interval
-	PulseScale   float64       // straggler: multiplies this replica's pulse
-	Window       int           // pipelined proposals per instance
-	ViewTimeout  time.Duration // PBFT view-change timeout (paper: 10 s)
-	TxSize       int           // modeled tx wire size (paper: 500 B)
-	EpochLen     uint64        // blocks per instance per epoch
+	// Params are the knobs that must be equal on every replica.
+	Params
+	PulseScale float64 // straggler: multiplies this replica's pulse
 
 	// ByzantineMute makes this replica vote only in the instance it leads
 	// (the undetectable fault of Sec. VII-E).
@@ -37,21 +33,6 @@ type Config struct {
 	// an instance, it silently skips transactions the predicate matches.
 	// Honest configurations leave it nil; SetCensorAll swaps it at runtime.
 	Censor func(tx *types.Transaction) bool
-
-	// CensorshipBlocks is the censorship detector's patience: if the
-	// oldest feasible transaction in a bucket stays unproposed while this
-	// many blocks deliver, the replica complains and votes to replace the
-	// instance's leader (Sec. V-B). 0 selects the default of 64.
-	CensorshipBlocks uint64
-
-	// StateTransfer enables checkpoint-anchored catch-up: the replica
-	// archives delivered blocks back to the stable-checkpoint floor, answers
-	// peers' StateTransferReq broadcasts with a CheckpointCert plus the
-	// block runs the requester is missing, and on Recover (or on observing a
-	// checkpoint quorum it cannot match locally) requests the same from its
-	// peers. Off by default: without it Recover keeps the pre-existing
-	// contract (rejoin voting, leave the delivery gap).
-	StateTransfer bool
 
 	// SB overrides the sequenced-broadcast implementation; nil selects
 	// message-level PBFT over the replica's Network.
@@ -263,29 +244,9 @@ func NewReplica(cfg Config, sim types.Clock, nw Network) *Replica {
 	if cfg.M <= 0 {
 		cfg.M = cfg.N
 	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 4096
-	}
-	if cfg.BatchTimeout <= 0 {
-		cfg.BatchTimeout = 100 * time.Millisecond
-	}
+	cfg.Params = cfg.Params.WithDefaults()
 	if cfg.PulseScale <= 0 {
 		cfg.PulseScale = 1
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 4
-	}
-	if cfg.ViewTimeout <= 0 {
-		cfg.ViewTimeout = 10 * time.Second
-	}
-	if cfg.TxSize <= 0 {
-		cfg.TxSize = 500
-	}
-	if cfg.EpochLen == 0 {
-		cfg.EpochLen = 32
-	}
-	if cfg.CensorshipBlocks == 0 {
-		cfg.CensorshipBlocks = 64
 	}
 	r := &Replica{
 		cfg:            cfg,

@@ -133,20 +133,22 @@ func runAttackPreset(t *testing.T, preset string, n int, net cluster.NetProfile,
 	}
 	delivered := map[blockSlot]map[int]types.BlockID{}
 	res := cluster.Run(cluster.Config{
-		N:                n,
-		Protocol:         core.OrthrusMode(),
-		Net:              net,
-		Scenario:         scn,
-		Workload:         workload.Config{Accounts: 500, Seed: seed},
-		LoadTPS:          300,
-		Duration:         dur,
-		Warmup:           500 * time.Millisecond,
-		Drain:            dur,
-		BatchSize:        64,
-		ViewTimeout:      time.Second,
-		CensorshipBlocks: 8,
-		NIC:              true,
-		Seed:             seed,
+		N:        n,
+		Protocol: core.OrthrusMode(),
+		Net:      net,
+		Scenario: scn,
+		Workload: workload.Config{Accounts: 500, Seed: seed},
+		LoadTPS:  300,
+		Duration: dur,
+		Warmup:   500 * time.Millisecond,
+		Drain:    dur,
+		Params: core.Params{
+			BatchSize:        64,
+			ViewTimeout:      time.Second,
+			CensorshipBlocks: 8,
+		},
+		NIC:  true,
+		Seed: seed,
 		OnBlockDeliver: func(replica, instance int, b *types.Block) {
 			slot := blockSlot{instance: instance, seq: b.SN}
 			if delivered[slot] == nil {
@@ -278,12 +280,14 @@ func newTestClusterSeed(t *testing.T, n int, mode core.Mode, genesis func(*ledge
 		c.results[i] = make(map[types.TxID]bool)
 		cfg := core.Config{
 			N: n, F: (n - 1) / 3, ID: i, M: n,
-			Mode:         mode,
-			BatchSize:    8,
-			BatchTimeout: 50 * time.Millisecond,
-			ViewTimeout:  5 * time.Second,
-			EpochLen:     16,
-			Genesis:      genesis,
+			Mode: mode,
+			Params: core.Params{
+				BatchSize:    8,
+				BatchTimeout: 50 * time.Millisecond,
+				ViewTimeout:  5 * time.Second,
+				EpochLen:     16,
+			},
+			Genesis: genesis,
 			OnConfirm: func(tx *types.Transaction, success bool, _ core.StageTrace) {
 				c.results[i][tx.ID()] = success
 			},

@@ -119,6 +119,7 @@ func (r *Replica) onStateTransferReq(m *StateTransferReq) {
 		blocks := append([]*types.Block(nil), r.archive[i][from-r.archiveBase[i]:]...)
 		resp.Runs = append(resp.Runs, BlockRun{Instance: i, Blocks: blocks})
 		for _, b := range blocks {
+			// 96: an archived block's header, not pbft's (equal) vote size.
 			size += 96 + len(b.Txs)*r.cfg.TxSize
 		}
 	}

@@ -40,13 +40,15 @@ func TestUnstampedSharedPointersAcrossShards(t *testing.T) {
 		results[i] = make(map[types.TxID]bool)
 		replicas[i] = core.NewReplica(core.Config{
 			N: n, F: 1, ID: i, M: n,
-			Mode:          core.OrthrusMode(),
-			BatchSize:     8,
-			BatchTimeout:  50 * time.Millisecond,
-			ViewTimeout:   2 * time.Second,
-			EpochLen:      4,
-			StateTransfer: true,
-			Genesis:       genesisRich(names...),
+			Mode: core.OrthrusMode(),
+			Params: core.Params{
+				BatchSize:     8,
+				BatchTimeout:  50 * time.Millisecond,
+				ViewTimeout:   2 * time.Second,
+				EpochLen:      4,
+				StateTransfer: true,
+			},
+			Genesis: genesisRich(names...),
 			OnConfirm: func(tx *types.Transaction, success bool, _ core.StageTrace) {
 				if _, dup := results[i][tx.ID()]; dup {
 					t.Errorf("replica %d confirmed tx %s twice", i, tx.ID())
@@ -170,7 +172,7 @@ func TestTableBoundedOverEpochs(t *testing.T) {
 	confirmed := 0
 	clock := &handClock{}
 	r := core.NewReplica(core.Config{
-		N: 4, F: 1, ID: 0, M: m, Mode: core.OrthrusMode(), EpochLen: epochLen,
+		N: 4, F: 1, ID: 0, M: m, Mode: core.OrthrusMode(), Params: core.Params{EpochLen: epochLen},
 		Genesis: genesisRich(names...),
 		SB: func(instance int, hooks core.SBHooks) core.SB {
 			sbs[instance] = &handSB{deliver: hooks.OnDeliver}

@@ -20,17 +20,17 @@ func tinyGrid() []runner.Job {
 	for _, n := range []int{4, 7} {
 		for _, mode := range []core.Mode{core.OrthrusMode(), baseline.ISSMode(), baseline.LadonMode()} {
 			jobs = append(jobs, runner.NewJob(cluster.Config{
-				N:         n,
-				Protocol:  mode,
-				Net:       cluster.LAN,
-				Workload:  workload.Config{Accounts: 500, Seed: 42},
-				LoadTPS:   500,
-				Duration:  1500 * time.Millisecond,
-				Warmup:    300 * time.Millisecond,
-				Drain:     3 * time.Second,
-				BatchSize: 64,
-				NIC:       true,
-				Seed:      42,
+				N:        n,
+				Protocol: mode,
+				Net:      cluster.LAN,
+				Workload: workload.Config{Accounts: 500, Seed: 42},
+				LoadTPS:  500,
+				Duration: 1500 * time.Millisecond,
+				Warmup:   300 * time.Millisecond,
+				Drain:    3 * time.Second,
+				Params:   core.Params{BatchSize: 64},
+				NIC:      true,
+				Seed:     42,
 			}))
 		}
 	}

@@ -72,21 +72,23 @@ func baseConfig(mode core.Mode, n int, net cluster.NetProfile, scale float64) cl
 		dur = 4 * time.Second
 	}
 	return cluster.Config{
-		N:            n,
-		Protocol:     mode,
-		Net:          net,
-		Workload:     workload.Config{Seed: 42},
-		LoadTPS:      loadFor(n, net, scale),
-		Duration:     dur,
-		Warmup:       dur / 5,
-		Drain:        2 * dur,
-		BatchSize:    4096,
-		BatchTimeout: 100 * time.Millisecond,
-		EpochLen:     256,
-		ViewTimeout:  10 * time.Second,
-		AnalyticSB:   n >= 32,
-		NIC:          n < 32,
-		Seed:         42,
+		N:        n,
+		Protocol: mode,
+		Net:      net,
+		Workload: workload.Config{Seed: 42},
+		LoadTPS:  loadFor(n, net, scale),
+		Duration: dur,
+		Warmup:   dur / 5,
+		Drain:    2 * dur,
+		Params: core.Params{
+			BatchSize:    4096,
+			BatchTimeout: 100 * time.Millisecond,
+			EpochLen:     256,
+			ViewTimeout:  10 * time.Second,
+		},
+		AnalyticSB: n >= 32,
+		NIC:        n < 32,
+		Seed:       42,
 	}
 }
 

@@ -75,18 +75,20 @@ func SoakConfig(scale float64) cluster.Config {
 		N:             n,
 		Protocol:      core.OrthrusMode(),
 		Net:           cluster.WAN,
-		StateTransfer: true,
 		SampleLiveSet: dur / 64,
 		LoadTPS:       100,
 		Duration:      dur,
 		Warmup:        dur / 10,
 		Drain:         60 * time.Second,
-		BatchSize:     4096,
-		BatchTimeout:  10 * time.Second,
-		EpochLen:      4,
-		ViewTimeout:   60 * time.Second,
-		Workload:      workload.Config{Seed: 42},
-		Seed:          42,
+		Params: core.Params{
+			BatchSize:     4096,
+			BatchTimeout:  10 * time.Second,
+			EpochLen:      4,
+			ViewTimeout:   60 * time.Second,
+			StateTransfer: true,
+		},
+		Workload: workload.Config{Seed: 42},
+		Seed:     42,
 	}
 	scn, err := scenario.Preset(scenario.SoakChurn, cfg.N, cfg.Duration, cfg.Seed)
 	if err != nil {

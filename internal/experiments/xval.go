@@ -43,19 +43,21 @@ func xvalConfig(mode core.Mode, n int, scale float64) cluster.Config {
 		dur = 800 * time.Millisecond
 	}
 	return cluster.Config{
-		N:            n,
-		Protocol:     mode,
-		Net:          cluster.LAN,
-		LoadTPS:      100 + 900*scale,
-		Duration:     dur,
-		Warmup:       dur / 4,
-		Drain:        2 * dur,
-		BatchSize:    4096,
-		BatchTimeout: 50 * time.Millisecond,
-		EpochLen:     256,
-		ViewTimeout:  10 * time.Second,
-		Workload:     workload.Config{Seed: 42},
-		Seed:         42,
+		N:        n,
+		Protocol: mode,
+		Net:      cluster.LAN,
+		LoadTPS:  100 + 900*scale,
+		Duration: dur,
+		Warmup:   dur / 4,
+		Drain:    2 * dur,
+		Params: core.Params{
+			BatchSize:    4096,
+			BatchTimeout: 50 * time.Millisecond,
+			EpochLen:     256,
+			ViewTimeout:  10 * time.Second,
+		},
+		Workload: workload.Config{Seed: 42},
+		Seed:     42,
 	}
 }
 

@@ -23,7 +23,7 @@ func vcVoteCount(e *Engine) int {
 // or below the installed one, which far-future spam never reaches).
 func TestVcVotesBoundedUnderViewSpam(t *testing.T) {
 	sim := simnet.New(1)
-	e := New(Config{N: 4, F: 1, ID: 1, Instance: 0}, &recordingTransport{}, simnet.On(sim, 1))
+	e := newEngine(Config{N: 4, F: 1, ID: 1, Instance: 0}, &recordingTransport{}, simnet.On(sim, 1))
 	for v := uint64(2); v < 2000; v += 2 {
 		e.Handle(3, &ViewChange{Instance: 0, NewView: v, Replica: 3})
 	}
@@ -53,7 +53,7 @@ func TestVcVotesBoundedUnderViewSpam(t *testing.T) {
 // pending one, and a lower or repeated vote is ignored.
 func TestVcVoteReplacementKeepsHighest(t *testing.T) {
 	sim := simnet.New(1)
-	e := New(Config{N: 4, F: 1, ID: 1, Instance: 0}, &recordingTransport{}, simnet.On(sim, 1))
+	e := newEngine(Config{N: 4, F: 1, ID: 1, Instance: 0}, &recordingTransport{}, simnet.On(sim, 1))
 	e.Handle(3, &ViewChange{Instance: 0, NewView: 4, Replica: 3})
 	e.Handle(3, &ViewChange{Instance: 0, NewView: 8, Replica: 3})
 	if _, ok := e.vcVotes[4]; ok {
@@ -103,7 +103,7 @@ func TestNewViewRetainedBlocksCoverLaggards(t *testing.T) {
 	sim := simnet.New(1)
 	tr := &recordingTransport{}
 	var delivered []*types.Block
-	e := New(Config{N: 4, F: 1, ID: 1, Instance: 0,
+	e := newEngine(Config{N: 4, F: 1, ID: 1, Instance: 0,
 		OnDeliver: func(b *types.Block) { delivered = append(delivered, b) }}, tr, simnet.On(sim, 1))
 
 	// The future leader of view 1 delivers seqs 0..2 in view 0.
@@ -150,7 +150,7 @@ func TestNewViewRetainedBlocksCoverLaggards(t *testing.T) {
 func TestNewViewSkipsUnprovableSeqs(t *testing.T) {
 	sim := simnet.New(1)
 	tr := &recordingTransport{}
-	e := New(Config{N: 4, F: 1, ID: 1, Instance: 0}, tr, simnet.On(sim, 1))
+	e := newEngine(Config{N: 4, F: 1, ID: 1, Instance: 0}, tr, simnet.On(sim, 1))
 
 	// This leader delivered nothing; replica 0 claims a delivered prefix of
 	// 2 and replica 3 holds a prepared certificate at seq 3.
@@ -191,7 +191,7 @@ func TestNewViewSkipsUnprovableSeqs(t *testing.T) {
 func TestNewViewReplayBelowNextDeliverDropped(t *testing.T) {
 	sim := simnet.New(1)
 	var delivered []*types.Block
-	e := New(Config{N: 4, F: 1, ID: 1, Instance: 0,
+	e := newEngine(Config{N: 4, F: 1, ID: 1, Instance: 0,
 		OnDeliver: func(b *types.Block) { delivered = append(delivered, b) }}, &recordingTransport{}, simnet.On(sim, 1))
 	driveDeliver(t, e, 0, 0, 1, 2)
 

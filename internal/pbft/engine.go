@@ -17,6 +17,8 @@ type Transport interface {
 }
 
 // Config parameterizes one PBFT engine (one SB instance at one replica).
+// Window, Timeout and TxSize arrive resolved (core.Params.WithDefaults): New
+// applies no defaults to them.
 type Config struct {
 	N        int // number of replicas
 	F        int // fault threshold, N >= 3F+1
@@ -28,7 +30,7 @@ type Config struct {
 	// Timeout is the base progress timeout before a view change; it doubles
 	// for consecutive unsuccessful view changes.
 	Timeout time.Duration
-	// TxSize is the modeled per-transaction wire size (paper: 500 bytes).
+	// TxSize is the modeled per-transaction wire size in bytes.
 	TxSize int
 	// MakeNoop builds a no-op filler block for a sequence number the new
 	// leader must decide without a prepared certificate (ISS-style).
@@ -293,15 +295,6 @@ type retainedEntry struct {
 // New creates an engine. The transport must deliver broadcast messages back
 // to the sender (self-delivery), which simnet.Network does.
 func New(cfg Config, tr Transport, sim types.Clock) *Engine {
-	if cfg.Window <= 0 {
-		cfg.Window = 4
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 10 * time.Second
-	}
-	if cfg.TxSize <= 0 {
-		cfg.TxSize = 500
-	}
 	if cfg.MakeNoop == nil {
 		inst := cfg.Instance
 		cfg.MakeNoop = func(sn uint64) *types.Block {

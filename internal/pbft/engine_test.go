@@ -25,6 +25,22 @@ type netTransport struct {
 func (t *netTransport) Broadcast(size int, msg Message) { t.nw.Broadcast(t.id, size, msg) }
 func (t *netTransport) Send(to, size int, msg Message)  { t.nw.Send(t.id, to, size, msg) }
 
+// newEngine is New for tests that leave the engine knobs alone: it fills the
+// three New expects resolved with the values production callers pass (the
+// defaults of core.Params, restated here because pbft cannot import core).
+func newEngine(cfg Config, tr Transport, clk types.Clock) *Engine {
+	if cfg.Window == 0 {
+		cfg.Window = 4
+	}
+	if cfg.Timeout == 0 {
+		cfg.Timeout = 10 * time.Second
+	}
+	if cfg.TxSize == 0 {
+		cfg.TxSize = 500
+	}
+	return New(cfg, tr, clk)
+}
+
 func newHarness(t *testing.T, n, f int, mutate func(i int, cfg *Config)) *harness {
 	t.Helper()
 	h := &harness{sim: simnet.New(42)}
@@ -43,7 +59,7 @@ func newHarness(t *testing.T, n, f int, mutate func(i int, cfg *Config)) *harnes
 		if mutate != nil {
 			mutate(i, &cfg)
 		}
-		h.engines[i] = New(cfg, &netTransport{nw: h.nw, id: i}, simnet.On(h.sim, i))
+		h.engines[i] = newEngine(cfg, &netTransport{nw: h.nw, id: i}, simnet.On(h.sim, i))
 		h.nw.Register(i, func(from int, msg any) {
 			h.engines[i].Handle(from, msg.(Message))
 		})
@@ -131,7 +147,7 @@ func TestAgreementUnderWANJitter(t *testing.T) {
 		i := i
 		cfg := Config{N: 4, F: 1, ID: i, Instance: 0, Timeout: 10 * time.Second,
 			OnDeliver: func(b *types.Block) { delivered[i] = append(delivered[i], b) }}
-		engines[i] = New(cfg, &netTransport{nw: nw, id: i}, simnet.On(sim, i))
+		engines[i] = newEngine(cfg, &netTransport{nw: nw, id: i}, simnet.On(sim, i))
 		nw.Register(i, func(from int, msg any) { engines[i].Handle(from, msg.(Message)) })
 	}
 	for sn := uint64(0); sn < 3; sn++ {
@@ -329,7 +345,7 @@ func TestDeterministicRuns(t *testing.T) {
 						ids = append(ids, b.Digest())
 					}
 				}}
-			engines[i] = New(cfg, &netTransport{nw: nw, id: i}, simnet.On(sim, i))
+			engines[i] = newEngine(cfg, &netTransport{nw: nw, id: i}, simnet.On(sim, i))
 			nw.Register(i, func(from int, msg any) { engines[i].Handle(from, msg.(Message)) })
 		}
 		for sn := uint64(0); sn < 3; sn++ {

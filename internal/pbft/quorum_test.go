@@ -76,7 +76,7 @@ func TestProgressDetectorTracksShrinkingDeadline(t *testing.T) {
 	}{{"wheel", simnet.QueueWheel}, {"heap", simnet.QueueHeap}} {
 		t.Run(q.name, func(t *testing.T) {
 			sim := simnet.NewWithQueue(1, q.kind)
-			e := New(Config{N: 4, F: 1, ID: 1, Timeout: 10 * time.Second}, dropTransport{}, simnet.On(sim, 1))
+			e := newEngine(Config{N: 4, F: 1, ID: 1, Timeout: 10 * time.Second}, dropTransport{}, simnet.On(sim, 1))
 			// Arm with a doubled timeout: wakeup scheduled at t=20s.
 			e.timeoutMult = 2
 			e.SetTarget(5)

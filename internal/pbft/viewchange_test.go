@@ -139,7 +139,7 @@ func TestTimeoutBackoffDoubles(t *testing.T) {
 					installed = append(installed, view)
 				}
 			}}
-		engines[i] = New(cfg, &netTransport{nw: nw, id: i}, simnet.On(sim, i))
+		engines[i] = newEngine(cfg, &netTransport{nw: nw, id: i}, simnet.On(sim, i))
 		nw.Register(i, func(from int, msg any) { engines[i].Handle(from, msg.(Message)) })
 	}
 	// Leaders 0 and 1 are both down; view must escalate to 2, with the
@@ -191,7 +191,7 @@ func (t *recordingTransport) Send(to, size int, msg Message)  { t.msgs = append(
 func TestStopCancelsFailureDetector(t *testing.T) {
 	sim := simnet.New(1)
 	tr := &recordingTransport{}
-	e := New(Config{N: 4, F: 1, ID: 1, Instance: 0, Timeout: 500 * time.Millisecond}, tr, simnet.On(sim, 1))
+	e := newEngine(Config{N: 4, F: 1, ID: 1, Instance: 0, Timeout: 500 * time.Millisecond}, tr, simnet.On(sim, 1))
 	e.SetTarget(1) // arm the failure detector; nothing will ever deliver
 	sim.At(simnet.Time(300*time.Millisecond), func() { e.Stop() })
 	sim.At(simnet.Time(350*time.Millisecond), func() { e.Resume() })

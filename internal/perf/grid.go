@@ -62,7 +62,7 @@ func SimGrid() []SimCell {
 	base := func(n int) cluster.Config {
 		return cluster.Config{
 			LoadTPS: 2000, Duration: 4 * time.Second, Warmup: time.Second, Drain: 8 * time.Second,
-			BatchSize: 1024, BatchTimeout: 100 * time.Millisecond, EpochLen: 128,
+			Params:     core.Params{BatchSize: 1024, BatchTimeout: 100 * time.Millisecond, EpochLen: 128},
 			AnalyticSB: n >= 32, NIC: n < 32,
 		}
 	}
@@ -79,13 +79,13 @@ func SimGrid() []SimCell {
 		// the CI smoke budget even at n = 100.
 		add(TierKernel, core.OrthrusMode(), n, cluster.Config{
 			LoadTPS: 500, Duration: time.Second, Warmup: 250 * time.Millisecond, Drain: time.Second,
-			BatchSize: 1024, BatchTimeout: 250 * time.Millisecond, EpochLen: 128,
+			Params: core.Params{BatchSize: 1024, BatchTimeout: 250 * time.Millisecond, EpochLen: 128},
 		})
 	}
 	for _, n := range []int{250, 500, 1000} {
 		add(TierFScale, core.OrthrusMode(), n, cluster.Config{
 			LoadTPS: 100, Duration: 2 * time.Second, Warmup: 400 * time.Millisecond, Drain: 2 * time.Second,
-			BatchSize: 4096, BatchTimeout: 500 * time.Millisecond, EpochLen: 1024,
+			Params:     core.Params{BatchSize: 4096, BatchTimeout: 500 * time.Millisecond, EpochLen: 1024},
 			AnalyticSB: true,
 		})
 	}
@@ -96,9 +96,9 @@ func SimGrid() []SimCell {
 	}
 	add(TierSoak, core.OrthrusMode(), soakN, cluster.Config{
 		LoadTPS: 100, Duration: soakDur, Warmup: 12 * time.Second, Drain: 30 * time.Second,
-		BatchSize: 4096, BatchTimeout: 10 * time.Second, EpochLen: 4,
-		ViewTimeout: 60 * time.Second, StateTransfer: true, SampleLiveSet: 5 * time.Second,
-		Scenario: churn,
+		Params: core.Params{BatchSize: 4096, BatchTimeout: 10 * time.Second, EpochLen: 4,
+			ViewTimeout: 60 * time.Second, StateTransfer: true},
+		SampleLiveSet: 5 * time.Second, Scenario: churn,
 	})
 	return cells
 }

@@ -98,17 +98,17 @@ func TestNewJobKey(t *testing.T) {
 func TestRunRealClusterDeterminism(t *testing.T) {
 	mk := func(seed int64) cluster.Config {
 		return cluster.Config{
-			N:         4,
-			Protocol:  core.OrthrusMode(),
-			Net:       cluster.LAN,
-			Workload:  workload.Config{Accounts: 500, Seed: seed},
-			LoadTPS:   400,
-			Duration:  2 * time.Second,
-			Warmup:    500 * time.Millisecond,
-			Drain:     4 * time.Second,
-			BatchSize: 64,
-			NIC:       true,
-			Seed:      seed,
+			N:        4,
+			Protocol: core.OrthrusMode(),
+			Net:      cluster.LAN,
+			Workload: workload.Config{Accounts: 500, Seed: seed},
+			LoadTPS:  400,
+			Duration: 2 * time.Second,
+			Warmup:   500 * time.Millisecond,
+			Drain:    4 * time.Second,
+			Params:   core.Params{BatchSize: 64},
+			NIC:      true,
+			Seed:     seed,
 		}
 	}
 	jobs := []Job{NewJob(mk(1)), NewJob(mk(2)), NewJob(mk(3)), NewJob(mk(4))}

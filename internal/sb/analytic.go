@@ -27,16 +27,22 @@ import (
 )
 
 // Config parameterizes one analytic SB instance (shared by all replicas).
+// Window and TxSize arrive resolved (core.Params.WithDefaults), the same
+// values the message-level engines of the run would get.
 type Config struct {
 	N        int // replicas
 	F        int // fault threshold
 	Instance int // SB instance index
 	Window   int // pipelined proposals
 	TxSize   int // modeled per-transaction wire size
-	CtrlSize int // vote message size
-	// BlockOverhead is the fixed per-block wire overhead.
-	BlockOverhead int
 }
+
+// Modeled wire sizes, equal to package pbft's so the closed form charges the
+// bytes the message-level engine would send.
+const (
+	ctrlSize      = 96  // one prepare or commit vote
+	blockOverhead = 160 // fixed per-block overhead of a pre-prepare
+)
 
 // Instance is the shared state of one analytic SB instance. Each replica
 // holds a *Port into it; the leader's port proposes, every port delivers.
@@ -81,18 +87,6 @@ const quorumCacheMax = 256
 // NewInstance creates the shared instance. The initial (and, in this
 // implementation, permanent) leader of instance i is replica i mod n.
 func NewInstance(cfg Config, sim *simnet.Sim, nw *simnet.Network) *Instance {
-	if cfg.Window <= 0 {
-		cfg.Window = 4
-	}
-	if cfg.TxSize <= 0 {
-		cfg.TxSize = 500
-	}
-	if cfg.CtrlSize <= 0 {
-		cfg.CtrlSize = 96
-	}
-	if cfg.BlockOverhead <= 0 {
-		cfg.BlockOverhead = 160
-	}
 	inst := &Instance{
 		cfg:         cfg,
 		sim:         sim,
@@ -124,8 +118,7 @@ func (inst *Instance) Port(id int, deliver func(*types.Block)) *Port {
 // size (see quorumCache).
 func (inst *Instance) propose(b *types.Block) {
 	n := inst.cfg.N
-	blockSize := inst.cfg.BlockOverhead + len(b.Txs)*inst.cfg.TxSize
-	ctrl := inst.cfg.CtrlSize
+	blockSize := blockOverhead + len(b.Txs)*inst.cfg.TxSize
 	t0 := inst.sim.Now()
 	qt := inst.quorumTimesFor(blockSize)
 	// Schedule in-order deliveries (closure-free call events: n per block).
@@ -142,7 +135,7 @@ func (inst *Instance) propose(b *types.Block) {
 	// n prepare and n commit broadcasts (n^2 control messages each), the
 	// same counts the message-level engine would deliver fault-free.
 	un := uint64(n)
-	inst.nw.AddModeled(2*un*un+un, un*uint64(blockSize)+2*un*un*uint64(ctrl))
+	inst.nw.AddModeled(2*un*un+un, un*uint64(blockSize)+2*un*un*ctrlSize)
 }
 
 // quorumTimesFor returns the memoized commit-time offsets for a block of
@@ -166,7 +159,6 @@ func (inst *Instance) quorumTimesFor(blockSize int) *quorumTimes {
 	// paper's n = 3f+1 sizes, strictly honest-intersecting elsewhere.
 	f := inst.cfg.F
 	quorum := (n + f + 2) / 2
-	ctrl := inst.cfg.CtrlSize
 	// Pre-prepare dissemination from the leader (offsets from propose
 	// time; BaseDelay is deterministic so offsets are time-invariant).
 	for i := 0; i < n; i++ {
@@ -177,7 +169,7 @@ func (inst *Instance) quorumTimesFor(blockSize int) *quorumTimes {
 	// it; the vote from i reaches j after the (i,j) control delay.
 	for j := 0; j < n; j++ {
 		for i := 0; i < n; i++ {
-			inst.tmp[i] = inst.arrive[i] + simnet.Time(inst.nw.BaseDelay(i, j, ctrl))
+			inst.tmp[i] = inst.arrive[i] + simnet.Time(inst.nw.BaseDelay(i, j, ctrlSize))
 		}
 		slices.Sort(inst.tmp)
 		p := inst.tmp[quorum-1]
@@ -190,7 +182,7 @@ func (inst *Instance) quorumTimesFor(blockSize int) *quorumTimes {
 	// broadcasts its commit the moment it is prepared.
 	for j := 0; j < n; j++ {
 		for i := 0; i < n; i++ {
-			inst.tmp[i] = inst.prepared[i] + simnet.Time(inst.nw.BaseDelay(i, j, ctrl))
+			inst.tmp[i] = inst.prepared[i] + simnet.Time(inst.nw.BaseDelay(i, j, ctrlSize))
 		}
 		slices.Sort(inst.tmp)
 		c := inst.tmp[quorum-1]

@@ -4,10 +4,26 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/pbft"
 	"repro/internal/simnet"
 	"repro/internal/types"
 )
+
+// resolved holds the engine knobs as production callers hand them to both
+// SB implementations: NewInstance and pbft.New apply no defaults.
+var resolved = core.Params{}.WithDefaults()
+
+// newInstance is NewInstance with the knobs a test left zero resolved.
+func newInstance(cfg Config, sim *simnet.Sim, nw *simnet.Network) *Instance {
+	if cfg.Window == 0 {
+		cfg.Window = resolved.Window
+	}
+	if cfg.TxSize == 0 {
+		cfg.TxSize = resolved.TxSize
+	}
+	return NewInstance(cfg, sim, nw)
+}
 
 func mkBlock(instance int, sn uint64, ntx int) *types.Block {
 	b := &types.Block{Instance: instance, SN: sn}
@@ -20,7 +36,7 @@ func mkBlock(instance int, sn uint64, ntx int) *types.Block {
 func TestAnalyticDeliversInOrderToAll(t *testing.T) {
 	sim := simnet.New(1)
 	nw := simnet.NewNetwork(sim, 4, simnet.FixedModel{D: 10 * time.Millisecond})
-	inst := NewInstance(Config{N: 4, F: 1, Instance: 0}, sim, nw)
+	inst := newInstance(Config{N: 4, F: 1, Instance: 0}, sim, nw)
 	got := make([][]uint64, 4)
 	ports := make([]*Port, 4)
 	for i := 0; i < 4; i++ {
@@ -48,7 +64,7 @@ func TestAnalyticDeliversInOrderToAll(t *testing.T) {
 func TestAnalyticOnlyLeaderProposes(t *testing.T) {
 	sim := simnet.New(1)
 	nw := simnet.NewNetwork(sim, 4, simnet.FixedModel{D: time.Millisecond})
-	inst := NewInstance(Config{N: 4, F: 1, Instance: 2}, sim, nw)
+	inst := newInstance(Config{N: 4, F: 1, Instance: 2}, sim, nw)
 	p0 := inst.Port(0, func(*types.Block) {})
 	p2 := inst.Port(2, func(*types.Block) {})
 	if p0.IsLeader() || !p2.IsLeader() {
@@ -65,7 +81,7 @@ func TestAnalyticOnlyLeaderProposes(t *testing.T) {
 func TestAnalyticWindowBackpressure(t *testing.T) {
 	sim := simnet.New(1)
 	nw := simnet.NewNetwork(sim, 4, simnet.FixedModel{D: time.Millisecond})
-	inst := NewInstance(Config{N: 4, F: 1, Instance: 0, Window: 2}, sim, nw)
+	inst := newInstance(Config{N: 4, F: 1, Instance: 0, Window: 2}, sim, nw)
 	var p *Port
 	for i := 0; i < 4; i++ {
 		port := inst.Port(i, func(*types.Block) {})
@@ -104,7 +120,7 @@ func TestAnalyticMatchesMessageLevelPBFT(t *testing.T) {
 	engines := make([]*pbft.Engine, n)
 	for i := 0; i < n; i++ {
 		i := i
-		cfg := pbft.Config{N: n, F: f, ID: i, Instance: 0, Timeout: time.Hour,
+		cfg := pbft.Config{N: n, F: f, ID: i, Instance: 0, Timeout: time.Hour, Window: resolved.Window, TxSize: resolved.TxSize,
 			OnDeliver: func(b *types.Block) { pbftTimes = append(pbftTimes, simA.Now()) }}
 		engines[i] = pbft.New(cfg, &loopTransport{nw: nwA, id: i}, simnet.On(simA, i))
 		nwA.Register(i, func(from int, msg any) { engines[i].Handle(from, msg.(pbft.Message)) })
@@ -120,7 +136,7 @@ func TestAnalyticMatchesMessageLevelPBFT(t *testing.T) {
 	// Analytic run over an identical network.
 	simB := simnet.New(1)
 	nwB := simnet.NewNetwork(simB, n, model)
-	inst := NewInstance(Config{N: n, F: f, Instance: 0}, simB, nwB)
+	inst := newInstance(Config{N: n, F: f, Instance: 0}, simB, nwB)
 	anaTimes := make([]simnet.Time, 0, n)
 	var leader *Port
 	for i := 0; i < n; i++ {
@@ -159,7 +175,7 @@ func TestAnalyticMatchesPBFTOnWAN(t *testing.T) {
 	engines := make([]*pbft.Engine, n)
 	for i := 0; i < n; i++ {
 		i := i
-		cfg := pbft.Config{N: n, F: f, ID: i, Instance: 0, Timeout: time.Hour,
+		cfg := pbft.Config{N: n, F: f, ID: i, Instance: 0, Timeout: time.Hour, Window: resolved.Window, TxSize: resolved.TxSize,
 			OnDeliver: func(b *types.Block) { pbftTimes[i] = simA.Now() }}
 		engines[i] = pbft.New(cfg, &loopTransport{nw: nwA, id: i}, simnet.On(simA, i))
 		nwA.Register(i, func(from int, msg any) { engines[i].Handle(from, msg.(pbft.Message)) })
@@ -171,7 +187,7 @@ func TestAnalyticMatchesPBFTOnWAN(t *testing.T) {
 
 	simB := simnet.New(1)
 	nwB := simnet.NewNetwork(simB, n, wan)
-	inst := NewInstance(Config{N: n, F: f, Instance: 0}, simB, nwB)
+	inst := newInstance(Config{N: n, F: f, Instance: 0}, simB, nwB)
 	anaTimes := make(map[int]simnet.Time, n)
 	var leader *Port
 	for i := 0; i < n; i++ {
@@ -202,7 +218,7 @@ func TestAnalyticStragglerSlowsOwnInstanceOnly(t *testing.T) {
 		if straggle {
 			nw.SetOutScale(0, 10)
 		}
-		inst := NewInstance(Config{N: n, F: f, Instance: 0}, sim, nw)
+		inst := newInstance(Config{N: n, F: f, Instance: 0}, sim, nw)
 		var last simnet.Time
 		var leader *Port
 		for i := 0; i < n; i++ {
@@ -226,7 +242,7 @@ func TestAnalyticStragglerSlowsOwnInstanceOnly(t *testing.T) {
 func TestAnalyticStoppedPortDoesNotDeliver(t *testing.T) {
 	sim := simnet.New(1)
 	nw := simnet.NewNetwork(sim, 4, simnet.FixedModel{D: time.Millisecond})
-	inst := NewInstance(Config{N: 4, F: 1, Instance: 0}, sim, nw)
+	inst := newInstance(Config{N: 4, F: 1, Instance: 0}, sim, nw)
 	count := 0
 	var leader *Port
 	var victim *Port

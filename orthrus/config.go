@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/errs"
 	"repro/internal/registry"
 	"repro/internal/simnet"
@@ -503,7 +504,6 @@ func (c Config) Validate() error {
 		d    time.Duration
 	}{
 		{"Duration", c.Duration}, {"Warmup", c.Warmup}, {"Drain", c.Drain},
-		{"BatchTimeout", c.BatchTimeout}, {"ViewTimeout", c.ViewTimeout},
 	} {
 		if f.d < 0 {
 			bad(f.name, "must be non-negative, got %v", f.d)
@@ -521,28 +521,19 @@ func (c Config) Validate() error {
 	if c.PaymentFraction > 1 {
 		bad("PaymentFraction", "must be at most 1, got %g", c.PaymentFraction)
 	}
-	if c.BatchSize < 0 {
-		bad("BatchSize", "must be non-negative, got %d", c.BatchSize)
+	k := c.knobs()
+	rules := append(k.Params.Check(), k.Conflicts()...)
+	if c.Transport == TransportProc {
+		rules = append(rules, k.SimOnly()...)
 	}
-	if c.Window < 0 {
-		bad("Window", "must be non-negative, got %d", c.Window)
-	}
-	if c.TxSize < 0 {
-		bad("TxSize", "must be non-negative, got %d", c.TxSize)
-	}
-	for _, k := range c.knobs().Conflicts() {
-		bad(k.Field, "%s", k.Reason)
+	for _, r := range rules {
+		bad(r.Field, "%s", r.Reason)
 	}
 	if c.Kernel != KernelSerial && c.Kernel != KernelParallel {
 		bad("Kernel", "must be KernelSerial or KernelParallel, got Kernel(%d)", int(c.Kernel))
 	}
 	if c.Transport != TransportSim && c.Transport != TransportProc {
 		bad("Transport", "must be TransportSim or TransportProc, got Transport(%d)", int(c.Transport))
-	}
-	if c.Transport == TransportProc {
-		for _, reason := range c.knobs().SimOnly() {
-			bad("Transport", "%s", reason)
-		}
 	}
 	if c.Workers < 0 {
 		bad("Workers", "must be non-negative (0 means GOMAXPROCS), got %d", c.Workers)
@@ -578,10 +569,12 @@ func (c Config) Validate() error {
 	return fmt.Errorf("%w: %w", ErrInvalidConfig, errors.Join(errs...))
 }
 
-// knobs maps the Config's plain fields onto the internal harness's, leaving
-// out what needs a validated Config to build (protocol, transaction
-// sources, observer). Validate reads the result to ask the harness which
-// knobs conflict and which the chosen transport cannot honor.
+// knobs maps the Config's plain fields onto the internal harness's — the
+// one place the flat engine knobs become a core.Params — leaving out what
+// needs a validated Config to build (protocol, transaction sources,
+// observer). Validate reads the result to ask the engine which knobs are
+// out of range, and the harness which conflict and which the chosen
+// transport cannot honor.
 func (c Config) knobs() cluster.Config {
 	ccfg := cluster.Config{
 		N:                  c.Replicas,
@@ -594,22 +587,24 @@ func (c Config) knobs() cluster.Config {
 		Scenario:           c.Scenario,
 		// The field shares the workload generator's convention directly:
 		// 0 = paper default, negative = all-contract.
-		Workload:         workload.Config{Seed: c.Seed, Accounts: c.Accounts, PaymentFraction: c.PaymentFraction},
-		LoadTPS:          c.LoadTPS,
-		TotalTxs:         c.TotalTxs,
-		Duration:         c.Duration,
-		Warmup:           c.Warmup,
-		Drain:            c.Drain,
-		BatchSize:        c.BatchSize,
-		BatchTimeout:     c.BatchTimeout,
-		Window:           c.Window,
-		EpochLen:         c.EpochLen,
-		ViewTimeout:      c.ViewTimeout,
-		TxSize:           c.TxSize,
-		CensorshipBlocks: c.CensorshipBlocks,
-		StateTransfer:    c.StateTransfer,
-		SampleLiveSet:    c.SampleLiveSet,
-		AnalyticSB:       c.AnalyticSB,
+		Workload: workload.Config{Seed: c.Seed, Accounts: c.Accounts, PaymentFraction: c.PaymentFraction},
+		LoadTPS:  c.LoadTPS,
+		TotalTxs: c.TotalTxs,
+		Duration: c.Duration,
+		Warmup:   c.Warmup,
+		Drain:    c.Drain,
+		Params: core.Params{
+			BatchSize:        c.BatchSize,
+			BatchTimeout:     c.BatchTimeout,
+			Window:           c.Window,
+			EpochLen:         c.EpochLen,
+			ViewTimeout:      c.ViewTimeout,
+			TxSize:           c.TxSize,
+			CensorshipBlocks: c.CensorshipBlocks,
+			StateTransfer:    c.StateTransfer,
+		},
+		SampleLiveSet: c.SampleLiveSet,
+		AnalyticSB:    c.AnalyticSB,
 		// The NIC bandwidth model is a simulation concept; the real
 		// transport measures real links, so it never applies there.
 		NIC:          !c.DisableNIC && !c.AnalyticSB && c.Transport == TransportSim,
