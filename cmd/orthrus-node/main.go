@@ -30,6 +30,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -260,8 +261,17 @@ func runNode(o nodeOptions, stdout, stderr io.Writer, stop <-chan struct{}) erro
 				}
 				tx := gen.Next()
 				tx.SubmitNS = int64(time.Since(epoch))
-				for _, target := range router.Targets(tx) {
-					tcp.Send(o.id, target, 0, &core.SubmitMsg{Tx: tx})
+				// The local replica receives the message itself, on its own
+				// goroutine: hand it over last, once every remote target's
+				// copy is encoded, and never touch the transaction again.
+				msg, targets := &core.SubmitMsg{Tx: tx}, router.Targets(tx)
+				for _, target := range targets {
+					if target != o.id {
+						tcp.Send(o.id, target, 0, msg)
+					}
+				}
+				if slices.Contains(targets, o.id) {
+					tcp.Send(o.id, o.id, 0, msg)
 				}
 			}
 		}()

@@ -61,9 +61,19 @@ func newCollector(cfg Config, kernel string, replyHop func(replica, home int) ti
 		res: &Result{Protocol: cfg.Protocol.Name, Net: cfg.Net.String(), N: cfg.N,
 			Series: metrics.NewTimeSeries(500 * time.Millisecond), Breakdown: &metrics.Breakdown{},
 			Kernel: kernel},
-		gen:  cfg.Source,
-		meta: make([]txMeta, 0, 1024),
+		gen: cfg.Source,
 	}
+	// The books are sized once for the submission schedule — one transaction
+	// per 1/LoadTPS from Warmup/2 through Duration, TotalTxs at most — so
+	// the measured path neither regrows meta nor rehashes byID (which takes
+	// meta's capacity). A scenario's load spike just appends past it, as
+	// does a schedule beyond the 1 Mi entries reserved up front (a run that
+	// long may well be one a Halt cuts short).
+	scheduled := int((cfg.Duration-cfg.Warmup/2).Seconds()*cfg.LoadTPS) + 1
+	if cfg.TotalTxs > 0 {
+		scheduled = min(scheduled, cfg.TotalTxs)
+	}
+	c.meta = make([]txMeta, 0, min(max(scheduled, 0), 1<<20))
 	if c.gen == nil {
 		c.gen = workload.New(cfg.Workload)
 	}

@@ -80,6 +80,7 @@ func RunReal(cfg Config) *Result {
 		defer close(clientDone)
 		interval := time.Duration(float64(time.Second) / cfg.LoadTPS)
 		router := core.NewSubmitRouter(n, c.f)
+		msg := &core.SubmitMsg{} // reused: InjectTo encodes before it returns
 		for k := 0; cfg.TotalTxs == 0 || k < cfg.TotalTxs; k++ {
 			at := cfg.Warmup/2 + time.Duration(k)*interval
 			if at > cfg.Duration {
@@ -97,7 +98,8 @@ func RunReal(cfg Config) *Result {
 			mu.Lock()
 			c.submit(tx, now)
 			mu.Unlock()
-			proc.InjectTo(n, router.Targets(tx), &core.SubmitMsg{Tx: tx})
+			msg.Tx = tx
+			proc.InjectTo(n, router.Targets(tx), msg)
 		}
 	}()
 

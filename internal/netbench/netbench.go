@@ -131,9 +131,9 @@ type env struct {
 // Proposal builds the proposal-shaped message every transport cell — and
 // every BenchmarkTransport* mirror — sends: a PrePrepare from replica from
 // carrying a block of txs payments (0 means the standard 4, ~500 encoded
-// bytes). A sender reuses one as a template: the encoder runs
-// synchronously inside Broadcast, so mutating its ProposeNS between calls
-// is race-free.
+// bytes). A message is immutable once sent (the sender's own loop is
+// handed the very pointer), so a sender that restamps ProposeNS per
+// broadcast copies the two headers and shares the read-only transactions.
 func Proposal(from, txs int) *pbft.PrePrepare {
 	if txs <= 0 {
 		txs = 4
@@ -267,8 +267,12 @@ func runCell(backend string, n int, opts Options) (Cell, error) {
 				for sent.Load()*uint64(n)-delivered.Load() > maxOutstanding {
 					time.Sleep(50 * time.Microsecond)
 				}
-				tmpl.Block.ProposeNS = int64(time.Since(epoch))
-				e.broadcast(from, tmpl)
+				m := &struct {
+					pp pbft.PrePrepare
+					b  types.Block
+				}{*tmpl, *tmpl.Block}
+				m.pp.Block, m.b.ProposeNS = &m.b, int64(time.Since(epoch))
+				e.broadcast(from, &m.pp)
 				sent.Add(1)
 			}
 		}(from)

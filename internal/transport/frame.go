@@ -43,7 +43,7 @@ func encodeFrame(msg any) (*frame, error) {
 
 // payload returns the encoded message without the length header. The
 // bytes are only valid until the frame's last release — decode before
-// releasing (wire.Decode is borrow-safe, so the decoded message survives
+// releasing (decoding is borrow-safe, so the decoded message survives
 // the frame's recycling).
 func (f *frame) payload() []byte { return f.buf[frameHeaderLen:] }
 

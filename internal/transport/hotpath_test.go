@@ -3,12 +3,14 @@ package transport
 import (
 	"encoding/binary"
 	"net"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/pbft"
 	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 // testProposal is the fixture of this package's correctness tests: a
@@ -27,13 +29,16 @@ func testProposal() *pbft.PrePrepare {
 }
 
 // TestBroadcastCopiesDoNotAlias pins the isolation contract of the
-// encode-once broadcast: every receiver decodes its own copy from the
-// shared immutable frame, so handlers on different node loops may mutate
-// their message freely. Each handler first checks a sentinel field (a
-// shared buffer would show another receiver's scribbles), then scribbles
-// every byte slice and amount itself; under -race any aliasing between
-// the copies — or with the pooled frame being reused by later
-// broadcasts — is a detected data race.
+// encode-once broadcast: the sender's own loop is handed the message it
+// sent, every other receiver decodes its own copy from the shared
+// immutable frame (through its loop's long-lived Decoder, whose chunks
+// serve message after message), so handlers on different node loops may
+// mutate their message freely. Each handler first checks a sentinel field
+// (a shared buffer would show another receiver's scribbles), then
+// scribbles every byte slice and amount itself; under -race any aliasing
+// between the copies, with the sender's original, between messages carved
+// from one chunk, or with the pooled frame being reused by later
+// broadcasts, is a detected data race.
 func TestBroadcastCopiesDoNotAlias(t *testing.T) {
 	const n, rounds = 3, 200
 	p := NewProc(n)
@@ -75,6 +80,116 @@ func TestBroadcastCopiesDoNotAlias(t *testing.T) {
 	waitFor(t, func() bool { return delivered.Load() == n*rounds })
 	if e, d := p.EncodeErrors(), p.DecodeErrors(); e != 0 || d != 0 {
 		t.Fatalf("wire errors during broadcast storm: encode=%d decode=%d", e, d)
+	}
+}
+
+// selfDelivery checks what a three-replica cluster's collectors hold after
+// replica 0 broadcast bcast and then sent self to itself: replica 0 got
+// both pointers back as they were, replicas 1 and 2 each a copy of bcast
+// sharing no memory with it or with each other, and the counters read what
+// they read when every delivery crossed the codec — four deliveries at
+// their encoded sizes.
+func selfDelivery(t *testing.T, cols []*collector, bcast, self *pbft.PrePrepare, counters func() (messages, bytes uint64)) {
+	t.Helper()
+	waitFor(t, func() bool {
+		return len(cols[0].snapshot()) == 2 && len(cols[1].snapshot()) == 1 && len(cols[2].snapshot()) == 1
+	})
+	own := cols[0].snapshot()
+	if own[0].msg != any(bcast) || own[1].msg != any(self) {
+		t.Fatal("the sender's handler did not receive the very messages it sent")
+	}
+	blocks := []*types.Block{bcast.Block}
+	for _, c := range cols[1:] {
+		got := c.snapshot()[0].msg.(*pbft.PrePrepare)
+		if got == bcast || got.Block.Digest() != bcast.Block.Digest() {
+			t.Fatal("a remote receiver's message is not a faithful copy of the broadcast")
+		}
+		blocks = append(blocks, got.Block)
+	}
+	for i, a := range blocks {
+		for _, b := range blocks[i+1:] {
+			if a == b || &a.Sig[0] == &b.Sig[0] || &a.Txs[0] == &b.Txs[0] ||
+				&a.Txs[0].Ops[0] == &b.Txs[0].Ops[0] || &a.Txs[0].Payload[0] == &b.Txs[0].Payload[0] {
+				t.Fatal("two replicas' copies of one broadcast share memory")
+			}
+		}
+	}
+	benc, err := wire.Encode(bcast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	senc, err := wire.Encode(self)
+	if err != nil {
+		t.Fatal(err)
+	}
+	messages, bytes := counters()
+	if want := uint64(3*len(benc) + len(senc)); messages != 4 || bytes != want {
+		t.Fatalf("Messages = %d, Bytes = %d, want 4 and %d: a self-delivery counts at its encoded size", messages, bytes, want)
+	}
+}
+
+// TestSelfDeliveryIsTheMessageSent pins the one delivery that skips the
+// codec, on both real transports: a replica's message to itself (its share
+// of a broadcast, a send to its own id) reaches its handler as the pointer
+// it sent, while other replicas still get isolated copies and
+// Messages/Bytes count all of them alike.
+func TestSelfDeliveryIsTheMessageSent(t *testing.T) {
+	t.Run("proc", func(t *testing.T) {
+		p := NewProc(3)
+		cols := make([]*collector, 3)
+		for i := range cols {
+			cols[i] = &collector{}
+			p.Register(i, cols[i].handle)
+		}
+		p.Start(time.Now())
+		defer p.Stop()
+		bcast, self := testProposal(), testProposal()
+		p.Broadcast(0, 0, bcast)
+		p.Send(0, 0, 0, self)
+		selfDelivery(t, cols, bcast, self, func() (uint64, uint64) { return p.Messages(), p.Bytes() })
+	})
+	t.Run("tcp", func(t *testing.T) {
+		ts, cols := tcpCluster(t, 3)
+		bcast, self := testProposal(), testProposal()
+		ts[0].Broadcast(0, 0, bcast)
+		ts[0].Send(0, 0, 0, self)
+		selfDelivery(t, cols, bcast, self, func() (messages, bytes uint64) {
+			for _, tr := range ts {
+				messages, bytes = messages+tr.Messages(), bytes+tr.Bytes()
+			}
+			return messages, bytes
+		})
+	})
+}
+
+// TestProcBroadcastAllocsPerMessage bounds the whole Proc data path —
+// encode into a pooled frame, queue, decode through each loop's Decoder,
+// dispatch — in allocations per delivered message: a decoded proposal
+// costs its block's few headers, not an object per transaction, and the
+// sender's own delivery costs nothing (9 before the Decoder, 3 with it).
+func TestProcBroadcastAllocsPerMessage(t *testing.T) {
+	const n, rounds = 4, 2000
+	p := NewProc(n)
+	var delivered atomic.Uint64
+	for i := 0; i < n; i++ {
+		p.Register(i, func(int, any) { delivered.Add(1) })
+	}
+	p.Start(time.Now())
+	defer p.Stop()
+	msg := testProposal()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for k := 1; k <= rounds; k++ {
+		p.Broadcast(0, 0, msg)
+		if k%100 == 0 { // keep the inboxes short: their growth is not the path's cost
+			waitFor(t, func() bool { return delivered.Load() == uint64(n*k) })
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perMsg := float64(after.Mallocs-before.Mallocs) / (n * rounds)
+	t.Logf("%.2f allocations per delivered message", perMsg)
+	if perMsg > 4 {
+		t.Fatalf("%.1f allocations per delivered message, want at most 4", perMsg)
 	}
 }
 

@@ -10,9 +10,10 @@ import (
 )
 
 // inMsg is one delivered message waiting for a node's event loop: either
-// an already-decoded msg (TCP's read loop decodes as it drains sockets)
-// or a still-encoded frame (Proc enqueues the sender's shared frame and
-// each receiver decodes its own copy on its loop goroutine, preserving
+// a msg ready to dispatch (TCP's read loop decodes as it drains sockets;
+// a replica's message to itself is the message it sent) or a
+// still-encoded frame (Proc enqueues the sender's shared frame and each
+// other receiver decodes its own copy on its loop goroutine, preserving
 // the no-shared-mutable-memory property without an encode per receiver).
 type inMsg struct {
 	from int
@@ -66,6 +67,7 @@ type Node struct {
 	timers timerHeap
 	seq    uint64
 	fired  uint64
+	dec    wire.Decoder // carves every frame this loop decodes
 
 	mu      sync.Mutex
 	inbox   []inMsg
@@ -151,7 +153,9 @@ func (n *Node) Start(epoch time.Time) {
 }
 
 // Stop terminates the event loop and waits for it to exit. Idempotent
-// after the first call returns; enqueues after Stop are dropped silently.
+// after the first call returns. Whatever the inbox holds then, or receives
+// later, is never dispatched; a frame among it is not released to the
+// pool, only left to the garbage collector.
 func (n *Node) Stop() {
 	select {
 	case <-n.quit:
@@ -193,7 +197,7 @@ func (n *Node) loop() {
 			pending[i] = inMsg{} // drop the frame pointer once dispatched
 			msg := m.msg
 			if m.fr != nil {
-				dec, err := wire.Decode(m.fr.payload())
+				dec, err := n.dec.Decode(m.fr.payload())
 				m.fr.release()
 				if err != nil {
 					if n.onWireErr != nil {

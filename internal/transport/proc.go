@@ -11,11 +11,14 @@ import (
 // in a single process, messages carried between them as wire-encoded
 // frames under real wall-clock time. Every send encodes through
 // internal/wire exactly once — a broadcast shares one immutable pooled
-// frame across all destinations — and every receiver decodes its own
+// frame across all destinations — and every other replica decodes its own
 // copy on its loop goroutine, exactly the isolation a socket transport
 // gives: (a) replicas never share mutable message memory across
 // goroutines and (b) Messages/Bytes count actual encoded wire sizes,
-// not the simulator's modeled size hints.
+// not the simulator's modeled size hints. A replica's message to itself
+// skips the codec round trip: its loop is handed the message it sent (as
+// the simulator always has; messages are immutable after send), counted
+// at its encoded size like any other delivery.
 //
 // Senders outside the replica set (harness clients injecting SubmitMsg)
 // may use any `from` id — it only reaches the handler as provenance.
@@ -63,7 +66,8 @@ func (p *Proc) Stop() {
 
 // Send implements Transport: encode once into a pooled frame, count, and
 // hand the frame to the destination's event loop, which decodes on
-// dispatch. The size hint is ignored — the encoded length is the truth.
+// dispatch (a send to self hands over msg itself, so the caller must be
+// done with it). The size hint is ignored — the encoded length is the truth.
 // Unencodable messages are counted in EncodeErrors and dropped (the
 // replica message set is closed, so a nonzero counter is a bug signal).
 func (p *Proc) Send(from, to, size int, msg any) {
@@ -77,14 +81,20 @@ func (p *Proc) Send(from, to, size int, msg any) {
 	}
 	p.msgs.Add(1)
 	p.bytes.Add(uint64(len(f.payload())))
+	if to == from {
+		f.recycle()
+		p.nodes[to].enqueue(from, msg)
+		return
+	}
 	f.retain(1)
 	p.nodes[to].enqueueFrame(from, f)
 }
 
 // Broadcast implements Transport: one encode, one shared immutable frame
-// across every destination, self included (protocols self-deliver). Each
-// receiver decodes its own copy from the shared bytes, so destinations
-// still never alias each other's message memory.
+// across every other destination, and msg itself to the sender's own loop
+// (protocols self-deliver). Each other receiver decodes its own copy from
+// the shared bytes, so destinations never alias each other's message
+// memory, nor the sender's.
 func (p *Proc) Broadcast(from, size int, msg any) {
 	f, err := encodeFrame(msg)
 	if err != nil {
@@ -94,9 +104,21 @@ func (p *Proc) Broadcast(from, size int, msg any) {
 	n := uint64(len(p.nodes))
 	p.msgs.Add(n)
 	p.bytes.Add(n * uint64(len(f.payload())))
-	f.retain(len(p.nodes))
+	remote := len(p.nodes)
+	if from >= 0 && from < remote {
+		remote-- // the sender's own loop takes msg, not the frame
+	}
+	if remote > 0 {
+		f.retain(remote)
+	} else {
+		f.recycle()
+	}
 	for to := range p.nodes {
-		p.nodes[to].enqueueFrame(from, f)
+		if to == from {
+			p.nodes[to].enqueue(from, msg)
+		} else {
+			p.nodes[to].enqueueFrame(from, f)
+		}
 	}
 }
 

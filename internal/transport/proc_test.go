@@ -41,9 +41,9 @@ func waitFor(t *testing.T, cond func() bool) {
 	t.Fatal("condition not reached within 5s")
 }
 
-// TestProcDelivery pins the transport contract: messages arrive at the
-// registered handler as decoded copies (never the sender's pointer), in
-// per-sender order, and Broadcast self-delivers.
+// TestProcDelivery pins the transport contract: messages arrive at another
+// replica's registered handler as decoded copies (never the sender's
+// pointer), in per-sender order, and Broadcast self-delivers.
 func TestProcDelivery(t *testing.T) {
 	p := NewProc(3)
 	cols := make([]*collector, 3)

@@ -58,8 +58,8 @@ type TCPOptions struct {
 // pooled frame (the frame is the encode buffer), a broadcast shares that
 // one immutable frame across every peer queue by refcount, the writer
 // drains whole queue batches into a single vectored write, and the read
-// side reuses one buffer per connection (wire.Decode never aliasing its
-// input makes the immediate reuse safe).
+// side reuses one buffer and one wire.Decoder per connection (decoding
+// never aliasing its input makes the immediate reuse safe).
 //
 // Each process hosts one replica, so Register accepts only the local id
 // and the traffic counters cover locally delivered messages (the
@@ -245,8 +245,10 @@ func (t *TCP) Register(id int, h types.Handler) {
 }
 
 // Send implements Transport: one encode into a pooled frame, queued to
-// the peer's writer. Local delivery short-circuits through the same
-// encode/decode copy (identical observable behavior to a socket hop).
+// the peer's writer. A send to self is encoded only to be counted at its
+// wire size: the local loop is handed msg itself, so the caller must be
+// done with it (a replica's messages are immutable after send; a client
+// goroutine sharing the endpoint sends its local copy last).
 // An unencodable message is counted in EncodeErrors and dropped rather
 // than sent partially — the replica message set is closed, so a nonzero
 // counter is a bug signal, not an operational one.
@@ -261,7 +263,7 @@ func (t *TCP) Send(from, to, size int, msg any) {
 		return
 	}
 	if to == t.id {
-		t.deliverLocal(from, f.payload())
+		t.deliverLocal(from, msg, len(f.payload()))
 		f.recycle()
 		return
 	}
@@ -270,7 +272,7 @@ func (t *TCP) Send(from, to, size int, msg any) {
 }
 
 // Broadcast implements Transport: one encode, one immutable frame shared
-// by refcount across every peer queue, plus a local decoded delivery
+// by refcount across every peer queue, plus msg itself to the local loop
 // (protocols self-deliver). The frame returns to the pool after the last
 // writer finishes with it.
 func (t *TCP) Broadcast(from, size int, msg any) {
@@ -280,10 +282,10 @@ func (t *TCP) Broadcast(from, size int, msg any) {
 		t.logf("wire encode failed, broadcast dropped: %v", err)
 		return
 	}
-	// Decode the local copy before publishing the frame to the writers:
-	// once pushed, the frame may be released (and its buffer reused) the
-	// moment the last writer finishes.
-	t.deliverLocal(from, f.payload())
+	// Read the frame's size before publishing it to the writers: once
+	// pushed, the frame may be released (and its buffer reused) the moment
+	// the last writer finishes.
+	t.deliverLocal(from, msg, len(f.payload()))
 	remote := len(t.peers) - 1
 	if remote <= 0 {
 		f.recycle()
@@ -297,17 +299,11 @@ func (t *TCP) Broadcast(from, size int, msg any) {
 	}
 }
 
-// deliverLocal decodes payload and hands the message to the local node
-// loop, counting it as delivered traffic.
-func (t *TCP) deliverLocal(from int, payload []byte) {
-	msg, err := wire.Decode(payload)
-	if err != nil {
-		t.decodeErrs.Add(1)
-		t.logf("decode of own encoding failed, message dropped: %v", err)
-		return
-	}
+// deliverLocal hands msg to the local node loop without a codec round
+// trip, counting it as delivered traffic at its encoded size.
+func (t *TCP) deliverLocal(from int, msg any, size int) {
 	t.msgs.Add(1)
-	t.bytes.Add(uint64(len(payload)))
+	t.bytes.Add(uint64(size))
 	t.node.enqueue(from, msg)
 }
 
@@ -449,9 +445,10 @@ func (t *TCP) readLoop(conn net.Conn) {
 		t.mu.Unlock()
 	}()
 	// One reusable frame buffer serves the whole connection: each payload
-	// is borrowed until the next read, and wire.Decode's no-aliasing
+	// is borrowed until the next read, and the decoder's no-aliasing
 	// contract means the decoded message survives the buffer's reuse.
 	fr := frameReader{r: conn}
+	var dec wire.Decoder
 	hello, err := fr.next()
 	if err != nil || len(hello) != 4 {
 		t.logf("inbound connection rejected: bad hello (%v)", err)
@@ -467,7 +464,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 			}
 			return
 		}
-		msg, err := wire.Decode(payload)
+		msg, err := dec.Decode(payload)
 		if err != nil {
 			t.decodeErrs.Add(1)
 			t.logf("malformed frame from peer %d dropped: %v", from, err)
@@ -494,9 +491,8 @@ func (t *TCP) Dropped() uint64 { return t.dropped.Load() }
 // Always zero in a correct build: the replica message set is closed.
 func (t *TCP) EncodeErrors() uint64 { return t.encodeErrs.Load() }
 
-// DecodeErrors counts inbound frames dropped because decoding failed —
-// a malformed frame from a remote peer, or (never, absent corruption)
-// a local self-delivery that failed to decode its own encoding.
+// DecodeErrors counts inbound frames dropped because decoding failed: a
+// malformed frame from a remote peer.
 func (t *TCP) DecodeErrors() uint64 { return t.decodeErrs.Load() }
 
 // Close shuts the transport down: the listener stops, outbound queues

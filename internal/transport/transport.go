@@ -9,6 +9,12 @@
 //   - TCP, the same replicas over real sockets with length-prefixed
 //     framing, per-peer reconnect with backoff, and write timeouts.
 //
+// On both real transports every message is encoded once and each other
+// replica decodes its own copy (through the wire.Decoder its receiving
+// goroutine owns); a replica's message to itself is the one delivery that
+// skips the codec — its loop is handed the message it sent, as under the
+// simulator, counted at its encoded size. Messages are immutable after send.
+//
 // The core/pbft state machines run against one narrow clock, types.Clock
 // (Now and CallAt). The simulator implements it in virtual time; real
 // transports implement it with a Node per replica: a timer heap and an

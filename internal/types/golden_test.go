@@ -98,3 +98,18 @@ func TestIDAllocatesNothing(t *testing.T) {
 		t.Fatalf("ID allocated %v times per call", n)
 	}
 }
+
+// TestDigestStringAllocatesOnce pins the short hex form observers get per
+// confirmation: the first eight bytes, and the string is the one object.
+func TestDigestStringAllocatesOnce(t *testing.T) {
+	id := NewPayment("alice", "bob", 10, 1).ID()
+	if got, want := id.String(), hex.EncodeToString(id[:8]); got != want || BlockID(id).String() != want {
+		t.Fatalf("String() = %q and %q, want %q", got, BlockID(id).String(), want)
+	}
+	if n := testing.AllocsPerRun(100, func() { stringSink = id.String() }); n != 1 {
+		t.Fatalf("String allocated %v times per call, want 1", n)
+	}
+}
+
+// stringSink keeps a measured String result from staying on the stack.
+var stringSink string

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -136,7 +137,15 @@ func (k TxKind) String() string {
 type TxID [32]byte
 
 // String returns a short hex prefix for logging.
-func (id TxID) String() string { return hex.EncodeToString(id[:8]) }
+func (id TxID) String() string { return hexPrefix(id) }
+
+// hexPrefix renders a digest's first eight bytes through a stack array: the
+// string is the only object allocated.
+func hexPrefix(id [32]byte) string {
+	var buf [16]byte
+	hex.Encode(buf[:], id[:8])
+	return string(buf[:])
+}
 
 // Transaction is a client request (paper: tx = (O, id, sigma)).
 type Transaction struct {
@@ -170,13 +179,12 @@ func (tx *Transaction) Kind() TxKind {
 }
 
 // Payers returns the distinct owned-object keys with decremental operations,
-// in first-appearance order. These determine bucket assignment.
+// in first-appearance order. These determine bucket assignment. A
+// transaction has a handful of ops, so a linear scan finds the repeats.
 func (tx *Transaction) Payers() []Key {
 	var out []Key
-	seen := make(map[Key]bool, len(tx.Ops))
 	for _, op := range tx.Ops {
-		if op.IsPayerOp() && !seen[op.Key] {
-			seen[op.Key] = true
+		if op.IsPayerOp() && !slices.Contains(out, op.Key) {
 			out = append(out, op.Key)
 		}
 	}
@@ -342,7 +350,7 @@ func appendUint(b []byte, v uint64) []byte {
 type BlockID [32]byte
 
 // String returns a short hex prefix for logging.
-func (id BlockID) String() string { return hex.EncodeToString(id[:8]) }
+func (id BlockID) String() string { return hexPrefix(id) }
 
 // Block is a batch of transactions proposed by the leader of one SB
 // instance (paper: b = (txs, ins, sn, S, sigma); the Rank field carries

@@ -38,6 +38,19 @@ func TestTxPayers(t *testing.T) {
 	if tx.TotalDebit() != 4 || tx.TotalCredit() != 4 || !tx.Balanced() {
 		t.Fatalf("debit=%d credit=%d", tx.TotalDebit(), tx.TotalCredit())
 	}
+	// A payer repeated across raw ops is listed once, where it first appears.
+	raw := &Transaction{Client: "bob", Ops: []Op{
+		{Key: "bob", Type: Owned, Kind: OpDecrement, Amount: 1},
+		{Key: "alice", Type: Owned, Kind: OpDecrement, Amount: 1},
+		{Key: "bob", Type: Owned, Kind: OpDecrement, Amount: 1},
+		{Key: "alice", Type: Owned, Kind: OpIncrement, Amount: 3},
+	}}
+	if payers := raw.Payers(); len(payers) != 2 || payers[0] != "bob" || payers[1] != "alice" {
+		t.Fatalf("payers = %v, want [bob alice]", payers)
+	}
+	if payers := (&Transaction{Ops: raw.Ops[3:]}).Payers(); payers != nil {
+		t.Fatalf("payers of a credit-only transaction = %v, want none", payers)
+	}
 }
 
 func TestTxIDDeterministicAndDistinct(t *testing.T) {

@@ -31,11 +31,22 @@ func BenchmarkWireAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkWireDecode measures decoding each message type. Decoded
-// messages own their memory (the receiver keeps them), so decode allocs
-// are inherent — this tracks how few of them the arena carving gets
-// away with.
+// BenchmarkWireDecode measures decoding each message type one-shot, a
+// fresh Decoder per message: what benchmark probes and tests pay. Decoded
+// messages own their memory (the receiver keeps them), so these allocs are
+// inherent.
 func BenchmarkWireDecode(b *testing.B) {
+	benchDecode(b, Decode)
+}
+
+// BenchmarkWireDecodeLongLived measures the same through one Decoder, the
+// way a transport decodes a stream: allocations amortise to one per chunk.
+func BenchmarkWireDecodeLongLived(b *testing.B) {
+	var d Decoder
+	benchDecode(b, d.Decode)
+}
+
+func benchDecode(b *testing.B, decode func([]byte) (any, error)) {
 	for _, msg := range messages() {
 		enc, err := Encode(msg)
 		if err != nil {
@@ -45,7 +56,7 @@ func BenchmarkWireDecode(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Decode(enc); err != nil {
+				if _, err := decode(enc); err != nil {
 					b.Fatal(err)
 				}
 			}

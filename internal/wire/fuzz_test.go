@@ -15,6 +15,8 @@ import (
 //     point: decode(encode(m)) == m, checked as byte equality of a second
 //     encode/decode round (the codec is canonical, but raw fuzz input may
 //     use non-minimal varints, so the input itself is not compared).
+//  3. One long-lived Decoder fed every input in turn agrees with the
+//     one-shot decode: the same verdict and the same message.
 func FuzzWireRoundTrip(f *testing.F) {
 	// Seed every message type through the pooled-frame encode path the
 	// transports use: Append onto one warm scratch buffer reused across
@@ -35,14 +37,29 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0x01})
 	f.Add([]byte{tagViewChange, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0x7F})
+	// Blocks claiming more transactions than their bytes can hold, at the
+	// old bound (one per byte) and at the true one (one per six).
+	for _, per := range []int{1, 6} {
+		for _, frame := range hostileFrames(4096, per) {
+			f.Add(frame)
+		}
+	}
+	var shared Decoder
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := Decode(data)
+		streamed, serr := shared.Decode(data)
+		if (err == nil) != (serr == nil) {
+			t.Fatalf("one-shot decode says %v, a long-lived Decoder %v", err, serr)
+		}
 		if err != nil {
 			return
 		}
 		enc, err := Encode(msg)
 		if err != nil {
 			t.Fatalf("decoded message failed to re-encode: %v", err)
+		}
+		if senc, err := Encode(streamed); err != nil || !bytes.Equal(senc, enc) {
+			t.Fatalf("a long-lived Decoder decoded a different message (%v):\n  one-shot:   %x\n  long-lived: %x", err, enc, senc)
 		}
 		msg2, err := Decode(enc)
 		if err != nil {

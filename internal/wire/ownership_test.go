@@ -28,32 +28,42 @@ func TestAppendZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestDecodeOwnsItsData pins Decode's ownership contract: the returned
+// TestDecodeOwnsItsData pins the decoders' ownership contract: the returned
 // message never aliases the input buffer, so callers (the TCP read loop,
-// the pooled-frame path) may reuse or scribble the input immediately.
-// The check scribbles the input after decoding and verifies the decoded
+// the pooled-frame path) may reuse or scribble the input immediately. The
+// check scribbles the input after decoding and verifies the decoded
 // message still re-encodes to the original bytes — any retained alias
-// would corrupt the re-encoding.
+// would corrupt the re-encoding. A long-lived Decoder is held to the same
+// contract with every message it decoded so far checked again at the end:
+// its chunks outlive the call, the input must not be among them.
 func TestDecodeOwnsItsData(t *testing.T) {
-	for _, msg := range messages() {
-		enc, err := Encode(msg)
-		if err != nil {
-			t.Fatalf("Encode(%T): %v", msg, err)
+	var d Decoder
+	var kept []any
+	var want [][]byte
+	for _, decode := range []func([]byte) (any, error){Decode, d.Decode} {
+		for _, msg := range messages() {
+			enc, err := Encode(msg)
+			if err != nil {
+				t.Fatalf("Encode(%T): %v", msg, err)
+			}
+			pristine := bytes.Clone(enc)
+			dec, err := decode(enc)
+			if err != nil {
+				t.Fatalf("Decode(%T): %v", msg, err)
+			}
+			for i := range enc {
+				enc[i] = 0xFF
+			}
+			kept, want = append(kept, dec), append(want, pristine)
 		}
-		pristine := bytes.Clone(enc)
-		dec, err := Decode(enc)
-		if err != nil {
-			t.Fatalf("Decode(%T): %v", msg, err)
-		}
-		for i := range enc {
-			enc[i] = 0xFF
-		}
+	}
+	for i, dec := range kept {
 		re, err := Encode(dec)
 		if err != nil {
-			t.Fatalf("re-Encode(%T) after scribbling the input: %v", msg, err)
+			t.Fatalf("re-Encode(%T) after scribbling the input: %v", dec, err)
 		}
-		if !bytes.Equal(re, pristine) {
-			t.Errorf("%T: decoded message aliases the input buffer (re-encoding changed after scribble)\n  want: %x\n  got:  %x", msg, pristine, re)
+		if !bytes.Equal(re, want[i]) {
+			t.Errorf("%T: decoded message aliases the input buffer (re-encoding changed after scribble)\n  want: %x\n  got:  %x", dec, want[i], re)
 		}
 	}
 }

@@ -16,13 +16,16 @@
 // local submission layer, so it decodes as zero and every receiver
 // identifies the transaction by its full ID (partition.Table).
 //
-// Ownership: Decode is borrow-safe. The returned message never aliases
+// Ownership: decoding is borrow-safe. The returned message never aliases
 // the input buffer — every variable-length field is copied into memory
 // the message owns — so callers may reuse or overwrite the buffer the
 // moment Decode returns (transports decode out of pooled frames and
 // recycled socket-read buffers on exactly this contract; pinned by
-// TestDecodeOwnsItsData). Encoding through Append on a warm scratch
-// buffer performs zero allocations (pinned by TestAppendZeroAllocs).
+// TestDecodeOwnsItsData). Whoever decodes a stream owns a Decoder, which
+// carves what it decodes from chunks it keeps between messages, so the
+// steady state allocates per chunk, not per transaction or vote. Encoding
+// through Append on a warm scratch buffer performs zero allocations
+// (pinned by TestAppendZeroAllocs).
 package wire
 
 import (
@@ -143,95 +146,180 @@ func Append(dst []byte, msg any) ([]byte, error) {
 
 // Decode parses one encoded message. It is the inverse of Encode for every
 // valid buffer and returns an error — never panics — on truncated,
-// oversized or otherwise malformed input, including trailing garbage.
+// oversized or otherwise malformed input, including trailing garbage. It
+// is Decoder.Decode on a fresh Decoder: the one-shot form of the same code.
 func Decode(data []byte) (any, error) {
+	var d Decoder
+	return d.Decode(data)
+}
+
+// Decoder decodes a stream of messages for one owner goroutine (a
+// transport.Node loop, a TCP connection's read loop). What a message is
+// made of in bulk — ops, key/sig/payload bytes, client submissions, votes
+// and checkpoints — is carved from typed chunks the Decoder keeps between
+// calls instead of one heap object each. Every carve is exclusively owned
+// and capacity-clipped, so appending to a decoded field never reaches a
+// sibling. A chunk is plain garbage-collected memory: it lives as long as
+// anything carved from it (a chunk is at most maxChunk bytes, so one
+// long-lived transaction pins a bounded neighbourhood) and is never
+// recycled by hand. The zero value is ready to use.
+//
+// While it decodes, the Decoder is also the cursor over the message, with
+// sticky error handling: the first malformed read poisons it and every
+// later read returns zero values, so field sequences are read without
+// per-field checks.
+type Decoder struct {
+	b   []byte // the rest of the message being decoded
+	err error  // its first malformed read
+
+	blobs       chunk[byte] // key, sig and payload bytes
+	ops         chunk[types.Op]
+	submits     chunk[submission]
+	prepares    chunk[pbft.Prepare]
+	commits     chunk[pbft.Commit]
+	checkpoints chunk[core.CheckpointMsg]
+}
+
+// submission is a decoded client submission: the message and the
+// transaction it points at, side by side.
+type submission struct {
+	msg core.SubmitMsg
+	tx  types.Transaction
+}
+
+// maxChunk bounds a chunk in bytes; a single carve that needs more gets an
+// allocation of exactly its size.
+const maxChunk = 32 << 10
+
+// chunk hands out exclusive sub-slices of one allocation at a time. The
+// first chunk is as long as the first carve; each later one doubles, up to
+// maxChunk bytes — a one-shot Decode pays for what its message needs, a
+// long-lived Decoder settles at one allocation per maxChunk bytes decoded.
+type chunk[T any] struct {
+	free []T
+	next int // length of the next chunk
+}
+
+// expect notes that at least n more elements are about to be carved: the
+// next chunk will not be shorter, up to maxChunk bytes.
+func (c *chunk[T]) expect(n int) {
+	var elem T
+	c.next = min(max(c.next, n), maxChunk/int(unsafe.Sizeof(elem)))
+}
+
+// carve returns n zeroed elements nothing else references.
+func (c *chunk[T]) carve(n int) []T {
+	if n > len(c.free) {
+		size := max(n, c.next)
+		c.expect(2 * size)
+		if size-n <= len(c.free) {
+			return make([]T, n) // the current chunk keeps more room than a new one would have left
+		}
+		c.free = make([]T, size)
+	}
+	out := c.free[:n:n]
+	c.free = c.free[n:]
+	return out
+}
+
+// Decode parses one encoded message like the package-level Decode, carving
+// from the Decoder's chunks.
+func (d *Decoder) Decode(data []byte) (any, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("wire: empty message")
 	}
-	r := reader{b: data[1:]}
+	// A message's byte fields total less than its encoding, so a byte chunk
+	// no smaller than that serves a whole one-shot message.
+	d.blobs.expect(len(data))
+	d.b, d.err = data[1:], nil
 	var msg any
 	switch data[0] {
 	case tagPrePrepare:
-		msg = r.prePrepare()
+		msg = d.prePrepare()
 	case tagPrepare:
-		m := &pbft.Prepare{}
-		m.Instance = int(r.uint())
-		m.View = r.uint()
-		m.Seq = r.uint()
-		r.digest(m.Digest[:])
-		m.Replica = int(r.uint())
+		m := &d.prepares.carve(1)[0]
+		m.Instance = int(d.uint())
+		m.View = d.uint()
+		m.Seq = d.uint()
+		d.digest(m.Digest[:])
+		m.Replica = int(d.uint())
 		msg = m
 	case tagCommit:
-		m := &pbft.Commit{}
-		m.Instance = int(r.uint())
-		m.View = r.uint()
-		m.Seq = r.uint()
-		r.digest(m.Digest[:])
-		m.Replica = int(r.uint())
+		m := &d.commits.carve(1)[0]
+		m.Instance = int(d.uint())
+		m.View = d.uint()
+		m.Seq = d.uint()
+		d.digest(m.Digest[:])
+		m.Replica = int(d.uint())
 		msg = m
 	case tagViewChange:
 		m := &pbft.ViewChange{}
-		m.Instance = int(r.uint())
-		m.NewView = r.uint()
-		m.Replica = int(r.uint())
-		m.Delivered = r.uint()
-		if n := r.count(); n > 0 {
+		m.Instance = int(d.uint())
+		m.NewView = d.uint()
+		m.Replica = int(d.uint())
+		m.Delivered = d.uint()
+		if n := d.count(3); n > 0 {
 			m.Prepared = make([]pbft.PreparedEntry, n)
 			for i := range m.Prepared {
-				m.Prepared[i].Seq = r.uint()
-				m.Prepared[i].View = r.uint()
-				m.Prepared[i].Block = r.block()
+				m.Prepared[i].Seq = d.uint()
+				m.Prepared[i].View = d.uint()
+				m.Prepared[i].Block = d.block()
 			}
 		}
 		msg = m
 	case tagNewView:
 		m := &pbft.NewView{}
-		m.Instance = int(r.uint())
-		m.View = r.uint()
-		if n := r.count(); n > 0 {
+		m.Instance = int(d.uint())
+		m.View = d.uint()
+		if n := d.count(4); n > 0 {
 			m.Reproposals = make([]*pbft.PrePrepare, n)
 			for i := range m.Reproposals {
-				m.Reproposals[i] = r.prePrepare()
+				m.Reproposals[i] = d.prePrepare()
 			}
 		}
 		msg = m
 	case tagCheckpoint:
-		m := &core.CheckpointMsg{}
-		m.Epoch = r.uint()
-		r.digest(m.Digest[:])
-		m.Replica = int(r.uint())
+		m := &d.checkpoints.carve(1)[0]
+		m.Epoch = d.uint()
+		d.digest(m.Digest[:])
+		m.Replica = int(d.uint())
 		msg = m
 	case tagSubmit:
-		msg = &core.SubmitMsg{Tx: r.tx()}
+		s := &d.submits.carve(1)[0]
+		if d.byte() != 0 {
+			s.msg.Tx = &s.tx
+			d.txValue(s.msg.Tx)
+		}
+		msg = &s.msg
 	case tagStateTransferReq:
 		m := &core.StateTransferReq{}
-		m.Replica = int(r.uint())
-		if n := r.count(); n > 0 {
+		m.Replica = int(d.uint())
+		if n := d.count(1); n > 0 {
 			m.State = make(types.StateVector, n)
 			for i := range m.State {
-				m.State[i] = r.uint()
+				m.State[i] = d.uint()
 			}
 		}
 		msg = m
 	case tagStateTransferResp:
 		m := &core.StateTransferResp{}
-		m.Replica = int(r.uint())
-		m.Cert.Stable = r.uint()
-		r.digest(m.Cert.Digest[:])
-		if n := r.count(); n > 0 {
+		m.Replica = int(d.uint())
+		m.Cert.Stable = d.uint()
+		d.digest(m.Cert.Digest[:])
+		if n := d.count(32); n > 0 {
 			m.Cert.Bound = make([][32]byte, n)
 			for i := range m.Cert.Bound {
-				r.digest(m.Cert.Bound[i][:])
+				d.digest(m.Cert.Bound[i][:])
 			}
 		}
-		if n := r.count(); n > 0 {
+		if n := d.count(2); n > 0 {
 			m.Runs = make([]core.BlockRun, n)
 			for i := range m.Runs {
-				m.Runs[i].Instance = int(r.uint())
-				if bn := r.count(); bn > 0 {
+				m.Runs[i].Instance = int(d.uint())
+				if bn := d.count(1); bn > 0 {
 					m.Runs[i].Blocks = make([]*types.Block, bn)
 					for j := range m.Runs[i].Blocks {
-						m.Runs[i].Blocks[j] = r.block()
+						m.Runs[i].Blocks[j] = d.block()
 					}
 				}
 			}
@@ -240,11 +328,11 @@ func Decode(data []byte) (any, error) {
 	default:
 		return nil, fmt.Errorf("wire: unknown message tag %d", data[0])
 	}
-	if r.err != nil {
-		return nil, r.err
+	if d.err != nil {
+		return nil, d.err
 	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after message", len(r.b))
+	if len(d.b) != 0 {
+		return nil, fmt.Errorf("wire: %d trailing bytes after message", len(d.b))
 	}
 	return msg, nil
 }
@@ -325,201 +413,166 @@ func appendTxValue(dst []byte, tx *types.Transaction) []byte {
 
 // --- decoding helpers ---
 
-// reader is a cursor over an encoded message with sticky error handling:
-// the first malformed read poisons it and every later read returns zero
-// values, so decoders read field sequences without per-field checks.
-//
-// Variable-length fields are carved from one shared arena allocation
-// instead of one heap object each: the sum of every remaining field's
-// content is bounded by the bytes left in the input, so a single buffer
-// sized at the first carve serves the whole message. Each carve is
-// capacity-clipped (three-index slice), so appending to one decoded
-// field can never spill into a sibling's region.
-type reader struct {
-	b     []byte
-	arena []byte
-	err   error
-}
-
-// carve reserves n exclusively-owned bytes from the arena.
-func (r *reader) carve(n int) []byte {
-	if cap(r.arena)-len(r.arena) < n {
-		// Every later carve copies bytes not yet consumed from r.b, so
-		// len(r.b) bounds all remaining content: one allocation suffices.
-		r.arena = make([]byte, 0, max(n, len(r.b)))
-	}
-	out := r.arena[len(r.arena) : len(r.arena)+n : len(r.arena)+n]
-	r.arena = r.arena[:len(r.arena)+n]
-	return out
-}
-
-func (r *reader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("wire: "+format, args...)
+func (d *Decoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("wire: "+format, args...)
 	}
 }
 
-func (r *reader) uint() uint64 {
-	if r.err != nil {
+func (d *Decoder) uint() uint64 {
+	if d.err != nil {
 		return 0
 	}
-	v, n := binary.Uvarint(r.b)
+	v, n := binary.Uvarint(d.b)
 	if n <= 0 {
-		r.fail("truncated uvarint")
+		d.fail("truncated uvarint")
 		return 0
 	}
-	r.b = r.b[n:]
+	d.b = d.b[n:]
 	return v
 }
 
-func (r *reader) int() int64 {
-	if r.err != nil {
+func (d *Decoder) int() int64 {
+	if d.err != nil {
 		return 0
 	}
-	v, n := binary.Varint(r.b)
+	v, n := binary.Varint(d.b)
 	if n <= 0 {
-		r.fail("truncated varint")
+		d.fail("truncated varint")
 		return 0
 	}
-	r.b = r.b[n:]
+	d.b = d.b[n:]
 	return v
 }
 
-// count reads a collection length and bounds it by the bytes remaining
-// (every element encodes to at least one byte), so a malformed header
-// cannot demand a huge allocation.
-func (r *reader) count() int {
-	n := r.uint()
-	if r.err != nil {
+// count reads a collection length and bounds it by the bytes remaining over
+// minLen, the fewest bytes one element encodes to (a transaction's six
+// fields take 6, an op's five take 5, a prepared entry's and a
+// re-proposal's fixed heads 3 and 4), so a malformed header cannot demand
+// an allocation out of proportion to its frame.
+func (d *Decoder) count(minLen int) int {
+	n := d.uint()
+	if d.err != nil {
 		return 0
 	}
-	if n > uint64(len(r.b)) {
-		r.fail("collection of %d elements exceeds %d remaining bytes", n, len(r.b))
+	if n > uint64(len(d.b)/minLen) {
+		d.fail("collection of %d elements exceeds %d remaining bytes", n, len(d.b))
 		return 0
 	}
 	return int(n)
 }
 
-func (r *reader) bytes() []byte {
-	n := r.count()
-	if r.err != nil || n == 0 {
+func (d *Decoder) bytes() []byte {
+	n := d.count(1)
+	if d.err != nil || n == 0 {
 		return nil
 	}
-	out := r.carve(n)
-	copy(out, r.b)
-	r.b = r.b[n:]
+	out := d.blobs.carve(n)
+	copy(out, d.b)
+	d.b = d.b[n:]
 	return out
 }
 
 // str reads a string field without the double copy of
-// string(r.bytes()). The carved region is exclusively owned by the
-// returned string: the arena cursor has moved past it, no other field
-// can alias it, and []byte fields carved from the same arena are
-// capacity-clipped to their own regions — so nothing can ever mutate
-// the string's backing bytes, which is what makes the zero-copy
-// conversion sound.
-func (r *reader) str() string {
-	n := r.count()
-	if r.err != nil || n == 0 {
+// string(d.bytes()). The carved region is exclusively owned by the
+// returned string: the chunk has moved past it, no other field can alias
+// it, and []byte fields carved from the same chunk are capacity-clipped
+// to their own regions — so nothing can ever mutate the string's backing
+// bytes, which is what makes the zero-copy conversion sound.
+func (d *Decoder) str() string {
+	n := d.count(1)
+	if d.err != nil || n == 0 {
 		return ""
 	}
-	out := r.carve(n)
-	copy(out, r.b)
-	r.b = r.b[n:]
+	out := d.blobs.carve(n)
+	copy(out, d.b)
+	d.b = d.b[n:]
 	return unsafe.String(&out[0], n)
 }
 
-func (r *reader) digest(dst []byte) {
-	if r.err != nil {
+func (d *Decoder) digest(dst []byte) {
+	if d.err != nil {
 		return
 	}
-	if len(r.b) < len(dst) {
-		r.fail("truncated %d-byte digest", len(dst))
+	if len(d.b) < len(dst) {
+		d.fail("truncated %d-byte digest", len(dst))
 		return
 	}
-	copy(dst, r.b)
-	r.b = r.b[len(dst):]
+	copy(dst, d.b)
+	d.b = d.b[len(dst):]
 }
 
-func (r *reader) byte() byte {
-	if r.err != nil {
+func (d *Decoder) byte() byte {
+	if d.err != nil {
 		return 0
 	}
-	if len(r.b) == 0 {
-		r.fail("truncated byte")
+	if len(d.b) == 0 {
+		d.fail("truncated byte")
 		return 0
 	}
-	v := r.b[0]
-	r.b = r.b[1:]
+	v := d.b[0]
+	d.b = d.b[1:]
 	return v
 }
 
-func (r *reader) prePrepare() *pbft.PrePrepare {
+func (d *Decoder) prePrepare() *pbft.PrePrepare {
 	m := &pbft.PrePrepare{}
-	m.Instance = int(r.uint())
-	m.View = r.uint()
-	m.Seq = r.uint()
-	m.Block = r.block()
+	m.Instance = int(d.uint())
+	m.View = d.uint()
+	m.Seq = d.uint()
+	m.Block = d.block()
 	return m
 }
 
-func (r *reader) block() *types.Block {
-	if r.byte() == 0 || r.err != nil {
+func (d *Decoder) block() *types.Block {
+	if d.byte() == 0 || d.err != nil {
 		return nil
 	}
 	b := &types.Block{}
-	b.Instance = int(r.uint())
-	b.SN = r.uint()
-	b.Rank = r.uint()
-	if n := r.count(); n > 0 {
+	b.Instance = int(d.uint())
+	b.SN = d.uint()
+	b.Rank = d.uint()
+	if n := d.count(1); n > 0 {
 		b.State = make(types.StateVector, n)
 		for i := range b.State {
-			b.State[i] = r.uint()
+			b.State[i] = d.uint()
 		}
 	}
-	if n := r.count(); n > 0 {
+	if n := d.count(6); n > 0 {
 		b.Txs = make([]types.Transaction, n)
+		d.ops.expect(n) // at least: a valid transaction has an op
 		for i := range b.Txs {
-			r.txValue(&b.Txs[i])
+			d.txValue(&b.Txs[i])
 		}
 	}
-	if n := r.count(); n > 0 {
+	if n := d.count(2); n > 0 {
 		b.Refs = make([]types.BlockRef, n)
 		for i := range b.Refs {
-			b.Refs[i].Instance = int(r.uint())
-			b.Refs[i].SN = r.uint()
+			b.Refs[i].Instance = int(d.uint())
+			b.Refs[i].SN = d.uint()
 		}
 	}
-	b.Proposer = int(r.uint())
-	b.Sig = r.bytes()
-	b.ProposeNS = r.int()
+	b.Proposer = int(d.uint())
+	b.Sig = d.bytes()
+	b.ProposeNS = d.int()
 	return b
 }
 
-func (r *reader) tx() *types.Transaction {
-	if r.byte() == 0 || r.err != nil {
-		return nil
-	}
-	tx := &types.Transaction{}
-	r.txValue(tx)
-	return tx
-}
-
-func (r *reader) txValue(tx *types.Transaction) {
-	if n := r.count(); n > 0 {
-		tx.Ops = make([]types.Op, n)
+func (d *Decoder) txValue(tx *types.Transaction) {
+	if n := d.count(5); n > 0 {
+		tx.Ops = d.ops.carve(n)
 		for i := range tx.Ops {
 			op := &tx.Ops[i]
-			op.Key = types.Key(r.str())
-			op.Type = types.ObjectType(r.byte())
-			op.Kind = types.OpKind(r.byte())
-			op.Amount = types.Amount(r.int())
-			op.Con = types.Amount(r.int())
+			op.Key = types.Key(d.str())
+			op.Type = types.ObjectType(d.byte())
+			op.Kind = types.OpKind(d.byte())
+			op.Amount = types.Amount(d.int())
+			op.Con = types.Amount(d.int())
 		}
 	}
-	tx.Client = types.Key(r.str())
-	tx.Nonce = r.uint()
-	tx.Sig = r.bytes()
-	tx.Payload = r.bytes()
-	tx.SubmitNS = r.int()
+	tx.Client = types.Key(d.str())
+	tx.Nonce = d.uint()
+	tx.Sig = d.bytes()
+	tx.Payload = d.bytes()
+	tx.SubmitNS = d.int()
 }

@@ -635,9 +635,17 @@ func (c Config) clusterConfig() cluster.Config {
 	// RunMany.
 	switch {
 	case len(c.txs) > 0:
-		src := &fixedSource{credits: c.credits}
+		// One []Transaction and one []Op hold the whole list's copies.
+		nops := 0
 		for _, t := range c.txs {
-			src.txs = append(src.txs, t.tx.Clone())
+			nops += len(t.tx.Ops)
+		}
+		src := &fixedSource{credits: c.credits, txs: make([]types.Transaction, len(c.txs))}
+		ops := make([]types.Op, 0, nops)
+		for i, t := range c.txs {
+			ops = append(ops, t.tx.Ops...)
+			src.txs[i] = *t.tx
+			src.txs[i].Ops = ops[len(ops)-len(t.tx.Ops) : len(ops) : len(ops)]
 		}
 		ccfg.Source = src
 		if ccfg.TotalTxs == 0 {

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/types"
 	"repro/orthrus/scenariodsl"
 )
 
@@ -226,5 +228,37 @@ func TestWithTraceMalformedSurfacesFromValidate(t *testing.T) {
 	}
 	if !errors.Is(err, ErrInvalidConfig) {
 		t.Fatalf("want ErrInvalidConfig, got %v", err)
+	}
+}
+
+// TestScriptedTransactionsCopiedPerRun pins what a run may do to its
+// scripted transactions: every clusterConfig hands out its own copies
+// (carved from one []Transaction and one []Op), so stamping per-run fields,
+// rewriting an op or appending to Ops reaches neither the caller's
+// originals, nor another run's copies, nor the next transaction of the
+// same run.
+func TestScriptedTransactionsCopiedPerRun(t *testing.T) {
+	txs := []*Tx{
+		Payment("alice", "bob", 30, 1),
+		MultiPayment("carol", []Transfer{{"carol", "bob", 1}, {"dave", "bob", 2}}, 2),
+		ContractCall("alice", []string{"alice"}, 1, 3, SharedAssign("rec", 7)),
+	}
+	c := NewConfig(WithTransactions(txs...))
+	first, second := c.clusterConfig().Source, c.clusterConfig().Source
+	for i, orig := range txs {
+		want := append([]types.Op(nil), orig.tx.Ops...)
+		x, y := first.Next(), second.Next()
+		if x == y || x == orig.tx || !reflect.DeepEqual(x.Ops, want) || !reflect.DeepEqual(y.Ops, want) || x.ID() != orig.tx.ID() {
+			t.Fatalf("tx %d: a run's copy is shared or differs from the original", i)
+		}
+		x.SubmitNS, x.Idx, x.Ops[0].Amount = 99, 7, 1234
+		grown := append(x.Ops, types.Op{Key: "intruder"}, types.Op{Key: "intruder"}, types.Op{Key: "intruder"})
+		grown[1].Amount = 1234
+		if y.SubmitNS != 0 || y.Idx != 0 || !reflect.DeepEqual(y.Ops, want) || !reflect.DeepEqual(orig.tx.Ops, want) {
+			t.Fatalf("tx %d: one run's writes reached another run's copy or the original", i)
+		}
+	}
+	if info := txInfo(txs[1].tx); !reflect.DeepEqual(info.Payers, []string{"carol", "dave"}) || info.ID != txs[1].ID() {
+		t.Fatalf("txInfo = %+v, want payers [carol dave] and ID %s", info, txs[1].ID())
 	}
 }

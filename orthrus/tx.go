@@ -73,8 +73,11 @@ func ContractCall(client string, payers []string, fee, nonce int64, ops ...Op) *
 // txInfo projects a transaction into the Observer's view.
 func txInfo(tx *types.Transaction) TxInfo {
 	info := TxInfo{ID: tx.ID().String(), Kind: tx.Kind().String(), Client: string(tx.Client)}
-	for _, p := range tx.Payers() {
-		info.Payers = append(info.Payers, string(p))
+	if payers := tx.Payers(); len(payers) > 0 {
+		info.Payers = make([]string, len(payers))
+		for i, p := range payers {
+			info.Payers[i] = string(p)
+		}
 	}
 	return info
 }
@@ -84,7 +87,7 @@ func txInfo(tx *types.Transaction) TxInfo {
 // the run caps submissions at the list length, so Next is never called
 // past the end.
 type fixedSource struct {
-	txs     []*types.Transaction
+	txs     []types.Transaction
 	credits map[string]int64
 	next    int
 }
@@ -99,7 +102,7 @@ func (s *fixedSource) Genesis() func(st *ledger.Store) {
 }
 
 func (s *fixedSource) Next() *types.Transaction {
-	tx := s.txs[s.next]
+	tx := &s.txs[s.next]
 	s.next++
 	return tx
 }
