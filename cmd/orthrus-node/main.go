@@ -18,8 +18,9 @@
 // generator is deterministic per seed, so two client nodes would submit
 // identical transactions. The daemon logs structured per-replica lines
 // (event=start|net|stats|backpressure|wire-error|view-change|stop) to
-// stdout and shuts down
-// cleanly on SIGINT/SIGTERM or after -duration.
+// stdout — stats and stop end in rejected=N, the messages the replica
+// refused as misattributed or malformed (0 among honest peers) — and shuts
+// down cleanly on SIGINT/SIGTERM or after -duration.
 package main
 
 import (
@@ -215,8 +216,8 @@ func runNode(o nodeOptions, stdout, stderr io.Writer, stop <-chan struct{}) erro
 	var lastDropped, lastEncErrs, lastDecErrs uint64
 	var statsTick func(_, _ any)
 	statsTick = func(_, _ any) {
-		logf("stats", "blocks=%d confirmed=%d aborted=%d msgs=%d bytes=%d dropped=%d",
-			blocks, confirmed, aborted, tcp.Messages(), tcp.Bytes(), tcp.Dropped())
+		logf("stats", "blocks=%d confirmed=%d aborted=%d msgs=%d bytes=%d dropped=%d rejected=%d",
+			blocks, confirmed, aborted, tcp.Messages(), tcp.Bytes(), tcp.Dropped(), replica.Rejected())
 		if d := tcp.Dropped(); d > lastDropped {
 			logf("backpressure", "dropped=%d total=%d", d-lastDropped, d)
 			lastDropped = d
@@ -292,7 +293,7 @@ func runNode(o nodeOptions, stdout, stderr io.Writer, stop <-chan struct{}) erro
 	clientWG.Wait()
 	tcp.Close()
 	node.Stop()
-	logf("stop", "reason=%s blocks=%d confirmed=%d aborted=%d msgs=%d bytes=%d dropped=%d",
-		reason, blocks, confirmed, aborted, tcp.Messages(), tcp.Bytes(), tcp.Dropped())
+	logf("stop", "reason=%s blocks=%d confirmed=%d aborted=%d msgs=%d bytes=%d dropped=%d rejected=%d",
+		reason, blocks, confirmed, aborted, tcp.Messages(), tcp.Bytes(), tcp.Dropped(), replica.Rejected())
 	return nil
 }

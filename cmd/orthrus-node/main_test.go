@@ -187,5 +187,10 @@ func TestTCPLoopbackCluster(t *testing.T) {
 		if !strings.Contains(out, "event=stop reason=signal") {
 			t.Fatalf("node %d output missing clean stop line:\n%s", i, out)
 		}
+		// The sender rule must pass every honest frame: each stats line and
+		// the stop line end in rejected=0.
+		if all, zero := strings.Count(out, " rejected="), strings.Count(out, " rejected=0\n"); all < 2 || all != zero {
+			t.Fatalf("node %d rejected honest traffic (%d of %d lines say rejected=0):\n%s", i, zero, all, out)
+		}
 	}
 }

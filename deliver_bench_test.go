@@ -58,6 +58,14 @@ func (handSB) IsLeader() bool             { return false }
 func (handSB) Leader() int                { return 1 }
 func (handSB) View() uint64               { return 0 }
 func (handSB) Stop()                      {}
+func (handSB) Resume()                    {}
+func (handSB) Complain()                  {}
+func (handSB) ReleaseBelow(uint64)        {}
+func (handSB) InFlight() int              { return 0 }
+func (handSB) Retained() int              { return 0 }
+
+func (handSB) Handle(int, pbft.Message) bool   { return false }
+func (handSB) SkipDelivered(*types.Block) bool { return false }
 
 func newDeliverHarness() *deliverHarness {
 	h := &deliverHarness{payers: make([][]types.Key, deliverM), deliver: make([]func(*types.Block), deliverM)}

@@ -1,6 +1,56 @@
 package core
 
-import "crypto/sha256"
+import (
+	"crypto/sha256"
+	"slices"
+
+	"repro/internal/pbft"
+)
+
+// ckptVote is a digest vouched for an epoch: a replica's slot in the vote
+// book (live is false until its first vote), or the quorum the replica has
+// yet to match (Replica.pend). A slot more than one epoch below the stable
+// floor is dead too: nothing down there is tallied, the census skips it.
+type ckptVote struct {
+	epoch  uint64
+	digest [32]byte
+	live   bool
+}
+
+// agreed visits n senders in index order (replicas by id; adoptCert's certs
+// by height) and returns the one whose value is the first to be shared by
+// need of them, or -1 if no value gets that far; val reports sender i's
+// value and whether it has one. The fixed order makes serial and parallel
+// kernels choose alike whatever a faulty minority sends.
+func agreed[K comparable](n, need int, val func(i int) (K, bool)) int {
+	var kbuf [4]K // distinct values seen; honest runs see one, more spill to the heap
+	var nbuf [4]int
+	keys, counts := kbuf[:0], nbuf[:0]
+	for i := 0; i < n; i++ {
+		k, ok := val(i)
+		if !ok {
+			continue
+		}
+		j := slices.Index(keys, k)
+		if j < 0 {
+			j, keys, counts = len(keys), append(keys, k), append(counts, 0)
+		}
+		if counts[j]++; counts[j] >= need {
+			return i
+		}
+	}
+	return -1
+}
+
+// boundDigest is an epoch's checkpoint digest: the hash of its per-instance
+// boundary hashes, in instance order.
+func boundDigest(bd [][32]byte) [32]byte {
+	h := sha256.New()
+	for i := range bd {
+		h.Write(bd[i][:])
+	}
+	return [32]byte(h.Sum(nil))
+}
 
 // maybeFinishEpoch checks whether every worker instance has delivered its
 // allotment for the current epoch; if so it broadcasts a checkpoint message
@@ -20,8 +70,8 @@ func (r *Replica) maybeFinishEpoch() {
 			r.nw.Broadcast(r.cfg.ID, 128, msg)
 		}
 	}
-	if r.pendSet {
-		r.tryStabilize(r.pendEpoch, r.pendDigest)
+	if r.pend.live {
+		r.tryStabilize(r.pend.epoch, r.pend.digest)
 	}
 }
 
@@ -42,64 +92,28 @@ func (r *Replica) localDigest(e uint64) (d [32]byte, ok bool) {
 	if !ok {
 		return d, false
 	}
-	h := sha256.New()
-	for i := range bd {
-		h.Write(bd[i][:])
-	}
-	copy(d[:], h.Sum(nil))
-	return d, true
+	return boundDigest(bd), true
 }
 
-// ckptQuorum is the checkpoint stability threshold. ceil((n+f+1)/2)
-// guarantees any two quorums intersect in at least one honest replica —
-// the classical 2f+1 only does when n = 3f+1 exactly — so at most one
-// digest per epoch can ever stabilize.
-func (r *Replica) ckptQuorum() int { return (r.cfg.N + r.cfg.F + 2) / 2 }
-
-// onCheckpoint collects checkpoint votes; a quorum of matching digests
-// makes the checkpoint stable, enabling garbage collection and advancing
-// the epoch obligation of the failure detector. Each replica holds at most
-// one live vote (a newer epoch evicts the older), so a faulty replica
-// spamming far-future epoch numbers cannot grow the vote maps — the same
-// bound PR 6 put on view-change votes.
+// onCheckpoint books m as its (authenticated, see handle) sender's vote; a
+// quorum of matching digests (pbft.Quorum: any two quorums share an honest
+// replica, so at most one digest per epoch can ever stabilize) makes the
+// checkpoint stable, enabling garbage collection and advancing the epoch
+// obligation of the failure detector. Honest replicas match; Byzantine or
+// diverged ones simply do not count toward the quorum.
 func (r *Replica) onCheckpoint(m *CheckpointMsg) {
-	if m.Replica < 0 || m.Replica >= r.cfg.N {
-		return // Byzantine: vote from a nonexistent replica
+	v := &r.ckptVotes[m.Replica]
+	if m.Epoch < r.stableEpoch || v.live && m.Epoch <= v.epoch {
+		return // already covered, or not newer than the sender's vote
 	}
-	if m.Epoch < r.stableEpoch || m.Epoch+1 <= r.ckptHighest[m.Replica] {
-		return // already covered, or not newer than the sender's live vote
+	*v = ckptVote{epoch: m.Epoch, digest: m.Digest, live: true}
+	rid := agreed(r.cfg.N, pbft.Quorum(r.cfg.N, r.cfg.F), func(rid int) ([32]byte, bool) {
+		v := &r.ckptVotes[rid]
+		return v.digest, v.live && v.epoch == m.Epoch
+	})
+	if rid >= 0 {
+		r.tryStabilize(m.Epoch, r.ckptVotes[rid].digest)
 	}
-	if prev := r.ckptHighest[m.Replica]; prev > 0 {
-		if votes, ok := r.ckptVotes[prev-1]; ok {
-			delete(votes, m.Replica)
-			if len(votes) == 0 {
-				delete(r.ckptVotes, prev-1)
-			}
-		}
-	}
-	r.ckptHighest[m.Replica] = m.Epoch + 1
-	votes, ok := r.ckptVotes[m.Epoch]
-	if !ok {
-		votes = make(map[int][32]byte)
-		r.ckptVotes[m.Epoch] = votes
-	}
-	votes[m.Replica] = m.Digest
-	// Count the most common digest (honest replicas match; Byzantine ones
-	// may diverge and are simply not counted toward the quorum).
-	counts := make(map[[32]byte]int)
-	best := 0
-	var bestD [32]byte
-	for _, d := range votes {
-		counts[d]++
-		if counts[d] > best {
-			best = counts[d]
-			bestD = d
-		}
-	}
-	if best < r.ckptQuorum() {
-		return
-	}
-	r.tryStabilize(m.Epoch, bestD)
 }
 
 // tryStabilize attempts to make epoch e's checkpoint stable under quorum
@@ -125,8 +139,8 @@ func (r *Replica) tryStabilize(e uint64, d [32]byte) {
 	}
 	local, complete := r.localDigest(e)
 	if !complete || local != d {
-		if !r.pendSet || e > r.pendEpoch {
-			r.pendEpoch, r.pendDigest, r.pendSet = e, d, true
+		if !r.pend.live || e > r.pend.epoch {
+			r.pend = ckptVote{epoch: e, digest: d, live: true}
 		}
 		if r.cfg.StateTransfer && (complete || e > r.stReqEpoch) {
 			r.stReqEpoch = e
@@ -134,8 +148,8 @@ func (r *Replica) tryStabilize(e uint64, d [32]byte) {
 		}
 		return
 	}
-	if r.pendSet && r.pendEpoch <= e {
-		r.pendSet = false
+	if r.pend.live && r.pend.epoch <= e {
+		r.pend.live = false
 	}
 	r.stableEpoch = e + 1
 	r.gcEpoch()
@@ -154,9 +168,9 @@ func (r *Replica) tryStabilize(e uint64, d [32]byte) {
 
 // gcEpoch discards data the stable checkpoint makes obsolete: confirmed-tx
 // dedup records, finished trackers, the escrow-pool high-water mark,
-// pre-checkpoint archive and boundary snapshots, old checkpoint votes, and
-// (with state transfer, which supersedes their laggard-repair role) the
-// engines' retained delivered-block rings. Everything released here is
+// pre-checkpoint archive and boundary snapshots, and (with state transfer,
+// which supersedes their laggard-repair role) the engines' retained
+// delivered-block rings. Everything released here is
 // execution-irrelevant — delivery, execution, and messaging never read it
 // again — so collection inside a deterministic event handler keeps serial
 // and parallel kernels bit-identical.
@@ -195,26 +209,17 @@ func (r *Replica) gcEpoch() {
 			r.archive[i] = a[:keep]
 			r.archiveBase[i] += uint64(drop)
 		}
-		for k := range r.stResps {
-			delete(r.stResps, k)
-		}
+		clear(r.stResps)
 		// Retained rings repair laggards through NewView; state transfer
 		// supersedes that below the stable floor.
 		for i := 0; i < r.cfg.M; i++ {
-			if rel, ok := r.sbs[i].(interface{ ReleaseBelow(uint64) }); ok {
-				rel.ReleaseBelow(floor)
-			}
+			r.sbs[i].ReleaseBelow(floor)
 		}
 	}
 	for e := range r.bound {
 		// Keep the stable boundary itself: CheckpointCert responses cite it.
 		if e+1 < r.stableEpoch {
 			delete(r.bound, e)
-		}
-	}
-	for e := range r.ckptVotes {
-		if e+1 < r.stableEpoch {
-			delete(r.ckptVotes, e)
 		}
 	}
 	r.store.TrimPool(64)

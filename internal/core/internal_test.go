@@ -192,39 +192,43 @@ func deliverEpoch0(r *Replica, rank uint64) {
 }
 
 // TestCheckpointVoteSpamBounded pins the one-live-vote-per-replica bound on
-// the checkpoint vote maps: a faulty replica spamming far-future epoch
-// numbers must never grow ckptVotes beyond one entry for itself (the same
-// bound PR 6 put on view-change votes), and votes citing nonexistent
-// replica ids must be rejected outright.
+// the checkpoint vote book: a faulty replica spamming far-future epoch
+// numbers must never hold more than its one slot (the same bound PR 6 put
+// on view-change votes), and votes citing another replica than their sender
+// — nonexistent or not — must be rejected outright.
 func TestCheckpointVoteSpamBounded(t *testing.T) {
 	r := newBareReplica(t, OrthrusMode())
-	live := func() int {
-		n := 0
-		for _, votes := range r.ckptVotes {
-			n += len(votes)
+	live := func() int { return r.LiveSet().CkptVotes }
+	epochs := func() int {
+		seen := map[uint64]bool{}
+		for _, v := range r.ckptVotes {
+			if v.live {
+				seen[v.epoch] = true
+			}
 		}
-		return n
+		return len(seen)
 	}
 	for e := uint64(0); e < 1000; e++ {
-		r.onCheckpoint(&CheckpointMsg{Epoch: e, Digest: [32]byte{1}, Replica: 1})
+		r.handle(1, &CheckpointMsg{Epoch: e, Digest: [32]byte{1}, Replica: 1})
 	}
 	if got := live(); got != 1 {
 		t.Fatalf("1000-epoch spam from one replica left %d live votes, want 1", got)
 	}
-	if len(r.ckptVotes) != 1 {
-		t.Fatalf("spam left %d epoch entries, want 1", len(r.ckptVotes))
+	if got := epochs(); got != 1 {
+		t.Fatalf("spam left %d epoch entries, want 1", got)
 	}
-	// Byzantine sender ids outside [0, N) must not touch any state.
-	r.onCheckpoint(&CheckpointMsg{Epoch: 5, Digest: [32]byte{2}, Replica: -1})
-	r.onCheckpoint(&CheckpointMsg{Epoch: 5, Digest: [32]byte{2}, Replica: 4})
-	if got := live(); got != 1 {
-		t.Fatalf("out-of-range replica ids changed the vote maps: %d live votes", got)
+	// A vote naming anyone but its sender must not touch any state.
+	for _, forged := range []int{-1, 4, 2} {
+		r.handle(1, &CheckpointMsg{Epoch: 5000, Digest: [32]byte{2}, Replica: forged})
+	}
+	if got := live(); got != 1 || r.ckptVotes[1].epoch != 999 || r.ckptVotes[2].live || r.Rejected() != 3 {
+		t.Fatalf("forged replica ids changed the vote book: %d live votes, %d rejected", got, r.Rejected())
 	}
 	// Every replica spamming at once (distinct digests, so no quorum ever
 	// forms) still holds at most one live vote each.
 	for e := uint64(0); e < 1000; e++ {
 		for rid := 0; rid < 4; rid++ {
-			r.onCheckpoint(&CheckpointMsg{Epoch: e, Digest: [32]byte{byte(rid)}, Replica: rid})
+			r.handle(rid, &CheckpointMsg{Epoch: e, Digest: [32]byte{byte(rid)}, Replica: rid})
 		}
 	}
 	if got := live(); got > 4 {
@@ -259,10 +263,10 @@ func TestCheckpointStabilizeRequiresLocalDigestMatch(t *testing.T) {
 	if _, stable := r.Epoch(); stable != 0 {
 		t.Fatal("diverged replica stabilized a checkpoint on the quorum's say-so")
 	}
-	if !r.pendSet || r.pendEpoch != 0 || r.pendDigest != quorumD {
+	if !r.pend.live || r.pend.epoch != 0 || r.pend.digest != quorumD {
 		t.Fatal("mismatched quorum not recorded as pending")
 	}
-	if len(r.stResps) != 0 {
+	if r.stResps[2] != nil {
 		t.Fatal("complete-but-mismatched digest did not request state transfer")
 	}
 
@@ -274,6 +278,45 @@ func TestCheckpointStabilizeRequiresLocalDigestMatch(t *testing.T) {
 	}
 	if _, stable := m.Epoch(); stable != 1 {
 		t.Fatalf("matching replica did not stabilize (stable=%d)", stable)
+	}
+}
+
+// TestAdoptCertPicksHighestAgreed: of the certs f+1 responders share, the
+// highest is adopted, whatever order the responders come in; a cert whose
+// digest does not commit to its own boundary vector vouches for nothing.
+func TestAdoptCertPicksHighestAgreed(t *testing.T) {
+	cert := func(stable uint64, seed byte) CheckpointCert {
+		bd := make([][32]byte, 4)
+		bd[0][0] = seed
+		return CheckpointCert{Stable: stable, Digest: boundDigest(bd), Bound: bd}
+	}
+	forged := cert(9, 9)
+	forged.Digest[0] ^= 1
+	for name, tc := range map[string]struct {
+		certs [4]CheckpointCert
+		want  uint64 // the adopted cert's Stable; 0 = none
+	}{
+		"higher pair last":     {[4]CheckpointCert{cert(1, 1), cert(1, 1), cert(2, 2), cert(2, 2)}, 2},
+		"higher pair first":    {[4]CheckpointCert{cert(2, 2), cert(1, 1), cert(2, 2), cert(1, 1)}, 2},
+		"highest not shared":   {[4]CheckpointCert{cert(3, 3), cert(1, 1), cert(2, 2), cert(1, 1)}, 1},
+		"same height, two say": {[4]CheckpointCert{cert(2, 5), cert(2, 6), cert(2, 7), cert(2, 6)}, 2},
+		"forged pair":          {[4]CheckpointCert{forged, forged, cert(1, 1), cert(1, 1)}, 1},
+		"nothing shared":       {[4]CheckpointCert{cert(1, 1), cert(2, 2), cert(3, 3), {}}, 0},
+	} {
+		r := epochReplica(t, true)
+		for rid, c := range tc.certs {
+			r.stResps[rid] = &StateTransferResp{Replica: rid, Cert: c}
+		}
+		r.adoptCert()
+		// The local log is empty, so the adopted cert lands in pend.
+		switch {
+		case tc.want == 0 && r.pend.live:
+			t.Fatalf("%s: adopted a cert for epoch %d, want none", name, r.pend.epoch)
+		case tc.want != 0 && (!r.pend.live || r.pend.epoch != tc.want-1):
+			t.Fatalf("%s: pending %+v, want the cert with Stable %d", name, r.pend, tc.want)
+		case name == "same height, two say" && r.pend.digest != tc.certs[1].Digest:
+			t.Fatalf("%s: adopted a digest only one responder vouched for", name)
+		}
 	}
 }
 

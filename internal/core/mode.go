@@ -16,10 +16,15 @@
 // Params (params.go) declares the engine knobs every replica must agree
 // on, with their only defaults and range check; Config embeds it beside
 // what is per replica.
+//
+// A message's sender is whoever the transport says delivered it.
+// Replica.handle compares a self-declared Replica field with that once, and
+// the books kept per replica (ckptVotes, stResps) are slices it indexes.
 package core
 
 import (
 	"repro/internal/order"
+	"repro/internal/pbft"
 	"repro/internal/types"
 )
 
@@ -45,8 +50,23 @@ type SB interface {
 	Leader() int
 	// View returns the current view number.
 	View() uint64
-	// Stop halts the instance (crash).
+	// Stop halts the instance (crash); Resume undoes it, where supported.
 	Stop()
+	Resume()
+	// Handle processes a protocol message from replica from and reports
+	// false for one it refuses whole (see pbft.Engine.Handle).
+	Handle(from int, msg pbft.Message) bool
+	// Complain votes to replace the current leader (censorship detector).
+	Complain()
+	// SkipDelivered delivers the next block on the word of state transfer
+	// instead of agreement; false leaves the gap.
+	SkipDelivered(b *types.Block) bool
+	// ReleaseBelow drops the delivered blocks retained below seq.
+	ReleaseBelow(seq uint64)
+	// InFlight counts proposed-but-undelivered sequence numbers, Retained
+	// the delivered blocks still held (LiveSet census).
+	InFlight() int
+	Retained() int
 }
 
 // SBHooks are the upcalls an SB implementation drives into the replica.

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/pbft"
 	"repro/internal/simnet"
 	"repro/internal/types"
 )
@@ -23,11 +24,19 @@ func (c *countingSB) Propose(*types.Block) error {
 	c.next++
 	return nil
 }
-func (c *countingSB) SetTarget(uint64) {}
-func (c *countingSB) IsLeader() bool   { return true }
-func (c *countingSB) Leader() int      { return 0 }
-func (c *countingSB) View() uint64     { return 0 }
-func (c *countingSB) Stop()            {}
+func (c *countingSB) SetTarget(uint64)    {}
+func (c *countingSB) IsLeader() bool      { return true }
+func (c *countingSB) Leader() int         { return 0 }
+func (c *countingSB) View() uint64        { return 0 }
+func (c *countingSB) Stop()               {}
+func (c *countingSB) Resume()             {}
+func (c *countingSB) Complain()           {}
+func (c *countingSB) ReleaseBelow(uint64) {}
+func (c *countingSB) InFlight() int       { return 0 }
+func (c *countingSB) Retained() int       { return 0 }
+
+func (c *countingSB) Handle(int, pbft.Message) bool   { return false }
+func (c *countingSB) SkipDelivered(*types.Block) bool { return false }
 
 // TestPulseStaleWakeupAfterRecover is the core half of the timer re-arm
 // audit: a Stop/Recover cycle leaves a stale pulse wakeup in flight (the

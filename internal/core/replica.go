@@ -108,16 +108,12 @@ type Replica struct {
 	sim types.Clock
 	nw  Network
 
-	sbs []SB // M worker SB instances (+1 sequencer if enabled)
-	// sbHandle caches each SB's message handler (nil when the SB is not
-	// message-level): the network dispatcher calls through this table
-	// instead of re-asserting the optional interface on every delivery.
-	sbHandle []func(int, pbft.Message)
-	buckets  *partition.Set
-	store    *ledger.Store
-	global   GlobalOrdering
-	rank     order.RankTracker
-	state    types.StateVector // delivered blocks per worker instance
+	sbs     []SB // M worker SB instances (+1 sequencer if enabled)
+	buckets *partition.Set
+	store   *ledger.Store
+	global  GlobalOrdering
+	rank    order.RankTracker
+	state   types.StateVector // delivered blocks per worker instance
 
 	// execState counts escrow-phased (executed) blocks per instance; blocks
 	// escrow-phase only once execState covers their referenced state b.S.
@@ -159,13 +155,11 @@ type Replica struct {
 	// Epoch & checkpoint state.
 	epoch       uint64 // current epoch (delivery obligation)
 	stableEpoch uint64 // epochs with a stable checkpoint
-	ckptVotes   map[uint64]map[int][32]byte
-	// ckptHighest[r] is one past the highest epoch replica r has voted for
-	// (0 = no live vote). Only the highest pending vote per replica is
-	// retained in ckptVotes — a newer vote evicts the older one — so the
-	// vote maps hold at most N entries no matter how many far-future epoch
-	// numbers a faulty replica spams (the same bound vcVotes carries).
-	ckptHighest []uint64
+	// ckptVotes[r] is replica r's one checkpoint vote, for the highest epoch
+	// it has voted on: a newer vote overwrites the older one, so the book
+	// holds N entries no matter how many far-future epoch numbers a faulty
+	// replica spams (the bound pbft's vcVotes carries, kept the same way).
+	ckptVotes []ckptVote
 	// ckptSent is one past the highest epoch this replica has broadcast a
 	// checkpoint for. maybeFinishEpoch only ever finishes r.epoch, which is
 	// monotone, so a watermark replaces the old unbounded sent-set.
@@ -178,23 +172,22 @@ type Replica struct {
 	// of how far either has run ahead. Pruned by gcEpoch; the stable
 	// boundary itself is retained for CheckpointCert responses.
 	bound map[uint64][][32]byte
-	// pendEpoch/pendDigest record the highest checkpoint quorum this
+	// pend records the highest checkpoint quorum (live = there is one) this
 	// replica has observed but not yet matched locally (behind, or
 	// diverged). Delivery re-checks it at every epoch boundary; with
 	// StateTransfer it also triggers a catch-up request on divergence.
-	pendEpoch  uint64
-	pendDigest [32]byte
-	pendSet    bool
+	pend ckptVote
 
 	// State-transfer machinery (cfg.StateTransfer only). archive[i] holds
 	// the delivered blocks of instance i from archiveBase[i] (the stable
 	// GC floor) to state[i]; gcEpoch prunes it as checkpoints stabilize, so
-	// its live size is bounded by the epoch run-ahead. stResps collects
-	// peers' catch-up responses until enough arrive to apply; it is cleared
-	// on every new request and at every stabilization.
+	// its live size is bounded by the epoch run-ahead. stResps[r] is peer
+	// r's answer to the current catch-up request, collected until enough
+	// arrive to apply; the book is cleared on every new request and at every
+	// stabilization.
 	archive     [][]*types.Block
 	archiveBase []uint64
-	stResps     map[int]*StateTransferResp
+	stResps     []*StateTransferResp
 	// stReqEpoch is the highest quorum epoch a lag-triggered catch-up
 	// request has been sent for: a laggard re-requests at most once per
 	// epoch while checkpoint quorums keep arriving for epochs it has not
@@ -220,6 +213,7 @@ type Replica struct {
 	// Counters.
 	confirmedOK  uint64
 	confirmedBad uint64
+	rejected     uint64 // see Rejected
 	stopped      bool
 	// pulseGen invalidates in-flight pulse loops across Stop/Recover cycles
 	// so a quick recovery does not leave two loops running per instance.
@@ -262,8 +256,7 @@ func NewReplica(cfg Config, sim types.Clock, nw Network) *Replica {
 		execQocc:       make([]uint64, (cfg.M+63)/64),
 		proposedDebits: make(map[types.Key]types.Amount),
 		blockRefs:      make(map[*types.Block][]txRef),
-		ckptVotes:      make(map[uint64]map[int][32]byte),
-		ckptHighest:    make([]uint64, cfg.N),
+		ckptVotes:      make([]ckptVote, cfg.N),
 		instHash:       make([][32]byte, cfg.M),
 		bound:          make(map[uint64][][32]byte),
 		lastComplain:   make([]uint64, cfg.M),
@@ -271,7 +264,7 @@ func NewReplica(cfg Config, sim types.Clock, nw Network) *Replica {
 	if cfg.StateTransfer {
 		r.archive = make([][]*types.Block, cfg.M)
 		r.archiveBase = make([]uint64, cfg.M)
-		r.stResps = make(map[int]*StateTransferResp)
+		r.stResps = make([]*StateTransferResp, cfg.N)
 	}
 	if cfg.Genesis != nil {
 		cfg.Genesis(r.store)
@@ -301,12 +294,6 @@ func NewReplica(cfg Config, sim types.Clock, nw Network) *Replica {
 			},
 		}
 		r.sbs[i] = build(i, hooks)
-	}
-	r.sbHandle = make([]func(int, pbft.Message), nInst)
-	for i, sb := range r.sbs {
-		if h, ok := sb.(interface{ Handle(int, pbft.Message) }); ok {
-			r.sbHandle[i] = h.Handle
-		}
 	}
 	nw.Register(cfg.ID, r.handle)
 	return r
@@ -342,29 +329,42 @@ type instanceTransport struct {
 func (t *instanceTransport) Broadcast(size int, msg pbft.Message) { t.nw.Broadcast(t.id, size, msg) }
 func (t *instanceTransport) Send(to, size int, msg pbft.Message)  { t.nw.Send(t.id, to, size, msg) }
 
-// handle is the network-facing message dispatcher.
+// handle is the network-facing message dispatcher and — with
+// pbft.Engine.Handle for the messages that package owns — the one place a
+// sender is checked: from is the identity the transport authenticated, the
+// only one a message has. Senders outside [0, N) are clients and may only
+// submit; a peer message whose self-declared Replica is not from never
+// reaches a handler, so the books the handlers keep per replica are indexed
+// by a checked id. What is refused is dropped whole and counted (Rejected).
 func (r *Replica) handle(from int, msg any) {
 	if r.stopped {
 		return
 	}
+	peer, ok := from >= 0 && from < r.cfg.N, false
 	switch m := msg.(type) {
+	case *SubmitMsg:
+		ok = m.Tx != nil && r.SubmitTx(m.Tx) == nil
 	case pbft.Message:
 		i := m.PBFTInstance()
-		if i >= 0 && i < len(r.sbHandle) {
-			if h := r.sbHandle[i]; h != nil {
-				h(from, m)
-			}
-		}
+		ok = peer && i >= 0 && i < len(r.sbs) && r.sbs[i].Handle(from, m)
 	case *CheckpointMsg:
-		r.onCheckpoint(m)
+		if ok = peer && m.Replica == from; ok {
+			r.onCheckpoint(m)
+		}
 	case *StateTransferReq:
-		r.onStateTransferReq(m)
+		ok = peer && m.Replica == from && r.onStateTransferReq(m)
 	case *StateTransferResp:
-		r.onStateTransferResp(m)
-	case *SubmitMsg:
-		_ = r.SubmitTx(m.Tx)
+		ok = peer && m.Replica == from && r.onStateTransferResp(m)
+	}
+	if !ok {
+		r.rejected++
 	}
 }
+
+// Rejected counts the messages handle refused: misattributed, malformed or
+// from outside the group. An honest cluster keeps it at zero — what is
+// merely of no use here (stale, or beyond an engine's reach) is not counted.
+func (r *Replica) Rejected() uint64 { return r.rejected }
 
 // Start arms failure detection and begins the proposal pulse loops.
 func (r *Replica) Start() {
@@ -403,9 +403,7 @@ func (r *Replica) Recover() {
 	r.stopped = false
 	r.pulseGen++
 	for i := range r.sbs {
-		if res, ok := r.sbs[i].(interface{ Resume() }); ok {
-			res.Resume()
-		}
+		r.sbs[i].Resume()
 		r.schedulePulse(i)
 	}
 	if r.cfg.StateTransfer {
@@ -725,9 +723,7 @@ func (r *Replica) onDeliver(instance int, b *types.Block) {
 		view := r.sbs[instance].View()
 		if last := r.lastComplain[instance]; last < view+1 {
 			r.lastComplain[instance] = view + 1
-			if c, okc := r.sbs[instance].(interface{ Complain() }); okc {
-				c.Complain()
-			}
+			r.sbs[instance].Complain()
 		}
 	}
 

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"crypto/sha256"
+	"cmp"
+	"slices"
 
 	"repro/internal/types"
 )
@@ -70,15 +71,11 @@ type StateTransferResp struct {
 }
 
 // requestStateTransfer broadcasts a catch-up request carrying the replica's
-// delivered state vector. Previously collected responses answer an older
-// request (a smaller prefix) and are dropped.
+// delivered state vector (callers check cfg.StateTransfer). Previously
+// collected responses answer an older request (a smaller prefix) and are
+// dropped.
 func (r *Replica) requestStateTransfer() {
-	if r.stResps == nil {
-		return
-	}
-	for k := range r.stResps {
-		delete(r.stResps, k)
-	}
+	clear(r.stResps)
 	req := &StateTransferReq{Replica: r.cfg.ID, State: r.state.Clone()}
 	r.nw.Broadcast(r.cfg.ID, 32+8*r.cfg.M, req)
 }
@@ -87,22 +84,21 @@ func (r *Replica) requestStateTransfer() {
 // stable checkpoint cert and the archived block runs past the requester's
 // prefix. An empty answer is still sent: the requester counts responses
 // toward its 2f+1 threshold before applying what better-placed peers hold.
-func (r *Replica) onStateTransferReq(m *StateTransferReq) {
-	if !r.cfg.StateTransfer || m.Replica < 0 || m.Replica >= r.cfg.N ||
-		m.Replica == r.cfg.ID || len(m.State) != r.cfg.M {
-		return
+// It reports false for a request no honest peer sends; the replica's own
+// broadcast coming back is ignored.
+func (r *Replica) onStateTransferReq(m *StateTransferReq) bool {
+	if !r.cfg.StateTransfer || len(m.State) != r.cfg.M {
+		return false
+	}
+	if m.Replica == r.cfg.ID {
+		return true
 	}
 	resp := &StateTransferResp{Replica: r.cfg.ID}
 	size := 64
 	if r.stableEpoch > 0 {
 		if bd, ok := r.bound[r.stableEpoch-1]; ok {
-			h := sha256.New()
-			for i := range bd {
-				h.Write(bd[i][:])
-			}
-			cert := CheckpointCert{Stable: r.stableEpoch, Bound: append([][32]byte(nil), bd...)}
-			copy(cert.Digest[:], h.Sum(nil))
-			resp.Cert = cert
+			resp.Cert = CheckpointCert{Stable: r.stableEpoch, Digest: boundDigest(bd),
+				Bound: append([][32]byte(nil), bd...)}
 			size += 32 * (len(bd) + 1)
 		}
 	}
@@ -124,71 +120,55 @@ func (r *Replica) onStateTransferReq(m *StateTransferReq) {
 		}
 	}
 	r.nw.Send(r.cfg.ID, m.Replica, size, resp)
+	return true
 }
 
-// onStateTransferResp collects catch-up answers and applies them once 2f+1
-// peers responded (late answers re-trigger application and may close
-// residual gaps).
-func (r *Replica) onStateTransferResp(m *StateTransferResp) {
-	if !r.cfg.StateTransfer || r.stResps == nil ||
-		m.Replica < 0 || m.Replica >= r.cfg.N || m.Replica == r.cfg.ID {
-		return
+// onStateTransferResp books a peer's catch-up answer and applies the book
+// once 2f+1 peers responded (late answers re-trigger application and may
+// close residual gaps). It reports false for an answer no honest peer
+// sends, a run that is not what BlockRun says it is above all.
+func (r *Replica) onStateTransferResp(m *StateTransferResp) bool {
+	if !r.cfg.StateTransfer || m.Replica == r.cfg.ID {
+		return false
+	}
+	for _, run := range m.Runs {
+		for j, b := range run.Blocks {
+			if b == nil || b.Instance != run.Instance || b.SN != run.Blocks[0].SN+uint64(j) {
+				return false
+			}
+		}
 	}
 	r.stResps[m.Replica] = m
-	if len(r.stResps) >= 2*r.cfg.F+1 {
+	got := 0
+	for _, resp := range r.stResps {
+		if resp != nil {
+			got++
+		}
+	}
+	if got >= 2*r.cfg.F+1 {
 		r.applyStateTransfer()
 	}
+	return true
 }
 
-// applyStateTransfer replays vouched-for blocks through the normal delivery
-// path, per instance in strict sequence order from the replica's own tip.
-// Response iteration is by replica index so serial and parallel kernels
-// make bit-identical choices.
+// applyStateTransfer replays vouched-for blocks — f+1 matching copies, at
+// least one from an honest peer — through the normal delivery path, per
+// instance in strict sequence order from the replica's own tip.
 func (r *Replica) applyStateTransfer() {
 	for i := 0; i < r.cfg.M; i++ {
-		sd, ok := r.sbs[i].(interface{ SkipDelivered(*types.Block) bool })
-		if !ok {
-			return // engine cannot skip (analytic SB); leave the gap
-		}
 		for {
 			// Re-read the tip every round: onDeliver advances it, and a
 			// stabilization fired from inside may clear stResps entirely.
 			next := r.state[i]
-			var chosen *types.Block
-			var cands []*types.Block
-			var votes []int
-			for rid := 0; rid < r.cfg.N && chosen == nil; rid++ {
-				resp, ok := r.stResps[rid]
-				if !ok {
-					continue
+			rid := agreed(r.cfg.N, r.cfg.F+1, func(rid int) (types.BlockID, bool) {
+				if b := r.stResps[rid].blockAt(i, next); b != nil {
+					return b.Digest(), true
 				}
-				b := runBlockAt(resp.Runs, i, next)
-				if b == nil {
-					continue
-				}
-				d := b.Digest()
-				seen := false
-				for ci := range cands {
-					if cands[ci].Digest() == d {
-						votes[ci]++
-						seen = true
-						if votes[ci] >= r.cfg.F+1 {
-							chosen = cands[ci]
-						}
-						break
-					}
-				}
-				if !seen {
-					cands = append(cands, b)
-					votes = append(votes, 1)
-					if r.cfg.F == 0 {
-						chosen = b
-					}
-				}
-			}
+				return types.BlockID{}, false
+			})
 			// SkipDelivered drives the engine's OnDeliver hook — the block
 			// executes through onDeliver exactly like a live delivery.
-			if chosen == nil || !sd.SkipDelivered(chosen) {
+			if rid < 0 || !r.sbs[i].SkipDelivered(r.stResps[rid].blockAt(i, next)) {
 				break
 			}
 			r.stApplied++
@@ -197,19 +177,18 @@ func (r *Replica) applyStateTransfer() {
 	r.adoptCert()
 }
 
-// runBlockAt returns the block with sequence sn for instance among runs,
-// or nil if the runs do not cover it.
-func runBlockAt(runs []BlockRun, instance int, sn uint64) *types.Block {
-	for _, run := range runs {
+// blockAt returns the block with sequence sn of instance among the answer's
+// runs, or nil if they do not cover it (or there is no answer).
+func (m *StateTransferResp) blockAt(instance int, sn uint64) *types.Block {
+	if m == nil {
+		return nil
+	}
+	for _, run := range m.Runs {
 		if run.Instance != instance || len(run.Blocks) == 0 {
 			continue
 		}
-		first := run.Blocks[0].SN
-		if sn < first || sn-first >= uint64(len(run.Blocks)) {
-			continue
-		}
-		if b := run.Blocks[sn-first]; b != nil && b.SN == sn {
-			return b
+		if first := run.Blocks[0].SN; sn >= first && sn-first < uint64(len(run.Blocks)) {
+			return run.Blocks[sn-first]
 		}
 	}
 	return nil
@@ -226,33 +205,19 @@ func (r *Replica) adoptCert() {
 		stable uint64
 		digest [32]byte
 	}
-	counts := make(map[certKey]int)
-	bestStable := uint64(0)
-	var bestD [32]byte
-	for rid := 0; rid < r.cfg.N; rid++ {
-		resp, ok := r.stResps[rid]
-		if !ok || resp.Cert.Stable == 0 || len(resp.Cert.Bound) != r.cfg.M {
-			continue
-		}
-		h := sha256.New()
-		for i := range resp.Cert.Bound {
-			h.Write(resp.Cert.Bound[i][:])
-		}
-		var d [32]byte
-		copy(d[:], h.Sum(nil))
-		if d != resp.Cert.Digest {
-			continue
-		}
-		k := certKey{resp.Cert.Stable, resp.Cert.Digest}
-		counts[k]++
-		// With at most f faulty replicas, only one cert per stable height
-		// can reach f+1 copies, so the winner is iteration-order free.
-		if counts[k] >= r.cfg.F+1 && k.stable > bestStable {
-			bestStable, bestD = k.stable, k.digest
+	var certs []certKey
+	for _, resp := range r.stResps {
+		if resp != nil && resp.Cert.Stable > r.stableEpoch && len(resp.Cert.Bound) == r.cfg.M &&
+			boundDigest(resp.Cert.Bound) == resp.Cert.Digest {
+			certs = append(certs, certKey{resp.Cert.Stable, resp.Cert.Digest})
 		}
 	}
-	if bestStable > r.stableEpoch {
-		r.tryStabilize(bestStable-1, bestD)
+	// Highest first, replica order among equals: the first cert f+1 share is
+	// the highest one they do.
+	slices.SortStableFunc(certs, func(a, b certKey) int { return cmp.Compare(b.stable, a.stable) })
+	i := agreed(len(certs), r.cfg.F+1, func(i int) (certKey, bool) { return certs[i], true })
+	if i >= 0 {
+		r.tryStabilize(certs[i].stable-1, certs[i].digest)
 	}
 }
 
@@ -296,15 +261,13 @@ func (r *Replica) LiveSet() LiveSet {
 		ls.Archive += len(r.archive[i])
 	}
 	for _, sb := range r.sbs {
-		if inf, ok := sb.(interface{ InFlight() int }); ok {
-			ls.Slots += inf.InFlight()
-		}
-		if ret, ok := sb.(interface{ Retained() int }); ok {
-			ls.Retained += ret.Retained()
-		}
+		ls.Slots += sb.InFlight()
+		ls.Retained += sb.Retained()
 	}
-	for _, votes := range r.ckptVotes {
-		ls.CkptVotes += len(votes)
+	for _, v := range r.ckptVotes {
+		if v.live && v.epoch+1 >= r.stableEpoch {
+			ls.CkptVotes++
+		}
 	}
 	return ls
 }

@@ -150,6 +150,14 @@ func (*handSB) IsLeader() bool             { return false }
 func (*handSB) Leader() int                { return 1 }
 func (*handSB) View() uint64               { return 0 }
 func (*handSB) Stop()                      {}
+func (*handSB) Resume()                    {}
+func (*handSB) Complain()                  {}
+func (*handSB) ReleaseBelow(uint64)        {}
+func (*handSB) InFlight() int              { return 0 }
+func (*handSB) Retained() int              { return 0 }
+
+func (*handSB) Handle(int, pbft.Message) bool   { return false }
+func (*handSB) SkipDelivered(*types.Block) bool { return false }
 
 // TestTableBoundedOverEpochs runs 48 epochs of the real path — every
 // transaction arrives as a wire-decoded copy, so none carries an Idx —

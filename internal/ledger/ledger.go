@@ -25,9 +25,8 @@ type Store struct {
 	elog map[types.TxID][]types.Op
 	// opsFree pools the elog's op slices: commit/abort return a slice here
 	// and the next escrow reuses it, so the steady-state escrow cycle
-	// allocates nothing. A pooled slice must not be observed through
-	// EscrowedOps after its entry commits or aborts (the performance-model
-	// ownership rule; stores are single-threaded).
+	// allocates nothing (stores are single-threaded; nothing outside the
+	// store ever holds an elog slice).
 	opsFree [][]types.Op
 }
 
@@ -52,10 +51,6 @@ func (s *Store) SharedValue(k types.Key) types.Amount { return s.shared[k] }
 
 // SetShared initializes a shared record (genesis).
 func (s *Store) SetShared(k types.Key, v types.Amount) { s.shared[k] = v }
-
-// EscrowedOps returns the escrowed ops of tx (nil if none). Exposed for
-// tests and invariant checks.
-func (s *Store) EscrowedOps(id types.TxID) []types.Op { return s.elog[id] }
 
 // EscrowCount returns the number of transactions with live escrows.
 func (s *Store) EscrowCount() int { return len(s.elog) }

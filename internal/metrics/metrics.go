@@ -75,10 +75,9 @@ func (l *Latency) String() string {
 // TimeSeries bins event counts and latency sums over fixed intervals, the
 // way Fig. 7 plots throughput and latency averages over 0.5 s bins.
 type TimeSeries struct {
-	Bin       time.Duration
-	counts    []int
-	latSums   []time.Duration
-	latCounts []int
+	Bin     time.Duration
+	counts  []int
+	latSums []time.Duration
 }
 
 // NewTimeSeries creates a series with the given bin width.
@@ -90,7 +89,7 @@ func NewTimeSeries(bin time.Duration) *TimeSeries {
 }
 
 // Reserve preallocates capacity for at least n bins, so a run of known
-// length fills its series without reallocating the three parallel slices.
+// length fills its series without reallocating the two parallel slices.
 // It never shrinks and does not change Bins().
 func (ts *TimeSeries) Reserve(n int) {
 	if cap(ts.counts) >= n {
@@ -102,16 +101,12 @@ func (ts *TimeSeries) Reserve(n int) {
 	latSums := make([]time.Duration, len(ts.latSums), n)
 	copy(latSums, ts.latSums)
 	ts.latSums = latSums
-	latCounts := make([]int, len(ts.latCounts), n)
-	copy(latCounts, ts.latCounts)
-	ts.latCounts = latCounts
 }
 
 func (ts *TimeSeries) grow(idx int) {
 	for len(ts.counts) <= idx {
 		ts.counts = append(ts.counts, 0)
 		ts.latSums = append(ts.latSums, 0)
-		ts.latCounts = append(ts.latCounts, 0)
 	}
 }
 
@@ -125,7 +120,6 @@ func (ts *TimeSeries) Record(at types.Time, latency time.Duration) {
 	ts.grow(idx)
 	ts.counts[idx]++
 	ts.latSums[idx] += latency
-	ts.latCounts[idx]++
 }
 
 // Bins returns the number of bins.
@@ -149,10 +143,10 @@ func (ts *TimeSeries) Throughput(i int) float64 {
 
 // MeanLatency returns bin i's average latency (0 if no samples).
 func (ts *TimeSeries) MeanLatency(i int) time.Duration {
-	if i < 0 || i >= len(ts.latCounts) || ts.latCounts[i] == 0 {
+	if i < 0 || i >= len(ts.counts) || ts.counts[i] == 0 {
 		return 0
 	}
-	return ts.latSums[i] / time.Duration(ts.latCounts[i])
+	return ts.latSums[i] / time.Duration(ts.counts[i])
 }
 
 // Stage identifies one of the five breakdown stages of Fig. 6.

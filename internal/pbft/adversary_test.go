@@ -8,13 +8,27 @@ import (
 	"repro/internal/types"
 )
 
-// vcVoteCount returns the total pending view-change votes across all views.
+// vcVoteCount returns the number of view-change votes the engine holds, for
+// any view: installing a view clears the votes it makes dead.
 func vcVoteCount(e *Engine) int {
 	total := 0
-	for _, votes := range e.vcVotes {
-		total += len(votes)
+	for _, vc := range e.vcVotes {
+		if vc != nil {
+			total++
+		}
 	}
 	return total
+}
+
+// vcViews returns how many distinct views hold a vote.
+func vcViews(e *Engine) int {
+	views := map[uint64]bool{}
+	for _, vc := range e.vcVotes {
+		if vc != nil {
+			views[vc.NewView] = true
+		}
+	}
+	return len(views)
 }
 
 // TestVcVotesBoundedUnderViewSpam pins the memory bound on the view-change
@@ -30,8 +44,8 @@ func TestVcVotesBoundedUnderViewSpam(t *testing.T) {
 	if got := vcVoteCount(e); got != 1 {
 		t.Fatalf("spamming replica holds %d pending votes, want 1", got)
 	}
-	if len(e.vcVotes) != 1 {
-		t.Fatalf("vcVotes tracks %d views, want 1", len(e.vcVotes))
+	if got := vcViews(e); got != 1 {
+		t.Fatalf("vcVotes tracks %d views, want 1", got)
 	}
 	// Several spammers: still at most one entry per replica.
 	for v := uint64(3); v < 1000; v += 2 {
@@ -41,11 +55,16 @@ func TestVcVotesBoundedUnderViewSpam(t *testing.T) {
 	if got := vcVoteCount(e); got > e.cfg.N {
 		t.Fatalf("%d pending votes exceed the %d-replica bound", got, e.cfg.N)
 	}
-	// Out-of-range replica indices in forged votes are dropped, not indexed.
-	e.Handle(3, &ViewChange{Instance: 0, NewView: 5000, Replica: 99})
-	e.Handle(3, &ViewChange{Instance: 0, NewView: 5000, Replica: -1})
-	if got := vcVoteCount(e); got > e.cfg.N {
-		t.Fatalf("forged replica index grew the vote store to %d", got)
+	// Votes naming anyone but their sender — out of range or not — are
+	// refused, not indexed, and replica 3's own vote stands.
+	before := *e.vcVotes[3]
+	for _, forged := range []int{99, -1, 0} {
+		if e.Handle(3, &ViewChange{Instance: 0, NewView: 5000, Replica: forged}) {
+			t.Fatalf("vote from replica 3 naming replica %d was accepted", forged)
+		}
+	}
+	if got := vcVoteCount(e); got > e.cfg.N || e.vcVotes[3].NewView != before.NewView || e.vcVotes[0].NewView == 5000 {
+		t.Fatalf("forged replica index reached the vote book (%d votes)", got)
 	}
 }
 
@@ -56,16 +75,186 @@ func TestVcVoteReplacementKeepsHighest(t *testing.T) {
 	e := newEngine(Config{N: 4, F: 1, ID: 1, Instance: 0}, &recordingTransport{}, simnet.On(sim, 1))
 	e.Handle(3, &ViewChange{Instance: 0, NewView: 4, Replica: 3})
 	e.Handle(3, &ViewChange{Instance: 0, NewView: 8, Replica: 3})
-	if _, ok := e.vcVotes[4]; ok {
-		t.Fatal("older vote not evicted by the newer one")
+	if got := vcVoteCount(e); got != 1 {
+		t.Fatalf("older vote not evicted by the newer one: %d pending votes", got)
 	}
-	if _, ok := e.vcVotes[8][3]; !ok {
+	if vc := e.vcVotes[3]; vc == nil || vc.NewView != 8 {
 		t.Fatal("newer vote not recorded")
 	}
 	e.Handle(3, &ViewChange{Instance: 0, NewView: 6, Replica: 3}) // lower: ignored
 	e.Handle(3, &ViewChange{Instance: 0, NewView: 8, Replica: 3}) // repeat: ignored
-	if got := vcVoteCount(e); got != 1 {
-		t.Fatalf("%d pending votes after replacement, want 1", got)
+	if got := vcVoteCount(e); got != 1 || e.vcVotes[3].NewView != 8 {
+		t.Fatalf("%d pending votes after replacement (replica 3 at view %d), want 1 at view 8", got, e.vcVotes[3].NewView)
+	}
+}
+
+// TestForgedQuorumDoesNotDeliver: one sender, four names. Replica 3 leads
+// instance 3 and sends replica 1 its proposal plus prepares and commits in
+// every replica's name, in and out of range. A vote is its sender's, so only
+// the one in its own name counts and nothing delivers — until the same
+// votes arrive from the replicas they name.
+func TestForgedQuorumDoesNotDeliver(t *testing.T) {
+	sim := simnet.New(1)
+	delivered := 0
+	e := newEngine(Config{N: 4, F: 1, ID: 1, Instance: 3,
+		OnDeliver: func(*types.Block) { delivered++ }}, &recordingTransport{}, simnet.On(sim, 1))
+	b := &types.Block{Instance: 3, SN: 0}
+	d := b.Digest()
+	if !e.Handle(3, &PrePrepare{Instance: 3, Block: b}) {
+		t.Fatal("the leader's own proposal was rejected")
+	}
+	for _, name := range []int{0, 1, 2, 3, 99, -1} {
+		okP := e.Handle(3, &Prepare{Instance: 3, Digest: d, Replica: name})
+		okC := e.Handle(3, &Commit{Instance: 3, Digest: d, Replica: name})
+		if okP != (name == 3) || okC != (name == 3) {
+			t.Fatalf("votes from replica 3 naming replica %d: accepted prepare=%v commit=%v", name, okP, okC)
+		}
+	}
+	if e.Handle(4, &Prepare{Instance: 3, Digest: d, Replica: 4}) || e.Handle(-1, &Commit{Instance: 3, Digest: d, Replica: -1}) {
+		t.Fatal("vote from outside the replica group accepted")
+	}
+	if delivered != 0 {
+		t.Fatal("a quorum forged by one sender delivered")
+	}
+	for _, r := range []int{0, 2} {
+		e.Handle(r, &Prepare{Instance: 3, Digest: d, Replica: r})
+		e.Handle(r, &Commit{Instance: 3, Digest: d, Replica: r})
+	}
+	if delivered != 1 {
+		t.Fatalf("honest quorum delivered %d blocks, want 1", delivered)
+	}
+}
+
+// TestHostileProposalsRejected: a proposal, re-proposal or prepared
+// certificate must carry a block, and the block must say the slot it is
+// offered for; anything else is refused whole, from the leader included.
+func TestHostileProposalsRejected(t *testing.T) {
+	sim := simnet.New(1)
+	tr := &recordingTransport{}
+	e := newEngine(Config{N: 4, F: 1, ID: 1, Instance: 0}, tr, simnet.On(sim, 1))
+	for name, m := range map[string]Message{
+		"nil block":              &PrePrepare{Seq: 0},
+		"another instance":       &PrePrepare{Seq: 0, Block: &types.Block{Instance: 2, SN: 0}},
+		"another sequence":       &PrePrepare{Seq: 0, Block: mkBlock(1, 1)},
+		"nil re-proposal":        &NewView{View: 4, Reproposals: []*PrePrepare{{View: 4, Seq: 0}}},
+		"misfiled re-proposal":   &NewView{View: 4, Reproposals: []*PrePrepare{{View: 4, Seq: 0, Block: mkBlock(3, 0)}}},
+		"nil prepared block":     &ViewChange{NewView: 1, Replica: 0, Prepared: []PreparedEntry{{Seq: 0}}},
+		"misfiled prepared cert": &ViewChange{NewView: 1, Replica: 0, Prepared: []PreparedEntry{{Seq: 0, Block: mkBlock(2, 0)}}},
+	} {
+		if e.Handle(0, m) { // replica 0 leads views 0 and 4
+			t.Fatalf("%s: accepted", name)
+		}
+	}
+	if e.View() != 0 || e.slots.get(0) != nil || len(tr.msgs) != 0 || vcVoteCount(e) != 0 {
+		t.Fatalf("rejected input left a trace: view %d, slot 0 %v, %d messages sent, %d votes booked",
+			e.View(), e.slots.get(0), len(tr.msgs), vcVoteCount(e))
+	}
+}
+
+// TestSequenceNumbersOutOfReachAreIgnored: a sequence number is a peer's
+// word, and the slot ring and the NewView fill loop are sized by it. What
+// names one maxAhead or more above the cursor is ignored — not refused: an
+// honest replica far ahead of this one sends exactly that — and sizes
+// nothing: the ring stops at maxAhead, and a new leader's fill loop ends
+// although its voters claim sequence numbers 2^40 and 2^50.
+func TestSequenceNumbersOutOfReachAreIgnored(t *testing.T) {
+	sim := simnet.New(1)
+	tr := &recordingTransport{}
+	e := newEngine(Config{N: 4, F: 1, ID: 1, Instance: 0}, tr, simnet.On(sim, 1))
+	for name, m := range map[string]Message{
+		"proposal": &PrePrepare{Seq: maxAhead, Block: mkBlock(maxAhead, 1)},
+		"prepare":  &Prepare{Seq: 1 << 62, Replica: 0},
+		"commit":   &Commit{Seq: 1 << 62, Replica: 0},
+	} {
+		if !e.Handle(0, m) {
+			t.Fatalf("%s out of reach: refused, want ignored", name)
+		}
+	}
+	if len(e.slots.ring) != 0 || len(tr.msgs) != 0 {
+		t.Fatalf("out-of-reach input left a trace: ring of %d, %d messages sent", len(e.slots.ring), len(tr.msgs))
+	}
+	if e.Handle(0, &Commit{Seq: maxAhead - 1, Replica: 0}); e.slots.get(maxAhead-1) == nil || len(e.slots.ring) != maxAhead {
+		t.Fatalf("the last sequence number in reach got no slot, or the ring (%d) outgrew maxAhead", len(e.slots.ring))
+	}
+	// Replica 1 leads view 1. Its voters' word would size the fill loop.
+	far := uint64(1) << 40
+	e.Handle(0, &ViewChange{NewView: 1, Replica: 0, Delivered: 1 << 50})
+	e.Handle(2, &ViewChange{NewView: 1, Replica: 2, Prepared: []PreparedEntry{{Seq: far, Block: mkBlock(far, 0)}}})
+	e.Handle(3, &ViewChange{NewView: 1, Replica: 3, Prepared: []PreparedEntry{{Seq: 2, Block: mkBlock(2, 1)}}})
+	nv, ok := tr.msgs[len(tr.msgs)-1].(*NewView)
+	if !ok || len(nv.Reproposals) != 1 || nv.Reproposals[0].Seq != 2 {
+		t.Fatalf("new leader sent %+v, want a NewView re-proposing the one certificate in reach", tr.msgs[len(tr.msgs)-1])
+	}
+	// A NewView is installed even if it re-proposes out of reach: only that
+	// re-proposal is skipped. Installing clears the votes the view used up.
+	nv.Reproposals = append(nv.Reproposals, &PrePrepare{View: 1, Seq: far, Block: mkBlock(far, 0)})
+	if !e.Handle(1, nv) || e.View() != 1 || e.slots.get(2).block == nil || e.slots.get(far) != nil || vcVoteCount(e) != 0 {
+		t.Fatalf("NewView with a far re-proposal: view %d, %d votes still booked", e.View(), vcVoteCount(e))
+	}
+	// Nor may it move the proposal cursor: no later view's fill would reach
+	// it, and replica 1 could never propose on this instance again.
+	if got := e.NextProposeSeq(); got != 3 {
+		t.Fatalf("next proposal at %d after re-proposals 2 and 2^40, want 3", got)
+	}
+}
+
+// TestLaggardBeyondReachFollowsViewsAndRejoins is the honest side of
+// maxAhead: replica 3 is more than maxAhead blocks behind its peers. It
+// refuses nothing they send, parks none of it, still books their
+// view-change votes, joins them and installs the new view; once state
+// transfer (SkipDelivered) has brought its cursor back in reach it votes and
+// delivers like everyone else.
+func TestLaggardBeyondReachFollowsViewsAndRejoins(t *testing.T) {
+	h := newHarness(t, 4, 1, nil)
+	const gap = maxAhead + 64
+	refused := 0
+	h.nw.Register(3, func(from int, msg any) {
+		if !h.engines[3].Handle(from, msg.(Message)) {
+			refused++
+		}
+	})
+	for sn := uint64(0); sn < gap; sn++ {
+		b := mkBlock(sn, 0)
+		for i := 0; i < 3; i++ {
+			if !h.engines[i].SkipDelivered(b) {
+				t.Fatalf("replica %d: skip of SN %d rejected", i, sn)
+			}
+		}
+	}
+	if err := h.engines[0].Propose(mkBlock(gap, 1)); err != nil {
+		t.Fatal(err)
+	}
+	h.sim.RunAll(0)
+	for i := 0; i < 3; i++ {
+		h.engines[i].Complain()
+	}
+	h.sim.RunAll(0)
+	lag := h.engines[3]
+	if len(h.delivered[0]) != gap+1 || lag.View() != 1 || lag.viewChanging {
+		t.Fatalf("peers delivered %d blocks (want %d); laggard in view %d (want 1), view-changing %v",
+			len(h.delivered[0]), gap+1, lag.View(), lag.viewChanging)
+	}
+	if refused != 0 || lag.Delivered() != 0 || len(lag.slots.ring) != 0 {
+		t.Fatalf("laggard refused %d messages, delivered %d blocks, grew its ring to %d; want 0, 0, 0",
+			refused, lag.Delivered(), len(lag.slots.ring))
+	}
+	// Catch-up replays the peers' log; the next proposal is live at all four.
+	for _, b := range h.delivered[0] {
+		if !lag.SkipDelivered(b) {
+			t.Fatalf("laggard: skip of SN %d rejected", b.SN)
+		}
+	}
+	if err := h.engines[1].Propose(mkBlock(gap+1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	h.sim.RunAll(0)
+	for i, d := range h.delivered {
+		if len(d) != gap+2 || d[gap+1].SN != gap+1 {
+			t.Fatalf("replica %d delivered %d blocks after the laggard's repair, want %d", i, len(d), gap+2)
+		}
+	}
+	if refused != 0 {
+		t.Fatalf("laggard refused %d honest messages", refused)
 	}
 }
 
@@ -213,7 +402,7 @@ func TestNewViewReplayBelowNextDeliverDropped(t *testing.T) {
 	}
 	// The fresh reproposal at seq 3 was accepted into a live slot.
 	s := e.slots.get(3)
-	if s == nil || !s.hasBlock {
+	if s == nil || s.block == nil {
 		t.Fatal("fresh reproposal at seq 3 not accepted")
 	}
 }

@@ -55,13 +55,14 @@ func (c Config) LeaderOf(view uint64) int {
 	return (c.Instance + int(view)) % c.N
 }
 
-// Quorum returns the prepare/commit quorum size ceil((n+f+1)/2): the
-// smallest count whose pairwise intersections always contain more than f
-// replicas, i.e. at least one honest one. For the paper's n = 3f+1 sizes
-// this is the familiar 2f+1; for other cluster sizes (the F-scale axis
-// includes n = 128 with f = 42) the fixed 2f+1 would let two quorums
-// intersect in faulty replicas only.
-func (c Config) Quorum() int { return (c.N + c.F + 2) / 2 }
+// Quorum returns the quorum size ceil((n+f+1)/2) of an n-replica group
+// tolerating f faults — prepare and commit votes here, checkpoint votes in
+// package core, the closed form of package sb: the smallest count whose
+// pairwise intersections always contain more than f replicas, i.e. at least
+// one honest one. For the paper's n = 3f+1 sizes this is the familiar 2f+1;
+// for other cluster sizes (the F-scale axis includes n = 128 with f = 42)
+// the fixed 2f+1 would let two quorums intersect in faulty replicas only.
+func Quorum(n, f int) int { return (n + f + 2) / 2 }
 
 // voteSet records per-replica digest votes for one phase of one slot. It
 // is a fixed slice indexed by replica id plus a presence vector — cheaper
@@ -88,9 +89,7 @@ func (v *voteSet) init(n int) {
 	} else {
 		v.digests = v.digests[:n]
 		v.present = v.present[:n]
-		for i := range v.present {
-			v.present[i] = false
-		}
+		clear(v.present)
 	}
 	v.tally = 0
 	v.tallyFor = types.BlockID{}
@@ -133,9 +132,8 @@ func (v *voteSet) countFor() int { return v.tally }
 // performance model document.
 type slot struct {
 	view      uint64
-	block     *types.Block
+	block     *types.Block // the accepted proposal; nil until it arrives
 	digest    types.BlockID
-	hasBlock  bool
 	prepares  voteSet
 	commits   voteSet
 	prepared  bool
@@ -146,6 +144,13 @@ type slot struct {
 	preparedBlock *types.Block
 }
 
+// reset empties s for view, keeping the storage of its vote sets.
+func (s *slot) reset(view uint64, n int) {
+	*s = slot{view: view, prepares: s.prepares, commits: s.commits}
+	s.prepares.init(n)
+	s.commits.init(n)
+}
+
 // newSlot takes a slot from the pool (or allocates one) and resets it for
 // the given view.
 func (e *Engine) newSlot(view uint64) *slot {
@@ -154,14 +159,10 @@ func (e *Engine) newSlot(view uint64) *slot {
 		s = e.slotPool[n-1]
 		e.slotPool[n-1] = nil
 		e.slotPool = e.slotPool[:n-1]
-		prepares, commits := s.prepares, s.commits
-		*s = slot{prepares: prepares, commits: commits}
 	} else {
 		s = &slot{}
 	}
-	s.view = view
-	s.prepares.init(e.cfg.N)
-	s.commits.init(e.cfg.N)
+	s.reset(view, e.cfg.N)
 	return s
 }
 
@@ -239,12 +240,12 @@ type Engine struct {
 	view         uint64
 	viewChanging bool
 	vcTarget     uint64 // view we are trying to install while viewChanging
-	vcVotes      map[uint64]map[int]*ViewChange
-	// vcHighest[r] is the highest view replica r has voted for. Only the
-	// highest pending vote per replica is retained in vcVotes (a newer vote
-	// evicts the older one), so vcVotes holds at most N entries no matter
-	// how many far-future views a faulty replica spams.
-	vcHighest []uint64
+	// vcVotes[r] is replica r's one view-change vote, for the highest view it
+	// has voted for (nil = never voted): voting for view v abandons every
+	// view below v, so a newer vote overwrites the older one and the book
+	// holds N votes however many far-future views a faulty replica spams.
+	// Installing a view clears the votes at or below it (onNewView).
+	vcVotes []*ViewChange
 
 	slots       slotRing
 	slotPool    []*slot // released slots awaiting reuse
@@ -268,29 +269,23 @@ type Engine struct {
 	// event that would have cancelled it (a newer escalation, the view
 	// installing, Stop) bumps the generation, and a timeout carrying a stale
 	// one fires as a no-op.
-	vcGen uint64
-
-	delivered uint64 // count of delivered blocks
-	stopped   bool
+	vcGen   uint64
+	stopped bool
 
 	// retained is a ring of the most recently delivered blocks, indexed by
-	// seq & (retainDelivered-1). Delivery discards a slot's certificates
-	// (freeSlot), so without it a new leader could not prove what was
-	// decided at a sequence number some replicas delivered but no pending
-	// certificate covers; sendNewView re-proposes the retained block there
-	// instead of a conflicting no-op.
-	retained [retainDelivered]retainedEntry
+	// SN & (retainDelivered-1) (a delivered block's SN is its sequence
+	// number: validBlock, SkipDelivered). Delivery discards a slot's
+	// certificates (freeSlot), so without it a new leader could not prove
+	// what was decided at a sequence number some replicas delivered but no
+	// pending certificate covers; sendNewView re-proposes the retained block
+	// there instead of a conflicting no-op.
+	retained [retainDelivered]*types.Block
 }
 
 // retainDelivered is the per-engine delivered-block retention depth. It
 // must be a power of two and comfortably exceed the pipeline window, so
 // every gap a view change can surface is still covered.
 const retainDelivered = 32
-
-type retainedEntry struct {
-	seq   uint64
-	block *types.Block // nil until seq wraps the ring once
-}
 
 // New creates an engine. The transport must deliver broadcast messages back
 // to the sender (self-delivery), which simnet.Network does.
@@ -305,8 +300,7 @@ func New(cfg Config, tr Transport, sim types.Clock) *Engine {
 		cfg:         cfg,
 		tr:          tr,
 		sim:         sim,
-		vcVotes:     make(map[uint64]map[int]*ViewChange),
-		vcHighest:   make([]uint64, cfg.N),
+		vcVotes:     make([]*ViewChange, cfg.N),
 		timeoutMult: 1,
 	}
 }
@@ -321,7 +315,7 @@ func (e *Engine) Leader() int { return e.cfg.LeaderOf(e.view) }
 func (e *Engine) IsLeader() bool { return e.Leader() == e.cfg.ID }
 
 // Delivered returns the number of delivered blocks (== next seq to deliver).
-func (e *Engine) Delivered() uint64 { return e.delivered }
+func (e *Engine) Delivered() uint64 { return e.nextDeliver }
 
 // NextProposeSeq returns the sequence number the leader would assign next.
 func (e *Engine) NextProposeSeq() uint64 { return e.nextPropose }
@@ -355,31 +349,14 @@ func (e *Engine) Resume() { e.stopped = false }
 // SkipDelivered advances the delivery cursor past a block obtained through
 // state transfer instead of a local commit certificate. The caller (the
 // replica's catch-up path) owns the block's correctness — f+1 matching peer
-// copies vouch for it; the engine keeps its bookkeeping consistent exactly
-// as tryDeliver would: the sequence's slot (if any) is released, the window
-// and cursor advance, the block joins the retention ring, OnDeliver fires,
-// and committed slots waiting right above the repaired gap flush through
-// the normal path. Only the block at the cursor is accepted.
+// copies vouch for it; the engine delivers it exactly as tryDeliver would
+// (deliverNext), and committed slots waiting right above the repaired gap
+// flush through the normal path. Only the block at the cursor is accepted.
 func (e *Engine) SkipDelivered(b *types.Block) bool {
 	if e.stopped || b == nil || b.SN != e.nextDeliver {
 		return false
 	}
-	s := e.slots.get(b.SN)
-	e.retained[b.SN&(retainDelivered-1)] = retainedEntry{seq: b.SN, block: b}
-	e.slots.advanceBase()
-	if s != nil {
-		e.freeSlot(s)
-	}
-	e.nextDeliver++
-	e.delivered++
-	if e.nextPropose < e.nextDeliver {
-		e.nextPropose = e.nextDeliver
-	}
-	e.timeoutMult = 1
-	e.resetProgressTimer()
-	if e.cfg.OnDeliver != nil {
-		e.cfg.OnDeliver(b)
-	}
+	e.deliverNext(b, e.slots.get(b.SN))
 	e.tryDeliver()
 	return true
 }
@@ -390,9 +367,9 @@ func (e *Engine) SkipDelivered(b *types.Block) bool {
 // sendNewView falls back to skipping those sequence numbers, the same
 // contract as a ring wrap.
 func (e *Engine) ReleaseBelow(seq uint64) {
-	for i := range e.retained {
-		if e.retained[i].block != nil && e.retained[i].seq < seq {
-			e.retained[i] = retainedEntry{}
+	for i, b := range e.retained {
+		if b != nil && b.SN < seq {
+			e.retained[i] = nil
 		}
 	}
 }
@@ -401,8 +378,8 @@ func (e *Engine) ReleaseBelow(seq uint64) {
 // currently pins (soak live-set accounting).
 func (e *Engine) Retained() int {
 	n := 0
-	for i := range e.retained {
-		if e.retained[i].block != nil {
+	for _, b := range e.retained {
+		if b != nil {
 			n++
 		}
 	}
@@ -425,9 +402,7 @@ func (e *Engine) Complain() {
 // view change fires on expiry. Used by the epoch layer to detect censoring
 // or crashed leaders.
 func (e *Engine) SetTarget(target uint64) {
-	if target > e.target {
-		e.target = target
-	}
+	e.target = max(e.target, target)
 	e.resetProgressTimer()
 }
 
@@ -459,28 +434,89 @@ func (e *Engine) Propose(b *types.Block) error {
 	return nil
 }
 
-// Handle processes an incoming protocol message.
-func (e *Engine) Handle(from int, msg Message) {
+// Handle processes a protocol message from replica from — the identity the
+// transport authenticated, and the only one a message has. It reports false
+// for a message it refuses whole (see admits); one that is merely of no use
+// here — stale (old view, delivered sequence number) or out of reach
+// (maxAhead) — is ignored and reports true.
+func (e *Engine) Handle(from int, msg Message) bool {
+	if !e.admits(from, msg) {
+		return false
+	}
 	if e.stopped {
-		return
+		return true
 	}
 	switch m := msg.(type) {
 	case *PrePrepare:
 		e.onPrePrepare(from, m)
 	case *Prepare:
-		e.onPrepare(m)
+		e.onVote(from, false, m.View, m.Seq, m.Digest)
 	case *Commit:
-		e.onCommit(m)
+		e.onVote(from, true, m.View, m.Seq, m.Digest)
 	case *ViewChange:
 		e.onViewChange(m)
 	case *NewView:
 		e.onNewView(from, m)
 	}
+	return true
 }
 
+// admits is the one check of who sent a message and what it names; the
+// handlers index the per-replica books by what passed it. Refused: a sender
+// outside [0, N); a vote whose self-declared Replica is not its sender; a
+// proposal, re-proposal or prepared certificate without the block of its
+// own slot (validBlock). No honest replica sends any of them.
+func (e *Engine) admits(from int, msg Message) bool {
+	if from < 0 || from >= e.cfg.N {
+		return false
+	}
+	switch m := msg.(type) {
+	case *PrePrepare:
+		return e.validBlock(m.Block, m.Seq)
+	case *Prepare:
+		return m.Replica == from
+	case *Commit:
+		return m.Replica == from
+	case *ViewChange:
+		for _, p := range m.Prepared {
+			if !e.validBlock(p.Block, p.Seq) {
+				return false
+			}
+		}
+		return m.Replica == from
+	case *NewView:
+		for _, pp := range m.Reproposals {
+			if !e.validBlock(pp.Block, pp.Seq) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// validBlock reports whether b can stand at sequence number seq of this
+// instance. Delivery trusts a block's own (Instance, SN) — the replica's
+// state vector and the global ordering index by them — so a block that
+// names another slot is refused before it can prepare.
+func (e *Engine) validBlock(b *types.Block, seq uint64) bool {
+	return b != nil && b.Instance == e.cfg.Instance && b.SN == seq
+}
+
+// maxAhead is how far above the delivery cursor an engine holds slots, and
+// how far from it a new leader's NewView reaches. A sequence number is a
+// peer's word and sized both: one vote for sequence 2^62 used to exhaust the
+// receiver's memory. What lies beyond is ignored like a stale message, so a
+// replica that far behind parks nothing: it follows view changes, and votes
+// again once state transfer (SkipDelivered) brings its cursor back in reach.
+const maxAhead = 1 << 14
+
+// inReach reports whether seq is undelivered and within maxAhead.
+func (e *Engine) inReach(seq uint64) bool { return seq-e.nextDeliver < maxAhead }
+
+// slotFor returns seq's slot, created on first mention; nil if out of reach.
 func (e *Engine) slotFor(seq uint64) *slot {
 	s := e.slots.get(seq)
-	if s == nil {
+	if s == nil && e.inReach(seq) {
 		s = e.newSlot(e.view)
 		e.slots.put(seq, s)
 	}
@@ -498,15 +534,14 @@ func (e *Engine) onPrePrepare(from int, m *PrePrepare) {
 		return // already delivered
 	}
 	s := e.slotFor(m.Seq)
-	if s.view != m.View {
+	if s == nil || s.view != m.View {
 		return
 	}
-	if s.hasBlock {
+	if s.block != nil {
 		return // first proposal wins; honest leaders do not equivocate
 	}
 	s.block = m.Block
 	s.digest = m.Block.Digest()
-	s.hasBlock = true
 	s.prepares.setTally(s.digest)
 	s.commits.setTally(s.digest)
 	// Backups (and the leader itself) echo a prepare vote.
@@ -517,32 +552,23 @@ func (e *Engine) onPrePrepare(from int, m *PrePrepare) {
 	e.advance(m.Seq)
 }
 
-func (e *Engine) onPrepare(m *Prepare) {
-	if m.View != e.view || e.viewChanging || m.Seq < e.nextDeliver {
+// onVote books replica from's prepare (or commit) vote for digest d at
+// (view, seq): the vote is a bare digest, its owner is the sender.
+func (e *Engine) onVote(from int, commit bool, view, seq uint64, d types.BlockID) {
+	if view != e.view || e.viewChanging || seq < e.nextDeliver {
 		return
 	}
-	s := e.slotFor(m.Seq)
-	if s.view != m.View {
+	s := e.slotFor(seq)
+	if s == nil || s.view != view {
 		return
 	}
-	if !s.prepares.add(m.Replica, m.Digest) {
-		return
+	votes := &s.prepares
+	if commit {
+		votes = &s.commits
 	}
-	e.advance(m.Seq)
-}
-
-func (e *Engine) onCommit(m *Commit) {
-	if m.View != e.view || e.viewChanging || m.Seq < e.nextDeliver {
-		return
+	if votes.add(from, d) {
+		e.advance(seq)
 	}
-	s := e.slotFor(m.Seq)
-	if s.view != m.View {
-		return
-	}
-	if !s.commits.add(m.Replica, m.Digest) {
-		return
-	}
-	e.advance(m.Seq)
 }
 
 // advance re-evaluates a slot's phase transitions after new evidence.
@@ -551,11 +577,11 @@ func (e *Engine) advance(seq uint64) {
 	if s == nil {
 		return
 	}
-	if s.hasBlock && !s.prepared {
+	if s.block != nil && !s.prepared {
 		// Prepared: pre-prepare + 2f matching prepares (the leader's own
 		// prepare counts as one of the 2f+1 total votes here since every
 		// replica broadcasts a prepare on accepting the proposal).
-		if s.prepares.countFor() >= e.cfg.Quorum() {
+		if s.prepares.countFor() >= Quorum(e.cfg.N, e.cfg.F) {
 			s.prepared = true
 			s.preparedView = s.view
 			s.preparedBlock = s.block
@@ -566,7 +592,7 @@ func (e *Engine) advance(seq uint64) {
 		}
 	}
 	if s.prepared && !s.committed {
-		if s.commits.countFor() >= e.cfg.Quorum() {
+		if s.commits.countFor() >= Quorum(e.cfg.N, e.cfg.F) {
 			s.committed = true
 		}
 	}
@@ -580,20 +606,25 @@ func (e *Engine) tryDeliver() {
 		if s == nil || !s.committed {
 			return
 		}
-		b := s.block
-		e.retained[e.nextDeliver&(retainDelivered-1)] = retainedEntry{seq: e.nextDeliver, block: b}
-		e.slots.advanceBase()
+		e.deliverNext(s.block, s)
+	}
+}
+
+// deliverNext delivers b as the decision at the cursor: the sequence's slot
+// s (nil if it has none) is released, the window and cursor advance, the
+// block joins the retention ring and OnDeliver fires.
+func (e *Engine) deliverNext(b *types.Block, s *slot) {
+	e.retained[e.nextDeliver&(retainDelivered-1)] = b
+	e.slots.advanceBase()
+	if s != nil {
 		e.freeSlot(s)
-		e.nextDeliver++
-		e.delivered++
-		if e.nextPropose < e.nextDeliver {
-			e.nextPropose = e.nextDeliver
-		}
-		e.timeoutMult = 1
-		e.resetProgressTimer()
-		if e.cfg.OnDeliver != nil {
-			e.cfg.OnDeliver(b)
-		}
+	}
+	e.nextDeliver++
+	e.nextPropose = max(e.nextPropose, e.nextDeliver)
+	e.timeoutMult = 1
+	e.resetProgressTimer()
+	if e.cfg.OnDeliver != nil {
+		e.cfg.OnDeliver(b)
 	}
 }
 
@@ -685,58 +716,42 @@ func escalateFire(a, b any) {
 	e.startViewChange(e.vcTarget + 1)
 }
 
+// onViewChange books m as the vote of m.Replica — the authenticated sender
+// (admits) or this replica itself — unless it voted that high already.
 func (e *Engine) onViewChange(m *ViewChange) {
 	if m.NewView <= e.view {
 		return
 	}
-	if m.Replica < 0 || m.Replica >= e.cfg.N {
+	if prev := e.vcVotes[m.Replica]; prev != nil && prev.NewView >= m.NewView {
 		return
 	}
-	// Retain only each replica's highest vote: a newer vote evicts the
-	// replica's older pending one, so vcVotes is bounded at N entries even
-	// under far-future view spam. A repeat (or lower) vote is a no-op —
-	// this also subsumes the old per-view duplicate check. Voting for view
-	// v implicitly abandons views below v, standard PBFT semantics.
-	if prev := e.vcHighest[m.Replica]; prev >= m.NewView {
-		return
-	} else if prev > e.view {
-		if old := e.vcVotes[prev]; old != nil {
-			delete(old, m.Replica)
-			if len(old) == 0 {
-				delete(e.vcVotes, prev)
-			}
+	e.vcVotes[m.Replica] = m
+	votes := 0
+	for _, vc := range e.vcVotes {
+		if vc != nil && vc.NewView == m.NewView {
+			votes++
 		}
 	}
-	e.vcHighest[m.Replica] = m.NewView
-	votes, ok := e.vcVotes[m.NewView]
-	if !ok {
-		votes = make(map[int]*ViewChange)
-		e.vcVotes[m.NewView] = votes
-	}
-	votes[m.Replica] = m
 
 	// Join amplification: if f+1 replicas want a higher view, join them so
 	// a correct replica never lags a view change indefinitely.
-	if !e.viewChanging || m.NewView > e.vcTarget {
-		if len(votes) >= e.cfg.F+1 && m.NewView > e.view && (!e.viewChanging || m.NewView > e.vcTarget) {
-			e.startViewChange(m.NewView)
-		}
+	if votes >= e.cfg.F+1 && (!e.viewChanging || m.NewView > e.vcTarget) {
+		e.startViewChange(m.NewView)
 	}
 
 	// New leader installs the view with a quorum of view-change votes — a
 	// leader-muted adversary withholds the NewView, extending the storm
 	// until honest replicas escalate past it.
-	if e.cfg.LeaderOf(m.NewView) == e.cfg.ID && len(votes) >= e.cfg.Quorum() && !e.cfg.Mute && !e.leaderMuted() {
-		e.sendNewView(m.NewView, votes)
+	if e.cfg.LeaderOf(m.NewView) == e.cfg.ID && votes >= Quorum(e.cfg.N, e.cfg.F) && !e.cfg.Mute && !e.leaderMuted() {
+		e.sendNewView(m.NewView)
 	}
 }
 
 // retainedBlock returns the block this replica delivered at seq, if the
 // retention ring still covers it.
 func (e *Engine) retainedBlock(seq uint64) *types.Block {
-	r := &e.retained[seq&(retainDelivered-1)]
-	if r.block != nil && r.seq == seq {
-		return r.block
+	if b := e.retained[seq&(retainDelivered-1)]; b != nil && b.SN == seq {
+		return b
 	}
 	return nil
 }
@@ -752,36 +767,32 @@ func (e *Engine) retainedBlock(seq uint64) *types.Block {
 // let laggards commit a block conflicting with what the rest of the group
 // already executed. Skipping leaves the laggard's gap in place — the same
 // contract as crash recovery without state transfer — until a leader whose
-// retention covers the seq rotates in.
-func (e *Engine) sendNewView(view uint64, votes map[int]*ViewChange) {
+// retention covers the seq rotates in. The votes are read in replica order,
+// so among certificates of equal view the lowest-numbered voter's wins. The
+// fill stays within maxAhead of the leader's own cursor, where it can retain
+// or slot anything: the votes' Delivered and Prepared.Seq must not size it.
+func (e *Engine) sendNewView(view uint64) {
 	minDelivered := ^uint64(0)
 	maxDelivered := uint64(0)
 	maxSeq := uint64(0)
 	havePrepared := make(map[uint64]PreparedEntry)
-	for _, vc := range votes {
-		if vc.Delivered < minDelivered {
-			minDelivered = vc.Delivered
+	for _, vc := range e.vcVotes {
+		if vc == nil || vc.NewView != view {
+			continue
 		}
-		if vc.Delivered > maxDelivered {
-			maxDelivered = vc.Delivered
-		}
-		if vc.Delivered > maxSeq {
-			maxSeq = vc.Delivered
-		}
+		minDelivered = min(minDelivered, vc.Delivered)
+		maxDelivered = max(maxDelivered, vc.Delivered)
 		for _, p := range vc.Prepared {
-			if p.Seq+1 > maxSeq {
-				maxSeq = p.Seq + 1
-			}
+			maxSeq = max(maxSeq, p.Seq+1)
 			if prev, ok := havePrepared[p.Seq]; !ok || p.View > prev.View {
 				havePrepared[p.Seq] = p
 			}
 		}
 	}
-	if minDelivered == ^uint64(0) {
-		minDelivered = 0
-	}
 	nv := &NewView{Instance: e.cfg.Instance, View: view}
-	for seq := minDelivered; seq < maxSeq; seq++ {
+	lo := max(minDelivered, e.nextDeliver-min(e.nextDeliver, maxAhead))
+	hi := min(max(maxSeq, maxDelivered), e.nextDeliver+maxAhead)
+	for seq := lo; seq < hi; seq++ {
 		var b *types.Block
 		if p, ok := havePrepared[seq]; ok {
 			b = p.Block
@@ -814,6 +825,11 @@ func (e *Engine) onNewView(from int, m *NewView) {
 	e.view = m.View
 	e.viewChanging = false
 	e.vcGen++
+	for r, vc := range e.vcVotes {
+		if vc != nil && vc.NewView <= m.View {
+			e.vcVotes[r] = nil // dead: release the blocks it certifies
+		}
+	}
 	for seq := e.slots.base; seq < e.slots.top; seq++ {
 		s := e.slots.get(seq)
 		if s == nil || seq < e.nextDeliver {
@@ -824,26 +840,16 @@ func (e *Engine) onNewView(from int, m *NewView) {
 		// reset in place rather than pooled-and-replaced: nothing else
 		// holds a reference to it.
 		pv, pb := s.preparedView, s.preparedBlock
-		prepares, commits := s.prepares, s.commits
-		*s = slot{prepares: prepares, commits: commits, view: m.View, preparedView: pv, preparedBlock: pb}
-		s.prepares.init(e.cfg.N)
-		s.commits.init(e.cfg.N)
+		s.reset(m.View, e.cfg.N)
+		s.preparedView, s.preparedBlock = pv, pb
 	}
-	// Clean up stale view-change votes.
-	for v := range e.vcVotes {
-		if v <= e.view {
-			delete(e.vcVotes, v)
-		}
-	}
-	maxSeq := e.nextDeliver
 	for _, pp := range m.Reproposals {
-		if pp.Seq+1 > maxSeq {
-			maxSeq = pp.Seq + 1
+		// Out of reach: skipped alone, before it moves nextPropose to where
+		// no later view's fill could follow.
+		if e.inReach(pp.Seq) {
+			e.nextPropose = max(e.nextPropose, pp.Seq+1)
+			e.onPrePrepare(from, pp)
 		}
-		e.onPrePrepare(from, pp)
-	}
-	if e.nextPropose < maxSeq {
-		e.nextPropose = maxSeq
 	}
 	e.resetProgressTimer()
 	if e.cfg.OnViewChange != nil {

@@ -396,7 +396,7 @@ func TestSizeOfScalesWithBatch(t *testing.T) {
 	if big-small != 99*500 {
 		t.Fatalf("size delta = %d", big-small)
 	}
-	if SizeOf(&Prepare{}, 500) != ctrlMsgSize {
+	if SizeOf(&Prepare{}, 500) != CtrlMsgSize {
 		t.Fatal("control size wrong")
 	}
 }

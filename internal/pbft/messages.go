@@ -8,8 +8,11 @@
 //
 // The paper treats SB as a black box implemented with PBFT (Sec. VII); this
 // package is that box. Point-to-point channels are authenticated (the
-// system-model assumption), so prepare/commit votes carry replica IDs
-// without per-message signatures; block proposals are signed by leaders.
+// system-model assumption), so votes carry no signatures and a message's
+// sender is whoever the transport says delivered it: Engine.Handle drops a
+// vote whose self-declared Replica disagrees, and the per-replica books
+// (voteSet, Engine.vcVotes) are indexed by the checked id. Block proposals
+// are signed by leaders.
 package pbft
 
 import (
@@ -91,11 +94,12 @@ type NewView struct {
 // PBFTInstance implements Message.
 func (m *NewView) PBFTInstance() int { return m.Instance }
 
-// Approximate wire sizes in bytes, used by the bandwidth model. Control
-// messages are small and constant; proposals scale with the batch.
+// Approximate wire sizes in bytes, used by the bandwidth model (and charged
+// by package sb's closed form). Control messages are small and constant;
+// proposals scale with the batch.
 const (
-	ctrlMsgSize   = 96
-	blockOverhead = 160
+	CtrlMsgSize   = 96  // one vote
+	BlockOverhead = 160 // fixed per-block overhead of a pre-prepare
 )
 
 // SizeOf estimates the serialized size of a message given the per-tx
@@ -103,20 +107,20 @@ const (
 func SizeOf(m Message, txSize int) int {
 	switch v := m.(type) {
 	case *PrePrepare:
-		return blockOverhead + len(v.Block.Txs)*txSize
+		return BlockOverhead + len(v.Block.Txs)*txSize
 	case *ViewChange:
-		sz := ctrlMsgSize
+		sz := CtrlMsgSize
 		for _, p := range v.Prepared {
-			sz += blockOverhead + len(p.Block.Txs)*txSize
+			sz += BlockOverhead + len(p.Block.Txs)*txSize
 		}
 		return sz
 	case *NewView:
-		sz := ctrlMsgSize
+		sz := CtrlMsgSize
 		for _, p := range v.Reproposals {
-			sz += blockOverhead + len(p.Block.Txs)*txSize
+			sz += BlockOverhead + len(p.Block.Txs)*txSize
 		}
 		return sz
 	default:
-		return ctrlMsgSize
+		return CtrlMsgSize
 	}
 }

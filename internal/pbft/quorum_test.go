@@ -15,20 +15,20 @@ import (
 func TestQuorumMathAcrossScales(t *testing.T) {
 	for n := 4; n <= 128; n++ {
 		f := (n - 1) / 3
-		cfg := Config{N: n, F: f}
-		if got, want := cfg.Quorum(), (n+f+2)/2; got != want {
+		q := Quorum(n, f)
+		if got, want := q, (n+f+2)/2; got != want {
 			t.Fatalf("n=%d: Quorum() = %d, want ceil((n+f+1)/2) = %d", n, got, want)
 		}
-		if n == 3*f+1 && cfg.Quorum() != 2*f+1 {
-			t.Fatalf("n=%d=3f+1: Quorum() = %d, want the classic 2f+1 = %d", n, cfg.Quorum(), 2*f+1)
+		if n == 3*f+1 && q != 2*f+1 {
+			t.Fatalf("n=%d=3f+1: Quorum() = %d, want the classic 2f+1 = %d", n, q, 2*f+1)
 		}
 		if 3*f+1 > n {
 			t.Fatalf("n=%d: f=%d violates n >= 3f+1", n, f)
 		}
-		if cfg.Quorum() > n-f {
-			t.Fatalf("n=%d f=%d: quorum %d unreachable with f crashed replicas", n, f, cfg.Quorum())
+		if q > n-f {
+			t.Fatalf("n=%d f=%d: quorum %d unreachable with f crashed replicas", n, f, q)
 		}
-		if overlap := 2*cfg.Quorum() - n; overlap <= f {
+		if overlap := 2*q - n; overlap <= f {
 			t.Fatalf("n=%d f=%d: quorum intersection %d not > f", n, f, overlap)
 		}
 	}

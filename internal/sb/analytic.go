@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/pbft"
 	"repro/internal/simnet"
 	"repro/internal/types"
 )
@@ -36,13 +37,6 @@ type Config struct {
 	Window   int // pipelined proposals
 	TxSize   int // modeled per-transaction wire size
 }
-
-// Modeled wire sizes, equal to package pbft's so the closed form charges the
-// bytes the message-level engine would send.
-const (
-	ctrlSize      = 96  // one prepare or commit vote
-	blockOverhead = 160 // fixed per-block overhead of a pre-prepare
-)
 
 // Instance is the shared state of one analytic SB instance. Each replica
 // holds a *Port into it; the leader's port proposes, every port delivers.
@@ -118,7 +112,7 @@ func (inst *Instance) Port(id int, deliver func(*types.Block)) *Port {
 // size (see quorumCache).
 func (inst *Instance) propose(b *types.Block) {
 	n := inst.cfg.N
-	blockSize := blockOverhead + len(b.Txs)*inst.cfg.TxSize
+	blockSize := pbft.BlockOverhead + len(b.Txs)*inst.cfg.TxSize
 	t0 := inst.sim.Now()
 	qt := inst.quorumTimesFor(blockSize)
 	// Schedule in-order deliveries (closure-free call events: n per block).
@@ -135,7 +129,7 @@ func (inst *Instance) propose(b *types.Block) {
 	// n prepare and n commit broadcasts (n^2 control messages each), the
 	// same counts the message-level engine would deliver fault-free.
 	un := uint64(n)
-	inst.nw.AddModeled(2*un*un+un, un*uint64(blockSize)+2*un*un*ctrlSize)
+	inst.nw.AddModeled(2*un*un+un, un*uint64(blockSize)+2*un*un*pbft.CtrlMsgSize)
 }
 
 // quorumTimesFor returns the memoized commit-time offsets for a block of
@@ -155,10 +149,7 @@ func (inst *Instance) quorumTimesFor(blockSize int) *quorumTimes {
 			return qt
 		}
 	}
-	// Quorum ceil((n+f+1)/2), matching pbft.Config.Quorum: 2f+1 at the
-	// paper's n = 3f+1 sizes, strictly honest-intersecting elsewhere.
-	f := inst.cfg.F
-	quorum := (n + f + 2) / 2
+	quorum := pbft.Quorum(n, inst.cfg.F)
 	// Pre-prepare dissemination from the leader (offsets from propose
 	// time; BaseDelay is deterministic so offsets are time-invariant).
 	for i := 0; i < n; i++ {
@@ -169,7 +160,7 @@ func (inst *Instance) quorumTimesFor(blockSize int) *quorumTimes {
 	// it; the vote from i reaches j after the (i,j) control delay.
 	for j := 0; j < n; j++ {
 		for i := 0; i < n; i++ {
-			inst.tmp[i] = inst.arrive[i] + simnet.Time(inst.nw.BaseDelay(i, j, ctrlSize))
+			inst.tmp[i] = inst.arrive[i] + simnet.Time(inst.nw.BaseDelay(i, j, pbft.CtrlMsgSize))
 		}
 		slices.Sort(inst.tmp)
 		p := inst.tmp[quorum-1]
@@ -182,7 +173,7 @@ func (inst *Instance) quorumTimesFor(blockSize int) *quorumTimes {
 	// broadcasts its commit the moment it is prepared.
 	for j := 0; j < n; j++ {
 		for i := 0; i < n; i++ {
-			inst.tmp[i] = inst.prepared[i] + simnet.Time(inst.nw.BaseDelay(i, j, ctrlSize))
+			inst.tmp[i] = inst.prepared[i] + simnet.Time(inst.nw.BaseDelay(i, j, pbft.CtrlMsgSize))
 		}
 		slices.Sort(inst.tmp)
 		c := inst.tmp[quorum-1]
@@ -219,6 +210,7 @@ func portDeliver(a, b any) {
 // Port is one replica's handle on an analytic SB instance; it implements
 // the core.SB interface structurally.
 type Port struct {
+	unmodeled
 	inst      *Instance
 	id        int
 	deliver   func(*types.Block)
@@ -264,3 +256,17 @@ func (p *Port) View() uint64 { return 0 }
 
 // Stop implements core.SB.
 func (p *Port) Stop() { p.stopped = true }
+
+// unmodeled is the rest of core.SB, what the closed form leaves out: a
+// stopped port stays stopped, no messages are exchanged (any it is handed
+// is refused), no view changes, no state-transfer repair, nothing retained
+// to count.
+type unmodeled struct{}
+
+func (unmodeled) Resume()                         {}
+func (unmodeled) Handle(int, pbft.Message) bool   { return false }
+func (unmodeled) Complain()                       {}
+func (unmodeled) SkipDelivered(*types.Block) bool { return false }
+func (unmodeled) ReleaseBelow(uint64)             {}
+func (unmodeled) InFlight() int                   { return 0 }
+func (unmodeled) Retained() int                   { return 0 }

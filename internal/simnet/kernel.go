@@ -67,7 +67,6 @@ type Kernel struct {
 
 	// Stats, for bench columns and the differential harness.
 	windows   uint64
-	barriers  uint64
 	merged    uint64
 	maxOutbox int
 
@@ -243,9 +242,6 @@ func (k *Kernel) Workers() int { return k.workers }
 // Windows returns the number of parallel windows executed.
 func (k *Kernel) Windows() uint64 { return k.windows }
 
-// Barriers returns the number of synchronization barriers taken.
-func (k *Kernel) Barriers() uint64 { return k.barriers }
-
 // Merged returns the number of cross-shard events handed over at
 // barriers.
 func (k *Kernel) Merged() uint64 { return k.merged }
@@ -336,7 +332,6 @@ func (k *Kernel) Run(until Time) {
 		// Barrier: every shard quiescent through end-1. Align the clocks so
 		// global events (and anything they send) observe the serial clock.
 		k.setNow(end)
-		k.barriers++
 		if k.onBarrier != nil {
 			k.onBarrier(end)
 		}

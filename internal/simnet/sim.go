@@ -612,9 +612,6 @@ func (nw *Network) OutScale(id int) float64 { return nw.outScale[id] }
 // SetDown marks a node crashed (true) or recovered (false).
 func (nw *Network) SetDown(id int, down bool) { nw.down[id] = down }
 
-// Down reports whether a node is crashed.
-func (nw *Network) Down(id int) bool { return nw.down[id] }
-
 // SetDropRate sets the uniform message-loss probability.
 func (nw *Network) SetDropRate(p float64) { nw.dropRate = p }
 

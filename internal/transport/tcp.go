@@ -15,7 +15,9 @@ import (
 
 // Frame format: a 4-byte big-endian payload length, then the
 // wire-encoded message. A connection opens with a hello frame whose
-// payload is the 4-byte big-endian sender replica id.
+// payload is the 4-byte big-endian sender replica id — self-declared, so
+// readLoop refuses only what no peer socket may claim: an id outside the
+// peer table, and the endpoint's own.
 const (
 	frameHeaderLen = 4
 	// maxFrameLen bounds a single message (64 MiB): far above any real
@@ -454,7 +456,13 @@ func (t *TCP) readLoop(conn net.Conn) {
 		t.logf("inbound connection rejected: bad hello (%v)", err)
 		return
 	}
-	from := int(binary.BigEndian.Uint32(hello))
+	// A replica never dials itself (self-delivery is deliverLocal), so a
+	// socket claiming this endpoint's id could only vote in its name.
+	from := int(binary.BigEndian.Uint32(hello)) // negative where int is 32 bits
+	if from < 0 || from >= len(t.peers) || from == t.id {
+		t.logf("inbound connection from %s rejected: hello claims replica %d", conn.RemoteAddr(), from)
+		return
+	}
 	t.logf("peer %d connected from %s", from, conn.RemoteAddr())
 	for {
 		payload, err := fr.next()

@@ -1,7 +1,12 @@
 package transport
 
 import (
+	"encoding/binary"
+	"errors"
 	"net"
+	"os"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,8 +16,9 @@ import (
 )
 
 // tcpCluster reserves ephemeral loopback ports for n replicas and builds a
-// TCP transport plus collector per replica.
-func tcpCluster(t *testing.T, n int) ([]*TCP, []*collector) {
+// TCP transport plus collector per replica; logf, if given, receives every
+// endpoint's connectivity log lines.
+func tcpCluster(t *testing.T, n int, logf ...func(format string, args ...any)) ([]*TCP, []*collector) {
 	t.Helper()
 	listeners := make([]net.Listener, n)
 	peers := make([]string, n)
@@ -29,7 +35,11 @@ func tcpCluster(t *testing.T, n int) ([]*TCP, []*collector) {
 	epoch := time.Now()
 	for i := range ts {
 		node := NewNode()
-		tr, err := NewTCP(i, peers, node, TCPOptions{Listener: listeners[i]})
+		opts := TCPOptions{Listener: listeners[i]}
+		if len(logf) > 0 {
+			opts.Logf = logf[0]
+		}
+		tr, err := NewTCP(i, peers, node, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,6 +94,55 @@ func TestTCPDelivery(t *testing.T) {
 	}
 	if got := ts[1].Messages(); got != 2 {
 		t.Fatalf("replica 1 Messages = %d, want 2", got)
+	}
+}
+
+// TestTCPHelloRefusesImpersonation pins the two replica ids no inbound
+// socket may claim — one outside the peer table, and the endpoint's own (a
+// replica never dials itself, so that socket could only vote in its name):
+// each such connection is closed before a frame is read and logged once,
+// and the listener keeps serving the honest peer.
+func TestTCPHelloRefusesImpersonation(t *testing.T) {
+	var mu sync.Mutex
+	refused := 0
+	ts, cols := tcpCluster(t, 2, func(format string, args ...any) {
+		if strings.Contains(format, "hello claims") {
+			mu.Lock()
+			refused++
+			mu.Unlock()
+		}
+	})
+	vote, err := wire.Encode(&pbft.Prepare{Instance: 0, Seq: 1, Replica: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, claimed := range []uint32{0, 2, 1 << 31} {
+		conn, err := net.Dial("tcp", ts[0].Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames := binary.BigEndian.AppendUint32(nil, 4)
+		frames = binary.BigEndian.AppendUint32(frames, claimed)
+		frames = binary.BigEndian.AppendUint32(frames, uint32(len(vote)))
+		if _, err := conn.Write(append(frames, vote...)); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		// Closed with the vote unread: the read ends in EOF or a reset.
+		if _, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("hello claiming replica %d: connection not closed by the endpoint (read: %v)", claimed, err)
+		}
+		conn.Close()
+	}
+	ts[1].Send(1, 0, 0, &pbft.Prepare{Instance: 0, Seq: 2, Replica: 1})
+	waitFor(t, func() bool { return len(cols[0].snapshot()) == 1 })
+	if got := cols[0].snapshot()[0]; got.from != 1 || ts[0].Messages() != 1 {
+		t.Fatalf("endpoint 0 delivered %+v (%d messages), want only replica 1's vote", got, ts[0].Messages())
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if refused != 3 {
+		t.Fatalf("%d refusals logged, want one per impersonating connection (3)", refused)
 	}
 }
 
@@ -212,16 +271,21 @@ func TestTCPQueueCapBoundsBlockedPeer(t *testing.T) {
 	node.Start(time.Now())
 	t.Cleanup(func() { tr.Close(); node.Stop() })
 
+	// Park the writer first: it pops a whole batch (up to cap frames) and then
+	// redials forever, so how many of a burst it holds depends on when it
+	// wakes. Once it holds this one frame, every later push is accounted for
+	// exactly: cap of them queued, the rest each displaced by a newer one.
+	vote := func(i int) *pbft.Prepare { return &pbft.Prepare{Instance: 0, View: 1, Seq: uint64(i), Replica: 0} }
+	tr.Send(0, 1, 0, vote(0))
+	waitFor(t, func() bool { return tr.queueFor(1).depth() == 0 })
 	const sends = 100
-	for i := 0; i < sends; i++ {
-		tr.Send(0, 1, 0, &pbft.Prepare{Instance: 0, View: 1, Seq: uint64(i), Replica: 0})
+	for i := 1; i <= sends; i++ {
+		tr.Send(0, 1, 0, vote(i))
 	}
-	if d := tr.queueFor(1).depth(); d > cap {
-		t.Fatalf("blocked peer queue depth %d exceeds cap %d", d, cap)
+	if d := tr.queueFor(1).depth(); d != cap {
+		t.Fatalf("blocked peer queue depth %d, want the cap %d", d, cap)
 	}
-	// The writer goroutine holds at most one popped frame while it redials,
-	// so at least sends-cap-1 pushes must each have displaced an oldest one.
-	if got := tr.Dropped(); got < sends-cap-1 {
-		t.Fatalf("Dropped() = %d, want >= %d", got, sends-cap-1)
+	if got := tr.Dropped(); got != sends-cap {
+		t.Fatalf("Dropped() = %d, want %d", got, sends-cap)
 	}
 }

@@ -244,12 +244,6 @@ func appendStr(buf []byte, s string) []byte {
 	return append(binary.BigEndian.AppendUint64(buf, uint64(len(s))), s...)
 }
 
-// SigningBytes returns the canonical byte string a client signs.
-func (tx *Transaction) SigningBytes() []byte {
-	id := tx.ID()
-	return id[:]
-}
-
 // Validate performs stateless format checks: at least one op, at least one
 // owned object (every tx is initiated by a client account), non-negative
 // amounts, and assign ops only on shared objects.

@@ -2,7 +2,15 @@ package wire
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/pbft"
+	"repro/internal/types"
 )
 
 // FuzzWireRoundTrip throws arbitrary bytes at the decoder (following the
@@ -71,6 +79,135 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(enc, enc2) {
 			t.Fatalf("encoding is not a fixed point:\n  first:  %x\n  second: %x", enc, enc2)
+		}
+	})
+}
+
+// deafNetwork is the network and clock of the replica FuzzHandleDecoded
+// feeds: it keeps the registered handler, drops (and counts) whatever the
+// replica sends and never fires a timer, so the only input is the fuzzer's.
+type deafNetwork struct {
+	handle          types.Handler
+	sent, delivered int // messages the replica sent, blocks it delivered
+}
+
+func (d *deafNetwork) Register(_ int, h types.Handler)           { d.handle = h }
+func (d *deafNetwork) Send(int, int, int, any)                   { d.sent++ }
+func (d *deafNetwork) Broadcast(int, int, any)                   { d.sent++ }
+func (*deafNetwork) Now() types.Time                             { return 0 }
+func (*deafNetwork) CallAt(types.Time, func(a, b any), any, any) {}
+
+// stagedReplica builds replica 1 of a 4-replica group — message-level PBFT
+// engines, checkpoints and state transfer all on — and brings it, by honest
+// traffic from its peers, one message short of a threshold on every path:
+// instance 0's slot 0 one commit short of delivery and slot 1 one prepare
+// short of prepared, view 2 of instance 3 (which replica 1 would lead) one
+// vote short of its NewView, epoch 1 one checkpoint vote short of a quorum,
+// catch-up one answer short of being applied. It returns the replica's
+// network and the message from replica 3 that crosses each threshold.
+func stagedReplica() (*deafNetwork, []any) {
+	const n = 4
+	nw := &deafNetwork{}
+	r := core.NewReplica(core.Config{N: n, F: 1, ID: 1, Mode: core.OrthrusMode(),
+		Params:         core.Params{EpochLen: 2, StateTransfer: true},
+		OnBlockDeliver: func(int, *types.Block) { nw.delivered++ }}, nw, nw)
+	r.Start()
+	block := func(instance int, sn uint64) *types.Block {
+		return &types.Block{Instance: instance, SN: sn, Rank: 1, State: make(types.StateVector, n)}
+	}
+	b0, b1 := block(0, 0), block(0, 1)
+	run := []core.BlockRun{{Instance: 2, Blocks: []*types.Block{block(2, 0)}}}
+	nw.handle(0, &pbft.PrePrepare{Block: b0})
+	nw.handle(0, &pbft.PrePrepare{Seq: 1, Block: b1})
+	nw.handle(3, &pbft.Prepare{Digest: b0.Digest(), Replica: 3})
+	for _, from := range []int{0, 2} {
+		nw.handle(from, &pbft.Prepare{Digest: b0.Digest(), Replica: from})
+		nw.handle(from, &pbft.Commit{Digest: b0.Digest(), Replica: from})
+		nw.handle(from, &pbft.Prepare{Seq: 1, Digest: b1.Digest(), Replica: from})
+		nw.handle(from, &pbft.ViewChange{Instance: 3, NewView: 2, Replica: from})
+		nw.handle(from, &core.CheckpointMsg{Epoch: 1, Digest: [32]byte{1}, Replica: from})
+		nw.handle(from, &core.StateTransferResp{Replica: from, Runs: run})
+	}
+	return nw, []any{
+		&pbft.Commit{Digest: b0.Digest(), Replica: 3},
+		&pbft.Prepare{Seq: 1, Digest: b1.Digest(), Replica: 3},
+		&pbft.ViewChange{Instance: 3, NewView: 2, Replica: 3, Delivered: 1,
+			Prepared: []pbft.PreparedEntry{{Seq: 2, Block: block(3, 2)}}},
+		&core.CheckpointMsg{Epoch: 1, Digest: [32]byte{1}, Replica: 3},
+		&core.StateTransferResp{Replica: 3, Runs: run},
+	}
+}
+
+// TestStagedReplicaIsOneMessageShort keeps stagedReplica's promise: each
+// threshold-crossing message, and none of the staging before it, makes the
+// replica deliver a block or answer with a message of its own.
+func TestStagedReplicaIsOneMessageShort(t *testing.T) {
+	_, crossing := stagedReplica()
+	for _, msg := range crossing {
+		nw, _ := stagedReplica()
+		if nw.delivered != 0 {
+			t.Fatalf("staging delivered %d blocks", nw.delivered)
+		}
+		enc, err := Encode(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := Decode(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := *nw
+		nw.handle(3, dec)
+		if nw.sent == before.sent && nw.delivered == before.delivered {
+			t.Fatalf("%T from replica 3 crossed no threshold", msg)
+		}
+	}
+}
+
+// FuzzHandleDecoded is the survival property behind the codec's: whatever
+// decodes is handed, from a fuzzed sender, to a live replica's registered
+// handler and must not panic it. Every input meets a replica of its own
+// (stagedReplica), so a crasher reproduces from its one corpus file; the
+// staging is what lets a single message reach quorum-gated code. Seeds: the
+// committed FuzzWireRoundTrip corpus, every message type's valid encoding
+// and the threshold-crossing messages, each from every replica, a client and
+// a negative sender.
+func FuzzHandleDecoded(f *testing.F) {
+	corpus, err := filepath.Glob("testdata/fuzz/FuzzWireRoundTrip/*")
+	if err != nil || len(corpus) == 0 {
+		f.Fatalf("committed FuzzWireRoundTrip corpus not found (%v)", err)
+	}
+	var seeds [][]byte
+	for _, path := range corpus {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		// "go test fuzz v1\n[]byte(<quoted>)\n"
+		_, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+		if err != nil {
+			f.Fatalf("%s: not a one-argument []byte corpus file: %v", path, err)
+		}
+		seeds = append(seeds, []byte(data))
+	}
+	_, crossing := stagedReplica()
+	for _, msg := range append(messages(), crossing...) {
+		enc, err := Encode(msg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, enc)
+	}
+	for _, data := range seeds {
+		for from := -1; from <= 4; from++ {
+			f.Add(from, data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, from int, data []byte) {
+		if msg, err := Decode(data); err == nil {
+			nw, _ := stagedReplica()
+			nw.handle(from, msg)
 		}
 	})
 }

@@ -47,7 +47,7 @@ func TestQuorumMathPerProtocol(t *testing.T) {
 				t.Fatalf("%s n=%d rejected: %v", p.Name(), n, err)
 			}
 			f := (n - 1) / 3
-			q := pbft.Config{N: n, F: f}.Quorum()
+			q := pbft.Quorum(n, f)
 			if 2*q-n <= f {
 				t.Fatalf("%s n=%d: quorum %d intersection not honest", p.Name(), n, q)
 			}
