@@ -67,9 +67,7 @@ func run(dirs []string, w io.Writer) error {
 // "file:line: symbol" for every undocumented exported declaration.
 func checkDir(dir string) ([]string, error) {
 	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.ParseComments)
+	pkgs, err := parseDir(fset, dir, parser.ParseComments)
 	if err != nil {
 		return nil, err
 	}

@@ -101,6 +101,70 @@ var Exported, internalCache = 1, 2
 	}
 }
 
+// TestSurfaceExpandsModuleAliases renders testdata/alias/api, whose types
+// are aliases of a sibling package's: the surface must list what each alias
+// makes public — the aliased type's declaration and exported methods,
+// through a chain of aliases, every line naming the type it belongs to,
+// nothing unexported, nothing for a type outside the module — and must
+// change when the aliased type does, which is what lets the golden gate see
+// a breaking change made below the public package.
+func TestSurfaceExpandsModuleAliases(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS("testdata/alias")); err != nil {
+		t.Fatal(err)
+	}
+	render := func() string {
+		var out bytes.Buffer
+		if err := surface(filepath.Join(dir, "api"), &out); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	const want = `package api
+
+type Doer = impl.Doer
+	impl.Doer: type Doer interface{ Do(n int) error }
+
+type Duration = time.Duration
+
+type Level = impl.Level
+	impl.Level: type Level = inner.Level
+	impl.Level: 	inner.Level: func (l Level) Name() string
+	impl.Level: 	inner.Level: type Level int
+
+type Thing = impl.Thing
+	impl.Thing: func (t *Thing) Grow(by int) *Thing
+	impl.Thing: func (t Thing) String() string
+	impl.Thing: type Thing struct {
+	impl.Thing:         Count      int
+	impl.Thing:         Start, End int
+	impl.Thing: }
+`
+	if got := render(); got != want {
+		t.Fatalf("alias expansion:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+	// The two edits the gate used to miss: a renamed method and a new field
+	// on an aliased type.
+	impl := filepath.Join(dir, "impl", "impl.go")
+	src, err := os.ReadFile(impl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := strings.NewReplacer(") Grow(", ") Enlarge(", "\tCount ", "\tAdded bool\n\tCount ").Replace(string(src))
+	if err := os.WriteFile(impl, []byte(edited), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got := render()
+	for _, line := range []string{"impl.Thing: func (t *Thing) Enlarge(by int) *Thing\n", "impl.Thing:         Added      bool\n"} {
+		if !strings.Contains(got, line) {
+			t.Errorf("surface after editing the alias target misses %q:\n%s", line, got)
+		}
+	}
+	if strings.Contains(got, "Grow") {
+		t.Errorf("surface still lists the renamed method:\n%s", got)
+	}
+}
+
 // TestUndocumentedSymbolFails feeds a synthetic package with one
 // documented and one undocumented export and expects only the latter
 // reported.

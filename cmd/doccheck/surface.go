@@ -9,20 +9,30 @@ import (
 	"go/token"
 	"io"
 	"os"
+	"path"
+	"path/filepath"
+	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 )
 
+// parseDir parses one package directory, tests excluded.
+func parseDir(fset *token.FileSet, dir string, mode parser.Mode) (map[string]*ast.Package, error) {
+	return parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, mode)
+}
+
 // surface renders a package directory's exported API as deterministic
 // text: one entry per exported declaration (func bodies and doc comments
-// stripped, unexported struct fields elided), sorted lexically. CI diffs
-// this against a golden snapshot under docs/api/ so accidental breaking
-// changes to the public packages fail the build.
+// stripped, unexported struct fields elided), sorted lexically. An alias of
+// a type declared elsewhere in this module re-exports that type's fields
+// and methods, so its entry lists them too (expandAlias). CI diffs this
+// against a golden snapshot under docs/api/ so accidental breaking changes
+// to the public packages fail the build.
 func surface(dir string, w io.Writer) error {
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
+	pkgs, err := parseDir(token.NewFileSet(), dir, 0)
 	if err != nil {
 		return err
 	}
@@ -33,52 +43,123 @@ func surface(dir string, w io.Writer) error {
 	sort.Strings(names)
 	for _, name := range names {
 		fmt.Fprintf(w, "package %s\n", name)
-		var entries []string
-		for _, file := range pkgs[name].Files {
-			for _, decl := range file.Decls {
-				for _, rendered := range renderDecl(fset, decl) {
-					entries = append(entries, rendered)
-				}
-			}
-		}
-		sort.Strings(entries)
-		for _, e := range entries {
+		for _, e := range entries(dir, pkgs[name], "") {
 			fmt.Fprintf(w, "\n%s\n", e)
 		}
 	}
 	return nil
 }
 
+// entries renders, sorted, the exported declarations of pkg (parsed from
+// dir) — all of them, or with only set just that type and its methods.
+func entries(dir string, pkg *ast.Package, only string) (out []string) {
+	for _, file := range pkg.Files {
+		for _, decl := range file.Decls {
+			out = append(out, renderDecl(dir, file, decl, only)...)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+var moduleLine = regexp.MustCompile(`(?m)^module\s+(\S+)`)
+
+// moduleOf finds the go.mod above dir: the module's import path and root
+// directory, both empty if there is none.
+func moduleOf(dir string) (mod, root string) {
+	for root, _ = filepath.Abs(dir); ; root = filepath.Dir(root) {
+		data, _ := os.ReadFile(filepath.Join(root, "go.mod"))
+		if m := moduleLine.FindSubmatch(data); m != nil {
+			return string(m[1]), root
+		}
+		if root == filepath.Dir(root) {
+			return "", ""
+		}
+	}
+}
+
+// expandAlias lists what `type X = pkg.T`, written in file of the package at
+// dir, makes public when pkg belongs to the same module: T's declaration
+// and exported methods as the surface of pkg would show them (so an alias
+// of an alias expands in turn; the members' own types do not), every line
+// prefixed with "pkg.T: " so a diff names the aliased type that moved. An
+// alias of anything else — a local type, another module's — adds nothing.
+func expandAlias(dir string, file *ast.File, target ast.Expr) (out []string) {
+	sel, _ := target.(*ast.SelectorExpr)
+	if sel == nil {
+		return nil
+	}
+	mod, root := moduleOf(dir)
+	for _, imp := range file.Imports {
+		ipath, _ := strconv.Unquote(imp.Path.Value)
+		local := path.Base(ipath)
+		if imp.Name != nil {
+			local = imp.Name.Name
+		}
+		rel, inModule := strings.CutPrefix(ipath, mod+"/")
+		if id, _ := sel.X.(*ast.Ident); id == nil || id.Name != local || !inModule {
+			continue
+		}
+		tdir := filepath.Join(root, filepath.FromSlash(rel))
+		pkgs, err := parseDir(token.NewFileSet(), tdir, 0)
+		if err != nil {
+			return []string{fmt.Sprintf("expand error: %v", err)}
+		}
+		for name, pkg := range pkgs {
+			prefix := name + "." + sel.Sel.Name + ": "
+			for _, e := range entries(tdir, pkg, sel.Sel.Name) {
+				out = append(out, prefix+strings.ReplaceAll(e, "\n", "\n\t"+prefix))
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
 // renderDecl returns the exported API entries of one top-level
-// declaration, already formatted.
-func renderDecl(fset *token.FileSet, decl ast.Decl) []string {
+// declaration of file (of the package at dir), already formatted; with
+// only set, just those of that type: its declaration and its methods.
+func renderDecl(dir string, file *ast.File, decl ast.Decl, only string) []string {
 	switch d := decl.(type) {
 	case *ast.FuncDecl:
-		if !d.Name.IsExported() || !receiverExported(d) {
+		if !d.Name.IsExported() || !receiverExported(d) || only != "" && funcName(d) != only+"."+d.Name.Name {
 			return nil
 		}
-		fn := *d
-		fn.Doc, fn.Body = nil, nil
-		return []string{render(fset, &fn)}
+		return []string{renderFunc(d)}
 	case *ast.GenDecl:
 		if d.Tok == token.IMPORT {
 			return nil
 		}
 		var out []string
 		for _, spec := range d.Specs {
-			s := renderSpec(fset, d.Tok, spec)
-			if s != "" {
-				out = append(out, s)
+			ts, isType := spec.(*ast.TypeSpec)
+			if only != "" && (!isType || ts.Name.Name != only) {
+				continue
 			}
+			s := renderSpec(d.Tok, spec)
+			if s == "" {
+				continue
+			}
+			if isType && ts.Assign.IsValid() {
+				s = strings.Join(append([]string{s}, expandAlias(dir, file, ts.Type)...), "\n\t")
+			}
+			out = append(out, s)
 		}
 		return out
 	}
 	return nil
 }
 
+// renderFunc formats a function or method signature: no doc, no body.
+func renderFunc(d *ast.FuncDecl) string {
+	fn := *d
+	fn.Doc, fn.Body = nil, nil
+	return render(&fn)
+}
+
 // renderSpec formats one exported spec of a const/var/type declaration,
 // or "" if the spec exports nothing.
-func renderSpec(fset *token.FileSet, tok token.Token, spec ast.Spec) string {
+func renderSpec(tok token.Token, spec ast.Spec) string {
 	switch s := spec.(type) {
 	case *ast.TypeSpec:
 		if !s.Name.IsExported() {
@@ -89,7 +170,7 @@ func renderSpec(fset *token.FileSet, tok token.Token, spec ast.Spec) string {
 		if st, ok := ts.Type.(*ast.StructType); ok {
 			ts.Type = exportedFieldsOnly(st)
 		}
-		return render(fset, &ast.GenDecl{Tok: token.TYPE, Specs: []ast.Spec{&ts}})
+		return render(&ast.GenDecl{Tok: token.TYPE, Specs: []ast.Spec{&ts}})
 	case *ast.ValueSpec:
 		vs := *s
 		vs.Doc, vs.Comment = nil, nil
@@ -112,7 +193,7 @@ func renderSpec(fset *token.FileSet, tok token.Token, spec ast.Spec) string {
 		}
 		vs.Names = names
 		vs.Values = values
-		return render(fset, &ast.GenDecl{Tok: tok, Specs: []ast.Spec{&vs}})
+		return render(&ast.GenDecl{Tok: tok, Specs: []ast.Spec{&vs}})
 	}
 	return ""
 }
@@ -158,7 +239,7 @@ func embeddedName(t ast.Expr) *ast.Ident {
 // render pretty-prints a node against an empty file set, discarding source
 // positions, so the formatting is a pure function of the AST — blank lines
 // and comments from the original source cannot leak into the snapshot.
-func render(_ *token.FileSet, node any) string {
+func render(node any) string {
 	var buf bytes.Buffer
 	cfg := printer.Config{Mode: printer.UseSpaces, Tabwidth: 8}
 	if err := cfg.Fprint(&buf, token.NewFileSet(), node); err != nil {

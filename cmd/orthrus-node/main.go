@@ -188,24 +188,24 @@ func runNode(o nodeOptions, stdout, stderr io.Writer, stop <-chan struct{}) erro
 
 	gen := workload.New(workload.Config{Seed: o.seed, Accounts: o.accounts})
 
-	// Counters below are touched only on the node's event-loop goroutine
-	// (replica hooks and the stats timer both run there); the final stop
-	// line reads them after node.Stop, when the loop is gone.
-	var blocks, confirmed, aborted uint64
+	// blocks and the replica's own counters are touched only on the node's
+	// event-loop goroutine (replica hooks and the stats timer both run
+	// there); the final stop line reads them after node.Stop, when the loop
+	// is gone.
+	var blocks uint64
 	ccfg := core.NewConfig(n, o.id, proto.New(), o.params, gen.Genesis())
 	ccfg.OnBlockDeliver = func(instance int, b *types.Block) {
 		blocks++
-	}
-	ccfg.OnConfirm = func(tx *types.Transaction, success bool, st core.StageTrace) {
-		confirmed++
-		if !success {
-			aborted++
-		}
 	}
 	ccfg.OnViewChange = func(instance int, view uint64, at types.Time) {
 		logf("view-change", "instance=%d view=%d", instance, view)
 	}
 	replica := core.NewReplica(ccfg, node, tcp)
+	counters := func() string {
+		ok, failed := replica.Confirmed()
+		return fmt.Sprintf("blocks=%d confirmed=%d aborted=%d msgs=%d bytes=%d dropped=%d rejected=%d",
+			blocks, ok+failed, failed, tcp.Messages(), tcp.Bytes(), tcp.Dropped(), replica.Rejected())
+	}
 
 	// Recurring stats line, scheduled on the node's own clock so it reads
 	// the counters race-free on the loop goroutine. Backpressure and
@@ -216,8 +216,7 @@ func runNode(o nodeOptions, stdout, stderr io.Writer, stop <-chan struct{}) erro
 	var lastDropped, lastEncErrs, lastDecErrs uint64
 	var statsTick func(_, _ any)
 	statsTick = func(_, _ any) {
-		logf("stats", "blocks=%d confirmed=%d aborted=%d msgs=%d bytes=%d dropped=%d rejected=%d",
-			blocks, confirmed, aborted, tcp.Messages(), tcp.Bytes(), tcp.Dropped(), replica.Rejected())
+		logf("stats", "%s", counters())
 		if d := tcp.Dropped(); d > lastDropped {
 			logf("backpressure", "dropped=%d total=%d", d-lastDropped, d)
 			lastDropped = d
@@ -293,7 +292,6 @@ func runNode(o nodeOptions, stdout, stderr io.Writer, stop <-chan struct{}) erro
 	clientWG.Wait()
 	tcp.Close()
 	node.Stop()
-	logf("stop", "reason=%s blocks=%d confirmed=%d aborted=%d msgs=%d bytes=%d dropped=%d rejected=%d",
-		reason, blocks, confirmed, aborted, tcp.Messages(), tcp.Bytes(), tcp.Dropped(), replica.Rejected())
+	logf("stop", "reason=%s %s", reason, counters())
 	return nil
 }

@@ -80,9 +80,9 @@ func run(args []string, w, stderr io.Writer) error {
 	if *kernel != "serial" && *kernel != "parallel" {
 		return fmt.Errorf("unknown kernel %q (want serial or parallel)", *kernel)
 	}
-	net := orthrus.WAN
-	if *netName == "lan" {
-		net = orthrus.LAN
+	net, ok := map[string]orthrus.Net{"wan": orthrus.WAN, "lan": orthrus.LAN}[*netName]
+	if !ok {
+		return fmt.Errorf("unknown network %q (want wan or lan)", *netName)
 	}
 	opts := []orthrus.Option{
 		orthrus.WithProtocol(*protocol),

@@ -15,6 +15,26 @@ func TestRunRejectsUnknownProtocol(t *testing.T) {
 	}
 }
 
+// TestRunRejectsMistypedEnumFlags pins that a -net or -kernel value outside
+// its two spellings is an error naming it, not a silent default (a mistyped
+// -net used to run, and label its output, as WAN).
+func TestRunRejectsMistypedEnumFlags(t *testing.T) {
+	for _, c := range []struct{ flag, value, want string }{
+		{"-net", "lna", `unknown network "lna" (want wan or lan)`},
+		{"-net", "LAN", `unknown network "LAN" (want wan or lan)`},
+		{"-kernel", "paralel", `unknown kernel "paralel" (want serial or parallel)`},
+	} {
+		var out, errOut bytes.Buffer
+		err := run([]string{"-n", "4", "-duration", "1s", c.flag, c.value}, &out, &errOut)
+		if err == nil || err.Error() != c.want {
+			t.Fatalf("run(%s %s) = %v, want %q", c.flag, c.value, err, c.want)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("rejected run wrote a summary: %q", out.String())
+		}
+	}
+}
+
 func TestRunParseErrorGoesToStderr(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if err := run([]string{"-n", "abc"}, &out, &errOut); err == nil {

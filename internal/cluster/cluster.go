@@ -11,9 +11,12 @@
 // under wall-clock time.
 //
 // Config describes a run. The engine knobs are the embedded core.Params,
-// resolved once per run by withDefaults; SimOnly and Conflicts are the
-// harness's rules over the rest, in the shape (core.Violations) the public
-// SDK's Validate reports.
+// resolved once per run by withDefaults; Check, Conflicts and SimOnly are
+// the harness's rules over the rest, in the shape (core.Violations) the
+// public SDK's Validate reports. The public SDK re-exports the run-shape
+// types declared here (NetProfile, Kernel, WindowStat, PhaseWindow,
+// LiveSetSample) by alias, so their exported fields and methods are public
+// API: docs/api/orthrus.txt lists them and the surface gate diffs them.
 package cluster
 
 import (
@@ -202,6 +205,50 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Check lists the run-shape knobs of c that are out of range, each under
+// the public SDK's name for the field — the one statement of these rules:
+// the SDK's Validate reports them all as typed errors, and Run and RunReal
+// panic on the first (checked). withDefaults reads a non-positive value as
+// unset, so this looks at c before it.
+func (c Config) Check() (out core.Violations) {
+	const nonNeg = "must be non-negative, got %v"
+	n := c.N
+	out.Add(n < 1, "Replicas", "need at least 1 replica, got %d", n)
+	out.Add(c.Net != WAN && c.Net != LAN, "Net", "must be WAN or LAN, got Net(%d)", int(c.Net))
+	out.Add(c.Stragglers < 0, "Stragglers", nonNeg, c.Stragglers)
+	out.Add(n >= 1 && c.Stragglers > n, "Stragglers", "%d stragglers exceed %d replicas", c.Stragglers, n)
+	out.Add(c.StragglerFactor < 0, "StragglerFactor", "must be non-negative (0 means the default 10x), got %g", c.StragglerFactor)
+	out.Add(c.DetectableFaults < 0, "CrashFaults", nonNeg, c.DetectableFaults)
+	out.Add(n >= 1 && c.DetectableFaults >= n, "CrashFaults", "crashing %d of %d replicas leaves no observer", c.DetectableFaults, n)
+	out.Add(c.FaultAt < 0, "CrashAt", nonNeg, c.FaultAt)
+	out.Add(c.UndetectableFaults < 0, "ByzantineFaults", nonNeg, c.UndetectableFaults)
+	out.Add(n >= 1 && c.UndetectableFaults >= n, "ByzantineFaults", "%d Byzantine replicas exceed %d-replica cluster", c.UndetectableFaults, n)
+	out.Add(c.Duration < 0, "Duration", nonNeg, c.Duration)
+	out.Add(c.Warmup < 0, "Warmup", nonNeg, c.Warmup)
+	out.Add(c.Drain < 0, "Drain", nonNeg, c.Drain)
+	out.Add(c.LoadTPS < 0, "LoadTPS", nonNeg, c.LoadTPS)
+	out.Add(c.TotalTxs < 0, "TotalTxs", nonNeg, c.TotalTxs)
+	out.Add(c.Workload.Accounts < 0, "Accounts", nonNeg, c.Workload.Accounts)
+	out.Add(c.Workload.PaymentFraction > 1, "PaymentFraction", "must be at most 1, got %g", c.Workload.PaymentFraction)
+	out.Add(c.Kernel != KernelSerial && c.Kernel != KernelParallel, "Kernel", "must be KernelSerial or KernelParallel, got Kernel(%d)", int(c.Kernel))
+	out.Add(c.Workers < 0, "Workers", "must be non-negative (0 means GOMAXPROCS), got %d", c.Workers)
+	out.Add(c.SampleLiveSet < 0, "SampleLiveSet", nonNeg, c.SampleLiveSet)
+	if c.Scenario != nil && n >= 1 {
+		err := c.Scenario.Validate(n)
+		out.Add(err != nil, "Scenario", "%v", err)
+	}
+	return out
+}
+
+// checked returns c with its defaults resolved, or panics on the first rule
+// c breaks: Check's, then the calling backend's own list.
+func (c Config) checked(backend core.Violations) Config {
+	if bad := append(c.Check(), backend...); len(bad) > 0 {
+		panic("cluster: invalid " + bad[0].Field + ": " + bad[0].Reason)
+	}
+	return c.withDefaults()
+}
+
 // SimOnly lists the knobs set on c that only the simulator implements: they
 // mutate the simulated network or replica lifecycles, or select a
 // simulation engine. RunReal panics on the first; the public SDK's Validate
@@ -352,16 +399,9 @@ type Result struct {
 	Converged bool
 }
 
-// WindowStat is one closed 0.5 s series bin, streamed to Config.OnWindow:
-// confirmations whose client-visible reply landed in [Start, End), the
-// resulting rate, and their mean latency.
-type WindowStat struct {
-	Index         int
-	Start, End    time.Duration
-	Confirmed     int
-	ThroughputTPS float64
-	MeanLatency   time.Duration
-}
+// WindowStat is one closed 0.5 s series bin (Result.Series.Window), streamed
+// to Config.OnWindow as it closes.
+type WindowStat = metrics.WindowStat
 
 // PhaseWindow is one scenario-delimited measurement window: raw
 // confirmation counts and rates between two consecutive event times (the

@@ -213,16 +213,8 @@ func (c *collector) confirm(replica int, tx *types.Transaction, success bool, st
 // emitWindows streams series bins [windowsEmitted, upTo) to OnWindow, in
 // order. A bin is final once the run's clock has passed its end.
 func (c *collector) emitWindows(upTo int) {
-	s := c.res.Series
 	for i := c.windowsEmitted; i < upTo; i++ {
-		c.cfg.OnWindow(WindowStat{
-			Index:         i,
-			Start:         time.Duration(i) * s.Bin,
-			End:           time.Duration(i+1) * s.Bin,
-			Confirmed:     s.Count(i),
-			ThroughputTPS: s.Throughput(i),
-			MeanLatency:   s.MeanLatency(i),
-		})
+		c.cfg.OnWindow(c.res.Series.Window(i))
 	}
 	c.windowsEmitted = max(c.windowsEmitted, upTo)
 }

@@ -33,10 +33,7 @@ const KernelReal = "real"
 // Run's treatment of invalid combinations; the public SDK rejects them
 // with a friendly error first.
 func RunReal(cfg Config) *Result {
-	cfg = cfg.withDefaults()
-	if bad := cfg.SimOnly(); len(bad) > 0 {
-		panic("cluster: " + bad[0].Reason)
-	}
+	cfg = cfg.checked(cfg.SimOnly())
 	n := cfg.N
 	proc := transport.NewProc(n)
 	c := newCollector(cfg, KernelReal, func(int, int) time.Duration { return 0 })

@@ -52,15 +52,7 @@ var simPool = sync.Pool{New: func() any { return simnet.New(0) }}
 // at a time by construction (serial loop) or by barrier replay (sharded
 // kernel).
 func Run(cfg Config) *Result {
-	cfg = cfg.withDefaults()
-	if bad := cfg.Conflicts(); len(bad) > 0 {
-		panic("cluster: " + bad[0].Reason)
-	}
-	if cfg.Scenario != nil {
-		if err := cfg.Scenario.Validate(cfg.N); err != nil {
-			panic("cluster: " + err.Error())
-		}
-	}
+	cfg = cfg.checked(cfg.Conflicts())
 	n := cfg.N
 	sim := simPool.Get().(*simnet.Sim)
 	sim.Reset(cfg.Seed)

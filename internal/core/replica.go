@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"time"
 
-	"repro/internal/crypto"
 	"repro/internal/ledger"
 	"repro/internal/order"
 	"repro/internal/partition"
@@ -52,10 +51,6 @@ type Config struct {
 	// digest) triples through it to assert no two honest replicas ever
 	// deliver conflicting blocks; nil costs nothing.
 	OnBlockDeliver func(instance int, b *types.Block)
-
-	// Keys signs proposals; optional (nil disables signing, which large
-	// simulations use — the channels are authenticated either way).
-	Keys *crypto.KeyRing
 }
 
 // StageTrace holds the five per-transaction timestamps of the paper's
@@ -557,10 +552,6 @@ func (r *Replica) pulse(instance int) {
 		b.Txs = append(b.Txs, *q.Tx)
 	}
 	r.rank.Observe(b.Rank)
-	if r.cfg.Keys != nil {
-		d := b.Digest()
-		b.Sig = r.cfg.Keys.Replica(r.cfg.ID).Sign(d[:])
-	}
 	_ = e.Propose(b) // CanPropose was checked; a race-free sim cannot fail here
 }
 

@@ -108,13 +108,14 @@ type Row struct {
 }
 
 func toRow(res *cluster.Result, stragglers int) Row {
+	lat := res.Latency.Summary()
 	return Row{
 		Protocol:   res.Protocol,
 		N:          res.N,
 		Stragglers: stragglers,
 		TputKTPS:   res.ThroughputTPS / 1000,
-		LatencyS:   res.Latency.Mean().Seconds(),
-		P99S:       res.Latency.Percentile(99).Seconds(),
+		LatencyS:   lat.Mean.Seconds(),
+		P99S:       lat.P99.Seconds(),
 	}
 }
 
@@ -147,9 +148,10 @@ type SeriesResult struct {
 func toSeries(res *cluster.Result, faults int) SeriesResult {
 	out := SeriesResult{Faults: faults, ViewChange: res.ViewChanges}
 	for i := 0; i < res.Series.Bins(); i++ {
-		out.TimeS = append(out.TimeS, float64(i)*res.Series.Bin.Seconds())
-		out.TputKTPS = append(out.TputKTPS, res.Series.Throughput(i)/1000)
-		out.LatencyS = append(out.LatencyS, res.Series.MeanLatency(i).Seconds())
+		w := res.Series.Window(i)
+		out.TimeS = append(out.TimeS, w.Start.Seconds())
+		out.TputKTPS = append(out.TputKTPS, w.ThroughputTPS/1000)
+		out.LatencyS = append(out.LatencyS, w.MeanLatency.Seconds())
 	}
 	return out
 }
@@ -183,7 +185,7 @@ func toScenario(res *cluster.Result, name string) ScenarioResult {
 		Scenario:    name,
 		Protocol:    res.Protocol,
 		TputKTPS:    res.ThroughputTPS / 1000,
-		LatencyS:    res.Latency.Mean().Seconds(),
+		LatencyS:    res.Latency.Summary().Mean.Seconds(),
 		ViewChanges: res.ViewChanges,
 	}
 	for _, p := range res.Phases {

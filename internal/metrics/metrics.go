@@ -65,11 +65,29 @@ func (l *Latency) Percentile(p float64) time.Duration {
 // Max returns the largest sample.
 func (l *Latency) Max() time.Duration { return l.Percentile(100) }
 
-// String summarizes the distribution.
-func (l *Latency) String() string {
-	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v max=%v",
-		l.Count(), l.Mean().Round(time.Millisecond), l.Percentile(50).Round(time.Millisecond),
-		l.Percentile(99).Round(time.Millisecond), l.Max().Round(time.Millisecond))
+// String renders the distribution's Summary.
+func (l *Latency) String() string { return l.Summary().String() }
+
+// Summary is a latency distribution boiled down to what a run reports:
+// sample count, mean, median, 99th percentile and maximum.
+type Summary struct {
+	Count int
+	Mean  time.Duration
+	P50   time.Duration
+	P99   time.Duration
+	Max   time.Duration
+}
+
+// Summary is the one place a distribution becomes its reported figures (all
+// zero if empty).
+func (l *Latency) Summary() Summary {
+	return Summary{Count: l.Count(), Mean: l.Mean(), P50: l.Percentile(50), P99: l.Percentile(99), Max: l.Max()}
+}
+
+// String renders the summary compactly.
+func (s Summary) String() string {
+	return fmt.Sprintf("mean=%.2fs p50=%.2fs p99=%.2fs max=%.2fs n=%d",
+		s.Mean.Seconds(), s.P50.Seconds(), s.P99.Seconds(), s.Max.Seconds(), s.Count)
 }
 
 // TimeSeries bins event counts and latency sums over fixed intervals, the
@@ -147,6 +165,30 @@ func (ts *TimeSeries) MeanLatency(i int) time.Duration {
 		return 0
 	}
 	return ts.latSums[i] / time.Duration(ts.counts[i])
+}
+
+// WindowStat is one series bin as a record: confirmations whose
+// client-visible reply landed in [Start, End), the resulting rate, and their
+// mean latency.
+type WindowStat struct {
+	Index         int
+	Start, End    time.Duration
+	Confirmed     int
+	ThroughputTPS float64
+	MeanLatency   time.Duration
+}
+
+// Window is the one place bin i becomes a WindowStat (an empty window with
+// bin i's bounds when out of range).
+func (ts *TimeSeries) Window(i int) WindowStat {
+	return WindowStat{
+		Index:         i,
+		Start:         time.Duration(i) * ts.Bin,
+		End:           time.Duration(i+1) * ts.Bin,
+		Confirmed:     ts.Count(i),
+		ThroughputTPS: ts.Throughput(i),
+		MeanLatency:   ts.MeanLatency(i),
+	}
 }
 
 // Stage identifies one of the five breakdown stages of Fig. 6.

@@ -129,3 +129,47 @@ func TestStageStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestSummaryMatchesAccessors: Summary is the five accessors it replaced at
+// every call site, in the public rendering, for an empty distribution too.
+func TestSummaryMatchesAccessors(t *testing.T) {
+	var l Latency
+	if got := l.Summary(); got != (Summary{}) {
+		t.Fatalf("empty distribution summarizes to %+v", got)
+	}
+	for _, ms := range []int{40, 10, 30, 20, 1500} {
+		l.Add(time.Duration(ms) * time.Millisecond)
+	}
+	want := Summary{Count: l.Count(), Mean: l.Mean(), P50: l.Percentile(50), P99: l.Percentile(99), Max: l.Max()}
+	if got := l.Summary(); got != want || got.Count != 5 || got.Max != 1500*time.Millisecond {
+		t.Fatalf("Summary() = %+v, accessors say %+v", got, want)
+	}
+	if got, want := want.String(), "mean=0.32s p50=0.03s p99=0.04s max=1.50s n=5"; got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
+	}
+}
+
+// TestWindowMatchesAccessors: Window(i) is the per-bin accessors and the bin
+// bounds it replaced at every call site — filled, empty and out-of-range
+// bins, and a series with no bins at all.
+func TestWindowMatchesAccessors(t *testing.T) {
+	ts := NewTimeSeries(500 * time.Millisecond)
+	if got, want := ts.Window(0), (WindowStat{End: 500 * time.Millisecond}); got != want {
+		t.Fatalf("empty series: Window(0) = %+v, want %+v", got, want)
+	}
+	ts.Record(simnet.Time(100*time.Millisecond), 20*time.Millisecond)
+	ts.Record(simnet.Time(400*time.Millisecond), 40*time.Millisecond)
+	ts.Record(simnet.Time(1200*time.Millisecond), 70*time.Millisecond) // bin 2; bin 1 stays empty
+	for i := 0; i <= ts.Bins(); i++ {
+		want := WindowStat{
+			Index: i, Start: time.Duration(i) * ts.Bin, End: time.Duration(i+1) * ts.Bin,
+			Confirmed: ts.Count(i), ThroughputTPS: ts.Throughput(i), MeanLatency: ts.MeanLatency(i),
+		}
+		if got := ts.Window(i); got != want {
+			t.Fatalf("Window(%d) = %+v, accessors say %+v", i, got, want)
+		}
+	}
+	if w := ts.Window(0); w.Confirmed != 2 || w.ThroughputTPS != 4 || w.MeanLatency != 30*time.Millisecond {
+		t.Fatalf("Window(0) = %+v, want 2 confirmations, 4 tps, 30ms", w)
+	}
+}

@@ -16,24 +16,17 @@ import (
 	"repro/orthrus/scenariodsl"
 )
 
-// Net selects the simulated network environment of a run.
-type Net int
+// Net selects the simulated network environment of a run; its String
+// method renders "WAN" or "LAN".
+type Net = cluster.NetProfile
 
 // The two environments the paper evaluates (Sec. VII-A).
 const (
 	// WAN spreads replicas over 4 regions: France, US, Australia, Tokyo.
-	WAN Net = iota
+	WAN = cluster.WAN
 	// LAN co-locates replicas at one site with 1 Gbps links.
-	LAN
+	LAN = cluster.LAN
 )
-
-// String implements fmt.Stringer.
-func (n Net) String() string {
-	if n == LAN {
-		return "LAN"
-	}
-	return "WAN"
-}
 
 // MaxReplicas is the largest supported cluster size: the bound the
 // consensus engines' vote tracking and the F-scale sweep (n up to 1000,
@@ -41,13 +34,14 @@ func (n Net) String() string {
 // Validate rejects larger values.
 const MaxReplicas = 1024
 
-// Kernel selects the discrete-event engine that executes a run.
-type Kernel int
+// Kernel selects the discrete-event engine that executes a run; its
+// String method renders "serial" or "parallel".
+type Kernel = cluster.Kernel
 
 const (
 	// KernelSerial is the reference single-threaded kernel: one event
 	// queue, one clock. Every configuration supports it.
-	KernelSerial Kernel = iota
+	KernelSerial = cluster.KernelSerial
 	// KernelParallel shards replicas across a worker pool and
 	// synchronizes on conservative lookahead windows derived from the
 	// network's base-delay matrix. Measured results are bit-identical to
@@ -55,16 +49,8 @@ const (
 	// (AnalyticSB false), DisableNIC true, and no slowdown factors below
 	// 1 (speed-ups would undercut the lookahead); Validate enforces all
 	// three. Clusters too small to shard fall back to the serial kernel.
-	KernelParallel
+	KernelParallel = cluster.KernelParallel
 )
-
-// String implements fmt.Stringer.
-func (k Kernel) String() string {
-	if k == KernelParallel {
-		return "parallel"
-	}
-	return "serial"
-}
 
 // Transport selects the backend that carries replica messages.
 type Transport int
@@ -465,9 +451,7 @@ func (c Config) Validate() error {
 	if c.optErr != nil {
 		errs = append(errs, c.optErr)
 	}
-	if c.Replicas < 1 {
-		bad("Replicas", "need at least 1 replica, got %d", c.Replicas)
-	} else if c.Replicas > MaxReplicas {
+	if c.Replicas > MaxReplicas {
 		bad("Replicas", "%d replicas exceed the supported maximum %d", c.Replicas, MaxReplicas)
 	}
 	if c.Protocol == "" {
@@ -475,76 +459,16 @@ func (c Config) Validate() error {
 	} else if _, err := registry.Lookup(c.Protocol); err != nil {
 		errs = append(errs, err)
 	}
-	if c.Net != WAN && c.Net != LAN {
-		bad("Net", "must be WAN or LAN, got Net(%d)", int(c.Net))
-	}
-	if c.Stragglers < 0 {
-		bad("Stragglers", "must be non-negative, got %d", c.Stragglers)
-	} else if c.Replicas >= 1 && c.Stragglers > c.Replicas {
-		bad("Stragglers", "%d stragglers exceed %d replicas", c.Stragglers, c.Replicas)
-	}
-	if c.StragglerFactor < 0 {
-		bad("StragglerFactor", "must be non-negative (0 means the default 10x), got %g", c.StragglerFactor)
-	}
-	if c.CrashFaults < 0 {
-		bad("CrashFaults", "must be non-negative, got %d", c.CrashFaults)
-	} else if c.Replicas >= 1 && c.CrashFaults >= c.Replicas {
-		bad("CrashFaults", "crashing %d of %d replicas leaves no observer", c.CrashFaults, c.Replicas)
-	}
-	if c.CrashAt < 0 {
-		bad("CrashAt", "must be non-negative, got %v", c.CrashAt)
-	}
-	if c.ByzantineFaults < 0 {
-		bad("ByzantineFaults", "must be non-negative, got %d", c.ByzantineFaults)
-	} else if c.Replicas >= 1 && c.ByzantineFaults >= c.Replicas {
-		bad("ByzantineFaults", "%d Byzantine replicas exceed %d-replica cluster", c.ByzantineFaults, c.Replicas)
-	}
-	for _, f := range []struct {
-		name string
-		d    time.Duration
-	}{
-		{"Duration", c.Duration}, {"Warmup", c.Warmup}, {"Drain", c.Drain},
-	} {
-		if f.d < 0 {
-			bad(f.name, "must be non-negative, got %v", f.d)
-		}
-	}
-	if c.LoadTPS < 0 {
-		bad("LoadTPS", "must be non-negative, got %g", c.LoadTPS)
-	}
-	if c.TotalTxs < 0 {
-		bad("TotalTxs", "must be non-negative, got %d", c.TotalTxs)
-	}
-	if c.Accounts < 0 {
-		bad("Accounts", "must be non-negative, got %d", c.Accounts)
-	}
-	if c.PaymentFraction > 1 {
-		bad("PaymentFraction", "must be at most 1, got %g", c.PaymentFraction)
-	}
 	k := c.knobs()
-	rules := append(k.Params.Check(), k.Conflicts()...)
+	rules := append(append(k.Check(), k.Params.Check()...), k.Conflicts()...)
 	if c.Transport == TransportProc {
 		rules = append(rules, k.SimOnly()...)
 	}
 	for _, r := range rules {
 		bad(r.Field, "%s", r.Reason)
 	}
-	if c.Kernel != KernelSerial && c.Kernel != KernelParallel {
-		bad("Kernel", "must be KernelSerial or KernelParallel, got Kernel(%d)", int(c.Kernel))
-	}
 	if c.Transport != TransportSim && c.Transport != TransportProc {
 		bad("Transport", "must be TransportSim or TransportProc, got Transport(%d)", int(c.Transport))
-	}
-	if c.Workers < 0 {
-		bad("Workers", "must be non-negative (0 means GOMAXPROCS), got %d", c.Workers)
-	}
-	if c.SampleLiveSet < 0 {
-		bad("SampleLiveSet", "must be non-negative, got %v", c.SampleLiveSet)
-	}
-	if c.Scenario != nil && c.Replicas >= 1 {
-		if err := c.Scenario.Validate(c.Replicas); err != nil {
-			bad("Scenario", "%v", err)
-		}
 	}
 	for i, t := range c.txs {
 		if t == nil || t.tx == nil {
@@ -572,13 +496,13 @@ func (c Config) Validate() error {
 // knobs maps the Config's plain fields onto the internal harness's — the
 // one place the flat engine knobs become a core.Params — leaving out what
 // needs a validated Config to build (protocol, transaction sources,
-// observer). Validate reads the result to ask the engine which knobs are
-// out of range, and the harness which conflict and which the chosen
-// transport cannot honor.
+// observer). Validate reads the result to ask the engine and the harness
+// which knobs are out of range, and the harness which conflict and which
+// the chosen transport cannot honor.
 func (c Config) knobs() cluster.Config {
-	ccfg := cluster.Config{
+	return cluster.Config{
 		N:                  c.Replicas,
-		Net:                cluster.NetProfile(c.Net),
+		Net:                c.Net,
 		Stragglers:         c.Stragglers,
 		StragglerFactor:    c.StragglerFactor,
 		DetectableFaults:   c.CrashFaults,
@@ -608,14 +532,11 @@ func (c Config) knobs() cluster.Config {
 		// The NIC bandwidth model is a simulation concept; the real
 		// transport measures real links, so it never applies there.
 		NIC:          !c.DisableNIC && !c.AnalyticSB && c.Transport == TransportSim,
+		Kernel:       c.Kernel,
 		Workers:      c.Workers,
 		Seed:         c.Seed,
 		CaptureState: c.CaptureState,
 	}
-	if c.Kernel == KernelParallel {
-		ccfg.Kernel = cluster.KernelParallel
-	}
-	return ccfg
 }
 
 // clusterConfig lowers a validated public Config onto the internal
@@ -661,8 +582,7 @@ func (c Config) clusterConfig() cluster.Config {
 		ccfg.OnConfirm = func(tx *types.Transaction, success bool, reply simnet.Time) {
 			obs.OnConfirm(txInfo(tx), success, time.Duration(reply))
 		}
-		ccfg.OnWindow = func(w cluster.WindowStat) { obs.OnWindow(Window(w)) }
-		ccfg.OnPhase = func(p cluster.PhaseWindow) { obs.OnPhase(Phase(p)) }
+		ccfg.OnWindow, ccfg.OnPhase = obs.OnWindow, obs.OnPhase
 	}
 	return ccfg
 }

@@ -9,8 +9,21 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
+	"repro/internal/metrics"
 	"repro/internal/types"
 	"repro/orthrus/scenariodsl"
+)
+
+// The run-shape vocabulary is the harness's own, re-exported: each of these
+// stops compiling if the SDK grows a second declaration of the type.
+var (
+	_ cluster.NetProfile    = Net(0)
+	_ cluster.Kernel        = Kernel(0)
+	_ cluster.WindowStat    = Window{}
+	_ cluster.PhaseWindow   = Phase{}
+	_ cluster.LiveSetSample = LiveSetSample{}
+	_ metrics.Summary       = Latency{}
 )
 
 // validTrace freezes a small synthetic trace for option tests.
@@ -149,6 +162,10 @@ func TestValidateTable(t *testing.T) {
 		{"negative batch timeout", []Option{WithBatching(0, -time.Second)}, "BatchTimeout"},
 		{"negative view timeout", []Option{WithViewTimeout(-time.Second)}, "ViewTimeout"},
 		{"negative tx size", []Option{WithTxSize(-1)}, "TxSize"},
+		{"too many replicas", []Option{WithReplicas(MaxReplicas + 1)}, "exceed the supported maximum 1024"},
+		{"bad kernel", []Option{WithKernel(Kernel(7))}, "must be KernelSerial or KernelParallel, got Kernel(7)"},
+		{"negative workers", []Option{WithWorkers(-1)}, "Workers"},
+		{"negative live-set interval", []Option{WithLiveSetSampling(-1)}, "SampleLiveSet"},
 		{"analytic with faults", []Option{WithAnalyticSB(), WithFaults(1, time.Second)}, "AnalyticSB"},
 		{"analytic with byzantine", []Option{WithAnalyticSB(), WithByzantine(1)}, "AnalyticSB"},
 		{"analytic with scenario", []Option{WithAnalyticSB(), WithScenario(scn)}, "Scenario"},

@@ -1,6 +1,10 @@
 package orthrus
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/cluster"
+)
 
 // TxInfo identifies one transaction in Observer callbacks.
 type TxInfo struct {
@@ -17,26 +21,19 @@ type TxInfo struct {
 // Window is one closed 0.5 s measurement bin: confirmations whose
 // client-visible reply landed in [Start, End), the resulting rate, and
 // their mean latency. A run's full series is Result.Windows; an Observer
-// streams them as they close.
-type Window struct {
-	Index         int
-	Start, End    time.Duration
-	Confirmed     int
-	ThroughputTPS float64
-	MeanLatency   time.Duration
-}
+// streams them as they close. Fields: Index int; Start, End time.Duration;
+// Confirmed int; ThroughputTPS float64; MeanLatency time.Duration. (The
+// type is the harness's own, re-exported; docs/api/orthrus.txt lists the
+// members of every such alias.)
+type Window = cluster.WindowStat
 
 // Phase is one scenario-delimited measurement window, labeled after the
 // scenario events opening it ("baseline" for the first). Unlike the
 // run-level throughput, phases do not exclude warmup — they measure the
-// scenario's dynamics, not steady state.
-type Phase struct {
-	Label         string
-	Start, End    time.Duration
-	Confirmed     int
-	ThroughputTPS float64
-	MeanLatency   time.Duration
-}
+// scenario's dynamics, not steady state. Fields: Label string; Start, End
+// time.Duration; Confirmed int; ThroughputTPS float64; MeanLatency
+// time.Duration.
+type Phase = cluster.PhaseWindow
 
 // Observer receives streaming callbacks while a run executes, replacing
 // result-struct-only access: per-transaction confirmations, per-0.5 s

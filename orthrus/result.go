@@ -12,20 +12,9 @@ import (
 
 // Latency summarizes the client-observed latency distribution of a run:
 // submission to the (f+1)-th replica reply, including the reply's network
-// delay.
-type Latency struct {
-	Count int
-	Mean  time.Duration
-	P50   time.Duration
-	P99   time.Duration
-	Max   time.Duration
-}
-
-// String renders the summary compactly.
-func (l Latency) String() string {
-	return fmt.Sprintf("mean=%.2fs p50=%.2fs p99=%.2fs max=%.2fs n=%d",
-		l.Mean.Seconds(), l.P50.Seconds(), l.P99.Seconds(), l.Max.Seconds(), l.Count)
-}
+// delay. Fields: Count int; Mean, P50, P99, Max time.Duration. Its String
+// method renders the summary compactly.
+type Latency = metrics.Summary
 
 // StageLatency is one stage of the five-stage latency breakdown (Fig. 6),
 // measured at the observer replica.
@@ -136,20 +125,14 @@ func (r *Result) EscrowsOutstanding() int {
 // LiveSetSample is one cluster-wide retained-state census: the state
 // categories checkpoint GC is responsible for bounding, summed across
 // replicas, plus the scheduler's pending event count, at one instant of
-// virtual time since run start.
-type LiveSetSample struct {
-	At        time.Duration // virtual time of the census
-	Events    int           // scheduler events pending
-	Trackers  int           // transaction trackers retained
-	Slots     int           // in-flight pbft slots
-	ExecQ     int           // delivered blocks awaiting escrow
-	GlogQ     int           // confirmed blocks awaiting execution
-	Escrows   int           // live escrow-log entries
-	Archive   int           // state-transfer archive blocks
-	Retained  int           // blocks retained for NewView repair
-	CkptVotes int           // live checkpoint votes
-	Total     int           // all of the above
-}
+// virtual time since run start. Fields: At time.Duration (the census
+// time), then the int counts Events (scheduler events pending), Trackers
+// (transaction trackers retained), Slots (in-flight pbft slots), ExecQ
+// (delivered blocks awaiting escrow), GlogQ (confirmed blocks awaiting
+// execution), Escrows (live escrow-log entries), Archive (state-transfer
+// archive blocks), Retained (blocks kept for NewView repair), CkptVotes
+// (live checkpoint votes) and Total (all of the above).
+type LiveSetSample = cluster.LiveSetSample
 
 // fromCluster projects an internal run result onto the public surface.
 func fromCluster(res *cluster.Result) *Result {
@@ -161,40 +144,22 @@ func fromCluster(res *cluster.Result) *Result {
 		Confirmed:     res.Confirmed,
 		Aborted:       res.Aborted,
 		ThroughputTPS: res.ThroughputTPS,
-		Latency: Latency{
-			Count: res.Latency.Count(),
-			Mean:  res.Latency.Mean(),
-			P50:   res.Latency.Percentile(50),
-			P99:   res.Latency.Percentile(99),
-			Max:   res.Latency.Max(),
-		},
-		ViewChanges: res.ViewChanges,
-		SimEvents:   res.Events,
-		Kernel:      res.Kernel,
-		Shards:      res.Shards,
-		Halted:      res.Halted,
-		Converged:   res.Converged,
-		state:       res.State,
+		Latency:       res.Latency.Summary(),
+		ViewChanges:   res.ViewChanges,
+		SimEvents:     res.Events,
+		Kernel:        res.Kernel,
+		Shards:        res.Shards,
+		Halted:        res.Halted,
+		Converged:     res.Converged,
+		state:         res.State,
 	}
 	for i := 0; i < res.Series.Bins(); i++ {
-		out.Windows = append(out.Windows, Window{
-			Index:         i,
-			Start:         time.Duration(i) * res.Series.Bin,
-			End:           time.Duration(i+1) * res.Series.Bin,
-			Confirmed:     res.Series.Count(i),
-			ThroughputTPS: res.Series.Throughput(i),
-			MeanLatency:   res.Series.MeanLatency(i),
-		})
+		out.Windows = append(out.Windows, res.Series.Window(i))
 	}
 	for _, s := range metrics.Stages() {
 		out.Breakdown = append(out.Breakdown, StageLatency{Stage: s.String(), Mean: res.Breakdown.Mean(s)})
 	}
-	for _, p := range res.Phases {
-		out.Phases = append(out.Phases, Phase(p))
-	}
-	for _, s := range res.LiveSetSamples {
-		out.LiveSetSamples = append(out.LiveSetSamples, LiveSetSample(s))
-	}
+	out.Phases, out.LiveSetSamples = res.Phases, res.LiveSetSamples
 	out.LiveSetPeak = res.LiveSetPeak
 	out.StateTransferApplied = res.StateTransferApplied
 	return out
