@@ -23,7 +23,6 @@ import (
 	"repro/internal/order"
 	"repro/internal/pbft"
 	"repro/internal/perf"
-	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/simnet"
 	"repro/internal/types"
@@ -222,7 +221,7 @@ func BenchmarkFigureSuite(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				results, err := experiments.Run(experiments.FigureIDs(), runner.Options{Workers: workers}, 0.05)
+				results, err := experiments.Run(experiments.FigureIDs(), nil, workers, 0.05)
 				if err != nil {
 					b.Fatal(err)
 				}

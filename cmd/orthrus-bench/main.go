@@ -49,7 +49,8 @@ type artifact struct {
 // selectFigures expands a -fig value into a deduplicated id list: "all"
 // (alone or inside a comma-separated list) selects every figure, repeated
 // ids run once, and order of first mention is preserved. Unknown ids are
-// caught later by orthrus.RunFigures.
+// caught later by orthrus.RunFigures, which takes the whole list — X-val
+// and F-soak included — and returns the figures in that order.
 func selectFigures(fig string) ([]string, error) {
 	seen := map[string]bool{}
 	var ids []string
@@ -197,9 +198,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("orthrus-bench: -compare requires -bench or -bench-net (it gates a perf artifact)")
 	}
 
-	// Reject rather than clamp out-of-range scales: the artifact records
-	// the scale verbatim, so it must be the scale the figures ran at.
-	if *scale <= 0 || *scale > 1 {
+	// The artifact records an explicit -scale verbatim, so it must be the
+	// scale the figures ran at: the flag refuses 0, which RunFigures would
+	// read as 1 (and the comparison is written so that NaN fails too).
+	if !(*scale > 0 && *scale <= 1) {
 		return fmt.Errorf("-scale must be in (0,1], got %v", *scale)
 	}
 
@@ -216,62 +218,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	// The X-val and F-soak figures run outside the deterministic suite
-	// (X-val's real-measured cells are wall-clock experiments; a soak cell
-	// is hours of virtual time on the serial kernel), so they dispatch
-	// through RunXVal/RunSoak; the remaining ids go through RunFigures as
-	// one suite. Results reassemble in the order requested.
-	simIDs := make([]string, 0, len(ids))
-	special := map[string]orthrus.FigureResult{}
-	runXVal, runSoak := false, false
-	for _, id := range ids {
-		switch id {
-		case orthrus.XValID:
-			runXVal = true
-		case orthrus.SoakID:
-			runSoak = true
-		default:
-			simIDs = append(simIDs, id)
-		}
-	}
-
 	start := time.Now()
-	var results []orthrus.FigureResult
-	if len(simIDs) > 0 {
-		var err error
-		results, err = orthrus.RunFigures(context.Background(), simIDs,
-			orthrus.FigureOptions{Scenarios: scenarios, Workers: *parallel, Scale: *scale})
-		if err != nil {
-			return err
-		}
-	}
-	if runXVal {
-		xv, err := orthrus.RunXVal(context.Background(), *scale)
-		if err != nil {
-			return err
-		}
-		special[orthrus.XValID] = xv
-	}
-	if runSoak {
-		sk, err := orthrus.RunSoak(context.Background(), *scale)
-		if err != nil {
-			return err
-		}
-		special[orthrus.SoakID] = sk
-	}
-	if len(special) > 0 {
-		// Reinsert at the positions -fig requested them.
-		ordered := make([]orthrus.FigureResult, 0, len(results)+len(special))
-		rest := results
-		for _, id := range ids {
-			if f, ok := special[id]; ok {
-				ordered = append(ordered, f)
-				continue
-			}
-			ordered = append(ordered, rest[0])
-			rest = rest[1:]
-		}
-		results = ordered
+	results, err := orthrus.RunFigures(context.Background(), ids,
+		orthrus.FigureOptions{Scenarios: scenarios, Workers: *parallel, Scale: *scale})
+	if err != nil {
+		return err
 	}
 	if !*quiet {
 		for _, f := range results {

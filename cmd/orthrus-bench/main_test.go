@@ -53,11 +53,17 @@ func TestRunRejectsUnknownScenario(t *testing.T) {
 	}
 }
 
+// TestRunRejectsOutOfRangeScale: the flag check fires before anything runs
+// (the default -fig all at a real scale would take minutes) — also for NaN,
+// which every comparison written the other way round lets through.
 func TestRunRejectsOutOfRangeScale(t *testing.T) {
-	for _, scale := range []string{"0", "-1", "1.5"} {
+	for _, scale := range []string{"0", "-1", "1.5", "NaN", "+Inf"} {
 		var out, errOut bytes.Buffer
 		if err := run([]string{"-scale", scale}, &out, &errOut); err == nil {
 			t.Fatalf("expected an error for -scale %s", scale)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("-scale %s rendered figures before failing: %s", scale, out.String())
 		}
 	}
 }
@@ -92,6 +98,36 @@ func TestRunFig1bJSONArtifact(t *testing.T) {
 	}
 	if len(doc.Figures[0].Breakdowns) != 1 || doc.Figures[0].Breakdowns[0].Total <= 0 {
 		t.Fatalf("breakdown missing from artifact: %+v", doc.Figures[0])
+	}
+}
+
+// TestRunNamedOnlyFigureInOrder: X-val goes through the same one call as the
+// suite's figures and lands where -fig put it.
+func TestRunNamedOnlyFigureInOrder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("X-val runs wall-clock cells")
+	}
+	path := filepath.Join(t.TempDir(), "mixed.json")
+	var out, errOut bytes.Buffer
+	if err := run([]string{"-fig", "X-val,1b", "-scale", "0.05", "-q", "-json", path}, &out, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("-q printed: %s", out.String())
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc artifact
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("artifact is not valid JSON: %v", err)
+	}
+	if doc.Scale != 0.05 || len(doc.Figures) != 2 || doc.Figures[0].Figure != "X-val" || doc.Figures[1].Figure != "1b" {
+		t.Fatalf("artifact scale %v, figures %+v", doc.Scale, doc.Figures)
+	}
+	if len(doc.Figures[0].Tables) != 2 || len(doc.Figures[1].Breakdowns) != 1 {
+		t.Fatalf("figures incomplete: %+v", doc.Figures)
 	}
 }
 

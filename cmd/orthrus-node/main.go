@@ -149,13 +149,23 @@ func runNode(o nodeOptions, stdout, stderr io.Writer, stop <-chan struct{}) erro
 	if err != nil {
 		return fmt.Errorf("orthrus-node: %w", err)
 	}
-	if o.load < 0 {
-		return fmt.Errorf("orthrus-node: -load must be non-negative, got %g", o.load)
+	// A negative value is a mistake, not a request for the default or for no
+	// limit: -accounts, for one, is part of the genesis every replica must
+	// agree on.
+	var flags core.Violations
+	const nonNeg = "must be non-negative, got %v"
+	flags.Add(o.load < 0, "-load", nonNeg, o.load)
+	flags.Add(o.duration < 0, "-duration", nonNeg, o.duration)
+	flags.Add(o.stats < 0, "-stats", nonNeg, o.stats)
+	flags.Add(o.queueCap < 0, "-queue-cap", nonNeg, o.queueCap)
+	flags.Add(o.accounts < 0, "-accounts", nonNeg, o.accounts)
+	if len(flags) > 0 {
+		return fmt.Errorf("orthrus-node: %s %s", flags[0].Field, flags[0].Reason)
 	}
 	if bad := o.params.Check(); len(bad) > 0 {
 		return fmt.Errorf("orthrus-node: invalid %s: %s", bad[0].Field, bad[0].Reason)
 	}
-	if o.stats <= 0 {
+	if o.stats == 0 {
 		o.stats = time.Second
 	}
 	out := &syncWriter{w: stdout}

@@ -52,7 +52,11 @@ func TestRunFlagErrors(t *testing.T) {
 		{"id out of range", []string{"-id", "5", "-peers", "a:1,b:2"}, "outside"},
 		{"negative id", []string{"-peers", "a:1,b:2"}, "outside"},
 		{"unknown protocol", []string{"-id", "0", "-peers", "127.0.0.1:0", "-protocol", "NoSuch"}, "unknown protocol"},
-		{"negative load", []string{"-id", "0", "-peers", "127.0.0.1:0", "-load", "-1"}, "-load"},
+		{"negative load", []string{"-id", "0", "-peers", "127.0.0.1:0", "-load", "-1"}, "orthrus-node: -load must be non-negative, got -1"},
+		{"negative duration", []string{"-id", "0", "-peers", "127.0.0.1:0", "-duration", "-5s"}, "orthrus-node: -duration must be non-negative, got -5s"},
+		{"negative stats", []string{"-id", "0", "-peers", "127.0.0.1:0", "-stats", "-1s"}, "orthrus-node: -stats must be non-negative, got -1s"},
+		{"negative queue cap", []string{"-id", "0", "-peers", "127.0.0.1:0", "-queue-cap", "-1"}, "orthrus-node: -queue-cap must be non-negative, got -1"},
+		{"negative accounts", []string{"-id", "0", "-peers", "127.0.0.1:0", "-accounts", "-5"}, "orthrus-node: -accounts must be non-negative, got -5"},
 		{"negative batch", []string{"-id", "0", "-peers", "127.0.0.1:0", "-batch", "-1"}, "BatchSize"},
 		{"negative batch timeout", []string{"-id", "0", "-peers", "127.0.0.1:0", "-batch-timeout", "-1s"}, "BatchTimeout"},
 		{"negative view timeout", []string{"-id", "0", "-peers", "127.0.0.1:0", "-view-timeout", "-1s"}, "ViewTimeout"},

@@ -145,7 +145,8 @@ type Config struct {
 	// CaptureState retains the observer replica's ledger store on the
 	// Result and checks that all replicas' final snapshots agree. Only
 	// meaningful for fault-free runs: crashed or partitioned replicas miss
-	// blocks (no state transfer is modeled) and will report divergence.
+	// blocks (unless Params.StateTransfer repairs the gap) and will report
+	// divergence.
 	CaptureState bool
 
 	// Kernel selects the engine executing the discrete-event simulation:
@@ -291,46 +292,6 @@ func (c Config) Conflicts() (out core.Violations) {
 	out.Add(c.SampleLiveSet > 0,
 		"SampleLiveSet", "live-set sampling walks every replica from one bookkeeping event; use the serial kernel")
 	return out
-}
-
-// Label returns a stable, human-readable key for this configuration; the
-// runner's job lists use it to identify runs. It names the measured cell
-// (protocol, network, size, fault axis, scenario, transaction source), not
-// every knob, so it is unique within one figure's grid but not across
-// figures — suite-level callers namespace it (see internal/experiments
-// suiteJobs). A negative PaymentFraction is the workload's explicit-0%
-// sentinel and labels as pay=0.00. A custom Source measures a different
-// cell than the synthetic generator even under otherwise identical knobs,
-// so it labels as /replay (a workload.Trace) or /src (any other source);
-// two configs differing only in the contents of a custom source still
-// share a label.
-func (c Config) Label() string {
-	s := fmt.Sprintf("%s/%s/n=%d", c.Protocol.Name, c.Net, c.N)
-	if c.Stragglers > 0 {
-		s += fmt.Sprintf("/straggler=%d", c.Stragglers)
-	}
-	if c.DetectableFaults > 0 {
-		s += fmt.Sprintf("/crash=%d", c.DetectableFaults)
-	}
-	if c.UndetectableFaults > 0 {
-		s += fmt.Sprintf("/byz=%d", c.UndetectableFaults)
-	}
-	if c.Scenario != nil {
-		s += "/scn=" + c.Scenario.Name
-	}
-	if c.Source != nil {
-		if _, ok := c.Source.(*workload.Trace); ok {
-			s += "/replay"
-		} else {
-			s += "/src"
-		}
-	}
-	if frac := c.Workload.PaymentFraction; frac < 0 {
-		s += "/pay=0.00"
-	} else if frac > 0 {
-		s += fmt.Sprintf("/pay=%.2f", frac)
-	}
-	return s
 }
 
 // Result aggregates one run's measurements.

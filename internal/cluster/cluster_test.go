@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/scenario"
-	"repro/internal/types"
 	"repro/internal/workload"
 )
 
@@ -196,60 +194,5 @@ func TestNICModelRun(t *testing.T) {
 	res := Run(cfg)
 	if res.Confirmed == 0 {
 		t.Fatal("NIC-model run confirmed nothing")
-	}
-}
-
-func TestConfigLabel(t *testing.T) {
-	cfg := Config{N: 16, Protocol: core.OrthrusMode(), Net: WAN}
-	if got := cfg.Label(); got != "Orthrus/WAN/n=16" {
-		t.Fatalf("plain label %q", got)
-	}
-	cfg.Stragglers = 1
-	cfg.UndetectableFaults = 2
-	cfg.Workload.PaymentFraction = 0.46
-	got := cfg.Label()
-	want := "Orthrus/WAN/n=16/straggler=1/byz=2/pay=0.46"
-	if got != want {
-		t.Fatalf("label %q, want %q", got, want)
-	}
-	cfg.Workload.PaymentFraction = -1 // explicit-0% sentinel
-	cfg.Stragglers, cfg.UndetectableFaults = 0, 0
-	if got := cfg.Label(); got != "Orthrus/WAN/n=16/pay=0.00" {
-		t.Fatalf("sentinel label %q", got)
-	}
-}
-
-// TestConfigLabelDisambiguates is the collision regression: two configs
-// differing only in scenario or only in transaction source must render
-// different labels, or the runner's job keys (and suite artifacts) would
-// silently merge distinct cells.
-func TestConfigLabelDisambiguates(t *testing.T) {
-	base := Config{N: 16, Protocol: core.OrthrusMode(), Net: WAN}
-
-	scenarioed := base
-	scenarioed.Scenario = scenario.New("demo").CrashAt(time.Second, 1).Build()
-	if base.Label() == scenarioed.Label() {
-		t.Fatalf("scenario config shares label %q with plain config", base.Label())
-	}
-	otherScenario := base
-	otherScenario.Scenario = scenario.New("other").CrashAt(time.Second, 1).Build()
-	if scenarioed.Label() == otherScenario.Label() {
-		t.Fatalf("different scenarios share label %q", scenarioed.Label())
-	}
-
-	replayed := base
-	replayed.Source = workload.NewTrace([]*types.Transaction{types.NewPayment("a", "b", 1, 1)}, 100)
-	if base.Label() == replayed.Label() {
-		t.Fatalf("trace-replay config shares label %q with synthetic config", base.Label())
-	}
-	if got, want := replayed.Label(), "Orthrus/WAN/n=16/replay"; got != want {
-		t.Fatalf("replay label %q, want %q", got, want)
-	}
-
-	// A non-trace custom source labels as /src, not as a trace replay.
-	scripted := base
-	scripted.Source = workload.New(workload.Config{Seed: 9})
-	if got, want := scripted.Label(), "Orthrus/WAN/n=16/src"; got != want {
-		t.Fatalf("custom-source label %q, want %q", got, want)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/scenario"
 	"repro/internal/workload"
 )
 
@@ -34,15 +33,4 @@ func ExampleRun() {
 	// protocol: Orthrus
 	// confirmed some transactions: true
 	// nothing aborted: true
-}
-
-// ExampleConfig_Label shows the stable run key the parallel runner uses:
-// it names the measured cell, including the scenario axis.
-func ExampleConfig_Label() {
-	scn := scenario.New("flash-crowd").LoadSurgeAt(3*time.Second, 2).Build()
-	cfg := cluster.Config{N: 16, Protocol: core.OrthrusMode(), Net: cluster.WAN,
-		Stragglers: 1, Scenario: scn}
-	fmt.Println(cfg.Label())
-	// Output:
-	// Orthrus/WAN/n=16/straggler=1/scn=flash-crowd
 }

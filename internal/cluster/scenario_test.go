@@ -125,15 +125,6 @@ func TestLoadSurgePhases(t *testing.T) {
 	}
 }
 
-// TestScenarioLabel: scenarios namespace the run label for job keys.
-func TestScenarioLabel(t *testing.T) {
-	scn := scenario.New("demo").HealAt(time.Second).Build()
-	cfg := Config{N: 4, Protocol: core.OrthrusMode(), Scenario: scn}
-	if got, want := cfg.Label(), "Orthrus/WAN/n=4/scn=demo"; got != want {
-		t.Fatalf("Label() = %q, want %q", got, want)
-	}
-}
-
 // TestScenarioRejectsAnalyticSB: scenarios mutate the message-level
 // network, so the closed-form SB must be rejected loudly.
 func TestScenarioRejectsAnalyticSB(t *testing.T) {

@@ -15,11 +15,11 @@ import (
 
 // tinyGrid is a miniature protocol-vs-size sweep: small enough to run
 // under -race in -short CI, real enough to exercise full cluster runs.
-func tinyGrid() []runner.Job {
-	var jobs []runner.Job
+func tinyGrid() []cluster.Config {
+	var jobs []cluster.Config
 	for _, n := range []int{4, 7} {
 		for _, mode := range []core.Mode{core.OrthrusMode(), baseline.ISSMode(), baseline.LadonMode()} {
-			jobs = append(jobs, runner.NewJob(cluster.Config{
+			jobs = append(jobs, cluster.Config{
 				N:        n,
 				Protocol: mode,
 				Net:      cluster.LAN,
@@ -31,7 +31,7 @@ func tinyGrid() []runner.Job {
 				Params:   core.Params{BatchSize: 64},
 				NIC:      true,
 				Seed:     42,
-			}))
+			})
 		}
 	}
 	return jobs
@@ -43,8 +43,8 @@ func tinyGrid() []runner.Job {
 // prove the pool introduces no data races.
 func TestParallelMatchesSerial(t *testing.T) {
 	jobs := tinyGrid()
-	serial := runner.Run(jobs, runner.Options{Workers: 1})
-	parallel := runner.Run(jobs, runner.Options{Workers: 8})
+	serial := runner.Run(jobs, 1, cluster.Run)
+	parallel := runner.Run(jobs, 8, cluster.Run)
 
 	serialRows := sweepRows(serial, 0)
 	parallelRows := sweepRows(parallel, 0)
@@ -54,7 +54,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	for i := range serial {
 		s, p := serial[i], parallel[i]
 		if s.Events != p.Events || s.Confirmed != p.Confirmed || s.Aborted != p.Aborted {
-			t.Fatalf("job %d (%s) diverged: serial %v parallel %v", i, jobs[i].Key, s, p)
+			t.Fatalf("job %d diverged: serial %v parallel %v", i, s, p)
 		}
 	}
 
@@ -74,11 +74,11 @@ func TestFigureParallelMatchesSerial(t *testing.T) {
 		t.Skip("runs the Fig. 6 configuration twice")
 	}
 	ids := []string{"6"}
-	serial, err := Run(ids, runner.Options{Workers: 1}, 0.05)
+	serial, err := Run(ids, nil, 1, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Run(ids, runner.Options{Workers: 4}, 0.05)
+	parallel, err := Run(ids, nil, 4, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}

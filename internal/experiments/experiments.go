@@ -1,17 +1,18 @@
 // Package experiments defines one runnable configuration per table/figure
-// of the paper's evaluation (Sec. VII). Each figure is a declarative job
-// list (independent cluster.Config runs) plus a pure assembler that turns
-// the measured results into a JSON-serializable FigureResult; rendering to
-// text is separate (render.go). Job lists execute through internal/runner,
-// so a figure — or the whole suite — fans out across every core while
-// producing results identical to a serial sweep. Both cmd/orthrus-bench
-// and the repository's benchmark suite call into it, so the numbers in
-// EXPERIMENTS.md regenerate from one place.
+// of the paper's evaluation (Sec. VII). Each figure is one catalogue entry
+// (figures.go): an id, a title and a plan — declarative lists of
+// independent cluster.Config runs plus a pure assembler that turns the
+// measured results into a JSON-serializable FigureResult; rendering to
+// text is separate (render.go). Run executes them, simulated runs through
+// internal/runner, so a figure — or the whole suite — fans out across
+// every core while producing results identical to a serial sweep. Both
+// cmd/orthrus-bench and the repository's benchmark suite call into it, so
+// the numbers in EXPERIMENTS.md regenerate from one place.
 //
-// Scale: every experiment takes a Scale in (0, 1]; 1 runs the full
-// configuration (all replica counts up to 128, paper durations), smaller
-// values shrink durations and loads proportionally so the suite stays
-// laptop-friendly. Replica counts of 32 and above use the analytic SB
+// Scale: every experiment takes a scale in (0, 1] (see Scale); 1 runs the
+// full configuration (all replica counts up to 128, paper durations),
+// smaller values shrink durations and loads proportionally so the suite
+// stays laptop-friendly. Replica counts of 32 and above use the analytic SB
 // (validated against message-level PBFT in internal/sb); fault experiments
 // always use message-level PBFT at n = 16.
 package experiments
@@ -23,19 +24,25 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/errs"
 	"repro/internal/metrics"
-	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/workload"
 )
 
-// clampScale bounds the scale of every experiment: RunScenarios applies it
-// once, before any job list is built.
-func clampScale(s float64) float64 {
-	if s <= 0 || s > 1 {
-		return 1
+// Scale resolves an experiment scale, and is the one statement of the
+// rule: 0 (the zero value) means 1, anything else must lie in (0, 1] or is
+// an error wrapping errs.ErrInvalidConfig. Nothing is clamped — a result
+// must record the scale it actually ran at. Run applies it once, before
+// any plan is built.
+func Scale(s float64) (float64, error) {
+	switch {
+	case s == 0:
+		return 1, nil
+	case s > 0 && s <= 1: // written this way round so that NaN fails it
+		return s, nil
 	}
-	return s
+	return 0, fmt.Errorf("%w: experiments: scale must be in (0,1], got %g", errs.ErrInvalidConfig, s)
 }
 
 // replicaCounts returns the paper's x-axis {8,16,32,64,128}, trimmed under
@@ -201,17 +208,17 @@ func toScenario(res *cluster.Result, name string) ScenarioResult {
 	return out
 }
 
-// --- job-list builders: one declarative runner.Job per grid cell ---
+// --- job-list builders: one declarative cluster.Config per grid cell ---
 
 // sweepJobs is the Fig. 3 / Fig. 4 protocol-vs-replica-count grid for one
 // network profile and straggler count.
-func sweepJobs(net cluster.NetProfile, stragglers int, scale float64) []runner.Job {
-	var jobs []runner.Job
+func sweepJobs(net cluster.NetProfile, stragglers int, scale float64) []cluster.Config {
+	var jobs []cluster.Config
 	for _, n := range replicaCounts(scale) {
 		for _, mode := range baseline.AllModes() {
 			cfg := baseConfig(mode, n, net, scale)
 			cfg.Stragglers = stragglers
-			jobs = append(jobs, runner.NewJob(cfg))
+			jobs = append(jobs, cfg)
 		}
 	}
 	return jobs
@@ -229,13 +236,13 @@ func sweepRows(res []*cluster.Result, stragglers int) []Row {
 var paymentFractions = []float64{-1, 0.2, 0.4, 0.6, 0.8, 1.0}
 
 // paymentJobs runs Orthrus at n = 16 (WAN) across payment proportions.
-func paymentJobs(stragglers int, scale float64) []runner.Job {
-	var jobs []runner.Job
+func paymentJobs(stragglers int, scale float64) []cluster.Config {
+	var jobs []cluster.Config
 	for _, frac := range paymentFractions {
 		cfg := baseConfig(core.OrthrusMode(), 16, cluster.WAN, scale)
 		cfg.Stragglers = stragglers
 		cfg.Workload.PaymentFraction = frac
-		jobs = append(jobs, runner.NewJob(cfg))
+		jobs = append(jobs, cfg)
 	}
 	return jobs
 }
@@ -256,16 +263,16 @@ func paymentRows(res []*cluster.Result, stragglers int) []Row {
 
 // breakdownJob is the Fig. 6 configuration (16 replicas, WAN, one
 // straggler) for one protocol.
-func breakdownJob(mode core.Mode, scale float64) runner.Job {
+func breakdownJob(mode core.Mode, scale float64) cluster.Config {
 	cfg := baseConfig(mode, 16, cluster.WAN, scale)
 	cfg.Stragglers = 1
-	return runner.NewJob(cfg)
+	return cfg
 }
 
 // faultJob is the Fig. 7 configuration: Orthrus, 16 replicas, WAN,
 // crashing the given number of replicas at t = 9 s, view-change timeout
 // 10 s, measured in 0.5 s bins.
-func faultJob(faults int, scale float64) runner.Job {
+func faultJob(faults int, scale float64) cluster.Config {
 	cfg := baseConfig(core.OrthrusMode(), 16, cluster.WAN, 1)
 	cfg.AnalyticSB = false
 	cfg.NIC = true
@@ -275,7 +282,7 @@ func faultJob(faults int, scale float64) runner.Job {
 	cfg.EpochLen = 64
 	cfg.DetectableFaults = faults
 	cfg.FaultAt = 9 * time.Second
-	return runner.NewJob(cfg)
+	return cfg
 }
 
 // faultCounts is the Fig. 7 fault axis.
@@ -283,21 +290,21 @@ var faultCounts = []int{0, 1, 5}
 
 // byzJobs runs Fig. 8: Orthrus with 0..5 Byzantine selective-participation
 // replicas (16 replicas, WAN).
-func byzJobs(scale float64) []runner.Job {
-	var jobs []runner.Job
+func byzJobs(scale float64) []cluster.Config {
+	var jobs []cluster.Config
 	for faults := 0; faults <= 5; faults++ {
 		cfg := baseConfig(core.OrthrusMode(), 16, cluster.WAN, scale)
 		cfg.AnalyticSB = false
 		cfg.NIC = true
 		cfg.UndetectableFaults = faults
-		jobs = append(jobs, runner.NewJob(cfg))
+		jobs = append(jobs, cfg)
 	}
 	return jobs
 }
 
-// scenarioProtocols is the S1 protocol panel: Orthrus plus two baselines
-// with opposite global-ordering behavior (ISS predetermined, Ladon
-// dynamic).
+// scenarioProtocols is the S1 protocol panel, which S2, F-scale and X-val
+// share: Orthrus plus two baselines with opposite global-ordering behavior
+// (ISS predetermined, Ladon dynamic).
 func scenarioProtocols() []core.Mode {
 	return []core.Mode{core.OrthrusMode(), baseline.ISSMode(), baseline.LadonMode()}
 }
@@ -330,9 +337,6 @@ func scaleReplicaCounts(scale float64) []int {
 	return append(all[:len(all):len(all)], tier...)
 }
 
-// scaleProtocols is the F-scale protocol panel, matching the S1 panel.
-func scaleProtocols() []core.Mode { return scenarioProtocols() }
-
 // scaleJob is one F-scale cell. Durations are half the paper figures'
 // (the sweep has 15 cells and n = 100 dominates the suite's wall clock),
 // and the analytic cells (n >= 32) run at a quarter of the per-size
@@ -341,7 +345,7 @@ func scaleProtocols() []core.Mode { return scenarioProtocols() }
 // quarter load keeps the whole sweep's wall clock within the CI budget
 // while latency and messages-per-commit, the figure's scale signals, are
 // load-insensitive in the uncongested analytic regime.
-func scaleJob(mode core.Mode, n int, scale float64) runner.Job {
+func scaleJob(mode core.Mode, n int, scale float64) cluster.Config {
 	cfg := baseConfig(mode, n, cluster.WAN, scale)
 	dur := cfg.Duration / 2
 	if dur < 4*time.Second {
@@ -365,14 +369,14 @@ func scaleJob(mode core.Mode, n int, scale float64) runner.Job {
 		cfg.EpochLen = 1024
 		cfg.LoadTPS /= 4
 	}
-	return runner.NewJob(cfg)
+	return cfg
 }
 
 // scenarioJob is one S1 cell: the named preset scenario applied to a
 // 10-replica WAN cluster under message-level PBFT. The view-change timeout
 // scales with the submission window so crash recovery stays visible at
 // small scales.
-func scenarioJob(name string, mode core.Mode, scale float64) runner.Job {
+func scenarioJob(name string, mode core.Mode, scale float64) cluster.Config {
 	cfg := baseConfig(mode, 10, cluster.WAN, scale)
 	cfg.AnalyticSB = false
 	cfg.NIC = true
@@ -383,7 +387,7 @@ func scenarioJob(name string, mode core.Mode, scale float64) runner.Job {
 		panic("experiments: " + err.Error()) // names come from scenario.Names
 	}
 	cfg.Scenario = scn
-	return runner.NewJob(cfg)
+	return cfg
 }
 
 // attackJob is one S2 cell: a Byzantine attack preset (see
@@ -391,10 +395,10 @@ func scenarioJob(name string, mode core.Mode, scale float64) runner.Job {
 // patience drops to 16 delivered blocks so a censoring leader is voted out
 // well inside the submission window; the other attacks end through the
 // same view-change machinery at the scenario-scaled timeout.
-func attackJob(name string, mode core.Mode, scale float64) runner.Job {
-	j := scenarioJob(name, mode, scale)
-	j.Config.CensorshipBlocks = 16
-	return runner.NewJob(j.Config)
+func attackJob(name string, mode core.Mode, scale float64) cluster.Config {
+	cfg := scenarioJob(name, mode, scale)
+	cfg.CensorshipBlocks = 16
+	return cfg
 }
 
 func byzRows(res []*cluster.Result) []Row {

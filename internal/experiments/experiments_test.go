@@ -3,6 +3,8 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,7 +12,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/runner"
+	"repro/internal/errs"
+	"repro/internal/scenario"
 )
 
 // The figure functions are exercised end to end by cmd/orthrus-bench and
@@ -41,10 +44,21 @@ func TestLoadForShape(t *testing.T) {
 	}
 }
 
-func TestClampScale(t *testing.T) {
-	for _, c := range []struct{ in, want float64 }{{0, 1}, {-1, 1}, {2, 1}, {0.3, 0.3}, {1, 1}} {
-		if got := clampScale(c.in); got != c.want {
-			t.Fatalf("clampScale(%v) = %v", c.in, got)
+// TestScaleRule pins the one scale rule: 0 means 1, values in (0, 1] are
+// kept, and everything else — NaN included — is an ErrInvalidConfig, never
+// clamped. Run applies it before anything executes.
+func TestScaleRule(t *testing.T) {
+	for _, c := range []struct{ in, want float64 }{{0, 1}, {0.3, 0.3}, {1, 1}, {1e-9, 1e-9}} {
+		if got, err := Scale(c.in); err != nil || got != c.want {
+			t.Fatalf("Scale(%v) = %v, %v; want %v", c.in, got, err, c.want)
+		}
+	}
+	for _, bad := range []float64{-1, 2, 1.0000001, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if got, err := Scale(bad); !errors.Is(err, errs.ErrInvalidConfig) || got != 0 {
+			t.Fatalf("Scale(%v) = %v, %v; want 0 and ErrInvalidConfig", bad, got, err)
+		}
+		if _, err := Run([]string{"1b"}, nil, 1, bad); !errors.Is(err, errs.ErrInvalidConfig) {
+			t.Fatalf("Run at scale %v: want ErrInvalidConfig, got %v", bad, err)
 		}
 	}
 }
@@ -64,7 +78,7 @@ func TestFig1bOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full miniature cluster")
 	}
-	res, err := Run([]string{"1b"}, runner.Options{}, 0.05)
+	res, err := Run([]string{"1b"}, nil, 0, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,23 +91,54 @@ func TestFig1bOutput(t *testing.T) {
 }
 
 func TestRunUnknownFigure(t *testing.T) {
-	if _, err := Run([]string{"9"}, runner.Options{}, 0.1); err == nil {
+	if _, err := Run([]string{"9"}, nil, 0, 0.1); err == nil {
 		t.Fatal("expected an error for an unknown figure id")
 	}
 }
 
-func TestFigureIDsMatchSpecs(t *testing.T) {
-	specs := figureSpecs(0.1, ScenarioNames())
-	ids := FigureIDs()
-	if len(specs) != len(ids) {
-		t.Fatalf("%d specs for %d ids", len(specs), len(ids))
+// TestCatalogue pins the figure vocabulary, which has one list to read
+// from: ids are unique, the suite is exactly the ten figures "all" has
+// always selected, in render order, the two named-only figures keep their
+// titles, and every entry plans at least one run and an assembler.
+func TestCatalogue(t *testing.T) {
+	want := []string{"1b", "3", "4", "5", "6", "7", "8", "S1", "S2", "F-scale"}
+	if got := FigureIDs(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("FigureIDs() = %v, want %v", got, want)
 	}
-	for i, s := range specs {
-		if s.id != ids[i] {
-			t.Fatalf("spec %d has id %q, want %q", i, s.id, ids[i])
+	if len(catalogue) != len(want)+2 {
+		t.Fatalf("catalogue has %d entries, want the suite plus X-val and F-soak", len(catalogue))
+	}
+	for i, f := range Figures() {
+		if f.ID != want[i] || f.Title == "" || f != Info(f.ID) {
+			t.Fatalf("Figures()[%d] = %+v (Info: %+v)", i, f, Info(f.ID))
 		}
-		if len(s.jobs) == 0 {
-			t.Fatalf("figure %q has no jobs", s.id)
+	}
+	for id, title := range map[string]string{
+		XValID: "Fig X-val: sim-predicted vs real-measured throughput/latency (in-process transport, n=4,10)",
+		SoakID: "Fig F-soak: long-horizon soak — live-set census under crash/recover churn (WAN)",
+	} {
+		if got := Info(id); got.ID != id || got.Title != title {
+			t.Fatalf("Info(%q) = %+v", id, got)
+		}
+	}
+	if got := Info("no-such"); got != (FigureInfo{}) {
+		t.Fatalf("Info of an unknown id = %+v", got)
+	}
+	seen := map[string]bool{}
+	for _, f := range catalogue {
+		if seen[f.ID] {
+			t.Fatalf("figure id %q listed twice", f.ID)
+		}
+		seen[f.ID] = true
+		if f.suite == (f.ID == XValID || f.ID == SoakID) {
+			t.Fatalf("figure %q: suite = %v", f.ID, f.suite)
+		}
+		p := f.plan(0.1, scenario.Names())
+		if len(p.sim) == 0 || p.assemble == nil {
+			t.Fatalf("figure %q plans %d simulated runs, assembler set: %v", f.ID, len(p.sim), p.assemble != nil)
+		}
+		if (len(p.real) > 0) != (f.ID == XValID) {
+			t.Fatalf("figure %q plans %d real-transport runs", f.ID, len(p.real))
 		}
 	}
 }
@@ -121,23 +166,8 @@ func TestFigureResultJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSuiteJobKeysUnique(t *testing.T) {
-	specs := figureSpecs(1, ScenarioNames())
-	jobs := suiteJobs(specs)
-	seen := map[string]bool{}
-	for _, j := range jobs {
-		if seen[j.Key] {
-			t.Fatalf("duplicate suite job key %q", j.Key)
-		}
-		seen[j.Key] = true
-	}
-	if len(seen) != len(jobs) {
-		t.Fatalf("%d unique keys for %d jobs", len(seen), len(jobs))
-	}
-}
-
 func TestRunRejectsDuplicateFigure(t *testing.T) {
-	if _, err := Run([]string{"6", "6"}, runner.Options{}, 0.1); err == nil {
+	if _, err := Run([]string{"6", "6"}, nil, 0, 0.1); err == nil {
 		t.Fatal("expected an error for a duplicate figure id")
 	}
 }

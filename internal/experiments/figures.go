@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/baseline"
 	"repro/internal/cluster"
@@ -29,208 +30,182 @@ type FigureResult struct {
 	Soak       []SoakResult      `json:"soak,omitempty"`
 }
 
-// figureSpec pairs a figure's declarative job list with the pure assembler
-// that shapes the measured results; results arrive indexed like jobs.
-type figureSpec struct {
-	id       string
-	title    string
-	jobs     []runner.Job
-	assemble func(res []*cluster.Result) FigureResult
+// plan is one figure's work at one scale: the configurations to simulate,
+// the configurations to run over the real in-process transport, and the
+// pure assembler that shapes the measured results — which arrive indexed
+// like the two lists — into f, which Run hands over with Figure and Title
+// already set from the catalogue.
+type plan struct {
+	sim, real []cluster.Config
+	assemble  func(f *FigureResult, sim, real []*cluster.Result)
 }
 
-// figureTitle is the single source of figure titles: spec constructors and
-// the jobless Figures listing both read it.
-func figureTitle(id string) string {
-	switch id {
-	case "1b":
-		return "Fig 1b: ISS latency breakdown with one straggler (WAN n=16)"
-	case "3":
-		return "Fig 3: WAN throughput/latency vs replica count"
-	case "4":
-		return "Fig 4: LAN throughput/latency vs replica count"
-	case "5":
-		return "Fig 5: Orthrus under varying payment proportions (WAN n=16)"
-	case "6":
-		return "Fig 6 (and Fig 1b): latency breakdown, WAN n=16, one straggler"
-	case "7":
-		return "Fig 7: Orthrus under detectable faults (crash at 9s, WAN n=16)"
-	case "8":
-		return "Fig 8: undetectable faults (WAN n=16)"
-	case "S1":
-		return "Fig S1: scenario suite — dynamic faults, partitions and load (WAN n=10)"
-	case "S2":
-		return "Fig S2: adversary suite — equivocation, censorship, silent leaders and view-change storms (WAN n=10)"
-	case "F-scale":
-		return "Fig F-scale: scale sweep — throughput, latency and messages per commit over n=4..100 (WAN)"
-	}
-	return ""
+// figure is one catalogue entry. Suite marks the deterministic suite that
+// FigureIDs lists and "all" selects; the other entries run only when named.
+type figure struct {
+	FigureInfo
+	suite bool
+	plan  func(scale float64, scenarios []string) plan
 }
 
-func fig1bSpec(scale float64) figureSpec {
-	title := figureTitle("1b")
-	return figureSpec{
-		id: "1b", title: title,
-		jobs: []runner.Job{breakdownJob(baseline.ISSMode(), scale)},
-		assemble: func(res []*cluster.Result) FigureResult {
-			return FigureResult{Figure: "1b", Title: title,
-				Breakdowns: []BreakdownResult{toBreakdown(res[0])}}
+// XValID and SoakID identify the two figures outside the suite. X-val's
+// real-measured cells are wall-clock experiments on the host machine, so
+// their numbers vary run to run, and the suite — which the serial/parallel
+// equivalence tests replay expecting byte-identical results — cannot
+// contain it. A soak cell runs hours of virtual time, far too slow for it.
+const (
+	XValID = "X-val"
+	SoakID = "F-soak"
+)
+
+// catalogue is every figure Run can execute, in render order: the one list
+// of figure ids and titles.
+var catalogue = []figure{
+	{FigureInfo{"1b", "Fig 1b: ISS latency breakdown with one straggler (WAN n=16)"}, true, fig1bPlan},
+	{FigureInfo{"3", "Fig 3: WAN throughput/latency vs replica count"}, true, netSweepPlan("3", cluster.WAN)},
+	{FigureInfo{"4", "Fig 4: LAN throughput/latency vs replica count"}, true, netSweepPlan("4", cluster.LAN)},
+	{FigureInfo{"5", "Fig 5: Orthrus under varying payment proportions (WAN n=16)"}, true, fig5Plan},
+	{FigureInfo{"6", "Fig 6 (and Fig 1b): latency breakdown, WAN n=16, one straggler"}, true, fig6Plan},
+	{FigureInfo{"7", "Fig 7: Orthrus under detectable faults (crash at 9s, WAN n=16)"}, true, fig7Plan},
+	{FigureInfo{"8", "Fig 8: undetectable faults (WAN n=16)"}, true, fig8Plan},
+	{FigureInfo{"S1", "Fig S1: scenario suite — dynamic faults, partitions and load (WAN n=10)"}, true, s1Plan},
+	{FigureInfo{"S2", "Fig S2: adversary suite — equivocation, censorship, silent leaders and view-change storms (WAN n=10)"}, true, s2Plan},
+	{FigureInfo{"F-scale", "Fig F-scale: scale sweep — throughput, latency and messages per commit over n=4..100 (WAN)"}, true, fscalePlan},
+	{FigureInfo{XValID, "Fig X-val: sim-predicted vs real-measured throughput/latency (in-process transport, n=4,10)"}, false, xvalPlan},
+	{FigureInfo{SoakID, "Fig F-soak: long-horizon soak — live-set census under crash/recover churn (WAN)"}, false, soakPlan},
+}
+
+func fig1bPlan(scale float64, _ []string) plan {
+	return plan{
+		sim: []cluster.Config{breakdownJob(baseline.ISSMode(), scale)},
+		assemble: func(f *FigureResult, res, _ []*cluster.Result) {
+			f.Breakdowns = []BreakdownResult{toBreakdown(res[0])}
 		},
 	}
 }
 
-func netSweepSpec(id, name string, net cluster.NetProfile, scale float64) figureSpec {
-	clean := sweepJobs(net, 0, scale)
-	straggled := sweepJobs(net, 1, scale)
-	title := figureTitle(id)
-	return figureSpec{
-		id: id, title: title,
-		jobs: append(append([]runner.Job{}, clean...), straggled...),
-		assemble: func(res []*cluster.Result) FigureResult {
-			return FigureResult{Figure: id, Title: title, Tables: []Table{
-				{Title: fmt.Sprintf("Fig %sa/%sb: %s, no stragglers", id, id, name), Rows: sweepRows(res[:len(clean)], 0)},
-				{Title: fmt.Sprintf("Fig %sc/%sd: %s, one straggler", id, id, name), Rows: sweepRows(res[len(clean):], 1)},
-			}}
-		},
+// netSweepPlan is the Fig. 3 / Fig. 4 shape over one network profile.
+func netSweepPlan(id string, net cluster.NetProfile) func(float64, []string) plan {
+	return func(scale float64, _ []string) plan {
+		clean := sweepJobs(net, 0, scale)
+		return plan{
+			sim: append(clean, sweepJobs(net, 1, scale)...),
+			assemble: func(f *FigureResult, res, _ []*cluster.Result) {
+				f.Tables = []Table{
+					{Title: fmt.Sprintf("Fig %sa/%sb: %s, no stragglers", id, id, net), Rows: sweepRows(res[:len(clean)], 0)},
+					{Title: fmt.Sprintf("Fig %sc/%sd: %s, one straggler", id, id, net), Rows: sweepRows(res[len(clean):], 1)},
+				}
+			},
+		}
 	}
 }
 
-func fig5Spec(scale float64) figureSpec {
+func fig5Plan(scale float64, _ []string) plan {
 	clean := paymentJobs(0, scale)
-	straggled := paymentJobs(1, scale)
-	title := figureTitle("5")
-	return figureSpec{
-		id: "5", title: title,
-		jobs: append(append([]runner.Job{}, clean...), straggled...),
-		assemble: func(res []*cluster.Result) FigureResult {
-			return FigureResult{Figure: "5", Title: title, Tables: []Table{
+	return plan{
+		sim: append(clean, paymentJobs(1, scale)...),
+		assemble: func(f *FigureResult, res, _ []*cluster.Result) {
+			f.Tables = []Table{
 				{Title: "Fig 5: payment proportion sweep, no straggler", Rows: paymentRows(res[:len(clean)], 0)},
 				{Title: "Fig 5: payment proportion sweep, one straggler", Rows: paymentRows(res[len(clean):], 1)},
-			}}
+			}
 		},
 	}
 }
 
-func fig6Spec(scale float64) figureSpec {
-	title := figureTitle("6")
-	return figureSpec{
-		id: "6", title: title,
-		jobs: []runner.Job{
+func fig6Plan(scale float64, _ []string) plan {
+	return plan{
+		sim: []cluster.Config{
 			breakdownJob(core.OrthrusMode(), scale),
 			breakdownJob(baseline.ISSMode(), scale),
 		},
-		assemble: func(res []*cluster.Result) FigureResult {
-			return FigureResult{Figure: "6", Title: title,
-				Breakdowns: []BreakdownResult{toBreakdown(res[0]), toBreakdown(res[1])}}
+		assemble: func(f *FigureResult, res, _ []*cluster.Result) {
+			f.Breakdowns = []BreakdownResult{toBreakdown(res[0]), toBreakdown(res[1])}
 		},
 	}
 }
 
-func fig7Spec(scale float64) figureSpec {
-	title := figureTitle("7")
-	jobs := make([]runner.Job, len(faultCounts))
+func fig7Plan(scale float64, _ []string) plan {
+	jobs := make([]cluster.Config, len(faultCounts))
 	for i, f := range faultCounts {
 		jobs[i] = faultJob(f, scale)
 	}
-	return figureSpec{
-		id: "7", title: title, jobs: jobs,
-		assemble: func(res []*cluster.Result) FigureResult {
-			out := FigureResult{Figure: "7", Title: title}
+	return plan{
+		sim: jobs,
+		assemble: func(f *FigureResult, res, _ []*cluster.Result) {
 			for i, r := range res {
-				out.Series = append(out.Series, toSeries(r, faultCounts[i]))
+				f.Series = append(f.Series, toSeries(r, faultCounts[i]))
 			}
-			return out
 		},
 	}
 }
 
-func fig8Spec(scale float64) figureSpec {
-	title := figureTitle("8")
-	return figureSpec{
-		id: "8", title: title,
-		jobs: byzJobs(scale),
-		assemble: func(res []*cluster.Result) FigureResult {
-			return FigureResult{Figure: "8", Title: title,
-				Tables: []Table{{Title: title, Rows: byzRows(res)}}}
+func fig8Plan(scale float64, _ []string) plan {
+	return plan{
+		sim: byzJobs(scale),
+		assemble: func(f *FigureResult, res, _ []*cluster.Result) {
+			f.Tables = []Table{{Title: f.Title, Rows: byzRows(res)}}
 		},
 	}
 }
 
-// s1Spec is the scenario suite: each selected preset scenario (see
-// scenario.Names) runs once per protocol in scenarioProtocols, and every
-// cell reports its per-phase windows alongside run-level numbers.
-func s1Spec(scale float64, names []string) figureSpec {
-	title := figureTitle("S1")
-	var jobs []runner.Job
-	type cell struct{ name string }
-	var cells []cell
+// scenarioPlan runs each named preset once per protocol in
+// scenarioProtocols, every cell reporting its per-phase windows alongside
+// run-level numbers.
+func scenarioPlan(names []string, job func(string, core.Mode, float64) cluster.Config, scale float64) plan {
+	var jobs []cluster.Config
+	var cells []string
 	for _, name := range names {
 		for _, mode := range scenarioProtocols() {
-			jobs = append(jobs, scenarioJob(name, mode, scale))
-			cells = append(cells, cell{name: name})
+			jobs = append(jobs, job(name, mode, scale))
+			cells = append(cells, name)
 		}
 	}
-	return figureSpec{
-		id: "S1", title: title, jobs: jobs,
-		assemble: func(res []*cluster.Result) FigureResult {
-			out := FigureResult{Figure: "S1", Title: title}
+	return plan{
+		sim: jobs,
+		assemble: func(f *FigureResult, res, _ []*cluster.Result) {
 			for i, r := range res {
-				out.Scenarios = append(out.Scenarios, toScenario(r, cells[i].name))
+				f.Scenarios = append(f.Scenarios, toScenario(r, cells[i]))
 			}
-			return out
 		},
 	}
 }
 
-// s2Spec is the adversary suite: every Byzantine attack preset (see
-// scenario.AttackNames) runs once per protocol in scenarioProtocols, with
-// per-phase windows splitting each run at the attack onset — the S2 figure
-// shows throughput surviving the attack and recovering after the
-// view-change machinery rotates the victims out.
-func s2Spec(scale float64) figureSpec {
-	title := figureTitle("S2")
-	var jobs []runner.Job
-	var names []string
-	for _, name := range scenario.AttackNames() {
-		for _, mode := range scenarioProtocols() {
-			jobs = append(jobs, attackJob(name, mode, scale))
-			names = append(names, name)
-		}
-	}
-	return figureSpec{
-		id: "S2", title: title, jobs: jobs,
-		assemble: func(res []*cluster.Result) FigureResult {
-			out := FigureResult{Figure: "S2", Title: title}
-			for i, r := range res {
-				out.Scenarios = append(out.Scenarios, toScenario(r, names[i]))
-			}
-			return out
-		},
-	}
+// s1Plan is the scenario suite over the selected presets (see
+// scenario.Names).
+func s1Plan(scale float64, scenarios []string) plan {
+	return scenarioPlan(scenarios, scenarioJob, scale)
 }
 
-// fscaleSpec is the scale-sweep figure: every protocol of the S1 panel
+// s2Plan is the adversary suite over every Byzantine attack preset (see
+// scenario.AttackNames), with per-phase windows splitting each run at the
+// attack onset — the S2 figure shows throughput surviving the attack and
+// recovering after the view-change machinery rotates the victims out.
+func s2Plan(scale float64, _ []string) plan {
+	return scenarioPlan(scenario.AttackNames(), attackJob, scale)
+}
+
+// fscalePlan is the scale-sweep figure: every protocol of the S1 panel
 // over the F-scale replica-count axis, one table per protocol, each row
 // reporting throughput, latency and messages per client-visible commit.
-func fscaleSpec(scale float64) figureSpec {
-	return fscaleSpecOver(scaleReplicaCounts(scale), scale)
+func fscalePlan(scale float64, _ []string) plan {
+	return fscalePlanOver(scaleReplicaCounts(scale), scale)
 }
 
-// fscaleSpecOver is fscaleSpec over an explicit replica-count axis (the
+// fscalePlanOver is fscalePlan over an explicit replica-count axis (the
 // determinism test reaches the n = 25 and analytic cells at a scale whose
 // own axis stops at n = 10).
-func fscaleSpecOver(counts []int, scale float64) figureSpec {
-	title := figureTitle("F-scale")
-	modes := scaleProtocols()
-	var jobs []runner.Job
+func fscalePlanOver(counts []int, scale float64) plan {
+	modes := scenarioProtocols()
+	var jobs []cluster.Config
 	for _, mode := range modes {
 		for _, n := range counts {
 			jobs = append(jobs, scaleJob(mode, n, scale))
 		}
 	}
-	return figureSpec{
-		id: "F-scale", title: title, jobs: jobs,
-		assemble: func(res []*cluster.Result) FigureResult {
-			out := FigureResult{Figure: "F-scale", Title: title}
+	return plan{
+		sim: jobs,
+		assemble: func(f *FigureResult, res, _ []*cluster.Result) {
 			for pi, mode := range modes {
 				rows := make([]Row, len(counts))
 				for i, r := range res[pi*len(counts) : (pi+1)*len(counts)] {
@@ -240,34 +215,13 @@ func fscaleSpecOver(counts []int, scale float64) figureSpec {
 					}
 					rows[i] = row
 				}
-				out.Tables = append(out.Tables, Table{
+				f.Tables = append(f.Tables, Table{
 					Title: fmt.Sprintf("Fig F-scale: %s vs cluster size", mode.Name),
 					Rows:  rows,
 				})
 			}
-			return out
 		},
 	}
-}
-
-func figureSpecs(scale float64, scenarios []string) []figureSpec {
-	return []figureSpec{
-		fig1bSpec(scale),
-		netSweepSpec("3", "WAN", cluster.WAN, scale),
-		netSweepSpec("4", "LAN", cluster.LAN, scale),
-		fig5Spec(scale),
-		fig6Spec(scale),
-		fig7Spec(scale),
-		fig8Spec(scale),
-		s1Spec(scale, scenarios),
-		s2Spec(scale),
-		fscaleSpec(scale),
-	}
-}
-
-// FigureIDs returns the supported figure identifiers in render order.
-func FigureIDs() []string {
-	return []string{"1b", "3", "4", "5", "6", "7", "8", "S1", "S2", "F-scale"}
 }
 
 // FigureInfo names one supported figure for listings (orthrus-bench -list).
@@ -276,89 +230,87 @@ type FigureInfo struct {
 	Title string
 }
 
-// Figures returns every supported figure's id and title in render order,
-// without materializing any job lists.
+// Figures returns the suite's ids and titles in render order, without
+// materializing any job lists.
 func Figures() []FigureInfo {
-	ids := FigureIDs()
-	out := make([]FigureInfo, len(ids))
-	for i, id := range ids {
-		out[i] = FigureInfo{ID: id, Title: figureTitle(id)}
+	var out []FigureInfo
+	for _, f := range catalogue {
+		if f.suite {
+			out = append(out, f.FigureInfo)
+		}
 	}
 	return out
 }
 
-// ScenarioNames returns the S1 scenario identifiers in figure order.
-func ScenarioNames() []string { return scenario.Names() }
-
-// AttackNames returns the S2 Byzantine attack preset identifiers in
-// figure order.
-func AttackNames() []string { return scenario.AttackNames() }
-
-// Run executes the selected figures' job lists through one shared worker
-// pool and returns one FigureResult per id, in the order requested.
-// Results are independent of o.Workers: a parallel run reassembles in
-// deterministic job order, so its output equals a serial run's.
-func Run(ids []string, o runner.Options, scale float64) ([]FigureResult, error) {
-	return RunScenarios(ids, nil, o, scale)
+// FigureIDs returns the suite's figure identifiers in render order.
+func FigureIDs() []string {
+	var ids []string
+	for _, f := range Figures() {
+		ids = append(ids, f.ID)
+	}
+	return ids
 }
 
-// RunScenarios is Run with the S1 scenario suite restricted to the named
-// scenarios; nil or empty selects all of them (see ScenarioNames). The
-// restriction only affects the S1 figure.
-func RunScenarios(ids, scenarios []string, o runner.Options, scale float64) ([]FigureResult, error) {
-	scale = clampScale(scale)
+// find returns the catalogue entry with the given id.
+func find(id string) (figure, bool) {
+	for _, f := range catalogue {
+		if f.ID == id {
+			return f, true
+		}
+	}
+	return figure{}, false
+}
+
+// Info names any catalogue figure — XValID and SoakID included — for
+// listings next to the Figures entries.
+func Info(id string) FigureInfo {
+	f, _ := find(id)
+	return f.FigureInfo
+}
+
+// Run executes the selected figures — any catalogue ids, in or outside the
+// suite — and returns one FigureResult per id, in the order requested.
+// Scenarios restricts the S1 suite to the named presets; nil or empty
+// selects all of scenario.Names. Every selected figure's simulated runs
+// share one pool of the given size (0 uses all cores); the real-transport
+// runs go one at a time after it has drained, so nothing contends with a
+// wall-clock measurement. Simulated results are independent of workers: a
+// parallel run reassembles in deterministic job order, so its output
+// equals a serial run's.
+func Run(ids, scenarios []string, workers int, scale float64) ([]FigureResult, error) {
+	scale, err := Scale(scale)
+	if err != nil {
+		return nil, err
+	}
 	if len(scenarios) == 0 {
 		scenarios = scenario.Names()
-	} else {
-		valid := map[string]bool{}
-		for _, name := range scenario.Names() {
-			valid[name] = true
-		}
-		for _, name := range scenarios {
-			if !valid[name] {
-				return nil, fmt.Errorf("experiments: unknown scenario %q (want one of %v)", name, scenario.Names())
-			}
+	}
+	for _, name := range scenarios {
+		if !slices.Contains(scenario.Names(), name) {
+			return nil, fmt.Errorf("experiments: unknown scenario %q (want one of %v)", name, scenario.Names())
 		}
 	}
-	byID := map[string]figureSpec{}
-	for _, s := range figureSpecs(scale, scenarios) {
-		byID[s.id] = s
-	}
-	selected := make([]figureSpec, 0, len(ids))
-	requested := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		s, ok := byID[id]
+	out := make([]FigureResult, len(ids))
+	plans := make([]plan, len(ids))
+	var sim, real []cluster.Config
+	for i, id := range ids {
+		f, ok := find(id)
 		if !ok {
-			return nil, fmt.Errorf("experiments: unknown figure %q (want one of %v)", id, FigureIDs())
+			return nil, fmt.Errorf("experiments: unknown figure %q (want one of %v, %s or %s)", id, FigureIDs(), XValID, SoakID)
 		}
-		if requested[id] {
+		if slices.Contains(ids[:i], id) {
 			return nil, fmt.Errorf("experiments: figure %q requested twice", id)
 		}
-		requested[id] = true
-		selected = append(selected, s)
+		out[i].Figure, out[i].Title = f.ID, f.Title
+		plans[i] = f.plan(scale, scenarios)
+		sim = append(sim, plans[i].sim...)
+		real = append(real, plans[i].real...)
 	}
-	results := runner.Run(suiteJobs(selected), o)
-	out := make([]FigureResult, 0, len(selected))
-	off := 0
-	for _, s := range selected {
-		out = append(out, s.assemble(results[off:off+len(s.jobs)]))
-		off += len(s.jobs)
+	simRes := runner.Run(sim, workers, cluster.Run)
+	realRes := runner.Run(real, 1, cluster.RunReal)
+	for i, p := range plans {
+		p.assemble(&out[i], simRes[:len(p.sim)], realRes[:len(p.real)])
+		simRes, realRes = simRes[len(p.sim):], realRes[len(p.real):]
 	}
 	return out, nil
-}
-
-// suiteJobs concatenates the selected figures' job lists, namespacing each
-// key with its figure id: cluster.Config.Label alone is not unique across
-// figures (e.g. Fig 3's n=16 Orthrus cell, Fig 7's faults=0 run and
-// Fig 8's byz=0 run share a label), and pool-wide consumers of Job.Key
-// (OnDone progress, debugging) need distinct keys per run.
-func suiteJobs(selected []figureSpec) []runner.Job {
-	var jobs []runner.Job
-	for _, s := range selected {
-		for _, j := range s.jobs {
-			j.Key = "fig" + s.id + "/" + j.Key
-			jobs = append(jobs, j)
-		}
-	}
-	return jobs
 }

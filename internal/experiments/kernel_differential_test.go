@@ -12,7 +12,7 @@ import (
 )
 
 // figureShapes enumerates the message-level cell configurations of the
-// F-scale, S1 and S2 figures — the exact runner.Job configs the figure
+// F-scale, S1 and S2 figures — the exact cluster.Config values the figure
 // grids submit, not hand-rolled approximations — with the NIC model
 // switched off so the parallel kernel accepts them. The analytic F-scale
 // cells are excluded: the parallel kernel rejects the analytic SB by
@@ -20,18 +20,17 @@ import (
 func figureShapes(scale float64, short bool) map[string]cluster.Config {
 	shapes := map[string]cluster.Config{}
 	for _, n := range []int{4, 10} {
-		j := scaleJob(core.OrthrusMode(), n, scale)
-		shapes["F-scale/n="+itoa(n)] = j.Config
+		shapes["F-scale/n="+itoa(n)] = scaleJob(core.OrthrusMode(), n, scale)
 	}
 	s1, s2 := scenario.Names(), scenario.AttackNames()
 	if short {
 		s1, s2 = s1[:1], s2[:1]
 	}
 	for _, name := range s1 {
-		shapes["S1/"+name] = scenarioJob(name, core.OrthrusMode(), scale).Config
+		shapes["S1/"+name] = scenarioJob(name, core.OrthrusMode(), scale)
 	}
 	for _, name := range s2 {
-		shapes["S2/"+name] = attackJob(name, core.OrthrusMode(), scale).Config
+		shapes["S2/"+name] = attackJob(name, core.OrthrusMode(), scale)
 	}
 	for key, cfg := range shapes {
 		cfg.NIC = false
@@ -104,17 +103,17 @@ func TestKernelFigureGridParallelWorkers(t *testing.T) {
 		scale = 0.05
 	}
 	shapes := figureShapes(scale, true)
-	jobs := make([]runner.Job, 0, len(shapes))
+	jobs := make([]cluster.Config, 0, len(shapes))
 	keys := make([]string, 0, len(shapes))
 	for key, cfg := range shapes {
 		pcfg := cfg
 		pcfg.Kernel = cluster.KernelParallel
 		pcfg.Workers = 2
-		jobs = append(jobs, runner.NewJob(pcfg))
+		jobs = append(jobs, pcfg)
 		keys = append(keys, key)
 	}
-	base := runner.Run(jobs, runner.Options{Workers: 1})
-	again := runner.Run(jobs, runner.Options{Workers: 4})
+	base := runner.Run(jobs, 1, cluster.Run)
+	again := runner.Run(jobs, 4, cluster.Run)
 	for i := range base {
 		a, b := *base[i], *again[i]
 		if !reflect.DeepEqual(a, b) {

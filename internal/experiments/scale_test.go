@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/runner"
 )
 
@@ -13,7 +14,7 @@ import (
 // -race (CI runs this in the -short -race job). Both modes run at scale
 // 0.05, the cheapest load and window the figure has. -short runs the
 // figure as that scale selects it — the n in {4, 10} message-level cells,
-// through Run. The full run builds the figure's spec over {4, 25, 32}
+// through Run. The full run builds the figure's plan over {4, 25, 32}
 // instead: the two regimes that scale's own axis stops short of — the
 // n = 25 message-level cell and an analytic cell (n = 32 is the smallest)
 // — next to a small one. Pulling them in through a larger scale (0.25 is
@@ -23,10 +24,12 @@ func TestScaleSerialMatchesParallel(t *testing.T) {
 	const scale = 0.05
 	pass := func(workers int) ([]FigureResult, error) {
 		if testing.Short() {
-			return Run([]string{"F-scale"}, runner.Options{Workers: workers}, scale)
+			return Run([]string{"F-scale"}, nil, workers, scale)
 		}
-		spec := fscaleSpecOver([]int{4, 25, 32}, scale)
-		return []FigureResult{spec.assemble(runner.Run(spec.jobs, runner.Options{Workers: workers}))}, nil
+		p := fscalePlanOver([]int{4, 25, 32}, scale)
+		figs := []FigureResult{{Figure: "F-scale", Title: Info("F-scale").Title}}
+		p.assemble(&figs[0], runner.Run(p.sim, workers, cluster.Run), nil)
+		return figs, nil
 	}
 	// The two passes overlap: they share nothing but the simulator pool,
 	// which is the one thing that could leak state from run to run, so the

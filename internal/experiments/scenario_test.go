@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/runner"
 	"repro/internal/scenario"
 )
 
@@ -20,11 +19,11 @@ func TestScenarioParallelMatchesSerial(t *testing.T) {
 	}
 	ids := []string{"S1"}
 	names := []string{scenario.CrashRecover, scenario.FlashCrowd}
-	serial, err := RunScenarios(ids, names, runner.Options{Workers: 1}, 0.05)
+	serial, err := Run(ids, names, 1, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunScenarios(ids, names, runner.Options{Workers: 6}, 0.05)
+	parallel, err := Run(ids, names, 6, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +65,11 @@ func TestS2SerialMatchesParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs twelve 10-replica attack clusters twice")
 	}
-	serial, err := Run([]string{"S2"}, runner.Options{Workers: 1}, 0.05)
+	serial, err := Run([]string{"S2"}, nil, 1, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Run([]string{"S2"}, runner.Options{Workers: 6}, 0.05)
+	parallel, err := Run([]string{"S2"}, nil, 6, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +100,7 @@ func TestS2SerialMatchesParallel(t *testing.T) {
 // TestRunScenariosRejectsUnknownName: scenario selection validates against
 // the preset registry.
 func TestRunScenariosRejectsUnknownName(t *testing.T) {
-	if _, err := RunScenarios([]string{"S1"}, []string{"no-such"}, runner.Options{}, 0.1); err == nil {
+	if _, err := Run([]string{"S1"}, []string{"no-such"}, 0, 0.1); err == nil {
 		t.Fatal("unknown scenario name accepted")
 	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/cluster"
@@ -9,20 +8,6 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/workload"
 )
-
-// SoakID identifies the long-horizon soak figure. Like X-val it is
-// deliberately NOT part of FigureIDs: a soak cell runs hours of virtual
-// time and is far too slow for the deterministic figure suite that "all"
-// selects and the equivalence tests replay. cmd/orthrus-bench dispatches
-// it separately ("-fig F-soak").
-const SoakID = "F-soak"
-
-// SoakInfo names the soak figure for listings, next to the Figures()
-// entries.
-func SoakInfo() FigureInfo {
-	return FigureInfo{ID: SoakID,
-		Title: "Fig F-soak: long-horizon soak — live-set census under crash/recover churn (WAN)"}
-}
 
 // SoakSample is one cluster-wide retained-state census of a soak run,
 // mirroring cluster.LiveSetSample in figure units.
@@ -98,21 +83,17 @@ func SoakConfig(scale float64) cluster.Config {
 	return cfg
 }
 
-// Soak runs the long-horizon soak figure: one churned cell whose live-set
-// census must stay flat after warmup. The cell runs alone — it needs the
-// serial kernel (live-set sampling) and is itself hours of virtual time,
-// so there is no grid to parallelize over.
-func Soak(scale float64) (FigureResult, error) {
-	if scale <= 0 || scale > 1 {
-		return FigureResult{}, fmt.Errorf("experiments: scale must be in (0,1], got %g", scale)
-	}
+// soakPlan is the long-horizon soak figure: one churned cell whose live-set
+// census must stay flat after warmup. There is no grid to parallelize over,
+// and the cell itself needs the serial kernel (live-set sampling).
+func soakPlan(scale float64, _ []string) plan {
 	cfg := SoakConfig(scale)
-	res := cluster.Run(cfg)
-	return FigureResult{
-		Figure: SoakID,
-		Title:  SoakInfo().Title,
-		Soak:   []SoakResult{toSoak(res, cfg)},
-	}, nil
+	return plan{
+		sim: []cluster.Config{cfg},
+		assemble: func(f *FigureResult, res, _ []*cluster.Result) {
+			f.Soak = []SoakResult{toSoak(res[0], cfg)}
+		},
+	}
 }
 
 func toSoak(res *cluster.Result, cfg cluster.Config) SoakResult {

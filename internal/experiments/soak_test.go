@@ -16,14 +16,14 @@ func TestSoakSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("minutes of virtual time; the soak-smoke CI job runs it")
 	}
-	res, err := Soak(0.01) // clamps to the 240 s floor at n = 25
+	figs, err := Run([]string{SoakID}, nil, 1, 0.01) // the 240 s floor at n = 25
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Soak) != 1 {
-		t.Fatalf("expected one soak cell, got %d", len(res.Soak))
+	if len(figs) != 1 || figs[0].Figure != SoakID || len(figs[0].Soak) != 1 {
+		t.Fatalf("expected the soak figure with one cell, got %+v", figs)
 	}
-	cell := res.Soak[0]
+	cell := figs[0].Soak[0]
 	t.Logf("confirmed=%d viewchanges=%d catchup=%d peak=%d first=%d second=%d final=%d samples=%d",
 		cell.Confirmed, cell.ViewChanges, cell.CatchUpBlocks, cell.PeakLiveSet,
 		cell.PeakFirstHalf, cell.PeakSecondHalf, cell.FinalLiveSet, len(cell.Samples))

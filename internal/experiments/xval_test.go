@@ -13,19 +13,19 @@ func TestXValFigure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("X-val runs wall-clock cells; skipped under -short")
 	}
-	fig, err := XVal(0.05)
+	figs, err := Run([]string{XValID}, nil, 0, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fig.Figure != XValID {
-		t.Fatalf("Figure = %q, want %q", fig.Figure, XValID)
+	fig := figs[0]
+	if fig.Figure != XValID || fig.Title != Info(XValID).Title {
+		t.Fatalf("Figure = %q (%q), want %q", fig.Figure, fig.Title, XValID)
 	}
 	if len(fig.Tables) != 2 {
 		t.Fatalf("got %d tables, want 2 (sim-predicted, real-measured)", len(fig.Tables))
 	}
 	simRows, realRows := fig.Tables[0].Rows, fig.Tables[1].Rows
-	modes, sizes := xvalCells()
-	want := len(modes) * len(sizes)
+	want := 2 * len(scenarioProtocols()) // the panel at n = 4 and n = 10
 	if len(simRows) != want || len(realRows) != want {
 		t.Fatalf("rows: sim=%d real=%d, want %d each", len(simRows), len(realRows), want)
 	}
@@ -64,7 +64,7 @@ func TestXValExcludedFromSuite(t *testing.T) {
 			t.Fatalf("FigureIDs contains %q; the wall-clock figure must stay out of the deterministic suite", XValID)
 		}
 	}
-	if _, err := XVal(0); err == nil {
-		t.Fatal("XVal(0) accepted an out-of-range scale")
+	if _, err := Run([]string{XValID}, nil, 1, -1); err == nil {
+		t.Fatal("X-val accepted an out-of-range scale")
 	}
 }

@@ -11,8 +11,8 @@
 // system-model assumption), so votes carry no signatures and a message's
 // sender is whoever the transport says delivered it: Engine.Handle drops a
 // vote whose self-declared Replica disagrees, and the per-replica books
-// (voteSet, Engine.vcVotes) are indexed by the checked id. Block proposals
-// are signed by leaders.
+// (voteSet, Engine.vcVotes) are indexed by the checked id. Nothing signs
+// block proposals either: Block.Sig travels empty.
 package pbft
 
 import (

@@ -1,10 +1,10 @@
 // Package runner executes independent cluster configurations across all
 // cores. Every cluster.Run owns its own deterministic simulation (seeded
-// RNGs, no shared mutable state), so fanning a job list over a worker pool
-// and reassembling the results in job order produces output byte-identical
-// to a serial sweep — the property the determinism regression tests pin
-// down. The experiment figures (internal/experiments) and the benchmark
-// harness both run through this pool.
+// RNGs, no shared mutable state), so fanning a configuration list over a
+// worker pool and reassembling the results in list order produces output
+// byte-identical to a serial sweep — the property the determinism
+// regression tests pin down. The experiment figures (internal/experiments)
+// and the SDK's RunMany run through this pool.
 package runner
 
 import (
@@ -15,74 +15,26 @@ import (
 	"repro/internal/cluster"
 )
 
-// Job is one experiment to execute: a stable key (for artifacts, progress
-// reporting and debugging) plus the full cluster configuration.
-type Job struct {
-	Key    string
-	Config cluster.Config
-}
-
-// NewJob builds a job keyed by the configuration's label.
-func NewJob(cfg cluster.Config) Job {
-	return Job{Key: cfg.Label(), Config: cfg}
-}
-
-// Options tunes how a job list executes.
-type Options struct {
-	// Workers is the pool size: 0 (or negative) uses GOMAXPROCS, 1 runs
-	// serially on the calling goroutine.
-	Workers int
-	// Run overrides the per-job executor (default cluster.Run); tests use
-	// it to exercise pool behavior without full simulations.
-	Run func(cluster.Config) *cluster.Result
-	// OnDone, if set, is called after each job finishes with its index and
-	// result. Calls may arrive from multiple goroutines and out of job
-	// order; the callback must be safe for concurrent use.
-	OnDone func(i int, job Job, res *cluster.Result)
-}
-
-func (o Options) workers(jobs int) int {
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+// Run calls exec once per configuration and returns the results indexed
+// like cfgs, whatever order they complete in: a configuration's position is
+// its identity. Workers is the pool size: 0 (or negative) uses GOMAXPROCS,
+// 1 runs serially, in order, on the calling goroutine. Exec is cluster.Run
+// for simulations and, with one worker, cluster.RunReal for wall-clock
+// runs; tests pass a stub.
+func Run(cfgs []cluster.Config, workers int, exec func(cluster.Config) *cluster.Result) []*cluster.Result {
+	out := make([]*cluster.Result, len(cfgs))
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	if w > jobs {
-		w = jobs
+	if workers > len(cfgs) {
+		workers = len(cfgs)
 	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-func (o Options) run() func(cluster.Config) *cluster.Result {
-	if o.Run != nil {
-		return o.Run
-	}
-	return cluster.Run
-}
-
-// Run executes every job and returns the results indexed exactly like the
-// job slice, regardless of completion order. With Workers == 1 the jobs
-// run serially in order; otherwise a fixed pool of workers claims jobs by
-// atomically incrementing a shared cursor.
-func Run(jobs []Job, o Options) []*cluster.Result {
-	out := make([]*cluster.Result, len(jobs))
-	if len(jobs) == 0 {
-		return out
-	}
-	exec := o.run()
-	workers := o.workers(len(jobs))
-	if workers == 1 {
-		for i, j := range jobs {
-			out[i] = exec(j.Config)
-			if o.OnDone != nil {
-				o.OnDone(i, j, out[i])
-			}
+	if workers <= 1 {
+		for i, cfg := range cfgs {
+			out[i] = exec(cfg)
 		}
 		return out
 	}
-
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -91,13 +43,10 @@ func Run(jobs []Job, o Options) []*cluster.Result {
 			defer wg.Done()
 			for {
 				i := int(cursor.Add(1)) - 1
-				if i >= len(jobs) {
+				if i >= len(cfgs) {
 					return
 				}
-				out[i] = exec(jobs[i].Config)
-				if o.OnDone != nil {
-					o.OnDone(i, jobs[i], out[i])
-				}
+				out[i] = exec(cfgs[i])
 			}
 		}()
 	}

@@ -2,7 +2,6 @@ package runner
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,14 +11,14 @@ import (
 	"repro/internal/workload"
 )
 
-// stub returns a Run function that records which goroutine-visible order
-// jobs complete in while tagging each result with its job's N, so tests
-// can verify results land at their job's index no matter what the pool
-// does.
-func stub(calls *atomic.Int64) func(cluster.Config) *cluster.Result {
+// stub returns an executor that counts its calls per configuration (keyed
+// by N) and tags each result with its configuration's N, so tests can
+// verify results land at their configuration's index no matter what the
+// pool does.
+func stub(calls []atomic.Int64) func(cluster.Config) *cluster.Result {
 	return func(cfg cluster.Config) *cluster.Result {
-		calls.Add(1)
-		// Busy the fast jobs less than the slow ones so completion order
+		calls[cfg.N].Add(1)
+		// Busy the fast runs less than the slow ones so completion order
 		// scrambles relative to submission order.
 		if cfg.N%2 == 0 {
 			time.Sleep(time.Duration(cfg.N) * 100 * time.Microsecond)
@@ -28,26 +27,28 @@ func stub(calls *atomic.Int64) func(cluster.Config) *cluster.Result {
 	}
 }
 
-func makeJobs(n int) []Job {
-	jobs := make([]Job, n)
-	for i := range jobs {
-		jobs[i] = Job{Key: fmt.Sprintf("j%d", i), Config: cluster.Config{N: i}}
+func makeConfigs(n int) []cluster.Config {
+	cfgs := make([]cluster.Config, n)
+	for i := range cfgs {
+		cfgs[i] = cluster.Config{N: i}
 	}
-	return jobs
+	return cfgs
 }
 
+// TestRunOrderedResults: for every pool size, exec runs exactly once per
+// configuration and each result lands at its configuration's index.
 func TestRunOrderedResults(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 0} {
-		var calls atomic.Int64
-		jobs := makeJobs(37)
-		out := Run(jobs, Options{Workers: workers, Run: stub(&calls)})
-		if got := int(calls.Load()); got != len(jobs) {
-			t.Fatalf("workers=%d: %d calls for %d jobs", workers, got, len(jobs))
-		}
-		if len(out) != len(jobs) {
-			t.Fatalf("workers=%d: %d results for %d jobs", workers, len(out), len(jobs))
+		cfgs := makeConfigs(37)
+		calls := make([]atomic.Int64, len(cfgs))
+		out := Run(cfgs, workers, stub(calls))
+		if len(out) != len(cfgs) {
+			t.Fatalf("workers=%d: %d results for %d configurations", workers, len(out), len(cfgs))
 		}
 		for i, res := range out {
+			if got := calls[i].Load(); got != 1 {
+				t.Fatalf("workers=%d: configuration %d executed %d times", workers, i, got)
+			}
 			if res == nil || res.N != i {
 				t.Fatalf("workers=%d: result %d is %+v, want N=%d", workers, i, res, i)
 			}
@@ -56,38 +57,10 @@ func TestRunOrderedResults(t *testing.T) {
 }
 
 func TestRunEmpty(t *testing.T) {
-	if out := Run(nil, Options{}); len(out) != 0 {
-		t.Fatalf("expected no results, got %d", len(out))
-	}
-}
-
-func TestRunOnDone(t *testing.T) {
-	var mu sync.Mutex
-	seen := map[int]string{}
-	var calls atomic.Int64
-	jobs := makeJobs(16)
-	Run(jobs, Options{Workers: 4, Run: stub(&calls), OnDone: func(i int, job Job, res *cluster.Result) {
-		mu.Lock()
-		defer mu.Unlock()
-		seen[i] = job.Key
-	}})
-	if len(seen) != len(jobs) {
-		t.Fatalf("OnDone fired %d times, want %d", len(seen), len(jobs))
-	}
-	for i, j := range jobs {
-		if seen[i] != j.Key {
-			t.Fatalf("OnDone index %d saw key %q, want %q", i, seen[i], j.Key)
+	for _, workers := range []int{0, 1, 4} {
+		if out := Run(nil, workers, stub(nil)); len(out) != 0 {
+			t.Fatalf("workers=%d: expected no results, got %d", workers, len(out))
 		}
-	}
-}
-
-func TestNewJobKey(t *testing.T) {
-	j := NewJob(cluster.Config{N: 8, Protocol: core.OrthrusMode(), Net: cluster.WAN, Stragglers: 1})
-	if j.Key == "" {
-		t.Fatal("empty job key")
-	}
-	if j.Key != j.Config.Label() {
-		t.Fatalf("key %q != label %q", j.Key, j.Config.Label())
 	}
 }
 
@@ -111,10 +84,10 @@ func TestRunRealClusterDeterminism(t *testing.T) {
 			Seed:     seed,
 		}
 	}
-	jobs := []Job{NewJob(mk(1)), NewJob(mk(2)), NewJob(mk(3)), NewJob(mk(4))}
-	serial := Run(jobs, Options{Workers: 1})
-	parallel := Run(jobs, Options{Workers: len(jobs)})
-	for i := range jobs {
+	cfgs := []cluster.Config{mk(1), mk(2), mk(3), mk(4)}
+	serial := Run(cfgs, 1, cluster.Run)
+	parallel := Run(cfgs, len(cfgs), cluster.Run)
+	for i := range cfgs {
 		s, p := serial[i], parallel[i]
 		if s.Confirmed != p.Confirmed || s.ThroughputTPS != p.ThroughputTPS ||
 			s.Latency.Mean() != p.Latency.Mean() || s.Events != p.Events {

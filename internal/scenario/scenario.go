@@ -143,8 +143,8 @@ func (b *Builder) CrashAt(at time.Duration, nodes ...int) *Builder {
 }
 
 // RecoverAt restarts previously crashed replicas at time at. A recovered
-// replica rejoins consensus voting but does not replay blocks missed while
-// down (no state transfer is modeled).
+// replica rejoins consensus voting; it fetches the blocks it missed while
+// down only when the run enables state transfer (core.Params.StateTransfer).
 func (b *Builder) RecoverAt(at time.Duration, nodes ...int) *Builder {
 	b.s.Events = append(b.s.Events, Event{At: at, Kind: Recover, Nodes: nodes})
 	return b

@@ -6,8 +6,8 @@ import (
 	"io"
 
 	"repro/internal/experiments"
-	"repro/internal/runner"
 	"repro/internal/workload"
+	"repro/orthrus/scenariodsl"
 )
 
 // FigureResult is the structured, JSON-serializable outcome of one
@@ -29,11 +29,11 @@ func FigureIDs() []string { return experiments.FigureIDs() }
 
 // ScenarioPresets lists the S1 scenario suite's preset names in figure
 // order (see also scenariodsl.Presets).
-func ScenarioPresets() []string { return experiments.ScenarioNames() }
+func ScenarioPresets() []string { return scenariodsl.Presets() }
 
 // AttackPresets lists the S2 adversary suite's Byzantine attack preset
 // names in figure order (see also scenariodsl.AttackPresets).
-func AttackPresets() []string { return experiments.AttackNames() }
+func AttackPresets() []string { return scenariodsl.AttackPresets() }
 
 // FigureOptions tunes a RunFigures call.
 type FigureOptions struct {
@@ -50,72 +50,62 @@ type FigureOptions struct {
 	Scale float64
 }
 
-// RunFigures reproduces the selected evaluation figures (see Figures) and
-// returns one FigureResult per id, in the order requested. Unknown figure
-// ids, unknown scenario names and out-of-range scales error before
-// anything runs. The figure suite checks ctx only before starting — a
-// started suite runs to completion.
+// RunFigures reproduces the selected evaluation figures — any of Figures,
+// XValID and SoakID — and returns one FigureResult per id, in the order
+// requested. Unknown figure ids, unknown scenario names and out-of-range
+// scales error before anything runs. Every selected figure's simulated
+// runs share the worker pool; X-val's real-transport cells run one at a
+// time after it has drained. The figure suite checks ctx only before
+// starting — a started suite runs to completion.
 func RunFigures(ctx context.Context, ids []string, o FigureOptions) ([]FigureResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	scale, err := figureScale(o.Scale)
+	scale, err := experiments.Scale(o.Scale)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", err, &ValidationError{Field: "Scale", Reason: fmt.Sprintf("got %g", o.Scale)})
 	}
-	return experiments.RunScenarios(ids, o.Scenarios, runner.Options{Workers: o.Workers}, scale)
+	return experiments.Run(ids, o.Scenarios, o.Workers, scale)
 }
 
-// figureScale resolves a figure entry point's scale argument: 0 (the zero
-// value) means 1, and anything else outside (0, 1] is rejected — results
-// must record the scale they actually ran at.
-func figureScale(scale float64) (float64, error) {
-	if scale == 0 {
-		return 1, nil
+// runFigure is RunFigures for one id at the default pool size.
+func runFigure(ctx context.Context, id string, scale float64) (FigureResult, error) {
+	res, err := RunFigures(ctx, []string{id}, FigureOptions{Scale: scale})
+	if err != nil {
+		return FigureResult{}, err
 	}
-	if scale < 0 || scale > 1 {
-		return 0, fmt.Errorf("%w: %w", ErrInvalidConfig,
-			&ValidationError{Field: "Scale", Reason: fmt.Sprintf("must be in (0,1], got %g", scale)})
-	}
-	return scale, nil
+	return res[0], nil
 }
 
-// XValID identifies the sim-vs-real cross-validation figure, which runs
+// XValID identifies the sim-vs-real cross-validation figure, which stays
 // outside the deterministic suite (see RunXVal); FigureIDs never lists it
-// and "all" selections never include it.
+// and "all" selections never include it, but RunFigures accepts it.
 const XValID = experiments.XValID
 
 // XValInfo names the cross-validation figure for listings, alongside the
 // Figures entries.
-func XValInfo() FigureInfo { return experiments.XValInfo() }
+func XValInfo() FigureInfo { return experiments.Info(XValID) }
 
 // RunXVal runs the sim-vs-real cross-validation figure: each (protocol,
 // cluster size) cell once through the discrete-event simulator and once
 // over the in-process real transport under the identical configuration,
-// returning the two measurements side by side. Unlike RunFigures results,
+// returning the two measurements side by side. Unlike the suite's results,
 // the real-measured table holds wall-clock numbers from this machine —
 // they vary run to run, which is why this figure lives outside the
-// deterministic suite and always runs its cells serially. Ctx is checked
-// only before starting; a started figure runs to completion.
+// deterministic suite and always runs its real cells serially. Equivalent
+// to RunFigures with XValID alone.
 func RunXVal(ctx context.Context, scale float64) (FigureResult, error) {
-	if err := ctx.Err(); err != nil {
-		return FigureResult{}, err
-	}
-	scale, err := figureScale(scale)
-	if err != nil {
-		return FigureResult{}, err
-	}
-	return experiments.XVal(scale)
+	return runFigure(ctx, XValID, scale)
 }
 
-// SoakID identifies the long-horizon soak figure, which runs outside the
+// SoakID identifies the long-horizon soak figure, which stays outside the
 // deterministic suite (see RunSoak); FigureIDs never lists it and "all"
-// selections never include it.
+// selections never include it, but RunFigures accepts it.
 const SoakID = experiments.SoakID
 
 // SoakInfo names the soak figure for listings, alongside the Figures
 // entries.
-func SoakInfo() FigureInfo { return experiments.SoakInfo() }
+func SoakInfo() FigureInfo { return experiments.Info(SoakID) }
 
 // RunSoak runs the long-horizon soak figure: one WAN cell with state
 // transfer on under continuous crash/recover churn, an hour of virtual
@@ -124,17 +114,9 @@ func SoakInfo() FigureInfo { return experiments.SoakInfo() }
 // census staying flat after warmup — checkpoint GC bounding memory at any
 // virtual-time horizon. The cell needs the serial kernel (live-set
 // sampling) and hours of virtual time, which is why it lives outside the
-// deterministic suite. Ctx is checked only before starting; a started
-// figure runs to completion.
+// deterministic suite. Equivalent to RunFigures with SoakID alone.
 func RunSoak(ctx context.Context, scale float64) (FigureResult, error) {
-	if err := ctx.Err(); err != nil {
-		return FigureResult{}, err
-	}
-	scale, err := figureScale(scale)
-	if err != nil {
-		return FigureResult{}, err
-	}
-	return experiments.Soak(scale)
+	return runFigure(ctx, SoakID, scale)
 }
 
 // WriteSyntheticTrace freezes n transactions of the synthetic

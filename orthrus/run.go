@@ -73,15 +73,14 @@ func RunMany(ctx context.Context, cfgs []Config, workers int) ([]*Result, error)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	jobs := make([]runner.Job, len(cfgs))
+	ccfgs := make([]cluster.Config, len(cfgs))
 	for i, c := range cfgs {
-		ccfg := c.clusterConfig()
+		ccfgs[i] = c.clusterConfig()
 		if ctx.Done() != nil {
-			ccfg.Halt = func() bool { return ctx.Err() != nil }
+			ccfgs[i].Halt = func() bool { return ctx.Err() != nil }
 		}
-		jobs[i] = runner.NewJob(ccfg)
 	}
-	results := runner.Run(jobs, runner.Options{Workers: workers})
+	results := runner.Run(ccfgs, workers, cluster.Run)
 	out := make([]*Result, len(results))
 	for i, r := range results {
 		out[i] = fromCluster(r)

@@ -36,7 +36,8 @@ import (
 type Scenario = scenario.Scenario
 
 // Builder assembles a Scenario fluently: CrashAt, RecoverAt, PartitionAt,
-// HealAt, StraggleAt and LoadSurgeAt append events, Build finalizes.
+// HealAt, StraggleAt, LoadSurgeAt, EquivocateAt, CensorAt and MuteLeaderAt
+// append events, Build finalizes.
 type Builder = scenario.Builder
 
 // Event is one timeline entry; its String renders compactly, e.g.
