@@ -235,24 +235,12 @@ func BenchmarkFigureSuite(b *testing.B) {
 
 // --- the simulator perf grid's go-test mirrors (cells: internal/perf) ---
 
-// scaleCells is the part of the simulator grid BenchmarkScale runs: every
-// tier but the kernel pairs. -short keeps the n <= 10 base cells.
+// scaleCells is the part of the simulator grid BenchmarkScale runs: all of
+// it, or under -short the n <= 10 base cells.
 func scaleCells(short bool) []perf.SimCell {
 	var cells []perf.SimCell
 	for _, c := range perf.SimGrid() {
-		if c.Tier != perf.TierKernel && (!short || (c.Tier == perf.TierBase && c.Cfg.N <= 10)) {
-			cells = append(cells, c)
-		}
-	}
-	return cells
-}
-
-// kernelCells is the part BenchmarkScaleParallel runs: the kernel pairs.
-// The n = 100 pair dominates its wall clock and is trimmed under -short.
-func kernelCells(short bool) []perf.SimCell {
-	var cells []perf.SimCell
-	for _, c := range perf.SimGrid() {
-		if c.Tier == perf.TierKernel && (!short || c.Cfg.N <= 50) {
+		if !short || (c.Tier == perf.TierBase && c.Cfg.N <= 10) {
 			cells = append(cells, c)
 		}
 	}
@@ -280,45 +268,12 @@ func BenchmarkScale(b *testing.B) {
 	}
 }
 
-// BenchmarkScaleParallel pits the conservative parallel kernel against the
-// serial reference on the kernel-pair cells, asserting bit-identical
-// results while it measures: the serial/parallel ns/op ratio is the
-// kernel's speedup (≈1x on a single-core runner by construction — the
-// conservative windows add only barrier overhead there).
-func BenchmarkScaleParallel(b *testing.B) {
-	for _, c := range kernelCells(testing.Short()) {
-		serial := cluster.Run(c.Cfg)
-		for _, cfg := range []cluster.Config{c.Cfg, perf.ParallelTwin(c.Cfg)} {
-			cfg := cfg
-			b.Run(c.ID+"/"+cfg.Kernel.String(), func(b *testing.B) {
-				b.ReportAllocs()
-				var events uint64
-				var shards int
-				for i := 0; i < b.N; i++ {
-					res := cluster.Run(cfg)
-					if res.Confirmed != serial.Confirmed || res.Events != serial.Events {
-						b.Fatalf("%s kernel diverged on %s: confirmed %d events %d, serial saw %d/%d",
-							cfg.Kernel, c.ID, res.Confirmed, res.Events, serial.Confirmed, serial.Events)
-					}
-					events += res.Events
-					shards = res.Shards
-					reportCluster(b, res)
-				}
-				b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "sim-events/s")
-				if cfg.Kernel == cluster.KernelParallel {
-					b.ReportMetric(float64(shards), "shards")
-				}
-			})
-		}
-	}
-}
-
-// TestScaleBenchmarksRunTheGrid pins the mirrors to the artifact: the ids
-// BenchmarkScale and BenchmarkScaleParallel run are, between them, exactly
-// the BENCH_scale.json grid's, and -short only ever trims.
+// TestScaleBenchmarksRunTheGrid pins the mirror to the artifact: the ids
+// BenchmarkScale runs are exactly the BENCH_scale.json grid's, and -short
+// only ever trims.
 func TestScaleBenchmarksRunTheGrid(t *testing.T) {
 	ran := map[string]bool{}
-	for _, c := range append(scaleCells(false), kernelCells(false)...) {
+	for _, c := range scaleCells(false) {
 		if ran[c.ID] {
 			t.Fatalf("cell %s runs twice", c.ID)
 		}
@@ -333,7 +288,7 @@ func TestScaleBenchmarksRunTheGrid(t *testing.T) {
 	if len(ran) != len(grid) {
 		t.Errorf("mirrors run %d cells, the grid has %d", len(ran), len(grid))
 	}
-	short := append(scaleCells(true), kernelCells(true)...)
+	short := scaleCells(true)
 	if len(short) == 0 || len(short) >= len(grid) {
 		t.Errorf("-short runs %d of %d cells", len(short), len(grid))
 	}
@@ -465,7 +420,7 @@ func BenchmarkDynamicOrderer(b *testing.B) {
 // the event-driven network simulation.
 func BenchmarkPBFTRound(b *testing.B) {
 	sim := simnet.New(1)
-	nw := simnet.NewNetwork(sim, 4, simnet.FixedModel{D: time.Millisecond})
+	nw := simnet.NewNetwork(sim, 4, simnet.NewFixed(time.Millisecond))
 	delivered := 0
 	engines := make([]*pbft.Engine, 4)
 	for i := 0; i < 4; i++ {

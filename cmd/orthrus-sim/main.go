@@ -59,8 +59,6 @@ func run(args []string, w, stderr io.Writer) error {
 	payments := fs.Float64("payments", 0.46, "payment transaction fraction (0 uses the paper default; negative means all-contract)")
 	batch := fs.Int("batch", 0, "batch size in txs per block (0 = engine default)")
 	analytic := fs.Bool("analytic", false, "use the analytic quorum-time SB (fault-free only)")
-	kernel := fs.String("kernel", "serial", "discrete-event kernel: serial or parallel (parallel needs -nic=false)")
-	workers := fs.Int("workers", 0, "parallel-kernel worker pool size (0 = GOMAXPROCS)")
 	nic := fs.Bool("nic", true, "model the shared 1 Gbps per-node NIC (message-level runs)")
 	seed := fs.Int64("seed", 42, "simulation seed")
 	fs.SetOutput(stderr)
@@ -76,9 +74,6 @@ func run(args []string, w, stderr io.Writer) error {
 	// names the field and lists the registered protocols).
 	if *scn != "" && *scnFile != "" {
 		return fmt.Errorf("-scenario and -scenario-file are mutually exclusive")
-	}
-	if *kernel != "serial" && *kernel != "parallel" {
-		return fmt.Errorf("unknown kernel %q (want serial or parallel)", *kernel)
 	}
 	net, ok := map[string]orthrus.Net{"wan": orthrus.WAN, "lan": orthrus.LAN}[*netName]
 	if !ok {
@@ -109,9 +104,6 @@ func run(args []string, w, stderr io.Writer) error {
 		opts = append(opts, orthrus.WithAnalyticSB())
 	}
 	opts = append(opts, orthrus.WithNIC(*nic))
-	if *kernel == "parallel" {
-		opts = append(opts, orthrus.WithKernel(orthrus.KernelParallel), orthrus.WithWorkers(*workers))
-	}
 	scnLabel := *scn
 	if *scn != "" {
 		s, err := scenariodsl.Preset(*scn, *n, *duration, *seed)
@@ -145,9 +137,6 @@ func run(args []string, w, stderr io.Writer) error {
 	fmt.Fprintf(w, "latency      %s\n", res.Latency.String())
 	fmt.Fprintf(w, "view changes %d\n", res.ViewChanges)
 	fmt.Fprintf(w, "sim events   %d\n", res.SimEvents)
-	if res.Kernel == "parallel" {
-		fmt.Fprintf(w, "kernel       parallel, %d shards\n", res.Shards)
-	}
 	if len(res.Phases) > 0 {
 		fmt.Fprintf(w, "phases       (%s scenario windows)\n", scnLabel)
 		for _, p := range res.Phases {

@@ -15,14 +15,13 @@ func TestRunRejectsUnknownProtocol(t *testing.T) {
 	}
 }
 
-// TestRunRejectsMistypedEnumFlags pins that a -net or -kernel value outside
-// its two spellings is an error naming it, not a silent default (a mistyped
-// -net used to run, and label its output, as WAN).
+// TestRunRejectsMistypedEnumFlags pins that a -net value outside its two
+// spellings is an error naming it, not a silent default (a mistyped -net
+// used to run, and label its output, as WAN).
 func TestRunRejectsMistypedEnumFlags(t *testing.T) {
 	for _, c := range []struct{ flag, value, want string }{
 		{"-net", "lna", `unknown network "lna" (want wan or lan)`},
 		{"-net", "LAN", `unknown network "LAN" (want wan or lan)`},
-		{"-kernel", "paralel", `unknown kernel "paralel" (want serial or parallel)`},
 	} {
 		var out, errOut bytes.Buffer
 		err := run([]string{"-n", "4", "-duration", "1s", c.flag, c.value}, &out, &errOut)
@@ -104,8 +103,11 @@ func TestRunRejectsFlagCombinations(t *testing.T) {
 		want string
 	}{
 		{"scenario with analytic", []string{"-n", "4", "-scenario", "partition-heal", "-analytic"}, "invalid Scenario"},
-		{"parallel kernel with nic", []string{"-n", "4", "-kernel", "parallel"}, "invalid Kernel"},
-		{"parallel kernel with analytic", []string{"-n", "4", "-kernel", "parallel", "-nic=false", "-analytic"}, "invalid Kernel"},
+		// Non-finite floats parse as flags; a NaN load used to pass Validate
+		// and allocate until the process died.
+		{"NaN load", []string{"-n", "4", "-duration", "5s", "-load", "NaN"}, "invalid LoadTPS"},
+		{"infinite load", []string{"-n", "4", "-duration", "5s", "-load", "+Inf"}, "invalid LoadTPS"},
+		{"NaN payments", []string{"-n", "4", "-duration", "5s", "-payments", "NaN"}, "invalid PaymentFraction"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var out, errOut bytes.Buffer

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -26,7 +27,9 @@ func TestCheckRules(t *testing.T) {
 		{"Net", "must be WAN or LAN, got Net(9)", func(c *Config) { c.Net = 9 }},
 		{"Stragglers", "must be non-negative, got -1", func(c *Config) { c.Stragglers = -1 }},
 		{"Stragglers", "9 stragglers exceed 4 replicas", func(c *Config) { c.Stragglers = 9 }},
-		{"StragglerFactor", "must be non-negative (0 means the default 10x), got -2", func(c *Config) { c.StragglerFactor = -2 }},
+		{"StragglerFactor", "must be finite and non-negative (0 means the default 10x), got -2", func(c *Config) { c.StragglerFactor = -2 }},
+		{"StragglerFactor", "got NaN", func(c *Config) { c.StragglerFactor = math.NaN() }},
+		{"StragglerFactor", "got +Inf", func(c *Config) { c.StragglerFactor = math.Inf(1) }},
 		{"CrashFaults", "must be non-negative, got -1", func(c *Config) { c.DetectableFaults = -1 }},
 		{"CrashFaults", "crashing 4 of 4 replicas leaves no observer", func(c *Config) { c.DetectableFaults = 4 }},
 		{"CrashAt", "must be non-negative, got -1s", func(c *Config) { c.FaultAt = -time.Second }},
@@ -35,12 +38,14 @@ func TestCheckRules(t *testing.T) {
 		{"Duration", "must be non-negative, got -1s", func(c *Config) { c.Duration = -time.Second }},
 		{"Warmup", "must be non-negative, got -1s", func(c *Config) { c.Warmup = -time.Second }},
 		{"Drain", "must be non-negative, got -1s", func(c *Config) { c.Drain = -time.Second }},
-		{"LoadTPS", "must be non-negative, got -0.5", func(c *Config) { c.LoadTPS = -0.5 }},
+		{"LoadTPS", "must be finite and non-negative, got -0.5", func(c *Config) { c.LoadTPS = -0.5 }},
+		{"LoadTPS", "got NaN", func(c *Config) { c.LoadTPS = math.NaN() }},
+		{"LoadTPS", "got +Inf", func(c *Config) { c.LoadTPS = math.Inf(1) }},
 		{"TotalTxs", "must be non-negative, got -1", func(c *Config) { c.TotalTxs = -1 }},
 		{"Accounts", "must be non-negative, got -1", func(c *Config) { c.Workload.Accounts = -1 }},
-		{"PaymentFraction", "must be at most 1, got 1.5", func(c *Config) { c.Workload.PaymentFraction = 1.5 }},
-		{"Kernel", "must be KernelSerial or KernelParallel, got Kernel(7)", func(c *Config) { c.Kernel = 7 }},
-		{"Workers", "must be non-negative (0 means GOMAXPROCS), got -1", func(c *Config) { c.Workers = -1 }},
+		{"PaymentFraction", "must be finite and at most 1, got 1.5", func(c *Config) { c.Workload.PaymentFraction = 1.5 }},
+		{"PaymentFraction", "got NaN", func(c *Config) { c.Workload.PaymentFraction = math.NaN() }},
+		{"PaymentFraction", "got -Inf", func(c *Config) { c.Workload.PaymentFraction = math.Inf(-1) }},
 		{"SampleLiveSet", "must be non-negative, got -1s", func(c *Config) { c.SampleLiveSet = -time.Second }},
 		{"Scenario", "targets node 5 outside [0,4)", func(c *Config) { c.Scenario = scenario.New("far").CrashAt(time.Second, 5).Build() }},
 	}

@@ -5,8 +5,8 @@
 //
 // One collector (collect.go) does the configuration and the measuring for
 // every run; a backend supplies the engine. Run (sim.go) executes inside
-// the simulator over a modeled WAN or LAN, serial or sharded, and adds
-// what only a simulation can do: stragglers, faults, scenarios. RunReal
+// the simulator's one event loop over a modeled WAN or LAN, and adds what
+// only a simulation can do: stragglers, faults, scenarios. RunReal
 // (real.go) executes the same replicas on transport.Proc's goroutines
 // under wall-clock time.
 //
@@ -14,13 +14,14 @@
 // resolved once per run by withDefaults; Check, Conflicts and SimOnly are
 // the harness's rules over the rest, in the shape (core.Violations) the
 // public SDK's Validate reports. The public SDK re-exports the run-shape
-// types declared here (NetProfile, Kernel, WindowStat, PhaseWindow,
-// LiveSetSample) by alias, so their exported fields and methods are public
+// types declared here (NetProfile, WindowStat, PhaseWindow, LiveSetSample)
+// by alias, so their exported fields and methods are public
 // API: docs/api/orthrus.txt lists them and the surface gate diffs them.
 package cluster
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/core"
@@ -97,9 +98,7 @@ type Config struct {
 	// census every interval of virtual time: the sum of every replica's
 	// core.LiveSet plus the scheduler's pending event count, reported in
 	// Result.LiveSetSamples/LiveSetPeak. The soak figure gates on a flat
-	// profile after warmup. Sampling reads replica state from a bookkeeping
-	// event, which would cross shard boundaries under the parallel kernel,
-	// so it requires the serial kernel.
+	// profile after warmup.
 	SampleLiveSet time.Duration
 
 	// AnalyticSB swaps message-level PBFT for the closed-form quorum-time
@@ -115,8 +114,7 @@ type Config struct {
 	// public orthrus SDK's Observer rides on these). All are optional, and
 	// on every backend the collector calls them one at a time; they must
 	// only read, never mutate the cluster. In the simulator they fire on
-	// the simulation goroutine in deterministic virtual-time order (the
-	// sharded kernel replays them in that order at its barriers), and
+	// the simulation goroutine in deterministic virtual-time order, and
 	// OnWindow and Halt schedule one bookkeeping event per 0.5 s of virtual
 	// time, so Result.Events grows slightly when either is set; measured
 	// results are unaffected. On the real backend they fire on replica
@@ -148,39 +146,6 @@ type Config struct {
 	// blocks (unless Params.StateTransfer repairs the gap) and will report
 	// divergence.
 	CaptureState bool
-
-	// Kernel selects the engine executing the discrete-event simulation:
-	// the serial reference loop (default) or the conservative sharded
-	// parallel kernel, which partitions replicas across a worker pool and
-	// produces bit-identical results (the kernel-differential suite pins
-	// this). Parallel requires message-level PBFT without the NIC model,
-	// and every straggler scale must be >= 1 (speed-ups would undercut the
-	// lookahead). Topologies that cannot shard usefully fall back to the
-	// serial loop.
-	Kernel Kernel
-	// Workers bounds the parallel kernel's worker pool and shard count;
-	// 0 uses GOMAXPROCS. Measured results are identical for every value.
-	Workers int
-}
-
-// Kernel selects the engine that executes the simulation.
-type Kernel int
-
-const (
-	// KernelSerial is the reference single-threaded event loop.
-	KernelSerial Kernel = iota
-	// KernelParallel is the conservative sharded kernel (simnet.Kernel):
-	// WAN runs shard by region, LAN runs stripe round-robin, and shards
-	// execute lookahead-bounded windows concurrently between barriers.
-	KernelParallel
-)
-
-// String implements fmt.Stringer.
-func (k Kernel) String() string {
-	if k == KernelParallel {
-		return "parallel"
-	}
-	return "serial"
 }
 
 // withDefaults resolves the run's knobs once: the harness's own, and the
@@ -218,7 +183,7 @@ func (c Config) Check() (out core.Violations) {
 	out.Add(c.Net != WAN && c.Net != LAN, "Net", "must be WAN or LAN, got Net(%d)", int(c.Net))
 	out.Add(c.Stragglers < 0, "Stragglers", nonNeg, c.Stragglers)
 	out.Add(n >= 1 && c.Stragglers > n, "Stragglers", "%d stragglers exceed %d replicas", c.Stragglers, n)
-	out.Add(c.StragglerFactor < 0, "StragglerFactor", "must be non-negative (0 means the default 10x), got %g", c.StragglerFactor)
+	out.Add(!within(c.StragglerFactor, 0, math.MaxFloat64), "StragglerFactor", "must be finite and non-negative (0 means the default 10x), got %g", c.StragglerFactor)
 	out.Add(c.DetectableFaults < 0, "CrashFaults", nonNeg, c.DetectableFaults)
 	out.Add(n >= 1 && c.DetectableFaults >= n, "CrashFaults", "crashing %d of %d replicas leaves no observer", c.DetectableFaults, n)
 	out.Add(c.FaultAt < 0, "CrashAt", nonNeg, c.FaultAt)
@@ -227,12 +192,10 @@ func (c Config) Check() (out core.Violations) {
 	out.Add(c.Duration < 0, "Duration", nonNeg, c.Duration)
 	out.Add(c.Warmup < 0, "Warmup", nonNeg, c.Warmup)
 	out.Add(c.Drain < 0, "Drain", nonNeg, c.Drain)
-	out.Add(c.LoadTPS < 0, "LoadTPS", nonNeg, c.LoadTPS)
+	out.Add(!within(c.LoadTPS, 0, math.MaxFloat64), "LoadTPS", "must be finite and non-negative, got %v", c.LoadTPS)
 	out.Add(c.TotalTxs < 0, "TotalTxs", nonNeg, c.TotalTxs)
 	out.Add(c.Workload.Accounts < 0, "Accounts", nonNeg, c.Workload.Accounts)
-	out.Add(c.Workload.PaymentFraction > 1, "PaymentFraction", "must be at most 1, got %g", c.Workload.PaymentFraction)
-	out.Add(c.Kernel != KernelSerial && c.Kernel != KernelParallel, "Kernel", "must be KernelSerial or KernelParallel, got Kernel(%d)", int(c.Kernel))
-	out.Add(c.Workers < 0, "Workers", "must be non-negative (0 means GOMAXPROCS), got %d", c.Workers)
+	out.Add(!within(c.Workload.PaymentFraction, -math.MaxFloat64, 1), "PaymentFraction", "must be finite and at most 1, got %g", c.Workload.PaymentFraction)
 	out.Add(c.SampleLiveSet < 0, "SampleLiveSet", nonNeg, c.SampleLiveSet)
 	if c.Scenario != nil && n >= 1 {
 		err := c.Scenario.Validate(n)
@@ -240,6 +203,11 @@ func (c Config) Check() (out core.Violations) {
 	}
 	return out
 }
+
+// within reports lo <= x <= hi. The float rules go through it so that a NaN,
+// which fails every comparison, fails them — written as x < lo it would pass
+// and reach the run (a NaN load allocates until the process dies).
+func within(x, lo, hi float64) bool { return x >= lo && x <= hi }
 
 // checked returns c with its defaults resolved, or panics on the first rule
 // c breaks: Check's, then the calling backend's own list.
@@ -251,8 +219,8 @@ func (c Config) checked(backend core.Violations) Config {
 }
 
 // SimOnly lists the knobs set on c that only the simulator implements: they
-// mutate the simulated network or replica lifecycles, or select a
-// simulation engine. RunReal panics on the first; the public SDK's Validate
+// mutate the simulated network or replica lifecycles, or read them from a
+// simulator event. RunReal panics on the first; the public SDK's Validate
 // reports them all as typed errors against the Transport field.
 func (c Config) SimOnly() (out core.Violations) {
 	const field = "Transport"
@@ -261,36 +229,19 @@ func (c Config) SimOnly() (out core.Violations) {
 	out.Add(c.NIC, field, "the NIC bandwidth model is simulation-only; the real transport measures real links")
 	out.Add(c.Stragglers > 0, field, "stragglers are simulation-only; the real transport cannot slow real replicas")
 	out.Add(c.DetectableFaults > 0 || c.UndetectableFaults > 0, field, "fault injection is simulation-only; the real transport does not support it")
-	out.Add(c.Kernel == KernelParallel, field, "the parallel kernel executes simulations; the real transport is already concurrent")
 	out.Add(c.SampleLiveSet > 0, field, "live-set sampling walks every replica from a simulator event; the real transport does not support it")
 	return out
 }
 
 // Conflicts lists the combinations of knobs on c that the simulator cannot
-// run: what the analytic SB model, the parallel kernel and the live-set
-// census each exclude. Run panics on the first; the public SDK's Validate
-// reports them all as typed errors, each under the field named here.
+// run: what the analytic SB model excludes. Run panics on the first; the
+// public SDK's Validate reports them all as typed errors, each under the
+// field named here.
 func (c Config) Conflicts() (out core.Violations) {
 	out.Add(c.AnalyticSB && (c.DetectableFaults > 0 || c.UndetectableFaults > 0),
 		"AnalyticSB", "the analytic model does not support fault injection; use message-level PBFT")
 	out.Add(c.AnalyticSB && c.Scenario != nil,
 		"Scenario", "scenarios require message-level PBFT; disable AnalyticSB")
-	if c.Kernel != KernelParallel {
-		return out
-	}
-	out.Add(c.AnalyticSB, "Kernel", "the parallel kernel requires message-level PBFT; disable AnalyticSB")
-	out.Add(c.NIC, "Kernel", "the parallel kernel does not model the shared NIC; disable NIC")
-	// Its lookahead assumes no link runs faster than its base delay.
-	out.Add(c.StragglerFactor > 0 && c.StragglerFactor < 1,
-		"Kernel", "straggler factor %g < 1 speeds links up; the parallel kernel's lookahead forbids it", c.StragglerFactor)
-	if c.Scenario != nil {
-		for i, e := range c.Scenario.Events {
-			out.Add(e.Kind == scenario.Straggle && e.Scale < 1,
-				"Kernel", "scenario event %d straggles with scale %g < 1; the parallel kernel's lookahead forbids link speed-ups", i, e.Scale)
-		}
-	}
-	out.Add(c.SampleLiveSet > 0,
-		"SampleLiveSet", "live-set sampling walks every replica from one bookkeeping event; use the serial kernel")
 	return out
 }
 
@@ -329,13 +280,9 @@ type Result struct {
 	// figure divides it by Confirmed for messages-per-commit.
 	Messages uint64
 
-	// Kernel names the engine that executed the run ("serial" or
-	// "parallel"), and Shards the parallel kernel's shard count (0 for
-	// serial, including parallel requests that fell back). Engine choice
-	// never changes measured results — these exist for bench reporting and
-	// for tests to assert a parallel request actually sharded.
+	// Kernel names the backend that executed the run: "serial" for Run (the
+	// simulator's event loop), KernelReal for RunReal.
 	Kernel string
-	Shards int
 
 	// LiveSetSamples holds the periodic retained-state censuses when
 	// Config.SampleLiveSet is set (nil otherwise), and LiveSetPeak the

@@ -39,8 +39,8 @@ func TestReplicaConfigSameOnEveryBackend(t *testing.T) {
 			}},
 	}
 	backends := map[string]func(int, int) time.Duration{
-		KernelSerial.String(): func(int, int) time.Duration { return time.Millisecond },
-		KernelReal:            func(int, int) time.Duration { return 0 },
+		"serial":   func(int, int) time.Duration { return time.Millisecond },
+		KernelReal: func(int, int) time.Duration { return 0 },
 	}
 	for _, row := range rows {
 		for kernel, hop := range backends {
@@ -76,7 +76,7 @@ func TestReplicaConfigSameOnEveryBackend(t *testing.T) {
 func TestObserverBreakdownFilters(t *testing.T) {
 	const ms = types.Time(time.Millisecond)
 	cfg := Config{N: 4, Protocol: core.OrthrusMode()}
-	c := newCollector(cfg.withDefaults(), KernelSerial.String(), func(int, int) time.Duration { return 5 * time.Millisecond })
+	c := newCollector(cfg.withDefaults(), "serial", func(int, int) time.Duration { return 5 * time.Millisecond })
 	blockOnly, seen := c.gen.Next(), c.gen.Next()
 	c.submit(blockOnly, 100*ms)
 	c.submit(seen, 100*ms)

@@ -245,7 +245,6 @@ func TestRunRealRejectsSimOnlyKnobs(t *testing.T) {
 		"straggler": {N: 4, Protocol: core.OrthrusMode(), Stragglers: 1},
 		"crash":     {N: 4, Protocol: core.OrthrusMode(), DetectableFaults: 1},
 		"byzantine": {N: 4, Protocol: core.OrthrusMode(), UndetectableFaults: 1},
-		"parallel":  {N: 4, Protocol: core.OrthrusMode(), Kernel: KernelParallel},
 	}
 	for name, cfg := range cases {
 		cfg := cfg

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"runtime"
 	"sync"
 	"time"
 
@@ -10,31 +9,6 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/simnet"
 	"repro/internal/types"
-)
-
-// hookRec is one deferred measurement-hook firing under the parallel
-// kernel. Shared accounting (confirmation counters, series bins, user
-// observers) cannot run on shard goroutines, so replica hooks append
-// these to their shard's log — stamped with the executing event's virtual
-// time and canonical key — and the coordinator replays the merged logs at
-// every barrier in exactly the order the serial loop would have fired
-// them.
-type hookRec struct {
-	at       simnet.Time
-	ord      uint64          // executing event's canonical key (simnet.Sim.ExecOrd)
-	st       core.StageTrace // hookConfirm: the confirming replica's trace
-	tx       *types.Transaction
-	block    *types.Block
-	replica  int32
-	instance int32
-	success  bool
-	kind     uint8
-}
-
-// hookRec kinds.
-const (
-	hookConfirm uint8 = iota
-	hookBlock
 )
 
 // simPool recycles simulators across runs: Sim.Reset reuses the event
@@ -49,8 +23,7 @@ var simPool = sync.Pool{New: func() any { return simnet.New(0) }}
 // returns its measurements. It is the simulated backend of the shared
 // harness (collector): virtual time, the modeled network — whose base delay
 // is also the reply hop — an event-driven client, and hooks that fire one
-// at a time by construction (serial loop) or by barrier replay (sharded
-// kernel).
+// at a time by construction: one event loop runs everything.
 func Run(cfg Config) *Result {
 	cfg = cfg.checked(cfg.Conflicts())
 	n := cfg.N
@@ -76,31 +49,7 @@ func Run(cfg Config) *Result {
 		nw.SetNICBps(1e9)
 	}
 
-	// Engine selection: the sharded kernel executes the identical event
-	// schedule, so everything below is kernel-agnostic; the only parallel
-	// specialization is deferring shared-state measurement hooks into
-	// per-shard logs replayed at barriers. When the topology cannot shard
-	// usefully (one worker, too few nodes), fall back to the serial loop.
-	var kern *simnet.Kernel
-	var shardOf []int
-	nodeOn := func(i int) simnet.NodeSim { return simnet.On(sim, i) }
-	client := simnet.On(sim, n)
-	kernel := KernelSerial
-	if cfg.Kernel == KernelParallel {
-		workers := cfg.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if plan, nshards := nw.PlanShards(workers); plan != nil {
-			kern = simnet.NewKernel(sim, nw, plan, nshards, n, workers)
-			shardOf = plan
-			nodeOn = kern.NodeOn
-			client = kern.ClientOn()
-			kernel = KernelParallel
-		}
-	}
-
-	c := newCollector(cfg, kernel.String(), func(replica, home int) time.Duration {
+	c := newCollector(cfg, "serial", func(replica, home int) time.Duration {
 		return nw.BaseDelay(replica, home, 256)
 	})
 	res := c.res
@@ -125,36 +74,7 @@ func Run(cfg Config) *Result {
 	if cfg.AnalyticSB {
 		analytic = make(map[int]*sb.Instance)
 	}
-	// Per-shard measurement logs for the parallel kernel: each shard's
-	// worker is the only writer of its log, and the coordinator drains
-	// them at barriers (see replayHooks below).
-	var hookLogs [][]hookRec
-	if kern != nil {
-		res.Shards = kern.NumShards()
-		hookLogs = make([][]hookRec, kern.NumShards())
-	}
 	replicas := c.replicas(func(i int, ccfg core.Config) *core.Replica {
-		if kern != nil {
-			// Shared-state hooks fire on shard goroutines under the parallel
-			// kernel: defer them into the shard's log instead, stamped with
-			// the executing event's canonical key for barrier replay.
-			sh := shardOf[i]
-			ssim := nodeOn(i).S
-			ccfg.OnConfirm = func(tx *types.Transaction, success bool, st core.StageTrace) {
-				hookLogs[sh] = append(hookLogs[sh], hookRec{
-					at: st.Confirmed, ord: ssim.ExecOrd(), st: st, tx: tx,
-					replica: int32(i), success: success, kind: hookConfirm,
-				})
-			}
-			if cfg.OnBlockDeliver != nil {
-				ccfg.OnBlockDeliver = func(instance int, b *types.Block) {
-					hookLogs[sh] = append(hookLogs[sh], hookRec{
-						at: ssim.Now(), ord: ssim.ExecOrd(), block: b,
-						replica: int32(i), instance: int32(instance), kind: hookBlock,
-					})
-				}
-			}
-		}
 		if cfg.AnalyticSB {
 			ccfg.SB = func(instance int, hooks core.SBHooks) core.SB {
 				inst, ok := analytic[instance]
@@ -168,52 +88,8 @@ func Run(cfg Config) *Result {
 				return inst.Port(i, hooks.OnDeliver)
 			}
 		}
-		return core.NewReplica(ccfg, nodeOn(i), nw)
+		return core.NewReplica(ccfg, simnet.On(sim, i), nw)
 	})
-	// Barrier replay for the parallel kernel: drain the per-shard hook
-	// logs in canonical (at, ord) order — a k-way merge of already-sorted
-	// logs — through the identical accounting the serial loop runs inline.
-	// Entries within one event (a block delivery followed by confirmations)
-	// share a key and replay in logged order.
-	var replayHooks func(simnet.Time)
-	if kern != nil {
-		replayIdx := make([]int, len(hookLogs))
-		replayHooks = func(simnet.Time) {
-			for {
-				best := -1
-				for s := range hookLogs {
-					if replayIdx[s] >= len(hookLogs[s]) {
-						continue
-					}
-					e := &hookLogs[s][replayIdx[s]]
-					if best == -1 {
-						best = s
-						continue
-					}
-					be := &hookLogs[best][replayIdx[best]]
-					if e.at < be.at || (e.at == be.at && e.ord < be.ord) {
-						best = s
-					}
-				}
-				if best == -1 {
-					break
-				}
-				e := hookLogs[best][replayIdx[best]]
-				replayIdx[best]++
-				switch e.kind {
-				case hookConfirm:
-					c.confirm(int(e.replica), e.tx, e.success, e.st)
-				case hookBlock:
-					cfg.OnBlockDeliver(int(e.replica), int(e.instance), e.block)
-				}
-			}
-			for s := range hookLogs {
-				hookLogs[s] = hookLogs[s][:0]
-				replayIdx[s] = 0
-			}
-		}
-		kern.SetBarrierHook(replayHooks)
-	}
 	// Straggler network scaling: everything the straggled replicas send is
 	// slowed, modeling an instance that runs 10x slower end to end.
 	for s := 0; s < cfg.Stragglers; s++ {
@@ -268,10 +144,9 @@ func Run(cfg Config) *Result {
 	// client side.
 	//
 	// The client rides its own scheduling affinity (node id n — a pure
-	// source, never a delivery target): under the parallel kernel the
-	// whole submission chain runs on the client shard and its cross-node
-	// hops merge into the replica shards, and under the serial loop the
-	// identical stamping keeps the canonical event keys kernel-independent.
+	// source, never a delivery target), so its submission chain draws from
+	// its own schedule counter and never perturbs a replica's event keys.
+	client := simnet.On(sim, n)
 	interval := time.Duration(float64(time.Second) / cfg.LoadTPS)
 	windowEnd := simnet.Time(cfg.Duration)
 	router := core.NewSubmitRouter(n, c.f)
@@ -327,8 +202,7 @@ func Run(cfg Config) *Result {
 	}
 	// Live-set census: every SampleLiveSet of virtual time, walk every
 	// replica and record the retained-state sum plus the scheduler's pending
-	// events (serial kernel only — validated above; the walk would cross
-	// shard boundaries under the parallel one).
+	// events.
 	if cfg.SampleLiveSet > 0 {
 		every(cfg.SampleLiveSet, func(k int) {
 			s := LiveSetSample{
@@ -355,15 +229,8 @@ func Run(cfg Config) *Result {
 		})
 	}
 
-	if kern != nil {
-		kern.Run(simnet.Time(runEnd))
-		// The horizon window takes no barrier; drain hooks it logged.
-		replayHooks(0)
-		res.Events = kern.EventsProcessed()
-	} else {
-		sim.Run(simnet.Time(runEnd))
-		res.Events = sim.EventsProcessed()
-	}
+	sim.Run(simnet.Time(runEnd))
+	res.Events = sim.EventsProcessed()
 	res.Messages = nw.Messages()
 	return c.finish(replicas, time.Duration(sim.Now()))
 }

@@ -20,8 +20,9 @@ type ckptVote struct {
 // agreed visits n senders in index order (replicas by id; adoptCert's certs
 // by height) and returns the one whose value is the first to be shared by
 // need of them, or -1 if no value gets that far; val reports sender i's
-// value and whether it has one. The fixed order makes serial and parallel
-// kernels choose alike whatever a faulty minority sends.
+// value and whether it has one. The fixed order makes the choice a function
+// of the values alone — not of arrival order — whatever a faulty minority
+// sends.
 func agreed[K comparable](n, need int, val func(i int) (K, bool)) int {
 	var kbuf [4]K // distinct values seen; honest runs see one, more spill to the heap
 	var nbuf [4]int
@@ -172,8 +173,7 @@ func (r *Replica) tryStabilize(e uint64, d [32]byte) {
 // which supersedes their laggard-repair role) the engines' retained
 // delivered-block rings. Everything released here is
 // execution-irrelevant — delivery, execution, and messaging never read it
-// again — so collection inside a deterministic event handler keeps serial
-// and parallel kernels bit-identical.
+// again — so collecting it cannot change what a run measures.
 func (r *Replica) gcEpoch() {
 	r.buckets.GC()
 	// A released slot leaves the table once no bucket holds state for it.

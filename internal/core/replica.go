@@ -98,8 +98,8 @@ type Replica struct {
 	cfg Config
 	// sim is the replica's clock. Under the simulator it is the node-pinned
 	// scheduling view simnet.On(sim, ID): proposal pulses and timers stamp
-	// this node's canonical key and execute on its shard under the parallel
-	// kernel. On real transports it is the replica's transport.Node.
+	// this node's canonical key. On real transports it is the replica's
+	// transport.Node.
 	sim types.Clock
 	nw  Network
 

@@ -111,7 +111,7 @@ func (r *Replica) onStateTransferReq(m *StateTransferReq) bool {
 			continue
 		}
 		// Fresh slice header per response: the archive's backing array keeps
-		// shrinking under GC and must not be aliased across replica shards.
+		// shrinking under GC and must not be aliased across replicas.
 		blocks := append([]*types.Block(nil), r.archive[i][from-r.archiveBase[i]:]...)
 		resp.Runs = append(resp.Runs, BlockRun{Instance: i, Blocks: blocks})
 		for _, b := range blocks {

@@ -17,23 +17,18 @@ func submitShared(replica, tx any) { _ = replica.(*core.Replica).SubmitTx(tx.(*t
 
 // TestUnstampedSharedPointersAcrossShards runs an unstamped (Idx == 0)
 // workload whose transaction pointers — and, through the simulated
-// network, block pointers — are shared by all replicas, under the sharded
-// kernel so replicas really run on different goroutines, with one replica
-// crashing and catching up by state transfer. Slots are replica-private:
-// a slot cached in the shared Transaction or Block is a data race here and
-// points one replica at another's records (wrong outcomes, diverging
-// ledgers) on any kernel.
+// network, block pointers — are shared by all replicas, with one replica
+// crashing and catching up by state transfer. It proves that slots are
+// replica-private: a slot cached in the shared Transaction or Block would
+// point one replica at another's records (wrong outcomes, diverging
+// ledgers), and that the table drains after quiescence. ("Shards" in the
+// name: the replicas share one event loop, not goroutines.)
 func TestUnstampedSharedPointersAcrossShards(t *testing.T) {
 	const n, victim = 4, 2
 	sim := simnet.New(7)
 	nw := simnet.NewNetwork(sim, n, simnet.NewLAN())
-	plan, nshards := nw.PlanShards(n)
-	if plan == nil {
-		t.Fatal("LAN topology did not shard")
-	}
-	kern := simnet.NewKernel(sim, nw, plan, nshards, n, n)
 	names := accountNames(12)
-	results := make([]map[types.TxID]bool, n) // results[i] is written by replica i's shard only
+	results := make([]map[types.TxID]bool, n) // results[i] is written by replica i only
 	replicas := make([]*core.Replica, n)
 	for i := range replicas {
 		i := i
@@ -55,13 +50,13 @@ func TestUnstampedSharedPointersAcrossShards(t *testing.T) {
 				}
 				results[i][tx.ID()] = success
 			},
-		}, kern.NodeOn(i), nw)
+		}, simnet.On(sim, i), nw)
 	}
 	for _, r := range replicas {
 		r.Start()
 	}
 	rng := rand.New(rand.NewSource(7))
-	client := kern.ClientOn()
+	client := simnet.On(sim, n)
 	var txs []*types.Transaction
 	for i := 0; i < 240; i++ {
 		from, from2, to := names[rng.Intn(12)], names[rng.Intn(12)], names[rng.Intn(12)]
@@ -94,7 +89,7 @@ func TestUnstampedSharedPointersAcrossShards(t *testing.T) {
 		nw.SetDown(victim, false)
 		replicas[victim].Recover()
 	})
-	kern.Run(simnet.Time(12 * time.Second))
+	sim.Run(simnet.Time(12 * time.Second))
 
 	if replicas[victim].StateTransferApplied() == 0 {
 		t.Fatal("the victim never caught up by state transfer")

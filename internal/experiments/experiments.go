@@ -316,7 +316,7 @@ func scenarioProtocols() []core.Mode {
 // quick runs stay quick, plus the large tier {250, 500, 1000} phased in
 // from scale 0.25 (one size per quarter-scale step). The n >= 32 cells
 // use the analytic SB (message-level simulation with m = n instances
-// costs O(n^3) per block round — infeasible at n = 100 on any kernel);
+// costs O(n^3) per block round — infeasible at n = 100);
 // smaller cells run message-level PBFT under the NIC model, the regime
 // the allocation pass targets. Tier cells run pulse-damped (see
 // scaleJob), so even the n = 1000 cell is seconds-scale rather than

@@ -84,8 +84,7 @@ func SoakConfig(scale float64) cluster.Config {
 }
 
 // soakPlan is the long-horizon soak figure: one churned cell whose live-set
-// census must stay flat after warmup. There is no grid to parallelize over,
-// and the cell itself needs the serial kernel (live-set sampling).
+// census must stay flat after warmup. There is no grid to parallelize over.
 func soakPlan(scale float64, _ []string) plan {
 	cfg := SoakConfig(scale)
 	return plan{

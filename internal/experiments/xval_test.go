@@ -56,7 +56,7 @@ func TestXValFigure(t *testing.T) {
 
 // TestXValExcludedFromSuite pins the design constraint that keeps the
 // deterministic suite deterministic: X-val must never appear in
-// FigureIDs (bench_test and the kernel-equivalence tests replay those
+// FigureIDs (bench_test and the serial-vs-parallel suite tests replay those
 // expecting byte-identical results, which wall-clock cells cannot give).
 func TestXValExcludedFromSuite(t *testing.T) {
 	for _, id := range FigureIDs() {

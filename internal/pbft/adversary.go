@@ -51,9 +51,8 @@ func (e *Engine) equivocating() bool {
 // minority keeps accumulating votes for the twin chain.
 func (e *Engine) equivocate(m *PrePrepare) {
 	twinBlock := e.cfg.MakeNoop(m.Seq)
-	// Digest before sending (see Propose): the twin goes to several
-	// replicas that may process it concurrently on different kernel
-	// shards.
+	// Digest before sending (see Propose): the twin's pointer goes to
+	// several replicas.
 	twinBlock.Digest()
 	twin := &PrePrepare{Instance: e.cfg.Instance, View: m.View, Seq: m.Seq, Block: twinBlock}
 	half := e.cfg.N / 2

@@ -233,8 +233,7 @@ type Engine struct {
 	tr  Transport
 	// sim is the replica's clock: virtual and node-pinned under the
 	// simulator (timers and deadline wakeups stamp this node's canonical
-	// key and execute on its shard under the parallel kernel), the node
-	// loop's wall clock on real transports.
+	// key), the node loop's wall clock on real transports.
 	sim types.Clock
 
 	view         uint64
@@ -417,9 +416,10 @@ func (e *Engine) Propose(b *types.Block) error {
 		return fmt.Errorf("pbft: proposal SN %d != next %d", b.SN, e.nextPropose)
 	}
 	e.nextPropose++
-	// Digest before broadcast: receivers may process the shared block
-	// concurrently from different kernel shards, and the lazy digest
-	// cache write would race.
+	// Digest before broadcast: the simulator hands every receiver this same
+	// pointer, and a block is read-only once it is shared — the lazy digest
+	// cache is written here, by its owner, not by whichever receiver asks
+	// first.
 	b.Digest()
 	m := &PrePrepare{Instance: e.cfg.Instance, View: e.view, Seq: b.SN, Block: b}
 	switch {
@@ -804,8 +804,7 @@ func (e *Engine) sendNewView(view uint64) {
 			continue // delivered somewhere, unprovable here: leave the gap
 		}
 		// Digest before broadcast (see Propose): fresh noop fills would
-		// otherwise be digested concurrently by receivers on different
-		// kernel shards.
+		// otherwise be digested by whichever receiver asks first.
 		b.Digest()
 		nv.Reproposals = append(nv.Reproposals, &PrePrepare{
 			Instance: e.cfg.Instance, View: view, Seq: seq, Block: b,

@@ -44,7 +44,7 @@ func newEngine(cfg Config, tr Transport, clk types.Clock) *Engine {
 func newHarness(t *testing.T, n, f int, mutate func(i int, cfg *Config)) *harness {
 	t.Helper()
 	h := &harness{sim: simnet.New(42)}
-	h.nw = simnet.NewNetwork(h.sim, n, simnet.FixedModel{D: 5 * time.Millisecond})
+	h.nw = simnet.NewNetwork(h.sim, n, simnet.NewFixed(5*time.Millisecond))
 	h.delivered = make([][]*types.Block, n)
 	h.engines = make([]*Engine, n)
 	for i := 0; i < n; i++ {

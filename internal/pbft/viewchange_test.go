@@ -127,7 +127,7 @@ func TestViewChangeAmplification(t *testing.T) {
 
 func TestTimeoutBackoffDoubles(t *testing.T) {
 	sim := simnet.New(1)
-	nw := simnet.NewNetwork(sim, 4, simnet.FixedModel{D: time.Millisecond})
+	nw := simnet.NewNetwork(sim, 4, simnet.NewFixed(time.Millisecond))
 	var installed []uint64
 	engines := make([]*Engine, 4)
 	for i := 0; i < 4; i++ {

@@ -52,12 +52,6 @@ var columns = []column{
 	{"sim_events", gridScale, "", 1, 0, 0},
 	{"sim_events_per_sec", gridScale, "sim-events/s", 1, -1, 0.15},
 	{"tput_ktps", gridScale, "ktps", 1, 0, 0},
-	// Kernel tier: the same cell under the parallel kernel. On a
-	// single-core host the speedup hovers around 1 by construction.
-	{"parallel_ns_per_op", gridScale, "", 1, 0, 0},
-	{"parallel_workers", gridScale, "", 1, 0, 0},
-	{"parallel_shards", gridScale, "", 1, 0, 0},
-	{"parallel_speedup", gridScale, "par-speedup", 1, -1, 0.15},
 	// Soak tier: the cluster-wide retained-state census.
 	{"peak_live_set", gridScale, "peak-live", 1, +1, 0.25},
 	{"final_live_set", gridScale, "", 1, 0, 0},

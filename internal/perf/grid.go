@@ -4,14 +4,12 @@
 // the one schema both are written in, and the tolerance table the
 // comparator enforces. `orthrus-bench -bench` / `-bench-net` measure the
 // grids through Run; the `go test -bench` mirrors (BenchmarkScale,
-// BenchmarkScaleParallel, BenchmarkTransport*Broadcast) iterate the same
-// lists, so the artifact and the go-test numbers measure identical work
+// BenchmarkTransport*Broadcast) iterate the same lists, so the artifact and the go-test numbers measure identical work
 // by construction rather than by comment.
 package perf
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/baseline"
@@ -22,17 +20,12 @@ import (
 )
 
 // Simulator-grid tiers. A tier is a configuration family; it is the last
-// segment of every cell id, which keeps the base and kernel Orthrus
-// n = 50 / 100 cells apart.
+// segment of every cell id.
 const (
 	// TierBase is {Orthrus, ISS, Ladon} x {4, 10, 25} message-level PBFT
 	// under the NIC model — the regime the allocation passes target —
 	// plus Orthrus x {50, 100} on the analytic SB.
 	TierBase = "base"
-	// TierKernel is Orthrus x {50, 100} message-level with the NIC off and
-	// a short window: the regime the parallel kernel accepts. Each cell is
-	// measured under the serial kernel and again under its ParallelTwin.
-	TierKernel = "kernel"
 	// TierFScale is Orthrus x {250, 500, 1000} analytic, pulse-damped like
 	// the F-scale figure's large tier: the large-n scheduler guard.
 	TierFScale = "fscale"
@@ -74,14 +67,6 @@ func SimGrid() []SimCell {
 	for _, n := range []int{50, 100} {
 		add(TierBase, core.OrthrusMode(), n, base(n))
 	}
-	for _, n := range []int{50, 100} {
-		// Load and window small enough that the serial/parallel pair fits
-		// the CI smoke budget even at n = 100.
-		add(TierKernel, core.OrthrusMode(), n, cluster.Config{
-			LoadTPS: 500, Duration: time.Second, Warmup: 250 * time.Millisecond, Drain: time.Second,
-			Params: core.Params{BatchSize: 1024, BatchTimeout: 250 * time.Millisecond, EpochLen: 128},
-		})
-	}
 	for _, n := range []int{250, 500, 1000} {
 		add(TierFScale, core.OrthrusMode(), n, cluster.Config{
 			LoadTPS: 100, Duration: 2 * time.Second, Warmup: 400 * time.Millisecond, Drain: 2 * time.Second,
@@ -101,17 +86,6 @@ func SimGrid() []SimCell {
 		SampleLiveSet: 5 * time.Second, Scenario: churn,
 	})
 	return cells
-}
-
-// ParallelTwin returns a kernel-tier configuration retargeted at the
-// parallel kernel. The worker count is floored at two so a single-core
-// host still exercises the sharded path rather than the serial fallback.
-func ParallelTwin(cfg cluster.Config) cluster.Config {
-	cfg.Kernel = cluster.KernelParallel
-	if cfg.Workers = runtime.GOMAXPROCS(0); cfg.Workers < 2 {
-		cfg.Workers = 2
-	}
-	return cfg
 }
 
 // NetBackends and NetSizes are the axes of the transport grid: the

@@ -13,10 +13,7 @@ import (
 
 // measureSim runs one simulator cell once — runs are deterministic, so a
 // single iteration measures the cell exactly — and reads the allocation
-// counters around it. Kernel-tier cells run a second time under the
-// parallel kernel; the two results must agree bit-for-bit (the harness
-// doubles as a deployment-level determinism check) and the cell records
-// the parallel timing columns.
+// counters around it.
 func measureSim(c SimCell) (Cell, error) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -32,25 +29,11 @@ func measureSim(c SimCell) (Cell, error) {
 		"sim_events_per_sec": float64(res.Events) / elapsed.Seconds(),
 		"tput_ktps":          res.ThroughputTPS / 1000,
 	}
-	switch c.Tier {
-	case TierSoak:
+	if c.Tier == TierSoak {
 		m["peak_live_set"] = float64(res.LiveSetPeak)
 		if n := len(res.LiveSetSamples); n > 0 {
 			m["final_live_set"] = float64(res.LiveSetSamples[n-1].Total)
 		}
-	case TierKernel:
-		pcfg := ParallelTwin(c.Cfg)
-		pstart := time.Now()
-		pres := cluster.Run(pcfg)
-		pelapsed := time.Since(pstart)
-		if pres.Confirmed != res.Confirmed || pres.Events != res.Events || pres.ThroughputTPS != res.ThroughputTPS ||
-			pres.Latency.Mean() != res.Latency.Mean() || pres.Latency.Max() != res.Latency.Max() {
-			return Cell{}, fmt.Errorf("perf: cell %s: parallel kernel diverged from serial:\n  serial   %v\n  parallel %v", c.ID, res, pres)
-		}
-		m["parallel_ns_per_op"] = float64(pelapsed.Nanoseconds())
-		m["parallel_workers"] = float64(pcfg.Workers)
-		m["parallel_shards"] = float64(pres.Shards)
-		m["parallel_speedup"] = float64(elapsed) / float64(pelapsed)
 	}
 	return Cell{ID: c.ID, Metrics: m}, nil
 }

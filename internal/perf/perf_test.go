@@ -24,9 +24,8 @@ func cell(id string, kv ...any) Cell {
 // cell, and the id distinction between same-size cells of different tiers.
 func TestGate(t *testing.T) {
 	base := art(
-		cell("Orthrus/n=50/base", "ns_per_op", 1000.0, "allocs_per_op", 1000.0, "sim_events_per_sec", 1000.0, "sim_events", 5.0),
-		cell("Orthrus/n=50/kernel", "ns_per_op", 4000.0, "allocs_per_op", 4000.0, "sim_events_per_sec", 4000.0, "parallel_speedup", 1.0),
-		cell("Orthrus/n=25/soak", "allocs_per_op", 1000.0, "peak_live_set", 1000.0),
+		cell("Orthrus/n=25/base", "ns_per_op", 1000.0, "allocs_per_op", 1000.0, "sim_events_per_sec", 1000.0, "sim_events", 5.0),
+		cell("Orthrus/n=25/soak", "ns_per_op", 4000.0, "allocs_per_op", 4000.0, "sim_events_per_sec", 4000.0, "peak_live_set", 1000.0),
 		cell("proc/n=4", "allocs_per_msg", 10.0, "msgs_per_sec", 1000.0, "p99_latency_ns", 100.0),
 	)
 	// vary returns a copy of base with one column of one cell replaced
@@ -53,27 +52,27 @@ func TestGate(t *testing.T) {
 		want  string // substring of the one violation; "" = the gate passes
 	}{
 		{"identical", base, ""},
-		{"allocs +9%", vary("Orthrus/n=50/base", "allocs_per_op", 1090), ""},
-		{"allocs +11%", vary("Orthrus/n=50/base", "allocs_per_op", 1110), "Orthrus/n=50/base: allocs_per_op"},
-		{"allocs halve", vary("Orthrus/n=50/base", "allocs_per_op", 500), ""},
-		{"ns +14%", vary("Orthrus/n=50/base", "ns_per_op", 1140), ""},
-		{"ns +16%", vary("Orthrus/n=50/base", "ns_per_op", 1160), "Orthrus/n=50/base: ns_per_op"},
-		{"rate -14%", vary("Orthrus/n=50/base", "sim_events_per_sec", 860), ""},
-		{"rate -16%", vary("Orthrus/n=50/base", "sim_events_per_sec", 840), "Orthrus/n=50/base: sim_events_per_sec"},
-		{"rate doubles", vary("Orthrus/n=50/base", "sim_events_per_sec", 2000), ""},
-		{"context column moves", vary("Orthrus/n=50/base", "sim_events", 50), ""},
-		// The kernel cell's values would fail as the base cell's and vice
-		// versa: the two n = 50 cells are matched by full id.
-		{"kernel allocs +11%", vary("Orthrus/n=50/kernel", "allocs_per_op", 4440), "Orthrus/n=50/kernel: allocs_per_op"},
-		{"speedup -14%", vary("Orthrus/n=50/kernel", "parallel_speedup", 0.86), ""},
-		{"speedup -16%", vary("Orthrus/n=50/kernel", "parallel_speedup", 0.84), "Orthrus/n=50/kernel: parallel_speedup"},
-		{"speedup column lost", vary("Orthrus/n=50/kernel", "parallel_speedup", -1), "lost its parallel_speedup column"},
+		{"allocs +9%", vary("Orthrus/n=25/base", "allocs_per_op", 1090), ""},
+		{"allocs +11%", vary("Orthrus/n=25/base", "allocs_per_op", 1110), "Orthrus/n=25/base: allocs_per_op"},
+		{"allocs halve", vary("Orthrus/n=25/base", "allocs_per_op", 500), ""},
+		{"ns +14%", vary("Orthrus/n=25/base", "ns_per_op", 1140), ""},
+		{"ns +16%", vary("Orthrus/n=25/base", "ns_per_op", 1160), "Orthrus/n=25/base: ns_per_op"},
+		{"rate -14%", vary("Orthrus/n=25/base", "sim_events_per_sec", 860), ""},
+		{"rate -16%", vary("Orthrus/n=25/base", "sim_events_per_sec", 840), "Orthrus/n=25/base: sim_events_per_sec"},
+		{"rate doubles", vary("Orthrus/n=25/base", "sim_events_per_sec", 2000), ""},
+		{"context column moves", vary("Orthrus/n=25/base", "sim_events", 50), ""},
+		// The soak cell's values would fail as the base cell's and vice
+		// versa: the two n = 25 cells are matched by full id.
+		{"soak allocs +11%", vary("Orthrus/n=25/soak", "allocs_per_op", 4440), "Orthrus/n=25/soak: allocs_per_op"},
+		{"soak rate -14%", vary("Orthrus/n=25/soak", "sim_events_per_sec", 3440), ""},
+		{"soak rate -16%", vary("Orthrus/n=25/soak", "sim_events_per_sec", 3360), "Orthrus/n=25/soak: sim_events_per_sec"},
+		{"peak column lost", vary("Orthrus/n=25/soak", "peak_live_set", -1), "lost its peak_live_set column"},
 		{"soak peak +24%", vary("Orthrus/n=25/soak", "peak_live_set", 1240), ""},
 		{"soak peak +26%", vary("Orthrus/n=25/soak", "peak_live_set", 1260), "Orthrus/n=25/soak: peak_live_set"},
 		{"allocs/msg +11%", vary("proc/n=4", "allocs_per_msg", 11.1), "proc/n=4: allocs_per_msg"},
 		{"msgs/s -16%", vary("proc/n=4", "msgs_per_sec", 840), "proc/n=4: msgs_per_sec"},
 		{"latency is context", vary("proc/n=4", "p99_latency_ns", 1000), ""},
-		{"baseline cell missing", art(base.Cells[0], base.Cells[2], base.Cells[3]), "Orthrus/n=50/kernel: baseline cell missing"},
+		{"baseline cell missing", art(base.Cells[0], base.Cells[2]), "Orthrus/n=25/soak: baseline cell missing"},
 		{"new cell", art(append([]Cell{cell("ISS/n=4/base", "allocs_per_op", 1.0)}, base.Cells...)...), ""},
 	}
 	for _, c := range cases {
@@ -91,7 +90,7 @@ func TestGate(t *testing.T) {
 	}
 	var out bytes.Buffer
 	_ = Compare(&out, base, art(append([]Cell{cell("ISS/n=4/base")}, base.Cells[1:]...)...)) // the table is what is checked
-	for _, want := range []string{"(new cell, no baseline)", "(baseline cell missing from this run)", "Orthrus/n=50/kernel", "+0.0%", "-15%"} {
+	for _, want := range []string{"(new cell, no baseline)", "(baseline cell missing from this run)", "Orthrus/n=25/soak", "+0.0%", "-15%"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("delta table lacks %q:\n%s", want, out.String())
 		}
@@ -99,8 +98,8 @@ func TestGate(t *testing.T) {
 }
 
 // TestGridIDs: ids are unique within each grid, and the coverage the gate
-// owes (both kernel pairs, the three n >= 250 cells, the soak cell) is in
-// the grid, where a regenerated baseline makes it a missing-cell failure.
+// owes (the eleven base cells, the three n >= 250 cells, the soak cell) is
+// in the grid, where a regenerated baseline makes it a missing-cell failure.
 func TestGridIDs(t *testing.T) {
 	seen := map[string]bool{}
 	tiers := map[string]int{}
@@ -114,11 +113,11 @@ func TestGridIDs(t *testing.T) {
 			t.Fatalf("malformed cell %+v", c)
 		}
 	}
-	if tiers[TierBase] != 11 || tiers[TierKernel] != 2 || tiers[TierFScale] != 3 || tiers[TierSoak] != 1 {
+	if tiers[TierBase] != 11 || tiers[TierFScale] != 3 || tiers[TierSoak] != 1 || len(tiers) != 3 {
 		t.Fatalf("tier sizes %v", tiers)
 	}
-	if !seen["Orthrus/n=50/base"] || !seen["Orthrus/n=50/kernel"] {
-		t.Fatal("the base and kernel n = 50 cells must both exist under distinct ids")
+	if !seen["Orthrus/n=25/base"] || !seen["Orthrus/n=25/soak"] {
+		t.Fatal("the base and soak n = 25 cells must both exist under distinct ids")
 	}
 	for _, c := range NetGrid() {
 		if seen[c.ID] {
@@ -156,7 +155,7 @@ func TestRun(t *testing.T) {
 	if err != nil || len(doc.Cells) != 2 || doc.Cells[1].Metrics["allocs_per_op"] != 200 {
 		t.Fatalf("artifact did not round-trip: %v %+v", err, doc)
 	}
-	for _, want := range []string{"cell", "ms/op", "allocs/op", "par-speedup", "A/n=10/base", " 200 "} {
+	for _, want := range []string{"cell", "ms/op", "allocs/op", "peak-live", "A/n=10/base", " 200 "} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("cell table lacks %q:\n%s", want, out.String())
 		}

@@ -35,7 +35,7 @@ func mkBlock(instance int, sn uint64, ntx int) *types.Block {
 
 func TestAnalyticDeliversInOrderToAll(t *testing.T) {
 	sim := simnet.New(1)
-	nw := simnet.NewNetwork(sim, 4, simnet.FixedModel{D: 10 * time.Millisecond})
+	nw := simnet.NewNetwork(sim, 4, simnet.NewFixed(10*time.Millisecond))
 	inst := newInstance(Config{N: 4, F: 1, Instance: 0}, sim, nw)
 	got := make([][]uint64, 4)
 	ports := make([]*Port, 4)
@@ -63,7 +63,7 @@ func TestAnalyticDeliversInOrderToAll(t *testing.T) {
 
 func TestAnalyticOnlyLeaderProposes(t *testing.T) {
 	sim := simnet.New(1)
-	nw := simnet.NewNetwork(sim, 4, simnet.FixedModel{D: time.Millisecond})
+	nw := simnet.NewNetwork(sim, 4, simnet.NewFixed(time.Millisecond))
 	inst := newInstance(Config{N: 4, F: 1, Instance: 2}, sim, nw)
 	p0 := inst.Port(0, func(*types.Block) {})
 	p2 := inst.Port(2, func(*types.Block) {})
@@ -80,7 +80,7 @@ func TestAnalyticOnlyLeaderProposes(t *testing.T) {
 
 func TestAnalyticWindowBackpressure(t *testing.T) {
 	sim := simnet.New(1)
-	nw := simnet.NewNetwork(sim, 4, simnet.FixedModel{D: time.Millisecond})
+	nw := simnet.NewNetwork(sim, 4, simnet.NewFixed(time.Millisecond))
 	inst := newInstance(Config{N: 4, F: 1, Instance: 0, Window: 2}, sim, nw)
 	var p *Port
 	for i := 0; i < 4; i++ {
@@ -111,7 +111,7 @@ func TestAnalyticWindowBackpressure(t *testing.T) {
 // times exactly.
 func TestAnalyticMatchesMessageLevelPBFT(t *testing.T) {
 	const n, f = 7, 2
-	model := simnet.FixedModel{D: 15 * time.Millisecond}
+	model := simnet.NewFixed(15 * time.Millisecond)
 
 	// Message-level PBFT run.
 	simA := simnet.New(1)
@@ -211,7 +211,7 @@ func TestAnalyticMatchesPBFTOnWAN(t *testing.T) {
 
 func TestAnalyticStragglerSlowsOwnInstanceOnly(t *testing.T) {
 	const n, f = 4, 1
-	model := simnet.FixedModel{D: 10 * time.Millisecond}
+	model := simnet.NewFixed(10 * time.Millisecond)
 	run := func(straggle bool) simnet.Time {
 		sim := simnet.New(1)
 		nw := simnet.NewNetwork(sim, n, model)
@@ -241,7 +241,7 @@ func TestAnalyticStragglerSlowsOwnInstanceOnly(t *testing.T) {
 
 func TestAnalyticStoppedPortDoesNotDeliver(t *testing.T) {
 	sim := simnet.New(1)
-	nw := simnet.NewNetwork(sim, 4, simnet.FixedModel{D: time.Millisecond})
+	nw := simnet.NewNetwork(sim, 4, simnet.NewFixed(time.Millisecond))
 	inst := newInstance(Config{N: 4, F: 1, Instance: 0}, sim, nw)
 	count := 0
 	var leader *Port

@@ -28,6 +28,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -245,8 +246,9 @@ func (s *Scenario) Validate(n int) error {
 					return fail("event %d (%s) targets node %d outside [0,%d)", i, e, id, n)
 				}
 			}
-			if e.Kind == Straggle && e.Scale <= 0 {
-				return fail("event %d (%s) has non-positive scale", i, e)
+			// Both float rules are written the way round that NaN fails.
+			if e.Kind == Straggle && !(e.Scale > 0 && e.Scale <= math.MaxFloat64) {
+				return fail("event %d (%s) has a scale that is not a positive finite number", i, e)
 			}
 		case Partition:
 			// The same shape checks the DSL parser enforces: at least one
@@ -271,7 +273,7 @@ func (s *Scenario) Validate(n int) error {
 				}
 			}
 		case LoadSurge:
-			if e.Scale <= 0 || e.Scale > 100 {
+			if !(e.Scale > 0 && e.Scale <= 100) {
 				return fail("event %d (%s) has load multiplier outside (0,100]", i, e)
 			}
 		case Heal:

@@ -3,6 +3,7 @@ package scenario
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -77,6 +78,26 @@ func TestBuildSortsAndValidates(t *testing.T) {
 			name:      "zero straggle scale rejected",
 			build:     func() *Scenario { return New("x").StraggleAt(time.Second, 0, 1).Build() },
 			wantOrder: []Kind{Straggle},
+			wantErr:   true,
+		},
+		{
+			// scenariodsl.Parse accepts the tokens NaN and Inf, and a rule
+			// written "scale <= 0" lets both through.
+			name:      "NaN straggle scale rejected",
+			build:     func() *Scenario { return New("x").StraggleAt(time.Second, math.NaN(), 1).Build() },
+			wantOrder: []Kind{Straggle},
+			wantErr:   true,
+		},
+		{
+			name:      "infinite straggle scale rejected",
+			build:     func() *Scenario { return New("x").StraggleAt(time.Second, math.Inf(1), 1).Build() },
+			wantOrder: []Kind{Straggle},
+			wantErr:   true,
+		},
+		{
+			name:      "NaN load multiplier rejected",
+			build:     func() *Scenario { return New("x").LoadSurgeAt(time.Second, math.NaN()).Build() },
+			wantOrder: []Kind{LoadSurge},
 			wantErr:   true,
 		},
 		{

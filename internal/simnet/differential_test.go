@@ -165,7 +165,7 @@ func simTrace(kind QueueKind, seed int64) []traceStamp {
 	for round := 0; round < 2; round++ {
 		s.Reset(seed + int64(round))
 		rng := rand.New(rand.NewSource(seed*31 + int64(round)))
-		nw := NewNetwork(s, 4, FixedModel{D: time.Millisecond})
+		nw := NewNetwork(s, 4, NewFixed(time.Millisecond))
 		record := func() { trace = append(trace, traceStamp{s.Now(), s.events, s.cur}) }
 		for i := 0; i < 4; i++ {
 			nw.Register(i, func(from int, msg any) {

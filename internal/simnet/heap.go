@@ -9,8 +9,7 @@ import "container/heap"
 // differential property tests compare it against.
 type eventQueue interface {
 	push(e *event)
-	pop() *event  // nil when empty
-	peek() *event // nil when empty
+	pop() *event // nil when empty
 	// popLE pops the earliest event only if its time is <= until (nil
 	// otherwise): the run loop's fused peek-and-pop, one probe per event.
 	popLE(until Time) *event
@@ -52,13 +51,6 @@ func (q *heapQueue) pop() *event {
 		return nil
 	}
 	return heap.Pop(&q.h).(*event)
-}
-
-func (q *heapQueue) peek() *event {
-	if len(q.h) == 0 {
-		return nil
-	}
-	return q.h[0]
 }
 
 func (q *heapQueue) popLE(until Time) *event {

@@ -1,19 +1,6 @@
 package simnet
 
-import (
-	"math/rand"
-	"time"
-)
-
-// LatencyModel computes the one-way delay of a message of the given size
-// from node `from` to node `to`. Implementations may draw jitter from rng.
-type LatencyModel interface {
-	Delay(from, to, size int, rng *rand.Rand) time.Duration
-	// Base returns the deterministic component (no jitter) of the delay;
-	// the analytic sequenced-broadcast layer uses it for closed-form quorum
-	// time computation.
-	Base(from, to, size int) time.Duration
-}
+import "time"
 
 // GeoModel models a geo-distributed deployment: nodes are assigned
 // round-robin to regions; delay = inter-region base RTT/2 + serialization
@@ -33,30 +20,17 @@ type GeoModel struct {
 	LocalDelay time.Duration
 }
 
-// Base implements LatencyModel.
-func (g *GeoModel) Base(from, to, size int) time.Duration {
-	var base time.Duration
-	if from == to {
-		base = g.LocalDelay
-	} else {
-		base = g.BaseLatency[g.RegionOf(from)][g.RegionOf(to)]
-		if base == 0 {
-			base = g.LocalDelay
+// base returns the propagation delay of the link from -> to: LocalDelay
+// for self-sends and for pairs whose regions the table leaves at zero (the
+// same site). NewNetwork reads it once per link; serialization and jitter
+// are added per message (Network.Delay).
+func (g *GeoModel) base(from, to int) time.Duration {
+	if from != to {
+		if d := g.BaseLatency[g.RegionOf(from)][g.RegionOf(to)]; d != 0 {
+			return d
 		}
 	}
-	if g.BandwidthBps > 0 && size > 0 {
-		base += time.Duration(float64(size) * 8 / g.BandwidthBps * float64(time.Second))
-	}
-	return base
-}
-
-// Delay implements LatencyModel.
-func (g *GeoModel) Delay(from, to, size int, rng *rand.Rand) time.Duration {
-	base := g.Base(from, to, size)
-	if g.JitterFrac > 0 && rng != nil {
-		base += time.Duration(rng.Float64() * g.JitterFrac * float64(base))
-	}
-	return base
+	return g.LocalDelay
 }
 
 // wanRTT holds measured-ish RTTs (ms) between the paper's four regions:
@@ -101,13 +75,13 @@ func NewLAN() *GeoModel {
 	}
 }
 
-// FixedModel is a trivially uniform latency model for unit tests.
-type FixedModel struct {
-	D time.Duration
+// NewFixed returns a uniform profile for unit tests: every link, self-sends
+// included, takes exactly d whatever the message size — one region, no
+// bandwidth term, no jitter.
+func NewFixed(d time.Duration) *GeoModel {
+	return &GeoModel{
+		RegionOf:    func(int) int { return 0 },
+		BaseLatency: [][]time.Duration{{d}},
+		LocalDelay:  d,
+	}
 }
-
-// Base implements LatencyModel.
-func (f FixedModel) Base(from, to, size int) time.Duration { return f.D }
-
-// Delay implements LatencyModel.
-func (f FixedModel) Delay(from, to, size int, rng *rand.Rand) time.Duration { return f.D }

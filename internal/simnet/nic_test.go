@@ -7,7 +7,7 @@ import (
 
 func TestNICSerializationDelay(t *testing.T) {
 	s := New(1)
-	nw := NewNetwork(s, 2, FixedModel{D: 10 * time.Millisecond})
+	nw := NewNetwork(s, 2, NewFixed(10*time.Millisecond))
 	nw.SetNICBps(1e9) // 1 Gbps
 	var at Time
 	nw.Register(0, func(from int, msg any) {})
@@ -25,7 +25,7 @@ func TestNICEgressQueueing(t *testing.T) {
 	// Two large messages from one sender must serialize on its egress link:
 	// the second starts transmitting only after the first finishes.
 	s := New(1)
-	nw := NewNetwork(s, 3, FixedModel{D: time.Millisecond})
+	nw := NewNetwork(s, 3, NewFixed(time.Millisecond))
 	nw.SetNICBps(1e9)
 	var times []Time
 	for i := 0; i < 3; i++ {
@@ -51,7 +51,7 @@ func TestNICEgressQueueing(t *testing.T) {
 func TestNICIngressQueueing(t *testing.T) {
 	// Two senders converging on one receiver share its ingress link.
 	s := New(1)
-	nw := NewNetwork(s, 3, FixedModel{D: time.Millisecond})
+	nw := NewNetwork(s, 3, NewFixed(time.Millisecond))
 	nw.SetNICBps(1e9)
 	var times []Time
 	nw.Register(0, func(from int, msg any) {})
@@ -70,7 +70,7 @@ func TestNICIngressQueueing(t *testing.T) {
 
 func TestNICSelfSendBypassesQueues(t *testing.T) {
 	s := New(1)
-	nw := NewNetwork(s, 1, FixedModel{D: time.Millisecond})
+	nw := NewNetwork(s, 1, NewFixed(time.Millisecond))
 	nw.SetNICBps(1e9)
 	var at Time
 	nw.Register(0, func(from int, msg any) { at = s.Now() })
@@ -83,7 +83,7 @@ func TestNICSelfSendBypassesQueues(t *testing.T) {
 
 func TestNICSmallMessagesCheap(t *testing.T) {
 	s := New(1)
-	nw := NewNetwork(s, 2, FixedModel{D: 10 * time.Millisecond})
+	nw := NewNetwork(s, 2, NewFixed(10*time.Millisecond))
 	nw.SetNICBps(1e9)
 	var at Time
 	nw.Register(0, func(from int, msg any) {})

@@ -265,7 +265,7 @@ func TestPooledEventsNeverObservedAfterRelease(t *testing.T) {
 			f := func(seed int64, loadBits uint8) bool {
 				rng := rand.New(rand.NewSource(seed))
 				s := NewWithQueue(seed, qk.kind)
-				nw := NewNetwork(s, 4, FixedModel{D: time.Millisecond})
+				nw := NewNetwork(s, 4, NewFixed(time.Millisecond))
 				delivered := 0
 				for i := 0; i < 4; i++ {
 					nw.Register(i, func(from int, msg any) {
@@ -304,7 +304,7 @@ func TestPooledEventsNeverObservedAfterRelease(t *testing.T) {
 // allocating per message.
 func TestPoolReuseBounded(t *testing.T) {
 	s := New(1)
-	nw := NewNetwork(s, 2, FixedModel{D: time.Millisecond})
+	nw := NewNetwork(s, 2, NewFixed(time.Millisecond))
 	nw.Register(0, func(int, any) {})
 	nw.Register(1, func(int, any) {})
 	seen := make(map[*event]bool)

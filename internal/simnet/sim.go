@@ -6,13 +6,10 @@
 //
 // Determinism: events at equal virtual times are processed in the
 // canonical order (destination node, source node, per-source count) — a
-// tie-break that is a pure function of the workload, not of the engine
-// that executes it — and all randomness flows through seeded generators,
-// so every experiment is exactly reproducible. Because the canonical
-// order is engine-independent, the conservative parallel kernel
-// (kernel.go) executes the identical schedule the serial loop does, and
-// measured results are bit-identical across kernels (the differential
-// tests pin this).
+// tie-break that is a pure function of the workload, not of the order in
+// which the queue happened to receive the events — and all randomness
+// flows through seeded generators, so every experiment is exactly
+// reproducible.
 //
 // Scheduling: the event queue is an O(1)-amortized calendar/timing-wheel
 // queue (wheel.go); the original binary min-heap survives as the
@@ -91,9 +88,9 @@ type event struct {
 // the node whose state the callback touches), src is the node whose event
 // scheduled it, and cnt is a per-source counter. The key is a pure
 // function of the simulated workload — node i's k-th scheduling call
-// produces the same key no matter which engine runs the simulation or in
-// what real-time order independent nodes execute — which is what lets the
-// sharded kernel reproduce the serial schedule exactly. Node -1 (NodeNone)
+// produces the same key however the calls of independent nodes
+// interleave — which is what every committed artifact's bytes rest on.
+// Node -1 (NodeNone)
 // is the global affinity: events scheduled outside any node context
 // (setup code, scenario timelines, measurement ticks); it sorts before
 // every real node at equal times, preserving the convention that
@@ -148,27 +145,11 @@ type Sim struct {
 	seed int64
 	// cur is the affinity of the currently executing event (NodeNone
 	// between events and during setup). Scheduling calls without an
-	// explicit destination inherit it as both halves of the canonical key;
-	// curOrd is the executing event's own key (0 between events), exposed
-	// so barrier-replay accounting can merge per-shard logs in exact
-	// serial order.
-	cur    int
-	curOrd uint64
+	// explicit destination inherit it as both halves of the canonical key.
+	cur int
 	// ordCnt holds the per-source schedule counters behind the canonical
-	// tie-break, indexed by node+1. Each shard simulator of a sharded
-	// kernel carries its own slice, pre-sized so it never grows (only the
-	// slots of nodes the shard hosts are ever written — node i's counter
-	// advances identically to the serial run's, because node i makes the
-	// same scheduling calls in the same order on any kernel); ordFixed
-	// marks that mode, where growth and global-affinity sources panic
-	// instead of racing.
-	ordCnt   []uint64
-	ordFixed bool
-	kind     QueueKind
-	// route, when set, intercepts events whose destination lives on
-	// another shard (kernel.go); it returns true when it consumed the
-	// event into an outbox.
-	route  func(e *event, dst int) bool
+	// tie-break, indexed by node+1 and grown on demand.
+	ordCnt []uint64
 	events uint64 // total events processed, for accounting
 	halted bool
 }
@@ -190,7 +171,7 @@ func NewWithQueue(seed int64, kind QueueKind) *Sim {
 	} else {
 		q = newWheelQueue()
 	}
-	return &Sim{q: q, rng: rand.New(rand.NewSource(seed)), seed: seed, cur: NodeNone, kind: kind}
+	return &Sim{q: q, rng: rand.New(rand.NewSource(seed)), seed: seed, cur: NodeNone}
 }
 
 // Reset returns the simulator to its just-constructed state — clock at
@@ -212,7 +193,6 @@ func (s *Sim) Reset(seed int64) {
 	s.cur = NodeNone
 	s.events = 0
 	s.halted = false
-	s.route = nil // a pooled sim must not keep a previous kernel's router
 	s.seed = seed
 	s.rng.Seed(seed)
 }
@@ -254,22 +234,13 @@ func (s *Sim) release(e *event) {
 }
 
 // nextCnt returns the next per-source schedule count for src (packed as
-// src+1). The counter slice grows on demand for standalone sims; sharded
-// sims pre-size it (growing concurrently would race across shards) and
-// reject global-affinity sources, which would duplicate the serial run's
-// global counter across shards.
+// src+1), growing the counter slice on demand.
 func (s *Sim) nextCnt(src int) uint64 {
 	idx := src + 1
 	if idx >= len(s.ordCnt) {
-		if s.ordFixed {
-			panic(fmt.Sprintf("simnet: node %d outside the sharded kernel's node range", src))
-		}
 		grown := make([]uint64, idx+8)
 		copy(grown, s.ordCnt)
 		s.ordCnt = grown
-	}
-	if s.ordFixed && src == NodeNone {
-		panic("simnet: global-affinity scheduling on a shard simulator; use a NodeSim")
 	}
 	s.ordCnt[idx]++
 	if s.ordCnt[idx] > ordCntMax {
@@ -279,9 +250,7 @@ func (s *Sim) nextCnt(src int) uint64 {
 }
 
 // schedule stamps (at, ord) onto e for destination affinity dst and source
-// src, and pushes it on the queue, clamping past times to now. When a
-// shard router is installed and dst lives on another shard, the event is
-// diverted to that shard's inbox instead (kernel.go).
+// src, and pushes it on the queue, clamping past times to now.
 func (s *Sim) schedule(e *event, t Time, dst, src int) {
 	if t < s.now {
 		t = s.now
@@ -291,9 +260,6 @@ func (s *Sim) schedule(e *event, t Time, dst, src int) {
 	}
 	e.at = t
 	e.ord = makeOrd(dst, src, s.nextCnt(src))
-	if s.route != nil && s.route(e, dst) {
-		return
-	}
 	s.q.push(e)
 }
 
@@ -302,8 +268,8 @@ func (s *Sim) schedule(e *event, t Time, dst, src int) {
 func (s *Sim) At(t Time, fn func()) { s.AtNode(s.cur, t, fn) }
 
 // AtNode schedules fn at absolute virtual time t with an explicit node
-// affinity: the canonical order groups the event under dst, and a sharded
-// kernel executes it on dst's shard. Use NodeNone for global events.
+// affinity: the canonical order groups the event under dst. Use NodeNone
+// for global events.
 func (s *Sim) AtNode(dst int, t Time, fn func()) {
 	e := s.alloc()
 	e.call, e.argA = runFunc, fn
@@ -354,20 +320,14 @@ func (s *Sim) Step() bool {
 // (Step), which releases it afterwards; callbacks never see the event
 // itself, so they cannot retain it past release.
 func (s *Sim) dispatch(e *event) {
-	s.cur, s.curOrd = ordDst(e.ord), e.ord
+	s.cur = ordDst(e.ord)
 	if e.nw != nil {
 		e.nw.deliver(int(e.from), int(e.to), int(e.size), e.msg)
 	} else if e.call != nil {
 		e.call(e.argA, e.argB)
 	}
-	s.cur, s.curOrd = NodeNone, 0
+	s.cur = NodeNone
 }
-
-// ExecOrd returns the canonical key of the currently executing event (0
-// between events). Together with Now it totally orders observations made
-// from inside callbacks — the sharded kernel's barrier replay merges
-// per-shard logs stamped with (Now, ExecOrd) back into exact serial order.
-func (s *Sim) ExecOrd() uint64 { return s.curOrd }
 
 // Halt stops the engine: Run and RunAll return after the event that called
 // Halt, leaving queued events unprocessed and the clock where it stopped.
@@ -415,12 +375,12 @@ func (s *Sim) RunAll(maxEvents uint64) uint64 {
 // stamps the node as both halves of the event's canonical key —
 // destination affinity and source — rather than inheriting the executing
 // event's. It is the simulator's types.Clock: replicas hold one (cluster
-// constructs them with their own id), so state-machine timers and pulses always land on the owning node's
-// shard and always draw from the node's own schedule counter — including
-// when they are armed from outside the node's own events (setup, scenario
-// recovery hooks at a kernel barrier), which keeps the canonical key a
-// pure function of the workload on every kernel. The zero value is
-// unusable; build one with On.
+// constructs them with their own id), so state-machine timers and pulses
+// always sort under the owning node and always draw from the node's own
+// schedule counter — including when they are armed from outside the node's
+// own events (setup, scenario recovery hooks), which keeps the canonical
+// key a pure function of the workload. The zero value is unusable; build
+// one with On.
 type NodeSim struct {
 	S    *Sim
 	Node int
@@ -452,7 +412,7 @@ func (n NodeSim) CallAt(t Time, fn func(a, b any), argA, argB any) {
 
 // CallAtNode schedules fn(argA, argB) at absolute time t with an explicit
 // destination affinity, keeping the pinned node as the source — the
-// client-shard primitive for cross-node hops (submissions to replicas).
+// client's primitive for cross-node hops (submissions to replicas).
 func (n NodeSim) CallAtNode(dst int, t Time, fn func(a, b any), argA, argB any) {
 	e := n.S.alloc()
 	e.call, e.argA, e.argB = fn, argA, argB
@@ -462,33 +422,23 @@ func (n NodeSim) CallAtNode(dst int, t Time, fn func(a, b any), argA, argB any) 
 // Handler consumes a message delivered to a node.
 type Handler = types.Handler
 
-// Network delivers messages between registered nodes over a latency model.
+// Network delivers messages between registered nodes over a GeoModel.
 type Network struct {
-	sim *Sim
-	// sims, when non-nil, maps each node to the shard simulator that
-	// executes its events (kernel.go); nil means every node runs on sim.
-	// Send reads the clock of — and schedules through — the sender's sim,
-	// so the same Network serves both the serial loop and the sharded
-	// kernel.
-	sims     []*Sim
-	model    LatencyModel
+	sim      *Sim
 	handlers []Handler
-	// Latency fast path: when the model is a *GeoModel, the per-link base
-	// propagation delays are precomputed into one flat n*n matrix at
-	// topology build (NewNetwork), so a Send samples its delay with two
-	// slice loads and one RNG draw — no interface dispatch and no RegionOf
-	// closure calls. The model's BandwidthBps and JitterFrac are read live
-	// (cluster.Run mutates them after construction); the region assignment
-	// and base-latency table are snapshotted and must not change after
+	// The per-link base propagation delays are read from the model once, at
+	// NewNetwork, into one flat n*n matrix, so a Send samples its delay
+	// with two slice loads and one jitter draw — no RegionOf closure calls.
+	// The model's BandwidthBps and JitterFrac are read live (cluster.Run
+	// mutates them after construction); the region assignment and
+	// base-latency table are snapshotted and must not change after
 	// NewNetwork.
 	geo      *GeoModel
 	pairBase []Duration
 	// jit holds one counter-based jitter stream per directed link
 	// (jit[from*n+to]), seeded from the run seed and the link identity.
 	// Jitter is a pure function of (seed, from, to, per-link send count) —
-	// not of the global event interleaving — so the serial and sharded
-	// kernels sample identical delays for every message. Each stream's
-	// single writer is the sender's shard. Allocated for every geo model.
+	// not of the global event interleaving.
 	jit []uint64
 	// outScale multiplies all delays for messages *sent by* a node; used to
 	// model a straggler whose instance runs 10x slower (Sec. VII-A).
@@ -502,9 +452,6 @@ type Network struct {
 	// time. The whole matrix is one allocation, made lazily by the first
 	// cut and reused for the rest of the run.
 	blocked []bool
-	// dropRate is the probability a message is lost (0 by default; GST
-	// behavior is modeled as dropRate 0).
-	dropRate float64
 	// nicBps, when > 0, enables the NIC store-and-forward model: each node
 	// has one egress and one ingress link of this bandwidth (bits/s) shared
 	// by all its traffic. This is what makes throughput saturate under load
@@ -513,46 +460,33 @@ type Network struct {
 	egressFree  []Time
 	ingressFree []Time
 	// Stats: delivered messages and bytes are counted per destination node
-	// (single-writer under the sharded kernel — a node's deliveries all
-	// execute on its own shard) and summed on read; modeled traffic
-	// (AddModeled) is folded into the slot of node 0.
+	// and summed on read; modeled traffic (AddModeled) is folded into the
+	// slot of node 0.
 	msgsN  []uint64
 	bytesN []uint64
 }
 
-// NewNetwork creates a network for n nodes over the given latency model.
-// A *GeoModel enables the precomputed per-link fast path (see Network).
-func NewNetwork(sim *Sim, n int, model LatencyModel) *Network {
+// NewNetwork creates a network for n nodes over the given latency model,
+// snapshotting its per-link base delays (see Network).
+func NewNetwork(sim *Sim, n int, model *GeoModel) *Network {
 	nw := &Network{
 		sim:      sim,
-		model:    model,
 		handlers: make([]Handler, n),
+		geo:      model,
+		pairBase: make([]Duration, n*n),
+		jit:      make([]uint64, n*n),
 		outScale: onesVec(n),
 		down:     make([]bool, n),
 		msgsN:    make([]uint64, n),
 		bytesN:   make([]uint64, n),
 	}
-	if g, ok := model.(*GeoModel); ok {
-		nw.geo = g
-		nw.pairBase = make([]Duration, n*n)
-		for from := 0; from < n; from++ {
-			for to := 0; to < n; to++ {
-				var base Duration
-				if from == to {
-					base = g.LocalDelay
-				} else {
-					base = g.BaseLatency[g.RegionOf(from)][g.RegionOf(to)]
-					if base == 0 {
-						base = g.LocalDelay
-					}
-				}
-				nw.pairBase[from*n+to] = base
-			}
+	for from := 0; from < n; from++ {
+		for to := 0; to < n; to++ {
+			nw.pairBase[from*n+to] = model.base(from, to)
 		}
-		nw.jit = make([]uint64, n*n)
-		for l := range nw.jit {
-			nw.jit[l] = jitSeed(sim.seed, l)
-		}
+	}
+	for l := range nw.jit {
+		nw.jit[l] = jitSeed(sim.seed, l)
 	}
 	return nw
 }
@@ -612,9 +546,6 @@ func (nw *Network) OutScale(id int) float64 { return nw.outScale[id] }
 // SetDown marks a node crashed (true) or recovered (false).
 func (nw *Network) SetDown(id int, down bool) { nw.down[id] = down }
 
-// SetDropRate sets the uniform message-loss probability.
-func (nw *Network) SetDropRate(p float64) { nw.dropRate = p }
-
 // SetLinkBlocked cuts (true) or restores (false) the unidirectional link
 // from -> to. The cut is checked at send and again at delivery time, so a
 // message in flight when the cut happens is dropped unless the link is
@@ -672,7 +603,7 @@ func (nw *Network) Heal() {
 }
 
 // Messages returns the count of messages delivered (summed over the
-// per-node counters; call only with all shards quiesced).
+// per-node counters).
 func (nw *Network) Messages() uint64 {
 	var total uint64
 	for _, m := range nw.msgsN {
@@ -682,7 +613,7 @@ func (nw *Network) Messages() uint64 {
 }
 
 // Bytes returns the total payload bytes delivered (summed over the
-// per-node counters; call only with all shards quiesced).
+// per-node counters).
 func (nw *Network) Bytes() uint64 {
 	var total uint64
 	for _, b := range nw.bytesN {
@@ -711,10 +642,11 @@ func (nw *Network) SetNICBps(bps float64) {
 	}
 }
 
-// fastBase returns the jitter-free delay along the precomputed fast path,
-// replicating GeoModel.Base's arithmetic exactly (operation order matters:
-// the artifacts must stay byte-identical to the interface path).
-func (nw *Network) fastBase(from, to, size int) Duration {
+// linkBase returns the jitter-free delay of size bytes from -> to: the
+// snapshotted propagation delay plus serialization at the model's
+// bandwidth. The operation order is what the committed artifacts' bytes
+// were computed with.
+func (nw *Network) linkBase(from, to, size int) Duration {
 	base := nw.pairBase[from*len(nw.handlers)+to]
 	if bps := nw.geo.BandwidthBps; bps > 0 && size > 0 {
 		base += Duration(float64(size) * 8 / bps * float64(time.Second))
@@ -724,18 +656,13 @@ func (nw *Network) fastBase(from, to, size int) Duration {
 
 // Delay returns the modeled propagation delay for a message of size bytes
 // from -> to, including the sender's straggler scaling (NIC queueing is
-// applied separately in Send). Exposed for the analytic SB. On the geo
-// fast path the jitter sample advances the per-link stream, so the k-th
-// send over a link draws the same jitter in every kernel.
+// applied separately in Send). Exposed for the analytic SB. The jitter
+// sample advances the per-link stream, so the k-th send over a link draws
+// the same jitter however the run's events interleave.
 func (nw *Network) Delay(from, to, size int) Duration {
-	var d Duration
-	if nw.geo != nil {
-		d = nw.fastBase(from, to, size)
-		if jf := nw.geo.JitterFrac; jf > 0 {
-			d += Duration(jitFloat(&nw.jit[from*len(nw.handlers)+to]) * jf * float64(d))
-		}
-	} else {
-		d = nw.model.Delay(from, to, size, nw.sim.rng)
+	d := nw.linkBase(from, to, size)
+	if jf := nw.geo.JitterFrac; jf > 0 {
+		d += Duration(jitFloat(&nw.jit[from*len(nw.handlers)+to]) * jf * float64(d))
 	}
 	return Duration(float64(d) * nw.outScale[from])
 }
@@ -744,13 +671,7 @@ func (nw *Network) Delay(from, to, size int) Duration {
 // size bytes from -> to, including the sender's straggler scaling. The
 // analytic sequenced-broadcast layer uses it for closed-form quorum times.
 func (nw *Network) BaseDelay(from, to, size int) Duration {
-	var d Duration
-	if nw.geo != nil {
-		d = nw.fastBase(from, to, size)
-	} else {
-		d = nw.model.Base(from, to, size)
-	}
-	return Duration(float64(d) * nw.outScale[from])
+	return Duration(float64(nw.linkBase(from, to, size)) * nw.outScale[from])
 }
 
 // serTime returns the time to push size bytes through one NIC link.
@@ -768,10 +689,7 @@ func (nw *Network) Send(from, to, size int, msg any) {
 	if nw.down[from] || nw.down[to] || nw.LinkBlocked(from, to) {
 		return
 	}
-	sim := nw.simFor(from)
-	if nw.dropRate > 0 && sim.rng.Float64() < nw.dropRate {
-		return
-	}
+	sim := nw.sim
 	prop := nw.Delay(from, to, size)
 	var deliverAt Time
 	if nw.nicBps > 0 && from != to {
@@ -795,54 +713,6 @@ func (nw *Network) Send(from, to, size int, msg any) {
 	e := sim.alloc()
 	e.nw, e.from, e.to, e.size, e.msg = nw, int32(from), int32(to), int32(size), msg
 	sim.schedule(e, deliverAt, to, from)
-}
-
-// simFor returns the simulator that executes node's events: the node's
-// shard under the sharded kernel, the single engine otherwise.
-func (nw *Network) simFor(node int) *Sim {
-	if nw.sims != nil {
-		return nw.sims[node]
-	}
-	return nw.sim
-}
-
-// SetSharded installs the node -> shard-simulator map (kernel.go). The
-// NIC model and message dropping read and mutate cross-node state at send
-// time, so both are serial-only; the kernel's validation rejects them
-// before ever getting here, and this panics as a backstop.
-func (nw *Network) SetSharded(sims []*Sim) {
-	if nw.nicBps > 0 || nw.dropRate > 0 {
-		panic("simnet: NIC model and drop rate require the serial kernel")
-	}
-	if len(sims) != len(nw.handlers) {
-		panic(fmt.Sprintf("simnet: shard map covers %d of %d nodes", len(sims), len(nw.handlers)))
-	}
-	nw.sims = sims
-}
-
-// MinCrossBase returns the minimum jitter-free propagation delay over all
-// directed links that cross shards under the given node -> shard
-// assignment (0 when no link crosses). This is the conservative kernel's
-// lookahead: every cross-shard send adds at least this much to the
-// sender's clock, because jitter only adds and outScale ≥ 1 is enforced by
-// the kernel's validation. Requires the geo fast path.
-func (nw *Network) MinCrossBase(shardOf []int) Duration {
-	n := len(nw.handlers)
-	if nw.pairBase == nil {
-		panic("simnet: lookahead requires a GeoModel latency matrix")
-	}
-	var min Duration
-	for from := 0; from < n; from++ {
-		for to := 0; to < n; to++ {
-			if shardOf[from] == shardOf[to] {
-				continue
-			}
-			if b := nw.pairBase[from*n+to]; min == 0 || b < min {
-				min = b
-			}
-		}
-	}
-	return min
 }
 
 // deliver lands a message at its destination, re-checking liveness and

@@ -76,7 +76,7 @@ func TestSchedulePastClamps(t *testing.T) {
 
 func TestNetworkDelivery(t *testing.T) {
 	s := New(1)
-	nw := NewNetwork(s, 2, FixedModel{D: 10 * time.Millisecond})
+	nw := NewNetwork(s, 2, NewFixed(10*time.Millisecond))
 	var gotFrom int
 	var gotMsg any
 	var at Time
@@ -97,7 +97,7 @@ func TestNetworkDelivery(t *testing.T) {
 
 func TestNetworkBroadcastIncludesSelf(t *testing.T) {
 	s := New(1)
-	nw := NewNetwork(s, 3, FixedModel{D: time.Millisecond})
+	nw := NewNetwork(s, 3, NewFixed(time.Millisecond))
 	got := make([]int, 3)
 	for i := 0; i < 3; i++ {
 		i := i
@@ -114,7 +114,7 @@ func TestNetworkBroadcastIncludesSelf(t *testing.T) {
 
 func TestNetworkDownNode(t *testing.T) {
 	s := New(1)
-	nw := NewNetwork(s, 2, FixedModel{D: time.Millisecond})
+	nw := NewNetwork(s, 2, NewFixed(time.Millisecond))
 	received := 0
 	nw.Register(0, func(from int, msg any) {})
 	nw.Register(1, func(from int, msg any) { received++ })
@@ -142,7 +142,7 @@ func TestNetworkDownNode(t *testing.T) {
 func TestNetworkCrashMidFlight(t *testing.T) {
 	// A message in flight when the destination crashes must not deliver.
 	s := New(1)
-	nw := NewNetwork(s, 2, FixedModel{D: 10 * time.Millisecond})
+	nw := NewNetwork(s, 2, NewFixed(10*time.Millisecond))
 	received := 0
 	nw.Register(0, func(from int, msg any) {})
 	nw.Register(1, func(from int, msg any) { received++ })
@@ -156,7 +156,7 @@ func TestNetworkCrashMidFlight(t *testing.T) {
 
 func TestStragglerOutScale(t *testing.T) {
 	s := New(1)
-	nw := NewNetwork(s, 2, FixedModel{D: 10 * time.Millisecond})
+	nw := NewNetwork(s, 2, NewFixed(10*time.Millisecond))
 	var at Time
 	nw.Register(0, func(from int, msg any) {})
 	nw.Register(1, func(from int, msg any) { at = s.Now() })
@@ -168,22 +168,6 @@ func TestStragglerOutScale(t *testing.T) {
 	}
 	if nw.OutScale(0) != 10 {
 		t.Fatal("OutScale getter wrong")
-	}
-}
-
-func TestDropRate(t *testing.T) {
-	s := New(7)
-	nw := NewNetwork(s, 2, FixedModel{D: time.Millisecond})
-	received := 0
-	nw.Register(0, func(from int, msg any) {})
-	nw.Register(1, func(from int, msg any) { received++ })
-	nw.SetDropRate(1.0)
-	for i := 0; i < 50; i++ {
-		nw.Send(0, 1, 1, i)
-	}
-	s.RunAll(0)
-	if received != 0 {
-		t.Fatalf("dropRate=1 delivered %d messages", received)
 	}
 }
 
@@ -213,23 +197,29 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// The three latency tests below read delays the way a run does: through
+// the matrix NewNetwork snapshots and the per-link jitter streams.
+
 func TestWANRegionsAsymmetry(t *testing.T) {
-	wan := NewWAN()
+	nw := NewNetwork(New(1), 5, NewWAN())
 	// Nodes 0 and 4 share region 0 (France); node 2 is Australia.
-	same := wan.Base(0, 4, 0)
-	far := wan.Base(0, 2, 0)
+	same := nw.BaseDelay(0, 4, 0)
+	far := nw.BaseDelay(0, 2, 0)
 	if same >= far {
 		t.Fatalf("intra-region %v >= France-Australia %v", same, far)
 	}
-	if got := wan.Base(0, 2, 0); got != 140*time.Millisecond {
-		t.Fatalf("France->Australia base = %v, want 140ms", got)
+	if far != 140*time.Millisecond {
+		t.Fatalf("France->Australia base = %v, want 140ms", far)
+	}
+	if back := nw.BaseDelay(2, 0, 0); back != far {
+		t.Fatalf("Australia->France base = %v, want %v", back, far)
 	}
 }
 
 func TestBandwidthSerialization(t *testing.T) {
-	lan := NewLAN()
-	small := lan.Base(0, 1, 0)
-	big := lan.Base(0, 1, 1e6) // 1 MB at 1 Gbps = 8 ms extra
+	nw := NewNetwork(New(1), 2, NewLAN())
+	small := nw.BaseDelay(0, 1, 0)
+	big := nw.BaseDelay(0, 1, 1e6) // 1 MB at 1 Gbps = 8 ms extra
 	extra := big - small
 	if extra < 7*time.Millisecond || extra > 9*time.Millisecond {
 		t.Fatalf("serialization delay for 1MB = %v, want ~8ms", extra)
@@ -237,13 +227,43 @@ func TestBandwidthSerialization(t *testing.T) {
 }
 
 func TestJitterBounded(t *testing.T) {
-	s := New(5)
-	wan := NewWAN()
-	base := wan.Base(0, 1, 500)
+	nw := NewNetwork(New(5), 2, NewWAN())
+	base := nw.BaseDelay(0, 1, 500)
+	varied := false
 	for i := 0; i < 100; i++ {
-		d := wan.Delay(0, 1, 500, s.Rand())
+		d := nw.Delay(0, 1, 500)
 		if d < base || float64(d) > float64(base)*1.051 {
 			t.Fatalf("jittered delay %v outside [base, base*1.05] (base %v)", d, base)
+		}
+		varied = varied || d != base
+	}
+	if !varied {
+		t.Fatal("100 draws from the link's jitter stream never moved the delay")
+	}
+}
+
+// TestNewFixed pins the unit-test profile: every link, self-sends included,
+// takes exactly d; the message size is ignored; and no jitter is drawn, so
+// the link streams stay where NewNetwork seeded them.
+func TestNewFixed(t *testing.T) {
+	const d = 3 * time.Millisecond
+	nw := NewNetwork(New(9), 3, NewFixed(d))
+	seeded := append([]uint64(nil), nw.jit...)
+	for from := 0; from < 3; from++ {
+		for to := 0; to < 3; to++ {
+			for _, size := range []int{0, 1, 1 << 20} {
+				if got := nw.Delay(from, to, size); got != d {
+					t.Fatalf("Delay(%d,%d,%d) = %v, want %v", from, to, size, got, d)
+				}
+				if got := nw.BaseDelay(from, to, size); got != d {
+					t.Fatalf("BaseDelay(%d,%d,%d) = %v, want %v", from, to, size, got, d)
+				}
+			}
+		}
+	}
+	for l := range seeded {
+		if nw.jit[l] != seeded[l] {
+			t.Fatalf("link %d drew jitter under NewFixed", l)
 		}
 	}
 }

@@ -45,16 +45,12 @@ type wheelQueue struct {
 	// probing them one by one, which keeps pop cheap for sparse phases
 	// (drains, analytic runs) without giving up the fine bucket width the
 	// dense phases want.
-	occ    []uint64
-	mask   int  // len(buckets)-1; len is a power of two
-	shift  uint // bucket width is 1<<shift nanoseconds
-	n      int  // queued events
-	cur    int  // scan cursor: bucket whose window is being examined
-	curEnd Time // exclusive end of cur's current window
-	// ready records that findMin already positioned the cursor and nothing
-	// has moved since: the peek-then-pop pattern of Sim.Run probes the
-	// wheel once per event, not twice. Any push invalidates it.
-	ready   bool
+	occ     []uint64
+	mask    int  // len(buckets)-1; len is a power of two
+	shift   uint // bucket width is 1<<shift nanoseconds
+	n       int  // queued events
+	cur     int  // scan cursor: bucket whose window is being examined
+	curEnd  Time // exclusive end of cur's current window
 	scratch []*event
 	sample  []Time
 	// walkSteps meters the lane-head walks in insert since the last
@@ -236,7 +232,6 @@ func (w *wheelQueue) laneInsert(b *wheelBucket, prev, r, e *event) {
 
 // push inserts e and maintains the cursor invariant.
 func (w *wheelQueue) push(e *event) {
-	w.ready = false
 	if w.n >= len(w.buckets) {
 		w.resize(2 * len(w.buckets))
 	} else if w.walkSteps > uint64(4*w.n)+4096 {
@@ -311,15 +306,6 @@ func (w *wheelQueue) findMin() bool {
 	return true
 }
 
-// peek returns the earliest event without removing it (nil when empty).
-func (w *wheelQueue) peek() *event {
-	if !w.findMin() {
-		return nil
-	}
-	w.ready = true
-	return w.buckets[w.cur].head
-}
-
 // popLE removes and returns the earliest event if its time is <= until.
 func (w *wheelQueue) popLE(until Time) *event {
 	if !w.findMin() {
@@ -334,9 +320,7 @@ func (w *wheelQueue) popLE(until Time) *event {
 
 // pop removes and returns the earliest event (nil when empty).
 func (w *wheelQueue) pop() *event {
-	if w.ready {
-		w.ready = false
-	} else if !w.findMin() {
+	if !w.findMin() {
 		return nil
 	}
 	return w.remove(&w.buckets[w.cur])
@@ -344,7 +328,6 @@ func (w *wheelQueue) pop() *event {
 
 // remove unlinks and returns the head of the cursor bucket b.
 func (w *wheelQueue) remove(b *wheelBucket) *event {
-	w.ready = false
 	e := b.head
 	nh := e.next
 	if b.lastIns == e {
@@ -400,7 +383,6 @@ func (w *wheelQueue) reset() {
 	w.n = 0
 	w.cur = 0
 	w.curEnd = 1 << w.shift
-	w.ready = false
 }
 
 // resize rebuilds the wheel with nb buckets, re-estimating the bucket

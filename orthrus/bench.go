@@ -10,10 +10,10 @@ import (
 // RunBench measures one of the repository's two gated component grids —
 // "scale", the simulator hot path (wall time, allocations and simulated
 // events per second over a fixed protocol x cluster-size grid, with the
-// kernel-pair, large-n and soak tiers), or "net", the real-transport data
-// path RunNetBench measures — and returns the artifact document
-// committed as BENCH_scale.json / BENCH_net.json. The cell table prints
-// to w as cells complete. A non-nil baseline is an earlier document of
+// large-n and soak tiers), or "net", the real-transport data path
+// RunNetBench measures — and returns the artifact document committed as
+// BENCH_scale.json / BENCH_net.json. The cell table prints to w as cells
+// complete. A non-nil baseline is an earlier document of
 // the same grid: it is checked before anything runs, a per-column delta
 // table follows the cell table, and when a gated column left its
 // tolerance, lost its value, or a baseline cell went missing, the error

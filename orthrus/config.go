@@ -34,24 +34,6 @@ const (
 // Validate rejects larger values.
 const MaxReplicas = 1024
 
-// Kernel selects the discrete-event engine that executes a run; its
-// String method renders "serial" or "parallel".
-type Kernel = cluster.Kernel
-
-const (
-	// KernelSerial is the reference single-threaded kernel: one event
-	// queue, one clock. Every configuration supports it.
-	KernelSerial = cluster.KernelSerial
-	// KernelParallel shards replicas across a worker pool and
-	// synchronizes on conservative lookahead windows derived from the
-	// network's base-delay matrix. Measured results are bit-identical to
-	// KernelSerial for the same seed. It requires message-level PBFT
-	// (AnalyticSB false), DisableNIC true, and no slowdown factors below
-	// 1 (speed-ups would undercut the lookahead); Validate enforces all
-	// three. Clusters too small to shard fall back to the serial kernel.
-	KernelParallel = cluster.KernelParallel
-)
-
 // Transport selects the backend that carries replica messages.
 type Transport int
 
@@ -67,9 +49,8 @@ const (
 	// sockets. Results are wall-clock measurements of this machine and
 	// are NOT deterministic or reproducible across runs; Net only labels
 	// the result. Simulation-only features are rejected by Validate:
-	// stragglers, crash/Byzantine faults, scenarios, the analytic SB,
-	// the parallel kernel and live-set sampling. Observer.OnConfirm
-	// fires normally; OnWindow reports every window when the run ends
+	// stragglers, crash/Byzantine faults, scenarios, the analytic SB and
+	// live-set sampling. Observer.OnConfirm fires normally; OnWindow reports every window when the run ends
 	// rather than streaming (there is no simulated clock to tick), and
 	// OnPhase never fires (phases belong to scenarios).
 	TransportProc
@@ -171,8 +152,7 @@ type Config struct {
 	// census every interval of virtual time, reported on the Result
 	// (LiveSetSamples, LiveSetPeak). The soak harness gates on the profile
 	// staying flat after warmup. Sampling walks every replica from one
-	// bookkeeping event, so it requires the serial kernel and the simulated
-	// transport.
+	// bookkeeping event, so it requires the simulated transport.
 	SampleLiveSet time.Duration
 
 	// AnalyticSB swaps message-level PBFT for the closed-form quorum-time
@@ -187,14 +167,6 @@ type Config struct {
 	// TransportProc (the in-process real transport under wall-clock
 	// time); see Transport for the restrictions real backends carry.
 	Transport Transport
-
-	// Kernel selects the discrete-event engine: KernelSerial (default) or
-	// KernelParallel. The parallel kernel reproduces the serial kernel's
-	// results bit-for-bit; see Kernel for its configuration requirements.
-	Kernel Kernel
-	// Workers bounds the parallel kernel's worker pool; 0 means
-	// GOMAXPROCS. Ignored by the serial kernel.
-	Workers int
 
 	// Seed drives every random choice (network jitter, workload, preset
 	// victim selection); equal seeds reproduce runs exactly. NewConfig
@@ -305,8 +277,8 @@ func WithEpochLen(l uint64) Option { return func(c *Config) { c.EpochLen = l } }
 func WithStateTransfer() Option { return func(c *Config) { c.StateTransfer = true } }
 
 // WithLiveSetSampling schedules a retained-state census every interval of
-// virtual time; see Config.SampleLiveSet. Requires the serial kernel and
-// the simulated transport.
+// virtual time; see Config.SampleLiveSet. Requires the simulated
+// transport.
 func WithLiveSetSampling(interval time.Duration) Option {
 	return func(c *Config) { c.SampleLiveSet = interval }
 }
@@ -362,20 +334,8 @@ func WithNIC(enabled bool) Option { return func(c *Config) { c.DisableNIC = !ena
 // the cluster over real goroutines and wall-clock time instead of the
 // simulator: results become measurements of this machine rather than
 // deterministic predictions, and simulation-only features (stragglers,
-// faults, scenarios, the analytic SB, the parallel kernel) are rejected
-// by Validate. See Transport for the full contract.
+// faults, scenarios, the analytic SB) are rejected by Validate. See Transport for the full contract.
 func WithTransport(t Transport) Option { return func(c *Config) { c.Transport = t } }
-
-// WithKernel selects the discrete-event engine. KernelParallel requires
-// message-level PBFT with the NIC model off (WithNIC(false)) and no
-// slowdown factors below 1; Validate reports violations before anything
-// runs. Results are bit-identical across kernels for the same seed.
-func WithKernel(k Kernel) Option { return func(c *Config) { c.Kernel = k } }
-
-// WithWorkers bounds the parallel kernel's worker pool; 0 means
-// GOMAXPROCS. The worker count never changes results, only wall-clock
-// speed.
-func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
 
 // WithSeed sets the simulation seed; equal seeds reproduce runs exactly.
 func WithSeed(seed int64) Option { return func(c *Config) { c.Seed = seed } }
@@ -532,8 +492,6 @@ func (c Config) knobs() cluster.Config {
 		// The NIC bandwidth model is a simulation concept; the real
 		// transport measures real links, so it never applies there.
 		NIC:          !c.DisableNIC && !c.AnalyticSB && c.Transport == TransportSim,
-		Kernel:       c.Kernel,
-		Workers:      c.Workers,
 		Seed:         c.Seed,
 		CaptureState: c.CaptureState,
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -19,7 +20,6 @@ import (
 // stops compiling if the SDK grows a second declaration of the type.
 var (
 	_ cluster.NetProfile    = Net(0)
-	_ cluster.Kernel        = Kernel(0)
 	_ cluster.WindowStat    = Window{}
 	_ cluster.PhaseWindow   = Phase{}
 	_ cluster.LiveSetSample = LiveSetSample{}
@@ -151,6 +151,12 @@ func TestValidateTable(t *testing.T) {
 		{"negative byzantine", []Option{WithByzantine(-1)}, "ByzantineFaults"},
 		{"byzantine everyone", []Option{WithReplicas(4), WithByzantine(4)}, "ByzantineFaults"},
 		{"negative load", []Option{WithLoad(-1)}, "LoadTPS"},
+		{"NaN load", []Option{WithLoad(math.NaN())}, "LoadTPS"},
+		{"infinite load", []Option{WithLoad(math.Inf(1))}, "LoadTPS"},
+		{"NaN payments", []Option{WithPayments(math.NaN())}, "PaymentFraction"},
+		{"NaN straggler factor", []Option{WithStragglers(1, math.NaN())}, "StragglerFactor"},
+		{"NaN straggle scale", []Option{WithScenario(scenariodsl.New("v").StraggleAt(time.Second, math.NaN(), 1).Build())}, "Scenario"},
+		{"NaN load surge", []Option{WithScenario(scenariodsl.New("v").LoadSurgeAt(time.Second, math.NaN()).Build())}, "Scenario"},
 		{"negative duration", []Option{WithDuration(-time.Second)}, "Duration"},
 		{"negative warmup", []Option{WithWarmup(-time.Second)}, "Warmup"},
 		{"negative drain", []Option{WithDrain(-time.Second)}, "Drain"},
@@ -163,8 +169,6 @@ func TestValidateTable(t *testing.T) {
 		{"negative view timeout", []Option{WithViewTimeout(-time.Second)}, "ViewTimeout"},
 		{"negative tx size", []Option{WithTxSize(-1)}, "TxSize"},
 		{"too many replicas", []Option{WithReplicas(MaxReplicas + 1)}, "exceed the supported maximum 1024"},
-		{"bad kernel", []Option{WithKernel(Kernel(7))}, "must be KernelSerial or KernelParallel, got Kernel(7)"},
-		{"negative workers", []Option{WithWorkers(-1)}, "Workers"},
 		{"negative live-set interval", []Option{WithLiveSetSampling(-1)}, "SampleLiveSet"},
 		{"analytic with faults", []Option{WithAnalyticSB(), WithFaults(1, time.Second)}, "AnalyticSB"},
 		{"analytic with byzantine", []Option{WithAnalyticSB(), WithByzantine(1)}, "AnalyticSB"},

@@ -112,9 +112,9 @@ func SoakInfo() FigureInfo { return experiments.Info(SoakID) }
 // time over n = 100 replicas at full scale, sampling the cluster-wide
 // retained-state census throughout. The figure's acceptance signal is the
 // census staying flat after warmup — checkpoint GC bounding memory at any
-// virtual-time horizon. The cell needs the serial kernel (live-set
-// sampling) and hours of virtual time, which is why it lives outside the
-// deterministic suite. Equivalent to RunFigures with SoakID alone.
+// virtual-time horizon. The cell needs hours of virtual time, which is why
+// it lives outside the deterministic suite. Equivalent to RunFigures with
+// SoakID alone.
 func RunSoak(ctx context.Context, scale float64) (FigureResult, error) {
 	return runFigure(ctx, SoakID, scale)
 }

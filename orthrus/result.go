@@ -57,13 +57,9 @@ type Result struct {
 	ViewChanges int
 	SimEvents   uint64
 
-	// Kernel names the discrete-event engine that executed the run
-	// ("serial" or "parallel"), and Shards the number of replica shards
-	// the parallel kernel used (0 under the serial kernel — including
-	// when a parallel request fell back because the cluster was too small
-	// to shard). Results never differ across kernels.
+	// Kernel names the backend that executed the run: "serial" for the
+	// simulator's event loop, "real" for TransportProc.
 	Kernel string
-	Shards int
 
 	// LiveSetSamples holds the periodic retained-state censuses when the
 	// run sampled them (WithLiveSetSampling), nil otherwise, and
@@ -148,7 +144,6 @@ func fromCluster(res *cluster.Result) *Result {
 		ViewChanges:   res.ViewChanges,
 		SimEvents:     res.Events,
 		Kernel:        res.Kernel,
-		Shards:        res.Shards,
 		Halted:        res.Halted,
 		Converged:     res.Converged,
 		state:         res.State,

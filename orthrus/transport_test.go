@@ -30,7 +30,6 @@ func TestWithTransportValidation(t *testing.T) {
 		"straggler": {WithTransport(TransportProc), WithStragglers(1, 10)},
 		"crash":     {WithTransport(TransportProc), WithFaults(1, time.Second)},
 		"byzantine": {WithTransport(TransportProc), WithByzantine(1)},
-		"parallel":  {WithTransport(TransportProc), WithKernel(KernelParallel), WithNIC(false)},
 		"range":     {func(c *Config) { c.Transport = Transport(99) }},
 	}
 	for name, opts := range bad {
