@@ -420,12 +420,12 @@ func BenchmarkDynamicOrderer(b *testing.B) {
 // the event-driven network simulation.
 func BenchmarkPBFTRound(b *testing.B) {
 	sim := simnet.New(1)
-	nw := simnet.NewNetwork(sim, 4, simnet.NewFixed(time.Millisecond))
+	nw := simnet.NewNetwork(sim, 4, simnet.NewFixed(time.Millisecond), nil)
 	delivered := 0
 	engines := make([]*pbft.Engine, 4)
 	for i := 0; i < 4; i++ {
 		i := i
-		cfg := pbft.Config{N: 4, F: 1, ID: i, Instance: 0, Timeout: time.Hour, Window: 1 << 20, TxSize: 500,
+		cfg := pbft.Config{N: 4, F: 1, ID: i, Instance: 0, Timeout: time.Hour, Window: 1 << 20,
 			OnDeliver: func(blk *types.Block) {
 				if i == 0 {
 					delivered++

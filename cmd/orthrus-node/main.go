@@ -277,11 +277,11 @@ func runNode(o nodeOptions, stdout, stderr io.Writer, stop <-chan struct{}) erro
 				msg, targets := &core.SubmitMsg{Tx: tx}, router.Targets(tx)
 				for _, target := range targets {
 					if target != o.id {
-						tcp.Send(o.id, target, 0, msg)
+						tcp.Send(o.id, target, msg)
 					}
 				}
 				if slices.Contains(targets, o.id) {
-					tcp.Send(o.id, o.id, 0, msg)
+					tcp.Send(o.id, o.id, msg)
 				}
 			}
 		}()

@@ -37,8 +37,8 @@ const (
 )
 
 func (h *deliverHarness) Register(_ int, fn types.Handler) { h.handle = fn }
-func (h *deliverHarness) Send(int, int, int, any)          {}
-func (h *deliverHarness) Broadcast(_, _ int, msg any) {
+func (h *deliverHarness) Send(int, int, any)               {}
+func (h *deliverHarness) Broadcast(_ int, msg any) {
 	if m, ok := msg.(*core.CheckpointMsg); ok {
 		h.ckpt = m
 	}

@@ -51,6 +51,17 @@ func TestCheckRules(t *testing.T) {
 		{"SampleLiveSet", "must be non-negative, got -1s", func(c *Config) { c.SampleLiveSet = -time.Second }},
 		{"Scenario", "targets node 5 outside [0,4)", func(c *Config) { c.Scenario = scenario.New("far").CrashAt(time.Second, 5).Build() }},
 		{"Scenario", "has a scale outside (0,1e+06]", func(c *Config) { c.Scenario = scenario.New("slow").StraggleAt(time.Second, 1e300, 1).Build() }},
+		// A surge's rate is LoadTPS × multiplier, 1000 standing in for an
+		// unset LoadTPS; a product that underflows to 0 is not "no client".
+		{"Scenario", "got 2e-300", func(c *Config) {
+			c.LoadTPS, c.Scenario = 2, scenario.New("lull").LoadSurgeAt(time.Second, 1e-300).Build()
+		}},
+		{"Scenario", "got 1e-297", func(c *Config) {
+			c.LoadTPS, c.Scenario = 0, scenario.New("lull").LoadSurgeAt(time.Second, 1e-300).Build()
+		}},
+		{"Scenario", "got 5e-324", func(c *Config) {
+			c.LoadTPS, c.Scenario = 1e-9, scenario.New("lull").LoadSurgeAt(time.Second, 1e-320).Build()
+		}},
 	}
 	for _, tc := range cases {
 		cfg := smallCfg(core.OrthrusMode())

@@ -200,6 +200,13 @@ func (c Config) Check() (out core.Violations) {
 	if c.Scenario != nil && n >= 1 {
 		err := c.Scenario.Validate(n)
 		out.Add(err != nil, "Scenario", "%v", err)
+		// A surge paces the client at the run's rate × its multiplier, a
+		// product that must not underflow to 0 and pass as "no client".
+		for _, e := range c.Scenario.Events {
+			if err == nil && e.Kind == scenario.LoadSurge {
+				out.AddLoad("Scenario", max(c.withDefaults().LoadTPS*e.Scale, math.SmallestNonzeroFloat64))
+			}
+		}
 	}
 	return out
 }

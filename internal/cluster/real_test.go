@@ -11,6 +11,7 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/transport"
 	"repro/internal/types"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -52,7 +53,9 @@ func xvalConfig(mode core.Mode) Config {
 func runSimDigests(t *testing.T, mode core.Mode) []digestLog {
 	t.Helper()
 	sim := simnet.New(1)
-	nw := simnet.NewNetwork(sim, xvalN, simnet.NewLAN())
+	nw := simnet.NewNetwork(sim, xvalN, simnet.NewLAN(), func(msg any) int {
+		return wire.ModeledSize(msg, xvalConfig(mode).TxSize)
+	})
 	gen := newXvalSource()
 	genesis := gen.Genesis()
 	logs := make([]digestLog, xvalN)

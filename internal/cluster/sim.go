@@ -9,6 +9,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/simnet"
 	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 // simPool recycles simulators across runs: Sim.Reset reuses the event
@@ -43,7 +44,7 @@ func Run(cfg Config) *Result {
 	if cfg.AnalyticSB {
 		model.JitterFrac = 0 // closed-form times need deterministic delays
 	}
-	nw := simnet.NewNetwork(sim, n, model)
+	nw := simnet.NewNetwork(sim, n, model, func(msg any) int { return wire.ModeledSize(msg, cfg.TxSize) })
 	if cfg.NIC && !cfg.AnalyticSB {
 		model.BandwidthBps = 0 // serialization moves into the NIC queues
 		nw.SetNICBps(1e9)

@@ -68,7 +68,7 @@ func (r *Replica) maybeFinishEpoch() {
 		if d, ok := r.localDigest(r.epoch); ok {
 			r.ckptSent = r.epoch + 1
 			msg := &CheckpointMsg{Epoch: r.epoch, Digest: d, Replica: r.cfg.ID}
-			r.nw.Broadcast(r.cfg.ID, 128, msg)
+			r.nw.Broadcast(r.cfg.ID, msg)
 		}
 	}
 	if r.pend.live {

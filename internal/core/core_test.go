@@ -23,7 +23,7 @@ type testCluster struct {
 func newTestCluster(t *testing.T, n int, mode core.Mode, genesis func(*ledger.Store), mutate func(i int, cfg *core.Config)) *testCluster {
 	t.Helper()
 	c := &testCluster{sim: simnet.New(1)}
-	c.nw = simnet.NewNetwork(c.sim, n, simnet.NewFixed(5*time.Millisecond))
+	c.nw = simnet.NewNetwork(c.sim, n, simnet.NewFixed(5*time.Millisecond), nil)
 	c.results = make([]map[types.TxID]bool, n)
 	for i := 0; i < n; i++ {
 		i := i

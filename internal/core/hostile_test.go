@@ -37,7 +37,7 @@ func newHostileCluster(t *testing.T) *hostileCluster {
 	const n = 4
 	c := &hostileCluster{sim: simnet.New(1)}
 	nw := &tapNetwork{
-		Network:  simnet.NewNetwork(c.sim, n, simnet.NewFixed(5*time.Millisecond)),
+		Network:  simnet.NewNetwork(c.sim, n, simnet.NewFixed(5*time.Millisecond), nil),
 		handlers: make([]types.Handler, n),
 	}
 	for i := 0; i < n; i++ {

@@ -23,7 +23,7 @@ func newBareReplica(t *testing.T, mode Mode) *Replica {
 func newBareReplicaM(t *testing.T, mode Mode, m int) *Replica {
 	t.Helper()
 	sim := simnet.New(1)
-	nw := simnet.NewNetwork(sim, 4, simnet.NewFixed(time.Millisecond))
+	nw := simnet.NewNetwork(sim, 4, simnet.NewFixed(time.Millisecond), nil)
 	cfg := Config{
 		N: 4, F: 1, ID: 0, M: m,
 		Mode: mode,
@@ -139,7 +139,7 @@ func TestLegFeasibleTracksPromisedDebits(t *testing.T) {
 func TestEpochDigestMatchesAcrossReplicas(t *testing.T) {
 	mk := func() *Replica {
 		sim := simnet.New(1)
-		nw := simnet.NewNetwork(sim, 4, simnet.NewFixed(time.Millisecond))
+		nw := simnet.NewNetwork(sim, 4, simnet.NewFixed(time.Millisecond), nil)
 		cfg := Config{N: 4, F: 1, ID: 0, M: 4, Mode: OrthrusMode(), Params: Params{EpochLen: 1}}
 		return NewReplica(cfg, simnet.On(sim, cfg.ID), nw)
 	}
@@ -179,7 +179,7 @@ func TestEpochDigestMatchesAcrossReplicas(t *testing.T) {
 func epochReplica(t *testing.T, stateTransfer bool) *Replica {
 	t.Helper()
 	sim := simnet.New(1)
-	nw := simnet.NewNetwork(sim, 4, simnet.NewFixed(time.Millisecond))
+	nw := simnet.NewNetwork(sim, 4, simnet.NewFixed(time.Millisecond), nil)
 	cfg := Config{N: 4, F: 1, ID: 0, M: 4, Mode: OrthrusMode(),
 		Params: Params{EpochLen: 1, StateTransfer: stateTransfer}}
 	return NewReplica(cfg, simnet.On(sim, cfg.ID), nw)
@@ -358,7 +358,7 @@ func TestGlogHeadBlockingPreservesOrder(t *testing.T) {
 
 func TestByzantinePulseInterval(t *testing.T) {
 	sim := simnet.New(1)
-	nw := simnet.NewNetwork(sim, 4, simnet.NewFixed(time.Millisecond))
+	nw := simnet.NewNetwork(sim, 4, simnet.NewFixed(time.Millisecond), nil)
 	cfg := Config{N: 4, F: 1, ID: 2, M: 4, Mode: OrthrusMode(),
 		Params:        Params{BatchTimeout: 10 * time.Millisecond, ViewTimeout: time.Second},
 		ByzantineMute: true}

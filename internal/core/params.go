@@ -19,7 +19,9 @@ type Params struct {
 	Window       int           // pipelined proposals per instance
 	EpochLen     uint64        // blocks per instance per epoch
 	ViewTimeout  time.Duration // PBFT view-change timeout
-	TxSize       int           // modeled transaction wire size in bytes
+	// TxSize is a transaction's modeled size in bytes. Only the simulated
+	// network charges it; real transports carry real encodings (≈ 50 B now).
+	TxSize int
 
 	// CensorshipBlocks is the censorship detector's patience: if the
 	// oldest feasible transaction in a bucket stays unproposed while this

@@ -52,7 +52,7 @@ func TestPulseStaleWakeupAfterRecover(t *testing.T) {
 	}{{"wheel", simnet.QueueWheel}, {"heap", simnet.QueueHeap}} {
 		t.Run(q.name, func(t *testing.T) {
 			sim := simnet.NewWithQueue(1, q.kind)
-			nw := simnet.NewNetwork(sim, 1, simnet.NewFixed(time.Millisecond))
+			nw := simnet.NewNetwork(sim, 1, simnet.NewFixed(time.Millisecond), nil)
 			sb := &countingSB{}
 			r := NewReplica(Config{
 				N: 1, F: 0, ID: 0, M: 1,

@@ -291,7 +291,6 @@ func (r *Replica) pbftBuilder() SBBuilder {
 			N: r.cfg.N, F: r.cfg.F, ID: r.cfg.ID, Instance: instance,
 			Window:       r.cfg.Window,
 			Timeout:      r.cfg.ViewTimeout,
-			TxSize:       r.cfg.TxSize,
 			MakeNoop:     hooks.MakeNoop,
 			OnDeliver:    hooks.OnDeliver,
 			OnViewChange: hooks.OnViewChange,

@@ -13,6 +13,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/simnet"
 	"repro/internal/types"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -268,12 +269,16 @@ func TestAttackPresetVictimsAreLeaderRoles(t *testing.T) {
 	}
 }
 
+// modeledSize is what cluster.Run's simulated network charges a message at
+// the default transaction size.
+func modeledSize(msg any) int { return wire.ModeledSize(msg, core.Params{}.WithDefaults().TxSize) }
+
 // newTestClusterSeed is newTestCluster with an explicit simulation seed so
 // property tests explore different jitter schedules.
 func newTestClusterSeed(t *testing.T, n int, mode core.Mode, genesis func(*ledger.Store), mutate func(i int, cfg *core.Config), seed int64) *testCluster {
 	t.Helper()
 	c := &testCluster{sim: simnet.New(seed)}
-	c.nw = simnet.NewNetwork(c.sim, n, simnet.NewWAN())
+	c.nw = simnet.NewNetwork(c.sim, n, simnet.NewWAN(), modeledSize)
 	c.results = make([]map[types.TxID]bool, n)
 	for i := 0; i < n; i++ {
 		i := i

@@ -77,7 +77,7 @@ type StateTransferResp struct {
 func (r *Replica) requestStateTransfer() {
 	clear(r.stResps)
 	req := &StateTransferReq{Replica: r.cfg.ID, State: r.state.Clone()}
-	r.nw.Broadcast(r.cfg.ID, 32+8*r.cfg.M, req)
+	r.nw.Broadcast(r.cfg.ID, req)
 }
 
 // onStateTransferReq answers a peer's catch-up request with the latest
@@ -94,12 +94,10 @@ func (r *Replica) onStateTransferReq(m *StateTransferReq) bool {
 		return true
 	}
 	resp := &StateTransferResp{Replica: r.cfg.ID}
-	size := 64
 	if r.stableEpoch > 0 {
 		if bd, ok := r.bound[r.stableEpoch-1]; ok {
 			resp.Cert = CheckpointCert{Stable: r.stableEpoch, Digest: boundDigest(bd),
 				Bound: append([][32]byte(nil), bd...)}
-			size += 32 * (len(bd) + 1)
 		}
 	}
 	for i := 0; i < r.cfg.M; i++ {
@@ -114,12 +112,8 @@ func (r *Replica) onStateTransferReq(m *StateTransferReq) bool {
 		// shrinking under GC and must not be aliased across replicas.
 		blocks := append([]*types.Block(nil), r.archive[i][from-r.archiveBase[i]:]...)
 		resp.Runs = append(resp.Runs, BlockRun{Instance: i, Blocks: blocks})
-		for _, b := range blocks {
-			// 96: an archived block's header, not pbft's (equal) vote size.
-			size += 96 + len(b.Txs)*r.cfg.TxSize
-		}
 	}
-	r.nw.Send(r.cfg.ID, m.Replica, size, resp)
+	r.nw.Send(r.cfg.ID, m.Replica, resp)
 	return true
 }
 

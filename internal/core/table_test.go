@@ -26,7 +26,7 @@ func submitShared(replica, tx any) { _ = replica.(*core.Replica).SubmitTx(tx.(*t
 func TestUnstampedSharedPointersAcrossShards(t *testing.T) {
 	const n, victim = 4, 2
 	sim := simnet.New(7)
-	nw := simnet.NewNetwork(sim, n, simnet.NewLAN())
+	nw := simnet.NewNetwork(sim, n, simnet.NewLAN(), modeledSize)
 	names := accountNames(12)
 	results := make([]map[types.TxID]bool, n) // results[i] is written by replica i only
 	replicas := make([]*core.Replica, n)
@@ -120,8 +120,8 @@ type captureNet struct {
 }
 
 func (c *captureNet) Register(_ int, h types.Handler) { c.handle = h }
-func (c *captureNet) Send(int, int, int, any)         {}
-func (c *captureNet) Broadcast(_, _ int, msg any) {
+func (c *captureNet) Send(int, int, any)              {}
+func (c *captureNet) Broadcast(_ int, msg any) {
 	if m, ok := msg.(*core.CheckpointMsg); ok {
 		c.ckpt = m
 	}

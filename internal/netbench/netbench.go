@@ -195,7 +195,7 @@ func runCell(backend string, n int, opts Options) (Cell, error) {
 		}
 		p.Start(epoch)
 		e = env{
-			broadcast: func(from int, msg any) { p.Broadcast(from, 0, msg) },
+			broadcast: p.Broadcast,
 			messages:  p.Messages,
 			bytes:     p.Bytes,
 			drops:     func() uint64 { return 0 },
@@ -233,7 +233,7 @@ func runCell(backend string, n int, opts Options) (Cell, error) {
 			}
 		}
 		e = env{
-			broadcast: func(from int, msg any) { ts[from].Broadcast(from, 0, msg) },
+			broadcast: func(from int, msg any) { ts[from].Broadcast(from, msg) },
 			messages:  sum((*transport.TCP).Messages),
 			bytes:     sum((*transport.TCP).Bytes),
 			drops:     sum((*transport.TCP).Dropped),

@@ -58,9 +58,9 @@ func (e *Engine) equivocate(m *PrePrepare) {
 	half := e.cfg.N / 2
 	for to := 0; to < e.cfg.N; to++ {
 		if to < half {
-			e.nw.Send(e.cfg.ID, to, SizeOf(m, e.cfg.TxSize), m)
+			e.nw.Send(e.cfg.ID, to, m)
 		} else {
-			e.nw.Send(e.cfg.ID, to, SizeOf(twin, e.cfg.TxSize), twin)
+			e.nw.Send(e.cfg.ID, to, twin)
 		}
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // Config parameterizes one PBFT engine (one SB instance at one replica).
-// Window, Timeout and TxSize arrive resolved (core.Params.WithDefaults): New
-// applies no defaults to them.
+// Window and Timeout arrive resolved (core.Params.WithDefaults): New applies
+// no defaults to them.
 type Config struct {
 	N        int // number of replicas
 	F        int // fault threshold, N >= 3F+1
@@ -21,8 +21,6 @@ type Config struct {
 	// Timeout is the base progress timeout before a view change; it doubles
 	// for consecutive unsuccessful view changes.
 	Timeout time.Duration
-	// TxSize is the modeled per-transaction wire size in bytes.
-	TxSize int
 	// MakeNoop builds a no-op filler block for a sequence number the new
 	// leader must decide without a prepared certificate (ISS-style).
 	MakeNoop func(sn uint64) *types.Block
@@ -296,10 +294,6 @@ func New(cfg Config, nw types.Network, sim types.Clock) *Engine {
 	}
 }
 
-// broadcast sends m to every replica, this one included, at its modeled
-// size.
-func (e *Engine) broadcast(m Message) { e.nw.Broadcast(e.cfg.ID, SizeOf(m, e.cfg.TxSize), m) }
-
 // View returns the current view number.
 func (e *Engine) View() uint64 { return e.view }
 
@@ -425,7 +419,7 @@ func (e *Engine) Propose(b *types.Block) error {
 	case e.equivocating():
 		e.equivocate(m)
 	default:
-		e.broadcast(m)
+		e.nw.Broadcast(e.cfg.ID, m)
 	}
 	return nil
 }
@@ -543,7 +537,7 @@ func (e *Engine) onPrePrepare(from int, m *PrePrepare) {
 	// Backups (and the leader itself) echo a prepare vote.
 	if !e.cfg.Mute {
 		p := &Prepare{Instance: e.cfg.Instance, View: m.View, Seq: m.Seq, Digest: s.digest, Replica: e.cfg.ID}
-		e.broadcast(p)
+		e.nw.Broadcast(e.cfg.ID, p)
 	}
 	e.advance(m.Seq)
 }
@@ -583,7 +577,7 @@ func (e *Engine) advance(seq uint64) {
 			s.preparedBlock = s.block
 			if !e.cfg.Mute {
 				c := &Commit{Instance: e.cfg.Instance, View: s.view, Seq: seq, Digest: s.digest, Replica: e.cfg.ID}
-				e.broadcast(c)
+				e.nw.Broadcast(e.cfg.ID, c)
 			}
 		}
 	}
@@ -692,7 +686,7 @@ func (e *Engine) startViewChange(newView uint64) {
 		Prepared:  prepared,
 	}
 	if !e.cfg.Mute {
-		e.broadcast(vc)
+		e.nw.Broadcast(e.cfg.ID, vc)
 	} else {
 		// A muted replica still tracks its own intent locally.
 		e.onViewChange(vc)
@@ -806,7 +800,7 @@ func (e *Engine) sendNewView(view uint64) {
 			Instance: e.cfg.Instance, View: view, Seq: seq, Block: b,
 		})
 	}
-	e.broadcast(nv)
+	e.nw.Broadcast(e.cfg.ID, nv)
 }
 
 func (e *Engine) onNewView(from int, m *NewView) {

@@ -17,7 +17,7 @@ type harness struct {
 }
 
 // newEngine is New for tests that leave the engine knobs alone: it fills the
-// three New expects resolved with the values production callers pass (the
+// two New expects resolved with the values production callers pass (the
 // defaults of core.Params, restated here because pbft cannot import core).
 func newEngine(cfg Config, nw types.Network, clk types.Clock) *Engine {
 	if cfg.Window == 0 {
@@ -26,16 +26,13 @@ func newEngine(cfg Config, nw types.Network, clk types.Clock) *Engine {
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 10 * time.Second
 	}
-	if cfg.TxSize == 0 {
-		cfg.TxSize = 500
-	}
 	return New(cfg, nw, clk)
 }
 
 func newHarness(t *testing.T, n, f int, mutate func(i int, cfg *Config)) *harness {
 	t.Helper()
 	h := &harness{sim: simnet.New(42)}
-	h.nw = simnet.NewNetwork(h.sim, n, simnet.NewFixed(5*time.Millisecond))
+	h.nw = simnet.NewNetwork(h.sim, n, simnet.NewFixed(5*time.Millisecond), nil)
 	h.delivered = make([][]*types.Block, n)
 	h.engines = make([]*Engine, n)
 	for i := 0; i < n; i++ {
@@ -131,7 +128,7 @@ func TestWindowLimitsPipelining(t *testing.T) {
 
 func TestAgreementUnderWANJitter(t *testing.T) {
 	sim := simnet.New(7)
-	nw := simnet.NewNetwork(sim, 4, simnet.NewWAN())
+	nw := simnet.NewNetwork(sim, 4, simnet.NewWAN(), nil)
 	delivered := make([][]*types.Block, 4)
 	engines := make([]*Engine, 4)
 	for i := 0; i < 4; i++ {
@@ -290,7 +287,7 @@ func TestNonLeaderPrePrepareIgnored(t *testing.T) {
 	h := newHarness(t, 4, 1, nil)
 	// Replica 2 forges a pre-prepare; nobody should deliver it.
 	forged := &PrePrepare{Instance: 0, View: 0, Seq: 0, Block: mkBlock(0, 1)}
-	h.nw.Broadcast(2, 100, Message(forged))
+	h.nw.Broadcast(2, Message(forged))
 	h.sim.RunAll(0)
 	for i, d := range h.delivered {
 		if len(d) != 0 {
@@ -325,7 +322,7 @@ func TestDuplicateVotesNotDoubleCounted(t *testing.T) {
 func TestDeterministicRuns(t *testing.T) {
 	run := func() []types.BlockID {
 		sim := simnet.New(11)
-		nw := simnet.NewNetwork(sim, 4, simnet.NewWAN())
+		nw := simnet.NewNetwork(sim, 4, simnet.NewWAN(), nil)
 		var ids []types.BlockID
 		engines := make([]*Engine, 4)
 		for i := 0; i < 4; i++ {
@@ -378,16 +375,5 @@ func TestLeaderRotationPerInstance(t *testing.T) {
 	cfg := Config{N: 4, F: 1, Instance: 2}
 	if cfg.LeaderOf(0) != 2 || cfg.LeaderOf(1) != 3 || cfg.LeaderOf(2) != 0 {
 		t.Fatal("leader rotation wrong")
-	}
-}
-
-func TestSizeOfScalesWithBatch(t *testing.T) {
-	small := SizeOf(&PrePrepare{Block: mkBlock(0, 1)}, 500)
-	big := SizeOf(&PrePrepare{Block: mkBlock(0, 100)}, 500)
-	if big-small != 99*500 {
-		t.Fatalf("size delta = %d", big-small)
-	}
-	if SizeOf(&Prepare{}, 500) != CtrlMsgSize {
-		t.Fatal("control size wrong")
 	}
 }

@@ -93,34 +93,3 @@ type NewView struct {
 
 // PBFTInstance implements Message.
 func (m *NewView) PBFTInstance() int { return m.Instance }
-
-// Approximate wire sizes in bytes, used by the bandwidth model (and charged
-// by package sb's closed form). Control messages are small and constant;
-// proposals scale with the batch.
-const (
-	CtrlMsgSize   = 96  // one vote
-	BlockOverhead = 160 // fixed per-block overhead of a pre-prepare
-)
-
-// SizeOf estimates the serialized size of a message given the per-tx
-// payload size (the paper uses 500-byte transactions).
-func SizeOf(m Message, txSize int) int {
-	switch v := m.(type) {
-	case *PrePrepare:
-		return BlockOverhead + len(v.Block.Txs)*txSize
-	case *ViewChange:
-		sz := CtrlMsgSize
-		for _, p := range v.Prepared {
-			sz += BlockOverhead + len(p.Block.Txs)*txSize
-		}
-		return sz
-	case *NewView:
-		sz := CtrlMsgSize
-		for _, p := range v.Reproposals {
-			sz += BlockOverhead + len(p.Block.Txs)*txSize
-		}
-		return sz
-	default:
-		return CtrlMsgSize
-	}
-}

@@ -60,8 +60,8 @@ func TestNormalCaseDeliveryAt128(t *testing.T) {
 type dropTransport struct{}
 
 func (dropTransport) Register(int, types.Handler) {}
-func (dropTransport) Broadcast(int, int, any)     {}
-func (dropTransport) Send(int, int, int, any)     {}
+func (dropTransport) Broadcast(int, any)          {}
+func (dropTransport) Send(int, int, any)          {}
 
 // TestProgressDetectorTracksShrinkingDeadline is the regression for the
 // event-thrifty failure detector: when the deadline moves *earlier* than

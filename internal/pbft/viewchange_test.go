@@ -127,7 +127,7 @@ func TestViewChangeAmplification(t *testing.T) {
 
 func TestTimeoutBackoffDoubles(t *testing.T) {
 	sim := simnet.New(1)
-	nw := simnet.NewNetwork(sim, 4, simnet.NewFixed(time.Millisecond))
+	nw := simnet.NewNetwork(sim, 4, simnet.NewFixed(time.Millisecond), nil)
 	var installed []uint64
 	engines := make([]*Engine, 4)
 	for i := 0; i < 4; i++ {
@@ -183,8 +183,8 @@ func TestMuteReplicaComplaintStaysLocal(t *testing.T) {
 type recordingTransport struct{ msgs []Message }
 
 func (t *recordingTransport) Register(int, types.Handler) {}
-func (t *recordingTransport) Broadcast(_, _ int, msg any) { t.msgs = append(t.msgs, msg.(Message)) }
-func (t *recordingTransport) Send(_, _, _ int, msg any)   { t.msgs = append(t.msgs, msg.(Message)) }
+func (t *recordingTransport) Broadcast(_ int, msg any)    { t.msgs = append(t.msgs, msg.(Message)) }
+func (t *recordingTransport) Send(_, _ int, msg any)      { t.msgs = append(t.msgs, msg.(Message)) }
 
 // TestStopCancelsFailureDetector: a Stop/Resume cycle must not replay a
 // pre-crash progress timeout as a spurious view change — the recovered

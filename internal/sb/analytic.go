@@ -25,6 +25,7 @@ import (
 	"repro/internal/pbft"
 	"repro/internal/simnet"
 	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 // Config parameterizes one analytic SB instance (shared by all replicas).
@@ -35,7 +36,7 @@ type Config struct {
 	F        int // fault threshold
 	Instance int // SB instance index
 	Window   int // pipelined proposals
-	TxSize   int // modeled per-transaction wire size
+	TxSize   int // modeled per-transaction size (wire.ModeledSize)
 }
 
 // Instance is the shared state of one analytic SB instance. Each replica
@@ -112,7 +113,7 @@ func (inst *Instance) Port(id int, deliver func(*types.Block)) *Port {
 // size (see quorumCache).
 func (inst *Instance) propose(b *types.Block) {
 	n := inst.cfg.N
-	blockSize := pbft.BlockOverhead + len(b.Txs)*inst.cfg.TxSize
+	blockSize := wire.BlockSize(len(b.Txs), inst.cfg.TxSize)
 	t0 := inst.sim.Now()
 	qt := inst.quorumTimesFor(blockSize)
 	// Schedule in-order deliveries (closure-free call events: n per block).
@@ -125,11 +126,10 @@ func (inst *Instance) propose(b *types.Block) {
 		inst.sim.CallAt(at, portDeliver, inst.ports[j], b)
 	}
 	// Fold the traffic the closed form replaced into the network's message
-	// statistics: one pre-prepare broadcast (n messages of the block) plus
-	// n prepare and n commit broadcasts (n^2 control messages each), the
-	// same counts the message-level engine would deliver fault-free.
-	un := uint64(n)
-	inst.nw.AddModeled(2*un*un+un, un*uint64(blockSize)+2*un*un*pbft.CtrlMsgSize)
+	// count: one pre-prepare broadcast (n messages) plus n prepare and n
+	// commit broadcasts (n^2 votes each), the same counts the message-level
+	// engine would deliver fault-free.
+	inst.nw.AddModeled(uint64(2*n*n + n))
 }
 
 // quorumTimesFor returns the memoized commit-time offsets for a block of
@@ -160,7 +160,7 @@ func (inst *Instance) quorumTimesFor(blockSize int) *quorumTimes {
 	// it; the vote from i reaches j after the (i,j) control delay.
 	for j := 0; j < n; j++ {
 		for i := 0; i < n; i++ {
-			inst.tmp[i] = inst.arrive[i] + simnet.Time(inst.nw.BaseDelay(i, j, pbft.CtrlMsgSize))
+			inst.tmp[i] = inst.arrive[i] + simnet.Time(inst.nw.BaseDelay(i, j, wire.VoteSize))
 		}
 		slices.Sort(inst.tmp)
 		p := inst.tmp[quorum-1]
@@ -173,7 +173,7 @@ func (inst *Instance) quorumTimesFor(blockSize int) *quorumTimes {
 	// broadcasts its commit the moment it is prepared.
 	for j := 0; j < n; j++ {
 		for i := 0; i < n; i++ {
-			inst.tmp[i] = inst.prepared[i] + simnet.Time(inst.nw.BaseDelay(i, j, pbft.CtrlMsgSize))
+			inst.tmp[i] = inst.prepared[i] + simnet.Time(inst.nw.BaseDelay(i, j, wire.VoteSize))
 		}
 		slices.Sort(inst.tmp)
 		c := inst.tmp[quorum-1]

@@ -8,11 +8,15 @@ import (
 	"repro/internal/pbft"
 	"repro/internal/simnet"
 	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 // resolved holds the engine knobs as production callers hand them to both
 // SB implementations: NewInstance and pbft.New apply no defaults.
 var resolved = core.Params{}.WithDefaults()
+
+// modeled is the size function cluster.Run builds its network with.
+func modeled(msg any) int { return wire.ModeledSize(msg, resolved.TxSize) }
 
 // newInstance is NewInstance with the knobs a test left zero resolved.
 func newInstance(cfg Config, sim *simnet.Sim, nw *simnet.Network) *Instance {
@@ -35,7 +39,7 @@ func mkBlock(instance int, sn uint64, ntx int) *types.Block {
 
 func TestAnalyticDeliversInOrderToAll(t *testing.T) {
 	sim := simnet.New(1)
-	nw := simnet.NewNetwork(sim, 4, simnet.NewFixed(10*time.Millisecond))
+	nw := simnet.NewNetwork(sim, 4, simnet.NewFixed(10*time.Millisecond), nil)
 	inst := newInstance(Config{N: 4, F: 1, Instance: 0}, sim, nw)
 	got := make([][]uint64, 4)
 	ports := make([]*Port, 4)
@@ -63,7 +67,7 @@ func TestAnalyticDeliversInOrderToAll(t *testing.T) {
 
 func TestAnalyticOnlyLeaderProposes(t *testing.T) {
 	sim := simnet.New(1)
-	nw := simnet.NewNetwork(sim, 4, simnet.NewFixed(time.Millisecond))
+	nw := simnet.NewNetwork(sim, 4, simnet.NewFixed(time.Millisecond), nil)
 	inst := newInstance(Config{N: 4, F: 1, Instance: 2}, sim, nw)
 	p0 := inst.Port(0, func(*types.Block) {})
 	p2 := inst.Port(2, func(*types.Block) {})
@@ -80,7 +84,7 @@ func TestAnalyticOnlyLeaderProposes(t *testing.T) {
 
 func TestAnalyticWindowBackpressure(t *testing.T) {
 	sim := simnet.New(1)
-	nw := simnet.NewNetwork(sim, 4, simnet.NewFixed(time.Millisecond))
+	nw := simnet.NewNetwork(sim, 4, simnet.NewFixed(time.Millisecond), nil)
 	inst := newInstance(Config{N: 4, F: 1, Instance: 0, Window: 2}, sim, nw)
 	var p *Port
 	for i := 0; i < 4; i++ {
@@ -115,12 +119,12 @@ func TestAnalyticMatchesMessageLevelPBFT(t *testing.T) {
 
 	// Message-level PBFT run.
 	simA := simnet.New(1)
-	nwA := simnet.NewNetwork(simA, n, model)
+	nwA := simnet.NewNetwork(simA, n, model, modeled)
 	pbftTimes := make([]simnet.Time, 0, n)
 	engines := make([]*pbft.Engine, n)
 	for i := 0; i < n; i++ {
 		i := i
-		cfg := pbft.Config{N: n, F: f, ID: i, Instance: 0, Timeout: time.Hour, Window: resolved.Window, TxSize: resolved.TxSize,
+		cfg := pbft.Config{N: n, F: f, ID: i, Instance: 0, Timeout: time.Hour, Window: resolved.Window,
 			OnDeliver: func(b *types.Block) { pbftTimes = append(pbftTimes, simA.Now()) }}
 		engines[i] = pbft.New(cfg, nwA, simnet.On(simA, i))
 		nwA.Register(i, func(from int, msg any) { engines[i].Handle(from, msg.(pbft.Message)) })
@@ -135,7 +139,7 @@ func TestAnalyticMatchesMessageLevelPBFT(t *testing.T) {
 
 	// Analytic run over an identical network.
 	simB := simnet.New(1)
-	nwB := simnet.NewNetwork(simB, n, model)
+	nwB := simnet.NewNetwork(simB, n, model, modeled)
 	inst := newInstance(Config{N: n, F: f, Instance: 0}, simB, nwB)
 	anaTimes := make([]simnet.Time, 0, n)
 	var leader *Port
@@ -170,12 +174,12 @@ func TestAnalyticMatchesPBFTOnWAN(t *testing.T) {
 	wan.JitterFrac = 0 // deterministic for exact comparison
 
 	simA := simnet.New(1)
-	nwA := simnet.NewNetwork(simA, n, wan)
+	nwA := simnet.NewNetwork(simA, n, wan, modeled)
 	pbftTimes := make(map[int]simnet.Time, n)
 	engines := make([]*pbft.Engine, n)
 	for i := 0; i < n; i++ {
 		i := i
-		cfg := pbft.Config{N: n, F: f, ID: i, Instance: 0, Timeout: time.Hour, Window: resolved.Window, TxSize: resolved.TxSize,
+		cfg := pbft.Config{N: n, F: f, ID: i, Instance: 0, Timeout: time.Hour, Window: resolved.Window,
 			OnDeliver: func(b *types.Block) { pbftTimes[i] = simA.Now() }}
 		engines[i] = pbft.New(cfg, nwA, simnet.On(simA, i))
 		nwA.Register(i, func(from int, msg any) { engines[i].Handle(from, msg.(pbft.Message)) })
@@ -186,7 +190,7 @@ func TestAnalyticMatchesPBFTOnWAN(t *testing.T) {
 	simA.RunAll(0)
 
 	simB := simnet.New(1)
-	nwB := simnet.NewNetwork(simB, n, wan)
+	nwB := simnet.NewNetwork(simB, n, wan, modeled)
 	inst := newInstance(Config{N: n, F: f, Instance: 0}, simB, nwB)
 	anaTimes := make(map[int]simnet.Time, n)
 	var leader *Port
@@ -214,7 +218,7 @@ func TestAnalyticStragglerSlowsOwnInstanceOnly(t *testing.T) {
 	model := simnet.NewFixed(10 * time.Millisecond)
 	run := func(straggle bool) simnet.Time {
 		sim := simnet.New(1)
-		nw := simnet.NewNetwork(sim, n, model)
+		nw := simnet.NewNetwork(sim, n, model, nil)
 		if straggle {
 			nw.SetOutScale(0, 10)
 		}
@@ -241,7 +245,7 @@ func TestAnalyticStragglerSlowsOwnInstanceOnly(t *testing.T) {
 
 func TestAnalyticStoppedPortDoesNotDeliver(t *testing.T) {
 	sim := simnet.New(1)
-	nw := simnet.NewNetwork(sim, 4, simnet.NewFixed(time.Millisecond))
+	nw := simnet.NewNetwork(sim, 4, simnet.NewFixed(time.Millisecond), nil)
 	inst := newInstance(Config{N: 4, F: 1, Instance: 0}, sim, nw)
 	count := 0
 	var leader *Port

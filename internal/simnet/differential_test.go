@@ -165,13 +165,13 @@ func simTrace(kind QueueKind, seed int64) []traceStamp {
 	for round := 0; round < 2; round++ {
 		s.Reset(seed + int64(round))
 		rng := rand.New(rand.NewSource(seed*31 + int64(round)))
-		nw := NewNetwork(s, 4, NewFixed(time.Millisecond))
+		nw := NewNetwork(s, 4, NewFixed(time.Millisecond), nil)
 		record := func() { trace = append(trace, traceStamp{s.Now(), s.events, s.cur}) }
 		for i := 0; i < 4; i++ {
 			nw.Register(i, func(from int, msg any) {
 				record()
 				if m, ok := msg.(int); ok && m > 0 && rng.Intn(3) == 0 {
-					nw.Send(from, m%4, 64, m-1)
+					nw.Send(from, m%4, m-1)
 				}
 			})
 		}
@@ -181,7 +181,7 @@ func simTrace(kind QueueKind, seed int64) []traceStamp {
 			i := i
 			switch rng.Intn(4) {
 			case 0:
-				nw.Send(rng.Intn(4), rng.Intn(4), 128, rng.Intn(8))
+				nw.Send(rng.Intn(4), rng.Intn(4), rng.Intn(8))
 			case 1:
 				s.After(Duration(rng.Int63n(int64(5*time.Second))), func() {
 					record()

@@ -5,15 +5,21 @@ import (
 	"time"
 )
 
+// sized is a test message whose value is its size in bytes: the NIC and
+// bandwidth tests build their networks with sizeOf as the size function.
+type sized int
+
+func sizeOf(msg any) int { return int(msg.(sized)) }
+
 func TestNICSerializationDelay(t *testing.T) {
 	s := New(1)
-	nw := NewNetwork(s, 2, NewFixed(10*time.Millisecond))
+	nw := NewNetwork(s, 2, NewFixed(10*time.Millisecond), sizeOf)
 	nw.SetNICBps(1e9) // 1 Gbps
 	var at Time
 	nw.Register(0, func(from int, msg any) {})
 	nw.Register(1, func(from int, msg any) { at = s.Now() })
 	// 1 MB message: 8 ms egress + 10 ms propagation + 8 ms ingress = 26 ms.
-	nw.Send(0, 1, 1_000_000, "big")
+	nw.Send(0, 1, sized(1_000_000))
 	s.RunAll(0)
 	want := Time(26 * time.Millisecond)
 	if at < want-Time(time.Millisecond) || at > want+Time(time.Millisecond) {
@@ -25,7 +31,7 @@ func TestNICEgressQueueing(t *testing.T) {
 	// Two large messages from one sender must serialize on its egress link:
 	// the second starts transmitting only after the first finishes.
 	s := New(1)
-	nw := NewNetwork(s, 3, NewFixed(time.Millisecond))
+	nw := NewNetwork(s, 3, NewFixed(time.Millisecond), sizeOf)
 	nw.SetNICBps(1e9)
 	var times []Time
 	for i := 0; i < 3; i++ {
@@ -36,8 +42,8 @@ func TestNICEgressQueueing(t *testing.T) {
 			}
 		})
 	}
-	nw.Send(0, 1, 1_000_000, "a") // 8 ms egress
-	nw.Send(0, 2, 1_000_000, "b") // waits for a's egress
+	nw.Send(0, 1, sized(1_000_000)) // 8 ms egress
+	nw.Send(0, 2, sized(1_000_000)) // waits for the first egress
 	s.RunAll(0)
 	if len(times) != 2 {
 		t.Fatalf("delivered %d", len(times))
@@ -51,14 +57,14 @@ func TestNICEgressQueueing(t *testing.T) {
 func TestNICIngressQueueing(t *testing.T) {
 	// Two senders converging on one receiver share its ingress link.
 	s := New(1)
-	nw := NewNetwork(s, 3, NewFixed(time.Millisecond))
+	nw := NewNetwork(s, 3, NewFixed(time.Millisecond), sizeOf)
 	nw.SetNICBps(1e9)
 	var times []Time
 	nw.Register(0, func(from int, msg any) {})
 	nw.Register(1, func(from int, msg any) {})
 	nw.Register(2, func(from int, msg any) { times = append(times, s.Now()) })
-	nw.Send(0, 2, 1_000_000, "a")
-	nw.Send(1, 2, 1_000_000, "b")
+	nw.Send(0, 2, sized(1_000_000))
+	nw.Send(1, 2, sized(1_000_000))
 	s.RunAll(0)
 	if len(times) != 2 {
 		t.Fatalf("delivered %d", len(times))
@@ -70,11 +76,11 @@ func TestNICIngressQueueing(t *testing.T) {
 
 func TestNICSelfSendBypassesQueues(t *testing.T) {
 	s := New(1)
-	nw := NewNetwork(s, 1, NewFixed(time.Millisecond))
+	nw := NewNetwork(s, 1, NewFixed(time.Millisecond), sizeOf)
 	nw.SetNICBps(1e9)
 	var at Time
 	nw.Register(0, func(from int, msg any) { at = s.Now() })
-	nw.Send(0, 0, 1_000_000, "self")
+	nw.Send(0, 0, sized(1_000_000))
 	s.RunAll(0)
 	if at != Time(time.Millisecond) {
 		t.Fatalf("self-send delayed by NIC: %v", at)
@@ -83,12 +89,12 @@ func TestNICSelfSendBypassesQueues(t *testing.T) {
 
 func TestNICSmallMessagesCheap(t *testing.T) {
 	s := New(1)
-	nw := NewNetwork(s, 2, NewFixed(10*time.Millisecond))
+	nw := NewNetwork(s, 2, NewFixed(10*time.Millisecond), sizeOf)
 	nw.SetNICBps(1e9)
 	var at Time
 	nw.Register(0, func(from int, msg any) {})
 	nw.Register(1, func(from int, msg any) { at = s.Now() })
-	nw.Send(0, 1, 100, "small") // 0.8 us x2 — negligible
+	nw.Send(0, 1, sized(100)) // 0.8 us x2 — negligible
 	s.RunAll(0)
 	if at > Time(10*time.Millisecond+10*time.Microsecond) {
 		t.Fatalf("small message overcharged: %v", at)
@@ -98,7 +104,7 @@ func TestNICSmallMessagesCheap(t *testing.T) {
 func TestBaseDelayDeterministicAndScaled(t *testing.T) {
 	s := New(1)
 	wan := NewWAN()
-	nw := NewNetwork(s, 8, wan)
+	nw := NewNetwork(s, 8, wan, nil)
 	d1 := nw.BaseDelay(0, 2, 500)
 	d2 := nw.BaseDelay(0, 2, 500)
 	if d1 != d2 {

@@ -15,12 +15,12 @@ func collect(nw *Network) []int {
 
 func TestPartitionCutsAcrossGroups(t *testing.T) {
 	sim := New(1)
-	nw := NewNetwork(sim, 4, NewLAN())
+	nw := NewNetwork(sim, 4, NewLAN(), nil)
 	got := collect(nw)
 
 	nw.Partition([]int{0, 1}, []int{2, 3})
 	for from := 0; from < 4; from++ {
-		nw.Broadcast(from, 100, "m")
+		nw.Broadcast(from, "m")
 	}
 	sim.RunAll(0)
 
@@ -33,7 +33,7 @@ func TestPartitionCutsAcrossGroups(t *testing.T) {
 
 	nw.Heal()
 	for from := 0; from < 4; from++ {
-		nw.Broadcast(from, 100, "m")
+		nw.Broadcast(from, "m")
 	}
 	sim.RunAll(0)
 	for i, n := range got {
@@ -45,7 +45,7 @@ func TestPartitionCutsAcrossGroups(t *testing.T) {
 
 func TestPartitionImplicitGroup(t *testing.T) {
 	sim := New(1)
-	nw := NewNetwork(sim, 4, NewLAN())
+	nw := NewNetwork(sim, 4, NewLAN(), nil)
 	// Isolate node 3; nodes 0-2 are unlisted and form the implicit group.
 	nw.Partition([]int{3})
 	if !nw.LinkBlocked(0, 3) || !nw.LinkBlocked(3, 0) {
@@ -60,10 +60,10 @@ func TestPartitionImplicitGroup(t *testing.T) {
 // flight when the partition happens is lost, like packets on a failed path.
 func TestPartitionDropsInFlight(t *testing.T) {
 	sim := New(1)
-	nw := NewNetwork(sim, 2, NewWAN())
+	nw := NewNetwork(sim, 2, NewWAN(), nil)
 	got := collect(nw)
 
-	nw.Send(0, 1, 100, "in-flight")
+	nw.Send(0, 1, "in-flight")
 	sim.At(1, func() { nw.Partition([]int{0}, []int{1}) }) // cut before delivery
 	sim.RunAll(0)
 	if got[1] != 0 {
@@ -73,12 +73,12 @@ func TestPartitionDropsInFlight(t *testing.T) {
 
 func TestSetLinkBlockedIsUnidirectional(t *testing.T) {
 	sim := New(1)
-	nw := NewNetwork(sim, 2, NewLAN())
+	nw := NewNetwork(sim, 2, NewLAN(), nil)
 	got := collect(nw)
 
 	nw.SetLinkBlocked(0, 1, true)
-	nw.Send(0, 1, 100, "dropped")
-	nw.Send(1, 0, 100, "delivered")
+	nw.Send(0, 1, "dropped")
+	nw.Send(1, 0, "delivered")
 	sim.RunAll(0)
 	if got[1] != 0 || got[0] != 1 {
 		t.Fatalf("asymmetric cut violated: got %v, want [1 0]", got)

@@ -119,7 +119,7 @@ func checkQueue(t *testing.T, q eventQueue) {
 func eventZeroed(e *event) bool {
 	return e.at == 0 && e.ord == 0 && e.call == nil &&
 		e.argA == nil && e.argB == nil && e.nw == nil &&
-		e.from == 0 && e.to == 0 && e.size == 0 && e.msg == nil &&
+		e.from == 0 && e.to == 0 && e.msg == nil &&
 		e.next == nil && e.skip == nil && e.runTail == nil
 }
 
@@ -265,19 +265,19 @@ func TestPooledEventsNeverObservedAfterRelease(t *testing.T) {
 			f := func(seed int64, loadBits uint8) bool {
 				rng := rand.New(rand.NewSource(seed))
 				s := NewWithQueue(seed, qk.kind)
-				nw := NewNetwork(s, 4, NewFixed(time.Millisecond))
+				nw := NewNetwork(s, 4, NewFixed(time.Millisecond), nil)
 				delivered := 0
 				for i := 0; i < 4; i++ {
 					nw.Register(i, func(from int, msg any) {
 						delivered++
 						if m, ok := msg.(int); ok && rng.Intn(4) == 0 {
-							nw.Send(0, m%4, 64, m+1)
+							nw.Send(0, m%4, m+1)
 						}
 					})
 				}
 				load := 16 + int(loadBits)
 				for i := 0; i < load; i++ {
-					nw.Send(rng.Intn(4), rng.Intn(4), 128, i)
+					nw.Send(rng.Intn(4), rng.Intn(4), i)
 					if rng.Intn(3) == 0 {
 						s.After(Duration(rng.Intn(100)), func() {})
 					}
@@ -304,12 +304,12 @@ func TestPooledEventsNeverObservedAfterRelease(t *testing.T) {
 // allocating per message.
 func TestPoolReuseBounded(t *testing.T) {
 	s := New(1)
-	nw := NewNetwork(s, 2, NewFixed(time.Millisecond))
+	nw := NewNetwork(s, 2, NewFixed(time.Millisecond), nil)
 	nw.Register(0, func(int, any) {})
 	nw.Register(1, func(int, any) {})
 	seen := make(map[*event]bool)
 	for round := 0; round < 1000; round++ {
-		nw.Send(0, 1, 64, round)
+		nw.Send(0, 1, round)
 		s.q.forEach(func(e *event) { seen[e] = true })
 		s.RunAll(0)
 	}

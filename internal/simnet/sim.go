@@ -78,7 +78,6 @@ type event struct {
 	// delivery time.
 	nw       *Network
 	from, to int32
-	size     int32
 	msg      any
 }
 
@@ -313,7 +312,7 @@ func (s *Sim) Step() bool {
 func (s *Sim) dispatch(e *event) {
 	s.cur = ordDst(e.ord)
 	if e.nw != nil {
-		e.nw.deliver(int(e.from), int(e.to), int(e.size), e.msg)
+		e.nw.deliver(int(e.from), int(e.to), e.msg)
 	} else if e.call != nil {
 		e.call(e.argA, e.argB)
 	}
@@ -450,16 +449,18 @@ type Network struct {
 	nicBps      float64
 	egressFree  []Time
 	ingressFree []Time
-	// Stats: delivered messages and bytes are counted per destination node
-	// and summed on read; modeled traffic (AddModeled) is folded into the
-	// slot of node 0.
-	msgsN  []uint64
-	bytesN []uint64
+
+	size func(msg any) int // bytes a message costs the bandwidth and NIC models
+	msgs uint64            // delivered messages, modeled ones (AddModeled) included
 }
 
 // NewNetwork creates a network for n nodes over the given latency model,
-// snapshotting its per-link base delays (see Network).
-func NewNetwork(sim *Sim, n int, model *GeoModel) *Network {
+// snapshotting its per-link base delays (see Network). size is the modeled
+// size in bytes a sent message is charged; nil makes every message free.
+func NewNetwork(sim *Sim, n int, model *GeoModel, size func(msg any) int) *Network {
+	if size == nil {
+		size = func(any) int { return 0 }
+	}
 	nw := &Network{
 		sim:      sim,
 		handlers: make([]Handler, n),
@@ -468,8 +469,7 @@ func NewNetwork(sim *Sim, n int, model *GeoModel) *Network {
 		jit:      make([]uint64, n*n),
 		outScale: onesVec(n),
 		down:     make([]bool, n),
-		msgsN:    make([]uint64, n),
-		bytesN:   make([]uint64, n),
+		size:     size,
 	}
 	for from := 0; from < n; from++ {
 		for to := 0; to < n; to++ {
@@ -589,34 +589,14 @@ func (nw *Network) Heal() {
 	}
 }
 
-// Messages returns the count of messages delivered (summed over the
-// per-node counters).
-func (nw *Network) Messages() uint64 {
-	var total uint64
-	for _, m := range nw.msgsN {
-		total += m
-	}
-	return total
-}
-
-// Bytes returns the total payload bytes delivered (summed over the
-// per-node counters).
-func (nw *Network) Bytes() uint64 {
-	var total uint64
-	for _, b := range nw.bytesN {
-		total += b
-	}
-	return total
-}
+// Messages returns the count of messages delivered.
+func (nw *Network) Messages() uint64 { return nw.msgs }
 
 // AddModeled folds messages that a closed-form layer models without
 // simulating (the analytic SB's pre-prepare/prepare/commit traffic) into
-// the delivery statistics, so Messages and Bytes stay comparable between
-// message-level and analytic runs.
-func (nw *Network) AddModeled(msgs, bytes uint64) {
-	nw.msgsN[0] += msgs
-	nw.bytesN[0] += bytes
-}
+// the delivery count, so Messages stays comparable between message-level
+// and analytic runs.
+func (nw *Network) AddModeled(msgs uint64) { nw.msgs += msgs }
 
 // SetNICBps enables the shared-NIC model with the given per-node bandwidth
 // in bits per second (0 disables it). When enabled, the latency model
@@ -666,13 +646,15 @@ func (nw *Network) serTime(size int) Time {
 	return Time(float64(size) * 8 / nw.nicBps * 1e9)
 }
 
-// Send delivers msg of the given size from -> to after the modeled delay.
-// With the NIC model enabled, the message first queues on the sender's
-// egress link, propagates, then queues on the receiver's ingress link.
-// Self-sends are delivered with the model's local delay. The delivery is
-// scheduled as a pooled field-encoded event, not a closure: one Send
-// allocates nothing once the simulator's event pool is warm.
-func (nw *Network) Send(from, to, size int, msg any) {
+// Send delivers msg from -> to after the modeled delay of its size. With
+// the NIC model enabled, the message first queues on the sender's egress
+// link, propagates, then queues on the receiver's ingress link. Self-sends
+// are delivered with the model's local delay. The delivery is scheduled as
+// a pooled field-encoded event, not a closure: one Send allocates nothing
+// once the simulator's event pool is warm.
+func (nw *Network) Send(from, to int, msg any) { nw.send(from, to, nw.size(msg), msg) }
+
+func (nw *Network) send(from, to, size int, msg any) {
 	if nw.down[from] || nw.down[to] || nw.LinkBlocked(from, to) {
 		return
 	}
@@ -698,25 +680,25 @@ func (nw *Network) Send(from, to, size int, msg any) {
 		deliverAt = sim.now + Time(prop)
 	}
 	e := sim.alloc()
-	e.nw, e.from, e.to, e.size, e.msg = nw, int32(from), int32(to), int32(size), msg
+	e.nw, e.from, e.to, e.msg = nw, int32(from), int32(to), msg
 	sim.schedule(e, deliverAt, to, from)
 }
 
 // deliver lands a message at its destination, re-checking liveness and
 // link state at delivery time (Step dispatches queued deliveries here).
-func (nw *Network) deliver(from, to, size int, msg any) {
+func (nw *Network) deliver(from, to int, msg any) {
 	if nw.down[to] || nw.LinkBlocked(from, to) || nw.handlers[to] == nil {
 		return
 	}
-	nw.msgsN[to]++
-	nw.bytesN[to] += uint64(size)
+	nw.msgs++
 	nw.handlers[to](from, msg)
 }
 
 // Broadcast sends msg from -> every node including the sender itself
-// (protocols typically self-deliver).
-func (nw *Network) Broadcast(from, size int, msg any) {
+// (protocols typically self-deliver), sizing it once.
+func (nw *Network) Broadcast(from int, msg any) {
+	size := nw.size(msg)
 	for to := range nw.handlers {
-		nw.Send(from, to, size, msg)
+		nw.send(from, to, size, msg)
 	}
 }

@@ -76,13 +76,13 @@ func TestSchedulePastClamps(t *testing.T) {
 
 func TestNetworkDelivery(t *testing.T) {
 	s := New(1)
-	nw := NewNetwork(s, 2, NewFixed(10*time.Millisecond))
+	nw := NewNetwork(s, 2, NewFixed(10*time.Millisecond), nil)
 	var gotFrom int
 	var gotMsg any
 	var at Time
 	nw.Register(1, func(from int, msg any) { gotFrom, gotMsg, at = from, msg, s.Now() })
 	nw.Register(0, func(from int, msg any) {})
-	nw.Send(0, 1, 100, "hello")
+	nw.Send(0, 1, "hello")
 	s.RunAll(0)
 	if gotFrom != 0 || gotMsg != "hello" {
 		t.Fatalf("got from=%d msg=%v", gotFrom, gotMsg)
@@ -90,20 +90,20 @@ func TestNetworkDelivery(t *testing.T) {
 	if at != Time(10*time.Millisecond) {
 		t.Fatalf("delivered at %v", at)
 	}
-	if nw.Messages() != 1 || nw.Bytes() != 100 {
-		t.Fatalf("stats msgs=%d bytes=%d", nw.Messages(), nw.Bytes())
+	if nw.Messages() != 1 {
+		t.Fatalf("stats msgs=%d", nw.Messages())
 	}
 }
 
 func TestNetworkBroadcastIncludesSelf(t *testing.T) {
 	s := New(1)
-	nw := NewNetwork(s, 3, NewFixed(time.Millisecond))
+	nw := NewNetwork(s, 3, NewFixed(time.Millisecond), nil)
 	got := make([]int, 3)
 	for i := 0; i < 3; i++ {
 		i := i
 		nw.Register(i, func(from int, msg any) { got[i]++ })
 	}
-	nw.Broadcast(0, 10, "x")
+	nw.Broadcast(0, "x")
 	s.RunAll(0)
 	for i, c := range got {
 		if c != 1 {
@@ -114,25 +114,25 @@ func TestNetworkBroadcastIncludesSelf(t *testing.T) {
 
 func TestNetworkDownNode(t *testing.T) {
 	s := New(1)
-	nw := NewNetwork(s, 2, NewFixed(time.Millisecond))
+	nw := NewNetwork(s, 2, NewFixed(time.Millisecond), nil)
 	received := 0
 	nw.Register(0, func(from int, msg any) {})
 	nw.Register(1, func(from int, msg any) { received++ })
 	nw.SetDown(1, true)
-	nw.Send(0, 1, 10, "x")
+	nw.Send(0, 1, "x")
 	s.RunAll(0)
 	if received != 0 {
 		t.Fatal("down node received a message")
 	}
 	nw.SetDown(1, false)
-	nw.Send(0, 1, 10, "x")
+	nw.Send(0, 1, "x")
 	s.RunAll(0)
 	if received != 1 {
 		t.Fatal("recovered node did not receive")
 	}
 	// A down sender cannot send.
 	nw.SetDown(0, true)
-	nw.Send(0, 1, 10, "x")
+	nw.Send(0, 1, "x")
 	s.RunAll(0)
 	if received != 1 {
 		t.Fatal("down sender delivered a message")
@@ -142,11 +142,11 @@ func TestNetworkDownNode(t *testing.T) {
 func TestNetworkCrashMidFlight(t *testing.T) {
 	// A message in flight when the destination crashes must not deliver.
 	s := New(1)
-	nw := NewNetwork(s, 2, NewFixed(10*time.Millisecond))
+	nw := NewNetwork(s, 2, NewFixed(10*time.Millisecond), nil)
 	received := 0
 	nw.Register(0, func(from int, msg any) {})
 	nw.Register(1, func(from int, msg any) { received++ })
-	nw.Send(0, 1, 10, "x")
+	nw.Send(0, 1, "x")
 	s.After(5*time.Millisecond, func() { nw.SetDown(1, true) })
 	s.RunAll(0)
 	if received != 0 {
@@ -156,12 +156,12 @@ func TestNetworkCrashMidFlight(t *testing.T) {
 
 func TestStragglerOutScale(t *testing.T) {
 	s := New(1)
-	nw := NewNetwork(s, 2, NewFixed(10*time.Millisecond))
+	nw := NewNetwork(s, 2, NewFixed(10*time.Millisecond), nil)
 	var at Time
 	nw.Register(0, func(from int, msg any) {})
 	nw.Register(1, func(from int, msg any) { at = s.Now() })
 	nw.SetOutScale(0, 10)
-	nw.Send(0, 1, 10, "x")
+	nw.Send(0, 1, "x")
 	s.RunAll(0)
 	if at != Time(100*time.Millisecond) {
 		t.Fatalf("straggler message arrived at %v, want 100ms", at)
@@ -174,14 +174,14 @@ func TestStragglerOutScale(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() []Time {
 		s := New(99)
-		nw := NewNetwork(s, 4, NewWAN())
+		nw := NewNetwork(s, 4, NewWAN(), nil)
 		var times []Time
 		for i := 0; i < 4; i++ {
 			i := i
 			nw.Register(i, func(from int, msg any) { times = append(times, s.Now()) })
 		}
 		for i := 0; i < 4; i++ {
-			nw.Broadcast(i, 500, i)
+			nw.Broadcast(i, i)
 		}
 		s.RunAll(0)
 		return times
@@ -201,7 +201,7 @@ func TestDeterminism(t *testing.T) {
 // the matrix NewNetwork snapshots and the per-link jitter streams.
 
 func TestWANRegionsAsymmetry(t *testing.T) {
-	nw := NewNetwork(New(1), 5, NewWAN())
+	nw := NewNetwork(New(1), 5, NewWAN(), nil)
 	// Nodes 0 and 4 share region 0 (France); node 2 is Australia.
 	same := nw.BaseDelay(0, 4, 0)
 	far := nw.BaseDelay(0, 2, 0)
@@ -217,17 +217,31 @@ func TestWANRegionsAsymmetry(t *testing.T) {
 }
 
 func TestBandwidthSerialization(t *testing.T) {
-	nw := NewNetwork(New(1), 2, NewLAN())
+	nw := NewNetwork(New(1), 2, NewLAN(), nil)
 	small := nw.BaseDelay(0, 1, 0)
 	big := nw.BaseDelay(0, 1, 1e6) // 1 MB at 1 Gbps = 8 ms extra
 	extra := big - small
 	if extra < 7*time.Millisecond || extra > 9*time.Millisecond {
 		t.Fatalf("serialization delay for 1MB = %v, want ~8ms", extra)
 	}
+	// A Send charges what the network's size function says the message
+	// costs (equal seeds draw the same jitter on the link).
+	arrival := func(msg sized) Time {
+		s := New(1)
+		nw := NewNetwork(s, 2, NewLAN(), sizeOf)
+		var at Time
+		nw.Register(1, func(int, any) { at = s.Now() })
+		nw.Send(0, 1, msg)
+		s.RunAll(0)
+		return at
+	}
+	if extra := time.Duration(arrival(1e6) - arrival(0)); extra < 7*time.Millisecond || extra > 9*time.Millisecond {
+		t.Fatalf("a sent 1MB message arrived %v after an empty one, want ~8ms", extra)
+	}
 }
 
 func TestJitterBounded(t *testing.T) {
-	nw := NewNetwork(New(5), 2, NewWAN())
+	nw := NewNetwork(New(5), 2, NewWAN(), nil)
 	base := nw.BaseDelay(0, 1, 500)
 	varied := false
 	for i := 0; i < 100; i++ {
@@ -247,7 +261,7 @@ func TestJitterBounded(t *testing.T) {
 // the link streams stay where NewNetwork seeded them.
 func TestNewFixed(t *testing.T) {
 	const d = 3 * time.Millisecond
-	nw := NewNetwork(New(9), 3, NewFixed(d))
+	nw := NewNetwork(New(9), 3, NewFixed(d), nil)
 	seeded := append([]uint64(nil), nw.jit...)
 	for from := 0; from < 3; from++ {
 		for to := 0; to < 3; to++ {

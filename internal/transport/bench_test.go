@@ -96,7 +96,7 @@ func BenchmarkTransportProcBroadcast(b *testing.B) {
 			var delivered atomic.Uint64
 			p := benchProc(b, c.N, &delivered)
 			msg := netbench.Proposal(0, 0)
-			flood(b, &delivered, c.N, func() { p.Broadcast(0, 0, msg) })
+			flood(b, &delivered, c.N, func() { p.Broadcast(0, msg) })
 		})
 	}
 }
@@ -106,7 +106,7 @@ func BenchmarkTransportProcSend(b *testing.B) {
 	var delivered atomic.Uint64
 	p := benchProc(b, 2, &delivered)
 	msg := netbench.Proposal(0, 0)
-	flood(b, &delivered, 1, func() { p.Send(0, 1, 0, msg) })
+	flood(b, &delivered, 1, func() { p.Send(0, 1, msg) })
 }
 
 // benchTCPCluster builds an n-endpoint loopback cluster whose handlers
@@ -150,7 +150,7 @@ func BenchmarkTransportTCPBroadcast(b *testing.B) {
 			var delivered atomic.Uint64
 			ts := benchTCPCluster(b, c.N, &delivered)
 			msg := netbench.Proposal(0, 0)
-			flood(b, &delivered, c.N, func() { ts[0].Broadcast(0, 0, msg) })
+			flood(b, &delivered, c.N, func() { ts[0].Broadcast(0, msg) })
 		})
 	}
 }
@@ -160,5 +160,5 @@ func BenchmarkTransportTCPSend(b *testing.B) {
 	var delivered atomic.Uint64
 	ts := benchTCPCluster(b, 2, &delivered)
 	msg := netbench.Proposal(0, 0)
-	flood(b, &delivered, 1, func() { ts[0].Send(0, 1, 0, msg) })
+	flood(b, &delivered, 1, func() { ts[0].Send(0, 1, msg) })
 }

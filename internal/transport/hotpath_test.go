@@ -75,7 +75,7 @@ func TestBroadcastCopiesDoNotAlias(t *testing.T) {
 	p.Start(time.Now())
 	defer p.Stop()
 	for k := 0; k < rounds; k++ {
-		p.Broadcast(0, 0, testProposal())
+		p.Broadcast(0, testProposal())
 	}
 	waitFor(t, func() bool { return delivered.Load() == n*rounds })
 	if e, d := p.EncodeErrors(), p.DecodeErrors(); e != 0 || d != 0 {
@@ -144,15 +144,15 @@ func TestSelfDeliveryIsTheMessageSent(t *testing.T) {
 		p.Start(time.Now())
 		defer p.Stop()
 		bcast, self := testProposal(), testProposal()
-		p.Broadcast(0, 0, bcast)
-		p.Send(0, 0, 0, self)
+		p.Broadcast(0, bcast)
+		p.Send(0, 0, self)
 		selfDelivery(t, cols, bcast, self, func() (uint64, uint64) { return p.Messages(), p.Bytes() })
 	})
 	t.Run("tcp", func(t *testing.T) {
 		ts, cols := tcpCluster(t, 3)
 		bcast, self := testProposal(), testProposal()
-		ts[0].Broadcast(0, 0, bcast)
-		ts[0].Send(0, 0, 0, self)
+		ts[0].Broadcast(0, bcast)
+		ts[0].Send(0, 0, self)
 		selfDelivery(t, cols, bcast, self, func() (messages, bytes uint64) {
 			for _, tr := range ts {
 				messages, bytes = messages+tr.Messages(), bytes+tr.Bytes()
@@ -180,7 +180,7 @@ func TestProcBroadcastAllocsPerMessage(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for k := 1; k <= rounds; k++ {
-		p.Broadcast(0, 0, msg)
+		p.Broadcast(0, msg)
 		if k%100 == 0 { // keep the inboxes short: their growth is not the path's cost
 			waitFor(t, func() bool { return delivered.Load() == uint64(n*k) })
 		}
@@ -205,8 +205,8 @@ func TestProcEncodeErrorsCounted(t *testing.T) {
 	p.Register(1, col.handle)
 	p.Start(time.Now())
 	defer p.Stop()
-	p.Send(0, 1, 0, unencodable{})
-	p.Broadcast(0, 0, unencodable{})
+	p.Send(0, 1, unencodable{})
+	p.Broadcast(0, unencodable{})
 	p.InjectTo(2, []int{1}, unencodable{})
 	if got := p.EncodeErrors(); got != 3 {
 		t.Fatalf("EncodeErrors = %d, want 3", got)
@@ -225,8 +225,8 @@ func TestProcEncodeErrorsCounted(t *testing.T) {
 // EncodeErrors instead of panicking, and nothing reaches any replica.
 func TestTCPEncodeErrorsCounted(t *testing.T) {
 	ts, cols := tcpCluster(t, 2)
-	ts[0].Send(0, 1, 0, unencodable{})
-	ts[0].Broadcast(0, 0, unencodable{})
+	ts[0].Send(0, 1, unencodable{})
+	ts[0].Broadcast(0, unencodable{})
 	if got := ts[0].EncodeErrors(); got != 2 {
 		t.Fatalf("EncodeErrors = %d, want 2", got)
 	}
@@ -257,7 +257,7 @@ func TestTCPDecodeErrorsCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return ts[0].DecodeErrors() == 1 })
-	ts[1].Send(1, 0, 0, testProposal())
+	ts[1].Send(1, 0, testProposal())
 	waitFor(t, func() bool { return len(cols[0].snapshot()) == 1 })
 	if got := ts[0].Messages(); got != 1 {
 		t.Fatalf("Messages = %d, want 1 (the garbage frame must not count)", got)

@@ -14,11 +14,11 @@ import (
 // frame across all destinations — and every other replica decodes its own
 // copy on its loop goroutine, exactly the isolation a socket transport
 // gives: (a) replicas never share mutable message memory across
-// goroutines and (b) Messages/Bytes count actual encoded wire sizes,
-// not the simulator's modeled size hints. A replica's message to itself
-// skips the codec round trip: its loop is handed the message it sent (as
-// the simulator always has; messages are immutable after send), counted
-// at its encoded size like any other delivery.
+// goroutines and (b) Messages/Bytes count actual encoded wire sizes. A
+// replica's message to itself skips the codec round trip: its loop is
+// handed the message it sent (as the simulator always has; messages are
+// immutable after send), counted at its encoded size like any other
+// delivery.
 //
 // Senders outside the replica set (harness clients injecting SubmitMsg)
 // may use any `from` id — it only reaches the handler as provenance.
@@ -64,10 +64,10 @@ func (p *Proc) Stop() {
 // Send implements types.Network: encode once into a pooled frame, count, and
 // hand the frame to the destination's event loop, which decodes on
 // dispatch (a send to self hands over msg itself, so the caller must be
-// done with it). The size hint is ignored — the encoded length is the truth.
-// Unencodable messages are counted in EncodeErrors and dropped (the
-// replica message set is closed, so a nonzero counter is a bug signal).
-func (p *Proc) Send(from, to, size int, msg any) {
+// done with it). Unencodable messages are counted in EncodeErrors and
+// dropped (the replica message set is closed, so a nonzero counter is a bug
+// signal).
+func (p *Proc) Send(from, to int, msg any) {
 	if to < 0 || to >= len(p.nodes) {
 		return
 	}
@@ -92,7 +92,7 @@ func (p *Proc) Send(from, to, size int, msg any) {
 // (protocols self-deliver). Each other receiver decodes its own copy from
 // the shared bytes, so destinations never alias each other's message
 // memory, nor the sender's.
-func (p *Proc) Broadcast(from, size int, msg any) {
+func (p *Proc) Broadcast(from int, msg any) {
 	f, err := encodeFrame(msg)
 	if err != nil {
 		p.encodeErrs.Add(1)

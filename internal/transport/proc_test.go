@@ -54,9 +54,9 @@ func TestProcDelivery(t *testing.T) {
 	defer p.Stop()
 
 	sent := &pbft.Prepare{Instance: 1, View: 2, Seq: 3, Digest: types.BlockID{9}, Replica: 0}
-	p.Send(0, 1, 96, sent)
-	p.Send(0, 1, 96, &pbft.Commit{Instance: 1, Seq: 3, Replica: 0})
-	p.Broadcast(2, 96, &pbft.Prepare{Instance: 0, Seq: 1, Replica: 2})
+	p.Send(0, 1, sent)
+	p.Send(0, 1, &pbft.Commit{Instance: 1, Seq: 3, Replica: 0})
+	p.Broadcast(2, &pbft.Prepare{Instance: 0, Seq: 1, Replica: 2})
 
 	waitFor(t, func() bool { return len(cols[1].snapshot()) == 3 })
 	waitFor(t, func() bool { return len(cols[2].snapshot()) == 1 })
@@ -79,8 +79,8 @@ func TestProcDelivery(t *testing.T) {
 	waitFor(t, func() bool { return len(cols[0].snapshot()) == 1 })
 }
 
-// TestProcCountersUseEncodedSizes pins the satellite contract: Messages
-// and Bytes reflect actual wire encodings, not the callers' size hints.
+// TestProcCountersUseEncodedSizes pins the counting contract: Messages and
+// Bytes reflect actual wire encodings, not a modeled size.
 func TestProcCountersUseEncodedSizes(t *testing.T) {
 	p := NewProc(2)
 	for i := 0; i < 2; i++ {
@@ -94,9 +94,8 @@ func TestProcCountersUseEncodedSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const bogusHint = 123456
-	p.Send(0, 1, bogusHint, msg)
-	p.Broadcast(0, bogusHint, msg) // 2 more deliveries of the same encoding
+	p.Send(0, 1, msg)
+	p.Broadcast(0, msg) // 2 more deliveries of the same encoding
 	if got, want := p.Messages(), uint64(3); got != want {
 		t.Fatalf("Messages = %d, want %d", got, want)
 	}

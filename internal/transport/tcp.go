@@ -254,7 +254,7 @@ func (t *TCP) Register(id int, h types.Handler) {
 // An unencodable message is counted in EncodeErrors and dropped rather
 // than sent partially — the replica message set is closed, so a nonzero
 // counter is a bug signal, not an operational one.
-func (t *TCP) Send(from, to, size int, msg any) {
+func (t *TCP) Send(from, to int, msg any) {
 	if to < 0 || to >= len(t.peers) {
 		return
 	}
@@ -277,7 +277,7 @@ func (t *TCP) Send(from, to, size int, msg any) {
 // by refcount across every peer queue, plus msg itself to the local loop
 // (protocols self-deliver). The frame returns to the pool after the last
 // writer finishes with it.
-func (t *TCP) Broadcast(from, size int, msg any) {
+func (t *TCP) Broadcast(from int, msg any) {
 	f, err := encodeFrame(msg)
 	if err != nil {
 		t.encodeErrs.Add(1)

@@ -64,8 +64,8 @@ func TestTCPDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts[0].Send(0, 1, 123456, msg)
-	ts[2].Broadcast(2, 123456, &pbft.Commit{Instance: 0, Seq: 1, Replica: 2})
+	ts[0].Send(0, 1, msg)
+	ts[2].Broadcast(2, &pbft.Commit{Instance: 0, Seq: 1, Replica: 2})
 
 	waitFor(t, func() bool { return len(cols[1].snapshot()) == 2 })
 	waitFor(t, func() bool { return len(cols[0].snapshot()) == 1 })
@@ -90,7 +90,7 @@ func TestTCPDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, want := ts[1].Bytes(), uint64(len(enc)+len(cenc)); got != want {
-		t.Fatalf("replica 1 Bytes = %d, want %d (actual encoded sizes, not the hint)", got, want)
+		t.Fatalf("replica 1 Bytes = %d, want %d (actual encoded sizes)", got, want)
 	}
 	if got := ts[1].Messages(); got != 2 {
 		t.Fatalf("replica 1 Messages = %d, want 2", got)
@@ -134,7 +134,7 @@ func TestTCPHelloRefusesImpersonation(t *testing.T) {
 		}
 		conn.Close()
 	}
-	ts[1].Send(1, 0, 0, &pbft.Prepare{Instance: 0, Seq: 2, Replica: 1})
+	ts[1].Send(1, 0, &pbft.Prepare{Instance: 0, Seq: 2, Replica: 1})
 	waitFor(t, func() bool { return len(cols[0].snapshot()) == 1 })
 	if got := cols[0].snapshot()[0]; got.from != 1 || ts[0].Messages() != 1 {
 		t.Fatalf("endpoint 0 delivered %+v (%d messages), want only replica 1's vote", got, ts[0].Messages())
@@ -171,7 +171,7 @@ func TestTCPReconnectBackoff(t *testing.T) {
 	node0.Start(time.Now())
 	defer func() { tr0.Close(); node0.Stop() }()
 
-	tr0.Send(0, 1, 0, &pbft.Prepare{Instance: 0, Seq: 1, Replica: 0}) // peer down: queued, dial retries
+	tr0.Send(0, 1, &pbft.Prepare{Instance: 0, Seq: 1, Replica: 0}) // peer down: queued, dial retries
 
 	time.Sleep(150 * time.Millisecond) // let a few dial attempts fail
 	var ln1 net.Listener
@@ -203,7 +203,7 @@ func TestTCPReconnectBackoff(t *testing.T) {
 // unreachable peer.
 func TestTCPCleanShutdown(t *testing.T) {
 	ts, cols := tcpCluster(t, 2)
-	ts[0].Send(0, 1, 0, &pbft.Prepare{Instance: 0, Seq: 1, Replica: 0})
+	ts[0].Send(0, 1, &pbft.Prepare{Instance: 0, Seq: 1, Replica: 0})
 	waitFor(t, func() bool { return len(cols[1].snapshot()) == 1 })
 
 	// Queue a frame to a peer that will never accept: a dead address.
@@ -220,7 +220,7 @@ func TestTCPCleanShutdown(t *testing.T) {
 	}
 	tr.Register(0, (&collector{}).handle)
 	node.Start(time.Now())
-	tr.Send(0, 1, 0, &pbft.Prepare{})
+	tr.Send(0, 1, &pbft.Prepare{})
 
 	doneCh := make(chan struct{})
 	go func() { tr.Close(); node.Stop(); close(doneCh) }()
@@ -276,11 +276,11 @@ func TestTCPQueueCapBoundsBlockedPeer(t *testing.T) {
 	// wakes. Once it holds this one frame, every later push is accounted for
 	// exactly: cap of them queued, the rest each displaced by a newer one.
 	vote := func(i int) *pbft.Prepare { return &pbft.Prepare{Instance: 0, View: 1, Seq: uint64(i), Replica: 0} }
-	tr.Send(0, 1, 0, vote(0))
+	tr.Send(0, 1, vote(0))
 	waitFor(t, func() bool { return tr.queueFor(1).depth() == 0 })
 	const sends = 100
 	for i := 1; i <= sends; i++ {
-		tr.Send(0, 1, 0, vote(i))
+		tr.Send(0, 1, vote(i))
 	}
 	if d := tr.queueFor(1).depth(); d != cap {
 		t.Fatalf("blocked peer queue depth %d, want the cap %d", d, cap)

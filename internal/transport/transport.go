@@ -8,10 +8,9 @@
 //   - TCP, the same replicas over real sockets with length-prefixed
 //     framing, per-peer reconnect with backoff, and write timeouts.
 //
-// The size argument of Send and Broadcast is the simulator's modeled wire
-// size; both transports ignore it and count actual encoded bytes
-// (internal/wire) in Messages and Bytes, keeping the counters comparable
-// across backends by construction rather than by estimate.
+// Both transports count the bytes they actually encode (internal/wire) in
+// Messages and Bytes; only the simulator charges a modeled size
+// (wire.ModeledSize).
 //
 // On both real transports every message is encoded once and each other
 // replica decodes its own copy (through the wire.Decoder its receiving

@@ -37,13 +37,14 @@ type Handler func(from int, msg any)
 
 // Network is the one send seam the replica state machines drive: handler
 // registration and fire-and-forget sends, each naming its sender. from is
-// the identity the receiver's handler is given. size is the modeled wire
-// size: simnet.Network charges it to its bandwidth model, while the real
-// transports (internal/transport) count actual encoded bytes and ignore
-// it. Broadcast delivers to every node including the sender, whose own copy
-// is msg itself; messages are immutable after send.
+// the identity the receiver's handler is given. A send carries the message
+// alone: what it costs in bytes is the backend's business — simnet.Network
+// charges the modeled size it was built with, the real transports
+// (internal/transport) count the encoded bytes. Broadcast delivers to every
+// node including the sender, whose own copy is msg itself; messages are
+// immutable after send.
 type Network interface {
 	Register(id int, h Handler)
-	Send(from, to, size int, msg any)
-	Broadcast(from, size int, msg any)
+	Send(from, to int, msg any)
+	Broadcast(from int, msg any)
 }

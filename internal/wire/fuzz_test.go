@@ -92,8 +92,8 @@ type deafNetwork struct {
 }
 
 func (d *deafNetwork) Register(_ int, h types.Handler)           { d.handle = h }
-func (d *deafNetwork) Send(int, int, int, any)                   { d.sent++ }
-func (d *deafNetwork) Broadcast(int, int, any)                   { d.sent++ }
+func (d *deafNetwork) Send(int, int, any)                        { d.sent++ }
+func (d *deafNetwork) Broadcast(int, any)                        { d.sent++ }
 func (*deafNetwork) Now() types.Time                             { return 0 }
 func (*deafNetwork) CallAt(types.Time, func(a, b any), any, any) {}
 

@@ -2,7 +2,9 @@
 // protocol messages, the core checkpoint and client submissions — a stable,
 // self-describing binary encoding, so the same state machines that run
 // in-process over the simulator can cross goroutine channels or TCP
-// sockets (internal/transport).
+// sockets (internal/transport). Beside the codec, ModeledSize is what the
+// simulated network charges a message instead: the encoding approximated at
+// a modeled transaction size, not measured.
 //
 // Format: one type-tag byte, then the message's fields in declaration
 // order. Unsigned integers are uvarints, signed integers are zigzag
@@ -570,4 +572,47 @@ func (d *Decoder) txValue(tx *types.Transaction) {
 	tx.Sig = d.bytes()
 	tx.Payload = d.bytes()
 	tx.SubmitNS = d.int()
+}
+
+// VoteSize is the modeled size in bytes of a prepare or commit vote, and of
+// the fixed part of a view change or a new view.
+const VoteSize = 96
+
+// BlockSize is the modeled size in bytes of a pre-prepare carrying txs
+// transactions of txSize bytes each.
+func BlockSize(txs, txSize int) int { return 160 + txs*txSize }
+
+// ModeledSize is what the simulated network charges msg in bytes when a
+// transaction counts txSize (500 in the paper's Sec. VII): the encoding
+// above approximated — a proposal scales with its batch, the rest is nearly
+// constant — not measured. Anything not listed is one vote.
+func ModeledSize(msg any, txSize int) int {
+	size := VoteSize
+	switch m := msg.(type) {
+	case *pbft.PrePrepare:
+		return BlockSize(len(m.Block.Txs), txSize)
+	case *pbft.ViewChange:
+		for _, p := range m.Prepared {
+			size += BlockSize(len(p.Block.Txs), txSize)
+		}
+	case *pbft.NewView:
+		for _, p := range m.Reproposals {
+			size += BlockSize(len(p.Block.Txs), txSize)
+		}
+	case *core.CheckpointMsg:
+		return 128
+	case *core.StateTransferReq:
+		return 32 + 8*len(m.State)
+	case *core.StateTransferResp:
+		size = 64
+		if m.Cert.Stable > 0 {
+			size += 32 * (len(m.Cert.Bound) + 1)
+		}
+		for _, run := range m.Runs {
+			for _, b := range run.Blocks {
+				size += 96 + len(b.Txs)*txSize // an archived block: a header, no proposal envelope
+			}
+		}
+	}
+	return size
 }

@@ -168,3 +168,53 @@ func TestHugeCountRejected(t *testing.T) {
 		t.Fatal("Decode with absurd collection count succeeded")
 	}
 }
+
+// TestModeledSize pins what the simulated network charges each message, as
+// literals: every committed figure was computed with these numbers, so a
+// change here is a change to every figure.
+func TestModeledSize(t *testing.T) {
+	block := func(txs int) *types.Block {
+		b := &types.Block{}
+		for i := 0; i < txs; i++ {
+			b.Txs = append(b.Txs, sampleTx(uint64(i)))
+		}
+		return b
+	}
+	pp := func(txs int) *pbft.PrePrepare { return &pbft.PrePrepare{Block: block(txs)} }
+	bound := make([][32]byte, 4)
+	cases := []struct {
+		name   string
+		msg    any
+		txSize int
+		want   int
+	}{
+		{"empty pre-prepare", pp(0), 500, 160},
+		{"pre-prepare, 1 tx", pp(1), 500, 660},
+		{"pre-prepare, 100 txs", pp(100), 500, 50160},
+		{"prepare", &pbft.Prepare{Replica: 3}, 500, 96},
+		{"commit", &pbft.Commit{Replica: 3}, 500, 96},
+		{"view change with two prepared blocks", &pbft.ViewChange{Prepared: []pbft.PreparedEntry{
+			{Seq: 1, Block: block(2)}, {Seq: 2, Block: block(0)}}}, 500, 1416},
+		{"view change, nothing prepared", &pbft.ViewChange{}, 500, 96},
+		{"new view with two re-proposals", &pbft.NewView{Reproposals: []*pbft.PrePrepare{pp(1), pp(3)}}, 500, 2416},
+		{"checkpoint", &core.CheckpointMsg{Epoch: 9, Replica: 1}, 500, 128},
+		{"state-transfer request, M = 4", &core.StateTransferReq{State: make(types.StateVector, 4)}, 500, 64},
+		{"state-transfer response, no cert", &core.StateTransferResp{Runs: []core.BlockRun{
+			{Instance: 0, Blocks: []*types.Block{block(1), block(0)}},
+			{Instance: 2, Blocks: []*types.Block{block(2)}}}}, 500, 1852},
+		{"state-transfer response, cert only", &core.StateTransferResp{Cert: core.CheckpointCert{Stable: 3, Bound: bound}}, 500, 224},
+		{"state-transfer response, cert and a run", &core.StateTransferResp{Cert: core.CheckpointCert{Stable: 3, Bound: bound},
+			Runs: []core.BlockRun{{Blocks: []*types.Block{block(1)}}}}, 500, 820},
+		{"pre-prepare, 10 txs of 250 B", pp(10), 250, 2660},
+		{"state-transfer response, 2 txs of 250 B", &core.StateTransferResp{Runs: []core.BlockRun{
+			{Blocks: []*types.Block{block(2)}}}}, 250, 660},
+	}
+	for _, c := range cases {
+		if got := ModeledSize(c.msg, c.txSize); got != c.want {
+			t.Errorf("%s: ModeledSize = %d, want %d", c.name, got, c.want)
+		}
+	}
+	if got := BlockSize(3, 500); got != ModeledSize(pp(3), 500) {
+		t.Errorf("BlockSize(3, 500) = %d, want the pre-prepare's %d", got, ModeledSize(pp(3), 500))
+	}
+}

@@ -125,7 +125,8 @@ type Config struct {
 	// BatchSize (default 4096), BatchTimeout (default 100ms), Window
 	// (pipeline depth), EpochLen (default 32), ViewTimeout (default 10s)
 	// and TxSize (default 500 bytes) tune the consensus engine; zeros take
-	// those defaults.
+	// those defaults. Only TransportSim charges TxSize; TransportProc
+	// carries real encodings, about 50 bytes per transaction today.
 	BatchSize    int
 	BatchTimeout time.Duration
 	Window       int
@@ -286,7 +287,8 @@ func WithLiveSetSampling(interval time.Duration) Option {
 // WithViewTimeout sets the failure detector's view-change timeout.
 func WithViewTimeout(d time.Duration) Option { return func(c *Config) { c.ViewTimeout = d } }
 
-// WithTxSize sets the modeled transaction size in bytes.
+// WithTxSize sets the modeled transaction size in bytes, which only the
+// simulator charges: TransportProc carries real encodings (about 50 bytes).
 func WithTxSize(bytes int) Option { return func(c *Config) { c.TxSize = bytes } }
 
 // WithCensorshipDetection sets the censorship detector's patience in

@@ -160,6 +160,7 @@ func TestValidateTable(t *testing.T) {
 		{"NaN straggler factor", []Option{WithStragglers(1, math.NaN())}, "StragglerFactor"},
 		{"NaN straggle scale", []Option{WithScenario(scenariodsl.New("v").StraggleAt(time.Second, math.NaN(), 1).Build())}, "Scenario"},
 		{"NaN load surge", []Option{WithScenario(scenariodsl.New("v").LoadSurgeAt(time.Second, math.NaN()).Build())}, "Scenario"},
+		{"load surge too small to pace", []Option{WithLoad(100), WithScenario(scenariodsl.New("v").LoadSurgeAt(time.Second, 1e-300).Build())}, "Scenario"},
 		{"negative duration", []Option{WithDuration(-time.Second)}, "Duration"},
 		{"negative warmup", []Option{WithWarmup(-time.Second)}, "Warmup"},
 		{"negative drain", []Option{WithDrain(-time.Second)}, "Drain"},
