@@ -344,7 +344,9 @@ func BenchmarkAblationEscrow(b *testing.B) {
 }
 
 // BenchmarkAblationSplit disables multi-payer splitting under a
-// multi-payer-heavy payment workload.
+// multi-payer-heavy payment workload. Payments burn no fee, so each arm must
+// end holding exactly its genesis total: with or without splitting, every
+// payer leg is debited once.
 func BenchmarkAblationSplit(b *testing.B) {
 	noSplit := core.OrthrusMode()
 	noSplit.Name = "Orthrus-noSplit"
@@ -356,7 +358,14 @@ func BenchmarkAblationSplit(b *testing.B) {
 				cfg := benchCfg(mode, 16, cluster.WAN)
 				cfg.Workload.PaymentFraction = 1.0
 				cfg.Workload.MultiPayerFraction = 0.5
-				reportCluster(b, cluster.Run(cfg))
+				cfg.CaptureState = true
+				res := cluster.Run(cfg)
+				genesis := ledger.NewStore()
+				workload.New(cfg.Workload).Genesis()(genesis)
+				if got, want := res.State.TotalOwned(), genesis.TotalOwned(); got != want {
+					b.Fatalf("total owned %d, want the genesis total %d", got, want)
+				}
+				reportCluster(b, res)
 			}
 		})
 	}

@@ -313,8 +313,8 @@ func TestMixedWorkloadManyClients(t *testing.T) {
 	}
 	c.requireConsistent(t)
 	// Conservation: total owned tokens unchanged (12 accounts x 1000 minus
-	// contract fees, which execSequential/execContract burn as debits
-	// without credits: 10 contract txs x 1 fee).
+	// contract fees, which execGlobal burns as debits without credits:
+	// 10 contract txs x 1 fee).
 	total := c.replicas[0].Store().TotalOwned()
 	if total != 12*1000-10 {
 		t.Fatalf("total owned = %d, want %d", total, 12*1000-10)

@@ -17,7 +17,8 @@ import (
 //     the system state b.S referred to by the transaction or any subsequent
 //     state derived from it", Sec. V-C). This makes escrow outcomes
 //     deterministic: the leader validated the batch under b.S, credits only
-//     grow balances, and a payer's debits are serialized in one instance.
+//     grow balances, and (with SplitMultiPayer) a payer's debits are
+//     serialized in one instance.
 //
 //   - Globally confirmed blocks enter a FIFO execution queue. The head
 //     transaction executes only when it is ready (its escrow phase finished
@@ -26,10 +27,10 @@ import (
 
 // txTracker follows one transaction across the instances it was assigned
 // to: which instances escrowed its payer operations, how many global-log
-// occurrences have been processed, its final outcome, and when this replica
-// first received it and first saw it proposed and delivered (zero: not yet)
-// — the stamps OnConfirm reports. Trackers live in Replica.trk, addressed by
-// the transaction's table slot.
+// occurrences have been processed, whether it is confirmed, and when this
+// replica first received it and first saw it proposed and delivered (zero:
+// not yet) — the stamps OnConfirm reports. Trackers live in Replica.trk,
+// addressed by the transaction's table slot.
 type txTracker struct {
 	tx *types.Transaction // first copy seen; dropped once confirmed
 	// The route (every payer's bucket for Orthrus, the first otherwise) is
@@ -37,8 +38,7 @@ type txTracker struct {
 	wide         *wideRoute
 	arr          [4]int
 	n            int32 // 0: the slot is not tracked
-	whole        bool  // every payer op maps to arr[0]: no leg needs Assign
-	failed, done bool
+	done         bool  // confirmed: committed or aborted
 	slot         partition.Slot
 	gen          uint32 // tracker incarnations of the slot; see txRef
 	occurSeen    int32  // glog occurrences processed so far
@@ -91,7 +91,6 @@ func (r *Replica) track(tx *types.Transaction) *txTracker {
 		if len(route) == 0 {
 			route = append(route, r.buckets.Assign(tx.Client))
 		}
-		t.whole = len(route) == 1
 		if !r.cfg.Mode.SplitMultiPayer {
 			route = route[:1]
 		}
@@ -179,9 +178,9 @@ func (t *txTracker) escrowedCount() int {
 }
 
 // ready reports whether the transaction's escrow phase concluded on every
-// instance it belongs to (successfully or by failing).
+// instance it belongs to (successfully, or by failing and aborting it).
 func (t *txTracker) ready() bool {
-	return t.failed || t.done || t.escrowedCount() == int(t.n)
+	return t.done || t.escrowedCount() == int(t.n)
 }
 
 // confirm finalizes a transaction at this replica: exactly once per tx.
@@ -271,37 +270,47 @@ func (r *Replica) execPartial(instance int, d delivered) {
 	for i := range d.b.Txs {
 		tx := &d.b.Txs[i]
 		t := r.at(d.refs[i], tx)
-		if t.done || t.failed || t.escrowed(instance) {
+		if t.done || t.escrowed(instance) {
 			continue
 		}
-		id := tx.ID()
-		ok := true
-		for _, op := range tx.Ops {
-			if !op.IsPayerOp() || !r.legOn(t, op.Key, instance) {
-				continue
-			}
-			if !r.store.Escrow(op, id) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+		if !r.escrowLegs(t, tx, instance) {
 			// An escrow failed: undo everything escrowed so far for this
 			// transaction, on every instance (Solution I: atomic abort).
-			r.store.AbortEscrow(id)
-			t.failed = true
-			r.confirm(t, false)
+			r.settle(t, tx, false)
 			continue
 		}
 		t.markEscrowed(instance)
 		if t.escrowedCount() == int(t.n) && tx.Kind() == types.Payment {
 			// All payer escrows committed: the payment is decided. Apply
 			// credits and confirm without waiting for the global log.
-			r.store.CommitEscrow(id)
-			r.applyCredits(tx)
-			r.confirm(t, true)
+			r.settle(t, tx, true)
 		}
 	}
+}
+
+// escrowLegs escrows the payer legs of tx that legOn gives instance; it
+// reports whether every one of them held.
+func (r *Replica) escrowLegs(t *txTracker, tx *types.Transaction, instance int) bool {
+	id := tx.ID()
+	for _, op := range tx.Ops {
+		if op.IsPayerOp() && r.legOn(t, op.Key, instance) && !r.store.Escrow(op, id) {
+			return false
+		}
+	}
+	return true
+}
+
+// settle decides t's transaction tx, the one step every commit or abort
+// takes: on ok its escrows commit and its credits apply, otherwise every
+// escrow it holds is undone; either way it is confirmed.
+func (r *Replica) settle(t *txTracker, tx *types.Transaction, ok bool) {
+	if ok {
+		r.store.CommitEscrow(tx.ID())
+		r.applyCredits(tx)
+	} else {
+		r.store.AbortEscrow(tx.ID())
+	}
+	r.confirm(t, ok)
 }
 
 // applyCredits applies the incremental owned-object operations of tx.
@@ -348,26 +357,16 @@ func (r *Replica) drainGlogQueue() {
 				cur.next++
 				continue
 			}
-			if r.cfg.Mode.FastPathPayments {
-				if tx.Kind() == types.Payment || t.done || t.failed {
-					// Payments confirmed (or aborted) via the fast path.
-					r.occurred(t)
-					cur.next++
-					continue
-				}
-				if !t.ready() {
-					return // wait for the escrow phase; order preserved
-				}
-				r.occurred(t)
-				cur.next++
-				r.execContractOrthrus(t)
-				continue
+			// The fast path settles a payment; a contract waits here until
+			// its escrow phase concluded on every instance.
+			fastPayment := r.cfg.Mode.FastPathPayments && tx.Kind() == types.Payment
+			if r.cfg.Mode.FastPathPayments && !fastPayment && !t.ready() {
+				return // wait for the escrow phase; order preserved
 			}
-			// Baselines: everything executes sequentially in global order.
 			r.occurred(t)
 			cur.next++
-			if !t.done && !t.failed {
-				r.execSequential(t)
+			if !t.done && !fastPayment {
+				r.execGlobal(t)
 			}
 		}
 		r.glogQ[r.glogHead] = glogCursor{}
@@ -377,48 +376,19 @@ func (r *Replica) drainGlogQueue() {
 	r.glogQ, r.glogHead = r.glogQ[:0], 0
 }
 
-// execContractOrthrus finalizes a contract transaction at its global-log
-// position: shared-object operations run now (the non-commutative part),
-// then the escrows taken at partial-log time commit or abort together.
-func (r *Replica) execContractOrthrus(t *txTracker) {
-	id := t.tx.ID()
-	if t.failed || !r.store.AllEscrowed(t.tx) {
-		r.store.AbortEscrow(id)
-		r.confirm(t, false)
-		return
-	}
-	if !r.execShared(t.tx) {
-		r.store.AbortEscrow(id)
-		r.confirm(t, false)
-		return
-	}
-	r.store.CommitEscrow(id)
-	r.applyCredits(t.tx)
-	r.confirm(t, true)
-}
-
-// execSequential executes a transaction entirely at its global-log position
-// (the baseline protocols): payer debits, shared operations, then credits;
-// any failure rolls back via the escrow log.
-func (r *Replica) execSequential(t *txTracker) {
-	id := t.tx.ID()
-	for _, op := range t.tx.Ops {
-		if op.IsPayerOp() {
-			if !r.store.Escrow(op, id) {
-				r.store.AbortEscrow(id)
-				r.confirm(t, false)
-				return
-			}
+// execGlobal finishes t's transaction at its global-log position. Without
+// the fast path its payer legs escrow here, each on its route entry;
+// Orthrus escrowed them at partial-log time. Then the shared-object
+// operations run (the non-commutative part) and the transaction settles.
+func (r *Replica) execGlobal(t *txTracker) {
+	tx := t.tx
+	ok := true
+	if !r.cfg.Mode.FastPathPayments {
+		for _, instance := range t.route() {
+			ok = ok && r.escrowLegs(t, tx, instance)
 		}
 	}
-	if !r.execShared(t.tx) {
-		r.store.AbortEscrow(id)
-		r.confirm(t, false)
-		return
-	}
-	r.store.CommitEscrow(id)
-	r.applyCredits(t.tx)
-	r.confirm(t, true)
+	r.settle(t, tx, ok && r.execShared(tx))
 }
 
 // execShared runs the shared-object operations of tx; it reports success.

@@ -95,12 +95,16 @@ func TestRouteOfManyPayerBuckets(t *testing.T) {
 	}
 	noSplit := OrthrusMode()
 	noSplit.SplitMultiPayer = false
-	tr := newBareReplicaM(t, noSplit, m).track(tx)
+	r := newBareReplicaM(t, noSplit, m)
+	tr := r.track(tx)
 	if got := tr.route(); len(got) != 1 || got[0] != want[0] {
 		t.Fatalf("no-split route = %v, want the smallest bucket [%d]", got, want[0])
 	}
-	if tr.whole {
-		t.Fatal("a six-bucket transaction cut to one route entry must still assign per leg")
+	// The one route entry takes every payer leg, wherever its payer hashes.
+	for _, p := range payers {
+		if !r.legOn(tr, p, want[0]) {
+			t.Fatalf("payer %s (bucket %d) is not handled on the route's one entry %d", p, partition.Assign(p, m), want[0])
+		}
 	}
 }
 

@@ -123,7 +123,11 @@ type Mode struct {
 	// logs via the escrow mechanism, bypassing the global log (Orthrus).
 	FastPathPayments bool
 	// SplitMultiPayer assigns multi-payer transactions to every payer's
-	// bucket (Orthrus); otherwise the first payer's bucket only.
+	// bucket, each escrowing its own payers' legs (Orthrus). Without it a
+	// multi-payer transaction goes to its first payer bucket (the lowest
+	// numbered) and every payer leg escrows there. A payer's debits then
+	// run on more than one instance, so with FastPathPayments replicas may
+	// order a contended payer's escrows differently.
 	SplitMultiPayer bool
 	// Sequencer adds a dedicated ordering SB instance (DQBFT): worker
 	// blocks are globally ordered by reference blocks decided on it.

@@ -534,10 +534,11 @@ func (r *Replica) pulse(instance int) {
 	_ = e.Propose(b) // CanPropose was checked; a race-free sim cannot fail here
 }
 
-// legOn reports whether the payer key of one of t's transaction's ops maps
-// to instance, read off the cached route when every payer shares a bucket.
+// legOn is the one rule for where a payer leg of t's transaction runs: a
+// route of one entry takes every leg (the payers share a bucket, or the
+// mode does not split), a longer route splits them by payer bucket.
 func (r *Replica) legOn(t *txTracker, payer types.Key, instance int) bool {
-	if t.whole {
+	if t.n == 1 {
 		return t.arr[0] == instance
 	}
 	return r.buckets.Assign(payer) == instance
@@ -548,11 +549,8 @@ func (r *Replica) legOn(t *txTracker, payer types.Key, instance int) bool {
 // debits this leader has already promised elsewhere.
 func (r *Replica) legFeasible(tx *types.Transaction, t *txTracker, instance int) bool {
 	for _, op := range tx.Ops {
-		if !op.IsPayerOp() {
-			continue
-		}
-		if r.cfg.Mode.SplitMultiPayer && !r.legOn(t, op.Key, instance) {
-			continue // another instance validates that leg
+		if !op.IsPayerOp() || !r.legOn(t, op.Key, instance) {
+			continue // not a leg this instance validates
 		}
 		if r.store.Balance(op.Key)-r.proposedDebits[op.Key]-op.Amount < op.Con {
 			return false
@@ -565,13 +563,9 @@ func (r *Replica) legFeasible(tx *types.Transaction, t *txTracker, instance int)
 // checks until the block executes.
 func (r *Replica) promiseDebits(tx *types.Transaction, t *txTracker, instance int) {
 	for _, op := range tx.Ops {
-		if !op.IsPayerOp() {
-			continue
+		if op.IsPayerOp() && r.legOn(t, op.Key, instance) {
+			r.proposedDebits[op.Key] += op.Amount
 		}
-		if r.cfg.Mode.SplitMultiPayer && !r.legOn(t, op.Key, instance) {
-			continue
-		}
-		r.proposedDebits[op.Key] += op.Amount
 	}
 }
 
@@ -582,10 +576,7 @@ func (r *Replica) releaseProposedDebits(d delivered) {
 		tx := &d.b.Txs[i]
 		t := r.at(d.refs[i], tx)
 		for _, op := range tx.Ops {
-			if !op.IsPayerOp() {
-				continue
-			}
-			if r.cfg.Mode.SplitMultiPayer && !r.legOn(t, op.Key, d.b.Instance) {
+			if !op.IsPayerOp() || !r.legOn(t, op.Key, d.b.Instance) {
 				continue
 			}
 			if v := r.proposedDebits[op.Key] - op.Amount; v > 0 {

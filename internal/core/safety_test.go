@@ -97,19 +97,28 @@ func TestSafetyUnderRandomSchedules(t *testing.T) {
 
 // TestConservationUnderRandomSchedules: total owned value changes only by
 // burnt contract fees — never created or destroyed by payments (Lemma 2's
-// conservation corollary).
+// conservation corollary). It holds for Orthrus with and without multi-payer
+// splitting — unsplit, every payer leg escrows on the one route entry — and
+// for a baseline that escrows at the global-log position.
 func TestConservationUnderRandomSchedules(t *testing.T) {
-	for seed := int64(10); seed <= 14; seed++ {
-		c, txs := randomWorkloadCluster(t, seed, core.OrthrusMode())
-		fees := types.Amount(0)
-		for _, tx := range txs {
-			if tx.Kind() == types.Contract && c.results[0][tx.ID()] {
-				fees += tx.TotalDebit() - tx.TotalCredit()
-			}
-		}
-		want := types.Amount(10*1000) - fees
-		if got := c.replicas[0].Store().TotalOwned(); got != want {
-			t.Fatalf("seed %d: total owned %d, want %d", seed, got, want)
+	noSplit := core.OrthrusMode()
+	noSplit.Name = "Orthrus-noSplit"
+	noSplit.SplitMultiPayer = false
+	for _, mode := range []core.Mode{core.OrthrusMode(), noSplit, baseline.ISSMode()} {
+		for seed := int64(10); seed <= 14; seed++ {
+			t.Run(fmt.Sprintf("%s/seed=%d", mode.Name, seed), func(t *testing.T) {
+				c, txs := randomWorkloadCluster(t, seed, mode)
+				fees := types.Amount(0)
+				for _, tx := range txs {
+					if tx.Kind() == types.Contract && c.results[0][tx.ID()] {
+						fees += tx.TotalDebit() - tx.TotalCredit()
+					}
+				}
+				want := types.Amount(10*1000) - fees
+				if got := c.replicas[0].Store().TotalOwned(); got != want {
+					t.Fatalf("total owned %d, want %d", got, want)
+				}
+			})
 		}
 	}
 }

@@ -99,28 +99,6 @@ func (s *Store) Escrow(op types.Op, id types.TxID) bool {
 	return true
 }
 
-// Escrowed reports whether (op, tx) is in the escrow log.
-func (s *Store) Escrowed(op types.Op, id types.TxID) bool {
-	for _, e := range s.elog[id] {
-		if e == op {
-			return true
-		}
-	}
-	return false
-}
-
-// AllEscrowed reports whether every owned decremental op of tx has been
-// escrowed (Algorithm 2, function allEscrowed).
-func (s *Store) AllEscrowed(tx *types.Transaction) bool {
-	id := tx.ID()
-	for _, op := range tx.Ops {
-		if op.IsPayerOp() && !s.Escrowed(op, id) {
-			return false
-		}
-	}
-	return true
-}
-
 // CommitEscrow makes tx's escrowed deductions permanent by dropping the
 // escrow entries (Algorithm 2, function commitEscrow). The balances were
 // already decremented at escrow time.

@@ -19,7 +19,7 @@ func TestEscrowBasic(t *testing.T) {
 	if s.Balance("alice") != 6 {
 		t.Fatalf("balance after escrow = %d", s.Balance("alice"))
 	}
-	if !s.Escrowed(op, tx.ID()) || !s.AllEscrowed(tx) {
+	if s.EscrowCount() != 1 {
 		t.Fatal("escrow not recorded")
 	}
 	s.CommitEscrow(tx.ID())
@@ -41,8 +41,8 @@ func TestEscrowInsufficientFunds(t *testing.T) {
 	if s.Balance("alice") != 3 {
 		t.Fatalf("failed escrow mutated balance: %d", s.Balance("alice"))
 	}
-	if s.AllEscrowed(tx) {
-		t.Fatal("AllEscrowed true with no escrow")
+	if s.EscrowCount() != 0 {
+		t.Fatal("failed escrow recorded in the escrow log")
 	}
 }
 

@@ -12,12 +12,14 @@ import (
 
 // Mode describes a protocol to the replica framework: how the global log
 // is built (NewGlobal), whether payments bypass it (FastPathPayments),
-// how multi-payer transactions are assigned (SplitMultiPayer), and how
-// the system reacts to leader failure (the epoch/view-change flags). Most
-// SDK callers never construct one — they pick protocols by name — but a
-// new protocol composes a Mode from the ordering building blocks below
-// (PredeterminedOrdering, DynamicOrdering, or a custom GlobalOrdering
-// implementation) and registers its constructor with Register:
+// how multi-payer transactions are assigned (SplitMultiPayer: to every
+// payer's bucket, or else to the first payer bucket, where every payer
+// leg then escrows), and how the system reacts to leader failure (the
+// epoch/view-change flags). Most SDK callers never construct one — they
+// pick protocols by name — but a new protocol composes a Mode from the
+// ordering building blocks below (PredeterminedOrdering, DynamicOrdering,
+// or a custom GlobalOrdering implementation) and registers its
+// constructor with Register:
 //
 //	orthrus.Register("Hydra", "dynamic ordering, no fast path", func() orthrus.Mode {
 //		return orthrus.Mode{
