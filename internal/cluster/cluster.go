@@ -6,7 +6,9 @@
 // One collector (collect.go) does the configuration and the measuring for
 // every run; a backend supplies the engine. Run (sim.go) executes inside
 // the simulator's one event loop over a modeled WAN or LAN, and adds what
-// only a simulation can do: stragglers, faults, scenarios. RunReal
+// only a simulation can do: stragglers, crashes and scenario timelines,
+// every one a scenario.Event applied through one step, and per-phase
+// windows measured from the client records. RunReal
 // (real.go) executes the same replicas on transport.Proc's goroutines
 // under wall-clock time.
 //

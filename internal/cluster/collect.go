@@ -25,11 +25,11 @@ type txMeta struct {
 // collector is the measurement half of a run, shared by every backend: it
 // configures the replicas, keeps the client-side submission record, turns
 // replica confirmations into client-visible ones (the (f+1)-th reply),
-// bins them into the series and scenario phases, and closes the books into
-// the Result. A backend (Run: the simulator; RunReal: transport.Proc)
-// supplies each replica's clock and transport, the reply hop's delay, the
-// client's pacing, and one-at-a-time delivery of the calls below — the
-// collector takes no locks.
+// bins them into the series, and closes the books into the Result; the
+// scenario phases are measured from its client records. A backend (Run:
+// the simulator; RunReal: transport.Proc) supplies each replica's clock and
+// transport, the reply hop's delay, the client's pacing, and one-at-a-time
+// delivery of the calls below — the collector takes no locks.
 type collector struct {
 	cfg     Config
 	f       int
@@ -91,10 +91,6 @@ func newCollector(cfg Config, replyHop func(replica, home int) time.Duration) *c
 func replicaConfig(cfg Config, id int, genesis func(*ledger.Store)) core.Config {
 	n := cfg.N
 	ccfg := core.NewConfig(n, id, cfg.Protocol, cfg.Params, genesis)
-	// Straggled instances are led by the highest-index replicas.
-	if cfg.Stragglers > 0 && id >= n-cfg.Stragglers {
-		ccfg.PulseScale = cfg.StragglerFactor
-	}
 	if cfg.ByzantineFaults > 0 && id >= n-cfg.ByzantineFaults {
 		ccfg.ByzantineMute = true
 	}
@@ -180,9 +176,6 @@ func (c *collector) confirm(replica int, tx *types.Transaction, success bool, st
 	res := c.res
 	res.Latency.Add(lat)
 	res.Series.Record(reply, lat)
-	if c.pt != nil {
-		c.pt.record(reply, lat)
-	}
 	if !success {
 		res.Aborted++
 	}
@@ -224,27 +217,21 @@ func (c *collector) finish(replicas []*core.Replica, elapsed time.Duration) *Res
 	if cfg.OnWindow != nil {
 		c.emitWindows(res.Series.Bins())
 	}
-	// Phase finalization. On a halted run the recorded counts include
-	// confirmations whose replies had not landed when the run stopped;
-	// re-bin from the metadata so every window counts exactly the replies
-	// inside its clamped bounds, then clamp to the elapsed time — phases the
-	// halt preempted entirely are never emitted.
+	// Phases, measured from the client records. A halted run counts only the
+	// replies that landed before the stop, in windows clamped to it; phases
+	// not streamed mid-run are emitted now, in order, except those the stop
+	// preempted entirely.
 	if pt := c.pt; pt != nil {
+		stop := forever
 		if res.Halted {
-			pt.reset()
-			for i := range c.meta {
-				if m := &c.meta[i]; m.done && m.reply < types.Time(elapsed) {
-					pt.record(m.reply, time.Duration(m.reply-m.submit))
-				}
-			}
+			stop = types.Time(elapsed)
 		}
-		res.Phases = pt.finalize(elapsed, res.Halted)
-		if cfg.OnPhase != nil {
-			for i := range res.Phases {
-				if !pt.emitted[i] && !pt.skipped[i] {
-					cfg.OnPhase(res.Phases[i])
-				}
-			}
+		res.Phases = make([]PhaseWindow, len(pt.windows))
+		for i := range res.Phases {
+			res.Phases[i] = pt.measure(i, c.meta, stop)
+		}
+		for i := pt.emitted; cfg.OnPhase != nil && i < len(res.Phases) && types.Time(pt.windows[i].Start) < stop; i++ {
+			cfg.OnPhase(res.Phases[i])
 		}
 	}
 

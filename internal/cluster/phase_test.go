@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/scenario"
-	"repro/internal/simnet"
+	"repro/internal/types"
 )
 
 // mkTracker builds a phaseTracker over a scenario with events at the
@@ -19,29 +19,48 @@ func mkTracker(runEnd time.Duration, eventTimes ...time.Duration) *phaseTracker 
 	return newPhaseTracker(b.Build(), runEnd)
 }
 
+// repliesAt builds the client records of confirmations whose replies land
+// at the given times, each a millisecond after its submission.
+func repliesAt(at ...time.Duration) []txMeta {
+	meta := make([]txMeta, len(at))
+	for i, r := range at {
+		meta[i] = txMeta{submit: types.Time(r - time.Millisecond), reply: types.Time(r), done: true}
+	}
+	return meta
+}
+
+// measureAll measures every window of pt over meta up to upTo.
+func measureAll(pt *phaseTracker, meta []txMeta, upTo types.Time) []PhaseWindow {
+	out := make([]PhaseWindow, len(pt.windows))
+	for i := range out {
+		out[i] = pt.measure(i, meta, upTo)
+	}
+	return out
+}
+
 // TestPhaseBoundaryHalfOpen pins the regression: a confirmation whose
 // reply lands exactly on a phase boundary — including a boundary that
 // coincides with a 0.5 s series-bin edge — belongs to the window the
-// boundary opens, and the streamed per-phase counts match the final ones.
+// boundary opens, and the windows count every confirmation once.
 func TestPhaseBoundaryHalfOpen(t *testing.T) {
 	// Boundary at exactly 2.5s: a 0.5s metric window edge.
 	pt := mkTracker(18*time.Second, 2500*time.Millisecond)
-	at := func(d time.Duration) simnet.Time { return simnet.Time(d) }
-	pt.record(at(2500*time.Millisecond-1), time.Millisecond) // last tick of baseline
-	pt.record(at(2500*time.Millisecond), time.Millisecond)   // exactly on the edge
-	pt.record(at(2500*time.Millisecond+1), time.Millisecond) // first tick after
-	// The streamed value for the closed baseline window...
-	streamed := pt.stat(0)
-	out := pt.finalize(18*time.Second, false)
-	if streamed.Confirmed != 1 || out[0].Confirmed != 1 {
-		t.Fatalf("baseline window [0, 2.5s) counted %d streamed / %d final, want 1 (boundary must not drift)",
-			streamed.Confirmed, out[0].Confirmed)
+	meta := repliesAt(
+		2500*time.Millisecond-1, // last tick of baseline
+		2500*time.Millisecond,   // exactly on the edge
+		2500*time.Millisecond+1, // first tick after
+	)
+	out := measureAll(pt, meta, forever)
+	if out[0].Confirmed != 1 {
+		t.Fatalf("baseline window [0, 2.5s) counted %d, want 1 (boundary must not drift)", out[0].Confirmed)
 	}
 	if out[1].Confirmed != 2 {
 		t.Fatalf("window [2.5s, ...) counted %d, want 2 (boundary reply belongs to the opening window)", out[1].Confirmed)
 	}
-	if sum := out[0].Confirmed + out[1].Confirmed; sum != 3 {
-		t.Fatalf("windows count %d confirmations, want all 3", sum)
+	// The baseline window streams mid-run at 2.5s, before the later replies
+	// have landed: it must read the same then.
+	if streamed := pt.measure(0, meta[:2], forever); streamed != out[0] {
+		t.Fatalf("baseline streamed %+v, final %+v", streamed, out[0])
 	}
 }
 
@@ -50,15 +69,13 @@ func TestPhaseBoundaryHalfOpen(t *testing.T) {
 // boundary.
 func TestPhaseWindowCountsPinned(t *testing.T) {
 	pt := mkTracker(10*time.Second, 2*time.Second, 4*time.Second)
-	replies := []time.Duration{
-		1 * time.Second, 1999 * time.Millisecond, // baseline
-		2 * time.Second, 3 * time.Second, 3999 * time.Millisecond, // phase 1
-		4 * time.Second, 9 * time.Second, // phase 2
-	}
-	for _, r := range replies {
-		pt.record(simnet.Time(r), time.Millisecond)
-	}
-	out := pt.finalize(10*time.Second, false)
+	meta := repliesAt(
+		1*time.Second, 1999*time.Millisecond, // baseline
+		2*time.Second, 3*time.Second, 3999*time.Millisecond, // phase 1
+		4*time.Second, 9*time.Second, // phase 2
+	)
+	meta = append(meta, txMeta{submit: types.Time(time.Second)}) // never confirmed
+	out := measureAll(pt, meta, forever)
 	want := []int{2, 3, 2}
 	for i, w := range want {
 		if out[i].Confirmed != w {
@@ -67,6 +84,9 @@ func TestPhaseWindowCountsPinned(t *testing.T) {
 		}
 		if out[i].ThroughputTPS != float64(w)/(out[i].End-out[i].Start).Seconds() {
 			t.Fatalf("window %d rate %f inconsistent with its bounds", i, out[i].ThroughputTPS)
+		}
+		if out[i].MeanLatency != time.Millisecond {
+			t.Fatalf("window %d mean latency %v, want 1ms", i, out[i].MeanLatency)
 		}
 	}
 	// Windows tile the run: contiguous half-open intervals.
@@ -86,10 +106,7 @@ func TestFinalPhaseExtendsToLateReplies(t *testing.T) {
 	runEnd := 6 * time.Second
 	pt := mkTracker(runEnd, 2*time.Second)
 	late := runEnd + 300*time.Millisecond
-	pt.record(simnet.Time(5*time.Second), time.Millisecond)
-	pt.record(simnet.Time(runEnd), time.Millisecond) // exactly at nominal end
-	pt.record(simnet.Time(late), time.Millisecond)
-	out := pt.finalize(runEnd, false)
+	out := measureAll(pt, repliesAt(5*time.Second, runEnd, late), forever) // one exactly at nominal end
 	if out[1].Confirmed != 3 {
 		t.Fatalf("final window counted %d, want 3", out[1].Confirmed)
 	}
@@ -104,17 +121,15 @@ func TestFinalPhaseExtendsToLateReplies(t *testing.T) {
 
 // TestZeroWidthWindowsStayEmpty: scenario events at or past the end of
 // the run collapse to zero-width windows, which must never own a reply
-// (the last-wins rule at equal Starts) nor report a rate.
+// (the half-open rule) nor report a rate.
 func TestZeroWidthWindowsStayEmpty(t *testing.T) {
 	runEnd := 4 * time.Second
 	pt := mkTracker(runEnd, 4*time.Second, 5*time.Second)
-	pt.record(simnet.Time(3*time.Second), time.Millisecond)
-	pt.record(simnet.Time(4*time.Second), time.Millisecond) // boundary at run end
-	out := pt.finalize(runEnd, false)
-	if out[1].Confirmed != 0 {
-		t.Fatalf("zero-width window [4s,4s) counted %d replies", out[1].Confirmed)
+	out := measureAll(pt, repliesAt(3*time.Second, 4*time.Second), forever) // the second at run end
+	if out[1].Confirmed != 0 || out[1].ThroughputTPS != 0 {
+		t.Fatalf("zero-width window [4s,4s) counted %d replies at %f tps", out[1].Confirmed, out[1].ThroughputTPS)
 	}
-	if out[2].Confirmed != 2-1 {
+	if out[2].Confirmed != 1 {
 		t.Fatalf("final window counted %d, want 1", out[2].Confirmed)
 	}
 	if out[0].Confirmed != 1 {

@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/scenario"
+	"repro/internal/types"
 	"repro/internal/workload"
 )
 
@@ -153,5 +155,122 @@ func TestLoadSurgeExtremeMultiplierTerminates(t *testing.T) {
 	res := Run(cfg) // must terminate
 	if res.Submitted == 0 {
 		t.Fatal("nothing submitted")
+	}
+}
+
+// TestSameInstantEventsFireInTimelineOrder: two events at one instant fire
+// in the order the timeline lists them. A crash then a recovery of replica
+// 3 at t leaves it delivering blocks after t; the recovery first is a no-op
+// on a live replica, and the crash then silences it for good.
+func TestSameInstantEventsFireInTimelineOrder(t *testing.T) {
+	const at, victim = time.Second, 3
+	for _, crashFirst := range []bool{true, false} {
+		b := scenario.New("same-instant")
+		if crashFirst {
+			b.CrashAt(at, victim).RecoverAt(at, victim)
+		} else {
+			b.RecoverAt(at, victim).CrashAt(at, victim)
+		}
+		cfg := smallCfg(core.OrthrusMode())
+		cfg.Scenario = b.Build()
+		// The window ticks are the test's clock: the one closing at t runs
+		// after the events at t, which were scheduled before it.
+		delivered, atT := 0, -1
+		cfg.OnBlockDeliver = func(replica, _ int, _ *types.Block) {
+			if replica == victim {
+				delivered++
+			}
+		}
+		cfg.OnWindow = func(w WindowStat) {
+			if w.End == at {
+				atT = delivered
+			}
+		}
+		Run(cfg)
+		if atT <= 0 {
+			t.Fatalf("crashFirst=%v: replica %d delivered %d blocks before %v, want some", crashFirst, victim, atT, at)
+		}
+		if after := delivered - atT; crashFirst && after == 0 {
+			t.Fatalf("crash then recover at %v: replica %d delivered nothing after", at, victim)
+		} else if !crashFirst && after != 0 {
+			t.Fatalf("recover then crash at %v: replica %d delivered %d blocks after", at, victim, after)
+		}
+	}
+}
+
+// TestStaticCrashIsAScenarioCrash: CrashFaults/CrashAt is the same fault as
+// a scenario crash of the same replicas at the same time — every Result
+// field agrees but Phases, which only a scenario reports.
+func TestStaticCrashIsAScenarioCrash(t *testing.T) {
+	cfg := smallCfg(core.OrthrusMode())
+	cfg.N = 7
+	cfg.Duration = 3 * time.Second
+	cfg.Drain = 3 * time.Second
+	static := cfg
+	static.CrashFaults, static.CrashAt = 2, 2*time.Second
+	scripted := cfg
+	scripted.Scenario = scenario.New("crash").CrashAt(2*time.Second, 6, 5).Build()
+
+	want, got := Run(static), Run(scripted)
+	if len(got.Phases) != 2 || want.Phases != nil {
+		t.Fatalf("phases: static %+v, scenario %+v", want.Phases, got.Phases)
+	}
+	if want.ViewChanges == 0 {
+		t.Fatal("no view change: the crash did not take effect")
+	}
+	got.Phases = nil
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("static crash and scenario crash differ:\nstatic   %v\nscenario %v", want, got)
+	}
+}
+
+// TestHaltedScenarioRun stops a scenario run at several points, mid-phase
+// and on a phase boundary. Every window clamps to the stop and counts only
+// the replies that landed before it; OnPhase sees exactly the phases that
+// opened before the stop, each equal to its Result.Phases entry.
+func TestHaltedScenarioRun(t *testing.T) {
+	starts := []time.Duration{0, 1500 * time.Millisecond, 2500 * time.Millisecond, 3500 * time.Millisecond}
+	scn := scenario.New("halted").
+		StraggleAt(starts[1], 5, 3).
+		StraggleAt(starts[2], 1, 3).
+		LoadSurgeAt(starts[3], 2).
+		Build()
+	for _, ticks := range []int{3, 5, 6, 7} { // halts at 1.5s, 2.5s, 3s, 3.5s
+		stop := time.Duration(ticks) * 500 * time.Millisecond
+		cfg := smallCfg(core.OrthrusMode())
+		cfg.Net = WAN // long reply hops: replies are in flight at the stop
+		cfg.Scenario = scn
+		polls, landed := 0, 0
+		cfg.Halt = func() bool { polls++; return polls == ticks }
+		cfg.OnConfirm = func(_ *types.Transaction, _ bool, reply types.Time) {
+			if reply < types.Time(stop) {
+				landed++
+			}
+		}
+		var streamed []PhaseWindow
+		cfg.OnPhase = func(p PhaseWindow) { streamed = append(streamed, p) }
+		res := Run(cfg)
+
+		if !res.Halted || len(res.Phases) != len(starts) {
+			t.Fatalf("stop %v: halted=%v, phases %+v", stop, res.Halted, res.Phases)
+		}
+		opened, sum := 0, 0
+		for i, p := range res.Phases {
+			if p.Start > stop || p.End > stop {
+				t.Fatalf("stop %v: phase %d [%v,%v) not clamped", stop, i, p.Start, p.End)
+			}
+			if starts[i] < stop {
+				opened++
+			} else if p.Confirmed != 0 {
+				t.Fatalf("stop %v: preempted phase %d counted %d", stop, i, p.Confirmed)
+			}
+			sum += p.Confirmed
+		}
+		if sum != landed {
+			t.Fatalf("stop %v: phases count %d replies, %d landed before the stop", stop, sum, landed)
+		}
+		if !reflect.DeepEqual(streamed, res.Phases[:opened]) {
+			t.Fatalf("stop %v: streamed %+v, want the %d opened phases of %+v", stop, streamed, opened, res.Phases)
+		}
 	}
 }

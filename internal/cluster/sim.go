@@ -62,10 +62,9 @@ func Run(cfg Config) *Result {
 			if pt.windows[i].End >= runEnd {
 				continue
 			}
-			i := i
 			sim.At(simnet.Time(pt.windows[i].End), func() {
-				pt.emitted[i] = true
-				cfg.OnPhase(pt.stat(i))
+				pt.emitted++
+				cfg.OnPhase(pt.measure(i, c.meta, forever))
 			})
 		}
 	}
@@ -91,51 +90,59 @@ func Run(cfg Config) *Result {
 		}
 		return core.NewReplica(ccfg, simnet.On(sim, i), nw)
 	})
-	// Straggler network scaling: everything the straggled replicas send is
-	// slowed, modeling an instance that runs 10x slower end to end.
-	for s := 0; s < cfg.Stragglers; s++ {
-		nw.SetOutScale(n-1-s, cfg.StragglerFactor)
+	// fire applies one fault or load event to the running cluster — the one
+	// step every injected fault goes through: the static stragglers and
+	// crashes of the paper's figures and each event of a scenario timeline.
+	// Replica-level verbs act on each of e.Nodes; the network-wide ones act
+	// once.
+	loadMult := 1.0
+	fire := func(e scenario.Event) {
+		switch e.Kind {
+		case scenario.Partition:
+			nw.Partition(e.Groups...)
+		case scenario.Heal:
+			nw.Heal()
+		case scenario.LoadSurge:
+			loadMult = e.Scale
+		}
+		for _, id := range e.Nodes {
+			switch r := replicas[id]; e.Kind {
+			case scenario.Crash:
+				r.Stop()
+				nw.SetDown(id, true)
+			case scenario.Recover:
+				nw.SetDown(id, false)
+				r.Recover()
+			case scenario.Straggle:
+				nw.SetOutScale(id, e.Scale)
+				r.SetPulseScale(e.Scale)
+			case scenario.Equivocate:
+				r.SetEquivocate(true)
+			case scenario.Censor:
+				r.SetCensorAll(true)
+			case scenario.MuteLeader:
+				r.SetMuteLeader(true)
+			}
+		}
+	}
+	// Static faults are events too, their victims the highest ids: the
+	// stragglers slow everything they send and their proposal pulses by
+	// StragglerFactor from before the first pulse (Sec. VII-A); the crash
+	// set stops at CrashAt (Fig. 7).
+	if cfg.Stragglers > 0 {
+		fire(scenario.Event{Kind: scenario.Straggle, Nodes: highest(n, cfg.Stragglers), Scale: cfg.StragglerFactor})
 	}
 	for _, r := range replicas {
 		r.Start()
 	}
-
-	// Crash faults: crash the chosen replicas at CrashAt (Fig. 7).
 	if cfg.CrashFaults > 0 {
-		at := simnet.Time(cfg.CrashAt)
-		for k := 0; k < cfg.CrashFaults; k++ {
-			victim := n - 1 - k
-			sim.At(at, func() {
-				replicas[victim].Stop()
-				nw.SetDown(victim, true)
-			})
-		}
+		crash := scenario.Event{At: cfg.CrashAt, Kind: scenario.Crash, Nodes: highest(n, cfg.CrashFaults)}
+		sim.At(simnet.Time(crash.At), func() { fire(crash) })
 	}
-
-	// Scenario events: compiled onto the simulator's timeline, mutating the
-	// network, the replica lifecycles and the client load factor mid-run.
-	loadMult := 1.0
 	if cfg.Scenario != nil {
-		cfg.Scenario.Apply(sim, scenario.Hooks{
-			Crash: func(id int) {
-				replicas[id].Stop()
-				nw.SetDown(id, true)
-			},
-			Recover: func(id int) {
-				nw.SetDown(id, false)
-				replicas[id].Recover()
-			},
-			Straggle: func(id int, scale float64) {
-				nw.SetOutScale(id, scale)
-				replicas[id].SetPulseScale(scale)
-			},
-			Partition:  func(groups [][]int) { nw.Partition(groups...) },
-			Heal:       nw.Heal,
-			LoadFactor: func(mult float64) { loadMult = mult },
-			Equivocate: func(id int) { replicas[id].SetEquivocate(true) },
-			Censor:     func(id int) { replicas[id].SetCensorAll(true) },
-			MuteLeader: func(id int) { replicas[id].SetMuteLeader(true) },
-		})
+		for _, e := range cfg.Scenario.Events {
+			sim.At(simnet.Time(e.At), func() { fire(e) })
+		}
 	}
 
 	// Open-loop clients: one transaction every 1/(LoadTPS*loadMult)
@@ -234,6 +241,16 @@ func Run(cfg Config) *Result {
 	res.Events = sim.EventsProcessed()
 	res.Messages = nw.Messages()
 	return c.finish(replicas, time.Duration(sim.Now()))
+}
+
+// highest lists the k highest replica ids of an n-replica cluster, from
+// the top: the victims of the static faults.
+func highest(n, k int) []int {
+	ids := make([]int, k)
+	for i := range ids {
+		ids[i] = n - 1 - i
+	}
+	return ids
 }
 
 // submitToReplica is the client-submission event callback: delivering a

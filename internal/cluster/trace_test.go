@@ -13,7 +13,7 @@ import (
 // format and replays it through a full cluster — the paper's
 // reset-and-replay methodology end to end.
 func TestRunWithReplayedTrace(t *testing.T) {
-	g := workload.New(workload.Config{Seed: 9, Accounts: 300, ContractCallers: 1})
+	g := workload.New(workload.Config{Seed: 9, Accounts: 300})
 	var buf bytes.Buffer
 	if err := g.Export(&buf, 500); err != nil {
 		t.Fatal(err)
@@ -36,7 +36,7 @@ func TestRunWithReplayedTrace(t *testing.T) {
 // TestTraceReplayDeterministicAcrossRuns: two runs over the same trace and
 // seed produce identical results.
 func TestTraceReplayDeterministicAcrossRuns(t *testing.T) {
-	g := workload.New(workload.Config{Seed: 10, Accounts: 100, ContractCallers: 1})
+	g := workload.New(workload.Config{Seed: 10, Accounts: 100})
 	var buf bytes.Buffer
 	if err := g.Export(&buf, 200); err != nil {
 		t.Fatal(err)

@@ -170,7 +170,7 @@ func TestRecoveredReplicaBeyondReach(t *testing.T) {
 				cfg.BatchTimeout = 4 * time.Millisecond
 				cfg.ViewTimeout = time.Hour
 				if i == 1 || i == 2 {
-					cfg.PulseScale = 1e6
+					cfg.BatchTimeout *= 1e6 // these leaders all but never pulse
 				}
 			})
 			at := func(d time.Duration, fn func()) { c.sim.At(simnet.Time(d), fn) }

@@ -22,7 +22,6 @@ type Config struct {
 
 	// Params are the knobs that must be equal on every replica.
 	Params
-	PulseScale float64 // straggler: multiplies this replica's pulse
 
 	// ByzantineMute makes this replica vote only in the instance it leads
 	// (the undetectable fault of Sec. VII-E).
@@ -202,6 +201,9 @@ type Replica struct {
 	// pulseGen invalidates in-flight pulse loops across Stop/Recover cycles
 	// so a quick recovery does not leave two loops running per instance.
 	pulseGen uint64
+	// pulseScale multiplies this replica's proposal pulse: a straggler's
+	// dilation, set only by SetPulseScale (1 is normal speed).
+	pulseScale float64
 	// pulseSlots back the closure-free pulse events: one per SB instance,
 	// allocated once, carried as the CallAfter operand for every pulse of
 	// that instance (the generation rides in the other operand).
@@ -223,9 +225,6 @@ func NewReplica(cfg Config, sim types.Clock, nw types.Network) *Replica {
 		cfg.M = cfg.N
 	}
 	cfg.Params = cfg.Params.WithDefaults()
-	if cfg.PulseScale <= 0 {
-		cfg.PulseScale = 1
-	}
 	r := &Replica{
 		cfg:            cfg,
 		sim:            sim,
@@ -244,6 +243,7 @@ func NewReplica(cfg Config, sim types.Clock, nw types.Network) *Replica {
 		instHash:       make([][32]byte, cfg.M),
 		bound:          make(map[uint64][][32]byte),
 		lastComplain:   make([]uint64, cfg.M),
+		pulseScale:     1,
 	}
 	if cfg.StateTransfer {
 		r.archive = make([][]*types.Block, cfg.M)
@@ -407,14 +407,14 @@ func (r *Replica) SetCensorAll(on bool) {
 	}
 }
 
-// SetPulseScale changes the replica's proposal-pulse multiplier at runtime
-// (scenario straggler injection): the next scheduled pulse picks it up.
-// Scale 1 restores normal speed.
+// SetPulseScale changes the replica's proposal-pulse multiplier (straggler
+// injection): the next scheduled pulse picks it up, so called before Start
+// it dilates the first pulse too. Scale 1 restores normal speed.
 func (r *Replica) SetPulseScale(scale float64) {
 	if scale <= 0 {
 		scale = 1
 	}
-	r.cfg.PulseScale = scale
+	r.pulseScale = scale
 }
 
 // Store exposes the ledger for examples and invariant checks.
@@ -451,7 +451,7 @@ func (r *Replica) SubmitTx(tx *types.Transaction) error {
 // --- proposal pulses ---
 
 func (r *Replica) schedulePulse(instance int) {
-	d := time.Duration(float64(r.cfg.BatchTimeout) * r.cfg.PulseScale)
+	d := time.Duration(float64(r.cfg.BatchTimeout) * r.pulseScale)
 	if r.cfg.ByzantineMute {
 		// The undetectable Byzantine behavior of Sec. VII-E: keep proposing
 		// in the led instance, but only just often enough to stay under the

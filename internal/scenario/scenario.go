@@ -4,8 +4,9 @@
 // or a crash set injected once — whereas real deployments see dynamic
 // conditions: crashes that recover, partitions that heal, stragglers that
 // come and go, load surges. A Scenario expresses such a timeline as pure
-// data; cluster.Run compiles it onto the discrete-event simulator via
-// Apply, so any protocol runs any scenario without protocol-code changes.
+// data — events, their validation, presets and the phases they induce —
+// and cluster.Run schedules each event on the discrete-event simulator, so
+// any protocol runs any scenario without protocol-code changes.
 //
 // A scenario is built fluently and is immutable after Build:
 //
@@ -15,8 +16,8 @@
 //		RecoverAt(6*time.Second, 5, 6).
 //		Build()
 //
-// Determinism: a Scenario is plain data, Apply schedules its events at
-// fixed virtual times on the seeded simulator, and the preset generators
+// Determinism: a Scenario is plain data, cluster.Run schedules its events
+// at fixed virtual times on the seeded simulator, and the preset generators
 // draw victim choices from their own seeded RNG — so a given (scenario,
 // seed, config) triple reproduces exactly, serial or parallel (the
 // determinism regression tests in internal/experiments pin this down).
@@ -33,7 +34,6 @@ import (
 	"time"
 
 	"repro/internal/errs"
-	"repro/internal/simnet"
 )
 
 // Kind identifies what an Event does to the running cluster.
@@ -290,92 +290,6 @@ func (s *Scenario) Validate(n int) error {
 		}
 	}
 	return nil
-}
-
-// Hooks connects a scenario to a running cluster: Apply invokes these as
-// its events fire. Any nil hook makes the corresponding event a no-op,
-// which lets partial harnesses (or tests) apply scenarios selectively.
-type Hooks struct {
-	// Crash stops replica node (protocol engines and network endpoint).
-	Crash func(node int)
-	// Recover restarts replica node.
-	Recover func(node int)
-	// Straggle rescales node's egress delay and proposal pulse; 1 heals.
-	Straggle func(node int, scale float64)
-	// Partition cuts the network into groups (see Builder.PartitionAt).
-	Partition func(groups [][]int)
-	// Heal removes all link cuts.
-	Heal func()
-	// LoadFactor rescales the client submission rate; 1 restores it.
-	LoadFactor func(mult float64)
-	// Equivocate switches replica node to equivocating-leader behavior.
-	Equivocate func(node int)
-	// Censor switches replica node to censoring-leader behavior.
-	Censor func(node int)
-	// MuteLeader silences replica node's leader role.
-	MuteLeader func(node int)
-}
-
-// Apply schedules every event on the simulator at its virtual time,
-// dispatching to the hooks. Events at equal times run in timeline order
-// (the simulator breaks ties by scheduling order), so Apply is fully
-// deterministic.
-func (s *Scenario) Apply(sim *simnet.Sim, h Hooks) {
-	for _, e := range s.Events {
-		e := e
-		sim.At(simnet.Time(e.At), func() {
-			switch e.Kind {
-			case Crash:
-				if h.Crash != nil {
-					for _, id := range e.Nodes {
-						h.Crash(id)
-					}
-				}
-			case Recover:
-				if h.Recover != nil {
-					for _, id := range e.Nodes {
-						h.Recover(id)
-					}
-				}
-			case Straggle:
-				if h.Straggle != nil {
-					for _, id := range e.Nodes {
-						h.Straggle(id, e.Scale)
-					}
-				}
-			case Partition:
-				if h.Partition != nil {
-					h.Partition(e.Groups)
-				}
-			case Heal:
-				if h.Heal != nil {
-					h.Heal()
-				}
-			case LoadSurge:
-				if h.LoadFactor != nil {
-					h.LoadFactor(e.Scale)
-				}
-			case Equivocate:
-				if h.Equivocate != nil {
-					for _, id := range e.Nodes {
-						h.Equivocate(id)
-					}
-				}
-			case Censor:
-				if h.Censor != nil {
-					for _, id := range e.Nodes {
-						h.Censor(id)
-					}
-				}
-			case MuteLeader:
-				if h.MuteLeader != nil {
-					for _, id := range e.Nodes {
-						h.MuteLeader(id)
-					}
-				}
-			}
-		})
-	}
 }
 
 // Phase marks the start of one measurement window: scenarios divide a run

@@ -2,14 +2,12 @@ package scenario
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/errs"
-	"repro/internal/simnet"
 )
 
 // TestBuildSortsAndValidates is the table-driven compiler test: each case
@@ -201,67 +199,6 @@ func TestBuildSortsAndValidates(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestApplyDispatchesInOrder applies a timeline to a simulator with
-// recording hooks and checks every event fires, at its time, in order.
-func TestApplyDispatchesInOrder(t *testing.T) {
-	s := New("x").
-		CrashAt(2*time.Second, 5, 6).
-		StraggleAt(1*time.Second, 10, 3).
-		PartitionAt(3*time.Second, []int{0, 1}).
-		HealAt(4*time.Second).
-		LoadSurgeAt(5*time.Second, 2).
-		RecoverAt(6*time.Second, 5, 6).
-		EquivocateAt(7*time.Second, 1).
-		CensorAt(8*time.Second, 2).
-		MuteLeaderAt(9*time.Second, 3, 4).
-		Build()
-
-	sim := simnet.New(1)
-	var got []string
-	log := func(format string, args ...any) {
-		got = append(got, fmt.Sprintf("%v ", time.Duration(sim.Now()))+fmt.Sprintf(format, args...))
-	}
-	s.Apply(sim, Hooks{
-		Crash:      func(id int) { log("crash %d", id) },
-		Recover:    func(id int) { log("recover %d", id) },
-		Straggle:   func(id int, scale float64) { log("straggle %d x%g", id, scale) },
-		Partition:  func(groups [][]int) { log("partition %v", groups) },
-		Heal:       func() { log("heal") },
-		LoadFactor: func(mult float64) { log("load x%g", mult) },
-		Equivocate: func(id int) { log("equivocate %d", id) },
-		Censor:     func(id int) { log("censor %d", id) },
-		MuteLeader: func(id int) { log("mute-leader %d", id) },
-	})
-	sim.RunAll(0)
-
-	want := []string{
-		"1s straggle 3 x10",
-		"2s crash 5",
-		"2s crash 6",
-		"3s partition [[0 1]]",
-		"4s heal",
-		"5s load x2",
-		"6s recover 5",
-		"6s recover 6",
-		"7s equivocate 1",
-		"8s censor 2",
-		"9s mute-leader 3",
-		"9s mute-leader 4",
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("hook trace:\n%v\nwant:\n%v", got, want)
-	}
-}
-
-// TestApplyNilHooks checks unset hooks make events no-ops instead of
-// panicking.
-func TestApplyNilHooks(t *testing.T) {
-	s := New("x").CrashAt(time.Second, 1).HealAt(2 * time.Second).Build()
-	sim := simnet.New(1)
-	s.Apply(sim, Hooks{})
-	sim.RunAll(0) // must not panic
 }
 
 func TestPhases(t *testing.T) {

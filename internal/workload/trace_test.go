@@ -107,7 +107,7 @@ func TestWriteTraceRejectsExotic(t *testing.T) {
 }
 
 func TestGeneratorExportReplay(t *testing.T) {
-	g := New(Config{Seed: 5, Accounts: 100, ContractCallers: 1})
+	g := New(Config{Seed: 5, Accounts: 100})
 	var buf bytes.Buffer
 	if err := g.Export(&buf, 200); err != nil {
 		t.Fatal(err)

@@ -20,8 +20,7 @@ import (
 // Config parameterizes the generator. The zero value is completed with the
 // paper's defaults by New.
 type Config struct {
-	Accounts      int // number of active accounts (paper: 18,000)
-	SharedRecords int // shared contract records
+	Accounts int // number of active accounts (paper: 18,000)
 	// PaymentFraction is the fraction of payment transactions. Zero selects
 	// the paper's default 0.46; pass a negative value for an explicit 0%
 	// (all-contract) workload, as in the Fig. 5 sweep's left edge.
@@ -29,43 +28,32 @@ type Config struct {
 	// MultiPayerFraction is the fraction of payments with two payers,
 	// exercising cross-instance atomicity.
 	MultiPayerFraction float64
-	// ContractCallers is the number of fee-paying callers per contract tx.
-	ContractCallers int
-	// ZipfS > 1 skews account popularity (s -> 1 is most skewed allowed).
-	ZipfS float64
-	// MaxAmount bounds transfer amounts (drawn uniformly in [1, MaxAmount]).
-	MaxAmount types.Amount
-	// InitialBalance is each account's genesis balance. It is deliberately
-	// large relative to MaxAmount so honest traffic never overdrafts, like
-	// the paper's reset-and-replay methodology.
-	InitialBalance types.Amount
-	Seed           int64
+	Seed               int64
 }
+
+// The generator's fixed shape: every contract call has one fee-paying
+// caller and touches the sharedRecords pool.
+const (
+	sharedRecords = 256 // shared contract records
+	// zipfS > 1 skews account popularity (s -> 1 is most skewed allowed).
+	zipfS = 1.1
+	// maxAmount bounds transfer amounts (drawn uniformly in [1, maxAmount]).
+	maxAmount types.Amount = 100
+	// initialBalance is each account's genesis balance. It is deliberately
+	// large relative to maxAmount so honest traffic never overdrafts, like
+	// the paper's reset-and-replay methodology.
+	initialBalance types.Amount = 1_000_000
+)
 
 func (c Config) withDefaults() Config {
 	if c.Accounts <= 0 {
 		c.Accounts = 18000
-	}
-	if c.SharedRecords <= 0 {
-		c.SharedRecords = 256
 	}
 	if c.PaymentFraction == 0 {
 		c.PaymentFraction = 0.46
 	}
 	if c.MultiPayerFraction == 0 {
 		c.MultiPayerFraction = 0.05
-	}
-	if c.ContractCallers <= 0 {
-		c.ContractCallers = 1
-	}
-	if c.ZipfS <= 1 {
-		c.ZipfS = 1.1
-	}
-	if c.MaxAmount <= 0 {
-		c.MaxAmount = 100
-	}
-	if c.InitialBalance <= 0 {
-		c.InitialBalance = 1_000_000
 	}
 	return c
 }
@@ -89,7 +77,7 @@ func New(cfg Config) *Generator {
 	return &Generator{
 		cfg:  cfg,
 		rng:  rng,
-		zipf: rand.NewZipf(rng, cfg.ZipfS, 1, uint64(cfg.Accounts-1)),
+		zipf: rand.NewZipf(rng, zipfS, 1, uint64(cfg.Accounts-1)),
 	}
 }
 
@@ -132,13 +120,13 @@ func (g *Generator) Genesis() func(st *ledger.Store) {
 	for i := range accounts {
 		accounts[i] = g.accountKey(i)
 	}
-	records := make([]types.Key, cfg.SharedRecords)
+	records := make([]types.Key, sharedRecords)
 	for i := range records {
 		records[i] = g.recordKey(i)
 	}
 	return func(st *ledger.Store) {
 		for _, k := range accounts {
-			st.Credit(k, cfg.InitialBalance)
+			st.Credit(k, initialBalance)
 		}
 		for _, k := range records {
 			st.SetShared(k, 0)
@@ -164,7 +152,7 @@ func (g *Generator) accountKey(i int) types.Key {
 // recordKey is accountKey for shared records.
 func (g *Generator) recordKey(i int) types.Key {
 	if g.records == nil {
-		g.records = make([]types.Key, g.cfg.SharedRecords)
+		g.records = make([]types.Key, sharedRecords)
 	}
 	if k := g.records[i]; k != "" {
 		return k
@@ -193,7 +181,7 @@ func (g *Generator) pickOther(not types.Key) types.Key {
 }
 
 func (g *Generator) amount() types.Amount {
-	return types.Amount(g.rng.Int63n(int64(g.cfg.MaxAmount))) + 1
+	return types.Amount(g.rng.Int63n(int64(maxAmount))) + 1
 }
 
 // Next produces the next transaction of the stream.
@@ -220,16 +208,12 @@ func (g *Generator) nextPayment() *types.Transaction {
 
 func (g *Generator) nextContract() *types.Transaction {
 	caller := g.pickAccount()
-	callers := []types.Key{caller}
-	for len(callers) < g.cfg.ContractCallers {
-		callers = append(callers, g.pickOther(caller))
-	}
-	rec := g.recordKey(g.rng.Intn(g.cfg.SharedRecords))
+	rec := g.recordKey(g.rng.Intn(sharedRecords))
 	ops := []types.Op{types.NewSharedAssign(rec, g.amount())}
 	if g.rng.Intn(2) == 0 {
-		ops = append(ops, types.NewSharedRead(g.recordKey(g.rng.Intn(g.cfg.SharedRecords))))
+		ops = append(ops, types.NewSharedRead(g.recordKey(g.rng.Intn(sharedRecords))))
 	}
-	return types.NewContractCall(caller, callers, 1, ops, g.nonce)
+	return types.NewContractCall(caller, []types.Key{caller}, 1, ops, g.nonce)
 }
 
 // Batch produces the next n transactions.

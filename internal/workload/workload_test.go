@@ -49,7 +49,7 @@ func TestExtremePaymentFractions(t *testing.T) {
 }
 
 func TestAllTxsValid(t *testing.T) {
-	g := New(Config{Seed: 3, MultiPayerFraction: 0.3, ContractCallers: 2})
+	g := New(Config{Seed: 3, MultiPayerFraction: 0.3})
 	for i := 0; i < 5000; i++ {
 		tx := g.Next()
 		if err := tx.Validate(); err != nil {
@@ -99,11 +99,11 @@ func TestZipfSkewPresent(t *testing.T) {
 }
 
 func TestGenesisFundsAllAccounts(t *testing.T) {
-	g := New(Config{Seed: 1, Accounts: 50, InitialBalance: 777})
+	g := New(Config{Seed: 1, Accounts: 50})
 	st := ledger.NewStore()
 	g.Genesis()(st)
 	for i := 0; i < 50; i++ {
-		if st.Balance(Account(i)) != 777 {
+		if st.Balance(Account(i)) != initialBalance {
 			t.Fatalf("account %d balance %d", i, st.Balance(Account(i)))
 		}
 	}

@@ -125,7 +125,6 @@ func RunSoak(ctx context.Context, scale float64) (FigureResult, error) {
 // methodology. Accounts sizes the account population (0 takes the
 // workload default); equal arguments always produce the same trace.
 func WriteSyntheticTrace(w io.Writer, n int, accounts int, seed int64) error {
-	// The trace format encodes single-caller contracts only.
-	gen := workload.New(workload.Config{Seed: seed, Accounts: accounts, ContractCallers: 1})
+	gen := workload.New(workload.Config{Seed: seed, Accounts: accounts})
 	return gen.Export(w, n)
 }

@@ -17,9 +17,11 @@ import (
 // leg then escrows), and how the system reacts to leader failure (the
 // epoch/view-change flags). Most SDK callers never construct one — they
 // pick protocols by name — but a new protocol composes a Mode from the
-// ordering building blocks below (PredeterminedOrdering, DynamicOrdering,
-// or a custom GlobalOrdering implementation) and registers its
-// constructor with Register:
+// ordering building blocks below and registers its constructor with
+// Register. Outside this module its NewGlobal returns PredeterminedOrdering
+// or DynamicOrdering: GlobalOrdering's methods take the module's internal
+// block type, which no other module can import, so only code inside the
+// module can implement a custom ordering:
 //
 //	orthrus.Register("Hydra", "dynamic ordering, no fast path", func() orthrus.Mode {
 //		return orthrus.Mode{
@@ -33,7 +35,9 @@ type Mode = core.Mode
 // into the globally confirmed sequence; implementations must be
 // deterministic functions of the local delivery sequence. The two
 // orderings the paper's protocols use are PredeterminedOrdering and
-// DynamicOrdering.
+// DynamicOrdering, and they are the two an SDK user can pick: the methods
+// take an internal block type, so the interface cannot be implemented
+// outside this module.
 type GlobalOrdering = core.GlobalOrdering
 
 // PredeterminedOrdering returns the fixed round-robin global ordering
