@@ -51,6 +51,12 @@ func TestCheckRules(t *testing.T) {
 		{"SampleLiveSet", "must be non-negative, got -1s", func(c *Config) { c.SampleLiveSet = -time.Second }},
 		{"Scenario", "targets node 5 outside [0,4)", func(c *Config) { c.Scenario = scenario.New("far").CrashAt(time.Second, 5).Build() }},
 		{"Scenario", "has a scale outside (0,1e+06]", func(c *Config) { c.Scenario = scenario.New("slow").StraggleAt(time.Second, 1e300, 1).Build() }},
+		{"Scenario", "event 1 (1s recover nodes=[3]) is out of time order", func(c *Config) {
+			c.Scenario = &scenario.Scenario{Name: "unsorted", Events: []scenario.Event{
+				{At: 2 * time.Second, Kind: scenario.Crash, Nodes: []int{3}},
+				{At: time.Second, Kind: scenario.Recover, Nodes: []int{3}},
+			}}
+		}},
 		// A surge's rate is LoadTPS × multiplier, 1000 standing in for an
 		// unset LoadTPS; a product that underflows to 0 is not "no client".
 		{"Scenario", "got 2e-300", func(c *Config) {

@@ -3,13 +3,12 @@
 // the paper plots — throughput, client latency (submission to f+1
 // replies), 0.5 s time series, and the five-stage latency breakdown.
 //
-// One collector (collect.go) does the configuration and the measuring for
-// every run; a backend supplies the engine. Run (sim.go) executes inside
-// the simulator's one event loop over a modeled WAN or LAN, and adds what
-// only a simulation can do: stragglers, crashes and scenario timelines,
-// every one a scenario.Event applied through one step, and per-phase
-// windows measured from the client records. RunReal
-// (real.go) executes the same replicas on transport.Proc's goroutines
+// One collector (collect.go) does the configuration, the faults, the
+// client and the measuring for every run; a backend supplies the engine.
+// Every fault is a scenario.Event applied through one step, its link and
+// endpoint half through package faultnet's decorator over the backend's
+// network. Run (sim.go) executes inside the simulator's one event loop over
+// a modeled WAN or LAN; RunReal (real.go) on transport.Proc's goroutines
 // under wall-clock time.
 //
 // Config describes a run. The engine knobs are the embedded core.Params,
@@ -58,7 +57,8 @@ type Config struct {
 	Net      NetProfile
 
 	// Stragglers slows this many instances by StragglerFactor (default 10x,
-	// Sec. VII-A). Straggled replicas are chosen from the high indices.
+	// Sec. VII-A): their proposal pulses, and in the simulator everything
+	// they send. Straggled replicas are chosen from the high indices.
 	Stragglers      int
 	StragglerFactor float64
 
@@ -71,12 +71,12 @@ type Config struct {
 
 	// Scenario schedules mid-run fault and load events (crashes that
 	// recover, partitions that heal, moving stragglers, load surges) on top
-	// of the static configuration above; see package scenario. When set,
-	// Result.Phases reports per-phase metric windows delimited by the
-	// scenario's event times. Scenarios mutate the simulated network and
-	// replica lifecycles, so they require message-level PBFT (AnalyticSB
-	// must be false). The Scenario is shared read-only across parallel runs
-	// and must not be mutated after Build.
+	// of the static configuration above, on either backend; see package
+	// scenario. When set, Result.Phases reports per-phase metric windows
+	// delimited by the scenario's event times. Scenarios stop and restart
+	// replicas and cut links, so they require message-level PBFT
+	// (AnalyticSB must be false). The Scenario is shared read-only across
+	// parallel runs and must not be mutated after Build.
 	Scenario *scenario.Scenario
 
 	Workload workload.Config
@@ -119,15 +119,15 @@ type Config struct {
 	// the simulation goroutine in deterministic virtual-time order, and
 	// OnWindow and Halt schedule one bookkeeping event per 0.5 s of virtual
 	// time, so Result.Events grows slightly when either is set; measured
-	// results are unaffected. On the real backend they fire on replica
-	// goroutines under the harness's lock, in wall-clock order.
+	// results are unaffected. On the real backend they fire under the
+	// harness's lock in wall-clock order; a reply a replica stamped just
+	// before a window's end but reported after it misses the streamed copy.
 
 	// OnConfirm fires at every client-visible confirmation (the (f+1)-th
 	// reply), with the reply's arrival time.
 	OnConfirm func(tx *types.Transaction, success bool, reply types.Time)
 	// OnWindow fires once per closed 0.5 s series bin, in order, including
-	// empty bins: as each closes in the simulator, all at the end of a real
-	// run.
+	// empty bins, as each closes.
 	OnWindow func(w WindowStat)
 	// OnPhase fires once per scenario phase as soon as its measurement
 	// window is final — mid-run for phases that close before the run ends,
@@ -137,10 +137,10 @@ type Config struct {
 	// replica, before execution. The safety property suite records
 	// (replica, instance, SN, digest) through it; nil costs nothing.
 	OnBlockDeliver func(replica, instance int, b *types.Block)
-	// Halt is polled at every 0.5 s window boundary of a simulation and
-	// every 10 ms of a real run; returning true stops the run at once
-	// (Result.Halted) with whatever has been measured so far. The public
-	// SDK wires context cancellation here.
+	// Halt is polled at every 0.5 s window boundary of the run's clock;
+	// returning true stops the run at once (Result.Halted) with whatever
+	// has been measured so far. The public SDK wires context cancellation
+	// here.
 	Halt func() bool
 	// CaptureState retains the observer replica's ledger store on the
 	// Result and checks that all replicas' final snapshots agree. Only
@@ -229,17 +229,15 @@ func (c Config) checked(backend core.Violations) Config {
 	return c.withDefaults()
 }
 
-// SimOnly lists the knobs set on c that only the simulator implements: they
-// mutate the simulated network or replica lifecycles, or read them from a
-// simulator event. RunReal panics on the first; the public SDK's Validate
-// reports them all as typed errors against the Transport field.
+// SimOnly lists the knobs set on c that cannot exist on real links: a
+// closed-form model of the consensus traffic, a modeled NIC, and a census
+// taken between two simulator events. RunReal panics on the first; the
+// public SDK's Validate reports them all as typed errors against the
+// Transport field.
 func (c Config) SimOnly() (out core.Violations) {
 	const field = "Transport"
 	out.Add(c.AnalyticSB, field, "the real transport runs message-level PBFT only; disable AnalyticSB")
-	out.Add(c.Scenario != nil, field, "scenarios mutate the simulated network; the real transport does not support them")
 	out.Add(c.NIC, field, "the NIC bandwidth model is simulation-only; the real transport measures real links")
-	out.Add(c.Stragglers > 0, field, "stragglers are simulation-only; the real transport cannot slow real replicas")
-	out.Add(c.CrashFaults > 0 || c.ByzantineFaults > 0, field, "fault injection is simulation-only; the real transport does not support it")
 	out.Add(c.SampleLiveSet > 0, field, "live-set sampling walks every replica from a simulator event; the real transport does not support it")
 	return out
 }
@@ -284,8 +282,9 @@ type Result struct {
 
 	ViewChanges int
 	Events      uint64 // simulator events processed (cost accounting)
-	// Messages counts protocol messages delivered over the simulated
-	// network. Analytic-SB runs fold in the closed-form model's
+	// Messages counts protocol messages the network carried; one a fault
+	// drops in flight still counts, one it drops at send does not.
+	// Analytic-SB runs fold in the closed-form model's
 	// pre-prepare/prepare/commit traffic (simnet.Network.AddModeled), so
 	// the count stays comparable across SB implementations; the F-scale
 	// figure divides it by Confirmed for messages-per-commit.

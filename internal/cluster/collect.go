@@ -1,11 +1,14 @@
 package cluster
 
 import (
+	"sync"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/faultnet"
 	"repro/internal/ledger"
 	"repro/internal/metrics"
+	"repro/internal/scenario"
 	"repro/internal/types"
 	"repro/internal/workload"
 )
@@ -22,49 +25,78 @@ type txMeta struct {
 	done     bool
 }
 
-// collector is the measurement half of a run, shared by every backend: it
-// configures the replicas, keeps the client-side submission record, turns
-// replica confirmations into client-visible ones (the (f+1)-th reply),
-// bins them into the series, and closes the books into the Result; the
-// scenario phases are measured from its client records. A backend (Run:
-// the simulator; RunReal: transport.Proc) supplies each replica's clock and
-// transport, the reply hop's delay, the client's pacing, and one-at-a-time
-// delivery of the calls below — the collector takes no locks.
+// collector is the half of a run every backend shares: it configures the
+// replicas, applies every fault, paces the open-loop client, keeps the
+// client-side submission record, turns replica confirmations into
+// client-visible ones (the (f+1)-th reply), bins them into the series, and
+// closes the books into the Result; the scenario phases are measured from
+// its client records. A backend (Run: the simulator; RunReal:
+// transport.Proc) supplies the engine. Its own events and the replicas'
+// hooks take mu around the books, so a backend may run them concurrently.
 type collector struct {
 	cfg     Config
 	f       int
+	be      backend
+	net     *faultnet.Network // be.net behind the fault verbs
 	res     *Result
 	gen     workload.Source
 	genesis func(*ledger.Store)
 	pt      *phaseTracker // nil without a Scenario
+	reps    []*core.Replica
 
-	// replyHop is the delay of replica's reply to the client co-located
-	// with replica home: modeled by the simulator, zero on real links.
-	replyHop func(replica, home int) time.Duration
+	// The client; only the collector's own events touch it.
+	interval time.Duration
+	loadMult float64 // a LoadSurge's
+	router   *core.SubmitRouter
+	due      types.Time // of the next submission
 
-	meta []txMeta // in submission order
+	mu         sync.Mutex
+	clientDone bool     // the submission chain has ended
+	meta       []txMeta // in submission order
 	// byID finds a transaction's record by its ID, the one identity a
 	// transaction has. A reused ID points at its latest submission.
 	byID map[types.TxID]int32
 	done int // transactions confirmed client-visibly
+	// confirmedAt counts, per replica, the transactions of this run it has
+	// confirmed.
+	confirmedAt []int
 
 	windowsEmitted int
 }
 
+// backend is what a run's engine hands the collector: the replicas'
+// network, the clocks the faults and ticks (clock) and the submission chain
+// (client) run on, and what only the engine can do. onReplica runs a
+// replica verb where the replica runs; outScale, nil on real links, slows a
+// straggler's egress; replyHop is zero on real links; halt stops the
+// engine, and drained, if set, is called once every submission has
+// confirmed client-visibly and at every replica that is up (a real backend
+// stops there, the simulator runs to the end).
+type backend struct {
+	net           types.Network
+	clock, client types.Clock
+	submit        func(home int, tx *types.Transaction, targets []int)
+	onReplica     func(id int, fn func())
+	outScale      func(id int, scale float64)
+	replyHop      func(replica, home int) time.Duration
+	halt, drained func()
+}
+
 // newCollector starts a run's books. cfg must already carry its defaults.
-func newCollector(cfg Config, replyHop func(replica, home int) time.Duration) *collector {
+func newCollector(cfg Config, be backend) *collector {
 	c := &collector{
-		cfg: cfg, f: (cfg.N - 1) / 3, replyHop: replyHop,
+		cfg: cfg, f: (cfg.N - 1) / 3, be: be, net: faultnet.Wrap(be.net, cfg.N),
 		res: &Result{Protocol: cfg.Protocol.Name, Net: cfg.Net.String(), N: cfg.N,
 			Series: metrics.NewTimeSeries(500 * time.Millisecond), Breakdown: &metrics.Breakdown{}},
-		gen: cfg.Source,
+		gen:         cfg.Source,
+		interval:    time.Duration(float64(time.Second) / cfg.LoadTPS),
+		loadMult:    1,
+		router:      core.NewSubmitRouter(cfg.N, (cfg.N-1)/3),
+		confirmedAt: make([]int, cfg.N),
 	}
-	// The books are sized once for the submission schedule — one transaction
-	// per 1/LoadTPS from Warmup/2 through Duration, TotalTxs at most — so
-	// the measured path neither regrows meta nor rehashes byID. A scenario's
-	// load spike just appends past it, as does a schedule beyond the 1 Mi
-	// entries reserved up front (a run that long may well be one a Halt cuts
-	// short).
+	// The books are sized once for the submission schedule (TotalTxs at
+	// most, 1 Mi entries at most), so the measured path neither regrows meta
+	// nor rehashes byID; a load spike just appends past it.
 	scheduled := int((cfg.Duration-cfg.Warmup/2).Seconds()*cfg.LoadTPS) + 1
 	if cfg.TotalTxs > 0 {
 		scheduled = min(scheduled, cfg.TotalTxs)
@@ -76,10 +108,8 @@ func newCollector(cfg Config, replyHop func(replica, home int) time.Duration) *c
 		c.gen = workload.New(cfg.Workload)
 	}
 	c.genesis = c.gen.Genesis()
-	// The series buffers are sized for the whole run up front so the
-	// measurement path never reallocates them.
 	runEnd := cfg.Duration + cfg.Drain
-	c.res.Series.Reserve(int(runEnd/c.res.Series.Bin) + 2)
+	c.res.Series.Reserve(int(runEnd/c.res.Series.Bin) + 2) // never regrown
 	if cfg.Scenario != nil {
 		c.pt = newPhaseTracker(cfg.Scenario, runEnd)
 	}
@@ -98,30 +128,183 @@ func replicaConfig(cfg Config, id int, genesis func(*ledger.Store)) core.Config 
 }
 
 // replicas builds the cluster. Each replica's configuration arrives at mk
-// with the measurement hooks attached; mk supplies the clock and transport,
-// and rewraps OnConfirm and OnBlockDeliver when its engine would otherwise
-// fire them concurrently (the collector and the user's observers expect
-// one call at a time). Only replica 0 carries OnViewChange, and its
-// counter is read after the run.
+// with the measurement hooks attached, which call the collector and the
+// user's observers one at a time; mk supplies the clock and transport
+// (c.net). Only replica 0 carries OnViewChange, and its counter is read
+// after the run.
 func (c *collector) replicas(mk func(i int, ccfg core.Config) *core.Replica) []*core.Replica {
-	out := make([]*core.Replica, c.cfg.N)
-	for i := range out {
+	c.reps = make([]*core.Replica, c.cfg.N)
+	for i := range c.reps {
 		i := i
 		ccfg := replicaConfig(c.cfg, i, c.genesis)
 		ccfg.OnConfirm = func(tx *types.Transaction, success bool, st core.StageTrace) {
+			c.mu.Lock()
 			c.confirm(i, tx, success, st)
+			c.mu.Unlock()
 		}
 		if i == 0 {
 			ccfg.OnViewChange = func(int, uint64, types.Time) { c.res.ViewChanges++ }
 		}
 		if c.cfg.OnBlockDeliver != nil {
 			ccfg.OnBlockDeliver = func(instance int, b *types.Block) {
+				c.mu.Lock()
 				c.cfg.OnBlockDeliver(i, instance, b)
+				c.mu.Unlock()
 			}
 		}
-		out[i] = mk(i, ccfg)
+		c.reps[i] = mk(i, ccfg)
 	}
-	return out
+	return c.reps
+}
+
+// start slows the static stragglers before the first pulse, starts every
+// replica, and schedules the rest of the run in this order: each phase's
+// end, the static crash and the scenario's events, the client, the ticks.
+func (c *collector) start() {
+	cfg, n := c.cfg, c.cfg.N
+	runEnd := cfg.Duration + cfg.Drain
+	// Phases that close mid-run stream out the moment they are final; the
+	// rest (at minimum the last phase) are emitted at finalization.
+	if pt := c.pt; pt != nil && cfg.OnPhase != nil {
+		for i := range pt.windows {
+			if pt.windows[i].End < runEnd {
+				at(c.be.clock, types.Time(pt.windows[i].End), func() {
+					c.mu.Lock()
+					defer c.mu.Unlock()
+					pt.emitted++
+					cfg.OnPhase(pt.measure(i, c.meta, forever))
+				})
+			}
+		}
+	}
+	// Static faults are events too, their victims the highest ids: the
+	// stragglers (Sec. VII-A) and the crash set at CrashAt (Fig. 7).
+	if cfg.Stragglers > 0 {
+		c.fire(scenario.Event{Kind: scenario.Straggle, Nodes: highest(n, cfg.Stragglers), Scale: cfg.StragglerFactor})
+	}
+	for i, r := range c.reps {
+		c.be.onReplica(i, r.Start)
+	}
+	var timeline []scenario.Event
+	if cfg.CrashFaults > 0 {
+		timeline = append(timeline, scenario.Event{At: cfg.CrashAt, Kind: scenario.Crash, Nodes: highest(n, cfg.CrashFaults)})
+	}
+	if cfg.Scenario != nil {
+		timeline = append(timeline, cfg.Scenario.Events...)
+	}
+	for _, e := range timeline {
+		at(c.be.clock, types.Time(e.At), func() { c.fire(e) })
+	}
+	c.next(types.Time(cfg.Warmup) / 2)
+	// Every 0.5 s: poll Halt, else stream the bin that closed.
+	if cfg.OnWindow != nil || cfg.Halt != nil {
+		c.every(c.res.Series.Bin, func(k int) {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			if cfg.Halt != nil && cfg.Halt() {
+				c.res.Halted = true
+				c.be.halt()
+			} else if cfg.OnWindow != nil {
+				c.emitWindows(k)
+			}
+		})
+	}
+}
+
+// fire applies one fault or load event — the one step every injected fault
+// goes through. Link and endpoint faults go to the decorator, replica verbs
+// through the backend to each of e.Nodes.
+func (c *collector) fire(e scenario.Event) {
+	switch e.Kind {
+	case scenario.Partition:
+		c.net.Partition(e.Groups...)
+	case scenario.Heal:
+		c.net.Heal()
+	case scenario.LoadSurge:
+		c.loadMult = e.Scale
+	}
+	for _, id := range e.Nodes {
+		switch r := c.reps[id]; e.Kind {
+		case scenario.Crash:
+			c.be.onReplica(id, r.Stop)
+			c.net.SetDown(id, true)
+		case scenario.Recover:
+			c.net.SetDown(id, false)
+			c.be.onReplica(id, r.Recover)
+		case scenario.Straggle:
+			if c.be.outScale != nil {
+				c.be.outScale(id, e.Scale)
+			}
+			c.be.onReplica(id, func() { r.SetPulseScale(e.Scale) })
+		case scenario.Equivocate:
+			c.be.onReplica(id, func() { r.SetEquivocate(true) })
+		case scenario.Censor:
+			c.be.onReplica(id, func() { r.SetCensorAll(true) })
+		case scenario.MuteLeader:
+			c.be.onReplica(id, func() { r.SetMuteLeader(true) })
+		}
+	}
+}
+
+// next schedules the client's submission at t, or ends the chain.
+func (c *collector) next(t types.Time) {
+	if t > types.Time(c.cfg.Duration) || (c.cfg.TotalTxs > 0 && len(c.meta) >= c.cfg.TotalTxs) || c.res.Halted {
+		c.mu.Lock()
+		c.clientDone = true
+		c.checkDrained()
+		c.mu.Unlock()
+		return
+	}
+	c.due = t
+	c.be.client.CallAt(t, submitNext, c, nil)
+}
+
+// submitNext submits the next transaction, one every 1/(LoadTPS × the
+// surge multiplier). Top-level, so the chain schedules no closure.
+func submitNext(a, _ any) {
+	c := a.(*collector)
+	tx := c.gen.Next()
+	tx.ID() // hash outside the lock; submit reads the memo
+	now := c.be.client.Now()
+	c.mu.Lock()
+	home := c.submit(tx, now)
+	c.mu.Unlock()
+	c.be.submit(home, tx, c.router.Targets(tx))
+	gap := time.Duration(float64(c.interval) / c.loadMult)
+	if gap <= 0 {
+		gap = 1 // time must advance or the chain never ends
+	}
+	c.next(c.due + types.Time(gap))
+}
+
+// every runs fn(k) at k*period, k = 1, 2, ..., to the end of the run or a halt.
+func (c *collector) every(period time.Duration, fn func(k int)) {
+	runEnd := c.cfg.Duration + c.cfg.Drain
+	var arm func(k int)
+	arm = func(k int) {
+		at(c.be.clock, types.Time(period)*types.Time(k), func() {
+			fn(k)
+			if !c.res.Halted && period*time.Duration(k+1) <= runEnd {
+				arm(k + 1)
+			}
+		})
+	}
+	arm(1)
+}
+
+// at schedules fn at t on clk.
+func at(clk types.Clock, t types.Time, fn func()) {
+	clk.CallAt(t, func(fn, _ any) { fn.(func())() }, fn, nil)
+}
+
+// highest lists the k highest replica ids of an n-replica cluster, from
+// the top: the victims of the static faults.
+func highest(n, k int) []int {
+	ids := make([]int, k)
+	for i := range ids {
+		ids[i] = n - 1 - i
+	}
+	return ids
 }
 
 // submit opens tx's client-side record, stamping its submission time; it
@@ -153,6 +336,7 @@ func (c *collector) confirm(replica int, tx *types.Transaction, success bool, st
 	if m == nil {
 		return
 	}
+	c.confirmedAt[replica]++
 	if replica == 0 && m.observed == 0 && st.Submit != 0 && st.Received != 0 {
 		m.observed = st.Confirmed
 		b := c.res.Breakdown
@@ -162,6 +346,7 @@ func (c *collector) confirm(replica int, tx *types.Transaction, success bool, st
 		b.Add(metrics.StageGlobal, time.Duration(st.Confirmed-st.Delivered))
 	}
 	if m.done {
+		c.checkDrained() // a replica behind the client-visible reply
 		return
 	}
 	m.replies++
@@ -170,7 +355,7 @@ func (c *collector) confirm(replica int, tx *types.Transaction, success bool, st
 	}
 	m.done = true
 	c.done++
-	reply := st.Confirmed + types.Time(c.replyHop(replica, int(m.home)))
+	reply := st.Confirmed + types.Time(c.be.replyHop(replica, int(m.home)))
 	m.reply = reply
 	lat := time.Duration(reply - m.submit)
 	res := c.res
@@ -185,6 +370,23 @@ func (c *collector) confirm(replica int, tx *types.Transaction, success bool, st
 	if c.cfg.OnConfirm != nil {
 		c.cfg.OnConfirm(tx, success, reply)
 	}
+	c.checkDrained()
+}
+
+// checkDrained calls drained once every submission has confirmed
+// client-visibly and every replica that is up has confirmed each of them
+// (a reused ID is confirmed once), so a run stopped there ends with the
+// live replicas' states equal.
+func (c *collector) checkDrained() {
+	if c.be.drained == nil || !c.clientDone || c.done < len(c.meta) {
+		return
+	}
+	for id, n := range c.confirmedAt {
+		if n < len(c.byID) && !c.net.Down(id) {
+			return
+		}
+	}
+	c.be.drained()
 }
 
 // emitWindows streams series bins [windowsEmitted, upTo) to OnWindow, in
@@ -199,7 +401,7 @@ func (c *collector) emitWindows(upTo int) {
 // finish closes the books once the backend has stopped every replica (their
 // state is read directly). elapsed, the run's clock at the stop, only
 // matters to a halted run.
-func (c *collector) finish(replicas []*core.Replica, elapsed time.Duration) *Result {
+func (c *collector) finish(elapsed time.Duration) *Result {
 	cfg, res := c.cfg, c.res
 	// A halted run measures only the elapsed time: divide the confirmations
 	// by the window that actually ran, not the configured one, so partial
@@ -213,7 +415,7 @@ func (c *collector) finish(replicas []*core.Replica, elapsed time.Duration) *Res
 	}
 	// Bins not streamed mid-run — the partial bin past the last 0.5 s tick,
 	// bins opened by replies landing after the end of the run, or all of
-	// them on a backend without a tick — are closed now; emit them in order.
+	// them when no tick ran — are closed now; emit them in order.
 	if cfg.OnWindow != nil {
 		c.emitWindows(res.Series.Bins())
 	}
@@ -247,19 +449,19 @@ func (c *collector) finish(replicas []*core.Replica, elapsed time.Duration) *Res
 		if m.done && m.reply > m.observed {
 			res.Breakdown.Add(metrics.StageReply, time.Duration(m.reply-m.observed))
 		} else {
-			res.Breakdown.Add(metrics.StageReply, c.replyHop(0, int(m.home)))
+			res.Breakdown.Add(metrics.StageReply, c.be.replyHop(0, int(m.home)))
 		}
 	}
 
-	for _, r := range replicas {
+	for _, r := range c.reps {
 		res.StateTransferApplied += r.StateTransferApplied()
 	}
 
 	if cfg.CaptureState {
-		res.State = replicas[0].Store()
+		res.State = c.reps[0].Store()
 		snap := res.State.Snapshot()
 		res.Converged = true
-		for _, r := range replicas[1:] {
+		for _, r := range c.reps[1:] {
 			if !r.Store().Snapshot().Equal(snap) {
 				res.Converged = false
 				break

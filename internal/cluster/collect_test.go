@@ -43,20 +43,20 @@ func TestReplicaConfigSameOnEveryBackend(t *testing.T) {
 		"real": func(int, int) time.Duration { return 0 },
 	}
 	for _, row := range rows {
-		for backend, hop := range backends {
+		for name, hop := range backends {
 			cfg := Config{N: n, Protocol: core.OrthrusMode()}
 			row.set(&cfg)
-			c := newCollector(cfg.withDefaults(), hop)
+			c := newCollector(cfg.withDefaults(), backend{replyHop: hop})
 			c.replicas(func(i int, got core.Config) *core.Replica {
 				if got.Mode.Name != cfg.Protocol.Name || got.Genesis == nil || got.OnConfirm == nil {
-					t.Errorf("%s/%s: replica %d misses its mode, genesis or confirm hook", row.name, backend, i)
+					t.Errorf("%s/%s: replica %d misses its mode, genesis or confirm hook", row.name, name, i)
 				}
 				got.Mode, got.Genesis, got.OnConfirm, got.OnViewChange = core.Mode{}, nil, nil, nil
 				want := defaults
 				want.ID = i
 				row.want(&want)
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s/%s: replica %d config\n got %+v\nwant %+v", row.name, backend, i, got, want)
+					t.Errorf("%s/%s: replica %d config\n got %+v\nwant %+v", row.name, name, i, got, want)
 				}
 				if daemon := core.NewConfig(n, i, core.Mode{}, cfg.Params, nil); !reflect.DeepEqual(daemon, want) {
 					t.Errorf("%s: orthrus-node replica %d config\n got %+v\nwant %+v", row.name, i, daemon, want)
@@ -76,7 +76,7 @@ func TestReplicaConfigSameOnEveryBackend(t *testing.T) {
 func TestObserverBreakdownFilters(t *testing.T) {
 	const ms = types.Time(time.Millisecond)
 	cfg := Config{N: 4, Protocol: core.OrthrusMode()}
-	c := newCollector(cfg.withDefaults(), func(int, int) time.Duration { return 5 * time.Millisecond })
+	c := newCollector(cfg.withDefaults(), backend{replyHop: func(int, int) time.Duration { return 5 * time.Millisecond }})
 	blockOnly, seen := c.gen.Next(), c.gen.Next()
 	c.submit(blockOnly, 100*ms)
 	c.submit(seen, 100*ms)
@@ -89,7 +89,7 @@ func TestObserverBreakdownFilters(t *testing.T) {
 	again.Received, again.Confirmed = 900*ms, 990*ms
 	c.confirm(0, seen, true, again)
 
-	res := c.finish(nil, time.Second)
+	res := c.finish(time.Second)
 	want := map[metrics.Stage]time.Duration{
 		metrics.StageSend: 10 * time.Millisecond, metrics.StagePreprocess: 10 * time.Millisecond,
 		metrics.StagePartial: 30 * time.Millisecond, metrics.StageGlobal: 10 * time.Millisecond,

@@ -19,10 +19,12 @@ import (
 // its log through the catch-up protocol — never delivering a slot twice —
 // until its log and ledger converge with the live replicas'.
 //
-// RunReal rejects fault injection by design (the measured harness has no
-// scenario engine), so the cluster is built directly: replicas on
-// transport.Proc node loops, with the crash and recovery scheduled on the
-// victim's own loop through its node clock before the loops start.
+// The cluster is built directly rather than through RunReal because the
+// test waits for the victim's log to converge with the live replicas', and
+// RunReal stops as soon as f+1 replicas have confirmed every submission:
+// replicas on transport.Proc node loops, with the crash and recovery
+// scheduled on the victim's own loop through its node clock before the
+// loops start.
 func TestProcCrashRecoverCatchUp(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second wall-clock run")

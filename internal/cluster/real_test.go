@@ -236,15 +236,50 @@ func TestRunRealSmoke(t *testing.T) {
 	}
 }
 
+// TestProcFaults runs the static faults on the real backend at n = 4:
+// every submission confirms with one replica slowed, crashed or Byzantine,
+// and the straggler's instance delivers fewer blocks than any other.
+func TestProcFaults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock runs")
+	}
+	for name, set := range map[string]func(*Config){
+		"straggler": func(c *Config) { c.Stragglers = 1 },
+		"crash":     func(c *Config) { c.CrashFaults, c.CrashAt = 1, 300*time.Millisecond },
+		"byzantine": func(c *Config) { c.ByzantineFaults = 1 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			var blocks [4]int // per instance, at replica 0
+			cfg := Config{
+				N: 4, Protocol: core.OrthrusMode(), Net: LAN,
+				LoadTPS: 200, Duration: time.Second, Warmup: 200 * time.Millisecond, Drain: 10 * time.Second,
+				Params:   core.Params{BatchTimeout: 20 * time.Millisecond, ViewTimeout: 500 * time.Millisecond},
+				Workload: workload.Config{Accounts: 64, Seed: 5},
+				OnBlockDeliver: func(replica, instance int, _ *types.Block) {
+					if replica == 0 {
+						blocks[instance]++
+					}
+				},
+			}
+			set(&cfg)
+			res := RunReal(cfg)
+			if res.Submitted == 0 || res.Latency.Count() != res.Submitted {
+				t.Fatalf("%d of %d submissions confirmed", res.Latency.Count(), res.Submitted)
+			}
+			if name == "straggler" && blocks[3] >= min(blocks[0], blocks[1], blocks[2]) {
+				t.Fatalf("straggler's instance delivered %d blocks, the others %v", blocks[3], blocks[:3])
+			}
+		})
+	}
+}
+
 // TestRunRealRejectsSimOnlyKnobs pins the harness's refusal to silently
 // ignore simulation-only configuration.
 func TestRunRealRejectsSimOnlyKnobs(t *testing.T) {
 	cases := map[string]Config{
-		"analytic":  {N: 4, Protocol: core.OrthrusMode(), AnalyticSB: true},
-		"nic":       {N: 4, Protocol: core.OrthrusMode(), NIC: true},
-		"straggler": {N: 4, Protocol: core.OrthrusMode(), Stragglers: 1},
-		"crash":     {N: 4, Protocol: core.OrthrusMode(), CrashFaults: 1},
-		"byzantine": {N: 4, Protocol: core.OrthrusMode(), ByzantineFaults: 1},
+		"analytic": {N: 4, Protocol: core.OrthrusMode(), AnalyticSB: true},
+		"nic":      {N: 4, Protocol: core.OrthrusMode(), NIC: true},
+		"census":   {N: 4, Protocol: core.OrthrusMode(), SampleLiveSet: time.Second},
 	}
 	for name, cfg := range cases {
 		cfg := cfg

@@ -33,17 +33,31 @@ func scenarioBase(n int, scn *scenario.Scenario) Config {
 	}
 }
 
-// TestPartitionHealLiveness pins the partition semantics end to end: a
-// 2/2 split of a 4-replica cluster leaves no side with a 2f+1 quorum, so
-// no transaction commits during the cut; after the heal the view changes
-// complete and the backlog catches up.
+// TestPartitionHealLiveness pins the partition semantics end to end, on
+// both backends: a 2/2 split of a 4-replica cluster leaves no side with a
+// 2f+1 quorum, so no transaction commits during the cut; after the heal the
+// view changes complete and the backlog catches up.
 func TestPartitionHealLiveness(t *testing.T) {
 	scn := scenario.New("split-heal").
 		PartitionAt(2*time.Second, []int{0, 1}, []int{2, 3}).
 		HealAt(4 * time.Second).
 		Build()
-	res := Run(scenarioBase(4, scn))
+	for name, run := range map[string]func(Config) *Result{"Run": Run, "RunReal": RunReal} {
+		t.Run(name, func(t *testing.T) {
+			cfg := scenarioBase(4, scn)
+			if name == "RunReal" {
+				if testing.Short() {
+					t.Skip("multi-second wall-clock run")
+				}
+				cfg.NIC = false // real links
+			}
+			checkPartitionHeal(t, run(cfg))
+		})
+	}
+}
 
+func checkPartitionHeal(t *testing.T, res *Result) {
+	t.Helper()
 	if len(res.Phases) != 3 {
 		t.Fatalf("want 3 phases (baseline/partition/heal), got %+v", res.Phases)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/faultnet"
 	"repro/internal/ledger"
 	"repro/internal/simnet"
 	"repro/internal/types"
@@ -15,7 +16,7 @@ import (
 // testCluster wires n replicas of one protocol over a fixed-latency network.
 type testCluster struct {
 	sim      *simnet.Sim
-	nw       *simnet.Network
+	nw       *faultnet.Network
 	replicas []*core.Replica
 	results  []map[types.TxID]bool // per-replica confirm outcomes
 }
@@ -23,7 +24,7 @@ type testCluster struct {
 func newTestCluster(t *testing.T, n int, mode core.Mode, genesis func(*ledger.Store), mutate func(i int, cfg *core.Config)) *testCluster {
 	t.Helper()
 	c := &testCluster{sim: simnet.New(1)}
-	c.nw = simnet.NewNetwork(c.sim, n, simnet.NewFixed(5*time.Millisecond), nil)
+	c.nw = faultnet.Wrap(simnet.NewNetwork(c.sim, n, simnet.NewFixed(5*time.Millisecond), nil), n)
 	c.results = make([]map[types.TxID]bool, n)
 	for i := 0; i < n; i++ {
 		i := i

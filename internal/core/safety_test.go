@@ -9,6 +9,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/faultnet"
 	"repro/internal/ledger"
 	"repro/internal/scenario"
 	"repro/internal/simnet"
@@ -287,7 +288,7 @@ func modeledSize(msg any) int { return wire.ModeledSize(msg, core.Params{}.WithD
 func newTestClusterSeed(t *testing.T, n int, mode core.Mode, genesis func(*ledger.Store), mutate func(i int, cfg *core.Config), seed int64) *testCluster {
 	t.Helper()
 	c := &testCluster{sim: simnet.New(seed)}
-	c.nw = simnet.NewNetwork(c.sim, n, simnet.NewWAN(), modeledSize)
+	c.nw = faultnet.Wrap(simnet.NewNetwork(c.sim, n, simnet.NewWAN(), modeledSize), n)
 	c.results = make([]map[types.TxID]bool, n)
 	for i := 0; i < n; i++ {
 		i := i

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/faultnet"
 	"repro/internal/partition"
 	"repro/internal/pbft"
 	"repro/internal/simnet"
@@ -26,7 +27,7 @@ func submitShared(replica, tx any) { _ = replica.(*core.Replica).SubmitTx(tx.(*t
 func TestUnstampedSharedPointersAcrossShards(t *testing.T) {
 	const n, victim = 4, 2
 	sim := simnet.New(7)
-	nw := simnet.NewNetwork(sim, n, simnet.NewLAN(), modeledSize)
+	nw := faultnet.Wrap(simnet.NewNetwork(sim, n, simnet.NewLAN(), modeledSize), n)
 	names := accountNames(12)
 	results := make([]map[types.TxID]bool, n) // results[i] is written by replica i only
 	replicas := make([]*core.Replica, n)

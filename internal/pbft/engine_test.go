@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultnet"
 	"repro/internal/simnet"
 	"repro/internal/types"
 )
@@ -11,7 +12,7 @@ import (
 // harness wires n engines of one SB instance over a simulated network.
 type harness struct {
 	sim       *simnet.Sim
-	nw        *simnet.Network
+	nw        *faultnet.Network
 	engines   []*Engine
 	delivered [][]*types.Block
 }
@@ -32,7 +33,7 @@ func newEngine(cfg Config, nw types.Network, clk types.Clock) *Engine {
 func newHarness(t *testing.T, n, f int, mutate func(i int, cfg *Config)) *harness {
 	t.Helper()
 	h := &harness{sim: simnet.New(42)}
-	h.nw = simnet.NewNetwork(h.sim, n, simnet.NewFixed(5*time.Millisecond), nil)
+	h.nw = faultnet.Wrap(simnet.NewNetwork(h.sim, n, simnet.NewFixed(5*time.Millisecond), nil), n)
 	h.delivered = make([][]*types.Block, n)
 	h.engines = make([]*Engine, n)
 	for i := 0; i < n; i++ {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultnet"
 	"repro/internal/simnet"
 	"repro/internal/types"
 )
@@ -127,7 +128,7 @@ func TestViewChangeAmplification(t *testing.T) {
 
 func TestTimeoutBackoffDoubles(t *testing.T) {
 	sim := simnet.New(1)
-	nw := simnet.NewNetwork(sim, 4, simnet.NewFixed(time.Millisecond), nil)
+	nw := faultnet.Wrap(simnet.NewNetwork(sim, 4, simnet.NewFixed(time.Millisecond), nil), 4)
 	var installed []uint64
 	engines := make([]*Engine, 4)
 	for i := 0; i < 4; i++ {

@@ -5,8 +5,8 @@
 // conditions: crashes that recover, partitions that heal, stragglers that
 // come and go, load surges. A Scenario expresses such a timeline as pure
 // data — events, their validation, presets and the phases they induce —
-// and cluster.Run schedules each event on the discrete-event simulator, so
-// any protocol runs any scenario without protocol-code changes.
+// and the cluster harness applies each event at its time on either
+// backend, so any protocol runs any scenario without protocol-code changes.
 //
 // A scenario is built fluently and is immutable after Build:
 //
@@ -22,7 +22,7 @@
 // seed, config) triple reproduces exactly, serial or parallel (the
 // determinism regression tests in internal/experiments pin this down).
 //
-// Event times also delimit the per-phase measurement windows cluster.Run
+// Event times also delimit the per-phase measurement windows the harness
 // reports (cluster.PhaseWindow), which is how the S1 figure family shows
 // throughput collapsing and recovering around each event.
 package scenario
@@ -116,8 +116,9 @@ func (e Event) String() string {
 }
 
 // Scenario is a named, time-ordered fault/load timeline. Build sorts the
-// events; treat the struct as immutable afterwards — cluster configurations
-// share Scenario pointers across parallel runs.
+// events, and Validate refuses a Scenario written out of order; treat the
+// struct as immutable afterwards — cluster configurations share Scenario
+// pointers across parallel runs.
 type Scenario struct {
 	Name   string
 	Events []Event
@@ -228,13 +229,13 @@ func (b *Builder) Build() *Scenario {
 const MaxStraggle = 1e6
 
 // Validate checks the scenario against a cluster of n replicas: event
-// times must be non-negative, node indices in [0, n), partition groups
-// non-empty, disjoint and in range, straggle scales in (0, MaxStraggle],
-// load multipliers in (0, 100], and Crash/Straggle/attack node lists
-// non-empty.
-// Every failure wraps errs.ErrInvalidConfig, the same sentinel the
-// scenariodsl parser uses, so one errors.Is check covers a scenario however
-// it was built. cluster.Run validates before starting.
+// times must be non-negative and in time order, node indices in [0, n),
+// partition groups non-empty, disjoint and in range, straggle scales in
+// (0, MaxStraggle], load multipliers in (0, 100], and Crash/Straggle/attack
+// node lists non-empty. Every failure wraps errs.ErrInvalidConfig, the same
+// sentinel the scenariodsl parser uses, so one errors.Is check covers a
+// scenario however it was built. Both cluster backends validate before
+// starting.
 func (s *Scenario) Validate(n int) error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("%w: scenario %q: %s", errs.ErrInvalidConfig, s.Name, fmt.Sprintf(format, args...))
@@ -242,6 +243,9 @@ func (s *Scenario) Validate(n int) error {
 	for i, e := range s.Events {
 		if e.At < 0 {
 			return fail("event %d (%s) has negative time", i, e)
+		}
+		if i > 0 && e.At < s.Events[i-1].At {
+			return fail("event %d (%s) is out of time order: it precedes event %d", i, e, i-1)
 		}
 		switch e.Kind {
 		case Crash, Recover, Straggle, Equivocate, Censor, MuteLeader:

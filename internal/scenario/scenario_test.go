@@ -57,6 +57,19 @@ func TestBuildSortsAndValidates(t *testing.T) {
 			wantErr:   true,
 		},
 		{
+			// A literal is not sorted: left as written, its windows would
+			// overlap and a reply would count in two phases.
+			name: "events out of time order rejected",
+			build: func() *Scenario {
+				return &Scenario{Name: "x", Events: []Event{
+					{At: 2 * time.Second, Kind: Crash, Nodes: []int{3}},
+					{At: time.Second, Kind: Recover, Nodes: []int{3}},
+				}}
+			},
+			wantOrder: []Kind{Crash, Recover},
+			wantErr:   true,
+		},
+		{
 			name: "negative time rejected",
 			build: func() *Scenario {
 				return &Scenario{Name: "x", Events: []Event{{At: -time.Second, Kind: Heal}}}

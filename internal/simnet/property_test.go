@@ -234,7 +234,7 @@ func TestQueueInvariantAfterHalt(t *testing.T) {
 					})
 				}
 				s.RunAll(0)
-				if !s.Halted() {
+				if !s.halted {
 					t.Fatalf("seed %d: Halt not observed", seed)
 				}
 				checkQueue(t, s.q)

@@ -2,7 +2,10 @@
 // substitutes for the paper's AWS WAN/LAN deployment: replicas are
 // event-driven state machines, messages are events scheduled on a virtual
 // clock with delays drawn from a configurable latency model (4-region WAN
-// or single-site LAN), and fault/straggler injection perturbs delivery.
+// or single-site LAN), and a per-node egress scale models stragglers. The
+// network is a delay model and nothing else: crashed endpoints and cut
+// links are package faultnet's decorator, which wraps this network the
+// same way it wraps the real transports.
 //
 // Determinism: events at equal virtual times are processed in the
 // canonical order (destination node, source node, per-source count) — a
@@ -17,18 +20,15 @@
 // property tests compare the wheel against. Both pop in the identical
 // total order (at, ord), so results never depend on the choice.
 //
-// Allocation model: events are pooled. An executed event returns to a free
-// list the moment its callback finishes, and the next At/Send reuses it, so
-// a steady-state simulation allocates no event objects at all. Message
-// deliveries are encoded as event fields rather than closures for the same
-// reason. The pooling contract — an event is owned by the queue until its
-// callback returns and by the pool afterwards, and released events are
-// zeroed — is enforced by the property tests in property_test.go and
-// documented in ARCHITECTURE.md's performance model.
+// Allocation model: events are pooled (an event is owned by the queue until
+// its callback returns, then zeroed back into the pool) and deliveries are
+// event fields, not closures, so a steady-state simulation allocates no
+// event objects; property_test.go enforces the contract.
 package simnet
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/types"
@@ -74,8 +74,7 @@ type event struct {
 	argA, argB any
 
 	// Network delivery: when nw is non-nil the event delivers msg from ->
-	// to through nw's handler table, re-checking liveness and link state at
-	// delivery time.
+	// to through nw's handler table.
 	nw       *Network
 	from, to int32
 	msg      any
@@ -255,16 +254,7 @@ func (s *Sim) schedule(e *event, t Time, dst, src int) {
 
 // At schedules fn at absolute virtual time t (clamped to now) with the
 // affinity of the currently executing event (global outside any event).
-func (s *Sim) At(t Time, fn func()) { s.AtNode(s.cur, t, fn) }
-
-// AtNode schedules fn at absolute virtual time t with an explicit node
-// affinity: the canonical order groups the event under dst. Use NodeNone
-// for global events.
-func (s *Sim) AtNode(dst int, t Time, fn func()) {
-	e := s.alloc()
-	e.call, e.argA = runFunc, fn
-	s.schedule(e, t, dst, s.cur)
-}
+func (s *Sim) At(t Time, fn func()) { s.CallAt(t, runFunc, fn, nil) }
 
 // After schedules fn d after the current time.
 func (s *Sim) After(d Duration, fn func()) { s.At(s.now+Time(d), fn) }
@@ -276,14 +266,9 @@ func (s *Sim) After(d Duration, fn func()) { s.At(s.now+Time(d), fn) }
 // consensus timer wakeups use it. The affinity is inherited from the
 // currently executing event.
 func (s *Sim) CallAt(t Time, fn func(a, b any), argA, argB any) {
-	s.CallAtNode(s.cur, t, fn, argA, argB)
-}
-
-// CallAtNode is CallAt with an explicit node affinity (see AtNode).
-func (s *Sim) CallAtNode(dst int, t Time, fn func(a, b any), argA, argB any) {
 	e := s.alloc()
 	e.call, e.argA, e.argB = fn, argA, argB
-	s.schedule(e, t, dst, s.cur)
+	s.schedule(e, t, s.cur, s.cur)
 }
 
 // CallAfter schedules fn(argA, argB) d after the current time.
@@ -325,9 +310,6 @@ func (s *Sim) dispatch(e *event) {
 // Halt to abandon a simulation early.
 func (s *Sim) Halt() { s.halted = true }
 
-// Halted reports whether Halt has been called.
-func (s *Sim) Halted() bool { return s.halted }
-
 // Run executes events until the queue drains, virtual time exceeds until,
 // or Halt is called from an event. The loop uses the queue's fused
 // conditional pop, probing the queue once per event.
@@ -361,16 +343,11 @@ func (s *Sim) RunAll(maxEvents uint64) uint64 {
 	return s.events - start
 }
 
-// NodeSim is a node-pinned view of a simulator: every scheduling call
-// stamps the node as both halves of the event's canonical key —
-// destination affinity and source — rather than inheriting the executing
-// event's. It is the simulator's types.Clock: replicas hold one (cluster
-// constructs them with their own id), so state-machine timers and pulses
-// always sort under the owning node and always draw from the node's own
-// schedule counter — including when they are armed from outside the node's
-// own events (setup, scenario recovery hooks), which keeps the canonical
-// key a pure function of the workload. The zero value is unusable; build
-// one with On.
+// NodeSim is a node-pinned view of a simulator and its types.Clock: every
+// scheduling call stamps the node as destination affinity and source, even
+// when armed from outside the node's own events (setup, a recovery), which
+// keeps the canonical key a pure function of the workload. Build one with
+// On.
 type NodeSim struct {
 	S    *Sim
 	Node int
@@ -384,20 +361,14 @@ func On(sim *Sim, node int) NodeSim { return NodeSim{S: sim, Node: node} }
 func (n NodeSim) Now() Time { return n.S.Now() }
 
 // At schedules fn at absolute time t on the pinned node.
-func (n NodeSim) At(t Time, fn func()) {
-	e := n.S.alloc()
-	e.call, e.argA = runFunc, fn
-	n.S.schedule(e, t, n.Node, n.Node)
-}
+func (n NodeSim) At(t Time, fn func()) { n.CallAt(t, runFunc, fn, nil) }
 
 // After schedules fn d after the current time on the pinned node.
 func (n NodeSim) After(d Duration, fn func()) { n.At(n.S.now+Time(d), fn) }
 
 // CallAt schedules fn(argA, argB) at absolute time t on the pinned node.
 func (n NodeSim) CallAt(t Time, fn func(a, b any), argA, argB any) {
-	e := n.S.alloc()
-	e.call, e.argA, e.argB = fn, argA, argB
-	n.S.schedule(e, t, n.Node, n.Node)
+	n.CallAtNode(n.Node, t, fn, argA, argB)
 }
 
 // CallAtNode schedules fn(argA, argB) at absolute time t with an explicit
@@ -433,15 +404,6 @@ type Network struct {
 	// outScale multiplies all delays for messages *sent by* a node; used to
 	// model a straggler whose instance runs 10x slower (Sec. VII-A).
 	outScale []float64
-	// down marks crashed nodes: they neither send nor receive.
-	down []bool
-	// blocked, when non-nil, marks unidirectional link cuts as one flat
-	// n*n row-major matrix (blocked[from*n+to]): it is checked both at send
-	// and at delivery time, so a message already in flight when a cut
-	// happens is lost unless the link is restored before its delivery
-	// time. The whole matrix is one allocation, made lazily by the first
-	// cut and reused for the rest of the run.
-	blocked []bool
 	// nicBps, when > 0, enables the NIC store-and-forward model: each node
 	// has one egress and one ingress link of this bandwidth (bits/s) shared
 	// by all its traffic. This is what makes throughput saturate under load
@@ -451,7 +413,7 @@ type Network struct {
 	ingressFree []Time
 
 	size func(msg any) int // bytes a message costs the bandwidth and NIC models
-	msgs uint64            // delivered messages, modeled ones (AddModeled) included
+	msgs uint64            // messages handed to a handler, modeled ones (AddModeled) included
 }
 
 // NewNetwork creates a network for n nodes over the given latency model,
@@ -467,8 +429,7 @@ func NewNetwork(sim *Sim, n int, model *GeoModel, size func(msg any) int) *Netwo
 		geo:      model,
 		pairBase: make([]Duration, n*n),
 		jit:      make([]uint64, n*n),
-		outScale: onesVec(n),
-		down:     make([]bool, n),
+		outScale: slices.Repeat([]float64{1}, n),
 		size:     size,
 	}
 	for from := 0; from < n; from++ {
@@ -505,14 +466,6 @@ func jitFloat(state *uint64) float64 {
 	return float64(splitmix64(state)>>11) / (1 << 53)
 }
 
-func onesVec(n int) []float64 {
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = 1
-	}
-	return v
-}
-
 var _ types.Network = (*Network)(nil)
 
 // Register installs the message handler for node id.
@@ -530,66 +483,8 @@ func (nw *Network) SetOutScale(id int, scale float64) { nw.outScale[id] = scale 
 // OutScale returns the outgoing-delay multiplier of a node.
 func (nw *Network) OutScale(id int) float64 { return nw.outScale[id] }
 
-// SetDown marks a node crashed (true) or recovered (false).
-func (nw *Network) SetDown(id int, down bool) { nw.down[id] = down }
-
-// SetLinkBlocked cuts (true) or restores (false) the unidirectional link
-// from -> to. The cut is checked at send and again at delivery time, so a
-// message in flight when the cut happens is dropped unless the link is
-// restored before it would deliver. Self-links cannot be cut. This is the
-// low-level mutation hook behind Partition/Heal; scenarios may also use it
-// directly for asymmetric cuts.
-func (nw *Network) SetLinkBlocked(from, to int, blocked bool) {
-	if from == to {
-		return
-	}
-	if nw.blocked == nil {
-		if !blocked {
-			return
-		}
-		nw.blocked = make([]bool, len(nw.handlers)*len(nw.handlers))
-	}
-	nw.blocked[from*len(nw.handlers)+to] = blocked
-}
-
-// LinkBlocked reports whether traffic from -> to is currently cut.
-func (nw *Network) LinkBlocked(from, to int) bool {
-	return nw.blocked != nil && nw.blocked[from*len(nw.handlers)+to]
-}
-
-// Partition splits the network into the given groups: every link between
-// nodes of different groups is cut in both directions, links within a group
-// are restored. Nodes listed in no group form one additional implicit
-// group. The cut replaces any previous Partition or SetLinkBlocked state;
-// Heal removes it.
-func (nw *Network) Partition(groups ...[]int) {
-	n := len(nw.handlers)
-	member := make([]int, n) // group id per node; len(groups) = implicit group
-	for i := range member {
-		member[i] = len(groups)
-	}
-	for g, nodes := range groups {
-		for _, id := range nodes {
-			member[id] = g
-		}
-	}
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			nw.SetLinkBlocked(a, b, member[a] != member[b])
-		}
-	}
-}
-
-// Heal restores every cut link (undoes Partition and SetLinkBlocked). The
-// cut matrix is cleared in place, keeping its one allocation for the next
-// partition of the run.
-func (nw *Network) Heal() {
-	for i := range nw.blocked {
-		nw.blocked[i] = false
-	}
-}
-
-// Messages returns the count of messages delivered.
+// Messages returns the count of messages delivered to a registered handler
+// — one a fault decorator's wrapped handler then drops included.
 func (nw *Network) Messages() uint64 { return nw.msgs }
 
 // AddModeled folds messages that a closed-form layer models without
@@ -655,9 +550,6 @@ func (nw *Network) serTime(size int) Time {
 func (nw *Network) Send(from, to int, msg any) { nw.send(from, to, nw.size(msg), msg) }
 
 func (nw *Network) send(from, to, size int, msg any) {
-	if nw.down[from] || nw.down[to] || nw.LinkBlocked(from, to) {
-		return
-	}
 	sim := nw.sim
 	prop := nw.Delay(from, to, size)
 	var deliverAt Time
@@ -684,10 +576,10 @@ func (nw *Network) send(from, to, size int, msg any) {
 	sim.schedule(e, deliverAt, to, from)
 }
 
-// deliver lands a message at its destination, re-checking liveness and
-// link state at delivery time (Step dispatches queued deliveries here).
+// deliver lands a message at its destination's handler (Step dispatches
+// queued deliveries here).
 func (nw *Network) deliver(from, to int, msg any) {
-	if nw.down[to] || nw.LinkBlocked(from, to) || nw.handlers[to] == nil {
+	if nw.handlers[to] == nil {
 		return
 	}
 	nw.msgs++

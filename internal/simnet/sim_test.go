@@ -112,48 +112,6 @@ func TestNetworkBroadcastIncludesSelf(t *testing.T) {
 	}
 }
 
-func TestNetworkDownNode(t *testing.T) {
-	s := New(1)
-	nw := NewNetwork(s, 2, NewFixed(time.Millisecond), nil)
-	received := 0
-	nw.Register(0, func(from int, msg any) {})
-	nw.Register(1, func(from int, msg any) { received++ })
-	nw.SetDown(1, true)
-	nw.Send(0, 1, "x")
-	s.RunAll(0)
-	if received != 0 {
-		t.Fatal("down node received a message")
-	}
-	nw.SetDown(1, false)
-	nw.Send(0, 1, "x")
-	s.RunAll(0)
-	if received != 1 {
-		t.Fatal("recovered node did not receive")
-	}
-	// A down sender cannot send.
-	nw.SetDown(0, true)
-	nw.Send(0, 1, "x")
-	s.RunAll(0)
-	if received != 1 {
-		t.Fatal("down sender delivered a message")
-	}
-}
-
-func TestNetworkCrashMidFlight(t *testing.T) {
-	// A message in flight when the destination crashes must not deliver.
-	s := New(1)
-	nw := NewNetwork(s, 2, NewFixed(10*time.Millisecond), nil)
-	received := 0
-	nw.Register(0, func(from int, msg any) {})
-	nw.Register(1, func(from int, msg any) { received++ })
-	nw.Send(0, 1, "x")
-	s.After(5*time.Millisecond, func() { nw.SetDown(1, true) })
-	s.RunAll(0)
-	if received != 0 {
-		t.Fatal("message delivered to node that crashed mid-flight")
-	}
-}
-
 func TestStragglerOutScale(t *testing.T) {
 	s := New(1)
 	nw := NewNetwork(s, 2, NewFixed(10*time.Millisecond), nil)

@@ -14,11 +14,13 @@ import (
 // a replica's message to itself is the message it sent) or a
 // still-encoded frame (Proc enqueues the sender's shared frame and each
 // other receiver decodes its own copy on its loop goroutine, preserving
-// the no-shared-mutable-memory property without an encode per receiver).
+// the no-shared-mutable-memory property without an encode per receiver) —
+// or a function Run handed the loop.
 type inMsg struct {
 	from int
 	msg  any
 	fr   *frame
+	run  func()
 }
 
 // timer is one pending CallAt. seq is the node's schedule count, so equal
@@ -48,10 +50,10 @@ func (h *timerHeap) Pop() any {
 	return t
 }
 
-// Node is one replica's wall-clock event loop and its types.Clock: a
-// (deadline, seq) min-heap of timers, an inbox real transports enqueue
-// messages into, and a goroutine that alternates between firing due timers
-// and dispatching inbox messages. All replica code executes on that
+// Node is one wall-clock event loop — a replica's, or a harness's — and
+// its types.Clock: a (deadline, seq) min-heap of timers, an inbox real
+// transports enqueue messages into, and a goroutine that alternates between
+// firing due timers and dispatching inbox messages. All replica code executes on that
 // goroutine, so Now and CallAt need no locks: call them from timer
 // callbacks and message handlers, or before Start.
 //
@@ -133,6 +135,11 @@ func (n *Node) enqueueFrame(from int, f *frame) {
 	n.push(inMsg{from: from, fr: f})
 }
 
+// Run hands fn to the node's event loop, which calls it in order with the
+// messages enqueued around it: how another goroutine acts on the loop's
+// replica. Safe from any goroutine, and before Start.
+func (n *Node) Run(fn func()) { n.push(inMsg{run: fn}) }
+
 func (n *Node) push(m inMsg) {
 	n.mu.Lock()
 	n.inbox = append(n.inbox, m)
@@ -195,6 +202,10 @@ func (n *Node) loop() {
 		for i := range pending {
 			m := pending[i]
 			pending[i] = inMsg{} // drop the frame pointer once dispatched
+			if m.run != nil {
+				m.run()
+				continue
+			}
 			msg := m.msg
 			if m.fr != nil {
 				dec, err := n.dec.Decode(m.fr.payload())

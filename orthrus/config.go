@@ -48,11 +48,11 @@ const (
 	// and framing discipline the orthrus-node TCP daemon uses, without
 	// sockets. Results are wall-clock measurements of this machine and
 	// are NOT deterministic or reproducible across runs; Net only labels
-	// the result. Simulation-only features are rejected by Validate:
-	// stragglers, crash/Byzantine faults, scenarios, the analytic SB and
-	// live-set sampling. Observer.OnConfirm fires normally; OnWindow reports every window when the run ends
-	// rather than streaming (there is no simulated clock to tick), and
-	// OnPhase never fires (phases belong to scenarios).
+	// the result. Faults and scenarios run as in the simulator, but a
+	// straggler slows only its proposal pulse. Validate rejects the analytic
+	// SB and live-set sampling. Observer callbacks stream in wall-clock
+	// time; the run stops once every replica that is up has confirmed
+	// every submission.
 	TransportProc
 )
 
@@ -245,7 +245,8 @@ func WithDrain(d time.Duration) Option { return func(c *Config) { c.Drain = d } 
 func WithTotalTxs(n int) Option { return func(c *Config) { c.TotalTxs = n } }
 
 // WithStragglers makes count instances stragglers, slowed by factor
-// (factor 0 means the paper's 10x).
+// (factor 0 means the paper's 10x); on TransportProc only their proposal
+// pulses slow.
 func WithStragglers(count int, factor float64) Option {
 	return func(c *Config) { c.Stragglers, c.StragglerFactor = count, factor }
 }
@@ -335,8 +336,7 @@ func WithNIC(enabled bool) Option { return func(c *Config) { c.DisableNIC = !ena
 // WithTransport selects the message-carrying backend. TransportProc runs
 // the cluster over real goroutines and wall-clock time instead of the
 // simulator: results become measurements of this machine rather than
-// deterministic predictions, and simulation-only features (stragglers,
-// faults, scenarios, the analytic SB) are rejected by Validate. See Transport for the full contract.
+// deterministic predictions. See Transport for the full contract.
 func WithTransport(t Transport) Option { return func(c *Config) { c.Transport = t } }
 
 // WithSeed sets the simulation seed; equal seeds reproduce runs exactly.

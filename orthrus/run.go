@@ -17,8 +17,8 @@ func Run(ctx context.Context, opts ...Option) (*Result, error) {
 
 // Run validates the configuration and executes it. Invalid configurations
 // return an error wrapping ErrInvalidConfig without running anything. A
-// cancellable ctx is polled as the run advances — every 0.5 s of virtual
-// time in the simulator, every 10 ms of wall time on TransportProc; on
+// cancellable ctx is polled as the run advances — every 0.5 s of the
+// run's clock, virtual in the simulator, wall on TransportProc; on
 // cancellation the run stops and Run returns the partial Result (Halted
 // true, measurements covering only the time before the stop) together
 // with the context's error. A simulated run is deterministic for a given

@@ -22,15 +22,12 @@ func mustPreset(t *testing.T, name string) *scenariodsl.Scenario {
 
 // TestWithTransportValidation pins the real backend's option gate: every
 // simulation-only knob is rejected with ErrInvalidConfig before anything
-// runs.
+// runs, and the faults and scenarios that run on Proc are accepted.
 func TestWithTransportValidation(t *testing.T) {
 	bad := map[string][]Option{
-		"analytic":  {WithTransport(TransportProc), WithAnalyticSB()},
-		"scenario":  {WithTransport(TransportProc), WithScenario(mustPreset(t, "crash-recover"))},
-		"straggler": {WithTransport(TransportProc), WithStragglers(1, 10)},
-		"crash":     {WithTransport(TransportProc), WithFaults(1, time.Second)},
-		"byzantine": {WithTransport(TransportProc), WithByzantine(1)},
-		"range":     {func(c *Config) { c.Transport = Transport(99) }},
+		"analytic": {WithTransport(TransportProc), WithAnalyticSB()},
+		"census":   {WithTransport(TransportProc), WithLiveSetSampling(time.Second)},
+		"range":    {func(c *Config) { c.Transport = Transport(99) }},
 	}
 	for name, opts := range bad {
 		opts := opts
@@ -41,8 +38,19 @@ func TestWithTransportValidation(t *testing.T) {
 			}
 		})
 	}
-	if err := NewConfig(WithTransport(TransportProc)).Validate(); err != nil {
-		t.Fatalf("plain TransportProc config rejected: %v", err)
+	for name, opt := range map[string]Option{
+		"plain":     WithTransport(TransportProc),
+		"scenario":  WithScenario(mustPreset(t, "crash-recover")),
+		"straggler": WithStragglers(1, 10),
+		"crash":     WithFaults(1, time.Second),
+		"byzantine": WithByzantine(1),
+	} {
+		opt := opt
+		t.Run(name, func(t *testing.T) {
+			if err := NewConfig(WithTransport(TransportProc), opt).Validate(); err != nil {
+				t.Fatalf("TransportProc config rejected: %v", err)
+			}
+		})
 	}
 	if got := TransportProc.String(); got != "proc" {
 		t.Fatalf("TransportProc.String() = %q", got)
