@@ -54,8 +54,8 @@ func benchCfg(mode core.Mode, n int, net cluster.NetProfile) cluster.Config {
 
 func reportCluster(b *testing.B, res *cluster.Result) {
 	b.ReportMetric(res.ThroughputTPS/1000, "ktps")
-	b.ReportMetric(res.Latency.Mean().Seconds(), "lat-s")
-	b.ReportMetric(res.Latency.Percentile(99).Seconds(), "p99-s")
+	b.ReportMetric(res.Latency.Mean.Seconds(), "lat-s")
+	b.ReportMetric(res.Latency.P99.Seconds(), "p99-s")
 }
 
 // BenchmarkFig1b regenerates the motivating breakdown: ISS with one 10x

@@ -5,6 +5,11 @@
 //
 // One collector (collect.go) does the configuration, the faults, the
 // client and the measuring for every run; a backend supplies the engine.
+// The collector stamps each client-visible reply on its transaction's
+// client record, and every number a Result reports is read off those
+// records by one reader (records.go): the latency summary, Aborted and the
+// series cover every reply that landed before the stop, the drain
+// included; Confirmed and ThroughputTPS only those in [Warmup, Duration].
 // Every fault is a scenario.Event applied through one step, its link and
 // endpoint half through package faultnet's decorator over the backend's
 // network. Run (sim.go) executes inside the simulator's one event loop over
@@ -21,7 +26,6 @@
 package cluster
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -138,9 +142,9 @@ type Config struct {
 	// (replica, instance, SN, digest) through it; nil costs nothing.
 	OnBlockDeliver func(replica, instance int, b *types.Block)
 	// Halt is polled at every 0.5 s window boundary of the run's clock;
-	// returning true stops the run at once (Result.Halted) with whatever
-	// has been measured so far. The public SDK wires context cancellation
-	// here.
+	// returning true stops the run at that boundary (Result.Halted), and
+	// the Result covers only the replies that landed before it. The public
+	// SDK wires context cancellation here.
 	Halt func() bool
 	// CaptureState retains the observer replica's ledger store on the
 	// Result and checks that all replicas' final snapshots agree. Only
@@ -260,18 +264,23 @@ type Result struct {
 	Net      string
 	N        int
 
+	// Submitted counts submissions. Confirmed counts client-visible
+	// confirmations (the (f+1)-th reply) that landed in the closed window
+	// [Warmup, Duration]; Aborted counts every client-visible reply that
+	// reports an abort.
 	Submitted int
-	Confirmed int // confirmed by f+1 replicas (client-visible)
-	Aborted   int // confirmed unsuccessfully
+	Confirmed int
+	Aborted   int
 
-	// ThroughputTPS counts client-visible confirmations inside the
-	// submission window, divided by the window length (minus warmup).
+	// ThroughputTPS is Confirmed divided by Duration - Warmup.
 	ThroughputTPS float64
-	// Latency is the client-observed distribution: submission to the
+	// Latency summarizes the client-observed latency of every
+	// client-visible reply, the drain's included: submission to the
 	// (f+1)-th reply, including the reply's network delay.
-	Latency metrics.Latency
-	// Series bins confirmations over 0.5 s intervals (Fig. 7).
-	Series *metrics.TimeSeries
+	Latency metrics.Summary
+	// Windows bins the same replies over 0.5 s intervals by landing time
+	// (Fig. 7), up to the last bin with a reply.
+	Windows []WindowStat
 	// Breakdown is the observer replica's five-stage split (Fig. 6).
 	Breakdown *metrics.Breakdown
 
@@ -303,8 +312,10 @@ type Result struct {
 	// tests assert gap repair happened without pre-checkpoint replay.
 	StateTransferApplied uint64
 
-	// Halted reports the run was stopped early by Config.Halt; the
-	// measurements cover only the virtual time before the stop.
+	// Halted reports the run was stopped early by Config.Halt, at the 0.5 s
+	// boundary whose poll returned true. Every count, rate and window
+	// covers only the replies that landed before the stop, and
+	// ThroughputTPS divides by the part of [Warmup, Duration] before it.
 	Halted bool
 	// State is the observer replica's final ledger store and Converged
 	// whether every replica's final snapshot equals it. Both are only set
@@ -313,8 +324,8 @@ type Result struct {
 	Converged bool
 }
 
-// WindowStat is one closed 0.5 s series bin (Result.Series.Window), streamed
-// to Config.OnWindow as it closes.
+// WindowStat is one closed 0.5 s series bin (an entry of Result.Windows),
+// streamed to Config.OnWindow as it closes.
 type WindowStat = metrics.WindowStat
 
 // PhaseWindow is one scenario-delimited measurement window: raw
@@ -355,10 +366,4 @@ type LiveSetSample struct {
 	Retained  int           // blocks retained for NewView repair
 	CkptVotes int           // live checkpoint votes
 	Total     int           // all of the above
-}
-
-// String renders a one-line summary.
-func (r *Result) String() string {
-	return fmt.Sprintf("%-8s %s n=%-3d tput=%8.1f tps  lat(%s)  confirmed=%d aborted=%d vc=%d",
-		r.Protocol, r.Net, r.N, r.ThroughputTPS, r.Latency.String(), r.Confirmed, r.Aborted, r.ViewChanges)
 }

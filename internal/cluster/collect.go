@@ -13,26 +13,14 @@ import (
 	"repro/internal/workload"
 )
 
-// txMeta tracks client-side accounting for one transaction. It is stored
-// by value in a dense slice in submission order — no per-transaction
-// pointer allocations.
-type txMeta struct {
-	submit   types.Time
-	reply    types.Time // client-visible reply time; set when done
-	observed types.Time // observer replica's confirm time; zero: no trace counted
-	home     int32      // replica co-located with the submitting client
-	replies  int32
-	done     bool
-}
-
 // collector is the half of a run every backend shares: it configures the
 // replicas, applies every fault, paces the open-loop client, keeps the
-// client-side submission record, turns replica confirmations into
-// client-visible ones (the (f+1)-th reply), bins them into the series, and
-// closes the books into the Result; the scenario phases are measured from
-// its client records. A backend (Run: the simulator; RunReal:
-// transport.Proc) supplies the engine. Its own events and the replicas'
-// hooks take mu around the books, so a backend may run them concurrently.
+// client-side submission record, and stamps each client-visible
+// confirmation (the (f+1)-th reply) on it; every number the Result reports
+// is read off those records (records.go). A backend (Run: the simulator;
+// RunReal: transport.Proc) supplies the engine. Its own events and the
+// replicas' hooks take mu around the books, so a backend may run them
+// concurrently.
 type collector struct {
 	cfg     Config
 	f       int
@@ -60,8 +48,11 @@ type collector struct {
 	// confirmedAt counts, per replica, the transactions of this run it has
 	// confirmed.
 	confirmedAt []int
-
+	// tally bins the client-visible replies as they are recorded, for
+	// OnWindow to stream bins [0, windowsEmitted) from mid-run.
+	tally          series
 	windowsEmitted int
+	stop           types.Time // the halt's tick; forever unless halted
 }
 
 // backend is what a run's engine hands the collector: the replicas'
@@ -86,13 +77,13 @@ type backend struct {
 func newCollector(cfg Config, be backend) *collector {
 	c := &collector{
 		cfg: cfg, f: (cfg.N - 1) / 3, be: be, net: faultnet.Wrap(be.net, cfg.N),
-		res: &Result{Protocol: cfg.Protocol.Name, Net: cfg.Net.String(), N: cfg.N,
-			Series: metrics.NewTimeSeries(500 * time.Millisecond), Breakdown: &metrics.Breakdown{}},
+		res:         &Result{Protocol: cfg.Protocol.Name, Net: cfg.Net.String(), N: cfg.N, Breakdown: &metrics.Breakdown{}},
 		gen:         cfg.Source,
 		interval:    time.Duration(float64(time.Second) / cfg.LoadTPS),
 		loadMult:    1,
 		router:      core.NewSubmitRouter(cfg.N, (cfg.N-1)/3),
 		confirmedAt: make([]int, cfg.N),
+		stop:        forever,
 	}
 	// The books are sized once for the submission schedule (TotalTxs at
 	// most, 1 Mi entries at most), so the measured path neither regrows meta
@@ -109,7 +100,7 @@ func newCollector(cfg Config, be backend) *collector {
 	}
 	c.genesis = c.gen.Genesis()
 	runEnd := cfg.Duration + cfg.Drain
-	c.res.Series.Reserve(int(runEnd/c.res.Series.Bin) + 2) // never regrown
+	c.tally = make(series, 0, int(runEnd/binWidth)+2) // never regrown
 	if cfg.Scenario != nil {
 		c.pt = newPhaseTracker(cfg.Scenario, runEnd)
 	}
@@ -198,11 +189,12 @@ func (c *collector) start() {
 	c.next(types.Time(cfg.Warmup) / 2)
 	// Every 0.5 s: poll Halt, else stream the bin that closed.
 	if cfg.OnWindow != nil || cfg.Halt != nil {
-		c.every(c.res.Series.Bin, func(k int) {
+		c.every(binWidth, func(k int) {
 			c.mu.Lock()
 			defer c.mu.Unlock()
 			if cfg.Halt != nil && cfg.Halt() {
 				c.res.Halted = true
+				c.stop = types.Time(k) * types.Time(binWidth)
 				c.be.halt()
 			} else if cfg.OnWindow != nil {
 				c.emitWindows(k)
@@ -314,7 +306,6 @@ func (c *collector) submit(tx *types.Transaction, now types.Time) (home int) {
 	tx.SubmitNS = int64(now)
 	c.byID[tx.ID()] = int32(len(c.meta))
 	c.meta = append(c.meta, txMeta{submit: now, home: int32(home)})
-	c.res.Submitted = len(c.meta)
 	return home
 }
 
@@ -327,7 +318,8 @@ func (c *collector) lookup(tx *types.Transaction) *txMeta {
 }
 
 // confirm is the client-side confirmation accounting: replica confirmed tx
-// at st.Confirmed, and the (f+1)-th such reply makes it client-visible.
+// at st.Confirmed, and the (f+1)-th such reply makes it client-visible,
+// stamped on tx's record and counted in the tally OnWindow streams from.
 // Replica 0 is the Fig. 6 observer: the first trace it reports for a
 // transaction it received from the client (not only inside a block) is
 // folded into the first four breakdown stages here; finish adds the fifth.
@@ -353,22 +345,12 @@ func (c *collector) confirm(replica int, tx *types.Transaction, success bool, st
 	if m.replies < int32(c.f+1) {
 		return
 	}
-	m.done = true
+	m.done, m.failed = true, !success
 	c.done++
-	reply := st.Confirmed + types.Time(c.be.replyHop(replica, int(m.home)))
-	m.reply = reply
-	lat := time.Duration(reply - m.submit)
-	res := c.res
-	res.Latency.Add(lat)
-	res.Series.Record(reply, lat)
-	if !success {
-		res.Aborted++
-	}
-	if reply >= types.Time(c.cfg.Warmup) && reply <= types.Time(c.cfg.Duration) {
-		res.Confirmed++
-	}
+	m.reply = st.Confirmed + types.Time(c.be.replyHop(replica, int(m.home)))
+	c.tally.add(m.reply, m.latency())
 	if c.cfg.OnConfirm != nil {
-		c.cfg.OnConfirm(tx, success, reply)
+		c.cfg.OnConfirm(tx, success, m.reply)
 	}
 	c.checkDrained()
 }
@@ -389,45 +371,30 @@ func (c *collector) checkDrained() {
 	c.be.drained()
 }
 
-// emitWindows streams series bins [windowsEmitted, upTo) to OnWindow, in
+// emitWindows streams tally bins [windowsEmitted, upTo) to OnWindow, in
 // order. A bin is final once the run's clock has passed its end.
 func (c *collector) emitWindows(upTo int) {
 	for i := c.windowsEmitted; i < upTo; i++ {
-		c.cfg.OnWindow(c.res.Series.Window(i))
+		c.cfg.OnWindow(c.tally.window(i))
 	}
 	c.windowsEmitted = max(c.windowsEmitted, upTo)
 }
 
 // finish closes the books once the backend has stopped every replica (their
-// state is read directly). elapsed, the run's clock at the stop, only
-// matters to a halted run.
-func (c *collector) finish(elapsed time.Duration) *Result {
-	cfg, res := c.cfg, c.res
-	// A halted run measures only the elapsed time: divide the confirmations
-	// by the window that actually ran, not the configured one, so partial
-	// throughput is a rate and not a fraction of one.
-	window := (cfg.Duration - cfg.Warmup).Seconds()
-	if res.Halted && elapsed < cfg.Duration {
-		window = (elapsed - cfg.Warmup).Seconds()
-	}
-	if window > 0 {
-		res.ThroughputTPS = float64(res.Confirmed) / window
-	}
+// state is read directly). A halted run counts only the replies that landed
+// before the stop, in windows clamped to it.
+func (c *collector) finish() *Result {
+	cfg, res, stop := c.cfg, c.res, c.stop
+	summarize(res, c.meta, cfg.Warmup, cfg.Duration, stop)
 	// Bins not streamed mid-run — the partial bin past the last 0.5 s tick,
 	// bins opened by replies landing after the end of the run, or all of
 	// them when no tick ran — are closed now; emit them in order.
 	if cfg.OnWindow != nil {
-		c.emitWindows(res.Series.Bins())
+		c.emitWindows(len(res.Windows))
 	}
-	// Phases, measured from the client records. A halted run counts only the
-	// replies that landed before the stop, in windows clamped to it; phases
-	// not streamed mid-run are emitted now, in order, except those the stop
-	// preempted entirely.
+	// Phases not streamed mid-run are emitted now, in order, except those
+	// the stop preempted entirely.
 	if pt := c.pt; pt != nil {
-		stop := forever
-		if res.Halted {
-			stop = types.Time(elapsed)
-		}
 		res.Phases = make([]PhaseWindow, len(pt.windows))
 		for i := range res.Phases {
 			res.Phases[i] = pt.measure(i, c.meta, stop)

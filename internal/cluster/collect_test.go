@@ -89,7 +89,7 @@ func TestObserverBreakdownFilters(t *testing.T) {
 	again.Received, again.Confirmed = 900*ms, 990*ms
 	c.confirm(0, seen, true, again)
 
-	res := c.finish(time.Second)
+	res := c.finish()
 	want := map[metrics.Stage]time.Duration{
 		metrics.StageSend: 10 * time.Millisecond, metrics.StagePreprocess: 10 * time.Millisecond,
 		metrics.StagePartial: 30 * time.Millisecond, metrics.StageGlobal: 10 * time.Millisecond,

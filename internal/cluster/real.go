@@ -56,7 +56,6 @@ func RunReal(cfg Config) *Result {
 	case <-done:
 	case <-time.After(time.Until(harness.epoch.Add(cfg.Duration + cfg.Drain))):
 	}
-	elapsed := time.Since(harness.epoch)
 	harness.Stop()
 	proc.Stop() // replica goroutines are gone after this: reads below are safe
 
@@ -65,7 +64,7 @@ func RunReal(cfg Config) *Result {
 	for i := 0; i < n; i++ {
 		res.Events += proc.Node(i).TimersFired()
 	}
-	return c.finish(elapsed)
+	return c.finish()
 }
 
 // wallClock is the harness loop as the client reads it: submissions run at

@@ -219,8 +219,8 @@ func TestRunRealSmoke(t *testing.T) {
 	if res.ThroughputTPS <= 0 {
 		t.Fatalf("ThroughputTPS = %v", res.ThroughputTPS)
 	}
-	if res.Latency.Count() == 0 || res.Latency.Mean() <= 0 {
-		t.Fatalf("latency not measured: %s", res.Latency.String())
+	if res.Latency.Count == 0 || res.Latency.Mean <= 0 {
+		t.Fatalf("latency not measured: %s", res.Latency)
 	}
 	if res.Messages == 0 {
 		t.Fatal("no protocol messages counted")
@@ -263,8 +263,8 @@ func TestProcFaults(t *testing.T) {
 			}
 			set(&cfg)
 			res := RunReal(cfg)
-			if res.Submitted == 0 || res.Latency.Count() != res.Submitted {
-				t.Fatalf("%d of %d submissions confirmed", res.Latency.Count(), res.Submitted)
+			if res.Submitted == 0 || res.Latency.Count != res.Submitted {
+				t.Fatalf("%d of %d submissions confirmed", res.Latency.Count, res.Submitted)
 			}
 			if name == "straggler" && blocks[3] >= min(blocks[0], blocks[1], blocks[2]) {
 				t.Fatalf("straggler's instance delivered %d blocks, the others %v", blocks[3], blocks[:3])

@@ -137,10 +137,59 @@ func TestZeroWidthWindowsStayEmpty(t *testing.T) {
 	}
 }
 
+// TestRunWindowClosedBounds pins the run window's rule: replies at exactly
+// Warmup and exactly Duration count in Confirmed, one a nanosecond past
+// Duration does not, and Latency, Aborted and the series count every reply.
+func TestRunWindowClosedBounds(t *testing.T) {
+	warmup, duration := time.Second, 4*time.Second
+	meta := repliesAt(warmup, duration, duration+time.Nanosecond)
+	meta[2].failed = true
+	meta = append(meta, txMeta{submit: types.Time(time.Second)}) // never confirmed
+	var res Result
+	summarize(&res, meta, warmup, duration, forever)
+	if res.Submitted != 4 || res.Confirmed != 2 || res.Aborted != 1 || res.Latency.Count != 3 {
+		t.Fatalf("submitted %d, confirmed %d, aborted %d, latency over %d; want 4, 2, 1, 3",
+			res.Submitted, res.Confirmed, res.Aborted, res.Latency.Count)
+	}
+	if want := 2 / (duration - warmup).Seconds(); res.ThroughputTPS != want {
+		t.Fatalf("throughput %v, want %v", res.ThroughputTPS, want)
+	}
+	if n := len(res.Windows); n != 9 || res.Windows[2].Confirmed != 1 || res.Windows[8].Confirmed != 2 {
+		t.Fatalf("windows %+v: want 9, one reply in bin 2 and two in bin 8", res.Windows)
+	}
+}
+
+// TestSeriesBinning: a bin counts the replies that landed in [Start, End),
+// its rate is the count over 0.5 s and its latency their mean; empty and
+// out-of-range bins are empty windows with their bin's bounds.
+func TestSeriesBinning(t *testing.T) {
+	var s series
+	if got, want := s.window(0), (WindowStat{End: binWidth}); got != want {
+		t.Fatalf("empty series: window(0) = %+v, want %+v", got, want)
+	}
+	s.add(types.Time(100*time.Millisecond), 20*time.Millisecond)
+	s.add(types.Time(400*time.Millisecond), 40*time.Millisecond)
+	s.add(types.Time(1200*time.Millisecond), 70*time.Millisecond) // bin 2; bin 1 stays empty
+	want := []WindowStat{
+		{Index: 0, Start: 0, End: binWidth, Confirmed: 2, ThroughputTPS: 4, MeanLatency: 30 * time.Millisecond},
+		{Index: 1, Start: binWidth, End: 2 * binWidth},
+		{Index: 2, Start: 2 * binWidth, End: 3 * binWidth, Confirmed: 1, ThroughputTPS: 2, MeanLatency: 70 * time.Millisecond},
+		{Index: 3, Start: 3 * binWidth, End: 4 * binWidth},
+	}
+	if len(s) != 3 {
+		t.Fatalf("%d bins, want 3", len(s))
+	}
+	for i, w := range want {
+		if got := s.window(i); got != w {
+			t.Fatalf("window(%d) = %+v, want %+v", i, got, w)
+		}
+	}
+}
+
 // TestScenarioEventOnSeriesBinEdgeEndToEnd runs a real cluster with a
 // scenario boundary exactly on a 0.5 s series-bin edge and checks the
 // phase windows partition every recorded confirmation: the sum of
-// per-window counts equals the run's latency sample count, and streamed
+// per-window counts equals the run's latency count, and streamed
 // OnPhase values equal the final Result.Phases.
 func TestScenarioEventOnSeriesBinEdgeEndToEnd(t *testing.T) {
 	scn := scenario.New("edge").
@@ -159,8 +208,8 @@ func TestScenarioEventOnSeriesBinEdgeEndToEnd(t *testing.T) {
 	for _, p := range res.Phases {
 		sum += p.Confirmed
 	}
-	if sum != res.Latency.Count() {
-		t.Fatalf("phase windows count %d confirmations, run recorded %d — boundary drift", sum, res.Latency.Count())
+	if sum != res.Latency.Count {
+		t.Fatalf("phase windows count %d confirmations, run recorded %d — boundary drift", sum, res.Latency.Count)
 	}
 	if len(streamed) != len(res.Phases) {
 		t.Fatalf("streamed %d phases, result has %d", len(streamed), len(res.Phases))

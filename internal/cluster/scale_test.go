@@ -58,8 +58,8 @@ func TestLargeClusterEveryProtocol(t *testing.T) {
 			if res.Submitted == 0 {
 				t.Fatal("nothing submitted")
 			}
-			if res.Latency.Count() < res.Submitted*9/10 {
-				t.Fatalf("only %d of %d txs reached f+1 replies", res.Latency.Count(), res.Submitted)
+			if res.Latency.Count < res.Submitted*9/10 {
+				t.Fatalf("only %d of %d txs reached f+1 replies", res.Latency.Count, res.Submitted)
 			}
 			if res.Aborted > res.Submitted/20 {
 				t.Fatalf("%d aborts of %d", res.Aborted, res.Submitted)
@@ -80,13 +80,13 @@ func TestLargeClusterDeterministic(t *testing.T) {
 	a := Run(scaleCfg(core.OrthrusMode(), 50))
 	b := Run(scaleCfg(core.OrthrusMode(), 50))
 	if a.Confirmed != b.Confirmed || a.Events != b.Events || a.Messages != b.Messages ||
-		a.Latency.Mean() != b.Latency.Mean() {
+		a.Latency.Mean != b.Latency.Mean {
 		t.Fatalf("identical configs diverged:\n%v\nvs\n%v", a, b)
 	}
 	scfg := scaleCfg(core.OrthrusMode(), 50)
 	scfg.Stragglers = 1
 	s := Run(scfg)
-	if s.Latency.Mean() == a.Latency.Mean() && s.Events == a.Events {
+	if s.Latency.Mean == a.Latency.Mean && s.Events == a.Events {
 		t.Fatal("straggled run identical to clean run; out-scale ignored")
 	}
 }

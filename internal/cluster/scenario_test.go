@@ -69,7 +69,7 @@ func checkPartitionHeal(t *testing.T, res *Result) {
 	// 3-of-4 quorum neither side has: the second half of the cut window
 	// must be silent. Series bins are 0.5 s wide.
 	for bin := 5; bin < 8; bin++ { // [2.5s, 4.0s)
-		if tput := res.Series.Throughput(bin); tput > 0 {
+		if tput := res.Windows[bin].ThroughputTPS; tput > 0 {
 			t.Fatalf("commits across the cut: bin %d has %.1f tps", bin, tput)
 		}
 	}
@@ -241,7 +241,11 @@ func TestStaticCrashIsAScenarioCrash(t *testing.T) {
 // TestHaltedScenarioRun stops a scenario run at several points, mid-phase
 // and on a phase boundary. Every window clamps to the stop and counts only
 // the replies that landed before it; OnPhase sees exactly the phases that
-// opened before the stop, each equal to its Result.Phases entry.
+// opened before the stop, each equal to its Result.Phases entry. The run's
+// own numbers stop there too: Confirmed, Aborted, the latency summary and
+// the series count only the replies that landed before the stop, the rate
+// divides by the part of the window before it, and no window streamed or
+// returned opens at or after it.
 func TestHaltedScenarioRun(t *testing.T) {
 	starts := []time.Duration{0, 1500 * time.Millisecond, 2500 * time.Millisecond, 3500 * time.Millisecond}
 	scn := scenario.New("halted").
@@ -254,16 +258,45 @@ func TestHaltedScenarioRun(t *testing.T) {
 		cfg := smallCfg(core.OrthrusMode())
 		cfg.Net = WAN // long reply hops: replies are in flight at the stop
 		cfg.Scenario = scn
-		polls, landed := 0, 0
+		polls, landed, inWindow, aborted := 0, 0, 0, 0
 		cfg.Halt = func() bool { polls++; return polls == ticks }
-		cfg.OnConfirm = func(_ *types.Transaction, _ bool, reply types.Time) {
-			if reply < types.Time(stop) {
-				landed++
+		cfg.OnConfirm = func(_ *types.Transaction, success bool, reply types.Time) {
+			if reply >= types.Time(stop) {
+				return
+			}
+			landed++
+			if reply >= types.Time(cfg.Warmup) && reply <= types.Time(cfg.Duration) {
+				inWindow++
+			}
+			if !success {
+				aborted++
 			}
 		}
 		var streamed []PhaseWindow
 		cfg.OnPhase = func(p PhaseWindow) { streamed = append(streamed, p) }
+		var windows []WindowStat
+		cfg.OnWindow = func(w WindowStat) { windows = append(windows, w) }
 		res := Run(cfg)
+
+		if res.Confirmed != inWindow || res.Latency.Count != landed || res.Aborted != aborted {
+			t.Fatalf("stop %v: confirmed %d, latency over %d, aborted %d; %d, %d and %d replies landed before the stop",
+				stop, res.Confirmed, res.Latency.Count, res.Aborted, inWindow, landed, aborted)
+		}
+		if want := float64(inWindow) / (stop - cfg.Warmup).Seconds(); res.ThroughputTPS != want {
+			t.Fatalf("stop %v: throughput %v, want %v", stop, res.ThroughputTPS, want)
+		}
+		binned := 0
+		for _, w := range res.Windows {
+			binned += w.Confirmed
+		}
+		if binned != landed {
+			t.Fatalf("stop %v: windows count %d replies, %d landed before the stop", stop, binned, landed)
+		}
+		for _, w := range append(windows, res.Windows...) {
+			if w.Start >= stop {
+				t.Fatalf("stop %v: window [%v,%v) opens at or after the stop", stop, w.Start, w.End)
+			}
+		}
 
 		if !res.Halted || len(res.Phases) != len(starts) {
 			t.Fatalf("stop %v: halted=%v, phases %+v", stop, res.Halted, res.Phases)

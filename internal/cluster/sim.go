@@ -124,7 +124,7 @@ func Run(cfg Config) *Result {
 	sim.Run(simnet.Time(cfg.Duration + cfg.Drain))
 	res.Events = sim.EventsProcessed()
 	res.Messages = nw.Messages()
-	return c.finish(time.Duration(sim.Now()))
+	return c.finish()
 }
 
 // submitToReplica is the client-submission event callback: delivering a

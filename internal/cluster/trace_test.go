@@ -49,7 +49,7 @@ func TestTraceReplayDeterministicAcrossRuns(t *testing.T) {
 		cfg := smallCfg(core.OrthrusMode())
 		cfg.Source = trace
 		res := Run(cfg)
-		return res.Confirmed, res.Latency.Mean()
+		return res.Confirmed, res.Latency.Mean
 	}
 	c1, l1 := run()
 	c2, l2 := run()

@@ -115,14 +115,13 @@ type Row struct {
 }
 
 func toRow(res *cluster.Result, stragglers int) Row {
-	lat := res.Latency.Summary()
 	return Row{
 		Protocol:   res.Protocol,
 		N:          res.N,
 		Stragglers: stragglers,
 		TputKTPS:   res.ThroughputTPS / 1000,
-		LatencyS:   lat.Mean.Seconds(),
-		P99S:       lat.P99.Seconds(),
+		LatencyS:   res.Latency.Mean.Seconds(),
+		P99S:       res.Latency.P99.Seconds(),
 	}
 }
 
@@ -154,8 +153,7 @@ type SeriesResult struct {
 
 func toSeries(res *cluster.Result, faults int) SeriesResult {
 	out := SeriesResult{Faults: faults, ViewChange: res.ViewChanges}
-	for i := 0; i < res.Series.Bins(); i++ {
-		w := res.Series.Window(i)
+	for _, w := range res.Windows {
 		out.TimeS = append(out.TimeS, w.Start.Seconds())
 		out.TputKTPS = append(out.TputKTPS, w.ThroughputTPS/1000)
 		out.LatencyS = append(out.LatencyS, w.MeanLatency.Seconds())
@@ -192,7 +190,7 @@ func toScenario(res *cluster.Result, name string) ScenarioResult {
 		Scenario:    name,
 		Protocol:    res.Protocol,
 		TputKTPS:    res.ThroughputTPS / 1000,
-		LatencyS:    res.Latency.Summary().Mean.Seconds(),
+		LatencyS:    res.Latency.Mean.Seconds(),
 		ViewChanges: res.ViewChanges,
 	}
 	for _, p := range res.Phases {

@@ -90,7 +90,7 @@ func TestRunRealClusterDeterminism(t *testing.T) {
 	for i := range cfgs {
 		s, p := serial[i], parallel[i]
 		if s.Confirmed != p.Confirmed || s.ThroughputTPS != p.ThroughputTPS ||
-			s.Latency.Mean() != p.Latency.Mean() || s.Events != p.Events {
+			s.Latency.Mean != p.Latency.Mean || s.Events != p.Events {
 			t.Fatalf("job %d diverged: serial %v parallel %v", i, s, p)
 		}
 	}

@@ -31,18 +31,23 @@ type Result struct {
 	Net      string
 	Replicas int
 
-	// Submitted counts submissions; Confirmed counts client-visible
-	// confirmations inside the measured window (warmup excluded); Aborted
-	// counts transactions confirmed unsuccessfully.
+	// Submitted counts submissions. Confirmed counts client-visible
+	// confirmations (the (f+1)-th reply) that landed in the measured window
+	// [warmup, duration], both ends included; Aborted counts every
+	// client-visible reply that reports an abort, the drain's included.
 	Submitted int
 	Confirmed int
 	Aborted   int
 
-	// ThroughputTPS is Confirmed over the measured window length.
+	// ThroughputTPS is Confirmed over the measured window's length,
+	// duration minus warmup.
 	ThroughputTPS float64
-	// Latency is the client-observed latency distribution.
+	// Latency is the client-observed latency distribution of every
+	// client-visible reply, the drain's included — a wider set than
+	// Confirmed's.
 	Latency Latency
-	// Windows bins confirmations over 0.5 s intervals (Fig. 7's series).
+	// Windows bins those same replies over 0.5 s intervals by landing time
+	// (Fig. 7's series), up to the last bin with a reply.
 	Windows []Window
 	// Breakdown is the observer replica's five-stage latency split, in
 	// stage order (Fig. 6).
@@ -54,6 +59,8 @@ type Result struct {
 	// ViewChanges counts view changes seen by the observer replica, and
 	// SimEvents the discrete-event simulator's processed events (a cost
 	// measure; observers and cancellable contexts add bookkeeping events).
+	// On TransportProc, which has no simulator, SimEvents counts the timers
+	// the replicas fired.
 	ViewChanges int
 	SimEvents   uint64
 
@@ -70,8 +77,11 @@ type Result struct {
 	// and some replica actually had a gap to repair.
 	StateTransferApplied uint64
 
-	// Halted reports the run was stopped early by context cancellation;
-	// the measurements cover only the virtual time before the stop.
+	// Halted reports the run was stopped early by context cancellation, at
+	// the first 0.5 s boundary of the run's clock that saw it. Every count,
+	// rate and window then covers only the replies that landed before that
+	// stop, and ThroughputTPS divides by the part of the measured window
+	// before it.
 	Halted bool
 	// Converged reports whether every replica's final ledger snapshot
 	// agreed (only computed under WithFinalState).
@@ -136,15 +146,13 @@ func fromCluster(res *cluster.Result) *Result {
 		Confirmed:     res.Confirmed,
 		Aborted:       res.Aborted,
 		ThroughputTPS: res.ThroughputTPS,
-		Latency:       res.Latency.Summary(),
+		Latency:       res.Latency,
+		Windows:       res.Windows,
 		ViewChanges:   res.ViewChanges,
 		SimEvents:     res.Events,
 		Halted:        res.Halted,
 		Converged:     res.Converged,
 		state:         res.State,
-	}
-	for i := 0; i < res.Series.Bins(); i++ {
-		out.Windows = append(out.Windows, res.Series.Window(i))
 	}
 	for _, s := range metrics.Stages() {
 		out.Breakdown = append(out.Breakdown, StageLatency{Stage: s.String(), Mean: res.Breakdown.Mean(s)})

@@ -49,7 +49,7 @@ func TestRunMatchesInternalHarness(t *testing.T) {
 	}
 	want := cluster.Run(NewConfig(smallOpts()...).clusterConfig())
 	if res.Confirmed != want.Confirmed || res.ThroughputTPS != want.ThroughputTPS ||
-		res.Latency.Mean != want.Latency.Mean() || res.SimEvents != want.Events {
+		res.Latency.Mean != want.Latency.Mean || res.SimEvents != want.Events {
 		t.Fatalf("public run diverged from internal run:\n  public   %v\n  internal %v", res, want)
 	}
 }
