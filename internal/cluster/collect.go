@@ -50,7 +50,7 @@ type collector struct {
 	confirmedAt []int
 	// tally bins the client-visible replies as they are recorded, for
 	// OnWindow to stream bins [0, windowsEmitted) from mid-run.
-	tally          series
+	tally          metrics.Series
 	windowsEmitted int
 	stop           types.Time // the halt's tick; forever unless halted
 }
@@ -100,7 +100,7 @@ func newCollector(cfg Config, be backend) *collector {
 	}
 	c.genesis = c.gen.Genesis()
 	runEnd := cfg.Duration + cfg.Drain
-	c.tally = make(series, 0, int(runEnd/binWidth)+2) // never regrown
+	c.tally = make(metrics.Series, 0, int(runEnd/metrics.BinWidth)+2) // never regrown
 	if cfg.Scenario != nil {
 		c.pt = newPhaseTracker(cfg.Scenario, runEnd)
 	}
@@ -189,12 +189,12 @@ func (c *collector) start() {
 	c.next(types.Time(cfg.Warmup) / 2)
 	// Every 0.5 s: poll Halt, else stream the bin that closed.
 	if cfg.OnWindow != nil || cfg.Halt != nil {
-		c.every(binWidth, func(k int) {
+		c.every(metrics.BinWidth, func(k int) {
 			c.mu.Lock()
 			defer c.mu.Unlock()
 			if cfg.Halt != nil && cfg.Halt() {
 				c.res.Halted = true
-				c.stop = types.Time(k) * types.Time(binWidth)
+				c.stop = types.Time(k) * types.Time(metrics.BinWidth)
 				c.be.halt()
 			} else if cfg.OnWindow != nil {
 				c.emitWindows(k)
@@ -348,7 +348,7 @@ func (c *collector) confirm(replica int, tx *types.Transaction, success bool, st
 	m.done, m.failed = true, !success
 	c.done++
 	m.reply = st.Confirmed + types.Time(c.be.replyHop(replica, int(m.home)))
-	c.tally.add(m.reply, m.latency())
+	c.tally.Add(time.Duration(m.reply), m.latency())
 	if c.cfg.OnConfirm != nil {
 		c.cfg.OnConfirm(tx, success, m.reply)
 	}
@@ -375,7 +375,7 @@ func (c *collector) checkDrained() {
 // order. A bin is final once the run's clock has passed its end.
 func (c *collector) emitWindows(upTo int) {
 	for i := c.windowsEmitted; i < upTo; i++ {
-		c.cfg.OnWindow(c.tally.window(i))
+		c.cfg.OnWindow(c.tally.Window(i))
 	}
 	c.windowsEmitted = max(c.windowsEmitted, upTo)
 }

@@ -43,38 +43,6 @@ func landed(meta []txMeta, lo, hi types.Time) iter.Seq[*txMeta] {
 	}
 }
 
-// binWidth is a series bin's width: Fig. 7 plots 0.5 s intervals.
-const binWidth = 500 * time.Millisecond
-
-// series bins replies by their landing time, each bin a count and a
-// latency sum.
-type series []struct {
-	n   int
-	lat time.Duration
-}
-
-// add counts a reply landing at reply after lat.
-func (s *series) add(reply types.Time, lat time.Duration) {
-	i := int(time.Duration(reply) / binWidth)
-	if i >= len(*s) {
-		*s = append(*s, make(series, i+1-len(*s))...)
-	}
-	(*s)[i].n++
-	(*s)[i].lat += lat
-}
-
-// window is the one place bin i becomes a WindowStat (an empty window with
-// bin i's bounds when out of range).
-func (s series) window(i int) WindowStat {
-	w := WindowStat{Index: i, Start: time.Duration(i) * binWidth, End: time.Duration(i+1) * binWidth}
-	if i < len(s) && s[i].n > 0 {
-		w.Confirmed = s[i].n
-		w.ThroughputTPS = float64(s[i].n) / binWidth.Seconds()
-		w.MeanLatency = s[i].lat / time.Duration(s[i].n)
-	}
-	return w
-}
-
 // summarize reads the run's totals off the client records in one scan of
 // the replies that landed before stop: Latency, Aborted and Windows cover
 // every one of them, the drain included; Confirmed only those in the closed
@@ -82,11 +50,11 @@ func (s series) window(i int) WindowStat {
 // length, its end clamped to the stop.
 func summarize(res *Result, meta []txMeta, warmup, duration time.Duration, stop types.Time) {
 	lats := make([]time.Duration, 0, len(meta))
-	var bins series
+	var bins metrics.Series
 	for m := range landed(meta, 0, stop) {
 		lat := m.latency()
 		lats = append(lats, lat)
-		bins.add(m.reply, lat)
+		bins.Add(time.Duration(m.reply), lat)
 		if m.failed {
 			res.Aborted++
 		}
@@ -97,7 +65,7 @@ func summarize(res *Result, meta []txMeta, warmup, duration time.Duration, stop 
 	res.Submitted = len(meta)
 	res.Latency = metrics.Summarize(lats)
 	for i := range bins {
-		res.Windows = append(res.Windows, bins.window(i))
+		res.Windows = append(res.Windows, bins.Window(i))
 	}
 	if window := min(duration, time.Duration(stop)) - warmup; window > 0 {
 		res.ThroughputTPS = float64(res.Confirmed) / window.Seconds()

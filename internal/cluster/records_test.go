@@ -159,33 +159,6 @@ func TestRunWindowClosedBounds(t *testing.T) {
 	}
 }
 
-// TestSeriesBinning: a bin counts the replies that landed in [Start, End),
-// its rate is the count over 0.5 s and its latency their mean; empty and
-// out-of-range bins are empty windows with their bin's bounds.
-func TestSeriesBinning(t *testing.T) {
-	var s series
-	if got, want := s.window(0), (WindowStat{End: binWidth}); got != want {
-		t.Fatalf("empty series: window(0) = %+v, want %+v", got, want)
-	}
-	s.add(types.Time(100*time.Millisecond), 20*time.Millisecond)
-	s.add(types.Time(400*time.Millisecond), 40*time.Millisecond)
-	s.add(types.Time(1200*time.Millisecond), 70*time.Millisecond) // bin 2; bin 1 stays empty
-	want := []WindowStat{
-		{Index: 0, Start: 0, End: binWidth, Confirmed: 2, ThroughputTPS: 4, MeanLatency: 30 * time.Millisecond},
-		{Index: 1, Start: binWidth, End: 2 * binWidth},
-		{Index: 2, Start: 2 * binWidth, End: 3 * binWidth, Confirmed: 1, ThroughputTPS: 2, MeanLatency: 70 * time.Millisecond},
-		{Index: 3, Start: 3 * binWidth, End: 4 * binWidth},
-	}
-	if len(s) != 3 {
-		t.Fatalf("%d bins, want 3", len(s))
-	}
-	for i, w := range want {
-		if got := s.window(i); got != w {
-			t.Fatalf("window(%d) = %+v, want %+v", i, got, w)
-		}
-	}
-}
-
 // TestScenarioEventOnSeriesBinEdgeEndToEnd runs a real cluster with a
 // scenario boundary exactly on a 0.5 s series-bin edge and checks the
 // phase windows partition every recorded confirmation: the sum of

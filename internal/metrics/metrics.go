@@ -1,6 +1,6 @@
 // Package metrics holds the shapes a run's measurements are reported in: a
-// latency distribution's summary, one 0.5 s series bin (Fig. 7), and the
-// five-stage latency breakdown of Fig. 6.
+// latency distribution's summary, the 0.5 s series of Fig. 7 and its bins
+// as records, and the five-stage latency breakdown of Fig. 6.
 package metrics
 
 import (
@@ -51,6 +51,38 @@ type WindowStat struct {
 	Confirmed     int
 	ThroughputTPS float64
 	MeanLatency   time.Duration
+}
+
+// BinWidth is a series bin's width: Fig. 7 plots 0.5 s intervals.
+const BinWidth = 500 * time.Millisecond
+
+// Series bins replies by their landing time, each bin a count and a
+// latency sum.
+type Series []struct {
+	n   int
+	lat time.Duration
+}
+
+// Add counts a reply landing at reply (time since the run's start) after lat.
+func (s *Series) Add(reply, lat time.Duration) {
+	i := int(reply / BinWidth)
+	if i >= len(*s) {
+		*s = append(*s, make(Series, i+1-len(*s))...)
+	}
+	(*s)[i].n++
+	(*s)[i].lat += lat
+}
+
+// Window is the one place bin i becomes a WindowStat (an empty window with
+// bin i's bounds when out of range).
+func (s Series) Window(i int) WindowStat {
+	w := WindowStat{Index: i, Start: time.Duration(i) * BinWidth, End: time.Duration(i+1) * BinWidth}
+	if i < len(s) && s[i].n > 0 {
+		w.Confirmed = s[i].n
+		w.ThroughputTPS = float64(s[i].n) / BinWidth.Seconds()
+		w.MeanLatency = s[i].lat / time.Duration(s[i].n)
+	}
+	return w
 }
 
 // Stage identifies one of the five breakdown stages of Fig. 6.
