@@ -83,7 +83,7 @@ func benchSweepPoint(b *testing.B, mode core.Mode, net cluster.NetProfile, strag
 // BenchmarkFig3 covers the WAN grid of Fig. 3 (per-protocol sub-benchmarks,
 // with and without a straggler).
 func BenchmarkFig3(b *testing.B) {
-	for _, mode := range baseline.AllModes() {
+	for _, mode := range experiments.SweepProtocols() {
 		mode := mode
 		b.Run(mode.Name+"/straggler=0", func(b *testing.B) { benchSweepPoint(b, mode, cluster.WAN, 0) })
 		b.Run(mode.Name+"/straggler=1", func(b *testing.B) { benchSweepPoint(b, mode, cluster.WAN, 1) })
@@ -92,7 +92,7 @@ func BenchmarkFig3(b *testing.B) {
 
 // BenchmarkFig4 covers the LAN grid of Fig. 4.
 func BenchmarkFig4(b *testing.B) {
-	for _, mode := range baseline.AllModes() {
+	for _, mode := range experiments.SweepProtocols() {
 		mode := mode
 		b.Run(mode.Name+"/straggler=0", func(b *testing.B) { benchSweepPoint(b, mode, cluster.LAN, 0) })
 		b.Run(mode.Name+"/straggler=1", func(b *testing.B) { benchSweepPoint(b, mode, cluster.LAN, 1) })

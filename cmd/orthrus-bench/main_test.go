@@ -19,7 +19,7 @@ func TestRunList(t *testing.T) {
 	}
 	s := out.String()
 	for _, marker := range []string{
-		"protocols", "Orthrus", "ISS", "RCC", "Mir", "DQBFT", "Ladon",
+		"protocols", "Orthrus", "ISS", "Mir", "DQBFT", "Ladon",
 		"figures", "S1",
 		"scenarios", "crash-recover", "rolling-stragglers", "partition-heal", "flash-crowd",
 	} {

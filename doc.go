@@ -6,7 +6,7 @@
 // scenario timelines in orthrus/scenariodsl). The canonical snippet:
 //
 //	res, err := orthrus.Run(ctx,
-//		orthrus.WithProtocol("Orthrus"),     // or ISS, RCC, Mir, DQBFT, Ladon, orthrus.Register(...)
+//		orthrus.WithProtocol("Orthrus"),     // or ISS, Mir, DQBFT, Ladon, orthrus.Register(...)
 //		orthrus.WithReplicas(16),
 //		orthrus.WithNet(orthrus.WAN),
 //		orthrus.WithStragglers(1, 10),       // one 10x-slow instance
@@ -21,7 +21,7 @@
 // quorum-time variant (sb) implementing sequenced broadcast, the
 // object/escrow ledger (ledger), the bucket partitioner (partition),
 // global-ordering algorithms (order), the Orthrus replica framework
-// (core), the five baseline protocols (baseline) wired into a protocol
+// (core), the four baseline protocols (baseline) wired into a protocol
 // registry (registry), the Ethereum-like workload generator (workload),
 // the declarative fault/load timeline engine (scenario), and the
 // experiment harness (cluster, experiments, metrics). Independent

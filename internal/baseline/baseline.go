@@ -1,4 +1,4 @@
-// Package baseline provides the Multi-BFT protocol variants the paper
+// Package baseline provides the four Multi-BFT protocol variants the paper
 // compares Orthrus against, expressed as core.Mode configurations plus the
 // DQBFT dedicated-sequencer global ordering:
 //
@@ -6,8 +6,6 @@
 //     triggers an epoch change that stalls every instance.
 //   - ISS: pre-determined global order; a faulty instance's gap is filled
 //     with no-op blocks so only that instance view-changes.
-//   - RCC: pre-determined global order with a lighter recovery than Mir;
-//     performance-wise it tracks ISS in this model (and in the paper).
 //   - DQBFT: a dedicated SB instance globally orders the blocks delivered
 //     by the worker instances.
 //   - Ladon: dynamic rank-based global ordering (Orthrus reuses this for
@@ -16,12 +14,13 @@
 // All of them execute every transaction at its global-log position; none
 // has Orthrus's partial-order fast path or multi-payer splitting.
 //
+// RCC, the paper's fifth baseline, would be ISSMode field for field here.
+//
 // To add a protocol, return its core.Mode from a constructor and register
-// it in internal/registry (as this package's init does): every sweep,
-// scenario suite, example and CLI flag resolves protocols through the
-// registry, so a registered protocol plugs in without touching cluster or
-// experiments code (see ARCHITECTURE.md's extension seams). The public
-// entry point for the same seam is orthrus.Register.
+// it in internal/registry (as this package's init does): the SDK, the CLIs
+// and -list then resolve it by name, and a figure runs it once its panel
+// names it (see ARCHITECTURE.md's extension seams). The public entry point
+// for the same seam is orthrus.Register.
 package baseline
 
 import (
@@ -32,12 +31,10 @@ import (
 )
 
 // The baselines register at init time. The registry already holds Orthrus
-// (it registers itself first), so the resulting order is the paper's
-// figure order: Orthrus, ISS, RCC, Mir, DQBFT, Ladon.
+// (it registers itself first), so it lists Orthrus, ISS, Mir, DQBFT, Ladon.
 func init() {
 	for _, p := range []registry.Protocol{
 		{Name: "ISS", Description: "pre-determined global order; a faulty instance's gap is filled with no-op blocks", New: ISSMode},
-		{Name: "RCC", Description: "pre-determined global order with concurrent recovery; tracks ISS in this model", New: RCCMode},
 		{Name: "Mir", Description: "pre-determined global order; any leader failure stalls every instance (epoch change)", New: MirMode},
 		{Name: "DQBFT", Description: "a dedicated sequencer instance globally orders the worker instances' blocks", New: DQBFTMode},
 		{Name: "Ladon", Description: "dynamic rank-based global ordering for all transactions (no payment fast path)", New: LadonMode},
@@ -66,15 +63,6 @@ func MirMode() core.Mode {
 	}
 }
 
-// RCCMode returns RCC: predetermined ordering with concurrent recovery.
-func RCCMode() core.Mode {
-	return core.Mode{
-		Name:               "RCC",
-		NewGlobal:          func(m int) core.GlobalOrdering { return core.WorkerOrdering{Ord: order.NewPredetermined(m)} },
-		StrictEpochBarrier: true,
-	}
-}
-
 // LadonMode returns Ladon: dynamic rank-based global ordering for all
 // transactions (no payment fast path).
 func LadonMode() core.Mode {
@@ -92,19 +80,6 @@ func DQBFTMode() core.Mode {
 		NewGlobal: func(m int) core.GlobalOrdering { return NewRefOrderer() },
 		Sequencer: true,
 	}
-}
-
-// AllModes returns a fresh mode for every registered protocol in
-// registration order (Orthrus first — the order used in the paper's
-// figures). It reads the shared registry, so protocols registered by other
-// packages appear here too.
-func AllModes() []core.Mode {
-	ps := registry.All()
-	modes := make([]core.Mode, len(ps))
-	for i, p := range ps {
-		modes[i] = p.New()
-	}
-	return modes
 }
 
 // RefOrderer implements DQBFT's global ordering: the sequencer instance

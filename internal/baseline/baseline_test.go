@@ -1,8 +1,10 @@
 package baseline
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/registry"
 	"repro/internal/types"
 )
 
@@ -19,14 +21,13 @@ func seq(refs ...types.BlockRef) *types.Block {
 }
 
 func TestModeRegistry(t *testing.T) {
-	names := []string{"Orthrus", "ISS", "RCC", "Mir", "DQBFT", "Ladon"}
-	all := AllModes()
-	if len(all) != len(names) {
-		t.Fatalf("AllModes has %d entries", len(all))
+	want := []string{"Orthrus", "ISS", "Mir", "DQBFT", "Ladon"}
+	if got := registry.Names(); !slices.Equal(got, want) {
+		t.Fatalf("registry = %v, want %v", got, want)
 	}
-	for i, n := range names {
-		if all[i].Name != n {
-			t.Fatalf("mode %d = %s, want %s", i, all[i].Name, n)
+	for _, p := range registry.All() {
+		if m := p.New(); m.Name != p.Name {
+			t.Fatalf("%s constructs mode %q", p.Name, m.Name)
 		}
 	}
 }
@@ -38,8 +39,8 @@ func TestModeFlags(t *testing.T) {
 	if !DQBFTMode().Sequencer || LadonMode().Sequencer {
 		t.Fatal("sequencer flags wrong")
 	}
-	for _, m := range AllModes() {
-		if m.Name != "Orthrus" && (m.FastPathPayments || m.SplitMultiPayer) {
+	for _, p := range registry.All() {
+		if m := p.New(); m.Name != "Orthrus" && (m.FastPathPayments || m.SplitMultiPayer) {
 			t.Fatalf("%s must not have Orthrus's fast path", m.Name)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/registry"
 	"repro/internal/workload"
 )
 
@@ -54,9 +55,9 @@ func TestRunOrthrusSmall(t *testing.T) {
 }
 
 func TestRunEveryProtocolSmall(t *testing.T) {
-	for _, mode := range baseline.AllModes() {
-		mode := mode
-		t.Run(mode.Name, func(t *testing.T) {
+	for _, p := range registry.All() {
+		mode := p.New()
+		t.Run(p.Name, func(t *testing.T) {
 			res := Run(smallCfg(mode))
 			if res.Confirmed == 0 {
 				t.Fatalf("%s confirmed nothing (submitted %d)", mode.Name, res.Submitted)

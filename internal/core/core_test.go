@@ -5,10 +5,11 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/baseline"
+	_ "repro/internal/baseline" // registers the baselines TestBaselineProtocolsConfirmAndAgree ranges over
 	"repro/internal/core"
 	"repro/internal/faultnet"
 	"repro/internal/ledger"
+	"repro/internal/registry"
 	"repro/internal/simnet"
 	"repro/internal/types"
 )
@@ -215,9 +216,9 @@ func TestOrthrusPaymentNotBlockedByContract(t *testing.T) {
 }
 
 func TestBaselineProtocolsConfirmAndAgree(t *testing.T) {
-	for _, mode := range baseline.AllModes() {
-		mode := mode
-		t.Run(mode.Name, func(t *testing.T) {
+	for _, p := range registry.All() {
+		mode := p.New()
+		t.Run(p.Name, func(t *testing.T) {
 			c := newTestCluster(t, 4, mode, genesisRich("alice", "bob", "carol"), nil)
 			var txs []*types.Transaction
 			for i := 0; i < 6; i++ {

@@ -10,8 +10,8 @@
 // built (predetermined positions, dynamic ranks, or a dedicated sequencer
 // instance), whether payments bypass global ordering (Orthrus's fast path),
 // whether multi-payer transactions are split across instances, and how the
-// system reacts to leader failure. Package baseline provides the modes for
-// ISS, Mir-BFT, RCC, DQBFT and Ladon.
+// system reacts to leader failure. Package baseline provides the modes of
+// the four baselines: ISS, Mir-BFT, DQBFT and Ladon.
 //
 // Params (params.go) declares the engine knobs every replica must agree
 // on, with their only defaults and range check; Config embeds it beside

@@ -31,7 +31,8 @@ func TestDQBFTOrdersViaSequencer(t *testing.T) {
 
 // TestMirStallsAllInstancesOnViewChange: after a crash fault, Mir's epoch
 // change pauses every instance for a timeout, visibly reducing deliveries
-// relative to ISS under the identical fault.
+// relative to ISS under the identical fault. Without a view change the two
+// are one: internal/experiments' TestISSStandsForMirInFigs3And4.
 func TestMirStallsAllInstancesOnViewChange(t *testing.T) {
 	run := func(mode core.Mode) uint64 {
 		c := newTestCluster(t, 4, mode, genesisRich("alice", "bob"), func(i int, cfg *core.Config) {

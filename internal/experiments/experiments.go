@@ -209,11 +209,11 @@ func toScenario(res *cluster.Result, name string) ScenarioResult {
 // --- job-list builders: one declarative cluster.Config per grid cell ---
 
 // sweepJobs is the Fig. 3 / Fig. 4 protocol-vs-replica-count grid for one
-// network profile and straggler count.
+// network profile and straggler count, over the SweepProtocols panel.
 func sweepJobs(net cluster.NetProfile, stragglers int, scale float64) []cluster.Config {
 	var jobs []cluster.Config
 	for _, n := range replicaCounts(scale) {
-		for _, mode := range baseline.AllModes() {
+		for _, mode := range SweepProtocols() {
 			cfg := baseConfig(mode, n, net, scale)
 			cfg.Stragglers = stragglers
 			jobs = append(jobs, cfg)
@@ -298,6 +298,13 @@ func byzJobs(scale float64) []cluster.Config {
 		jobs = append(jobs, cfg)
 	}
 	return jobs
+}
+
+// SweepProtocols is the Figs. 3–4 panel, shared by BenchmarkFig3/4. RCC
+// would be ISSMode field for field, and Mir differs from ISS only under a
+// view change, which no cell of these figures has: ISS stands for both.
+func SweepProtocols() []core.Mode {
+	return []core.Mode{core.OrthrusMode(), baseline.ISSMode(), baseline.DQBFTMode(), baseline.LadonMode()}
 }
 
 // scenarioProtocols is the S1 protocol panel, which S2, F-scale and X-val

@@ -10,9 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/baseline"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/errs"
+	"repro/internal/registry"
 	"repro/internal/scenario"
 )
 
@@ -140,6 +142,67 @@ func TestCatalogue(t *testing.T) {
 		if (len(p.real) > 0) != (f.ID == XValID) {
 			t.Fatalf("figure %q plans %d real-transport runs", f.ID, len(p.real))
 		}
+	}
+}
+
+// TestSweepPanelIgnoresRegistry pins that Figs. 3–4 run the panel they
+// name, whatever the registry holds: a registered protocol adds no run to
+// any (n, stragglers) group, because a cell's position is its identity in
+// the figure golden.
+func TestSweepPanelIgnoresRegistry(t *testing.T) {
+	fig3, _ := find("3")
+	check := func(when string) {
+		type group struct{ n, stragglers int }
+		got := map[group][]string{}
+		for _, cfg := range fig3.plan(0.05, nil).sim {
+			g := group{cfg.N, cfg.Stragglers}
+			got[g] = append(got[g], cfg.Protocol.Name)
+		}
+		want := []string{"Orthrus", "ISS", "DQBFT", "Ladon"}
+		if len(got) != 2*len(replicaCounts(0.05)) {
+			t.Fatalf("%s: Fig 3 plans %d (n, stragglers) groups", when, len(got))
+		}
+		for g, names := range got {
+			if !reflect.DeepEqual(names, want) {
+				t.Fatalf("%s: Fig 3 group %+v runs %v, want %v", when, g, names, want)
+			}
+		}
+	}
+	check("before registering")
+	err := registry.Register(registry.Protocol{Name: "PanelProbe", New: core.OrthrusMode})
+	if err != nil && !errors.Is(err, registry.ErrDuplicate) {
+		t.Fatal(err)
+	}
+	check("after registering PanelProbe")
+}
+
+// TestISSStandsForMirInFigs3And4 pins the claim sweepPanelNote makes in
+// every Figs. 3–4 table title: on a Fig. 3 cell without and with a
+// straggler, Mir's run equals ISS's in every field but the protocol name.
+// They differ only under a view change, which no such cell has
+// (internal/core's TestMirStallsAllInstancesOnViewChange pins that
+// difference).
+func TestISSStandsForMirInFigs3And4(t *testing.T) {
+	fig3, _ := find("3")
+	cells := 0
+	for _, cfg := range fig3.plan(0.05, nil).sim {
+		if cfg.N != 8 || cfg.Protocol.Name != "ISS" {
+			continue
+		}
+		cells++
+		mirCfg := cfg
+		mirCfg.Protocol = baseline.MirMode()
+		iss, mir := cluster.Run(cfg), cluster.Run(mirCfg)
+		if iss.ViewChanges != 0 || iss.Confirmed == 0 {
+			t.Fatalf("stragglers=%d: ISS cell has %d view changes, %d confirmed", cfg.Stragglers, iss.ViewChanges, iss.Confirmed)
+		}
+		iss.Protocol, mir.Protocol = "", ""
+		if !reflect.DeepEqual(iss, mir) {
+			t.Fatalf("stragglers=%d: Mir differs from ISS:\nISS %+v\nMir %+v", cfg.Stragglers, iss, mir)
+		}
+	}
+	if cells != 2 {
+		t.Fatalf("compared %d Fig 3 cells at n=8, want 2", cells)
 	}
 }
 

@@ -84,6 +84,9 @@ func fig1bPlan(scale float64, _ []string) plan {
 	}
 }
 
+// sweepPanelNote ends the title of every Figs. 3–4 table (SweepProtocols).
+const sweepPanelNote = "ISS rows also stand for RCC (the same mode) and Mir (its stall needs a view change; none happens here)"
+
 // netSweepPlan is the Fig. 3 / Fig. 4 shape over one network profile.
 func netSweepPlan(id string, net cluster.NetProfile) func(float64, []string) plan {
 	return func(scale float64, _ []string) plan {
@@ -92,8 +95,8 @@ func netSweepPlan(id string, net cluster.NetProfile) func(float64, []string) pla
 			sim: append(clean, sweepJobs(net, 1, scale)...),
 			assemble: func(f *FigureResult, res, _ []*cluster.Result) {
 				f.Tables = []Table{
-					{Title: fmt.Sprintf("Fig %sa/%sb: %s, no stragglers", id, id, net), Rows: sweepRows(res[:len(clean)], 0)},
-					{Title: fmt.Sprintf("Fig %sc/%sd: %s, one straggler", id, id, net), Rows: sweepRows(res[len(clean):], 1)},
+					{Title: fmt.Sprintf("Fig %sa/%sb: %s, no stragglers; %s", id, id, net, sweepPanelNote), Rows: sweepRows(res[:len(clean)], 0)},
+					{Title: fmt.Sprintf("Fig %sc/%sd: %s, one straggler; %s", id, id, net, sweepPanelNote), Rows: sweepRows(res[len(clean):], 1)},
 				}
 			},
 		}

@@ -1,10 +1,10 @@
 // Package registry is the protocol extension seam: a named registry of
-// core.Mode constructors that the public orthrus SDK, the experiment
-// figures and the CLIs all resolve protocols through. Protocol packages
+// core.Mode constructors through which the public orthrus SDK and the
+// CLIs (their flags and -list) resolve protocols by name. Protocol packages
 // register themselves at init time — this package registers Orthrus, and
-// package baseline registers the five comparison protocols — so a new
-// protocol plugs into every sweep, scenario suite, example and CLI flag
-// without touching cluster or experiments code.
+// package baseline registers the four comparison protocols — so a new
+// protocol runs without touching cluster or experiments code. The
+// figures do not read the registry: each names its own panel.
 //
 // Registration and lookup errors are typed: errors.Is(err, ErrDuplicate)
 // and errors.Is(err, ErrUnknown) let callers distinguish the two failure
@@ -24,6 +24,8 @@ import (
 // description for listings, and a constructor returning a fresh core.Mode.
 // The constructor is called once per experiment run — modes carry closures
 // over per-run ordering state, so they must not be shared between runs.
+// Register wraps New so that every Mode it returns carries Name: a run
+// reports the name it was selected by, whatever the constructor set.
 type Protocol struct {
 	Name        string
 	Description string
@@ -62,6 +64,12 @@ func (r *Registry) Register(p Protocol) error {
 	}
 	if p.New == nil {
 		return fmt.Errorf("registry: protocol %q has nil constructor", p.Name)
+	}
+	name, newMode := p.Name, p.New
+	p.New = func() core.Mode {
+		m := newMode()
+		m.Name = name
+		return m
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

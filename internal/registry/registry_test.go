@@ -21,8 +21,10 @@ func TestRegisterAndLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Name != "A" || p.New().Name != "Orthrus" {
-		t.Fatalf("lookup returned %+v", p)
+	// The registered name replaces the constructor's Mode.Name; the rest
+	// of the Mode is the constructor's.
+	if m := p.New(); p.Name != "A" || m.Name != "A" || !m.FastPathPayments {
+		t.Fatalf("lookup returned %+v, mode %+v", p, m)
 	}
 }
 

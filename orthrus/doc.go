@@ -38,9 +38,10 @@
 // # Protocols
 //
 // Protocols are resolved by name through a shared registry: Orthrus plus
-// the paper's five baselines (ISS, RCC, Mir, DQBFT, Ladon) are always
-// present, Protocols lists them, and Register plugs a new protocol into
-// every sweep, figure and CLI without touching the engine layers.
+// four of the paper's baselines (ISS, Mir, DQBFT, Ladon; RCC would be ISS
+// field for field) are always present, Protocols lists them, and Register
+// adds a protocol that Run, the CLIs and their listings resolve by name
+// without touching the engine layers. Each figure names its own panel.
 // Registry errors are typed: ErrUnknownProtocol, ErrDuplicateProtocol.
 //
 // # Workloads

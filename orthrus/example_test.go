@@ -40,16 +40,15 @@ func Example() {
 	// alice=70 bob=75 counter=7 converged=true
 }
 
-// ExampleProtocols lists the registered protocol panel (the first six are
+// ExampleProtocols lists the registered protocol panel (the first five are
 // always the compiled-in ones; orthrus.Register appends after them).
 func ExampleProtocols() {
-	for _, p := range orthrus.Protocols()[:6] {
+	for _, p := range orthrus.Protocols()[:5] {
 		fmt.Println(p.Name())
 	}
 	// Output:
 	// Orthrus
 	// ISS
-	// RCC
 	// Mir
 	// DQBFT
 	// Ladon

@@ -41,7 +41,7 @@ type Mode = core.Mode
 type GlobalOrdering = core.GlobalOrdering
 
 // PredeterminedOrdering returns the fixed round-robin global ordering
-// over m instances (ISS/Mir/RCC style: instance i's k-th block occupies a
+// over m instances (ISS/Mir style: instance i's k-th block occupies a
 // position known in advance).
 func PredeterminedOrdering(m int) GlobalOrdering {
 	return core.WorkerOrdering{Ord: order.NewPredetermined(m)}
@@ -77,18 +77,19 @@ var (
 )
 
 // Register adds a protocol to the shared registry under the given name.
-// Every sweep, scenario suite, example and CLI flag resolves protocols
-// through the registry, so a registered protocol plugs into all of them
-// without touching the cluster or experiments layers. The constructor is
-// invoked once per run and must return a fresh Mode each call. Empty
-// names, nil constructors and duplicate names (ErrDuplicateProtocol) are
-// rejected.
+// WithProtocol, the CLIs and their listings resolve protocols by name, so
+// a registered protocol runs without touching the cluster or experiments
+// layers; each figure names its own panel and runs only that. The
+// constructor is invoked once per run and must return a fresh Mode each
+// call; a run reports the registered name whatever the Mode's Name says.
+// Empty names, nil constructors and duplicate names (ErrDuplicateProtocol)
+// are rejected.
 func Register(name, description string, mode func() Mode) error {
 	return registry.Register(registry.Protocol{Name: name, Description: description, New: mode})
 }
 
 // Protocols lists every registered protocol in registration order —
-// Orthrus first, then the paper's baselines (ISS, RCC, Mir, DQBFT, Ladon),
+// Orthrus first, then the paper's baselines (ISS, Mir, DQBFT, Ladon),
 // then anything registered later.
 func Protocols() []Protocol {
 	ps := registry.All()

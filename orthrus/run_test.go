@@ -212,6 +212,27 @@ func TestRegisterPublicSeam(t *testing.T) {
 	}
 }
 
+// TestRunReportsRegisteredName pins that a run reports the name its
+// protocol was registered and selected under, not the Mode's own Name:
+// an alias of Orthrus, and a Mode that leaves Name empty.
+func TestRunReportsRegisteredName(t *testing.T) {
+	for name, mode := range map[string]func() Mode{
+		"OrthrusAlias": func() Mode { return Mode{Name: "Orthrus", NewGlobal: DynamicOrdering} },
+		"Unnamed":      func() Mode { return Mode{NewGlobal: DynamicOrdering} },
+	} {
+		if err := Register(name, "test protocol", mode); err != nil && !errors.Is(err, ErrDuplicateProtocol) {
+			t.Fatal(err)
+		}
+		res, err := Run(context.Background(), append(smallOpts(), WithProtocol(name))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Protocol != name {
+			t.Fatalf("WithProtocol(%q) reported Protocol %q", name, res.Protocol)
+		}
+	}
+}
+
 func TestRunInvalidConfigDoesNotRun(t *testing.T) {
 	if _, err := Run(context.Background(), WithReplicas(0)); !errors.Is(err, ErrInvalidConfig) {
 		t.Fatalf("want ErrInvalidConfig, got %v", err)
