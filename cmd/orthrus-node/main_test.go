@@ -65,6 +65,9 @@ func TestRunFlagErrors(t *testing.T) {
 		{"negative batch", []string{"-id", "0", "-peers", "127.0.0.1:0", "-batch", "-1"}, "BatchSize"},
 		{"negative batch timeout", []string{"-id", "0", "-peers", "127.0.0.1:0", "-batch-timeout", "-1s"}, "BatchTimeout"},
 		{"negative view timeout", []string{"-id", "0", "-peers", "127.0.0.1:0", "-view-timeout", "-1s"}, "ViewTimeout"},
+		{"huge batch timeout", []string{"-id", "0", "-peers", "127.0.0.1:0", "-batch-timeout", "3h"}, "BatchTimeout"},
+		{"huge view timeout", []string{"-id", "0", "-peers", "127.0.0.1:0", "-view-timeout", "2562047h"}, "ViewTimeout"},
+		{"huge epoch", []string{"-id", "0", "-peers", "127.0.0.1:0", "-epoch", "4611686018427387904"}, "EpochLen"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

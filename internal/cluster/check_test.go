@@ -33,11 +33,16 @@ func TestCheckRules(t *testing.T) {
 		{"CrashFaults", "must be non-negative, got -1", func(c *Config) { c.CrashFaults = -1 }},
 		{"CrashFaults", "crashing 4 of 4 replicas leaves no observer", func(c *Config) { c.CrashFaults = 4 }},
 		{"CrashAt", "must be non-negative, got -1s", func(c *Config) { c.CrashAt = -time.Second }},
+		{"CrashAt", "must be at most 320255h58m24.606846975s, got 2562047h47m16.854775807s", func(c *Config) { c.CrashAt = math.MaxInt64 }},
 		{"ByzantineFaults", "must be non-negative, got -1", func(c *Config) { c.ByzantineFaults = -1 }},
 		{"ByzantineFaults", "4 Byzantine replicas exceed 4-replica cluster", func(c *Config) { c.ByzantineFaults = 4 }},
 		{"Duration", "must be non-negative, got -1s", func(c *Config) { c.Duration = -time.Second }},
 		{"Warmup", "must be non-negative, got -1s", func(c *Config) { c.Warmup = -time.Second }},
 		{"Drain", "must be non-negative, got -1s", func(c *Config) { c.Drain = -time.Second }},
+		// Drain defaults to 2 x Duration, and Duration + Drain sizes the run.
+		{"Duration", "must be at most 320255h58m24.606846975s", func(c *Config) { c.Duration = 1 << 62 }},
+		{"Warmup", "must be at most", func(c *Config) { c.Warmup = math.MaxInt64 }},
+		{"Drain", "must be at most", func(c *Config) { c.Drain = math.MaxInt64 }},
 		{"LoadTPS", "must be 0 or a finite positive rate whose interval 1s/rate fits a time.Duration, got -0.5", func(c *Config) { c.LoadTPS = -0.5 }},
 		{"LoadTPS", "got NaN", func(c *Config) { c.LoadTPS = math.NaN() }},
 		{"LoadTPS", "got +Inf", func(c *Config) { c.LoadTPS = math.Inf(1) }},
@@ -103,5 +108,19 @@ func TestBackendsPanicWithTheRule(t *testing.T) {
 				run(tc.cfg)
 			}()
 		}
+	}
+}
+
+// TestLongestRunReservesBoundedTally pins what the longest run Check
+// accepts costs before it starts: the 0.5 s tally is reserved for at most
+// 1 Mi bins, not for the 4.6 × 10⁹ bins its Duration + Drain spans.
+func TestLongestRunReservesBoundedTally(t *testing.T) {
+	cfg := smallCfg(core.OrthrusMode())
+	cfg.Duration, cfg.Drain = core.MaxSpan, core.MaxSpan
+	if bad := cfg.Check(); len(bad) > 0 {
+		t.Fatalf("the longest run broke rules: %v", bad)
+	}
+	if c := newCollector(cfg.withDefaults(), backend{}); cap(c.tally) > 1<<20+2 {
+		t.Fatalf("tally reserves %d bins", cap(c.tally))
 	}
 }

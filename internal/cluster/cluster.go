@@ -110,8 +110,8 @@ type Config struct {
 	// AnalyticSB swaps message-level PBFT for the closed-form quorum-time
 	// SB (fault-free runs only; stragglers are supported).
 	AnalyticSB bool
-	// NIC enables the shared 1 Gbps per-node bandwidth model
-	// (message-level SB only).
+	// NIC enables the 1 Gbps per-node egress model: every send of a
+	// node serializes on one link (message-level SB only).
 	NIC bool
 
 	Seed int64
@@ -192,12 +192,12 @@ func (c Config) Check() (out core.Violations) {
 	out.Add(!within(c.StragglerFactor, 0, scenario.MaxStraggle), "StragglerFactor", "must be in [0, %g] (0 means the default 10x), got %g", scenario.MaxStraggle, c.StragglerFactor)
 	out.Add(c.CrashFaults < 0, "CrashFaults", nonNeg, c.CrashFaults)
 	out.Add(n >= 1 && c.CrashFaults >= n, "CrashFaults", "crashing %d of %d replicas leaves no observer", c.CrashFaults, n)
-	out.Add(c.CrashAt < 0, "CrashAt", nonNeg, c.CrashAt)
+	out.AddSpan("CrashAt", c.CrashAt, core.MaxSpan)
 	out.Add(c.ByzantineFaults < 0, "ByzantineFaults", nonNeg, c.ByzantineFaults)
 	out.Add(n >= 1 && c.ByzantineFaults >= n, "ByzantineFaults", "%d Byzantine replicas exceed %d-replica cluster", c.ByzantineFaults, n)
-	out.Add(c.Duration < 0, "Duration", nonNeg, c.Duration)
-	out.Add(c.Warmup < 0, "Warmup", nonNeg, c.Warmup)
-	out.Add(c.Drain < 0, "Drain", nonNeg, c.Drain)
+	out.AddSpan("Duration", c.Duration, core.MaxSpan)
+	out.AddSpan("Warmup", c.Warmup, core.MaxSpan)
+	out.AddSpan("Drain", c.Drain, core.MaxSpan)
 	out.AddLoad("LoadTPS", c.LoadTPS)
 	out.Add(c.TotalTxs < 0, "TotalTxs", nonNeg, c.TotalTxs)
 	out.Add(c.Workload.Accounts < 0, "Accounts", nonNeg, c.Workload.Accounts)

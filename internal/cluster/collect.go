@@ -86,8 +86,8 @@ func newCollector(cfg Config, be backend) *collector {
 		stop:        forever,
 	}
 	// The books are sized once for the submission schedule (TotalTxs at
-	// most, 1 Mi entries at most), so the measured path neither regrows meta
-	// nor rehashes byID; a load spike just appends past it.
+	// most) and the tally for the run's length, 1 Mi entries each at most,
+	// so the measured path regrows neither; a load spike just appends.
 	scheduled := int((cfg.Duration-cfg.Warmup/2).Seconds()*cfg.LoadTPS) + 1
 	if cfg.TotalTxs > 0 {
 		scheduled = min(scheduled, cfg.TotalTxs)
@@ -100,7 +100,7 @@ func newCollector(cfg Config, be backend) *collector {
 	}
 	c.genesis = c.gen.Genesis()
 	runEnd := cfg.Duration + cfg.Drain
-	c.tally = make(metrics.Series, 0, int(runEnd/metrics.BinWidth)+2) // never regrown
+	c.tally = make(metrics.Series, 0, min(int(runEnd/metrics.BinWidth), 1<<20)+2)
 	if cfg.Scenario != nil {
 		c.pt = newPhaseTracker(cfg.Scenario, runEnd)
 	}

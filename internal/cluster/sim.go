@@ -47,7 +47,7 @@ func Run(cfg Config) *Result {
 	}
 	nw := simnet.NewNetwork(sim, n, model, func(msg any) int { return wire.ModeledSize(msg, cfg.TxSize) })
 	if cfg.NIC && !cfg.AnalyticSB {
-		model.BandwidthBps = 0 // serialization moves into the NIC queues
+		model.BandwidthBps = 0 // serialization moves into the NIC egress queue
 		nw.SetNICBps(1e9)
 	}
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/ledger"
+	"repro/internal/scenario"
 )
 
 // Params are the engine knobs every replica of a cluster must run with the
@@ -85,15 +86,30 @@ func (v *Violations) Add(broken bool, field, format string, args ...any) {
 
 // Check lists the fields of p no engine can run with. WithDefaults reads a
 // negative value as unset, so whoever takes Params from outside the program
-// (the SDK's Validate, the daemon's flags) rejects these first.
+// (the SDK's Validate, the daemon's flags) rejects these first, and the
+// values whose arithmetic would wrap.
 func (p Params) Check() (out Violations) {
 	const reason = "must be non-negative, got %v"
 	out.Add(p.BatchSize < 0, "BatchSize", reason, p.BatchSize)
-	out.Add(p.BatchTimeout < 0, "BatchTimeout", reason, p.BatchTimeout)
+	// A straggler's pulse is BatchTimeout times its scale.
+	out.AddSpan("BatchTimeout", p.BatchTimeout, MaxSpan/scenario.MaxStraggle)
 	out.Add(p.Window < 0, "Window", reason, p.Window)
-	out.Add(p.ViewTimeout < 0, "ViewTimeout", reason, p.ViewTimeout)
+	// The run-ahead limit is epochLead epochs of blocks.
+	out.Add(p.EpochLen > math.MaxUint64/epochLead, "EpochLen", "must be at most %d, got %d", uint64(math.MaxUint64/epochLead), p.EpochLen)
+	out.AddSpan("ViewTimeout", p.ViewTimeout, MaxSpan)
 	out.Add(p.TxSize < 0, "TxSize", reason, p.TxSize)
 	return out
+}
+
+// MaxSpan bounds every time knob: a run's clock adds a few of them (the
+// submission window and its drain, a timeout armed near the run's end),
+// and at an eighth of time.Duration's range no such sum wraps.
+const MaxSpan = time.Duration(math.MaxInt64 / 8)
+
+// AddSpan records a violation of field unless d is in [0, limit].
+func (v *Violations) AddSpan(field string, d, limit time.Duration) {
+	v.Add(d < 0, field, "must be non-negative, got %v", d)
+	v.Add(d > limit, field, "must be at most %v, got %v", limit, d)
 }
 
 // AddLoad records a violation of field unless rate (transactions per

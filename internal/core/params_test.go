@@ -1,15 +1,18 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/scenario"
 )
 
 // TestParams pins the one defaulting function and the one range check: the
 // seven default values (StateTransfer has none: off), that set knobs are
 // kept, that resolving twice changes nothing, and that exactly the negative
-// fields are reported, by name.
+// fields and those past their bounds are reported, by name.
 func TestParams(t *testing.T) {
 	defaults := Params{
 		BatchSize: 4096, BatchTimeout: 100 * time.Millisecond, Window: 4, EpochLen: 32,
@@ -33,6 +36,16 @@ func TestParams(t *testing.T) {
 		}, nil},
 		{"negatives", Params{BatchSize: -1, BatchTimeout: -time.Second, Window: -1, ViewTimeout: -time.Second, TxSize: -1},
 			defaults, []string{"BatchSize", "BatchTimeout", "Window", "ViewTimeout", "TxSize"}},
+		// Past these bounds a run's clock wraps: a straggled pulse or a
+		// timeout deadline goes negative, or no instance may propose.
+		{"past the bounds", Params{BatchTimeout: 3 * time.Hour, EpochLen: 1 << 62, ViewTimeout: math.MaxInt64}, Params{
+			BatchSize: 4096, BatchTimeout: 3 * time.Hour, Window: 4, EpochLen: 1 << 62,
+			ViewTimeout: math.MaxInt64, TxSize: 500, CensorshipBlocks: 64,
+		}, []string{"BatchTimeout", "EpochLen", "ViewTimeout"}},
+		{"at the bounds", Params{BatchTimeout: MaxSpan / scenario.MaxStraggle, EpochLen: 1<<62 - 1, ViewTimeout: MaxSpan}, Params{
+			BatchSize: 4096, BatchTimeout: MaxSpan / scenario.MaxStraggle, Window: 4, EpochLen: 1<<62 - 1,
+			ViewTimeout: MaxSpan, TxSize: 500, CensorshipBlocks: 64,
+		}, nil},
 		{"one negative", Params{BatchSize: 64, Window: -2}, Params{
 			BatchSize: 64, BatchTimeout: 100 * time.Millisecond, Window: 4, EpochLen: 32,
 			ViewTimeout: 10 * time.Second, TxSize: 500, CensorshipBlocks: 64,

@@ -18,10 +18,10 @@ func TestNICSerializationDelay(t *testing.T) {
 	var at Time
 	nw.Register(0, func(from int, msg any) {})
 	nw.Register(1, func(from int, msg any) { at = s.Now() })
-	// 1 MB message: 8 ms egress + 10 ms propagation + 8 ms ingress = 26 ms.
+	// 1 MB message: 8 ms egress + 10 ms propagation = 18 ms.
 	nw.Send(0, 1, sized(1_000_000))
 	s.RunAll(0)
-	want := Time(26 * time.Millisecond)
+	want := Time(18 * time.Millisecond)
 	if at < want-Time(time.Millisecond) || at > want+Time(time.Millisecond) {
 		t.Fatalf("delivery at %v, want ~%v", at, want)
 	}
@@ -54,23 +54,27 @@ func TestNICEgressQueueing(t *testing.T) {
 	}
 }
 
-func TestNICIngressQueueing(t *testing.T) {
-	// Two senders converging on one receiver share its ingress link.
+func TestNICReceiverKeepsArrivalOrder(t *testing.T) {
+	// A message lands at its own arrival: one sent earlier by a slow
+	// sender to the same node does not hold it back. There is no receive
+	// queue to book the two in send order.
 	s := New(1)
 	nw := NewNetwork(s, 3, NewFixed(time.Millisecond), sizeOf)
 	nw.SetNICBps(1e9)
-	var times []Time
+	nw.SetOutScale(0, 100) // node 0's message propagates for 100 ms
+	got := map[int]Time{}
 	nw.Register(0, func(from int, msg any) {})
 	nw.Register(1, func(from int, msg any) {})
-	nw.Register(2, func(from int, msg any) { times = append(times, s.Now()) })
-	nw.Send(0, 2, sized(1_000_000))
-	nw.Send(1, 2, sized(1_000_000))
+	nw.Register(2, func(from int, msg any) { got[from] = s.Now() })
+	nw.Send(0, 2, sized(1000))
+	s.At(Time(time.Millisecond), func() { nw.Send(1, 2, sized(1000)) })
 	s.RunAll(0)
-	if len(times) != 2 {
-		t.Fatalf("delivered %d", len(times))
+	if len(got) != 2 {
+		t.Fatalf("delivered %d, want 2", len(got))
 	}
-	if gap := times[1] - times[0]; gap < Time(7*time.Millisecond) {
-		t.Fatalf("ingress not shared: gap %v", gap)
+	// 1 ms send time + 8 us egress + 1 ms propagation.
+	if want := Time(2*time.Millisecond + 8*time.Microsecond); got[1] != want {
+		t.Fatalf("node 1's message landed at %v, want its own arrival %v (node 0's landed at %v)", got[1], want, got[0])
 	}
 }
 

@@ -404,13 +404,13 @@ type Network struct {
 	// outScale multiplies all delays for messages *sent by* a node; used to
 	// model a straggler whose instance runs 10x slower (Sec. VII-A).
 	outScale []float64
-	// nicBps, when > 0, enables the NIC store-and-forward model: each node
-	// has one egress and one ingress link of this bandwidth (bits/s) shared
-	// by all its traffic. This is what makes throughput saturate under load
-	// the way the paper's 1 Gbps interfaces do.
-	nicBps      float64
-	egressFree  []Time
-	ingressFree []Time
+	// nicBps, when > 0, enables the NIC model: each node has one egress
+	// link of this bandwidth (bits/s) that all its sends serialize on, in
+	// send order. This is what makes a leader's broadcast saturate under
+	// load the way the paper's 1 Gbps interfaces do. There is no receive
+	// queue: a message lands at its own arrival time.
+	nicBps     float64
+	egressFree []Time
 
 	size func(msg any) int // bytes a message costs the bandwidth and NIC models
 	msgs uint64            // messages handed to a handler, modeled ones (AddModeled) included
@@ -493,14 +493,14 @@ func (nw *Network) Messages() uint64 { return nw.msgs }
 // and analytic runs.
 func (nw *Network) AddModeled(msgs uint64) { nw.msgs += msgs }
 
-// SetNICBps enables the shared-NIC model with the given per-node bandwidth
-// in bits per second (0 disables it). When enabled, the latency model
-// should not also charge serialization time (set its BandwidthBps to 0).
+// SetNICBps enables the NIC model with the given per-node egress
+// bandwidth in bits per second (0 disables it). When enabled, the latency
+// model should not also charge serialization time (set its BandwidthBps
+// to 0).
 func (nw *Network) SetNICBps(bps float64) {
 	nw.nicBps = bps
 	if bps > 0 && nw.egressFree == nil {
 		nw.egressFree = make([]Time, len(nw.handlers))
-		nw.ingressFree = make([]Time, len(nw.handlers))
 	}
 }
 
@@ -517,7 +517,7 @@ func (nw *Network) linkBase(from, to, size int) Duration {
 }
 
 // Delay returns the modeled propagation delay for a message of size bytes
-// from -> to, including the sender's straggler scaling (NIC queueing is
+// from -> to, including the sender's straggler scaling (egress queueing is
 // applied separately in Send). Exposed for the analytic SB. The jitter
 // sample advances the per-link stream, so the k-th send over a link draws
 // the same jitter however the run's events interleave.
@@ -536,44 +536,26 @@ func (nw *Network) BaseDelay(from, to, size int) Duration {
 	return Duration(float64(nw.linkBase(from, to, size)) * nw.outScale[from])
 }
 
-// serTime returns the time to push size bytes through one NIC link.
-func (nw *Network) serTime(size int) Time {
-	return Time(float64(size) * 8 / nw.nicBps * 1e9)
-}
-
 // Send delivers msg from -> to after the modeled delay of its size. With
 // the NIC model enabled, the message first queues on the sender's egress
-// link, propagates, then queues on the receiver's ingress link. Self-sends
-// are delivered with the model's local delay. The delivery is scheduled as
-// a pooled field-encoded event, not a closure: one Send allocates nothing
-// once the simulator's event pool is warm.
+// link and lands one propagation delay after it is sent; nothing queues
+// it at the receiver. Self-sends are delivered with the model's local
+// delay. The delivery is scheduled as a pooled field-encoded event, not a
+// closure: one Send allocates nothing once the simulator's event pool is
+// warm.
 func (nw *Network) Send(from, to int, msg any) { nw.send(from, to, nw.size(msg), msg) }
 
 func (nw *Network) send(from, to, size int, msg any) {
 	sim := nw.sim
-	prop := nw.Delay(from, to, size)
-	var deliverAt Time
+	sent := sim.now
 	if nw.nicBps > 0 && from != to {
-		ser := nw.serTime(size)
-		start := sim.now
-		if nw.egressFree[from] > start {
-			start = nw.egressFree[from]
-		}
-		sent := start + ser
+		// Serialized behind everything the sender queued before it.
+		sent = max(sent, nw.egressFree[from]) + Time(float64(size)*8/nw.nicBps*1e9)
 		nw.egressFree[from] = sent
-		arrive := sent + Time(prop)
-		recvStart := arrive
-		if nw.ingressFree[to] > recvStart {
-			recvStart = nw.ingressFree[to]
-		}
-		deliverAt = recvStart + ser
-		nw.ingressFree[to] = deliverAt
-	} else {
-		deliverAt = sim.now + Time(prop)
 	}
 	e := sim.alloc()
 	e.nw, e.from, e.to, e.msg = nw, int32(from), int32(to), msg
-	sim.schedule(e, deliverAt, to, from)
+	sim.schedule(e, sent+Time(nw.Delay(from, to, size)), to, from)
 }
 
 // deliver lands a message at its destination's handler (Step dispatches

@@ -159,8 +159,8 @@ type Config struct {
 	// AnalyticSB swaps message-level PBFT for the closed-form quorum-time
 	// model (fault-free runs only; stragglers are supported).
 	AnalyticSB bool
-	// DisableNIC turns off the shared 1 Gbps per-node bandwidth model,
-	// which is otherwise active on every message-level run.
+	// DisableNIC turns off the 1 Gbps per-node egress queue model, which
+	// is otherwise active on every message-level run.
 	DisableNIC bool
 
 	// Transport selects the backend carrying replica messages:
@@ -329,8 +329,8 @@ func WithPayments(fraction float64) Option {
 // model (fault-free runs only).
 func WithAnalyticSB() Option { return func(c *Config) { c.AnalyticSB = true } }
 
-// WithNIC toggles the shared per-node bandwidth model (message-level runs
-// only; on by default).
+// WithNIC toggles the 1 Gbps per-node egress model, on which every send
+// of a node serializes (message-level runs only; on by default).
 func WithNIC(enabled bool) Option { return func(c *Config) { c.DisableNIC = !enabled } }
 
 // WithTransport selects the message-carrying backend. TransportProc runs
@@ -406,63 +406,16 @@ func (e *ValidationError) Error() string { return "orthrus: invalid " + e.Field 
 // automatically; call Validate directly to check a configuration without
 // executing it.
 func (c Config) Validate() error {
-	var errs []error
-	bad := func(field, format string, args ...any) {
-		errs = append(errs, &ValidationError{Field: field, Reason: fmt.Sprintf(format, args...)})
-	}
-	if c.optErr != nil {
-		errs = append(errs, c.optErr)
-	}
-	if c.Replicas > MaxReplicas {
-		bad("Replicas", "%d replicas exceed the supported maximum %d", c.Replicas, MaxReplicas)
-	}
-	if c.Protocol == "" {
-		bad("Protocol", "must name a registered protocol (one of %v)", ProtocolNames())
-	} else if _, err := registry.Lookup(c.Protocol); err != nil {
-		errs = append(errs, err)
-	}
-	k := c.knobs()
-	rules := append(append(k.Check(), k.Params.Check()...), k.Conflicts()...)
-	if c.Transport == TransportProc {
-		rules = append(rules, k.SimOnly()...)
-	}
-	for _, r := range rules {
-		bad(r.Field, "%s", r.Reason)
-	}
-	if c.Transport != TransportSim && c.Transport != TransportProc {
-		bad("Transport", "must be TransportSim or TransportProc, got Transport(%d)", int(c.Transport))
-	}
-	for i, t := range c.txs {
-		if t == nil || t.tx == nil {
-			bad("Transactions", "scripted transaction %d is nil", i)
-		}
-	}
-	if len(c.txs) > 0 && c.trace != nil {
-		bad("Workload", "WithTransactions and WithTrace are mutually exclusive")
-	}
-	if len(c.credits) > 0 && len(c.txs) == 0 {
-		bad("Genesis", "WithGenesis requires WithTransactions")
-	}
-	if len(c.txs) > 0 && c.TotalTxs > len(c.txs) {
-		bad("TotalTxs", "cap %d exceeds the %d scripted transactions", c.TotalTxs, len(c.txs))
-	}
-	if c.trace != nil && c.TotalTxs > c.trace.Len() {
-		bad("TotalTxs", "cap %d exceeds the %d-transaction trace", c.TotalTxs, c.trace.Len())
-	}
-	if len(errs) == 0 {
-		return nil
-	}
-	return fmt.Errorf("%w: %w", ErrInvalidConfig, errors.Join(errs...))
+	_, err := c.lower()
+	return err
 }
 
-// knobs maps the Config's plain fields onto the internal harness's — the
-// one place the flat engine knobs become a core.Params — leaving out what
-// needs a validated Config to build (protocol, transaction sources,
-// observer). Validate reads the result to ask the engine and the harness
-// which knobs are out of range, and the harness which conflict and which
-// the chosen transport cannot honor.
-func (c Config) knobs() cluster.Config {
-	return cluster.Config{
+// lower checks c and maps it onto the internal harness, reporting every
+// problem as Validate does: the one place the protocol name is looked up
+// and the flat engine knobs become a core.Params. What each run needs of
+// its own (transaction copies, observer hooks) is left to clusterConfig.
+func (c Config) lower() (cluster.Config, error) {
+	k := cluster.Config{
 		N:               c.Replicas,
 		Net:             c.Net,
 		Stragglers:      c.Stragglers,
@@ -491,24 +444,69 @@ func (c Config) knobs() cluster.Config {
 		},
 		SampleLiveSet: c.SampleLiveSet,
 		AnalyticSB:    c.AnalyticSB,
-		// The NIC bandwidth model is a simulation concept; the real
-		// transport measures real links, so it never applies there.
+		// The NIC model is a simulation concept; the real transport
+		// measures real links, so it never applies there.
 		NIC:          !c.DisableNIC && !c.AnalyticSB && c.Transport == TransportSim,
 		Seed:         c.Seed,
 		CaptureState: c.CaptureState,
 	}
+	var errs []error
+	bad := func(field, format string, args ...any) {
+		errs = append(errs, &ValidationError{Field: field, Reason: fmt.Sprintf(format, args...)})
+	}
+	if c.optErr != nil {
+		errs = append(errs, c.optErr)
+	}
+	if c.Replicas > MaxReplicas {
+		bad("Replicas", "%d replicas exceed the supported maximum %d", c.Replicas, MaxReplicas)
+	}
+	if c.Protocol == "" {
+		bad("Protocol", "must name a registered protocol (one of %v)", ProtocolNames())
+	} else if p, err := registry.Lookup(c.Protocol); err != nil {
+		errs = append(errs, err)
+	} else {
+		k.Protocol = p.New()
+	}
+	rules := append(append(k.Check(), k.Params.Check()...), k.Conflicts()...)
+	if c.Transport == TransportProc {
+		rules = append(rules, k.SimOnly()...)
+	}
+	for _, r := range rules {
+		bad(r.Field, "%s", r.Reason)
+	}
+	if c.Transport != TransportSim && c.Transport != TransportProc {
+		bad("Transport", "must be TransportSim or TransportProc, got Transport(%d)", int(c.Transport))
+	}
+	for i, t := range c.txs {
+		if t == nil || t.tx == nil {
+			bad("Transactions", "scripted transaction %d is nil", i)
+		}
+	}
+	if len(c.txs) > 0 && c.trace != nil {
+		bad("Workload", "WithTransactions and WithTrace are mutually exclusive")
+	}
+	if len(c.credits) > 0 && len(c.txs) == 0 {
+		bad("Genesis", "WithGenesis requires WithTransactions")
+	}
+	if len(c.txs) > 0 && c.TotalTxs > len(c.txs) {
+		bad("TotalTxs", "cap %d exceeds the %d scripted transactions", c.TotalTxs, len(c.txs))
+	}
+	if c.trace != nil && c.TotalTxs > c.trace.Len() {
+		bad("TotalTxs", "cap %d exceeds the %d-transaction trace", c.TotalTxs, c.trace.Len())
+	}
+	if len(errs) > 0 {
+		return k, fmt.Errorf("%w: %w", ErrInvalidConfig, errors.Join(errs...))
+	}
+	return k, nil
 }
 
-// clusterConfig lowers a validated public Config onto the internal
-// experiment harness.
-func (c Config) clusterConfig() cluster.Config {
-	p, err := registry.Lookup(c.Protocol)
+// clusterConfig lowers c onto the internal experiment harness for one
+// run, or returns lower's error.
+func (c Config) clusterConfig() (cluster.Config, error) {
+	ccfg, err := c.lower()
 	if err != nil {
-		// Unreachable after Validate; keep the panic message actionable.
-		panic("orthrus: clusterConfig on unvalidated Config: " + err.Error())
+		return ccfg, err
 	}
-	ccfg := c.knobs()
-	ccfg.Protocol = p.New()
 	// Each run gets its own copies of scripted or replayed transactions:
 	// the harness stamps per-run fields (submit time, cached digest) on
 	// submitted transactions, and a Trace carries a read cursor — sharing
@@ -544,5 +542,5 @@ func (c Config) clusterConfig() cluster.Config {
 		}
 		ccfg.OnWindow, ccfg.OnPhase = obs.OnWindow, obs.OnPhase
 	}
-	return ccfg
+	return ccfg, nil
 }

@@ -57,11 +57,7 @@ func TestNewConfigDefaults(t *testing.T) {
 // engine defaults, so the zero workload is the paper's 46% payments and
 // the NIC model is active.
 func TestZeroValueConfig(t *testing.T) {
-	c := Config{Replicas: 4, Protocol: "Orthrus"}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	ccfg := c.clusterConfig()
+	ccfg := lowered(t, Config{Replicas: 4, Protocol: "Orthrus"})
 	if ccfg.Workload.PaymentFraction != 0 {
 		t.Fatalf("zero PaymentFraction must reach the workload as its own default, got %g", ccfg.Workload.PaymentFraction)
 	}
@@ -69,12 +65,22 @@ func TestZeroValueConfig(t *testing.T) {
 		t.Fatal("zero-value Config must keep the NIC model on")
 	}
 	// WithPayments(0) is the explicit all-contract request.
-	if got := NewConfig(WithPayments(0)).clusterConfig().Workload.PaymentFraction; got >= 0 {
+	if got := lowered(t, NewConfig(WithPayments(0))).Workload.PaymentFraction; got >= 0 {
 		t.Fatalf("WithPayments(0) must map to the all-contract sentinel, got %g", got)
 	}
-	if got := NewConfig(WithNIC(false)).clusterConfig(); got.NIC {
+	if got := lowered(t, NewConfig(WithNIC(false))); got.NIC {
 		t.Fatal("WithNIC(false) must disable the NIC model")
 	}
+}
+
+// lowered is c.clusterConfig() for a configuration the test knows is valid.
+func lowered(t *testing.T, c Config) cluster.Config {
+	t.Helper()
+	ccfg, err := c.clusterConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ccfg
 }
 
 func TestOptionsApplyInOrder(t *testing.T) {
@@ -172,6 +178,17 @@ func TestValidateTable(t *testing.T) {
 		{"negative batch timeout", []Option{WithBatching(0, -time.Second)}, "BatchTimeout"},
 		{"negative view timeout", []Option{WithViewTimeout(-time.Second)}, "ViewTimeout"},
 		{"negative tx size", []Option{WithTxSize(-1)}, "TxSize"},
+		// Time knobs whose arithmetic wraps: Drain defaults to 2 x
+		// Duration and their sum sizes the run; a timeout or a straggled
+		// pulse (BatchTimeout x factor) is added to the clock.
+		{"duration overflows with its drain", []Option{WithDuration(1 << 62), WithTotalTxs(100)}, "Duration"},
+		{"huge drain", []Option{WithDrain(math.MaxInt64)}, "Drain"},
+		{"huge warmup", []Option{WithWarmup(math.MaxInt64)}, "Warmup"},
+		{"huge crash time", []Option{WithFaults(1, math.MaxInt64)}, "CrashAt"},
+		{"huge batch timeout", []Option{WithBatching(0, math.MaxInt64)}, "BatchTimeout"},
+		{"straggled pulse overflows", []Option{WithBatching(0, 3*time.Hour), WithStragglers(1, 1e6)}, "BatchTimeout"},
+		{"huge view timeout", []Option{WithViewTimeout(math.MaxInt64)}, "ViewTimeout"},
+		{"huge epoch", []Option{WithEpochLen(1 << 62)}, "EpochLen"},
 		{"too many replicas", []Option{WithReplicas(MaxReplicas + 1)}, "exceed the supported maximum 1024"},
 		{"negative live-set interval", []Option{WithLiveSetSampling(-1)}, "SampleLiveSet"},
 		{"analytic with faults", []Option{WithAnalyticSB(), WithFaults(1, time.Second)}, "AnalyticSB"},
@@ -269,7 +286,7 @@ func TestScriptedTransactionsCopiedPerRun(t *testing.T) {
 		ContractCall("alice", []string{"alice"}, 1, 3, SharedAssign("rec", 7)),
 	}
 	c := NewConfig(WithTransactions(txs...))
-	first, second := c.clusterConfig().Source, c.clusterConfig().Source
+	first, second := lowered(t, c).Source, lowered(t, c).Source
 	for i, orig := range txs {
 		want := append([]types.Op(nil), orig.tx.Ops...)
 		x, y := first.Next(), second.Next()

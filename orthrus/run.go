@@ -25,13 +25,13 @@ func Run(ctx context.Context, opts ...Option) (*Result, error) {
 // Config (ctx aside): equal seeds reproduce results exactly, serial or
 // parallel.
 func (c Config) Run(ctx context.Context) (*Result, error) {
-	if err := c.Validate(); err != nil {
+	ccfg, err := c.clusterConfig()
+	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ccfg := c.clusterConfig()
 	if ctx.Done() != nil {
 		ccfg.Halt = func() bool { return ctx.Err() != nil }
 	}
@@ -57,8 +57,10 @@ func (c Config) Run(ctx context.Context) (*Result, error) {
 // runs that finished before the cancellation are complete, the rest carry
 // Halted true.
 func RunMany(ctx context.Context, cfgs []Config, workers int) ([]*Result, error) {
+	ccfgs := make([]cluster.Config, len(cfgs))
 	for i, c := range cfgs {
-		if err := c.Validate(); err != nil {
+		var err error
+		if ccfgs[i], err = c.clusterConfig(); err != nil {
 			return nil, fmt.Errorf("config %d: %w", i, err)
 		}
 		if c.Transport == TransportProc {
@@ -73,10 +75,8 @@ func RunMany(ctx context.Context, cfgs []Config, workers int) ([]*Result, error)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ccfgs := make([]cluster.Config, len(cfgs))
-	for i, c := range cfgs {
-		ccfgs[i] = c.clusterConfig()
-		if ctx.Done() != nil {
+	if ctx.Done() != nil {
+		for i := range ccfgs {
 			ccfgs[i].Halt = func() bool { return ctx.Err() != nil }
 		}
 	}

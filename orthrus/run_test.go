@@ -47,7 +47,7 @@ func TestRunMatchesInternalHarness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := cluster.Run(NewConfig(smallOpts()...).clusterConfig())
+	want := cluster.Run(lowered(t, NewConfig(smallOpts()...)))
 	if res.Confirmed != want.Confirmed || res.ThroughputTPS != want.ThroughputTPS ||
 		res.Latency.Mean != want.Latency.Mean || res.SimEvents != want.Events {
 		t.Fatalf("public run diverged from internal run:\n  public   %v\n  internal %v", res, want)
