@@ -21,6 +21,11 @@
 // stdout — stats and stop end in rejected=N, the messages the replica
 // refused as misattributed or malformed (0 among honest peers) — and shuts
 // down cleanly on SIGINT/SIGTERM or after -duration.
+//
+// A daemon that falls behind catches up from its peers' delivered-block
+// logs, and answers their catch-up requests from its own, like every
+// replica. It persists nothing: a restarted daemon starts from genesis
+// and rejoins only while its peers' logs still reach back that far.
 package main
 
 import (

@@ -62,10 +62,10 @@ func (handSB) Resume()                    {}
 func (handSB) Complain()                  {}
 func (handSB) ReleaseBelow(uint64)        {}
 func (handSB) InFlight() int              { return 0 }
-func (handSB) Retained() int              { return 0 }
 
 func (handSB) Handle(int, pbft.Message) bool   { return false }
 func (handSB) SkipDelivered(*types.Block) bool { return false }
+func (handSB) Log(uint64) []*types.Block       { return nil }
 
 func newDeliverHarness() *deliverHarness {
 	h := &deliverHarness{payers: make([][]types.Key, deliverM), deliver: make([]func(*types.Block), deliverM)}

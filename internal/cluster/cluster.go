@@ -95,9 +95,8 @@ type Config struct {
 
 	// Params are the engine knobs, the same on every replica (batching,
 	// pipeline window, epoch length, timeouts, transaction size, censorship
-	// patience, state transfer). Lower CensorshipBlocks when a scenario
-	// censors leaders so detection fits the run; scenario crash/recover churn
-	// over long horizons wants StateTransfer on.
+	// patience). Lower CensorshipBlocks when a scenario censors leaders so
+	// detection fits the run.
 	core.Params
 
 	// SampleLiveSet, when positive, schedules a cluster-wide retained-state
@@ -148,9 +147,9 @@ type Config struct {
 	Halt func() bool
 	// CaptureState retains the observer replica's ledger store on the
 	// Result and checks that all replicas' final snapshots agree. Only
-	// meaningful for fault-free runs: crashed or partitioned replicas miss
-	// blocks (unless Params.StateTransfer repairs the gap) and will report
-	// divergence.
+	// meaningful for fault-free runs: a crashed or partitioned replica
+	// misses blocks until catch-up repairs the gap, and reports divergence
+	// if the run ends first.
 	CaptureState bool
 }
 
@@ -308,8 +307,9 @@ type Result struct {
 
 	// StateTransferApplied counts blocks applied through the checkpoint-
 	// anchored catch-up protocol rather than live SB delivery, summed
-	// across replicas (always 0 unless Config.StateTransfer). The recovery
-	// tests assert gap repair happened without pre-checkpoint replay.
+	// across replicas (0 unless some replica had a gap to repair). The
+	// recovery tests assert gap repair happened without pre-checkpoint
+	// replay.
 	StateTransferApplied uint64
 
 	// Halted reports the run was stopped early by Config.Halt, at the 0.5 s
@@ -362,8 +362,7 @@ type LiveSetSample struct {
 	ExecQ     int           // delivered blocks awaiting escrow
 	GlogQ     int           // confirmed blocks awaiting execution
 	Escrows   int           // live escrow-log entries
-	Archive   int           // state-transfer archive blocks
-	Retained  int           // blocks retained for NewView repair
+	Archive   int           // delivered blocks the SB instances' logs hold
 	CkptVotes int           // live checkpoint votes
 	Total     int           // all of the above
 }

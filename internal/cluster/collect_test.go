@@ -15,7 +15,7 @@ import (
 // every replica-facing knob reaches every replica (ID and hooks aside), and
 // orthrus-node, handed the same Params, builds the same configuration
 // through the constructor it shares with the harness (core.NewConfig). The
-// real backend used to assemble its own copy, which dropped StateTransfer.
+// real backend used to assemble its own copy, which dropped a knob.
 func TestReplicaConfigSameOnEveryBackend(t *testing.T) {
 	const n = 7
 	defaults := core.Config{N: n, F: 2, M: n, Params: core.Params{}.WithDefaults()}
@@ -25,9 +25,6 @@ func TestReplicaConfigSameOnEveryBackend(t *testing.T) {
 		want func(w *core.Config)
 	}{
 		{"defaults", func(*Config) {}, func(*core.Config) {}},
-		{"state transfer",
-			func(c *Config) { c.StateTransfer = true },
-			func(w *core.Config) { w.StateTransfer = true }},
 		{"tuning",
 			func(c *Config) {
 				c.BatchSize, c.BatchTimeout, c.Window = 64, 20*time.Millisecond, 8

@@ -51,7 +51,7 @@ func TestProcCrashRecoverCatchUp(t *testing.T) {
 		logs[i] = map[slot]types.BlockID{}
 		counts[i] = map[slot]int{}
 		ccfg := replicaConfig(Config{
-			N: n, Protocol: core.OrthrusMode(), Params: core.Params{EpochLen: 4, StateTransfer: true},
+			N: n, Protocol: core.OrthrusMode(), Params: core.Params{EpochLen: 4},
 		}.withDefaults(), i, genesis)
 		ccfg.OnBlockDeliver = func(instance int, b *types.Block) {
 			mu.Lock()
@@ -62,7 +62,7 @@ func TestProcCrashRecoverCatchUp(t *testing.T) {
 		replicas[i] = core.NewReplica(ccfg, proc.Node(i), proc)
 	}
 	// The outage must stay inside the block-replay repair envelope: peers
-	// retain one epoch (EpochLen x BatchTimeout = 400 ms) of archive below
+	// log one epoch (EpochLen x BatchTimeout = 400 ms) of blocks below
 	// the stable floor, so 300 ms down plus millisecond-scale in-process
 	// round trips is always repairable. Scheduled before Start, while the
 	// victim's clock is still single-threaded.

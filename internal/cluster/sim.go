@@ -101,6 +101,7 @@ func Run(cfg Config) *Result {
 				At:     cfg.SampleLiveSet * time.Duration(k),
 				Events: sim.Pending(),
 			}
+			s.Total = s.Events
 			for _, r := range replicas {
 				ls := r.LiveSet()
 				s.Trackers += ls.Trackers
@@ -109,11 +110,9 @@ func Run(cfg Config) *Result {
 				s.GlogQ += ls.GlogQ
 				s.Escrows += ls.Escrows
 				s.Archive += ls.Archive
-				s.Retained += ls.Retained
 				s.CkptVotes += ls.CkptVotes
+				s.Total += ls.Total()
 			}
-			s.Total = s.Events + s.Trackers + s.Slots + s.ExecQ + s.GlogQ +
-				s.Escrows + s.Archive + s.Retained + s.CkptVotes
 			res.LiveSetSamples = append(res.LiveSetSamples, s)
 			if s.Total > res.LiveSetPeak {
 				res.LiveSetPeak = s.Total

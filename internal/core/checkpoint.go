@@ -124,10 +124,11 @@ func (r *Replica) onCheckpoint(m *CheckpointMsg) {
 // needs to repair. A replica that cannot match yet records the quorum as
 // pending and re-checks at every epoch boundary; one that has delivered
 // the full epoch and still disagrees is truly diverged (e.g. a delivery
-// gap from a crash) and requests state-transfer catch-up when enabled.
+// gap from a crash) and requests state-transfer catch-up.
 //
 // An incomplete epoch under a stable quorum also triggers catch-up, at
-// most once per epoch: a quorum finished an epoch the replica has not,
+// most once per epoch, epoch 0 included (stReqEpoch is one past the last
+// epoch requested for): a quorum finished an epoch the replica has not,
 // so it is lagging. One catch-up round only reaches the cluster tip as
 // of the request — under real latency the tip moves during the round
 // trip — so a recovering replica converges by re-requesting on each new
@@ -143,8 +144,8 @@ func (r *Replica) tryStabilize(e uint64, d [32]byte) {
 		if !r.pend.live || e > r.pend.epoch {
 			r.pend = ckptVote{epoch: e, digest: d, live: true}
 		}
-		if r.cfg.StateTransfer && (complete || e > r.stReqEpoch) {
-			r.stReqEpoch = e
+		if complete || e >= r.stReqEpoch {
+			r.stReqEpoch = e + 1
 			r.requestStateTransfer()
 		}
 		return
@@ -169,9 +170,9 @@ func (r *Replica) tryStabilize(e uint64, d [32]byte) {
 
 // gcEpoch discards data the stable checkpoint makes obsolete: confirmed-tx
 // dedup records, finished trackers, the escrow-pool high-water mark,
-// pre-checkpoint archive and boundary snapshots, and (with state transfer,
-// which supersedes their laggard-repair role) the engines' retained
-// delivered-block rings. Everything released here is
+// pre-checkpoint boundary snapshots, and the engines' delivered-block logs
+// below the floor (catch-up supersedes their laggard-repair role there).
+// Everything released here is
 // execution-irrelevant — delivery, execution, and messaging never read it
 // again — so collecting it cannot change what a run measures.
 func (r *Replica) gcEpoch() {
@@ -183,39 +184,19 @@ func (r *Replica) gcEpoch() {
 		r.buckets.Table().Unpin(s)
 	}
 	r.release = r.release[:0]
-	if r.archive != nil {
-		// The archive keeps one epoch of hysteresis below the stable floor:
-		// a replica that crashed shortly before the boundary asks for blocks
-		// the boundary already covers, and serving them is the only repair
-		// path below the floor (there is no snapshot installation). One
-		// epoch bounds the extra retention at M x EpochLen blocks.
-		floor := uint64(0)
-		if r.stableEpoch > 1 {
-			floor = (r.stableEpoch - 1) * r.cfg.EpochLen
-		}
-		for i := range r.archive {
-			if r.archiveBase[i] >= floor {
-				continue
-			}
-			drop := int(floor - r.archiveBase[i])
-			if drop > len(r.archive[i]) {
-				drop = len(r.archive[i])
-			}
-			a := r.archive[i]
-			keep := copy(a, a[drop:])
-			for j := keep; j < len(a); j++ {
-				a[j] = nil
-			}
-			r.archive[i] = a[:keep]
-			r.archiveBase[i] += uint64(drop)
-		}
-		clear(r.stResps)
-		// Retained rings repair laggards through NewView; state transfer
-		// supersedes that below the stable floor.
-		for i := 0; i < r.cfg.M; i++ {
-			r.sbs[i].ReleaseBelow(floor)
-		}
+	// The engines' logs keep one epoch of hysteresis below the stable
+	// floor: a replica that crashed shortly before the boundary asks for
+	// blocks the boundary already covers, and serving them is the only
+	// repair path below the floor (there is no snapshot installation). One
+	// epoch bounds the extra retention at M x EpochLen blocks.
+	floor := uint64(0)
+	if r.stableEpoch > 1 {
+		floor = (r.stableEpoch - 1) * r.cfg.EpochLen
 	}
+	for i := 0; i < r.cfg.M; i++ {
+		r.sbs[i].ReleaseBelow(floor)
+	}
+	clear(r.stResps)
 	for e := range r.bound {
 		// Keep the stable boundary itself: CheckpointCert responses cite it.
 		if e+1 < r.stableEpoch {

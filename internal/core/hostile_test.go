@@ -44,7 +44,7 @@ func newHostileCluster(t *testing.T) *hostileCluster {
 		c.replicas = append(c.replicas, core.NewReplica(core.Config{
 			N: n, F: 1, ID: i, M: n, Mode: core.OrthrusMode(),
 			Params: core.Params{BatchTimeout: time.Hour, ViewTimeout: 24 * time.Hour,
-				EpochLen: 4, StateTransfer: true},
+				EpochLen: 4},
 			Genesis:        genesisRich("alice", "bob"),
 			OnBlockDeliver: func(int, *types.Block) { c.delivered++ },
 		}, simnet.On(c.sim, i), nw))

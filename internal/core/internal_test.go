@@ -180,12 +180,12 @@ func TestEpochDigestMatchesAcrossReplicas(t *testing.T) {
 // epochReplica builds a 4-replica-cluster member with 1-block epochs, so a
 // single delivery round per instance completes an epoch; rank parameterizes
 // the delivered blocks so two replicas can diverge on purpose.
-func epochReplica(t *testing.T, stateTransfer bool) *Replica {
+func epochReplica(t *testing.T) *Replica {
 	t.Helper()
 	sim := simnet.New(1)
 	nw := simnet.NewNetwork(sim, 4, simnet.NewFixed(time.Millisecond), nil)
 	cfg := Config{N: 4, F: 1, ID: 0, M: 4, Mode: OrthrusMode(),
-		Params: Params{EpochLen: 1, StateTransfer: stateTransfer}}
+		Params: Params{EpochLen: 1}}
 	return NewReplica(cfg, simnet.On(sim, cfg.ID), nw)
 }
 
@@ -243,12 +243,12 @@ func TestCheckpointVoteSpamBounded(t *testing.T) {
 // TestCheckpointStabilizeRequiresLocalDigestMatch pins the GC safety rule: a
 // replica must never stabilize (and garbage-collect) on a quorum digest its
 // own boundary digest does not match — a diverged replica would discard
-// exactly the state it needs to repair. With state transfer enabled the
-// mismatch triggers a catch-up request instead.
+// exactly the state it needs to repair. The mismatch triggers a catch-up
+// request instead.
 func TestCheckpointStabilizeRequiresLocalDigestMatch(t *testing.T) {
 	// The honest cluster's digest for epoch 0, from a twin that delivered
 	// rank-1 blocks everywhere.
-	honest := epochReplica(t, false)
+	honest := epochReplica(t)
 	deliverEpoch0(honest, 1)
 	quorumD, ok := honest.localDigest(0)
 	if !ok {
@@ -258,7 +258,7 @@ func TestCheckpointStabilizeRequiresLocalDigestMatch(t *testing.T) {
 	// The diverged replica delivered different (rank-7) blocks, so its local
 	// digest disagrees with the quorum's. Seed a stale catch-up response to
 	// observe requestStateTransfer clearing it.
-	r := epochReplica(t, true)
+	r := epochReplica(t)
 	deliverEpoch0(r, 7)
 	r.stResps[2] = &StateTransferResp{Replica: 2}
 	for rid := 1; rid <= 3; rid++ {
@@ -275,7 +275,7 @@ func TestCheckpointStabilizeRequiresLocalDigestMatch(t *testing.T) {
 	}
 
 	// The matching replica stabilizes from the same votes.
-	m := epochReplica(t, false)
+	m := epochReplica(t)
 	deliverEpoch0(m, 1)
 	for rid := 1; rid <= 3; rid++ {
 		m.onCheckpoint(&CheckpointMsg{Epoch: 0, Digest: quorumD, Replica: rid})
@@ -307,7 +307,7 @@ func TestAdoptCertPicksHighestAgreed(t *testing.T) {
 		"forged pair":          {[4]CheckpointCert{forged, forged, cert(1, 1), cert(1, 1)}, 1},
 		"nothing shared":       {[4]CheckpointCert{cert(1, 1), cert(2, 2), cert(3, 3), {}}, 0},
 	} {
-		r := epochReplica(t, true)
+		r := epochReplica(t)
 		for rid, c := range tc.certs {
 			r.stResps[rid] = &StateTransferResp{Replica: rid, Cert: c}
 		}

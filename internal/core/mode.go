@@ -61,12 +61,16 @@ type SB interface {
 	// SkipDelivered delivers the next block on the word of state transfer
 	// instead of agreement; false leaves the gap.
 	SkipDelivered(b *types.Block) bool
-	// ReleaseBelow drops the delivered blocks retained below seq.
+	// Log returns the delivered blocks the instance still holds, from
+	// sequence number from (or its floor, if higher) up to its cursor: what
+	// catch-up serves peers. The slice is the instance's own; copy it to
+	// keep it.
+	Log(from uint64) []*types.Block
+	// ReleaseBelow drops the logged blocks below seq (checkpoint GC).
 	ReleaseBelow(seq uint64)
-	// InFlight counts proposed-but-undelivered sequence numbers, Retained
-	// the delivered blocks still held (LiveSet census).
+	// InFlight counts proposed-but-undelivered sequence numbers (LiveSet
+	// census).
 	InFlight() int
-	Retained() int
 }
 
 // SBHooks are the upcalls an SB implementation drives into the replica.

@@ -29,15 +29,6 @@ type Params struct {
 	// many blocks deliver, the replica complains and votes to replace the
 	// instance's leader (Sec. V-B).
 	CensorshipBlocks uint64
-
-	// StateTransfer enables checkpoint-anchored catch-up: the replica
-	// archives delivered blocks back to the stable-checkpoint floor, answers
-	// peers' StateTransferReq broadcasts with a CheckpointCert plus the
-	// block runs the requester is missing, and on Recover (or on observing a
-	// checkpoint quorum it cannot match locally) requests the same from its
-	// peers. Off by default: without it Recover keeps the pre-existing
-	// contract (rejoin voting, leave the delivery gap).
-	StateTransfer bool
 }
 
 // WithDefaults returns p with every unset knob at its default: the paper's

@@ -10,7 +10,7 @@ import (
 )
 
 // TestParams pins the one defaulting function and the one range check: the
-// seven default values (StateTransfer has none: off), that set knobs are
+// seven default values, that set knobs are
 // kept, that resolving twice changes nothing, and that exactly the negative
 // fields and those past their bounds are reported, by name.
 func TestParams(t *testing.T) {
@@ -20,7 +20,7 @@ func TestParams(t *testing.T) {
 	}
 	custom := Params{
 		BatchSize: 64, BatchTimeout: 20 * time.Millisecond, Window: 8, EpochLen: 4,
-		ViewTimeout: time.Second, TxSize: 250, CensorshipBlocks: 16, StateTransfer: true,
+		ViewTimeout: time.Second, TxSize: 250, CensorshipBlocks: 16,
 	}
 	for _, row := range []struct {
 		name     string

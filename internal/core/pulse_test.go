@@ -33,10 +33,10 @@ func (c *countingSB) Resume()             {}
 func (c *countingSB) Complain()           {}
 func (c *countingSB) ReleaseBelow(uint64) {}
 func (c *countingSB) InFlight() int       { return 0 }
-func (c *countingSB) Retained() int       { return 0 }
 
 func (c *countingSB) Handle(int, pbft.Message) bool   { return false }
 func (c *countingSB) SkipDelivered(*types.Block) bool { return false }
+func (c *countingSB) Log(uint64) []*types.Block       { return nil }
 
 // TestPulseStaleWakeupAfterRecover is the core half of the timer re-arm
 // audit: a Stop/Recover cycle leaves a stale pulse wakeup in flight (the

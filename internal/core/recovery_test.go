@@ -35,7 +35,6 @@ func newCatchUpCluster(t *testing.T, n int, seed int64, wan bool) *catchUpCluste
 		deliveries: make([]map[blockSlot]int, n),
 	}
 	mutate := func(i int, cfg *core.Config) {
-		cfg.StateTransfer = true
 		cfg.EpochLen = 4
 		// Keep the outage inside the repair envelope, like the soak preset
 		// does: block-replay catch-up reaches one epoch below the stable
@@ -150,72 +149,93 @@ func TestCrashRecoverCatchUpMatrix(t *testing.T) {
 	}
 }
 
+// TestFirstEpochLaggardCatchesUp: a replica that falls behind in epoch 0
+// without crashing — its endpoint is down for 100 ms, it is never stopped
+// or recovered — requests catch-up on the first checkpoint quorum it
+// cannot match. Epoch 0's quorum must count: by epoch 1's the peers' logs
+// start at EpochLen, the laggard would get a suffix it cannot apply, and
+// it would stay wedged for the rest of the run.
+func TestFirstEpochLaggardCatchesUp(t *testing.T) {
+	const laggard = 3
+	names := accountNames(4)
+	c := newTestCluster(t, 4, core.OrthrusMode(), genesisRich(names...), func(i int, cfg *core.Config) {
+		cfg.EpochLen = 8
+		cfg.BatchTimeout = 100 * time.Millisecond
+		cfg.ViewTimeout = 500 * time.Millisecond
+	})
+	for k := 0; k < 400; k++ {
+		tx := types.NewPayment(names[k%4], names[(k+1)%4], 1, uint64(k))
+		c.sim.At(simnet.Time(time.Duration(k)*10*time.Millisecond), func() { c.submit(tx) })
+	}
+	c.sim.At(simnet.Time(50*time.Millisecond), func() { c.nw.SetDown(laggard, true) })
+	c.sim.At(simnet.Time(150*time.Millisecond), func() { c.nw.SetDown(laggard, false) })
+	c.run(4 * time.Second)
+
+	r, l := c.replicas[0], c.replicas[laggard]
+	_, stable := r.Epoch()
+	_, lagStable := l.Epoch()
+	t.Logf("replica 0: state %v, %d stable epochs; laggard: state %v, %d stable epochs, %d blocks applied by catch-up",
+		r.State(), stable, l.State(), lagStable, l.StateTransferApplied())
+	if l.StateTransferApplied() == 0 || lagStable < 4 || lagStable != stable {
+		t.Fatalf("laggard has %d stable epochs against %d after applying %d blocks by catch-up: never caught up",
+			lagStable, stable, l.StateTransferApplied())
+	}
+}
+
 // TestRecoveredReplicaBeyondReach is the honest side of the engines' bound
 // on parked sequence numbers (pbft's maxAhead, 1<<14): replica 3 comes back
 // more than that many blocks behind on instance 0. It refuses nothing its
-// peers send and parks none of it, so by itself it stays where it was; with
-// state transfer its catch-up brings the cursor back in reach and it votes
-// again — shown by stopping replica 2 afterwards, which leaves instance 0
-// exactly one vote short of a quorum without the victim's. Only instance 0
-// runs at speed (its leader alone pulses fast, no view or epoch ever ends),
-// and its leader pauses around the recovery so no proposal is in the air
-// while the one catch-up round runs.
+// peers send and parks none of it, so only its catch-up brings the cursor
+// back in reach; then it votes again — shown by stopping replica 2
+// afterwards, which leaves instance 0 exactly one vote short of a quorum
+// without the victim's. Only instance 0 runs at speed (its leader alone
+// pulses fast, no view or epoch ever ends), and its leader pauses around
+// the recovery so no proposal is in the air while the one catch-up round
+// runs.
 func TestRecoveredReplicaBeyondReach(t *testing.T) {
 	const reach, victim = 1 << 14, 3
-	for _, stateTransfer := range []bool{true, false} {
-		t.Run(fmt.Sprintf("stateTransfer=%v", stateTransfer), func(t *testing.T) {
-			c := newTestCluster(t, 4, core.OrthrusMode(), genesisRich("alice"), func(i int, cfg *core.Config) {
-				cfg.StateTransfer = stateTransfer
-				cfg.EpochLen = 1 << 20
-				cfg.BatchTimeout = 4 * time.Millisecond
-				cfg.ViewTimeout = time.Hour
-				if i == 1 || i == 2 {
-					cfg.BatchTimeout *= 1e6 // these leaders all but never pulse
-				}
-			})
-			at := func(d time.Duration, fn func()) { c.sim.At(simnet.Time(d), fn) }
-			tip := func(i int) uint64 { return c.replicas[i].State()[0] }
-			at(100*time.Millisecond, func() {
-				c.replicas[victim].Stop()
-				c.nw.SetDown(victim, true)
-			})
-			var behind, atCrashOf2 uint64
-			at(70*time.Second, func() { c.replicas[0].SetPulseScale(250) })
-			at(70*time.Second+500*time.Millisecond, func() {
-				behind = tip(0) - tip(victim)
-				c.nw.SetDown(victim, false)
-				c.replicas[victim].Recover()
-			})
-			at(70*time.Second+600*time.Millisecond, func() { c.replicas[0].SetPulseScale(1) })
-			at(72*time.Second, func() {
-				atCrashOf2 = tip(0)
-				c.replicas[2].Stop()
-				c.nw.SetDown(2, true)
-			})
-			c.run(74 * time.Second)
+	c := newTestCluster(t, 4, core.OrthrusMode(), genesisRich("alice"), func(i int, cfg *core.Config) {
+		cfg.EpochLen = 1 << 20
+		cfg.BatchTimeout = 4 * time.Millisecond
+		cfg.ViewTimeout = time.Hour
+		if i == 1 || i == 2 {
+			cfg.BatchTimeout *= 1e6 // these leaders all but never pulse
+		}
+	})
+	at := func(d time.Duration, fn func()) { c.sim.At(simnet.Time(d), fn) }
+	tip := func(i int) uint64 { return c.replicas[i].State()[0] }
+	at(100*time.Millisecond, func() {
+		c.replicas[victim].Stop()
+		c.nw.SetDown(victim, true)
+	})
+	var behind, atCrashOf2 uint64
+	at(70*time.Second, func() { c.replicas[0].SetPulseScale(250) })
+	at(70*time.Second+500*time.Millisecond, func() {
+		behind = tip(0) - tip(victim)
+		c.nw.SetDown(victim, false)
+		c.replicas[victim].Recover()
+	})
+	at(70*time.Second+600*time.Millisecond, func() { c.replicas[0].SetPulseScale(1) })
+	at(72*time.Second, func() {
+		atCrashOf2 = tip(0)
+		c.replicas[2].Stop()
+		c.nw.SetDown(2, true)
+	})
+	c.run(74 * time.Second)
 
-			if behind <= reach {
-				t.Fatalf("victim recovered %d blocks behind, want more than %d: the test no longer tests the bound", behind, reach)
-			}
-			for i, r := range c.replicas {
-				if got := r.Rejected(); got != 0 {
-					t.Fatalf("replica %d refused %d honest messages", i, got)
-				}
-			}
-			after := tip(0) - atCrashOf2
-			t.Logf("behind %d, victim at %d of %d, %d blocks after replica 2 stopped, %d applied by catch-up",
-				behind, tip(victim), tip(0), after, c.replicas[victim].StateTransferApplied())
-			if stateTransfer {
-				if tip(victim) != tip(0) || after < 100 {
-					t.Fatalf("victim at %d of %d; instance 0 delivered %d blocks on the victim's vote, want it live",
-						tip(victim), tip(0), after)
-				}
-				return
-			}
-			if tip(victim) >= reach || after > 4 {
-				t.Fatalf("without state transfer the victim reached %d and instance 0 delivered %d blocks after losing replica 2; want it out of reach and the instance stalled",
-					tip(victim), after)
-			}
-		})
+	if behind <= reach {
+		t.Fatalf("victim recovered %d blocks behind, want more than %d: the test no longer tests the bound", behind, reach)
+	}
+	for i, r := range c.replicas {
+		if got := r.Rejected(); got != 0 {
+			t.Fatalf("replica %d refused %d honest messages", i, got)
+		}
+	}
+	after := tip(0) - atCrashOf2
+	t.Logf("behind %d, victim at %d of %d, %d blocks after replica 2 stopped, %d applied by catch-up",
+		behind, tip(victim), tip(0), after, c.replicas[victim].StateTransferApplied())
+	if tip(victim) != tip(0) || after < 100 {
+		t.Fatalf("victim at %d of %d; instance 0 delivered %d blocks on the victim's vote, want it live",
+			tip(victim), tip(0), after)
 	}
 }

@@ -157,23 +157,20 @@ type Replica struct {
 	bound map[uint64][][32]byte
 	// pend records the highest checkpoint quorum (live = there is one) this
 	// replica has observed but not yet matched locally (behind, or
-	// diverged). Delivery re-checks it at every epoch boundary; with
-	// StateTransfer it also triggers a catch-up request on divergence.
+	// diverged). Delivery re-checks it at every epoch boundary; on
+	// divergence it also triggers a catch-up request.
 	pend ckptVote
 
-	// State-transfer machinery (cfg.StateTransfer only). archive[i] holds
-	// the delivered blocks of instance i from archiveBase[i] (the stable
-	// GC floor) to state[i]; gcEpoch prunes it as checkpoints stabilize, so
-	// its live size is bounded by the epoch run-ahead. stResps[r] is peer
-	// r's answer to the current catch-up request, collected until enough
-	// arrive to apply; the book is cleared on every new request and at every
-	// stabilization.
-	archive     [][]*types.Block
-	archiveBase []uint64
-	stResps     []*StateTransferResp
-	// stReqEpoch is the highest quorum epoch a lag-triggered catch-up
-	// request has been sent for: a laggard re-requests at most once per
-	// epoch while checkpoint quorums keep arriving for epochs it has not
+	// State-transfer catch-up (statetransfer.go). The blocks it serves are
+	// the SB instances' own delivered-block logs, trimmed by gcEpoch.
+	// stResps[r] is peer r's answer to the current catch-up request,
+	// collected until enough arrive to apply; the book is cleared on every
+	// new request and at every stabilization.
+	stResps []*StateTransferResp
+	// stReqEpoch is one past the highest quorum epoch a lag-triggered
+	// catch-up request has been sent for (0: none yet, so epoch 0's quorum
+	// triggers one too): a laggard re-requests at most once per epoch
+	// while checkpoint quorums keep arriving for epochs it has not
 	// finished (each round closes the gap to the then-tip; the next
 	// epoch's quorum mops up whatever committed during the round trip).
 	stReqEpoch uint64
@@ -245,11 +242,7 @@ func NewReplica(cfg Config, sim types.Clock, nw types.Network) *Replica {
 		lastComplain:   make([]uint64, cfg.M),
 		pulseScale:     1,
 	}
-	if cfg.StateTransfer {
-		r.archive = make([][]*types.Block, cfg.M)
-		r.archiveBase = make([]uint64, cfg.M)
-		r.stResps = make([]*StateTransferResp, cfg.N)
-	}
+	r.stResps = make([]*StateTransferResp, cfg.N)
 	if cfg.Genesis != nil {
 		cfg.Genesis(r.store)
 	}
@@ -361,15 +354,11 @@ func (r *Replica) Stop() {
 
 // Recover restarts a stopped replica: SB engines resume handling messages
 // and the proposal pulse loops restart. The replica rejoins consensus
-// voting for new sequence numbers immediately. Without Config.StateTransfer
-// it does not replay blocks it missed while down, so its local delivery log
-// may keep a gap until a view change fills it (the cluster's client-visible
-// metrics only need f+1 live replicas); with StateTransfer it additionally
-// broadcasts a catch-up request, and peers answer with the latest stable
-// CheckpointCert plus the delivered blocks past this replica's own prefix —
-// the gap repairs by replaying only those blocks, never pre-checkpoint
-// history. Engines that do not support resumption (the analytic SB) are
-// left stopped.
+// voting for new sequence numbers immediately and broadcasts a catch-up
+// request; peers answer with the latest stable CheckpointCert plus the
+// delivered blocks past this replica's own prefix — the gap repairs by
+// replaying only those blocks, never pre-checkpoint history. Engines that
+// do not support resumption (the analytic SB) are left stopped.
 func (r *Replica) Recover() {
 	if !r.stopped {
 		return
@@ -380,9 +369,7 @@ func (r *Replica) Recover() {
 		r.sbs[i].Resume()
 		r.schedulePulse(i)
 	}
-	if r.cfg.StateTransfer {
-		r.requestStateTransfer()
-	}
+	r.requestStateTransfer()
 }
 
 // SetEquivocate switches the replica's equivocating-leader behavior at
@@ -628,7 +615,12 @@ func (r *Replica) epochPaused(instance int) bool {
 // onDeliver handles an SB delivery (Algorithm 1's sb-deliver upcall).
 func (r *Replica) onDeliver(instance int, b *types.Block) {
 	if instance == r.cfg.M {
-		// Dedicated sequencer block: drives DQBFT global confirmation.
+		// Dedicated sequencer block: drives DQBFT global confirmation. No
+		// checkpoint covers the sequencer, so its log keeps only what a
+		// NewView re-proposes.
+		if b.SN >= pbft.RetainDelivered {
+			r.sbs[instance].ReleaseBelow(b.SN + 1 - pbft.RetainDelivered)
+		}
 		r.enqueueGlobal(r.global.OnSequencerDeliver(b))
 		r.drainGlogQueue()
 		return
@@ -659,9 +651,6 @@ func (r *Replica) onDeliver(instance int, b *types.Block) {
 			}
 			bd[instance] = r.instHash[instance]
 		}
-	}
-	if r.archive != nil {
-		r.archive[instance] = append(r.archive[instance], b)
 	}
 
 	// Intern the block's transactions, stamp their first proposal and

@@ -7,7 +7,7 @@ import (
 	"repro/internal/types"
 )
 
-// State-transfer catch-up (Config.StateTransfer)
+// State-transfer catch-up: every replica serves it and requests it.
 //
 // A replica that was down misses deliveries it can never regain through the
 // normal path: its pbft engines hold no commit certificates for the missed
@@ -18,8 +18,9 @@ import (
 //  1. The recovering replica broadcasts StateTransferReq with its delivered
 //     state vector (its contiguous per-instance prefix).
 //  2. Every live peer answers with its latest stable CheckpointCert plus,
-//     per instance, the contiguous run of archived blocks from the
-//     requester's prefix up to the peer's own tip.
+//     per instance, the contiguous run of blocks from the requester's
+//     prefix up to the peer's own tip, read off the instance's
+//     delivered-block log (SB.Log).
 //  3. Once 2f+1 responses arrived, the requester applies, per instance and
 //     strictly in sequence order, each block vouched for by f+1 matching
 //     copies (at least one honest sender). Application drives the normal
@@ -33,7 +34,7 @@ import (
 //     without waiting for the next live vote quorum.
 //
 // Peers can only serve what their own GC still holds: requesters more than
-// one stable checkpoint behind the cluster receive the archived suffix
+// one stable checkpoint behind the cluster receive the logged suffix
 // starting at the peers' GC floor and keep a gap below it. That residue
 // heals on the next request round if any peer still holds the missing run;
 // a replica down for many epochs rejoins consensus either way (it votes for
@@ -71,9 +72,8 @@ type StateTransferResp struct {
 }
 
 // requestStateTransfer broadcasts a catch-up request carrying the replica's
-// delivered state vector (callers check cfg.StateTransfer). Previously
-// collected responses answer an older request (a smaller prefix) and are
-// dropped.
+// delivered state vector. Previously collected responses answer an older
+// request (a smaller prefix) and are dropped.
 func (r *Replica) requestStateTransfer() {
 	clear(r.stResps)
 	req := &StateTransferReq{Replica: r.cfg.ID, State: r.state.Clone()}
@@ -81,13 +81,13 @@ func (r *Replica) requestStateTransfer() {
 }
 
 // onStateTransferReq answers a peer's catch-up request with the latest
-// stable checkpoint cert and the archived block runs past the requester's
+// stable checkpoint cert and the logged block runs past the requester's
 // prefix. An empty answer is still sent: the requester counts responses
 // toward its 2f+1 threshold before applying what better-placed peers hold.
 // It reports false for a request no honest peer sends; the replica's own
 // broadcast coming back is ignored.
 func (r *Replica) onStateTransferReq(m *StateTransferReq) bool {
-	if !r.cfg.StateTransfer || len(m.State) != r.cfg.M {
+	if len(m.State) != r.cfg.M {
 		return false
 	}
 	if m.Replica == r.cfg.ID {
@@ -101,17 +101,11 @@ func (r *Replica) onStateTransferReq(m *StateTransferReq) bool {
 		}
 	}
 	for i := 0; i < r.cfg.M; i++ {
-		from := m.State[i]
-		if from < r.archiveBase[i] {
-			from = r.archiveBase[i] // below the GC floor; serve the suffix
+		// A copy per response: the engine's log shrinks in place under GC
+		// and must not be aliased across replicas.
+		if run := r.sbs[i].Log(m.State[i]); len(run) > 0 {
+			resp.Runs = append(resp.Runs, BlockRun{Instance: i, Blocks: slices.Clone(run)})
 		}
-		if from >= r.state[i] {
-			continue
-		}
-		// Fresh slice header per response: the archive's backing array keeps
-		// shrinking under GC and must not be aliased across replicas.
-		blocks := append([]*types.Block(nil), r.archive[i][from-r.archiveBase[i]:]...)
-		resp.Runs = append(resp.Runs, BlockRun{Instance: i, Blocks: blocks})
 	}
 	r.nw.Send(r.cfg.ID, m.Replica, resp)
 	return true
@@ -122,7 +116,7 @@ func (r *Replica) onStateTransferReq(m *StateTransferReq) bool {
 // close residual gaps). It reports false for an answer no honest peer
 // sends, a run that is not what BlockRun says it is above all.
 func (r *Replica) onStateTransferResp(m *StateTransferResp) bool {
-	if !r.cfg.StateTransfer || m.Replica == r.cfg.ID {
+	if m.Replica == r.cfg.ID {
 		return false
 	}
 	for _, run := range m.Runs {
@@ -229,16 +223,15 @@ type LiveSet struct {
 	ExecQ     int // delivered blocks awaiting their escrow phase
 	GlogQ     int // globally confirmed blocks awaiting in-order execution
 	Escrows   int // live escrow-log entries in the ledger
-	Archive   int // state-transfer archive blocks above the stable GC floor
+	Archive   int // delivered blocks the SB instances' logs hold
 	Slots     int // in-flight pbft slots across instances
-	Retained  int // delivered blocks engines retain for NewView repair
 	CkptVotes int // live checkpoint votes
 }
 
 // Total sums the census fields.
 func (s LiveSet) Total() int {
 	return s.Trackers + s.ExecQ + s.GlogQ + s.Escrows + s.Archive +
-		s.Slots + s.Retained + s.CkptVotes
+		s.Slots + s.CkptVotes
 }
 
 // LiveSet reports the replica's current retained-state census.
@@ -251,12 +244,9 @@ func (r *Replica) LiveSet() LiveSet {
 	for i := range r.execQ {
 		ls.ExecQ += len(r.execQ[i]) - r.execQhead[i]
 	}
-	for i := range r.archive {
-		ls.Archive += len(r.archive[i])
-	}
 	for _, sb := range r.sbs {
 		ls.Slots += sb.InFlight()
-		ls.Retained += sb.Retained()
+		ls.Archive += len(sb.Log(0))
 	}
 	for _, v := range r.ckptVotes {
 		if v.live && v.epoch+1 >= r.stableEpoch {

@@ -38,11 +38,10 @@ func TestUnstampedSharedPointersAcrossShards(t *testing.T) {
 			N: n, F: 1, ID: i, M: n,
 			Mode: core.OrthrusMode(),
 			Params: core.Params{
-				BatchSize:     8,
-				BatchTimeout:  50 * time.Millisecond,
-				ViewTimeout:   2 * time.Second,
-				EpochLen:      4,
-				StateTransfer: true,
+				BatchSize:    8,
+				BatchTimeout: 50 * time.Millisecond,
+				ViewTimeout:  2 * time.Second,
+				EpochLen:     4,
 			},
 			Genesis: genesisRich(names...),
 			OnConfirm: func(tx *types.Transaction, success bool, _ core.StageTrace) {
@@ -150,10 +149,10 @@ func (*handSB) Resume()                    {}
 func (*handSB) Complain()                  {}
 func (*handSB) ReleaseBelow(uint64)        {}
 func (*handSB) InFlight() int              { return 0 }
-func (*handSB) Retained() int              { return 0 }
 
 func (*handSB) Handle(int, pbft.Message) bool   { return false }
 func (*handSB) SkipDelivered(*types.Block) bool { return false }
+func (*handSB) Log(uint64) []*types.Block       { return nil }
 
 // TestTableBoundedOverEpochs runs 48 epochs of the real path — every
 // transaction arrives as a wire-decoded copy — through one replica and

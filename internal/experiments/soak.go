@@ -41,7 +41,7 @@ type SoakResult struct {
 }
 
 // SoakConfig is the soak cell at the given scale: Orthrus on a WAN under
-// message-level PBFT with state transfer on, an hour of virtual time at
+// message-level PBFT, an hour of virtual time at
 // full scale over n = 100 replicas (a quarter hour over n = 25 below half
 // scale), continuous churn from the soak-churn scenario preset, and a
 // live-set census every 64th of the run. The load and batching knobs are
@@ -66,11 +66,10 @@ func SoakConfig(scale float64) cluster.Config {
 		Warmup:        dur / 10,
 		Drain:         60 * time.Second,
 		Params: core.Params{
-			BatchSize:     4096,
-			BatchTimeout:  10 * time.Second,
-			EpochLen:      4,
-			ViewTimeout:   60 * time.Second,
-			StateTransfer: true,
+			BatchSize:    4096,
+			BatchTimeout: 10 * time.Second,
+			EpochLen:     4,
+			ViewTimeout:  60 * time.Second,
 		},
 		Workload: workload.Config{Seed: 42},
 		Seed:     42,

@@ -260,20 +260,24 @@ type Engine struct {
 	vcGen   uint64
 	stopped bool
 
-	// retained is a ring of the most recently delivered blocks, indexed by
-	// SN & (retainDelivered-1) (a delivered block's SN is its sequence
-	// number: validBlock, SkipDelivered). Delivery discards a slot's
-	// certificates (freeSlot), so without it a new leader could not prove
-	// what was decided at a sequence number some replicas delivered but no
-	// pending certificate covers; sendNewView re-proposes the retained block
-	// there instead of a conflicting no-op.
-	retained [retainDelivered]*types.Block
+	// log holds the blocks this replica delivered, log[0] at sequence
+	// number logBase, up to the cursor (a delivered block's SN is its
+	// sequence number: validBlock, SkipDelivered). It is the instance's one
+	// record of what it decided: state-transfer catch-up serves peers from
+	// it (Log), and checkpoint GC trims it from below (ReleaseBelow).
+	// Delivery discards a slot's certificates (freeSlot), so without it a
+	// new leader could not prove what was decided at a sequence number some
+	// replicas delivered but no pending certificate covers; sendNewView
+	// re-proposes the logged block there instead of a conflicting no-op.
+	log     []*types.Block
+	logBase uint64
 }
 
-// retainDelivered is the per-engine delivered-block retention depth. It
-// must be a power of two and comfortably exceed the pipeline window, so
-// every gap a view change can surface is still covered.
-const retainDelivered = 32
+// RetainDelivered is how many of its latest deliveries a new leader's
+// NewView re-proposes from the log (retainedBlock). It must comfortably
+// exceed the pipeline window, so every gap a view change can surface is
+// still covered.
+const RetainDelivered = 32
 
 // New creates an engine that sends as cfg.ID over nw, which every SB
 // instance of the replica shares. Broadcasts rely on nw delivering back to
@@ -350,29 +354,28 @@ func (e *Engine) SkipDelivered(b *types.Block) bool {
 	return true
 }
 
-// ReleaseBelow drops retention-ring entries for sequence numbers below seq.
-// Once a checkpoint is stable and state transfer can repair laggards, the
-// pre-checkpoint blocks retained for NewView re-proposals are dead weight;
-// sendNewView falls back to skipping those sequence numbers, the same
-// contract as a ring wrap.
+// ReleaseBelow drops the log's blocks below sequence number seq: the
+// checkpoint GC floor, below which no peer is served and no NewView fills.
+// The log shrinks in place, so Log's callers copy what they keep.
 func (e *Engine) ReleaseBelow(seq uint64) {
-	for i, b := range e.retained {
-		if b != nil && b.SN < seq {
-			e.retained[i] = nil
-		}
+	if seq <= e.logBase {
+		return
 	}
+	drop := min(seq-e.logBase, uint64(len(e.log)))
+	keep := copy(e.log, e.log[drop:])
+	clear(e.log[keep:])
+	e.log = e.log[:keep]
+	e.logBase += drop
 }
 
-// Retained returns the number of delivered blocks the retention ring
-// currently pins (soak live-set accounting).
-func (e *Engine) Retained() int {
-	n := 0
-	for _, b := range e.retained {
-		if b != nil {
-			n++
-		}
+// Log returns the delivered blocks from sequence number from (or the log's
+// floor, if that is higher) up to the cursor. The slice aliases the log:
+// the next delivery or ReleaseBelow may overwrite it.
+func (e *Engine) Log(from uint64) []*types.Block {
+	if from >= e.nextDeliver {
+		return nil
 	}
-	return n
+	return e.log[max(from, e.logBase)-e.logBase:]
 }
 
 // Complain votes for a view change immediately — used by the censorship
@@ -602,9 +605,9 @@ func (e *Engine) tryDeliver() {
 
 // deliverNext delivers b as the decision at the cursor: the sequence's slot
 // s (nil if it has none) is released, the window and cursor advance, the
-// block joins the retention ring and OnDeliver fires.
+// block joins the log and OnDeliver fires.
 func (e *Engine) deliverNext(b *types.Block, s *slot) {
-	e.retained[e.nextDeliver&(retainDelivered-1)] = b
+	e.log = append(e.log, b)
 	e.slots.advanceBase()
 	if s != nil {
 		e.freeSlot(s)
@@ -737,29 +740,29 @@ func (e *Engine) onViewChange(m *ViewChange) {
 	}
 }
 
-// retainedBlock returns the block this replica delivered at seq, if the
-// retention ring still covers it.
+// retainedBlock returns the block this replica delivered at seq, if seq is
+// among its last RetainDelivered deliveries and the log still holds it.
 func (e *Engine) retainedBlock(seq uint64) *types.Block {
-	if b := e.retained[seq&(retainDelivered-1)]; b != nil && b.SN == seq {
-		return b
+	if seq < e.logBase || seq >= e.nextDeliver || e.nextDeliver-seq > RetainDelivered {
+		return nil
 	}
-	return nil
+	return e.log[seq-e.logBase]
 }
 
 // sendNewView assembles re-proposals from the collected view changes: for
 // each undecided sequence number, the prepared block from the highest view
 // wins. A sequence number without a certificate is filled with the block
-// the leader itself delivered there (retention ring) if it has one, with a
+// the leader itself delivered there (retainedBlock) if it has one, with a
 // no-op if no replica in the vote set delivered it (then a no-op cannot
 // conflict with anything), and is otherwise skipped: certificates are
 // discarded at delivery, so a seq below some replica's delivered prefix can
 // legitimately have no certificate in the vote set, and a no-op there would
 // let laggards commit a block conflicting with what the rest of the group
-// already executed. Skipping leaves the laggard's gap in place — the same
-// contract as crash recovery without state transfer — until a leader whose
-// retention covers the seq rotates in. The votes are read in replica order,
+// already executed. Skipping leaves the laggard's gap in place until its
+// state-transfer catch-up replays the block, or a leader whose log covers
+// the seq rotates in. The votes are read in replica order,
 // so among certificates of equal view the lowest-numbered voter's wins. The
-// fill stays within maxAhead of the leader's own cursor, where it can retain
+// fill stays within maxAhead of the leader's own cursor, where it can log
 // or slot anything: the votes' Delivered and Prepared.Seq must not size it.
 func (e *Engine) sendNewView(view uint64) {
 	minDelivered := ^uint64(0)

@@ -107,31 +107,61 @@ func TestSkipDeliveredFlushesCommittedAbove(t *testing.T) {
 	}
 }
 
-// TestReleaseBelowDropsRetainedRing: checkpoint GC trims the NewView
-// retention ring below the stable floor, and the count reported to the
-// live-set census tracks it.
+// TestReleaseBelowDropsRetainedRing: checkpoint GC trims the engine's
+// delivered-block log from below, Log serves what is left from any
+// starting point, and NewView re-proposals reach back only the last
+// RetainDelivered deliveries however long the log is.
 func TestReleaseBelowDropsRetainedRing(t *testing.T) {
 	h := newHarness(t, 4, 1, nil)
-	for sn := uint64(0); sn < 5; sn++ { // one at a time: the window is 4 deep
-		if err := h.engines[0].Propose(mkBlock(sn, 1)); err != nil {
-			t.Fatal(err)
+	deliver := func(from, to uint64) {
+		for sn := from; sn < to; sn++ { // one at a time: the window is 4 deep
+			if err := h.engines[0].Propose(mkBlock(sn, 1)); err != nil {
+				t.Fatal(err)
+			}
+			h.sim.RunAll(0)
 		}
-		h.sim.RunAll(0)
 	}
 	e := h.engines[1]
-	if got := e.Retained(); got != 5 {
-		t.Fatalf("Retained() = %d after 5 deliveries, want 5", got)
+	// logged reports the SNs Log(from) returns as [first, first+len).
+	logged := func(from uint64) (first uint64, n int) {
+		run := e.Log(from)
+		for i, b := range run {
+			if b.SN != run[0].SN+uint64(i) {
+				t.Fatalf("Log(%d) is not contiguous at %d", from, i)
+			}
+		}
+		if len(run) == 0 {
+			return 0, 0
+		}
+		return run[0].SN, len(run)
+	}
+	deliver(0, 5)
+	if first, n := logged(0); first != 0 || n != 5 {
+		t.Fatalf("Log(0) = %d blocks from %d after 5 deliveries, want 5 from 0", n, first)
+	}
+	if first, n := logged(3); first != 3 || n != 2 {
+		t.Fatalf("Log(3) = %d blocks from %d, want 2 from 3", n, first)
+	}
+	if _, n := logged(5); n != 0 {
+		t.Fatalf("Log at the cursor returned %d blocks", n)
 	}
 	e.ReleaseBelow(3)
-	if got := e.Retained(); got != 2 {
-		t.Fatalf("Retained() = %d after ReleaseBelow(3), want 2", got)
+	if first, n := logged(0); first != 3 || n != 2 {
+		t.Fatalf("Log(0) = %d blocks from %d after ReleaseBelow(3), want 2 from 3", n, first)
 	}
 	e.ReleaseBelow(3) // idempotent
-	if got := e.Retained(); got != 2 {
-		t.Fatalf("repeat ReleaseBelow changed the ring: %d", got)
+	if first, n := logged(0); first != 3 || n != 2 {
+		t.Fatalf("repeat ReleaseBelow changed the log: %d blocks from %d", n, first)
 	}
 	e.ReleaseBelow(100)
-	if got := e.Retained(); got != 0 {
-		t.Fatalf("Retained() = %d after releasing everything, want 0", got)
+	if _, n := logged(0); n != 0 {
+		t.Fatalf("Log(0) = %d blocks after releasing everything, want 0", n)
+	}
+	deliver(5, 45)
+	if first, n := logged(0); first != 5 || n != 40 {
+		t.Fatalf("Log(0) = %d blocks from %d, want 40 from 5", n, first)
+	}
+	if e.retainedBlock(12) != nil || e.retainedBlock(13) == nil || e.retainedBlock(44) == nil || e.retainedBlock(45) != nil {
+		t.Fatalf("NewView reaches past the last %d deliveries, or not all of them", RetainDelivered)
 	}
 }

@@ -30,7 +30,7 @@ const (
 	// the F-scale figure's large tier: the large-n scheduler guard.
 	TierFScale = "fscale"
 	// TierSoak is one shortened F-soak cell (n = 25, 120 s of virtual
-	// time, crash/recover churn, state transfer on) whose live-set census
+	// time, crash/recover churn, catch-up repairing it) whose live-set census
 	// peak is the committed bounded-memory baseline.
 	TierSoak = "soak"
 )
@@ -82,7 +82,7 @@ func SimGrid() []SimCell {
 	add(TierSoak, core.OrthrusMode(), soakN, cluster.Config{
 		LoadTPS: 100, Duration: soakDur, Warmup: 12 * time.Second, Drain: 30 * time.Second,
 		Params: core.Params{BatchSize: 4096, BatchTimeout: 10 * time.Second, EpochLen: 4,
-			ViewTimeout: 60 * time.Second, StateTransfer: true},
+			ViewTimeout: 60 * time.Second},
 		SampleLiveSet: 5 * time.Second, Scenario: churn,
 	})
 	return cells

@@ -259,14 +259,14 @@ func (p *Port) Stop() { p.stopped = true }
 
 // unmodeled is the rest of core.SB, what the closed form leaves out: a
 // stopped port stays stopped, no messages are exchanged (any it is handed
-// is refused), no view changes, no state-transfer repair, nothing retained
-// to count.
+// is refused), no view changes, no state-transfer repair, no delivered-block
+// log to serve or count.
 type unmodeled struct{}
 
 func (unmodeled) Resume()                         {}
 func (unmodeled) Handle(int, pbft.Message) bool   { return false }
 func (unmodeled) Complain()                       {}
 func (unmodeled) SkipDelivered(*types.Block) bool { return false }
+func (unmodeled) Log(uint64) []*types.Block       { return nil }
 func (unmodeled) ReleaseBelow(uint64)             {}
 func (unmodeled) InFlight() int                   { return 0 }
-func (unmodeled) Retained() int                   { return 0 }

@@ -143,11 +143,11 @@ func Preset(name string, n int, dur time.Duration, seed int64) (*Scenario, error
 		// Eight crash/recover cycles; with n-1 candidate victims the
 		// rotation wraps, but a wrapped victim has long since rejoined. The
 		// outage is half a cycle but capped at 30 s of virtual time: block-
-		// replay catch-up can only repair gaps its peers' archives still
+		// replay catch-up can only repair gaps its peers' logs still
 		// cover (one epoch of hysteresis past the stable checkpoint floor,
 		// i.e. 2 x EpochLen x BatchTimeout under the soak configuration), so
 		// on hour-long runs an uncapped 5% outage would outlive the
-		// archives and leave the victim a permanent laggard — snapshot
+		// logs and leave the victim a permanent laggard — snapshot
 		// installation below the GC floor is explicitly out of scope.
 		perm := rng.Perm(n - 1)
 		down := frac(0.05)

@@ -144,8 +144,9 @@ func (b *Builder) CrashAt(at time.Duration, nodes ...int) *Builder {
 }
 
 // RecoverAt restarts previously crashed replicas at time at. A recovered
-// replica rejoins consensus voting; it fetches the blocks it missed while
-// down only when the run enables state transfer (core.Params.StateTransfer).
+// replica rejoins consensus voting and fetches the blocks it missed while
+// down through state-transfer catch-up, as far back as its peers' logs
+// reach.
 func (b *Builder) RecoverAt(at time.Duration, nodes ...int) *Builder {
 	b.s.Events = append(b.s.Events, Event{At: at, Kind: Recover, Nodes: nodes})
 	return b

@@ -109,7 +109,7 @@ func stagedReplica() (*deafNetwork, []any) {
 	const n = 4
 	nw := &deafNetwork{}
 	r := core.NewReplica(core.Config{N: n, F: 1, ID: 1, Mode: core.OrthrusMode(),
-		Params:         core.Params{EpochLen: 2, StateTransfer: true},
+		Params:         core.Params{EpochLen: 2},
 		OnBlockDeliver: func(int, *types.Block) { nw.delivered++ }}, nw, nw)
 	r.Start()
 	block := func(instance int, sn uint64) *types.Block {

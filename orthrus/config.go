@@ -141,14 +141,6 @@ type Config struct {
 	// so detection fits the run's length.
 	CensorshipBlocks uint64
 
-	// StateTransfer enables checkpoint-anchored catch-up: replicas archive
-	// delivered blocks up to the stable checkpoint floor, and a recovering
-	// replica refills its delivery-log gap from 2f+1 peers instead of
-	// waiting for view-change no-ops — without replaying the pre-checkpoint
-	// history it already executed. Long scenarios with crash/recover churn
-	// want this on; off (the default) keeps the baseline recovery behavior.
-	StateTransfer bool
-
 	// SampleLiveSet, when positive, schedules a cluster-wide retained-state
 	// census every interval of virtual time, reported on the Result
 	// (LiveSetSamples, LiveSetPeak). The soak harness gates on the profile
@@ -273,10 +265,6 @@ func WithBatching(size int, timeout time.Duration) Option {
 
 // WithEpochLen sets the epoch length in blocks.
 func WithEpochLen(l uint64) Option { return func(c *Config) { c.EpochLen = l } }
-
-// WithStateTransfer enables checkpoint-anchored catch-up for recovering
-// replicas; see Config.StateTransfer.
-func WithStateTransfer() Option { return func(c *Config) { c.StateTransfer = true } }
 
 // WithLiveSetSampling schedules a retained-state census every interval of
 // virtual time; see Config.SampleLiveSet. Requires the simulated
@@ -440,7 +428,6 @@ func (c Config) lower() (cluster.Config, error) {
 			ViewTimeout:      c.ViewTimeout,
 			TxSize:           c.TxSize,
 			CensorshipBlocks: c.CensorshipBlocks,
-			StateTransfer:    c.StateTransfer,
 		},
 		SampleLiveSet: c.SampleLiveSet,
 		AnalyticSB:    c.AnalyticSB,

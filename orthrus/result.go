@@ -73,8 +73,7 @@ type Result struct {
 
 	// StateTransferApplied counts blocks applied through the checkpoint-
 	// anchored catch-up protocol rather than live SB delivery, summed
-	// across replicas — always 0 unless the run enabled WithStateTransfer
-	// and some replica actually had a gap to repair.
+	// across replicas — 0 unless some replica had a gap to repair.
 	StateTransferApplied uint64
 
 	// Halted reports the run was stopped early by context cancellation, at
@@ -131,8 +130,8 @@ func (r *Result) EscrowsOutstanding() int {
 // time), then the int counts Events (scheduler events pending), Trackers
 // (transaction trackers retained), Slots (in-flight pbft slots), ExecQ
 // (delivered blocks awaiting escrow), GlogQ (confirmed blocks awaiting
-// execution), Escrows (live escrow-log entries), Archive (state-transfer
-// archive blocks), Retained (blocks kept for NewView repair), CkptVotes
+// execution), Escrows (live escrow-log entries), Archive (delivered blocks
+// the SB instances' logs hold for catch-up and NewView repair), CkptVotes
 // (live checkpoint votes) and Total (all of the above).
 type LiveSetSample = cluster.LiveSetSample
 

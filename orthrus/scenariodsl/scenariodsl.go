@@ -86,8 +86,8 @@ func Presets() []string { return scenario.Names() }
 // figure: a rotating victim crashes every tenth of the run and recovers
 // half a cycle later, eight cycles total. It builds through Preset like
 // the S1 presets but is not part of Presets() — the soak harness (and
-// anyone wanting continuous churn) selects it explicitly, usually with
-// orthrus.WithStateTransfer so recovered replicas catch up.
+// anyone wanting continuous churn) selects it explicitly. Recovered
+// replicas catch up from their peers' delivered-block logs.
 const SoakChurnPreset = scenario.SoakChurn
 
 // AttackPresets returns the Byzantine attack preset names in S2 figure
