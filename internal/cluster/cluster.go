@@ -7,9 +7,9 @@
 // client and the measuring for every run; a backend supplies the engine.
 // The collector stamps each client-visible reply on its transaction's
 // client record, and every number a Result reports is read off those
-// records by one reader (records.go): the latency summary, Aborted and the
-// series cover every reply that landed before the stop, the drain
-// included; Confirmed and ThroughputTPS only those in [Warmup, Duration].
+// records by one reader (records.go): Confirmed, ThroughputTPS, the latency
+// summary and Aborted read one set, the replies that landed in [Warmup,
+// Duration]; each series bin and scenario phase reads its own.
 // Every fault is a scenario.Event applied through one step, its link and
 // endpoint half through package faultnet's decorator over the backend's
 // network. Run (sim.go) executes inside the simulator's one event loop over
@@ -263,22 +263,25 @@ type Result struct {
 	Net      string
 	N        int
 
-	// Submitted counts submissions. Confirmed counts client-visible
-	// confirmations (the (f+1)-th reply) that landed in the closed window
-	// [Warmup, Duration]; Aborted counts every client-visible reply that
-	// reports an abort.
-	Submitted int
-	Confirmed int
-	Aborted   int
+	// Submitted counts submissions. Confirmed, Aborted, ThroughputTPS and
+	// Latency read one set: the client-visible confirmations (the (f+1)-th
+	// reply) that landed in the closed window [Warmup, Duration]. Aborted
+	// counts those that report an abort. Unconfirmed counts the
+	// submissions with no client-visible reply before the stop.
+	Submitted   int
+	Confirmed   int
+	Aborted     int
+	Unconfirmed int
 
 	// ThroughputTPS is Confirmed divided by Duration - Warmup.
 	ThroughputTPS float64
-	// Latency summarizes the client-observed latency of every
-	// client-visible reply, the drain's included: submission to the
-	// (f+1)-th reply, including the reply's network delay.
+	// Latency summarizes the client-observed latency of the window's
+	// replies: submission to the (f+1)-th reply, including the reply's
+	// network delay. Count equals Confirmed.
 	Latency metrics.Summary
-	// Windows bins the same replies over 0.5 s intervals by landing time
-	// (Fig. 7), up to the last bin with a reply.
+	// Windows bins every reply before the stop, the drain's included, over
+	// 0.5 s intervals by landing time (Fig. 7), up to the last bin with a
+	// reply.
 	Windows []WindowStat
 	// Breakdown is the observer replica's five-stage split (Fig. 6).
 	Breakdown *metrics.Breakdown

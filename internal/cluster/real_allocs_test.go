@@ -46,8 +46,8 @@ func TestRealPathAllocsPerTransaction(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	res := RunReal(cfg)
 	runtime.ReadMemStats(&after)
-	if res.Submitted != txs || res.Latency.Count != txs || res.Aborted != 0 {
-		t.Fatalf("submitted %d, confirmed %d, aborted %d of %d", res.Submitted, res.Latency.Count, res.Aborted, txs)
+	if res.Submitted != txs || res.Unconfirmed != 0 || res.Aborted != 0 {
+		t.Fatalf("submitted %d, unconfirmed %d, aborted %d of %d", res.Submitted, res.Unconfirmed, res.Aborted, txs)
 	}
 	if perTx := float64(after.Mallocs-before.Mallocs) / txs; perTx > 6 {
 		t.Fatalf("%.1f allocations per confirmed transaction, want at most 6", perTx)

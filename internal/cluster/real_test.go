@@ -263,8 +263,8 @@ func TestProcFaults(t *testing.T) {
 			}
 			set(&cfg)
 			res := RunReal(cfg)
-			if res.Submitted == 0 || res.Latency.Count != res.Submitted {
-				t.Fatalf("%d of %d submissions confirmed", res.Latency.Count, res.Submitted)
+			if res.Submitted == 0 || res.Unconfirmed != 0 {
+				t.Fatalf("%d of %d submissions unconfirmed", res.Unconfirmed, res.Submitted)
 			}
 			if name == "straggler" && blocks[3] >= min(blocks[0], blocks[1], blocks[2]) {
 				t.Fatalf("straggler's instance delivered %d blocks, the others %v", blocks[3], blocks[:3])

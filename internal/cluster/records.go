@@ -43,26 +43,26 @@ func landed(meta []txMeta, lo, hi types.Time) iter.Seq[*txMeta] {
 	}
 }
 
-// summarize reads the run's totals off the client records in one scan of
-// the replies that landed before stop: Latency, Aborted and Windows cover
-// every one of them, the drain included; Confirmed only those in the closed
-// window [Warmup, Duration], and ThroughputTPS divides it by that window's
-// length, its end clamped to the stop.
+// summarize reads the run's totals off the client records. Confirmed,
+// ThroughputTPS, Latency and Aborted read one set: the replies that landed
+// in the closed window [Warmup, Duration], its end clamped to the stop.
+// Windows bins every reply before the stop, each bin its own set, and
+// Unconfirmed counts the submissions with no reply before it.
 func summarize(res *Result, meta []txMeta, warmup, duration time.Duration, stop types.Time) {
-	lats := make([]time.Duration, 0, len(meta))
 	var bins metrics.Series
+	replied := 0
 	for m := range landed(meta, 0, stop) {
-		lat := m.latency()
-		lats = append(lats, lat)
-		bins.Add(time.Duration(m.reply), lat)
+		bins.Add(time.Duration(m.reply), m.latency())
+		replied++
+	}
+	lats := make([]time.Duration, 0, replied)
+	for m := range landed(meta, types.Time(warmup), min(types.Time(duration)+1, stop)) {
+		lats = append(lats, m.latency())
 		if m.failed {
 			res.Aborted++
 		}
-		if m.reply >= types.Time(warmup) && m.reply <= types.Time(duration) {
-			res.Confirmed++
-		}
 	}
-	res.Submitted = len(meta)
+	res.Submitted, res.Confirmed, res.Unconfirmed = len(meta), len(lats), len(meta)-replied
 	res.Latency = metrics.Summarize(lats)
 	for i := range bins {
 		res.Windows = append(res.Windows, bins.Window(i))

@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/scenario"
 	"repro/internal/types"
 )
@@ -137,33 +139,57 @@ func TestZeroWidthWindowsStayEmpty(t *testing.T) {
 	}
 }
 
-// TestRunWindowClosedBounds pins the run window's rule: replies at exactly
-// Warmup and exactly Duration count in Confirmed, one a nanosecond past
-// Duration does not, and Latency, Aborted and the series count every reply.
+// TestRunWindowClosedBounds pins the run window's one set: replies at
+// exactly Warmup and exactly Duration count, one a nanosecond outside either
+// end does not, and Confirmed, Aborted and the latency summary read the same
+// replies. The series bins every reply before the stop and Unconfirmed
+// counts the submissions without one. A stop at Duration clamps the window:
+// the reply at Duration has not landed. A run whose replies all land in the
+// drain reports no latency rather than the drain's beside zero throughput.
 func TestRunWindowClosedBounds(t *testing.T) {
 	warmup, duration := time.Second, 4*time.Second
-	meta := repliesAt(warmup, duration, duration+time.Nanosecond)
-	meta[2].failed = true
-	meta = append(meta, txMeta{submit: types.Time(time.Second)}) // never confirmed
-	var res Result
-	summarize(&res, meta, warmup, duration, forever)
-	if res.Submitted != 4 || res.Confirmed != 2 || res.Aborted != 1 || res.Latency.Count != 3 {
-		t.Fatalf("submitted %d, confirmed %d, aborted %d, latency over %d; want 4, 2, 1, 3",
-			res.Submitted, res.Confirmed, res.Aborted, res.Latency.Count)
-	}
-	if want := 2 / (duration - warmup).Seconds(); res.ThroughputTPS != want {
-		t.Fatalf("throughput %v, want %v", res.ThroughputTPS, want)
-	}
-	if n := len(res.Windows); n != 9 || res.Windows[2].Confirmed != 1 || res.Windows[8].Confirmed != 2 {
-		t.Fatalf("windows %+v: want 9, one reply in bin 2 and two in bin 8", res.Windows)
+	edges := repliesAt(warmup-time.Nanosecond, warmup, duration, duration+time.Nanosecond)
+	edges[2].failed = true
+	edges = append(edges, txMeta{submit: types.Time(time.Second)}) // never confirmed
+	for _, tc := range []struct {
+		name                            string
+		meta                            []txMeta
+		stop                            types.Time
+		confirmed, aborted, unconfirmed int
+		bins                            []int // replies per 0.5 s series bin
+	}{
+		{"edges", edges, forever, 2, 1, 1, []int{0, 1, 1, 0, 0, 0, 0, 0, 2}},
+		{"halted at Duration", edges, types.Time(duration), 1, 0, 3, []int{0, 1, 1}},
+		{"drain only", repliesAt(duration+time.Second, duration+2*time.Second), forever, 0, 0, 0,
+			[]int{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1}},
+	} {
+		var res Result
+		summarize(&res, tc.meta, warmup, duration, tc.stop)
+		if res.Submitted != len(tc.meta) || res.Confirmed != tc.confirmed || res.Aborted != tc.aborted || res.Unconfirmed != tc.unconfirmed {
+			t.Fatalf("%s: submitted %d, confirmed %d, aborted %d, unconfirmed %d; want %d, %d, %d, %d", tc.name,
+				res.Submitted, res.Confirmed, res.Aborted, res.Unconfirmed, len(tc.meta), tc.confirmed, tc.aborted, tc.unconfirmed)
+		}
+		if res.Latency.Count != res.Confirmed || (res.Confirmed == 0 && res.Latency != metrics.Summary{}) {
+			t.Fatalf("%s: latency %v over a window of %d replies", tc.name, res.Latency, res.Confirmed)
+		}
+		if want := float64(tc.confirmed) / (duration - warmup).Seconds(); res.ThroughputTPS != want {
+			t.Fatalf("%s: throughput %v, want %v", tc.name, res.ThroughputTPS, want)
+		}
+		bins := make([]int, len(res.Windows))
+		for i, w := range res.Windows {
+			bins[i] = w.Confirmed
+		}
+		if !slices.Equal(bins, tc.bins) {
+			t.Fatalf("%s: series bins %v, want %v", tc.name, bins, tc.bins)
+		}
 	}
 }
 
 // TestScenarioEventOnSeriesBinEdgeEndToEnd runs a real cluster with a
 // scenario boundary exactly on a 0.5 s series-bin edge and checks the
 // phase windows partition every recorded confirmation: the sum of
-// per-window counts equals the run's latency count, and streamed
-// OnPhase values equal the final Result.Phases.
+// per-window counts equals the run's replies, every submission's, and
+// streamed OnPhase values equal the final Result.Phases.
 func TestScenarioEventOnSeriesBinEdgeEndToEnd(t *testing.T) {
 	scn := scenario.New("edge").
 		StraggleAt(1500*time.Millisecond, 5, 3).
@@ -181,8 +207,9 @@ func TestScenarioEventOnSeriesBinEdgeEndToEnd(t *testing.T) {
 	for _, p := range res.Phases {
 		sum += p.Confirmed
 	}
-	if sum != res.Latency.Count {
-		t.Fatalf("phase windows count %d confirmations, run recorded %d — boundary drift", sum, res.Latency.Count)
+	if res.Unconfirmed != 0 || sum != res.Submitted {
+		t.Fatalf("phase windows count %d confirmations, run recorded %d of %d — boundary drift",
+			sum, res.Submitted-res.Unconfirmed, res.Submitted)
 	}
 	if len(streamed) != len(res.Phases) {
 		t.Fatalf("streamed %d phases, result has %d", len(streamed), len(res.Phases))

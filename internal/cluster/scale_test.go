@@ -58,8 +58,8 @@ func TestLargeClusterEveryProtocol(t *testing.T) {
 			if res.Submitted == 0 {
 				t.Fatal("nothing submitted")
 			}
-			if res.Latency.Count < res.Submitted*9/10 {
-				t.Fatalf("only %d of %d txs reached f+1 replies", res.Latency.Count, res.Submitted)
+			if res.Unconfirmed > res.Submitted/10 {
+				t.Fatalf("%d of %d txs never reached f+1 replies", res.Unconfirmed, res.Submitted)
 			}
 			if res.Aborted > res.Submitted/20 {
 				t.Fatalf("%d aborts of %d", res.Aborted, res.Submitted)

@@ -242,8 +242,9 @@ func TestStaticCrashIsAScenarioCrash(t *testing.T) {
 // and on a phase boundary. Every window clamps to the stop and counts only
 // the replies that landed before it; OnPhase sees exactly the phases that
 // opened before the stop, each equal to its Result.Phases entry. The run's
-// own numbers stop there too: Confirmed, Aborted, the latency summary and
-// the series count only the replies that landed before the stop, the rate
+// own numbers stop there too: Confirmed, Aborted and the latency summary
+// count only the window's replies that landed before the stop, the series
+// every reply before it, Unconfirmed the submissions with none, the rate
 // divides by the part of the window before it, and no window streamed or
 // returned opens at or after it.
 func TestHaltedScenarioRun(t *testing.T) {
@@ -267,9 +268,9 @@ func TestHaltedScenarioRun(t *testing.T) {
 			landed++
 			if reply >= types.Time(cfg.Warmup) && reply <= types.Time(cfg.Duration) {
 				inWindow++
-			}
-			if !success {
-				aborted++
+				if !success {
+					aborted++
+				}
 			}
 		}
 		var streamed []PhaseWindow
@@ -278,9 +279,10 @@ func TestHaltedScenarioRun(t *testing.T) {
 		cfg.OnWindow = func(w WindowStat) { windows = append(windows, w) }
 		res := Run(cfg)
 
-		if res.Confirmed != inWindow || res.Latency.Count != landed || res.Aborted != aborted {
-			t.Fatalf("stop %v: confirmed %d, latency over %d, aborted %d; %d, %d and %d replies landed before the stop",
-				stop, res.Confirmed, res.Latency.Count, res.Aborted, inWindow, landed, aborted)
+		if res.Confirmed != inWindow || res.Latency.Count != inWindow || res.Aborted != aborted ||
+			res.Unconfirmed != res.Submitted-landed {
+			t.Fatalf("stop %v: confirmed %d, latency over %d, aborted %d, unconfirmed %d; %d window replies (%d aborts) and %d of %d landed before the stop",
+				stop, res.Confirmed, res.Latency.Count, res.Aborted, res.Unconfirmed, inWindow, aborted, landed, res.Submitted)
 		}
 		if want := float64(inWindow) / (stop - cfg.Warmup).Seconds(); res.ThroughputTPS != want {
 			t.Fatalf("stop %v: throughput %v, want %v", stop, res.ThroughputTPS, want)

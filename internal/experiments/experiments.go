@@ -99,11 +99,14 @@ func baseConfig(mode core.Mode, n int, net cluster.NetProfile, scale float64) cl
 	}
 }
 
-// Row is one data point of a throughput/latency sweep. MsgsPerCommit is
-// only populated by the F-scale figure (protocol messages delivered per
-// client-visible confirmation; analytic-SB cells fold in the closed-form
-// model's traffic) and omitted elsewhere — an additive orthrus-bench/v2
-// schema extension.
+// Row is one data point of a throughput/latency sweep: its throughput and
+// latencies read the same replies, those that landed in the run's window
+// (cluster.Result), and a row with none has zero latency. Unconfirmed
+// counts the submissions that got no reply before the run stopped.
+// MsgsPerCommit is only populated by the F-scale figure (protocol messages
+// delivered per client-visible confirmation; analytic-SB cells fold in the
+// closed-form model's traffic). Both are omitted when zero — additive
+// orthrus-bench/v2 schema extensions.
 type Row struct {
 	Protocol      string  `json:"protocol"`
 	N             int     `json:"n"`
@@ -111,17 +114,19 @@ type Row struct {
 	TputKTPS      float64 `json:"tput_ktps"`
 	LatencyS      float64 `json:"latency_s"`
 	P99S          float64 `json:"p99_s"`
+	Unconfirmed   int     `json:"unconfirmed,omitempty"`
 	MsgsPerCommit float64 `json:"msgs_per_commit,omitempty"`
 }
 
 func toRow(res *cluster.Result, stragglers int) Row {
 	return Row{
-		Protocol:   res.Protocol,
-		N:          res.N,
-		Stragglers: stragglers,
-		TputKTPS:   res.ThroughputTPS / 1000,
-		LatencyS:   res.Latency.Mean.Seconds(),
-		P99S:       res.Latency.P99.Seconds(),
+		Protocol:    res.Protocol,
+		N:           res.N,
+		Stragglers:  stragglers,
+		TputKTPS:    res.ThroughputTPS / 1000,
+		LatencyS:    res.Latency.Mean.Seconds(),
+		P99S:        res.Latency.P99.Seconds(),
+		Unconfirmed: res.Unconfirmed,
 	}
 }
 

@@ -210,7 +210,7 @@ func TestFigureResultJSONRoundTrip(t *testing.T) {
 	in := FigureResult{
 		Figure: "3",
 		Title:  "demo",
-		Tables: []Table{{Title: "t", Rows: []Row{{Protocol: "Orthrus", N: 8, TputKTPS: 1.5, LatencyS: 0.25, P99S: 0.5}}}},
+		Tables: []Table{{Title: "t", Rows: []Row{{Protocol: "Orthrus", N: 8, TputKTPS: 1.5, LatencyS: 0.25, P99S: 0.5, Unconfirmed: 3}}}},
 		Breakdowns: []BreakdownResult{{Protocol: "ISS",
 			Stages: map[string]time.Duration{"Send": time.Second}, Total: time.Second}},
 		Series: []SeriesResult{{Faults: 1, TimeS: []float64{0, 0.5}, TputKTPS: []float64{1, 2},
@@ -226,6 +226,27 @@ func TestFigureResultJSONRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("round trip mismatch:\nin  %+v\nout %+v", in, out)
+	}
+}
+
+// TestRowWithoutReplies: a cell none of whose replies landed in its
+// window has no latency, so its row carries the unconfirmed count and
+// renders "-" where a latency would be, not a 0.00 beside a zero
+// throughput; a row with replies renders its latencies as before.
+func TestRowWithoutReplies(t *testing.T) {
+	empty := toRow(&cluster.Result{Protocol: "ISS", N: 8, Submitted: 9, Unconfirmed: 5}, 1)
+	if empty.LatencyS != 0 || empty.P99S != 0 || empty.Unconfirmed != 5 {
+		t.Fatalf("row %+v: want zero latency and 5 unconfirmed", empty)
+	}
+	full := Row{Protocol: "Orthrus", N: 8, Stragglers: 1, TputKTPS: 1.4, LatencyS: 1.09, P99S: 2.52}
+	var buf bytes.Buffer
+	printRows(&buf, "t", []Row{empty, full})
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if got := strings.Fields(lines[len(lines)-2]); !reflect.DeepEqual(got, []string{"ISS", "8", "1", "0.0", "-", "-"}) {
+		t.Fatalf("empty row renders %q", got)
+	}
+	if got := strings.Fields(lines[len(lines)-1]); !reflect.DeepEqual(got, []string{"Orthrus", "8", "1", "1.4", "1.09", "2.52"}) {
+		t.Fatalf("row renders %q", got)
 	}
 }
 

@@ -26,8 +26,12 @@ func printRows(w io.Writer, title string, rows []Row) {
 	}
 	fmt.Fprintln(w)
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-8s %5d %10d %12.1f %10.2f %10.2f",
-			r.Protocol, r.N, r.Stragglers, r.TputKTPS, r.LatencyS, r.P99S)
+		lat, p99 := "-", "-" // no reply landed in the window
+		if r.LatencyS > 0 {
+			lat, p99 = fmt.Sprintf("%.2f", r.LatencyS), fmt.Sprintf("%.2f", r.P99S)
+		}
+		fmt.Fprintf(w, "%-8s %5d %10d %12.1f %10s %10s",
+			r.Protocol, r.N, r.Stragglers, r.TputKTPS, lat, p99)
 		if withMsgs {
 			fmt.Fprintf(w, " %12.1f", r.MsgsPerCommit)
 		}

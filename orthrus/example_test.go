@@ -32,7 +32,11 @@ func Example() {
 		fmt.Println("error:", err)
 		return
 	}
-	fmt.Printf("confirmed %d of %d transactions\n", res.Latency.Count, res.Submitted)
+	confirmed := 0 // every reply, the drain's included: the series' sum
+	for _, w := range res.Windows {
+		confirmed += w.Confirmed
+	}
+	fmt.Printf("confirmed %d of %d transactions\n", confirmed, res.Submitted)
 	fmt.Printf("alice=%d bob=%d counter=%d converged=%v\n",
 		res.Balance("alice"), res.Balance("bob"), res.SharedValue("counter"), res.Converged)
 	// Output:

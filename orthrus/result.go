@@ -31,10 +31,10 @@ type Result struct {
 	Net      string
 	Replicas int
 
-	// Submitted counts submissions. Confirmed counts client-visible
-	// confirmations (the (f+1)-th reply) that landed in the measured window
-	// [warmup, duration], both ends included; Aborted counts every
-	// client-visible reply that reports an abort, the drain's included.
+	// Submitted counts submissions. Confirmed, Aborted, ThroughputTPS and
+	// Latency read one set: the client-visible confirmations (the (f+1)-th
+	// reply) that landed in the measured window [warmup, duration], both
+	// ends included. Aborted counts those that report an abort.
 	Submitted int
 	Confirmed int
 	Aborted   int
@@ -42,12 +42,13 @@ type Result struct {
 	// ThroughputTPS is Confirmed over the measured window's length,
 	// duration minus warmup.
 	ThroughputTPS float64
-	// Latency is the client-observed latency distribution of every
-	// client-visible reply, the drain's included — a wider set than
-	// Confirmed's.
+	// Latency is the client-observed latency distribution of Confirmed's
+	// replies; its Count equals Confirmed, and a run with no reply in the
+	// window has a zero Latency.
 	Latency Latency
-	// Windows bins those same replies over 0.5 s intervals by landing time
-	// (Fig. 7's series), up to the last bin with a reply.
+	// Windows bins every client-visible reply, the drain's included, over
+	// 0.5 s intervals by landing time (Fig. 7's series), up to the last bin
+	// with a reply; their Confirmed counts sum to the run's replies.
 	Windows []Window
 	// Breakdown is the observer replica's five-stage latency split, in
 	// stage order (Fig. 6).
