@@ -169,10 +169,9 @@ func (r *Replica) tryStabilize(e uint64, d [32]byte) {
 }
 
 // gcEpoch discards data the stable checkpoint makes obsolete: confirmed-tx
-// dedup records, finished trackers, the escrow-pool high-water mark,
-// pre-checkpoint boundary snapshots, and the engines' delivered-block logs
-// below the floor (catch-up supersedes their laggard-repair role there).
-// Everything released here is
+// dedup records, finished trackers, pre-checkpoint boundary snapshots, and
+// the engines' delivered-block logs below the floor (catch-up supersedes
+// their laggard-repair role there). Everything released here is
 // execution-irrelevant — delivery, execution, and messaging never read it
 // again — so collecting it cannot change what a run measures.
 func (r *Replica) gcEpoch() {
@@ -203,7 +202,6 @@ func (r *Replica) gcEpoch() {
 			delete(r.bound, e)
 		}
 	}
-	r.store.TrimPool(64)
 }
 
 // SBs exposes the SB instances for tests and the cluster harness.

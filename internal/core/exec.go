@@ -2,7 +2,9 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 
+	"repro/internal/ledger"
 	"repro/internal/partition"
 	"repro/internal/types"
 )
@@ -24,6 +26,15 @@ import (
 //     transaction executes only when it is ready (its escrow phase finished
 //     on every involved instance); later entries never overtake it, so
 //     shared-object operations run in exactly the global order everywhere.
+//
+//   - Execution addresses the ledger by handle. When a tracker starts,
+//     track resolves each op's key once to the store's ledger.Handle (and
+//     each payer's bucket, by handle); escrow, commit, abort, credit and
+//     shared assign then index slices. The tracker is the transaction's
+//     escrow record: the legs of an escrowed route entry hold, a failing
+//     leg returns the legs its own call held, and settle releases or
+//     returns exactly the legs that hold. Handles are replica-private,
+//     like slots: they never enter a message or a types.Transaction.
 
 // txTracker follows one transaction across the instances it was assigned
 // to: which instances escrowed its payer operations, how many global-log
@@ -31,26 +42,36 @@ import (
 // replica first received it and first saw it proposed and delivered (zero:
 // not yet) — the stamps OnConfirm reports. Trackers live in Replica.trk,
 // addressed by the transaction's table slot.
+//
+// The tracker is also the transaction's escrow record (see Execution
+// model); holding keeps its open record counted in the ledger's
+// EscrowCount.
 type txTracker struct {
 	tx *types.Transaction // first copy seen; dropped once confirmed
-	// The route (every payer's bucket for Orthrus, the first otherwise) is
-	// computed once per slot: n entries, in arr unless it outgrows it.
+	// The route (every payer's bucket for Orthrus, the first otherwise) and
+	// each op's ledger handle are resolved once per slot: n route entries
+	// in arr and the handles in hs, unless either outgrows its array, when
+	// both live in wide.
 	wide         *wideRoute
-	arr          [4]int
+	arr          [4]int32
+	hs           [4]ledger.Handle
 	n            int32 // 0: the slot is not tracked
-	done         bool  // confirmed: committed or aborted
 	slot         partition.Slot
 	gen          uint32 // tracker incarnations of the slot; see txRef
 	occurSeen    int32  // glog occurrences processed so far
-	escrowedBits uint64 // bit i set: route()[i]'s payer ops escrowed
+	done         bool   // confirmed: committed or aborted
+	holding      bool   // some leg holds: a ledger escrow record is open
+	escrowedBits uint64 // bit i set: route()[i]'s payer legs hold
 
 	received, proposed, delivered types.Time
 }
 
-// wideRoute holds a route longer than the inline array and the escrow bits
-// past 64 (the SDK allows that many distinct payer buckets at large m).
+// wideRoute holds a route or op handles longer than the inline arrays, and
+// the escrow bits past 64 (the SDK allows that many distinct payer buckets
+// at large m).
 type wideRoute struct {
-	route      []int
+	route      []int32
+	handles    []ledger.Handle
 	escrowedHi []uint64
 }
 
@@ -67,11 +88,19 @@ type delivered struct {
 	refs []txRef
 }
 
-func (t *txTracker) route() []int {
+func (t *txTracker) route() []int32 {
 	if t.wide != nil {
 		return t.wide.route
 	}
 	return t.arr[:t.n]
+}
+
+// handle returns the ledger handle of the transaction's op i.
+func (t *txTracker) handle(i int) ledger.Handle {
+	if t.wide != nil {
+		return t.wide.handles[i]
+	}
+	return t.hs[i]
 }
 
 const trkChunk = 512 // trackers per chunk of Replica.trk; chunks never move
@@ -87,25 +116,76 @@ func (r *Replica) track(tx *types.Transaction) *txTracker {
 	}
 	t := r.tracker(s)
 	if t.n == 0 {
-		route := r.buckets.AppendBucketsOf(t.arr[:0], tx)
-		if len(route) == 0 {
-			route = append(route, r.buckets.Assign(tx.Client))
-		}
-		if !r.cfg.Mode.SplitMultiPayer {
-			route = route[:1]
-		}
-		t.n = int32(len(route))
-		if len(route) > len(t.arr) {
-			t.wide = &wideRoute{route: route}
-		} else {
-			// More than len(arr) buckets spill the append (and its sort) to
-			// the heap even when the route is then cut back to its head.
-			copy(t.arr[:], route)
-		}
+		r.resolve(t, tx)
 		t.tx, t.slot = tx, s
 		r.buckets.Table().Pin(s)
 	}
 	return t
+}
+
+// resolve fills t's route and op handles for tx. The route is the distinct
+// buckets of tx's payers, ascending (its client's bucket if it has none),
+// cut to its head unless the mode splits multi-payer transactions.
+func (r *Replica) resolve(t *txTracker, tx *types.Transaction) {
+	hs, route := t.hs[:0], t.arr[:0]
+	for _, op := range tx.Ops {
+		if op.Type == types.Shared {
+			hs = append(hs, r.store.Record(op.Key))
+			continue
+		}
+		a := r.account(op.Key)
+		hs = append(hs, a)
+		if op.IsPayerOp() {
+			route = addBucket(route, r.bucketOf(a, op.Key))
+		}
+	}
+	if len(route) == 0 {
+		route = append(route, r.bucketOf(r.account(tx.Client), tx.Client))
+	}
+	if !r.cfg.Mode.SplitMultiPayer {
+		route = route[:1]
+	}
+	t.n = int32(len(route))
+	if len(route) <= len(t.arr) && len(hs) <= len(t.hs) {
+		copy(t.arr[:], route) // a route cut back to its head may have spilled
+		return
+	}
+	t.wide = &wideRoute{route: slices.Clone(route), handles: slices.Clone(hs)}
+}
+
+// addBucket inserts b into the ascending, distinct route.
+func addBucket(route []int32, b int32) []int32 {
+	i := len(route)
+	for i > 0 && route[i-1] >= b {
+		if route[i-1] == b {
+			return route
+		}
+		i--
+	}
+	route = append(route, 0)
+	copy(route[i+1:], route[i:])
+	route[i] = b
+	return route
+}
+
+// account resolves owned key k to its ledger handle, extending the
+// replica's per-account slices to cover it.
+func (r *Replica) account(k types.Key) ledger.Handle {
+	a := r.store.Account(k)
+	for int(a) >= len(r.promised) {
+		r.promised = append(r.promised, 0)
+		r.payerBucket = append(r.payerBucket, -1)
+	}
+	return a
+}
+
+// bucketOf returns account a's bucket: k's partition.Assign, hashed once
+// per account.
+func (r *Replica) bucketOf(a ledger.Handle, k types.Key) int32 {
+	if r.payerBucket[a] < 0 {
+		r.payerBucket[a] = int32(partition.Assign(k, r.cfg.M))
+	}
+	return r.payerBucket[a]
 }
 
 // refsOf interns every transaction of b; the refs are carved from a shared
@@ -136,7 +216,7 @@ func (r *Replica) at(ref txRef, tx *types.Transaction) *txTracker {
 // escrowed reports whether the given instance's payer ops escrowed.
 func (t *txTracker) escrowed(instance int) bool {
 	for i, inst := range t.route() {
-		if inst == instance {
+		if int(inst) == instance {
 			if i < 64 {
 				return t.escrowedBits&(1<<uint(i)) != 0
 			}
@@ -150,7 +230,7 @@ func (t *txTracker) escrowed(instance int) bool {
 // markEscrowed records a successful escrow phase on instance.
 func (t *txTracker) markEscrowed(instance int) {
 	for i, inst := range t.route() {
-		if inst != instance {
+		if int(inst) != instance {
 			continue
 		}
 		if i < 64 {
@@ -279,7 +359,6 @@ func (r *Replica) execPartial(instance int, d delivered) {
 			r.settle(t, tx, false)
 			continue
 		}
-		t.markEscrowed(instance)
 		if t.escrowedCount() == int(t.n) && tx.Kind() == types.Payment {
 			// All payer escrows committed: the payment is decided. Apply
 			// credits and confirm without waiting for the global log.
@@ -288,38 +367,60 @@ func (r *Replica) execPartial(instance int, d delivered) {
 	}
 }
 
-// escrowLegs escrows the payer legs of tx that legOn gives instance; it
-// reports whether every one of them held.
+// escrowLegs holds the payer legs of tx that legOf gives instance and, if
+// every one held, marks the instance escrowed. A leg that fails returns
+// the legs this call held, so a failed call leaves nothing held.
 func (r *Replica) escrowLegs(t *txTracker, tx *types.Transaction, instance int) bool {
-	id := tx.ID()
-	for _, op := range tx.Ops {
-		if op.IsPayerOp() && r.legOn(t, op.Key, instance) && !r.store.Escrow(op, id) {
+	held := false
+	for i, op := range tx.Ops {
+		if !op.IsPayerOp() || r.legOf(t, i) != instance {
+			continue
+		}
+		if !r.store.Hold(t.handle(i), op.Amount, op.Con) {
+			for j, op := range tx.Ops[:i] {
+				if op.IsPayerOp() && r.legOf(t, j) == instance {
+					r.store.Return(t.handle(j), op.Amount)
+				}
+			}
 			return false
 		}
+		held = true
 	}
+	if held && !t.holding {
+		t.holding = true
+		r.store.OpenRecord()
+	}
+	t.markEscrowed(instance)
 	return true
 }
 
 // settle decides t's transaction tx, the one step every commit or abort
-// takes: on ok its escrows commit and its credits apply, otherwise every
-// escrow it holds is undone; either way it is confirmed.
+// takes: the legs that hold (their instance escrowed) are released on ok,
+// when the credits apply too, and returned otherwise; either way it is
+// confirmed.
 func (r *Replica) settle(t *txTracker, tx *types.Transaction, ok bool) {
-	if ok {
-		r.store.CommitEscrow(tx.ID())
-		r.applyCredits(tx)
-	} else {
-		r.store.AbortEscrow(tx.ID())
+	if t.holding {
+		for i, op := range tx.Ops {
+			if !op.IsPayerOp() || !t.escrowed(r.legOf(t, i)) {
+				continue
+			}
+			if ok {
+				r.store.Release(t.handle(i), op.Amount)
+			} else {
+				r.store.Return(t.handle(i), op.Amount)
+			}
+		}
+		t.holding = false
+		r.store.CloseRecord()
 	}
-	r.confirm(t, ok)
-}
-
-// applyCredits applies the incremental owned-object operations of tx.
-func (r *Replica) applyCredits(tx *types.Transaction) {
-	for _, op := range tx.Ops {
-		if op.Type == types.Owned && op.Kind == types.OpIncrement {
-			_ = r.store.ApplyIncrement(op) // increments cannot fail
+	if ok {
+		for i, op := range tx.Ops {
+			if op.Type == types.Owned && op.Kind == types.OpIncrement {
+				r.store.Add(t.handle(i), op.Amount)
+			}
 		}
 	}
+	r.confirm(t, ok)
 }
 
 // glogCursor walks the transactions of one globally confirmed block.
@@ -377,30 +478,31 @@ func (r *Replica) drainGlogQueue() {
 }
 
 // execGlobal finishes t's transaction at its global-log position. Without
-// the fast path its payer legs escrow here, each on its route entry;
-// Orthrus escrowed them at partial-log time. Then the shared-object
-// operations run (the non-commutative part) and the transaction settles.
+// the fast path its payer legs escrow here, each on its route entry, until
+// one fails (settle returns the entries that held); Orthrus escrowed them
+// at partial-log time. Then the shared-object operations run (the
+// non-commutative part) and the transaction settles.
 func (r *Replica) execGlobal(t *txTracker) {
 	tx := t.tx
 	ok := true
 	if !r.cfg.Mode.FastPathPayments {
 		for _, instance := range t.route() {
-			ok = ok && r.escrowLegs(t, tx, instance)
+			ok = ok && r.escrowLegs(t, tx, int(instance))
 		}
 	}
-	r.settle(t, tx, ok && r.execShared(tx))
+	r.settle(t, tx, ok && r.execShared(t, tx))
 }
 
-// execShared runs the shared-object operations of tx; it reports success.
-// On failure, earlier shared effects of the same tx remain applied — every
-// replica executes the identical prefix in the identical global position,
-// so consistency across replicas is preserved.
-func (r *Replica) execShared(tx *types.Transaction) bool {
-	for _, op := range tx.Ops {
+// execShared runs the shared-object operations of t's transaction tx; it
+// reports success. On failure, earlier shared effects of the same tx remain
+// applied — every replica executes the identical prefix in the identical
+// global position, so consistency across replicas is preserved.
+func (r *Replica) execShared(t *txTracker, tx *types.Transaction) bool {
+	for i, op := range tx.Ops {
 		if op.Type != types.Shared {
 			continue
 		}
-		if _, err := r.store.ApplyShared(op); err != nil {
+		if _, err := r.store.Apply(t.handle(i), op); err != nil {
 			return false
 		}
 	}

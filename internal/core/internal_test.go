@@ -72,13 +72,13 @@ func TestRouteOfSplitVsNoSplit(t *testing.T) {
 func TestRouteOfManyPayerBuckets(t *testing.T) {
 	const m = 16
 	var payers []types.Key
-	var want []int
+	var want []int32
 	for b := m - 1; len(payers) < 6; b -= 2 {
 		for i := 0; ; i++ {
 			k := types.Key(fmt.Sprintf("payer-%d", i))
 			if partition.Assign(k, m) == b {
 				payers = append(payers, k)
-				want = append([]int{b}, want...)
+				want = append([]int32{int32(b)}, want...)
 				break
 			}
 		}
@@ -101,9 +101,9 @@ func TestRouteOfManyPayerBuckets(t *testing.T) {
 		t.Fatalf("no-split route = %v, want the smallest bucket [%d]", got, want[0])
 	}
 	// The one route entry takes every payer leg, wherever its payer hashes.
-	for _, p := range payers {
-		if !r.legOn(tr, p, want[0]) {
-			t.Fatalf("payer %s (bucket %d) is not handled on the route's one entry %d", p, partition.Assign(p, m), want[0])
+	for i, op := range tx.Ops {
+		if op.IsPayerOp() && r.legOf(tr, i) != int(want[0]) {
+			t.Fatalf("payer %s (bucket %d) is not handled on the route's one entry %d", op.Key, partition.Assign(op.Key, m), want[0])
 		}
 	}
 }
@@ -114,7 +114,7 @@ func TestRouteOfMintFallsBackToClient(t *testing.T) {
 		{Key: "alice", Type: types.Owned, Kind: types.OpIncrement, Amount: 5},
 	}}
 	got := r.track(mint).route()
-	if len(got) != 1 || got[0] != partition.Assign("faucet", 4) {
+	if len(got) != 1 || int(got[0]) != partition.Assign("faucet", 4) {
 		t.Fatalf("mint route = %v", got)
 	}
 }
@@ -336,12 +336,12 @@ func TestGlogHeadBlockingPreservesOrder(t *testing.T) {
 	inst1 := partition.Assign("alice", 4)
 	// Track both transactions; only con2's escrow phase has run.
 	t1, t2 := r.track(con1), r.track(con2)
-	r.store.Escrow(con2.Ops[0], con2.ID())
-	t2.markEscrowed(t2.route()[0])
+	inst2 := int(t2.route()[0])
+	r.escrowLegs(t2, con2, inst2)
 
 	r.enqueueGlobal([]*types.Block{
 		{Instance: inst1, Txs: []types.Transaction{*con1}},
-		{Instance: t2.route()[0], Txs: []types.Transaction{*con2}},
+		{Instance: inst2, Txs: []types.Transaction{*con2}},
 	})
 	r.drainGlogQueue()
 	if t1.done || t2.done {
@@ -349,8 +349,7 @@ func TestGlogHeadBlockingPreservesOrder(t *testing.T) {
 	}
 	// Complete con1's escrow phase; both must now execute in order, leaving
 	// rec = 2 (con2 last).
-	r.store.Escrow(con1.Ops[0], con1.ID())
-	t1.markEscrowed(t1.route()[0])
+	r.escrowLegs(t1, con1, inst1)
 	r.drainGlogQueue()
 	if !t1.done || !t2.done {
 		t.Fatal("glog queue did not drain after head became ready")
@@ -382,11 +381,12 @@ func TestTrackerWideInstanceSets(t *testing.T) {
 	// payer buckets at large m) must track escrow progress exactly; the
 	// inline word overflows into escrowedHi.
 	for _, width := range []int{1, 2, 63, 64, 65, 100, 128} {
-		tr := &txTracker{wide: &wideRoute{route: make([]int, width)}, n: int32(width)}
+		tr := &txTracker{wide: &wideRoute{route: make([]int32, width)}, n: int32(width)}
 		for i := range tr.wide.route {
-			tr.wide.route[i] = i * 3 // arbitrary distinct instance ids
+			tr.wide.route[i] = int32(i * 3) // arbitrary distinct instance ids
 		}
-		for i, inst := range tr.route() {
+		for i, r := range tr.route() {
+			inst := int(r)
 			if tr.escrowed(inst) {
 				t.Fatalf("width %d: position %d escrowed before marking", width, i)
 			}
@@ -401,7 +401,7 @@ func TestTrackerWideInstanceSets(t *testing.T) {
 		if tr.escrowedCount() != width {
 			t.Fatalf("width %d: tracker not ready with every instance escrowed", width)
 		}
-		tr.markEscrowed(tr.route()[0]) // idempotent
+		tr.markEscrowed(int(tr.route()[0])) // idempotent
 		if got := tr.escrowedCount(); got != width {
 			t.Fatalf("width %d: re-mark changed count to %d", width, got)
 		}

@@ -116,10 +116,13 @@ type Replica struct {
 	glogQ    []glogCursor
 	glogHead int
 
-	// proposedDebits tracks amounts this replica (as leader) has promised in
-	// proposed-but-not-yet-executed blocks, so feasibility validation of new
-	// batches does not double-spend a payer across pipelined blocks.
-	proposedDebits map[types.Key]types.Amount
+	// promised tracks, per ledger account handle, the amount this replica
+	// (as leader) has promised in proposed-but-not-yet-executed blocks, so
+	// feasibility validation of new batches does not double-spend a payer
+	// across pipelined blocks. payerBucket memoizes each account's bucket
+	// (-1: not yet hashed). Both cover every handle a tracker resolved.
+	promised    []types.Amount
+	payerBucket []int32
 
 	// Per-transaction state is addressed by slot: buckets.Table() interns a
 	// transaction once per arrival — SubmitTx, and each transaction of a
@@ -223,24 +226,23 @@ func NewReplica(cfg Config, sim types.Clock, nw types.Network) *Replica {
 	}
 	cfg.Params = cfg.Params.WithDefaults()
 	r := &Replica{
-		cfg:            cfg,
-		sim:            sim,
-		nw:             nw,
-		buckets:        partition.NewSet(cfg.M),
-		store:          ledger.NewStore(),
-		global:         cfg.Mode.NewGlobal(cfg.M),
-		state:          make(types.StateVector, cfg.M),
-		execState:      make(types.StateVector, cfg.M),
-		execQ:          make([][]delivered, cfg.M),
-		execQhead:      make([]int, cfg.M),
-		execQocc:       make([]uint64, (cfg.M+63)/64),
-		proposedDebits: make(map[types.Key]types.Amount),
-		blockRefs:      make(map[*types.Block][]txRef),
-		ckptVotes:      make([]ckptVote, cfg.N),
-		instHash:       make([][32]byte, cfg.M),
-		bound:          make(map[uint64][][32]byte),
-		lastComplain:   make([]uint64, cfg.M),
-		pulseScale:     1,
+		cfg:          cfg,
+		sim:          sim,
+		nw:           nw,
+		buckets:      partition.NewSet(cfg.M),
+		store:        ledger.NewStore(),
+		global:       cfg.Mode.NewGlobal(cfg.M),
+		state:        make(types.StateVector, cfg.M),
+		execState:    make(types.StateVector, cfg.M),
+		execQ:        make([][]delivered, cfg.M),
+		execQhead:    make([]int, cfg.M),
+		execQocc:     make([]uint64, (cfg.M+63)/64),
+		blockRefs:    make(map[*types.Block][]txRef),
+		ckptVotes:    make([]ckptVote, cfg.N),
+		instHash:     make([][32]byte, cfg.M),
+		bound:        make(map[uint64][][32]byte),
+		lastComplain: make([]uint64, cfg.M),
+		pulseScale:   1,
 	}
 	r.stResps = make([]*StateTransferResp, cfg.N)
 	if cfg.Genesis != nil {
@@ -427,7 +429,7 @@ func (r *Replica) SubmitTx(tx *types.Transaction) error {
 	}
 	t := r.track(tx)
 	for _, i := range t.route() {
-		r.buckets.Bucket(i).PushSlot(tx, t.slot)
+		r.buckets.Bucket(int(i)).PushSlot(tx, t.slot)
 	}
 	if t.received == 0 {
 		t.received = r.sim.Now()
@@ -495,7 +497,7 @@ func (r *Replica) pulse(instance int) {
 			requeue = append(requeue, q) // Byzantine: silently skip
 			continue
 		}
-		if t := r.tracker(q.Slot); r.legFeasible(q.Tx, t, instance) {
+		if t := r.queued(q); r.legFeasible(q.Tx, t, instance) {
 			r.promiseDebits(q.Tx, t, instance)
 			batch = append(batch, q)
 		} else {
@@ -521,25 +523,38 @@ func (r *Replica) pulse(instance int) {
 	_ = e.Propose(b) // CanPropose was checked; a race-free sim cannot fail here
 }
 
-// legOn is the one rule for where a payer leg of t's transaction runs: a
-// route of one entry takes every leg (the payers share a bucket, or the
-// mode does not split), a longer route splits them by payer bucket.
-func (r *Replica) legOn(t *txTracker, payer types.Key, instance int) bool {
-	if t.n == 1 {
-		return t.arr[0] == instance
+// queued returns the tracker of a bucket entry. A queued transaction's
+// tracker is live unless stray occurrences (a Byzantine leader proposing it
+// off its route) let checkpoint GC release it; such an entry is resolved
+// afresh into a tracker of its own, which nothing keeps.
+func (r *Replica) queued(e partition.Entry) *txTracker {
+	if t := r.tracker(e.Slot); t.n != 0 {
+		return t
 	}
-	return r.buckets.Assign(payer) == instance
+	t := &txTracker{}
+	r.resolve(t, e.Tx)
+	return t
+}
+
+// legOf is the one rule for where payer leg i (op i) of t's transaction
+// runs: a route of one entry takes every leg (the payers share a bucket, or
+// the mode does not split), a longer route splits them by payer bucket.
+func (r *Replica) legOf(t *txTracker, i int) int {
+	if t.n == 1 {
+		return int(t.route()[0])
+	}
+	return int(r.payerBucket[t.handle(i)])
 }
 
 // legFeasible reports whether the payer operations of tx handled by the
 // given instance could escrow under the current executed state, minus the
 // debits this leader has already promised elsewhere.
 func (r *Replica) legFeasible(tx *types.Transaction, t *txTracker, instance int) bool {
-	for _, op := range tx.Ops {
-		if !op.IsPayerOp() || !r.legOn(t, op.Key, instance) {
+	for i, op := range tx.Ops {
+		if !op.IsPayerOp() || r.legOf(t, i) != instance {
 			continue // not a leg this instance validates
 		}
-		if r.store.Balance(op.Key)-r.proposedDebits[op.Key]-op.Amount < op.Con {
+		if a := t.handle(i); r.store.BalanceOf(a)-r.promised[a]-op.Amount < op.Con {
 			return false
 		}
 	}
@@ -549,9 +564,9 @@ func (r *Replica) legFeasible(tx *types.Transaction, t *txTracker, instance int)
 // promiseDebits reserves the batch's debits against future feasibility
 // checks until the block executes.
 func (r *Replica) promiseDebits(tx *types.Transaction, t *txTracker, instance int) {
-	for _, op := range tx.Ops {
-		if op.IsPayerOp() && r.legOn(t, op.Key, instance) {
-			r.proposedDebits[op.Key] += op.Amount
+	for i, op := range tx.Ops {
+		if op.IsPayerOp() && r.legOf(t, i) == instance {
+			r.promised[t.handle(i)] += op.Amount
 		}
 	}
 }
@@ -562,15 +577,12 @@ func (r *Replica) releaseProposedDebits(d delivered) {
 	for i := range d.b.Txs {
 		tx := &d.b.Txs[i]
 		t := r.at(d.refs[i], tx)
-		for _, op := range tx.Ops {
-			if !op.IsPayerOp() || !r.legOn(t, op.Key, d.b.Instance) {
+		for j, op := range tx.Ops {
+			if !op.IsPayerOp() || r.legOf(t, j) != d.b.Instance {
 				continue
 			}
-			if v := r.proposedDebits[op.Key] - op.Amount; v > 0 {
-				r.proposedDebits[op.Key] = v
-			} else {
-				delete(r.proposedDebits, op.Key)
-			}
+			a := t.handle(j)
+			r.promised[a] = max(r.promised[a]-op.Amount, 0)
 		}
 	}
 }
@@ -669,7 +681,7 @@ func (r *Replica) onDeliver(instance int, b *types.Block) {
 	// while an old, locally feasible transaction sits unproposed in this
 	// bucket — complain (vote for a view change), once per view.
 	bucket.Tick()
-	if e, age, ok := bucket.Oldest(); ok && age > r.cfg.CensorshipBlocks && r.legFeasible(e.Tx, r.tracker(e.Slot), instance) {
+	if e, age, ok := bucket.Oldest(); ok && age > r.cfg.CensorshipBlocks && r.legFeasible(e.Tx, r.queued(e), instance) {
 		view := r.sbs[instance].View()
 		if last := r.lastComplain[instance]; last < view+1 {
 			r.lastComplain[instance] = view + 1
@@ -701,7 +713,7 @@ func (r *Replica) onViewChange(instance int, view uint64) {
 		// execute. Dropping all promised debits is conservative for other
 		// instances but only over-admits transactions, which the escrow
 		// abort path handles deterministically.
-		r.proposedDebits = make(map[types.Key]types.Amount)
+		clear(r.promised)
 	}
 	if r.cfg.Mode.EpochStallOnViewChange {
 		until := r.sim.Now() + types.Time(r.cfg.ViewTimeout)

@@ -302,3 +302,136 @@ func TestPaymentCommutativityProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Property: the handle operations are the TxID-keyed API's arithmetic. A
+// random sequence of credits, escrows, commits, aborts, increments and
+// shared assigns runs through Escrow/CommitEscrow/AbortEscrow on one store
+// and through Hold/Release/Return on another, whose escrow records the test
+// keeps itself (as a replica's trackers do); after every step the two
+// stores must agree on every observable.
+func TestHandleOpsMatchTxIDReferenceProperty(t *testing.T) {
+	accounts := []types.Key{"a", "b", "c", "d", "never"}
+	records := []types.Key{"r1", "r2"}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		ref, hs := NewStore(), NewStore()
+		txs := make([]types.TxID, 6)
+		for i := range txs {
+			txs[i][0] = byte(i + 1)
+		}
+		type leg struct {
+			a      Handle
+			amount types.Amount
+		}
+		legs := make([][]leg, len(txs)) // hs's escrow records, by tx
+		settle := func(i int, commit bool) {
+			if commit {
+				ref.CommitEscrow(txs[i])
+			} else {
+				ref.AbortEscrow(txs[i])
+			}
+			for _, l := range legs[i] {
+				if commit {
+					hs.Release(l.a, l.amount)
+				} else {
+					hs.Return(l.a, l.amount)
+				}
+			}
+			if len(legs[i]) > 0 {
+				hs.CloseRecord()
+			}
+			legs[i] = nil
+		}
+		for step := 0; step < 60; step++ {
+			k := accounts[rng.Intn(len(accounts))]
+			amt := types.Amount(rng.Intn(40))
+			switch rng.Intn(6) {
+			case 0: // credit (never stays unwritten)
+				if k != "never" {
+					ref.Credit(k, amt)
+					hs.Add(hs.Account(k), amt)
+				}
+			case 1: // escrow one payer op under a random tx
+				i := rng.Intn(len(txs))
+				con := types.Amount(rng.Intn(3)) * 5
+				op := types.Op{Key: k, Type: types.Owned, Kind: types.OpDecrement, Amount: amt, Con: con}
+				a := hs.Account(k)
+				got := hs.Hold(a, amt, con)
+				if got != ref.Escrow(op, txs[i]) {
+					return false
+				}
+				if got {
+					if len(legs[i]) == 0 {
+						hs.OpenRecord()
+					}
+					legs[i] = append(legs[i], leg{a, amt})
+				}
+			case 2:
+				settle(rng.Intn(len(txs)), true)
+			case 3:
+				settle(rng.Intn(len(txs)), false)
+			case 4: // increment
+				if k != "never" {
+					op := types.Op{Key: k, Type: types.Owned, Kind: types.OpIncrement, Amount: amt}
+					if ref.ApplyIncrement(op) != nil {
+						return false
+					}
+					hs.Add(hs.Account(k), amt)
+				}
+			case 5: // shared assign
+				op := types.NewSharedAssign(records[rng.Intn(len(records))], amt)
+				v1, err1 := ref.ApplyShared(op)
+				v2, err2 := hs.Apply(hs.Record(op.Key), op)
+				if v1 != v2 || (err1 == nil) != (err2 == nil) {
+					return false
+				}
+			}
+			if !ref.Snapshot().Equal(hs.Snapshot()) || ref.TotalOwned() != hs.TotalOwned() ||
+				ref.EscrowCount() != hs.EscrowCount() {
+				return false
+			}
+			for _, k := range accounts {
+				if ref.Balance(k) != hs.Balance(k) {
+					return false
+				}
+			}
+			for _, k := range records {
+				if ref.SharedValue(k) != hs.SharedValue(k) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHandleOpsAllocs: once its keys are interned, the steady-state escrow
+// cycle by handle — hold, release, return, credit, shared assign —
+// allocates nothing.
+func TestHandleOpsAllocs(t *testing.T) {
+	s := NewStore()
+	s.Credit("alice", 1000)
+	a, b, r := s.Account("alice"), s.Account("bob"), s.Record("rec")
+	assign := types.NewSharedAssign("rec", 7)
+	allocs := testing.AllocsPerRun(1000, func() {
+		if !s.Hold(a, 3, 0) || !s.Hold(a, 2, 0) {
+			t.Fatal("hold failed")
+		}
+		s.Release(a, 3)
+		s.Return(a, 2)
+		s.Add(b, 3)
+		s.Add(a, 3)
+		if _, err := s.Apply(r, assign); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state handle ops allocate %.1f times per cycle, want 0", allocs)
+	}
+	if s.Balance("alice") != 1000 || s.TotalOwned() != 1000+3*1001 {
+		t.Fatalf("cycle left alice %d, total %d", s.Balance("alice"), s.TotalOwned())
+	}
+}

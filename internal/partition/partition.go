@@ -30,13 +30,7 @@ func Assign(key types.Key, m int) int {
 // BucketsOf returns the distinct bucket indices a transaction belongs to:
 // one per payer (owned object with a decremental operation), ascending.
 func BucketsOf(tx *types.Transaction, m int) []int {
-	return AppendBucketsOf(nil, tx, m)
-}
-
-// AppendBucketsOf appends BucketsOf(tx, m) onto dst and returns the
-// extended slice.
-func AppendBucketsOf(dst []int, tx *types.Transaction, m int) []int {
-	return appendBuckets(dst, tx, m, nil)
+	return appendBuckets(nil, tx, m, nil)
 }
 
 // assignMemo is Assign through memo, a per-key cache (nil: none).
@@ -225,15 +219,14 @@ func (b *Bucket) GC() {
 type Set struct {
 	buckets []*Bucket
 	table   *Table
-	// assign memoizes Assign per key: the sha256-based mapping sits on the
-	// routing path, and a replica resolves the same few thousand account
-	// keys over and over.
+	// assign memoizes Assign per key for Add, which resolves the same few
+	// thousand account keys over and over; nil until Add first runs.
 	assign map[types.Key]int
 }
 
 // NewSet creates m empty buckets.
 func NewSet(m int) *Set {
-	s := &Set{buckets: make([]*Bucket, m), table: newTable(), assign: make(map[types.Key]int, 1024)}
+	s := &Set{buckets: make([]*Bucket, m), table: newTable()}
 	for i := range s.buckets {
 		s.buckets[i] = &Bucket{t: s.table, id: uint16(i)}
 	}
@@ -242,16 +235,6 @@ func NewSet(m int) *Set {
 
 // Table returns the transaction table the set's buckets share.
 func (s *Set) Table() *Table { return s.table }
-
-// Assign maps key to its bucket exactly like the package-level Assign with
-// m = s.M(), memoized per key.
-func (s *Set) Assign(key types.Key) int { return assignMemo(s.assign, key, len(s.buckets)) }
-
-// AppendBucketsOf appends BucketsOf(tx, s.M()) onto dst through the set's
-// memoized key assignment.
-func (s *Set) AppendBucketsOf(dst []int, tx *types.Transaction) []int {
-	return appendBuckets(dst, tx, len(s.buckets), s.assign)
-}
 
 // M returns the number of buckets (= SB instances).
 func (s *Set) M() int { return len(s.buckets) }
@@ -267,9 +250,12 @@ func (s *Set) Add(tx *types.Transaction) ([]int, error) {
 	if err := tx.Validate(); err != nil {
 		return nil, err
 	}
-	idx := s.AppendBucketsOf(nil, tx)
+	if s.assign == nil {
+		s.assign = make(map[types.Key]int, 1024)
+	}
+	idx := appendBuckets(nil, tx, len(s.buckets), s.assign)
 	if len(idx) == 0 {
-		idx = []int{s.Assign(tx.Client)}
+		idx = []int{assignMemo(s.assign, tx.Client, len(s.buckets))}
 	}
 	slot := s.table.Intern(tx)
 	for _, i := range idx {
