@@ -59,7 +59,7 @@ func run(args []string, w, stderr io.Writer) error {
 	payments := fs.Float64("payments", 0.46, "payment transaction fraction (0 uses the paper default; negative means all-contract)")
 	batch := fs.Int("batch", 0, "batch size in txs per block (0 = engine default)")
 	analytic := fs.Bool("analytic", false, "use the analytic quorum-time SB (fault-free only)")
-	nic := fs.Bool("nic", true, "model the 1 Gbps per-node NIC egress queue (message-level runs)")
+	nic := fs.Bool("nic", true, "model the 1 Gbps per-node NIC egress queue, analytic runs included (false: no bandwidth charge)")
 	seed := fs.Int64("seed", 42, "simulation seed")
 	fs.SetOutput(stderr)
 	if err := fs.Parse(args); err != nil {

@@ -109,8 +109,9 @@ type Config struct {
 	// AnalyticSB swaps message-level PBFT for the closed-form quorum-time
 	// SB (fault-free runs only; stragglers are supported).
 	AnalyticSB bool
-	// NIC enables the 1 Gbps per-node egress model: every send of a
-	// node serializes on one link (message-level SB only).
+	// NIC enables the 1 Gbps per-node egress model, the simulator's only
+	// bandwidth charge: every send of a node serializes on one link, the
+	// analytic SB's proposals included. Off, no bandwidth is charged.
 	NIC bool
 
 	Seed int64

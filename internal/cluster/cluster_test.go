@@ -80,11 +80,12 @@ func TestRunAnalyticSBSmall(t *testing.T) {
 // sb.NewInstance defaults anything itself (an unresolved Window would stall
 // every proposal), so on both SB paths a run with zero Params must measure
 // exactly what a run with the defaults spelled out measures, and a
-// non-default TxSize must reach both.
+// non-default TxSize must reach both, through the one bandwidth model
+// (the NIC egress queue).
 func TestParamsResolveOnceForBothSBs(t *testing.T) {
 	for _, analytic := range []bool{false, true} {
 		cfg := smallCfg(core.OrthrusMode())
-		cfg.AnalyticSB, cfg.Duration = analytic, 2*time.Second
+		cfg.AnalyticSB, cfg.Duration, cfg.NIC = analytic, 2*time.Second, true
 		cfg.Params = core.Params{}
 		zero := Run(cfg)
 		cfg.Params = core.Params{}.WithDefaults()

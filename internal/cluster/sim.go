@@ -19,6 +19,9 @@ import (
 // determinism contract).
 var simPool = sync.Pool{New: func() any { return simnet.New(0) }}
 
+// newAnalytic builds a run's analytic SB instances (tests count their hits).
+var newAnalytic = sb.NewInstance
+
 // Run executes one experiment inside the discrete-event simulator and
 // returns its measurements. It is the simulated backend of the shared
 // harness (collector): virtual time, the modeled network — whose base delay
@@ -46,8 +49,7 @@ func Run(cfg Config) *Result {
 		model.JitterFrac = 0 // closed-form times need deterministic delays
 	}
 	nw := simnet.NewNetwork(sim, n, model, func(msg any) int { return wire.ModeledSize(msg, cfg.TxSize) })
-	if cfg.NIC && !cfg.AnalyticSB {
-		model.BandwidthBps = 0 // serialization moves into the NIC egress queue
+	if cfg.NIC {
 		nw.SetNICBps(1e9)
 	}
 
@@ -60,13 +62,13 @@ func Run(cfg Config) *Result {
 		net: nw, clock: simnet.On(sim, simnet.NodeNone), client: client,
 		submit: func(home int, tx *types.Transaction, targets []int) {
 			for _, target := range targets {
-				d := nw.BaseDelay(home, target, cfg.TxSize)
+				d := nw.BaseDelay(home, target)
 				client.CallAtNode(target, client.Now()+simnet.Time(d), submitToReplica, replicas[target], tx)
 			}
 		},
 		onReplica: func(_ int, fn func()) { fn() },
 		outScale:  nw.SetOutScale,
-		replyHop:  func(replica, home int) time.Duration { return nw.BaseDelay(replica, home, 256) },
+		replyHop:  func(replica, home int) time.Duration { return nw.BaseDelay(replica, home) },
 		halt:      sim.Halt,
 	})
 	res := c.res
@@ -81,7 +83,7 @@ func Run(cfg Config) *Result {
 			ccfg.SB = func(instance int, hooks core.SBHooks) core.SB {
 				inst, ok := analytic[instance]
 				if !ok {
-					inst = sb.NewInstance(sb.Config{
+					inst = newAnalytic(sb.Config{
 						N: n, F: c.f, Instance: instance,
 						Window: cfg.Window, TxSize: cfg.TxSize,
 					}, sim, nw)

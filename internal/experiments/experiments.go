@@ -94,7 +94,7 @@ func baseConfig(mode core.Mode, n int, net cluster.NetProfile, scale float64) cl
 			ViewTimeout:  10 * time.Second,
 		},
 		AnalyticSB: n >= 32,
-		NIC:        n < 32,
+		NIC:        true,
 		Seed:       42,
 	}
 }
@@ -277,8 +277,6 @@ func breakdownJob(mode core.Mode, scale float64) cluster.Config {
 // 10 s, measured in 0.5 s bins.
 func faultJob(faults int, scale float64) cluster.Config {
 	cfg := baseConfig(core.OrthrusMode(), 16, cluster.WAN, 1)
-	cfg.AnalyticSB = false
-	cfg.NIC = true
 	cfg.LoadTPS = loadFor(16, cluster.WAN, 1) * scale
 	cfg.Duration = 25 * time.Second
 	cfg.Drain = 10 * time.Second
@@ -297,8 +295,6 @@ func byzJobs(scale float64) []cluster.Config {
 	var jobs []cluster.Config
 	for faults := 0; faults <= 5; faults++ {
 		cfg := baseConfig(core.OrthrusMode(), 16, cluster.WAN, scale)
-		cfg.AnalyticSB = false
-		cfg.NIC = true
 		cfg.ByzantineFaults = faults
 		jobs = append(jobs, cfg)
 	}
@@ -326,9 +322,9 @@ func scenarioProtocols() []core.Mode {
 // quick runs stay quick, plus the large tier {250, 500, 1000} phased in
 // from scale 0.25 (one size per quarter-scale step). The n >= 32 cells
 // use the analytic SB (message-level simulation with m = n instances
-// costs O(n^3) per block round — infeasible at n = 100);
-// smaller cells run message-level PBFT under the NIC model, the regime
-// the allocation pass targets. Tier cells run pulse-damped (see
+// costs O(n^3) per block round — infeasible at n = 100); smaller cells
+// run message-level PBFT, the regime the allocation pass targets, and
+// every cell runs under the NIC model. Tier cells run pulse-damped (see
 // scaleJob), so even the n = 1000 cell is seconds-scale rather than
 // minutes-scale; sub-0.25 scales (the -short CI tests) skip the tier
 // entirely to keep the -race budget.
@@ -388,8 +384,6 @@ func scaleJob(mode core.Mode, n int, scale float64) cluster.Config {
 // small scales.
 func scenarioJob(name string, mode core.Mode, scale float64) cluster.Config {
 	cfg := baseConfig(mode, 10, cluster.WAN, scale)
-	cfg.AnalyticSB = false
-	cfg.NIC = true
 	cfg.EpochLen = 64
 	cfg.ViewTimeout = cfg.Duration / 5
 	scn, err := scenario.Preset(name, cfg.N, cfg.Duration, cfg.Seed)

@@ -71,8 +71,8 @@ func TestBaseConfigRegimes(t *testing.T) {
 		t.Fatal("n=16 should be message-level with NIC")
 	}
 	big := baseConfig(core.OrthrusMode(), 64, cluster.WAN, 1)
-	if !big.AnalyticSB || big.NIC {
-		t.Fatal("n=64 should be analytic without NIC")
+	if !big.AnalyticSB || !big.NIC {
+		t.Fatal("n=64 should be analytic with NIC")
 	}
 }
 

@@ -23,8 +23,8 @@ import (
 // segment of every cell id.
 const (
 	// TierBase is {Orthrus, ISS, Ladon} x {4, 10, 25} message-level PBFT
-	// under the NIC model — the regime the allocation passes target —
-	// plus Orthrus x {50, 100} on the analytic SB.
+	// — the regime the allocation passes target — plus Orthrus x
+	// {50, 100} on the analytic SB, all under the NIC model.
 	TierBase = "base"
 	// TierFScale is Orthrus x {250, 500, 1000} analytic, pulse-damped like
 	// the F-scale figure's large tier: the large-n scheduler guard.
@@ -56,7 +56,7 @@ func SimGrid() []SimCell {
 		return cluster.Config{
 			LoadTPS: 2000, Duration: 4 * time.Second, Warmup: time.Second, Drain: 8 * time.Second,
 			Params:     core.Params{BatchSize: 1024, BatchTimeout: 100 * time.Millisecond, EpochLen: 128},
-			AnalyticSB: n >= 32, NIC: n < 32,
+			AnalyticSB: n >= 32, NIC: true,
 		}
 	}
 	for _, mode := range []core.Mode{core.OrthrusMode(), baseline.ISSMode(), baseline.LadonMode()} {
@@ -71,7 +71,7 @@ func SimGrid() []SimCell {
 		add(TierFScale, core.OrthrusMode(), n, cluster.Config{
 			LoadTPS: 100, Duration: 2 * time.Second, Warmup: 400 * time.Millisecond, Drain: 2 * time.Second,
 			Params:     core.Params{BatchSize: 4096, BatchTimeout: 500 * time.Millisecond, EpochLen: 1024},
-			AnalyticSB: true,
+			AnalyticSB: true, NIC: true,
 		})
 	}
 	const soakN, soakDur = 25, 120 * time.Second

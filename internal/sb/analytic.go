@@ -9,8 +9,9 @@
 // schedules exactly n delivery events per block while reproducing PBFT's
 // timing: pre-prepare dissemination, a 2f+1 prepare quorum, and a 2f+1
 // commit quorum, all over the same latency matrix (including straggler
-// out-scaling). It is validated against the message-level engine in
-// analytic_test.go.
+// out-scaling) and the leader's NIC egress, which its n-1 pre-prepare
+// copies reserve like a message-level broadcast (votes go uncharged). It
+// is validated against the message-level engine in analytic_test.go.
 //
 // Limitations (by design): no view changes and no Byzantine behavior — the
 // large-scale experiments that use it (Figs. 3 and 4) run fault-free with
@@ -58,21 +59,16 @@ type Instance struct {
 	tmp       []simnet.Time
 
 	// quorumCache memoizes the per-replica commit-time offsets by block
-	// size: the closed form is a pure function of (blockSize, latency
-	// matrix, straggler out-scales), and a steady-state run proposes
-	// thousands of same-sized blocks (empty pulses above all). Hitting the
-	// cache turns a proposal from O(n^2 log n) into O(n) — the difference
-	// between minutes and seconds for the n = 100 F-scale cells. Entries
-	// snapshot the out-scale vector and are re-derived when it changes;
-	// the cache resets when it reaches quorumCacheMax distinct sizes.
-	quorumCache map[int]*quorumTimes
-}
-
-// quorumTimes is one memoized closed-form solution: per-replica commit
-// offsets from the proposal time, valid for the captured out-scales.
-type quorumTimes struct {
-	committedOff []simnet.Time
-	outScale     []float64
+	// size for proposals on an idle leader egress: the closed form is then
+	// a pure function of (blockSize, latency matrix, straggler out-scales),
+	// and a steady-state run proposes thousands of same-sized blocks.
+	// Hitting it turns a proposal from O(n^2) into O(n) — minutes versus
+	// seconds for the n = 100 F-scale cells. Out-scales must be final
+	// before the first proposal (an analytic run sets its stragglers at
+	// start and takes no scenario); the cache resets at quorumCacheMax
+	// sizes. hits counts what it served.
+	quorumCache map[int][]simnet.Time
+	hits        uint64
 }
 
 // quorumCacheMax bounds the number of distinct block sizes memoized per
@@ -100,6 +96,9 @@ func NewInstance(cfg Config, sim *simnet.Sim, nw *simnet.Network) *Instance {
 	return inst
 }
 
+// CacheHits returns how many proposals quorumCache served, of how many.
+func (inst *Instance) CacheHits() (hits, proposals uint64) { return inst.hits, inst.nextSN }
+
 // Port returns replica id's view of the instance. The caller installs the
 // delivery callback before the first proposal.
 func (inst *Instance) Port(id int, deliver func(*types.Block)) *Port {
@@ -108,17 +107,18 @@ func (inst *Instance) Port(id int, deliver func(*types.Block)) *Port {
 	return p
 }
 
-// propose computes per-replica delivery times for a block proposed now and
-// schedules the delivery events. The closed form is memoized per block
-// size (see quorumCache).
+// propose reserves the leader's egress for the block's n-1 pre-prepare
+// copies, computes per-replica delivery times for it and schedules the
+// delivery events.
 func (inst *Instance) propose(b *types.Block) {
 	n := inst.cfg.N
 	blockSize := wire.BlockSize(len(b.Txs), inst.cfg.TxSize)
 	t0 := inst.sim.Now()
-	qt := inst.quorumTimesFor(blockSize)
+	start, each := inst.nw.Egress(inst.leader, blockSize, n-1)
+	committedOff := inst.quorumTimesFor(blockSize, start-t0, each)
 	// Schedule in-order deliveries (closure-free call events: n per block).
 	for j := 0; j < n; j++ {
-		at := t0 + qt.committedOff[j]
+		at := t0 + committedOff[j]
 		if at <= inst.lastDeliver[j] {
 			at = inst.lastDeliver[j] + 1
 		}
@@ -132,68 +132,81 @@ func (inst *Instance) propose(b *types.Block) {
 	inst.nw.AddModeled(uint64(2*n*n + n))
 }
 
-// quorumTimesFor returns the memoized commit-time offsets for a block of
-// the given wire size, recomputing when the size is new or any straggler
-// out-scale changed since the entry was derived.
-func (inst *Instance) quorumTimesFor(blockSize int) *quorumTimes {
+// quorumTimesFor returns the commit-time offsets from the proposal for a
+// block of the given wire size whose pre-prepare copies start leaving the
+// leader wait after it, each taking each to send. Only an idle link
+// (wait 0) uses quorumCache: behind a backlog the leader's own copy still
+// lands at once while the others wait.
+func (inst *Instance) quorumTimesFor(blockSize int, wait, each simnet.Time) []simnet.Time {
 	n := inst.cfg.N
-	if qt, ok := inst.quorumCache[blockSize]; ok {
-		fresh := true
-		for i := 0; i < n; i++ {
-			if qt.outScale[i] != inst.nw.OutScale(i) {
-				fresh = false
-				break
-			}
-		}
-		if fresh {
-			return qt
-		}
+	if off, ok := inst.quorumCache[blockSize]; ok && wait == 0 {
+		inst.hits++
+		return off
 	}
-	quorum := pbft.Quorum(n, inst.cfg.F)
 	// Pre-prepare dissemination from the leader (offsets from propose
-	// time; BaseDelay is deterministic so offsets are time-invariant).
+	// time), its copies leaving in Broadcast's order, its own not queued.
+	k := simnet.Time(0)
 	for i := 0; i < n; i++ {
-		inst.arrive[i] = simnet.Time(inst.nw.BaseDelay(inst.leader, i, blockSize))
+		inst.arrive[i] = simnet.Time(inst.nw.BaseDelay(inst.leader, i))
+		if i != inst.leader {
+			k++
+			inst.arrive[i] += wait + k*each
+		}
 	}
-	// Prepared at j: pre-prepare arrived and a quorum of prepares arrived.
 	// Replica i broadcasts its prepare the moment the pre-prepare reaches
-	// it; the vote from i reaches j after the (i,j) control delay.
-	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			inst.tmp[i] = inst.arrive[i] + simnet.Time(inst.nw.BaseDelay(i, j, wire.VoteSize))
-		}
-		slices.Sort(inst.tmp)
-		p := inst.tmp[quorum-1]
-		if inst.arrive[j] > p {
-			p = inst.arrive[j]
-		}
-		inst.prepared[j] = p
-	}
-	// Committed at j: prepared and a quorum of commits arrived; replica i
-	// broadcasts its commit the moment it is prepared.
-	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			inst.tmp[i] = inst.prepared[i] + simnet.Time(inst.nw.BaseDelay(i, j, wire.VoteSize))
-		}
-		slices.Sort(inst.tmp)
-		c := inst.tmp[quorum-1]
-		if inst.prepared[j] > c {
-			c = inst.prepared[j]
-		}
-		inst.committed[j] = c
-	}
-	qt := &quorumTimes{
-		committedOff: append([]simnet.Time(nil), inst.committed[:n]...),
-		outScale:     make([]float64, n),
-	}
-	for i := 0; i < n; i++ {
-		qt.outScale[i] = inst.nw.OutScale(i)
+	// it, and its commit the moment it is prepared.
+	inst.phase(inst.arrive, inst.prepared)
+	inst.phase(inst.prepared, inst.committed)
+	if wait > 0 {
+		return inst.committed
 	}
 	if inst.quorumCache == nil || len(inst.quorumCache) >= quorumCacheMax {
-		inst.quorumCache = make(map[int]*quorumTimes, 64)
+		inst.quorumCache = make(map[int][]simnet.Time, 64)
 	}
-	inst.quorumCache[blockSize] = qt
-	return qt
+	off := slices.Clone(inst.committed)
+	inst.quorumCache[blockSize] = off
+	return off
+}
+
+// phase sets to[j], for every replica j, to when j has reached from[j]
+// and holds a quorum of the votes each replica i sends at from[i], each
+// arriving after the (i,j) delay.
+func (inst *Instance) phase(from, to []simnet.Time) {
+	q := pbft.Quorum(inst.cfg.N, inst.cfg.F)
+	for j := range to {
+		for i, t := range from {
+			inst.tmp[i] = t + simnet.Time(inst.nw.BaseDelay(i, j))
+		}
+		to[j] = max(from[j], nth(inst.tmp, q-1))
+	}
+}
+
+// nth returns the n-th smallest element of s (from 0), reordering s: a
+// quickselect, linear where a sort costs n log n.
+func nth(s []simnet.Time, n int) simnet.Time {
+	for lo, hi := 0, len(s)-1; lo < hi; {
+		p, i, j := s[lo+(hi-lo)/2], lo, hi
+		for i <= j {
+			for s[i] < p {
+				i++
+			}
+			for s[j] > p {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i, j = i+1, j-1
+			}
+		}
+		if n <= j {
+			hi = j
+		} else if n >= i {
+			lo = i
+		} else {
+			break
+		}
+	}
+	return s[n]
 }
 
 // portDeliver lands one analytic delivery at a replica's port (top-level
@@ -240,30 +253,25 @@ func (p *Port) Propose(b *types.Block) error {
 	return nil
 }
 
-// SetTarget implements core.SB. The analytic instance has no failure
-// detector (it is used only in fault-free large-scale runs), so this is a
-// no-op.
-func (p *Port) SetTarget(uint64) {}
-
 // IsLeader implements core.SB.
 func (p *Port) IsLeader() bool { return p.id == p.inst.leader }
 
 // Leader implements core.SB.
 func (p *Port) Leader() int { return p.inst.leader }
 
-// View implements core.SB: the analytic instance never changes views.
-func (p *Port) View() uint64 { return 0 }
-
 // Stop implements core.SB.
 func (p *Port) Stop() { p.stopped = true }
 
 // unmodeled is the rest of core.SB, what the closed form leaves out: a
 // stopped port stays stopped, no messages are exchanged (any it is handed
-// is refused), no view changes, no state-transfer repair, no delivered-block
-// log to serve or count.
+// is refused), no failure detector (it runs fault-free only), no view
+// changes (View is 0), no state-transfer repair, no delivered-block log to
+// serve or count.
 type unmodeled struct{}
 
 func (unmodeled) Resume()                         {}
+func (unmodeled) SetTarget(uint64)                {}
+func (unmodeled) View() uint64                    { return 0 }
 func (unmodeled) Handle(int, pbft.Message) bool   { return false }
 func (unmodeled) Complain()                       {}
 func (unmodeled) SkipDelivered(*types.Block) bool { return false }

@@ -3,17 +3,16 @@ package simnet
 import "time"
 
 // GeoModel models a geo-distributed deployment: nodes are assigned
-// round-robin to regions; delay = inter-region base RTT/2 + serialization
-// time at the bandwidth + small jitter. It reproduces the paper's 4-region
-// WAN (France, US, Australia, Tokyo) and its 1 Gbps LAN.
+// round-robin to regions; delay = inter-region base RTT/2 + small jitter.
+// It reproduces the paper's 4-region WAN (France, US, Australia, Tokyo)
+// and its single-site LAN. It has no bandwidth term: the paper's 1 Gbps
+// interfaces are the Network's NIC model (Network.SetNICBps), the
+// simulator's only bandwidth charge.
 type GeoModel struct {
 	// RegionOf maps a node index to a region index.
 	RegionOf func(node int) int
 	// BaseLatency[i][j] is the one-way propagation delay region i -> j.
 	BaseLatency [][]time.Duration
-	// BandwidthBps is the per-link bandwidth in bits per second; a message
-	// of size bytes adds size*8/BandwidthBps of serialization delay.
-	BandwidthBps float64
 	// JitterFrac is the max uniform jitter as a fraction of base latency.
 	JitterFrac float64
 	// LocalDelay is the delay for self-sends and intra-process handoff.
@@ -22,8 +21,8 @@ type GeoModel struct {
 
 // base returns the propagation delay of the link from -> to: LocalDelay
 // for self-sends and for pairs whose regions the table leaves at zero (the
-// same site). NewNetwork reads it once per link; serialization and jitter
-// are added per message (Network.Delay).
+// same site). NewNetwork reads it once per link; jitter is added per
+// message (Network.Delay).
 func (g *GeoModel) base(from, to int) time.Duration {
 	if from != to {
 		if d := g.BaseLatency[g.RegionOf(from)][g.RegionOf(to)]; d != 0 {
@@ -44,7 +43,7 @@ var wanRTT = [4][4]float64{
 }
 
 // NewWAN returns the paper's WAN profile: nodes spread round-robin over the
-// four regions, 1 Gbps links, 5% jitter.
+// four regions, 5% jitter.
 func NewWAN() *GeoModel {
 	base := make([][]time.Duration, 4)
 	for i := range base {
@@ -54,30 +53,27 @@ func NewWAN() *GeoModel {
 		}
 	}
 	return &GeoModel{
-		RegionOf:     func(node int) int { return node % 4 },
-		BaseLatency:  base,
-		BandwidthBps: 1e9,
-		JitterFrac:   0.05,
-		LocalDelay:   50 * time.Microsecond,
+		RegionOf:    func(node int) int { return node % 4 },
+		BaseLatency: base,
+		JitterFrac:  0.05,
+		LocalDelay:  50 * time.Microsecond,
 	}
 }
 
 // NewLAN returns the paper's LAN profile: a single site with sub-millisecond
-// latency and 1 Gbps links.
+// latency, 5% jitter.
 func NewLAN() *GeoModel {
-	base := [][]time.Duration{{500 * time.Microsecond}}
 	return &GeoModel{
-		RegionOf:     func(node int) int { return 0 },
-		BaseLatency:  base,
-		BandwidthBps: 1e9,
-		JitterFrac:   0.05,
-		LocalDelay:   50 * time.Microsecond,
+		RegionOf:    func(node int) int { return 0 },
+		BaseLatency: [][]time.Duration{{500 * time.Microsecond}},
+		JitterFrac:  0.05,
+		LocalDelay:  50 * time.Microsecond,
 	}
 }
 
 // NewFixed returns a uniform profile for unit tests: every link, self-sends
-// included, takes exactly d whatever the message size — one region, no
-// bandwidth term, no jitter.
+// included, takes exactly d — one region, no jitter. A message's size
+// costs nothing unless the Network's NIC model is on.
 func NewFixed(d time.Duration) *GeoModel {
 	return &GeoModel{
 		RegionOf:    func(int) int { return 0 },

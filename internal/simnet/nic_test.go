@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// sized is a test message whose value is its size in bytes: the NIC and
-// bandwidth tests build their networks with sizeOf as the size function.
+// sized is a test message whose value is its size in bytes: the NIC tests
+// build their networks with sizeOf as the size function.
 type sized int
 
 func sizeOf(msg any) int { return int(msg.(sized)) }
@@ -109,13 +109,13 @@ func TestBaseDelayDeterministicAndScaled(t *testing.T) {
 	s := New(1)
 	wan := NewWAN()
 	nw := NewNetwork(s, 8, wan, nil)
-	d1 := nw.BaseDelay(0, 2, 500)
-	d2 := nw.BaseDelay(0, 2, 500)
+	d1 := nw.BaseDelay(0, 2)
+	d2 := nw.BaseDelay(0, 2)
 	if d1 != d2 {
 		t.Fatal("BaseDelay nondeterministic")
 	}
 	nw.SetOutScale(0, 10)
-	if nw.BaseDelay(0, 2, 500) != 10*d1 {
+	if nw.BaseDelay(0, 2) != 10*d1 {
 		t.Fatal("BaseDelay ignores straggler scaling")
 	}
 }

@@ -2,10 +2,11 @@
 // substitutes for the paper's AWS WAN/LAN deployment: replicas are
 // event-driven state machines, messages are events scheduled on a virtual
 // clock with delays drawn from a configurable latency model (4-region WAN
-// or single-site LAN), and a per-node egress scale models stragglers. The
-// network is a delay model and nothing else: crashed endpoints and cut
-// links are package faultnet's decorator, which wraps this network the
-// same way it wraps the real transports.
+// or single-site LAN) as base plus jitter, a per-node egress scale models
+// stragglers, and a NIC egress queue (SetNICBps) is the one place a
+// message's size costs time. The network is a delay model and nothing
+// else: crashed endpoints and cut links are package faultnet's decorator,
+// which wraps this network the same way it wraps the real transports.
 //
 // Determinism: events at equal virtual times are processed in the
 // canonical order (destination node, source node, per-source count) — a
@@ -387,15 +388,11 @@ type Handler = types.Handler
 type Network struct {
 	sim      *Sim
 	handlers []Handler
-	// The per-link base propagation delays are read from the model once, at
-	// NewNetwork, into one flat n*n matrix, so a Send samples its delay
-	// with two slice loads and one jitter draw — no RegionOf closure calls.
-	// The model's BandwidthBps and JitterFrac are read live (cluster.Run
-	// mutates them after construction); the region assignment and
-	// base-latency table are snapshotted and must not change after
-	// NewNetwork.
-	geo      *GeoModel
-	pairBase []Duration
+	// The model is read once, at NewNetwork: its JitterFrac, and its
+	// per-link base delays into one flat n*n matrix, so a Send samples its
+	// delay with two slice loads and one jitter draw.
+	pairBase   []Duration
+	jitterFrac float64
 	// jit holds one counter-based jitter stream per directed link
 	// (jit[from*n+to]), seeded from the run seed and the link identity.
 	// Jitter is a pure function of (seed, from, to, per-link send count) —
@@ -406,13 +403,13 @@ type Network struct {
 	outScale []float64
 	// nicBps, when > 0, enables the NIC model: each node has one egress
 	// link of this bandwidth (bits/s) that all its sends serialize on, in
-	// send order. This is what makes a leader's broadcast saturate under
-	// load the way the paper's 1 Gbps interfaces do. There is no receive
-	// queue: a message lands at its own arrival time.
+	// send order (Egress). This is what makes a leader's broadcast saturate
+	// under load the way the paper's 1 Gbps interfaces do. There is no
+	// receive queue: a message lands at its own arrival time.
 	nicBps     float64
 	egressFree []Time
 
-	size func(msg any) int // bytes a message costs the bandwidth and NIC models
+	size func(msg any) int // bytes a message costs the NIC model
 	msgs uint64            // messages handed to a handler, modeled ones (AddModeled) included
 }
 
@@ -424,13 +421,13 @@ func NewNetwork(sim *Sim, n int, model *GeoModel, size func(msg any) int) *Netwo
 		size = func(any) int { return 0 }
 	}
 	nw := &Network{
-		sim:      sim,
-		handlers: make([]Handler, n),
-		geo:      model,
-		pairBase: make([]Duration, n*n),
-		jit:      make([]uint64, n*n),
-		outScale: slices.Repeat([]float64{1}, n),
-		size:     size,
+		sim:        sim,
+		handlers:   make([]Handler, n),
+		pairBase:   make([]Duration, n*n),
+		jitterFrac: model.JitterFrac,
+		jit:        make([]uint64, n*n),
+		outScale:   slices.Repeat([]float64{1}, n),
+		size:       size,
 	}
 	for from := 0; from < n; from++ {
 		for to := 0; to < n; to++ {
@@ -480,9 +477,6 @@ func (nw *Network) Register(id int, h Handler) {
 // modeling: scale > 1 slows everything the node sends).
 func (nw *Network) SetOutScale(id int, scale float64) { nw.outScale[id] = scale }
 
-// OutScale returns the outgoing-delay multiplier of a node.
-func (nw *Network) OutScale(id int) float64 { return nw.outScale[id] }
-
 // Messages returns the count of messages delivered to a registered handler
 // — one a fault decorator's wrapped handler then drops included.
 func (nw *Network) Messages() uint64 { return nw.msgs }
@@ -494,9 +488,9 @@ func (nw *Network) Messages() uint64 { return nw.msgs }
 func (nw *Network) AddModeled(msgs uint64) { nw.msgs += msgs }
 
 // SetNICBps enables the NIC model with the given per-node egress
-// bandwidth in bits per second (0 disables it). When enabled, the latency
-// model should not also charge serialization time (set its BandwidthBps
-// to 0).
+// bandwidth in bits per second (0 disables it: no message's size then
+// costs time). Every send reserves its sender's egress, and so does an
+// analytic-SB leader's proposal (Egress).
 func (nw *Network) SetNICBps(bps float64) {
 	nw.nicBps = bps
 	if bps > 0 && nw.egressFree == nil {
@@ -504,58 +498,59 @@ func (nw *Network) SetNICBps(bps float64) {
 	}
 }
 
-// linkBase returns the jitter-free delay of size bytes from -> to: the
-// snapshotted propagation delay plus serialization at the model's
-// bandwidth. The operation order is what the committed artifacts' bytes
-// were computed with.
-func (nw *Network) linkBase(from, to, size int) Duration {
-	base := nw.pairBase[from*len(nw.handlers)+to]
-	if bps := nw.geo.BandwidthBps; bps > 0 && size > 0 {
-		base += Duration(float64(size) * 8 / bps * float64(time.Second))
+// Egress reserves from's egress for copies back-to-back messages of size
+// bytes handed to it now: it starts on them at start (now, or once its
+// queue has drained) and copy k (from 1) has left at start + k*each.
+// With the NIC model off it returns (now, 0).
+func (nw *Network) Egress(from, size, copies int) (start, each Time) {
+	start = nw.sim.now
+	if nw.nicBps <= 0 {
+		return start, 0
 	}
-	return base
+	start = max(start, nw.egressFree[from])
+	each = Time(float64(size) * 8 / nw.nicBps * 1e9)
+	nw.egressFree[from] = start + Time(copies)*each
+	return start, each
 }
 
-// Delay returns the modeled propagation delay for a message of size bytes
-// from -> to, including the sender's straggler scaling (egress queueing is
-// applied separately in Send). Exposed for the analytic SB. The jitter
-// sample advances the per-link stream, so the k-th send over a link draws
-// the same jitter however the run's events interleave.
-func (nw *Network) Delay(from, to, size int) Duration {
-	d := nw.linkBase(from, to, size)
-	if jf := nw.geo.JitterFrac; jf > 0 {
+// Delay returns the modeled propagation delay from -> to, including the
+// sender's straggler scaling (egress queueing is applied separately in
+// Send). The jitter sample advances the per-link stream, so the k-th send
+// over a link draws the same jitter however the run's events interleave.
+func (nw *Network) Delay(from, to int) Duration {
+	d := nw.pairBase[from*len(nw.handlers)+to]
+	if jf := nw.jitterFrac; jf > 0 {
 		d += Duration(jitFloat(&nw.jit[from*len(nw.handlers)+to]) * jf * float64(d))
 	}
 	return Duration(float64(d) * nw.outScale[from])
 }
 
-// BaseDelay returns the deterministic (jitter-free) delay for a message of
-// size bytes from -> to, including the sender's straggler scaling. The
-// analytic sequenced-broadcast layer uses it for closed-form quorum times.
-func (nw *Network) BaseDelay(from, to, size int) Duration {
-	return Duration(float64(nw.linkBase(from, to, size)) * nw.outScale[from])
+// BaseDelay returns the deterministic (jitter-free) delay from -> to,
+// including the sender's straggler scaling. The analytic
+// sequenced-broadcast layer uses it for closed-form quorum times.
+func (nw *Network) BaseDelay(from, to int) Duration {
+	return Duration(float64(nw.pairBase[from*len(nw.handlers)+to]) * nw.outScale[from])
 }
 
-// Send delivers msg from -> to after the modeled delay of its size. With
-// the NIC model enabled, the message first queues on the sender's egress
-// link and lands one propagation delay after it is sent; nothing queues
-// it at the receiver. Self-sends are delivered with the model's local
-// delay. The delivery is scheduled as a pooled field-encoded event, not a
-// closure: one Send allocates nothing once the simulator's event pool is
-// warm.
+// Send delivers msg from -> to. With the NIC model enabled, the message
+// first queues on the sender's egress link and lands one propagation
+// delay after it is sent; nothing queues it at the receiver. Self-sends
+// are delivered with the model's local delay. The delivery is scheduled as
+// a pooled field-encoded event, not a closure: one Send allocates nothing
+// once the simulator's event pool is warm.
 func (nw *Network) Send(from, to int, msg any) { nw.send(from, to, nw.size(msg), msg) }
 
 func (nw *Network) send(from, to, size int, msg any) {
 	sim := nw.sim
 	sent := sim.now
-	if nw.nicBps > 0 && from != to {
+	if from != to {
 		// Serialized behind everything the sender queued before it.
-		sent = max(sent, nw.egressFree[from]) + Time(float64(size)*8/nw.nicBps*1e9)
-		nw.egressFree[from] = sent
+		start, each := nw.Egress(from, size, 1)
+		sent = start + each
 	}
 	e := sim.alloc()
 	e.nw, e.from, e.to, e.msg = nw, int32(from), int32(to), msg
-	sim.schedule(e, sent+Time(nw.Delay(from, to, size)), to, from)
+	sim.schedule(e, sent+Time(nw.Delay(from, to)), to, from)
 }
 
 // deliver lands a message at its destination's handler (Step dispatches

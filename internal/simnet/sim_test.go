@@ -124,9 +124,6 @@ func TestStragglerOutScale(t *testing.T) {
 	if at != Time(100*time.Millisecond) {
 		t.Fatalf("straggler message arrived at %v, want 100ms", at)
 	}
-	if nw.OutScale(0) != 10 {
-		t.Fatal("OutScale getter wrong")
-	}
 }
 
 func TestDeterminism(t *testing.T) {
@@ -161,49 +158,25 @@ func TestDeterminism(t *testing.T) {
 func TestWANRegionsAsymmetry(t *testing.T) {
 	nw := NewNetwork(New(1), 5, NewWAN(), nil)
 	// Nodes 0 and 4 share region 0 (France); node 2 is Australia.
-	same := nw.BaseDelay(0, 4, 0)
-	far := nw.BaseDelay(0, 2, 0)
+	same := nw.BaseDelay(0, 4)
+	far := nw.BaseDelay(0, 2)
 	if same >= far {
 		t.Fatalf("intra-region %v >= France-Australia %v", same, far)
 	}
 	if far != 140*time.Millisecond {
 		t.Fatalf("France->Australia base = %v, want 140ms", far)
 	}
-	if back := nw.BaseDelay(2, 0, 0); back != far {
+	if back := nw.BaseDelay(2, 0); back != far {
 		t.Fatalf("Australia->France base = %v, want %v", back, far)
-	}
-}
-
-func TestBandwidthSerialization(t *testing.T) {
-	nw := NewNetwork(New(1), 2, NewLAN(), nil)
-	small := nw.BaseDelay(0, 1, 0)
-	big := nw.BaseDelay(0, 1, 1e6) // 1 MB at 1 Gbps = 8 ms extra
-	extra := big - small
-	if extra < 7*time.Millisecond || extra > 9*time.Millisecond {
-		t.Fatalf("serialization delay for 1MB = %v, want ~8ms", extra)
-	}
-	// A Send charges what the network's size function says the message
-	// costs (equal seeds draw the same jitter on the link).
-	arrival := func(msg sized) Time {
-		s := New(1)
-		nw := NewNetwork(s, 2, NewLAN(), sizeOf)
-		var at Time
-		nw.Register(1, func(int, any) { at = s.Now() })
-		nw.Send(0, 1, msg)
-		s.RunAll(0)
-		return at
-	}
-	if extra := time.Duration(arrival(1e6) - arrival(0)); extra < 7*time.Millisecond || extra > 9*time.Millisecond {
-		t.Fatalf("a sent 1MB message arrived %v after an empty one, want ~8ms", extra)
 	}
 }
 
 func TestJitterBounded(t *testing.T) {
 	nw := NewNetwork(New(5), 2, NewWAN(), nil)
-	base := nw.BaseDelay(0, 1, 500)
+	base := nw.BaseDelay(0, 1)
 	varied := false
 	for i := 0; i < 100; i++ {
-		d := nw.Delay(0, 1, 500)
+		d := nw.Delay(0, 1)
 		if d < base || float64(d) > float64(base)*1.051 {
 			t.Fatalf("jittered delay %v outside [base, base*1.05] (base %v)", d, base)
 		}
@@ -215,21 +188,21 @@ func TestJitterBounded(t *testing.T) {
 }
 
 // TestNewFixed pins the unit-test profile: every link, self-sends included,
-// takes exactly d; the message size is ignored; and no jitter is drawn, so
-// the link streams stay where NewNetwork seeded them.
+// takes exactly d, and no jitter is drawn, so the link streams stay where
+// NewNetwork seeded them.
 func TestNewFixed(t *testing.T) {
 	const d = 3 * time.Millisecond
 	nw := NewNetwork(New(9), 3, NewFixed(d), nil)
 	seeded := append([]uint64(nil), nw.jit...)
 	for from := 0; from < 3; from++ {
 		for to := 0; to < 3; to++ {
-			for _, size := range []int{0, 1, 1 << 20} {
-				if got := nw.Delay(from, to, size); got != d {
-					t.Fatalf("Delay(%d,%d,%d) = %v, want %v", from, to, size, got, d)
+			for range 3 {
+				if got := nw.Delay(from, to); got != d {
+					t.Fatalf("Delay(%d,%d) = %v, want %v", from, to, got, d)
 				}
-				if got := nw.BaseDelay(from, to, size); got != d {
-					t.Fatalf("BaseDelay(%d,%d,%d) = %v, want %v", from, to, size, got, d)
-				}
+			}
+			if got := nw.BaseDelay(from, to); got != d {
+				t.Fatalf("BaseDelay(%d,%d) = %v, want %v", from, to, got, d)
 			}
 		}
 	}

@@ -151,9 +151,9 @@ type Config struct {
 	// AnalyticSB swaps message-level PBFT for the closed-form quorum-time
 	// model (fault-free runs only; stragglers are supported).
 	AnalyticSB bool
-	// DisableNIC turns off the 1 Gbps per-node egress queue model, which
-	// is otherwise active on every message-level run.
-	DisableNIC bool
+	// disableNIC turns off the 1 Gbps per-node egress queue model, which
+	// is otherwise active on every simulated run (WithNIC).
+	disableNIC bool
 
 	// Transport selects the backend carrying replica messages:
 	// TransportSim (default, the deterministic simulator) or
@@ -314,12 +314,13 @@ func WithPayments(fraction float64) Option {
 }
 
 // WithAnalyticSB swaps message-level PBFT for the closed-form quorum-time
-// model (fault-free runs only).
+// model (fault-free runs only; its proposals queue on the NIC, WithNIC).
 func WithAnalyticSB() Option { return func(c *Config) { c.AnalyticSB = true } }
 
-// WithNIC toggles the 1 Gbps per-node egress model, on which every send
-// of a node serializes (message-level runs only; on by default).
-func WithNIC(enabled bool) Option { return func(c *Config) { c.DisableNIC = !enabled } }
+// WithNIC toggles the 1 Gbps per-node egress model (on by default), the
+// simulator's only bandwidth charge: every send of a node serializes on
+// it, analytic-SB proposals included; off, no bandwidth is charged.
+func WithNIC(enabled bool) Option { return func(c *Config) { c.disableNIC = !enabled } }
 
 // WithTransport selects the message-carrying backend. TransportProc runs
 // the cluster over real goroutines and wall-clock time instead of the
@@ -433,7 +434,7 @@ func (c Config) lower() (cluster.Config, error) {
 		AnalyticSB:    c.AnalyticSB,
 		// The NIC model is a simulation concept; the real transport
 		// measures real links, so it never applies there.
-		NIC:          !c.DisableNIC && !c.AnalyticSB && c.Transport == TransportSim,
+		NIC:          !c.disableNIC && c.Transport == TransportSim,
 		Seed:         c.Seed,
 		CaptureState: c.CaptureState,
 	}

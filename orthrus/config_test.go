@@ -41,7 +41,7 @@ func TestNewConfigDefaults(t *testing.T) {
 	if c.Replicas != 16 || c.Protocol != "Orthrus" || c.Net != WAN || c.Seed != 42 {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
-	if c.DisableNIC || c.AnalyticSB {
+	if c.disableNIC || c.AnalyticSB {
 		t.Fatalf("NIC should default on, AnalyticSB off: %+v", c)
 	}
 	if c.PaymentFraction != 0 {
@@ -124,7 +124,7 @@ func TestOptionsSetFields(t *testing.T) {
 		c.TotalTxs != 50 || c.Stragglers != 2 || c.StragglerFactor != 5 || c.ByzantineFaults != 1 ||
 		c.Scenario != scn || c.BatchSize != 256 || c.BatchTimeout != 50*time.Millisecond ||
 		c.EpochLen != 64 || c.ViewTimeout != 3*time.Second || c.TxSize != 200 ||
-		c.Accounts != 1000 || c.PaymentFraction != 0.5 || !c.DisableNIC || c.Seed != 7 ||
+		c.Accounts != 1000 || c.PaymentFraction != 0.5 || !c.disableNIC || c.Seed != 7 ||
 		c.Observer == nil || !c.CaptureState {
 		t.Fatalf("options not applied: %+v", c)
 	}
