@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -86,15 +87,32 @@ func TestAnalyticAgreesWithMessageLevel(t *testing.T) {
 		kneeLo, kneeHi       = 0.95, 1.25 // analytic knee / message-level knee
 		latencyLo, latencyHi = 0.90, 1.02 // analytic mean / message-level mean, lightest load
 	)
-	for _, n := range []int{8, 16} {
+	sizes, fracs := []int{8, 16}, []float64{0.25, 0.5, 0.75, 1}
+	// The message-level runs share nothing, so they start now, at most
+	// GOMAXPROCS at a time; the analytic ones run one after another on
+	// this goroutine meanwhile, because runCountingHits swaps the
+	// package-global newAnalytic.
+	sem, msgs := make(chan struct{}, runtime.GOMAXPROCS(0)), map[float64]chan *Result{}
+	for _, n := range sizes {
+		for _, frac := range fracs {
+			load, res := frac*egressCap(n), make(chan *Result, 1)
+			msgs[load] = res
+			go func() {
+				sem <- struct{}{}
+				res <- Run(egressCfg(n, load, false))
+				<-sem
+			}()
+		}
+	}
+	for _, n := range sizes {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			var kneeMsg, kneeAna float64
 			var latMsg, latAna time.Duration
 			var hits, proposals uint64
-			for i, frac := range []float64{0.25, 0.5, 0.75, 1} {
+			for i, frac := range fracs {
 				load := frac * egressCap(n)
-				msg := Run(egressCfg(n, load, false))
 				ana, h, p := runCountingHits(egressCfg(n, load, true))
+				msg := <-msgs[load]
 				hits, proposals = hits+h, proposals+p
 				t.Logf("offered %6.0f tps: message-level %6.0f tps %v mean, analytic %6.0f tps %v mean, quorumCache hits %.3f",
 					load, msg.ThroughputTPS, msg.Latency.Mean.Round(time.Millisecond),

@@ -85,9 +85,10 @@ func TestCheckRules(t *testing.T) {
 }
 
 // TestBackendsPanicWithTheRule: a hand-built Config that breaks a rule stops
-// both backends with that rule's field and reason, not with whatever runtime
+// every backend with that rule's field and reason, not with whatever runtime
 // error the bad value would have caused further in (the zero Config used to
-// divide by zero, nine stragglers of four to index out of range).
+// divide by zero, nine stragglers of four to index out of range), and the
+// real harness stops before it builds a cluster: no TCP listener opens.
 func TestBackendsPanicWithTheRule(t *testing.T) {
 	stragglers := smallCfg(core.OrthrusMode())
 	stragglers.Stragglers = 9
@@ -98,7 +99,13 @@ func TestBackendsPanicWithTheRule(t *testing.T) {
 		{Config{}, "cluster: invalid Replicas: need at least 1 replica, got 0"},
 		{stragglers, "cluster: invalid Stragglers: 9 stragglers exceed 4 replicas"},
 	} {
-		for name, run := range map[string]func(Config) *Result{"Run": Run, "RunReal": RunReal} {
+		neverBuilt := func(cfg Config) *Result {
+			return runReal(cfg, func(int) realNet {
+				t.Error("the TCP cluster was built before the rule was checked")
+				return nil
+			})
+		}
+		for name, run := range map[string]func(Config) *Result{"Run": Run, "RunReal": RunReal, "RunRealTCP": neverBuilt} {
 			func() {
 				defer func() {
 					if got := fmt.Sprint(recover()); got != tc.want {

@@ -13,8 +13,9 @@
 // Every fault is a scenario.Event applied through one step, its link and
 // endpoint half through package faultnet's decorator over the backend's
 // network. Run (sim.go) executes inside the simulator's one event loop over
-// a modeled WAN or LAN; RunReal (real.go) on transport.Proc's goroutines
-// under wall-clock time.
+// a modeled WAN or LAN; RunReal (real.go) on real goroutines under
+// wall-clock time, through one harness (runReal) that drives either real
+// cluster: transport.Proc, RunReal's, or transport.Loopback's TCP sockets.
 //
 // Config describes a run. The engine knobs are the embedded core.Params,
 // resolved once per run by withDefaults; Check, Conflicts and SimOnly are

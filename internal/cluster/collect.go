@@ -18,9 +18,9 @@ import (
 // client-side submission record, and stamps each client-visible
 // confirmation (the (f+1)-th reply) on it; every number the Result reports
 // is read off those records (records.go). A backend (Run: the simulator;
-// RunReal: transport.Proc) supplies the engine. Its own events and the
-// replicas' hooks take mu around the books, so a backend may run them
-// concurrently.
+// runReal: a real cluster, transport.Proc or transport.Loopback) supplies
+// the engine. Its own events and the replicas' hooks take mu around the
+// books, so a backend may run them concurrently.
 type collector struct {
 	cfg     Config
 	f       int

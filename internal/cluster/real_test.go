@@ -197,42 +197,70 @@ func TestCrossValidationDigests(t *testing.T) {
 	}
 }
 
-// TestRunRealSmoke pins the measurement harness end to end: a short real
-// run confirms transactions, reports throughput and latency, counts only
-// protocol traffic, and converges replica state.
-func TestRunRealSmoke(t *testing.T) {
-	res := RunReal(Config{
-		N:            4,
-		Protocol:     core.OrthrusMode(),
-		Net:          LAN,
-		LoadTPS:      400,
-		Duration:     1200 * time.Millisecond,
-		Warmup:       400 * time.Millisecond,
-		Drain:        8 * time.Second,
-		Params:       core.Params{BatchTimeout: 50 * time.Millisecond},
-		Workload:     workload.Config{Accounts: 64, PaymentFraction: 1, Seed: 3},
-		CaptureState: true,
-	})
-	if res.Submitted == 0 || res.Confirmed == 0 {
-		t.Fatalf("no progress: submitted=%d confirmed=%d", res.Submitted, res.Confirmed)
-	}
-	if res.ThroughputTPS <= 0 {
-		t.Fatalf("ThroughputTPS = %v", res.ThroughputTPS)
-	}
-	if res.Latency.Count == 0 || res.Latency.Mean <= 0 {
-		t.Fatalf("latency not measured: %s", res.Latency)
-	}
-	if res.Messages == 0 {
-		t.Fatal("no protocol messages counted")
-	}
-	if !res.Converged {
-		t.Fatal("replica states diverged")
-	}
-	// The observer's traces ride its confirmations on this backend too.
-	for s := metrics.StageSend; s <= metrics.StageReply; s++ {
-		if res.Breakdown.Mean(s) <= 0 {
-			t.Errorf("stage %v: mean %v, want > 0", s, res.Breakdown.Mean(s))
+// overTCP is RunReal over loopback sockets; it fails t if an endpoint
+// dropped a frame at its queue cap.
+func overTCP(t *testing.T, cfg Config) *Result {
+	t.Helper()
+	var lb *transport.Loopback
+	res := runReal(cfg, func(n int) realNet {
+		var err error
+		if lb, err = transport.NewLoopback(n, transport.TCPOptions{}); err != nil {
+			t.Fatal(err)
 		}
+		return lb
+	})
+	if d := lb.Dropped(); d != 0 {
+		t.Errorf("the endpoints dropped %d frames at their queue caps", d)
+	}
+	return res
+}
+
+// realRuns are the real clusters, by subtest name.
+var realRuns = map[string]func(*testing.T, Config) *Result{
+	"RunReal":    func(_ *testing.T, cfg Config) *Result { return RunReal(cfg) },
+	"RunRealTCP": overTCP,
+}
+
+// TestRunRealSmoke pins the measurement harness end to end on both real
+// clusters: a short run confirms transactions, reports throughput and
+// latency, counts only protocol traffic, and converges replica state.
+func TestRunRealSmoke(t *testing.T) {
+	for name, run := range realRuns {
+		t.Run(name, func(t *testing.T) {
+			res := run(t, Config{
+				N:            4,
+				Protocol:     core.OrthrusMode(),
+				Net:          LAN,
+				LoadTPS:      400,
+				Duration:     1200 * time.Millisecond,
+				Warmup:       400 * time.Millisecond,
+				Drain:        8 * time.Second,
+				Params:       core.Params{BatchTimeout: 50 * time.Millisecond},
+				Workload:     workload.Config{Accounts: 64, PaymentFraction: 1, Seed: 3},
+				CaptureState: true,
+			})
+			if res.Submitted == 0 || res.Confirmed == 0 {
+				t.Fatalf("no progress: submitted=%d confirmed=%d", res.Submitted, res.Confirmed)
+			}
+			if res.ThroughputTPS <= 0 {
+				t.Fatalf("ThroughputTPS = %v", res.ThroughputTPS)
+			}
+			if res.Latency.Count == 0 || res.Latency.Mean <= 0 {
+				t.Fatalf("latency not measured: %s", res.Latency)
+			}
+			if res.Messages == 0 {
+				t.Fatal("no protocol messages counted")
+			}
+			if !res.Converged {
+				t.Fatal("replica states diverged")
+			}
+			// The observer's traces ride its confirmations on this backend too.
+			for s := metrics.StageSend; s <= metrics.StageReply; s++ {
+				if res.Breakdown.Mean(s) <= 0 {
+					t.Errorf("stage %v: mean %v, want > 0", s, res.Breakdown.Mean(s))
+				}
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"maps"
 	"reflect"
 	"testing"
 	"time"
@@ -34,24 +35,26 @@ func scenarioBase(n int, scn *scenario.Scenario) Config {
 }
 
 // TestPartitionHealLiveness pins the partition semantics end to end, on
-// both backends: a 2/2 split of a 4-replica cluster leaves no side with a
-// 2f+1 quorum, so no transaction commits during the cut; after the heal the
-// view changes complete and the backlog catches up.
+// the simulator and both real clusters: a 2/2 split of a 4-replica cluster
+// leaves no side with a 2f+1 quorum, so no transaction commits during the
+// cut; after the heal the view changes complete and the backlog catches up.
 func TestPartitionHealLiveness(t *testing.T) {
 	scn := scenario.New("split-heal").
 		PartitionAt(2*time.Second, []int{0, 1}, []int{2, 3}).
 		HealAt(4 * time.Second).
 		Build()
-	for name, run := range map[string]func(Config) *Result{"Run": Run, "RunReal": RunReal} {
+	runs := map[string]func(*testing.T, Config) *Result{"Run": func(_ *testing.T, cfg Config) *Result { return Run(cfg) }}
+	maps.Copy(runs, realRuns)
+	for name, run := range runs {
 		t.Run(name, func(t *testing.T) {
 			cfg := scenarioBase(4, scn)
-			if name == "RunReal" {
+			if name != "Run" {
 				if testing.Short() {
 					t.Skip("multi-second wall-clock run")
 				}
 				cfg.NIC = false // real links
 			}
-			checkPartitionHeal(t, run(cfg))
+			checkPartitionHeal(t, run(t, cfg))
 		})
 	}
 }

@@ -19,7 +19,6 @@ package netbench
 
 import (
 	"fmt"
-	"net"
 	"runtime"
 	"sort"
 	"sync"
@@ -117,15 +116,14 @@ func Run(opts Options) (*Artifact, error) {
 	return art, nil
 }
 
-// env abstracts the two backends behind the operations the harness
-// drives: per-replica broadcast entry points, delivered-traffic counters
-// and teardown.
-type env struct {
-	broadcast func(from int, msg any)
-	messages  func() uint64
-	bytes     func() uint64
-	drops     func() uint64
-	close     func()
+// cluster is what a cell drives of either backend: transport.Proc or
+// transport.Loopback.
+type cluster interface {
+	types.Network
+	Start(epoch time.Time)
+	Stop()
+	Messages() uint64
+	Bytes() uint64
 }
 
 // Proposal builds the proposal-shaped message every transport cell — and
@@ -177,77 +175,30 @@ func runCell(backend string, n int, opts Options) (Cell, error) {
 	var delivered atomic.Uint64
 	epoch := time.Now()
 
-	handlerFor := func(id int) func(int, any) {
-		return func(from int, msg any) {
-			if m, ok := msg.(*pbft.PrePrepare); ok {
-				lats[id] = append(lats[id], int64(time.Since(epoch))-m.Block.ProposeNS)
-			}
-			delivered.Add(1)
-		}
-	}
-
-	var e env
+	var c cluster
+	drops := func() uint64 { return 0 }
 	switch backend {
 	case "proc":
-		p := transport.NewProc(n)
-		for i := 0; i < n; i++ {
-			p.Register(i, handlerFor(i))
-		}
-		p.Start(epoch)
-		e = env{
-			broadcast: p.Broadcast,
-			messages:  p.Messages,
-			bytes:     p.Bytes,
-			drops:     func() uint64 { return 0 },
-			close:     p.Stop,
-		}
+		c = transport.NewProc(n)
 	case "tcp":
-		listeners := make([]net.Listener, n)
-		peers := make([]string, n)
-		for i := range peers {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				return Cell{}, err
-			}
-			listeners[i] = ln
-			peers[i] = ln.Addr().String()
+		l, err := transport.NewLoopback(n, transport.TCPOptions{})
+		if err != nil {
+			return Cell{}, err
 		}
-		ts := make([]*transport.TCP, n)
-		nodes := make([]*transport.Node, n)
-		for i := range ts {
-			nodes[i] = transport.NewNode()
-			tr, err := transport.NewTCP(i, peers, nodes[i], transport.TCPOptions{Listener: listeners[i]})
-			if err != nil {
-				return Cell{}, err
-			}
-			tr.Register(i, handlerFor(i))
-			nodes[i].Start(epoch)
-			ts[i] = tr
-		}
-		sum := func(f func(*transport.TCP) uint64) func() uint64 {
-			return func() (total uint64) {
-				for _, t := range ts {
-					total += f(t)
-				}
-				return
-			}
-		}
-		e = env{
-			broadcast: func(from int, msg any) { ts[from].Broadcast(from, msg) },
-			messages:  sum((*transport.TCP).Messages),
-			bytes:     sum((*transport.TCP).Bytes),
-			drops:     sum((*transport.TCP).Dropped),
-			close: func() {
-				for i := range ts {
-					ts[i].Close()
-					nodes[i].Stop()
-				}
-			},
-		}
+		c, drops = l, l.Dropped
 	default:
 		return Cell{}, fmt.Errorf("unknown backend %q", backend)
 	}
-	defer e.close()
+	for i := 0; i < n; i++ {
+		c.Register(i, func(_ int, msg any) {
+			if m, ok := msg.(*pbft.PrePrepare); ok {
+				lats[i] = append(lats[i], int64(time.Since(epoch))-m.Block.ProposeNS)
+			}
+			delivered.Add(1)
+		})
+	}
+	c.Start(epoch)
+	defer c.Stop()
 
 	// Measured phase: every replica floods broadcasts under the global
 	// in-flight bound; allocations are read around the whole phase.
@@ -272,7 +223,7 @@ func runCell(backend string, n int, opts Options) (Cell, error) {
 					b  types.Block
 				}{*tmpl, *tmpl.Block}
 				m.pp.Block, m.b.ProposeNS = &m.b, int64(time.Since(epoch))
-				e.broadcast(from, &m.pp)
+				c.Broadcast(from, &m.pp)
 				sent.Add(1)
 			}
 		}(from)
@@ -280,7 +231,7 @@ func runCell(backend string, n int, opts Options) (Cell, error) {
 	wg.Wait()
 
 	// Drain: every sent frame is delivered or (anomalously) dropped.
-	expected := func() uint64 { return sent.Load()*uint64(n) - e.drops() }
+	expected := func() uint64 { return sent.Load()*uint64(n) - drops() }
 	deadline := time.Now().Add(30 * time.Second)
 	for delivered.Load() < expected() {
 		if time.Now().After(deadline) {
@@ -294,9 +245,9 @@ func runCell(backend string, n int, opts Options) (Cell, error) {
 	cell := Cell{
 		Backend: backend,
 		N:       n,
-		Msgs:    e.messages(),
-		Bytes:   e.bytes(),
-		Drops:   e.drops(),
+		Msgs:    c.Messages(),
+		Bytes:   c.Bytes(),
+		Drops:   drops(),
 	}
 	if s := elapsed.Seconds(); s > 0 {
 		cell.MsgsPerSec = float64(cell.Msgs) / s

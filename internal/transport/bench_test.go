@@ -1,7 +1,6 @@
 package transport_test
 
 import (
-	"net"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -109,34 +108,19 @@ func BenchmarkTransportProcSend(b *testing.B) {
 	flood(b, &delivered, 1, func() { p.Send(0, 1, msg) })
 }
 
-// benchTCPCluster builds an n-endpoint loopback cluster whose handlers
+// benchLoopback starts an n-endpoint loopback cluster whose handlers
 // bump the shared delivered counter.
-func benchTCPCluster(b *testing.B, n int, delivered *atomic.Uint64) []*transport.TCP {
-	b.Helper()
-	listeners := make([]net.Listener, n)
-	peers := make([]string, n)
-	for i := range peers {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		listeners[i] = ln
-		peers[i] = ln.Addr().String()
+func benchLoopback(b *testing.B, n int, delivered *atomic.Uint64) *transport.Loopback {
+	l, err := transport.NewLoopback(n, transport.TCPOptions{})
+	if err != nil {
+		b.Fatal(err)
 	}
-	ts := make([]*transport.TCP, n)
-	epoch := time.Now()
-	for i := range ts {
-		node := transport.NewNode()
-		tr, err := transport.NewTCP(i, peers, node, transport.TCPOptions{Listener: listeners[i]})
-		if err != nil {
-			b.Fatal(err)
-		}
-		tr.Register(i, func(int, any) { delivered.Add(1) })
-		node.Start(epoch)
-		ts[i] = tr
-		b.Cleanup(func() { tr.Close(); node.Stop() })
+	for i := 0; i < n; i++ {
+		l.Register(i, func(int, any) { delivered.Add(1) })
 	}
-	return ts
+	l.Start(time.Now())
+	b.Cleanup(l.Stop)
+	return l
 }
 
 // BenchmarkTransportTCPBroadcast measures one TCP broadcast to an
@@ -148,9 +132,9 @@ func BenchmarkTransportTCPBroadcast(b *testing.B) {
 		c := c
 		b.Run(c.ID, func(b *testing.B) {
 			var delivered atomic.Uint64
-			ts := benchTCPCluster(b, c.N, &delivered)
+			l := benchLoopback(b, c.N, &delivered)
 			msg := netbench.Proposal(0, 0)
-			flood(b, &delivered, c.N, func() { ts[0].Broadcast(0, msg) })
+			flood(b, &delivered, c.N, func() { l.Broadcast(0, msg) })
 		})
 	}
 }
@@ -158,7 +142,7 @@ func BenchmarkTransportTCPBroadcast(b *testing.B) {
 // BenchmarkTransportTCPSend measures one point-to-point TCP frame.
 func BenchmarkTransportTCPSend(b *testing.B) {
 	var delivered atomic.Uint64
-	ts := benchTCPCluster(b, 2, &delivered)
+	l := benchLoopback(b, 2, &delivered)
 	msg := netbench.Proposal(0, 0)
-	flood(b, &delivered, 1, func() { ts[0].Send(0, 1, msg) })
+	flood(b, &delivered, 1, func() { l.Send(0, 1, msg) })
 }

@@ -149,16 +149,11 @@ func TestSelfDeliveryIsTheMessageSent(t *testing.T) {
 		selfDelivery(t, cols, bcast, self, func() (uint64, uint64) { return p.Messages(), p.Bytes() })
 	})
 	t.Run("tcp", func(t *testing.T) {
-		ts, cols := tcpCluster(t, 3)
+		l, cols := loopback(t, 3, TCPOptions{})
 		bcast, self := testProposal(), testProposal()
-		ts[0].Broadcast(0, bcast)
-		ts[0].Send(0, 0, self)
-		selfDelivery(t, cols, bcast, self, func() (messages, bytes uint64) {
-			for _, tr := range ts {
-				messages, bytes = messages+tr.Messages(), bytes+tr.Bytes()
-			}
-			return messages, bytes
-		})
+		l.Broadcast(0, bcast)
+		l.Send(0, 0, self)
+		selfDelivery(t, cols, bcast, self, func() (uint64, uint64) { return l.Messages(), l.Bytes() })
 	})
 }
 
@@ -224,10 +219,10 @@ func TestProcEncodeErrorsCounted(t *testing.T) {
 // transport: Send and Broadcast of an unencodable message count into
 // EncodeErrors instead of panicking, and nothing reaches any replica.
 func TestTCPEncodeErrorsCounted(t *testing.T) {
-	ts, cols := tcpCluster(t, 2)
-	ts[0].Send(0, 1, unencodable{})
-	ts[0].Broadcast(0, unencodable{})
-	if got := ts[0].EncodeErrors(); got != 2 {
+	l, cols := loopback(t, 2, TCPOptions{})
+	l.Send(0, 1, unencodable{})
+	l.Broadcast(0, unencodable{})
+	if got := l.eps[0].EncodeErrors(); got != 2 {
 		t.Fatalf("EncodeErrors = %d, want 2", got)
 	}
 	time.Sleep(20 * time.Millisecond)
@@ -240,8 +235,8 @@ func TestTCPEncodeErrorsCounted(t *testing.T) {
 // peer is dropped and counted without killing the connection: a valid
 // frame following the garbage still arrives.
 func TestTCPDecodeErrorsCounted(t *testing.T) {
-	ts, cols := tcpCluster(t, 2)
-	conn, err := net.Dial("tcp", ts[0].Addr().String())
+	l, cols := loopback(t, 2, TCPOptions{})
+	conn, err := net.Dial("tcp", l.eps[0].Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,10 +251,10 @@ func TestTCPDecodeErrorsCounted(t *testing.T) {
 	if _, err := conn.Write(garbage); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return ts[0].DecodeErrors() == 1 })
-	ts[1].Send(1, 0, testProposal())
+	waitFor(t, func() bool { return l.eps[0].DecodeErrors() == 1 })
+	l.Send(1, 0, testProposal())
 	waitFor(t, func() bool { return len(cols[0].snapshot()) == 1 })
-	if got := ts[0].Messages(); got != 1 {
+	if got := l.eps[0].Messages(); got != 1 {
 		t.Fatalf("Messages = %d, want 1 (the garbage frame must not count)", got)
 	}
 }

@@ -32,7 +32,7 @@ const (
 // TCPOptions tunes a TCP transport; the zero value is usable.
 type TCPOptions struct {
 	// Listener overrides listening on the peer table's own address —
-	// tests reserve ephemeral ports this way. Closed by Close.
+	// Loopback and tests reserve ephemeral ports this way. Closed by Close.
 	Listener net.Listener
 	// WriteTimeout bounds each frame write (default 5s); a peer that
 	// stalls longer gets its connection dropped and redialed.

@@ -15,41 +15,22 @@ import (
 	"repro/internal/wire"
 )
 
-// tcpCluster reserves ephemeral loopback ports for n replicas and builds a
-// TCP transport plus collector per replica; logf, if given, receives every
-// endpoint's connectivity log lines.
-func tcpCluster(t *testing.T, n int, logf ...func(format string, args ...any)) ([]*TCP, []*collector) {
+// loopback starts an n-replica Loopback built with opts, each replica
+// recording into a collector of its own.
+func loopback(t *testing.T, n int, opts TCPOptions) (*Loopback, []*collector) {
 	t.Helper()
-	listeners := make([]net.Listener, n)
-	peers := make([]string, n)
-	for i := range peers {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i] = ln
-		peers[i] = ln.Addr().String()
+	l, err := NewLoopback(n, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ts := make([]*TCP, n)
 	cols := make([]*collector, n)
-	epoch := time.Now()
-	for i := range ts {
-		node := NewNode()
-		opts := TCPOptions{Listener: listeners[i]}
-		if len(logf) > 0 {
-			opts.Logf = logf[0]
-		}
-		tr, err := NewTCP(i, peers, node, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i := range cols {
 		cols[i] = &collector{}
-		tr.Register(i, cols[i].handle)
-		node.Start(epoch)
-		ts[i] = tr
-		t.Cleanup(func() { tr.Close(); node.Stop() })
+		l.Register(i, cols[i].handle)
 	}
-	return ts, cols
+	l.Start(time.Now())
+	t.Cleanup(l.Stop)
+	return l, cols
 }
 
 // TestTCPDelivery pins framing end to end: sends and broadcasts cross real
@@ -57,15 +38,15 @@ func tcpCluster(t *testing.T, n int, logf ...func(format string, args ...any)) (
 // hello handshake, and the delivered-traffic counters reflect encoded
 // frame payloads.
 func TestTCPDelivery(t *testing.T) {
-	ts, cols := tcpCluster(t, 3)
+	l, cols := loopback(t, 3, TCPOptions{})
 
 	msg := &pbft.Prepare{Instance: 1, View: 2, Seq: 3, Digest: types.BlockID{7}, Replica: 0}
 	enc, err := wire.Encode(msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts[0].Send(0, 1, msg)
-	ts[2].Broadcast(2, &pbft.Commit{Instance: 0, Seq: 1, Replica: 2})
+	l.Send(0, 1, msg)
+	l.Broadcast(2, &pbft.Commit{Instance: 0, Seq: 1, Replica: 2})
 
 	waitFor(t, func() bool { return len(cols[1].snapshot()) == 2 })
 	waitFor(t, func() bool { return len(cols[0].snapshot()) == 1 })
@@ -89,10 +70,10 @@ func TestTCPDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := ts[1].Bytes(), uint64(len(enc)+len(cenc)); got != want {
+	if got, want := l.eps[1].Bytes(), uint64(len(enc)+len(cenc)); got != want {
 		t.Fatalf("replica 1 Bytes = %d, want %d (actual encoded sizes)", got, want)
 	}
-	if got := ts[1].Messages(); got != 2 {
+	if got := l.eps[1].Messages(); got != 2 {
 		t.Fatalf("replica 1 Messages = %d, want 2", got)
 	}
 }
@@ -105,19 +86,19 @@ func TestTCPDelivery(t *testing.T) {
 func TestTCPHelloRefusesImpersonation(t *testing.T) {
 	var mu sync.Mutex
 	refused := 0
-	ts, cols := tcpCluster(t, 2, func(format string, args ...any) {
+	l, cols := loopback(t, 2, TCPOptions{Logf: func(format string, args ...any) {
 		if strings.Contains(format, "hello claims") {
 			mu.Lock()
 			refused++
 			mu.Unlock()
 		}
-	})
+	}})
 	vote, err := wire.Encode(&pbft.Prepare{Instance: 0, Seq: 1, Replica: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, claimed := range []uint32{0, 2, 1 << 31} {
-		conn, err := net.Dial("tcp", ts[0].Addr().String())
+		conn, err := net.Dial("tcp", l.eps[0].Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,10 +115,10 @@ func TestTCPHelloRefusesImpersonation(t *testing.T) {
 		}
 		conn.Close()
 	}
-	ts[1].Send(1, 0, &pbft.Prepare{Instance: 0, Seq: 2, Replica: 1})
+	l.Send(1, 0, &pbft.Prepare{Instance: 0, Seq: 2, Replica: 1})
 	waitFor(t, func() bool { return len(cols[0].snapshot()) == 1 })
-	if got := cols[0].snapshot()[0]; got.from != 1 || ts[0].Messages() != 1 {
-		t.Fatalf("endpoint 0 delivered %+v (%d messages), want only replica 1's vote", got, ts[0].Messages())
+	if got := cols[0].snapshot()[0]; got.from != 1 || l.eps[0].Messages() != 1 {
+		t.Fatalf("endpoint 0 delivered %+v (%d messages), want only replica 1's vote", got, l.eps[0].Messages())
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -202,74 +183,41 @@ func TestTCPReconnectBackoff(t *testing.T) {
 // reaped even with live inbound connections and a queued frame to an
 // unreachable peer.
 func TestTCPCleanShutdown(t *testing.T) {
-	ts, cols := tcpCluster(t, 2)
-	ts[0].Send(0, 1, &pbft.Prepare{Instance: 0, Seq: 1, Replica: 0})
-	waitFor(t, func() bool { return len(cols[1].snapshot()) == 1 })
-
-	// Queue a frame to a peer that will never accept: a dead address.
-	dead, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadAddr := dead.Addr().String()
-	dead.Close()
-	node := NewNode()
-	tr, err := NewTCP(0, []string{"127.0.0.1:0", deadAddr}, node, TCPOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.Register(0, (&collector{}).handle)
-	node.Start(time.Now())
-	tr.Send(0, 1, &pbft.Prepare{})
+	l, cols := loopback(t, 3, TCPOptions{})
+	l.Send(1, 0, &pbft.Prepare{Instance: 0, Seq: 1, Replica: 1})
+	waitFor(t, func() bool { return len(cols[0].snapshot()) == 1 })
+	l.eps[2].Close() // a peer that will never accept again
+	l.Send(0, 2, &pbft.Prepare{})
 
 	doneCh := make(chan struct{})
-	go func() { tr.Close(); node.Stop(); close(doneCh) }()
+	go func() { l.Stop(); close(doneCh) }()
 	select {
 	case <-doneCh:
 	case <-time.After(10 * time.Second):
-		t.Fatal("Close did not return within 10s")
+		t.Fatal("shutdown did not return within 10s")
 	}
 }
 
 // TestTCPRejectsForeignRegister pins the single-replica contract of a TCP
 // endpoint.
 func TestTCPRejectsForeignRegister(t *testing.T) {
-	ts, _ := tcpCluster(t, 2)
+	l, _ := loopback(t, 2, TCPOptions{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Register with a foreign id did not panic")
 		}
 	}()
-	ts[0].Register(1, func(int, any) {})
+	l.eps[0].Register(1, func(int, any) {})
 }
 
 // TestTCPQueueCapBoundsBlockedPeer pins the outbound bound: a peer that
 // refuses every connection must not grow its writer queue past QueueCap —
 // the oldest frames are dropped and counted in Dropped().
 func TestTCPQueueCapBoundsBlockedPeer(t *testing.T) {
-	lnSelf, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lnDead, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadAddr := lnDead.Addr().String()
-	lnDead.Close() // refuse connections: the writer loops in dial backoff
-
 	const cap = 8
-	node := NewNode()
-	tr, err := NewTCP(0, []string{lnSelf.Addr().String(), deadAddr}, node, TCPOptions{
-		Listener: lnSelf,
-		QueueCap: cap,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.Register(0, (&collector{}).handle)
-	node.Start(time.Now())
-	t.Cleanup(func() { tr.Close(); node.Stop() })
+	l, _ := loopback(t, 2, TCPOptions{QueueCap: cap})
+	l.eps[1].Close() // refuse connections: the writer loops in dial backoff
+	tr := l.eps[0]
 
 	// Park the writer first: it pops a whole batch (up to cap frames) and then
 	// redials forever, so how many of a burst it holds depends on when it

@@ -8,6 +8,9 @@
 //   - TCP, the same replicas over real sockets with length-prefixed
 //     framing, per-peer reconnect with backoff, and write timeouts.
 //
+// Loopback is a whole cluster of TCP endpoints on 127.0.0.1 over the node
+// loops of a Proc, so the cluster harness drives either the same way.
+//
 // Both transports count the bytes they actually encode (internal/wire) in
 // Messages and Bytes; only the simulator charges a modeled size
 // (wire.ModeledSize).
