@@ -204,8 +204,11 @@ func (c *collector) start() {
 }
 
 // fire applies one fault or load event — the one step every injected fault
-// goes through. Link and endpoint faults go to the decorator, replica verbs
-// through the backend to each of e.Nodes.
+// goes through. Link faults go to the decorator, replica verbs through the
+// backend to each of e.Nodes. A crash or recovery is one step where the
+// replica runs: the replica stops before its links go down, and its links
+// come up before it recovers, so a real replica sends nothing in between
+// that the decorator would drop.
 func (c *collector) fire(e scenario.Event) {
 	switch e.Kind {
 	case scenario.Partition:
@@ -218,11 +221,9 @@ func (c *collector) fire(e scenario.Event) {
 	for _, id := range e.Nodes {
 		switch r := c.reps[id]; e.Kind {
 		case scenario.Crash:
-			c.be.onReplica(id, r.Stop)
-			c.net.SetDown(id, true)
+			c.be.onReplica(id, func() { r.Stop(); c.net.SetDown(id, true) })
 		case scenario.Recover:
-			c.net.SetDown(id, false)
-			c.be.onReplica(id, r.Recover)
+			c.be.onReplica(id, func() { c.net.SetDown(id, false); r.Recover() })
 		case scenario.Straggle:
 			if c.be.outScale != nil {
 				c.be.outScale(id, e.Scale)

@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/scenario"
+	"repro/internal/simnet"
 	"repro/internal/types"
 )
 
@@ -96,5 +98,50 @@ func TestObserverBreakdownFilters(t *testing.T) {
 		if got := res.Breakdown.Mean(s); got != w {
 			t.Errorf("%v: mean %v, want %v (one trace counted, once)", s, got, w)
 		}
+	}
+}
+
+// TestCrashIsOneStepWhereTheReplicaRuns pins a crash and a recovery as one
+// step where the replica runs. Over a backend that runs replica verbs
+// later, as a real replica's event loop does, the victim's links stay up
+// until the step that stops it runs, and stay down until the step that
+// recovers it runs: a proposal the victim makes before either step is sent
+// by a replica whose links match its state, never dropped at a link cut
+// under a replica that still counts it sent.
+func TestCrashIsOneStepWhereTheReplicaRuns(t *testing.T) {
+	const n, victim = 4, 2
+	sim := simnet.New(1)
+	var later []func()
+	runLater := func() {
+		for _, fn := range later {
+			fn()
+		}
+		later = nil
+	}
+	cfg := Config{N: n, Protocol: core.OrthrusMode()}
+	c := newCollector(cfg.withDefaults(), backend{
+		net:       simnet.NewNetwork(sim, n, simnet.NewFixed(time.Millisecond), nil),
+		onReplica: func(_ int, fn func()) { later = append(later, fn) },
+		replyHop:  func(int, int) time.Duration { return 0 },
+	})
+	c.replicas(func(i int, ccfg core.Config) *core.Replica {
+		return core.NewReplica(ccfg, simnet.On(sim, i), c.net)
+	})
+
+	c.fire(scenario.Event{Kind: scenario.Crash, Nodes: []int{victim}})
+	if c.net.Down(victim) {
+		t.Fatal("the victim's links went down before its replica stopped")
+	}
+	runLater()
+	if !c.net.Down(victim) {
+		t.Fatal("the victim's links are up after its crash ran")
+	}
+	c.fire(scenario.Event{Kind: scenario.Recover, Nodes: []int{victim}})
+	if !c.net.Down(victim) {
+		t.Fatal("the victim's links came up before its replica recovered")
+	}
+	runLater()
+	if c.net.Down(victim) {
+		t.Fatal("the victim's links are down after its recovery ran")
 	}
 }

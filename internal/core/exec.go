@@ -123,25 +123,24 @@ func (r *Replica) track(tx *types.Transaction) *txTracker {
 	return t
 }
 
-// resolve fills t's route and op handles for tx. The route is the distinct
-// buckets of tx's payers, ascending (its client's bucket if it has none),
-// cut to its head unless the mode splits multi-payer transactions.
+// resolve fills t's route and op handles for tx. The route is tx's
+// partition.Route, cut to its head unless the mode splits multi-payer
+// transactions.
 func (r *Replica) resolve(t *txTracker, tx *types.Transaction) {
-	hs, route := t.hs[:0], t.arr[:0]
+	hs := t.hs[:0]
 	for _, op := range tx.Ops {
 		if op.Type == types.Shared {
 			hs = append(hs, r.store.Record(op.Key))
-			continue
-		}
-		a := r.account(op.Key)
-		hs = append(hs, a)
-		if op.IsPayerOp() {
-			route = addBucket(route, r.bucketOf(a, op.Key))
+		} else {
+			hs = append(hs, r.account(op.Key))
 		}
 	}
-	if len(route) == 0 {
-		route = append(route, r.bucketOf(r.account(tx.Client), tx.Client))
-	}
+	route := partition.Route(t.arr[:0], tx, func(i int) int32 {
+		if i < 0 {
+			return r.bucketOf(r.account(tx.Client), tx.Client)
+		}
+		return r.bucketOf(hs[i], tx.Ops[i].Key)
+	})
 	if !r.cfg.Mode.SplitMultiPayer {
 		route = route[:1]
 	}
@@ -151,21 +150,6 @@ func (r *Replica) resolve(t *txTracker, tx *types.Transaction) {
 		return
 	}
 	t.wide = &wideRoute{route: slices.Clone(route), handles: slices.Clone(hs)}
-}
-
-// addBucket inserts b into the ascending, distinct route.
-func addBucket(route []int32, b int32) []int32 {
-	i := len(route)
-	for i > 0 && route[i-1] >= b {
-		if route[i-1] == b {
-			return route
-		}
-		i--
-	}
-	route = append(route, 0)
-	copy(route[i+1:], route[i:])
-	route[i] = b
-	return route
 }
 
 // account resolves owned key k to its ledger handle, extending the

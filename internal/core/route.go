@@ -6,19 +6,21 @@ import (
 )
 
 // SubmitRouter resolves which replicas a client sends a transaction to
-// (Sec. V-B): the initial leader of every payer bucket plus the f replicas
-// after it, so a censoring leader cannot hide the transaction, and replica
-// 0, the tracing observer. m = n, so instance i's initial leader is
-// replica i. A transaction without payer ops routes by its client key.
+// (Sec. V-B): the initial leader of every bucket of its partition.Route
+// plus the f replicas after it, so a censoring leader cannot hide the
+// transaction, and replica 0, the tracing observer. m = n, so instance i's
+// initial leader is replica i.
 //
 // A router serves one client (one goroutine, or the single-threaded
-// simulation): it reuses its target buffer and memoizes the key-to-bucket
-// assignment, which hashes the key with sha256 while an open-loop client
-// resolves the same few thousand account keys for a whole run.
+// simulation): it reuses its route and target buffers and memoizes the
+// key-to-bucket assignment, which hashes the key with sha256 while an
+// open-loop client resolves the same few thousand account keys for a whole
+// run.
 type SubmitRouter struct {
 	n, f    int
-	bucket  map[types.Key]int
+	bucket  map[types.Key]int32
 	seen    []bool // dedup scratch indexed by replica; all false between calls
+	route   []int32
 	targets []int
 }
 
@@ -26,44 +28,39 @@ type SubmitRouter struct {
 func NewSubmitRouter(n, f int) *SubmitRouter {
 	return &SubmitRouter{
 		n: n, f: f,
-		bucket:  make(map[types.Key]int, 1024),
+		bucket:  make(map[types.Key]int32, 1024),
 		seen:    make([]bool, n),
 		targets: make([]int, 0, 2*(f+1)+1),
 	}
 }
 
 // Targets returns the distinct replicas tx is submitted to, observer first,
-// then each payer's leader run in op order. The slice is reused by the next
-// call.
+// then each route bucket's leader run in ascending bucket order. The slice
+// is reused by the next call.
 func (r *SubmitRouter) Targets(tx *types.Transaction) []int {
+	r.route = partition.Route(r.route[:0], tx, func(i int) int32 {
+		k := tx.Client
+		if i >= 0 {
+			k = tx.Ops[i].Key
+		}
+		b, ok := r.bucket[k]
+		if !ok {
+			b = int32(partition.Assign(k, r.n))
+			r.bucket[k] = b
+		}
+		return b
+	})
 	r.targets = r.targets[:0]
 	r.add(0)
-	hasPayer := false
-	for _, op := range tx.Ops {
-		if op.IsPayerOp() {
-			hasPayer = true
-			r.addLeaders(op.Key)
+	for _, lead := range r.route {
+		for i := 0; i <= r.f; i++ {
+			r.add((int(lead) + i) % r.n)
 		}
-	}
-	if !hasPayer {
-		r.addLeaders(tx.Client)
 	}
 	for _, t := range r.targets {
 		r.seen[t] = false
 	}
 	return r.targets
-}
-
-// addLeaders adds k's bucket leader and its f successors.
-func (r *SubmitRouter) addLeaders(k types.Key) {
-	lead, ok := r.bucket[k]
-	if !ok {
-		lead = partition.Assign(k, r.n)
-		r.bucket[k] = lead
-	}
-	for i := 0; i <= r.f; i++ {
-		r.add((lead + i) % r.n)
-	}
 }
 
 func (r *SubmitRouter) add(replica int) {

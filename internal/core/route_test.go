@@ -11,8 +11,8 @@ import (
 
 // TestSubmitRouterTargets pins the Sec. V-B client routing every harness
 // and the daemon share: the observer first, then each payer bucket's leader
-// with its f successors (wrapping, op order, no replica twice), and the
-// client's own bucket when the transaction names no payer.
+// with its f successors (wrapping, ascending bucket order, no replica
+// twice), and the client's own bucket when the transaction names no payer.
 func TestSubmitRouterTargets(t *testing.T) {
 	const n, f = 7, 2
 	run := func(lead int) []int { // observer, then lead..lead+f, deduplicated

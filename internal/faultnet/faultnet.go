@@ -6,8 +6,9 @@
 // harness client. While no fault is active every call passes through
 // untouched; while one is, Broadcast becomes one Send per destination not
 // cut off, in destination order. Each verb publishes a fresh immutable
-// fault state with one atomic store, so sends and deliveries may run on
-// many goroutines; the verbs must not run concurrently with each other.
+// fault state with one compare-and-swap, retried if another verb
+// published first, so sends, deliveries and the verbs themselves may all
+// run on many goroutines.
 package faultnet
 
 import (
@@ -101,16 +102,22 @@ func (f *Network) Partition(groups ...[]int) {
 func (f *Network) Heal() { f.update(func(s *faults) { s.group = nil }) }
 
 // update publishes a copy of the fault state with edit applied, or nil if
-// the copy holds no fault.
+// the copy holds no fault. It retries against a state another verb
+// published meanwhile, so concurrent verbs all take effect.
 func (f *Network) update(edit func(*faults)) {
-	next := &faults{down: make([]bool, f.n)}
-	if cur := f.state.Load(); cur != nil {
-		copy(next.down, cur.down)
-		next.group = cur.group
+	for {
+		cur := f.state.Load()
+		next := &faults{down: make([]bool, f.n)}
+		if cur != nil {
+			copy(next.down, cur.down)
+			next.group = cur.group
+		}
+		edit(next)
+		if next.group == nil && !slices.Contains(next.down, true) {
+			next = nil
+		}
+		if f.state.CompareAndSwap(cur, next) {
+			return
+		}
 	}
-	edit(next)
-	if next.group == nil && !slices.Contains(next.down, true) {
-		next = nil
-	}
-	f.state.Store(next)
 }

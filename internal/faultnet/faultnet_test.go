@@ -195,3 +195,31 @@ func TestFaults(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentVerbsAllTakeEffect runs the verbs from many goroutines at
+// once, as a real cluster does when each replica's loop applies its own
+// crash: k goroutines each mark a distinct node down, and every one of the
+// k marks must survive the others.
+func TestConcurrentVerbsAllTakeEffect(t *testing.T) {
+	const k = 8
+	for round := 0; round < 200; round++ {
+		net := faultnet.Wrap(simnet.NewNetwork(simnet.New(1), k, simnet.NewFixed(time.Millisecond), nil), k)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for id := 0; id < k; id++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				net.SetDown(id, true)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for id := 0; id < k; id++ {
+			if !net.Down(id) {
+				t.Fatalf("round %d: node %d is up after %d concurrent SetDown calls", round, id, k)
+			}
+		}
+	}
+}

@@ -27,52 +27,32 @@ func Assign(key types.Key, m int) int {
 	return int(binary.BigEndian.Uint64(h[:8]) % uint64(m))
 }
 
-// BucketsOf returns the distinct bucket indices a transaction belongs to:
-// one per payer (owned object with a decremental operation), ascending.
-func BucketsOf(tx *types.Transaction, m int) []int {
-	return appendBuckets(nil, tx, m, nil)
-}
-
-// assignMemo is Assign through memo, a per-key cache (nil: none).
-func assignMemo(memo map[types.Key]int, key types.Key, m int) int {
-	b, ok := memo[key]
-	if !ok {
-		if b = Assign(key, m); memo != nil {
-			memo[key] = b
-		}
-	}
-	return b
-}
-
-// appendBuckets appends the distinct bucket indices of tx's payers onto
-// dst, ascending, and returns the extended slice, assigning through memo
-// (see assignMemo). It allocates nothing when dst has room.
-// Deduplication is a linear scan over the appended region: transactions
-// have a handful of payers at most.
-func appendBuckets(dst []int, tx *types.Transaction, m int, memo map[types.Key]int) []int {
+// Route appends to dst the buckets tx joins and returns the extended
+// slice: the distinct buckets of its payers (owned objects it decrements),
+// ascending, or its client's bucket alone when it has no payer
+// (Algorithm 1 lines 10-14). bucket(i) is the bucket of op i, bucket(-1)
+// the client's; each caller keeps its own memo of Assign behind it. Route
+// allocates nothing when dst has room. Deduplication is an insertion
+// into the appended region: transactions have a handful of payers at most.
+func Route(dst []int32, tx *types.Transaction, bucket func(op int) int32) []int32 {
 	start := len(dst)
-	for _, op := range tx.Ops {
+next:
+	for i, op := range tx.Ops {
 		if !op.IsPayerOp() {
 			continue
 		}
-		b := assignMemo(memo, op.Key, m)
-		dup := false
-		for _, x := range dst[start:] {
-			if x == b {
-				dup = true
-				break
+		b, j := bucket(i), len(dst)
+		for ; j > start && dst[j-1] >= b; j-- {
+			if dst[j-1] == b {
+				continue next
 			}
 		}
-		if !dup {
-			dst = append(dst, b)
-		}
+		dst = append(dst, 0)
+		copy(dst[j+1:], dst[j:])
+		dst[j] = b
 	}
-	// Keep deterministic ascending order for reproducibility.
-	out := dst[start:]
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
+	if len(dst) == start {
+		dst = append(dst, bucket(-1))
 	}
 	return dst
 }
@@ -221,7 +201,7 @@ type Set struct {
 	table   *Table
 	// assign memoizes Assign per key for Add, which resolves the same few
 	// thousand account keys over and over; nil until Add first runs.
-	assign map[types.Key]int
+	assign map[types.Key]int32
 }
 
 // NewSet creates m empty buckets.
@@ -242,23 +222,32 @@ func (s *Set) M() int { return len(s.buckets) }
 // Bucket returns bucket i, the queue feeding SB instance i.
 func (s *Set) Bucket(i int) *Bucket { return s.buckets[i] }
 
-// Add validates tx and pushes it into every bucket it belongs to
-// (Algorithm 1 lines 10-14). It returns the bucket indices used. A
-// transaction with no payer op (e.g. pure mint) defaults to the bucket of
-// its client so it still reaches exactly one instance.
+// Add validates tx and pushes it into every bucket of its Route. It
+// returns the bucket indices used.
 func (s *Set) Add(tx *types.Transaction) ([]int, error) {
 	if err := tx.Validate(); err != nil {
 		return nil, err
 	}
 	if s.assign == nil {
-		s.assign = make(map[types.Key]int, 1024)
+		s.assign = make(map[types.Key]int32, 1024)
 	}
-	idx := appendBuckets(nil, tx, len(s.buckets), s.assign)
-	if len(idx) == 0 {
-		idx = []int{assignMemo(s.assign, tx.Client, len(s.buckets))}
-	}
+	var buf [4]int32
+	route := Route(buf[:0], tx, func(i int) int32 {
+		k := tx.Client
+		if i >= 0 {
+			k = tx.Ops[i].Key
+		}
+		b, ok := s.assign[k]
+		if !ok {
+			b = int32(Assign(k, len(s.buckets)))
+			s.assign[k] = b
+		}
+		return b
+	})
 	slot := s.table.Intern(tx)
-	for _, i := range idx {
+	idx := make([]int, len(route))
+	for j, i := range route {
+		idx[j] = int(i)
 		s.buckets[i].PushSlot(tx, slot)
 	}
 	return idx, nil

@@ -36,16 +36,27 @@ func TestAssignSpreadsLoad(t *testing.T) {
 	}
 }
 
-func TestBucketsOfPayment(t *testing.T) {
-	m := 4
-	tx := types.NewPayment("alice", "bob", 5, 1)
-	got := BucketsOf(tx, m)
-	if len(got) != 1 || got[0] != Assign("alice", m) {
-		t.Fatalf("BucketsOf = %v, want payer bucket only", got)
+// assignOf is Route's bucket callback without a memo: op i's key, or the
+// client's for -1, through Assign.
+func assignOf(tx *types.Transaction, m int) func(int) int32 {
+	return func(i int) int32 {
+		if i < 0 {
+			return int32(Assign(tx.Client, m))
+		}
+		return int32(Assign(tx.Ops[i].Key, m))
 	}
 }
 
-func TestBucketsOfMultiPayerSortedDistinct(t *testing.T) {
+func TestRoutePayment(t *testing.T) {
+	m := 4
+	tx := types.NewPayment("alice", "bob", 5, 1)
+	got := Route(nil, tx, assignOf(tx, m))
+	if len(got) != 1 || got[0] != int32(Assign("alice", m)) {
+		t.Fatalf("Route = %v, want payer bucket only", got)
+	}
+}
+
+func TestRouteMultiPayerSortedDistinct(t *testing.T) {
 	f := func(seed uint32) bool {
 		m := 4
 		a := types.Key(fmt.Sprintf("p1-%d", seed))
@@ -54,7 +65,7 @@ func TestBucketsOfMultiPayerSortedDistinct(t *testing.T) {
 			{From: a, To: "x", Amount: 1},
 			{From: b, To: "x", Amount: 1},
 		}, 1)
-		got := BucketsOf(tx, m)
+		got := Route(nil, tx, assignOf(tx, m))
 		if len(got) == 0 || len(got) > 2 {
 			return false
 		}

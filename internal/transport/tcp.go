@@ -27,6 +27,9 @@ const (
 	// enough that a reconnect's whole-batch resend stays cheap, large
 	// enough to drain a deep queue in a handful of syscalls.
 	maxWriteBatch = 256 << 10
+	// writeTimeout bounds each dial and frame write; a peer that stalls
+	// longer gets its connection dropped and redialed.
+	writeTimeout = 5 * time.Second
 )
 
 // TCPOptions tunes a TCP transport; the zero value is usable.
@@ -34,9 +37,6 @@ type TCPOptions struct {
 	// Listener overrides listening on the peer table's own address —
 	// Loopback and tests reserve ephemeral ports this way. Closed by Close.
 	Listener net.Listener
-	// WriteTimeout bounds each frame write (default 5s); a peer that
-	// stalls longer gets its connection dropped and redialed.
-	WriteTimeout time.Duration
 	// DialBackoffMax caps the exponential redial backoff (default 1s).
 	DialBackoffMax time.Duration
 	// Logf, when set, receives one line per connectivity event (connects,
@@ -197,9 +197,6 @@ func (q *peerQueue) shut() {
 func NewTCP(id int, peers []string, node *Node, opts TCPOptions) (*TCP, error) {
 	if id < 0 || id >= len(peers) {
 		return nil, fmt.Errorf("transport: id %d outside peer table of %d", id, len(peers))
-	}
-	if opts.WriteTimeout <= 0 {
-		opts.WriteTimeout = 5 * time.Second
 	}
 	if opts.DialBackoffMax <= 0 {
 		opts.DialBackoffMax = time.Second
@@ -363,12 +360,12 @@ func (t *TCP) writeLoop(to int, q *peerQueue) {
 func (t *TCP) writeBatch(to int, conn *net.Conn, backoff *time.Duration, batch []*frame, bufs *net.Buffers) bool {
 	for {
 		if *conn == nil {
-			c, err := net.DialTimeout("tcp", t.peers[to], t.opts.WriteTimeout)
+			c, err := net.DialTimeout("tcp", t.peers[to], writeTimeout)
 			if err == nil {
 				var hello [frameHeaderLen + 4]byte
 				binary.BigEndian.PutUint32(hello[:], 4)
 				binary.BigEndian.PutUint32(hello[frameHeaderLen:], uint32(t.id))
-				c.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
+				c.SetWriteDeadline(time.Now().Add(writeTimeout))
 				if _, werr := c.Write(hello[:]); werr != nil {
 					err = werr
 					c.Close()
@@ -399,7 +396,7 @@ func (t *TCP) writeBatch(to int, conn *net.Conn, backoff *time.Duration, batch [
 		for _, f := range batch {
 			*bufs = append(*bufs, f.buf)
 		}
-		(*conn).SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
+		(*conn).SetWriteDeadline(time.Now().Add(writeTimeout))
 		if _, err := bufs.WriteTo(*conn); err != nil {
 			t.logf("write to peer %d failed: %v; reconnecting", to, err)
 			(*conn).Close()
