@@ -46,9 +46,8 @@ func benchCfg(mode core.Mode, n int, net cluster.NetProfile) cluster.Config {
 			EpochLen:     128,
 			ViewTimeout:  10 * time.Second,
 		},
-		AnalyticSB: n >= 32,
-		NIC:        n < 32,
-		Seed:       42,
+		NIC:  true,
+		Seed: 42,
 	}
 }
 
@@ -99,8 +98,9 @@ func BenchmarkFig4(b *testing.B) {
 	}
 }
 
-// BenchmarkFig3Scale exercises the replica-count axis with the analytic SB
-// (the regime where message-level simulation is infeasible).
+// BenchmarkFig3Scale exercises the replica-count axis from
+// cluster.AnalyticFrom up, where Run simulates the analytic SB (the regime
+// where message-level simulation is infeasible).
 func BenchmarkFig3Scale(b *testing.B) {
 	for _, n := range []int{32, 64, 128} {
 		n := n
@@ -191,8 +191,6 @@ func BenchmarkFigS1(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := benchCfg(core.OrthrusMode(), 10, cluster.WAN)
-				cfg.AnalyticSB = false
-				cfg.NIC = true
 				cfg.EpochLen = 64
 				cfg.ViewTimeout = cfg.Duration / 5
 				scn, err := scenario.Preset(name, cfg.N, cfg.Duration, cfg.Seed)
@@ -366,25 +364,6 @@ func BenchmarkAblationSplit(b *testing.B) {
 					b.Fatalf("total owned %d, want the genesis total %d", got, want)
 				}
 				reportCluster(b, res)
-			}
-		})
-	}
-}
-
-// BenchmarkAblationSB cross-checks analytic vs message-level SB end to end.
-func BenchmarkAblationSB(b *testing.B) {
-	for _, analytic := range []bool{false, true} {
-		analytic := analytic
-		name := "message-level"
-		if analytic {
-			name = "analytic"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := benchCfg(core.OrthrusMode(), 16, cluster.WAN)
-				cfg.AnalyticSB = analytic
-				cfg.NIC = false
-				reportCluster(b, cluster.Run(cfg))
 			}
 		})
 	}

@@ -46,20 +46,19 @@ func main() {
 func run(args []string, w, stderr io.Writer) error {
 	fs := flag.NewFlagSet("orthrus-sim", flag.ContinueOnError)
 	protocol := fs.String("protocol", "Orthrus", "protocol: "+strings.Join(orthrus.ProtocolNames(), ", "))
-	n := fs.Int("n", 16, "number of replicas (m = n instances)")
+	n := fs.Int("n", 16, "number of replicas (m = n instances); a fault-free run from 32 up simulates the analytic SB, any other run message-level PBFT")
 	netName := fs.String("net", "wan", "network profile: wan or lan")
 	stragglers := fs.Int("stragglers", 0, "number of 10x-slow instances")
 	faults := fs.Int("faults", 0, "replicas to crash at -fault-at (detectable faults)")
 	faultAt := fs.Duration("fault-at", 9*time.Second, "crash injection time")
 	byzantine := fs.Int("byzantine", 0, "undetectable (selective-participation) faulty replicas")
-	scn := fs.String("scenario", "", "preset fault/load or attack scenario: "+strings.Join(append(scenariodsl.Presets(), scenariodsl.AttackPresets()...), ", ")+" (requires message-level PBFT)")
+	scn := fs.String("scenario", "", "preset fault/load or attack scenario: "+strings.Join(append(scenariodsl.Presets(), scenariodsl.AttackPresets()...), ", ")+" (simulated on message-level PBFT at every -n)")
 	scnFile := fs.String("scenario-file", "", "path to a scenario-DSL file (see scenariodsl.Parse; exclusive with -scenario)")
 	load := fs.Float64("load", 10000, "client load in tx/s")
 	duration := fs.Duration("duration", 15*time.Second, "submission window")
 	payments := fs.Float64("payments", 0.46, "payment transaction fraction (0 uses the paper default; negative means all-contract)")
 	batch := fs.Int("batch", 0, "batch size in txs per block (0 = engine default)")
-	analytic := fs.Bool("analytic", false, "use the analytic quorum-time SB (fault-free only)")
-	nic := fs.Bool("nic", true, "model the 1 Gbps per-node NIC egress queue, analytic runs included (false: no bandwidth charge)")
+	nic := fs.Bool("nic", true, "model the 1 Gbps per-node NIC egress queue, the analytic SB's proposals (fault-free runs from -n 32 up) included (false: no bandwidth charge)")
 	seed := fs.Int64("seed", 42, "simulation seed")
 	fs.SetOutput(stderr)
 	if err := fs.Parse(args); err != nil {
@@ -99,9 +98,6 @@ func run(args []string, w, stderr io.Writer) error {
 		opts = append(opts, orthrus.WithPayments(0))
 	case *payments != 0:
 		opts = append(opts, orthrus.WithPayments(*payments))
-	}
-	if *analytic {
-		opts = append(opts, orthrus.WithAnalyticSB())
 	}
 	opts = append(opts, orthrus.WithNIC(*nic))
 	scnLabel := *scn

@@ -102,7 +102,7 @@ func TestRunRejectsFlagCombinations(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"scenario with analytic", []string{"-n", "4", "-scenario", "partition-heal", "-analytic"}, "invalid Scenario"},
+		{"crash every replica", []string{"-n", "4", "-faults", "4"}, "invalid CrashFaults"},
 		// Non-finite floats parse as flags; a NaN load used to pass Validate
 		// and allocate until the process died.
 		{"NaN load", []string{"-n", "4", "-duration", "5s", "-load", "NaN"}, "invalid LoadTPS"},

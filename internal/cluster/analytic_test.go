@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sb"
+	"repro/internal/scenario"
 	"repro/internal/simnet"
 	"repro/internal/workload"
 )
@@ -24,18 +25,18 @@ func egressCap(n int) float64 {
 	return float64(n) * 1e9 / (float64(n-1) * egressTxSize * 8)
 }
 
-func egressCfg(n int, load float64, analytic bool) Config {
+func egressCfg(n int, load float64) Config {
 	return Config{
 		N: n, Protocol: core.OrthrusMode(), Net: WAN,
 		Workload: workload.Config{Seed: 42},
 		LoadTPS:  load, Duration: 4 * time.Second, Warmup: 2 * time.Second, Drain: 4 * time.Second,
-		Params:     core.Params{BatchSize: 4096, BatchTimeout: 100 * time.Millisecond, TxSize: egressTxSize},
-		AnalyticSB: analytic, NIC: true, Seed: 42,
+		Params: core.Params{BatchSize: 4096, BatchTimeout: 100 * time.Millisecond, TxSize: egressTxSize},
+		NIC:    true, Seed: 42,
 	}
 }
 
-// runCountingHits runs cfg and returns its result with the quorumCache
-// hits and proposals summed over the run's analytic instances.
+// runCountingHits runs cfg on the analytic SB and returns its result with
+// the quorumCache hits and proposals summed over the run's instances.
 func runCountingHits(cfg Config) (res *Result, hits, proposals uint64) {
 	var insts []*sb.Instance
 	newAnalytic = func(c sb.Config, sim *simnet.Sim, nw *simnet.Network) *sb.Instance {
@@ -44,7 +45,7 @@ func runCountingHits(cfg Config) (res *Result, hits, proposals uint64) {
 		return inst
 	}
 	defer func() { newAnalytic = sb.NewInstance }()
-	res = Run(cfg)
+	res = run(cfg, true)
 	for _, inst := range insts {
 		h, p := inst.CacheHits()
 		hits, proposals = hits+h, proposals+p
@@ -61,7 +62,7 @@ func TestAnalyticEgressCapacity(t *testing.T) {
 	}
 	const n = 32
 	bound := egressCap(n)
-	res, hits, proposals := runCountingHits(egressCfg(n, 1.25*bound, true))
+	res, hits, proposals := runCountingHits(egressCfg(n, 1.25*bound))
 	t.Logf("n=%d offered %.0f tps: confirmed %.0f tps, egress bound %.0f (%.2f of it); quorumCache hits %d/%d = %.3f",
 		n, 1.25*bound, res.ThroughputTPS, bound, res.ThroughputTPS/bound, hits, proposals, float64(hits)/float64(proposals))
 	if res.ThroughputTPS > bound {
@@ -99,7 +100,7 @@ func TestAnalyticAgreesWithMessageLevel(t *testing.T) {
 			msgs[load] = res
 			go func() {
 				sem <- struct{}{}
-				res <- Run(egressCfg(n, load, false))
+				res <- run(egressCfg(n, load), false)
 				<-sem
 			}()
 		}
@@ -111,7 +112,7 @@ func TestAnalyticAgreesWithMessageLevel(t *testing.T) {
 			var hits, proposals uint64
 			for i, frac := range fracs {
 				load := frac * egressCap(n)
-				ana, h, p := runCountingHits(egressCfg(n, load, true))
+				ana, h, p := runCountingHits(egressCfg(n, load))
 				msg := <-msgs[load]
 				hits, proposals = hits+h, proposals+p
 				t.Logf("offered %6.0f tps: message-level %6.0f tps %v mean, analytic %6.0f tps %v mean, quorumCache hits %.3f",
@@ -132,5 +133,76 @@ func TestAnalyticAgreesWithMessageLevel(t *testing.T) {
 				t.Errorf("lightest-load mean latency ratio %.3f outside [%.2f, %.2f]", latRatio, latencyLo, latencyHi)
 			}
 		})
+	}
+}
+
+// TestAnalyticRule pins which runs Run simulates on the analytic SB: the
+// fault-free ones from AnalyticFrom replicas up, stragglers included.
+func TestAnalyticRule(t *testing.T) {
+	heal := scenario.New("heal").HealAt(time.Second).Build()
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want bool
+	}{
+		{"below the cutoff", Config{N: AnalyticFrom - 1}, false},
+		{"at the cutoff", Config{N: AnalyticFrom}, true},
+		{"straggler", Config{N: AnalyticFrom, Stragglers: 1}, true},
+		{"crash", Config{N: AnalyticFrom, CrashFaults: 1}, false},
+		{"byzantine", Config{N: AnalyticFrom, ByzantineFaults: 1}, false},
+		{"scenario", Config{N: AnalyticFrom, Scenario: heal}, false},
+	} {
+		if got := c.cfg.analytic(); got != c.want {
+			t.Errorf("%s: analytic() = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestAnalyticAgreesAtTheCutoff runs one figure-shaped cell at n =
+// AnalyticFrom, where the figures switch SBs, on both SB implementations,
+// with and without a straggler. Throughput and mean latency must agree
+// within the stated bands. The cell is a figure's at scale 0.05 but for
+// its drain: nothing after Duration moves a reply inside the window, so a
+// one-second drain measures the same numbers at half the cost.
+func TestAnalyticAgreesAtTheCutoff(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two 32-replica message-level runs")
+	}
+	const (
+		tputLo, tputHi       = 0.95, 1.10 // analytic / message-level throughput
+		latencyLo, latencyHi = 0.93, 1.07 // analytic / message-level mean latency
+	)
+	cell := func(stragglers int) Config {
+		return Config{
+			N: AnalyticFrom, Protocol: core.OrthrusMode(), Net: WAN, Stragglers: stragglers,
+			Workload: workload.Config{Seed: 42},
+			LoadTPS:  2000, Duration: 4 * time.Second, Warmup: 800 * time.Millisecond, Drain: time.Second,
+			Params: core.Params{BatchSize: 4096, BatchTimeout: 100 * time.Millisecond, EpochLen: 256},
+			NIC:    true, Seed: 42,
+		}
+	}
+	// The message-level halves dominate the cost; both start now, and the
+	// analytic runs go meanwhile on this goroutine.
+	msgs := make([]chan *Result, 2)
+	for s := range msgs {
+		msgs[s] = make(chan *Result, 1)
+		go func() { msgs[s] <- run(cell(s), false) }()
+	}
+	for s := range msgs {
+		ana := Run(cell(s))
+		msg := <-msgs[s]
+		tput, lat := ana.ThroughputTPS/msg.ThroughputTPS, float64(ana.Latency.Mean)/float64(msg.Latency.Mean)
+		t.Logf("stragglers=%d: message-level %.0f tps %v mean, analytic %.0f tps %v mean; throughput ratio %.3f (band [%.2f, %.2f]), mean-latency ratio %.3f (band [%.2f, %.2f])",
+			s, msg.ThroughputTPS, msg.Latency.Mean.Round(time.Millisecond), ana.ThroughputTPS, ana.Latency.Mean.Round(time.Millisecond),
+			tput, tputLo, tputHi, lat, latencyLo, latencyHi)
+		if msg.Confirmed == 0 || ana.Confirmed == 0 {
+			t.Fatalf("stragglers=%d: nothing confirmed (message-level %d, analytic %d)", s, msg.Confirmed, ana.Confirmed)
+		}
+		if tput < tputLo || tput > tputHi {
+			t.Errorf("stragglers=%d: throughput ratio %.3f outside [%.2f, %.2f]", s, tput, tputLo, tputHi)
+		}
+		if lat < latencyLo || lat > latencyHi {
+			t.Errorf("stragglers=%d: mean-latency ratio %.3f outside [%.2f, %.2f]", s, lat, latencyLo, latencyHi)
+		}
 	}
 }

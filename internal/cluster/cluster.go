@@ -18,8 +18,8 @@
 // cluster: transport.Proc, RunReal's, or transport.Loopback's TCP sockets.
 //
 // Config describes a run. The engine knobs are the embedded core.Params,
-// resolved once per run by withDefaults; Check, Conflicts and SimOnly are
-// the harness's rules over the rest, in the shape (core.Violations) the
+// resolved once per run by withDefaults; Check and SimOnly are the
+// harness's rules over the rest, in the shape (core.Violations) the
 // public SDK's Validate reports. The public SDK re-exports the run-shape
 // types declared here (NetProfile, WindowStat, PhaseWindow, LiveSetSample)
 // by alias, so their exported fields and methods are public
@@ -79,9 +79,9 @@ type Config struct {
 	// of the static configuration above, on either backend; see package
 	// scenario. When set, Result.Phases reports per-phase metric windows
 	// delimited by the scenario's event times. Scenarios stop and restart
-	// replicas and cut links, so they require message-level PBFT
-	// (AnalyticSB must be false). The Scenario is shared read-only across
-	// parallel runs and must not be mutated after Build.
+	// replicas and cut links, so a run with one simulates message-level
+	// PBFT at every n. The Scenario is shared read-only across parallel
+	// runs and must not be mutated after Build.
 	Scenario *scenario.Scenario
 
 	Workload workload.Config
@@ -107,9 +107,6 @@ type Config struct {
 	// profile after warmup.
 	SampleLiveSet time.Duration
 
-	// AnalyticSB swaps message-level PBFT for the closed-form quorum-time
-	// SB (fault-free runs only; stragglers are supported).
-	AnalyticSB bool
 	// NIC enables the 1 Gbps per-node egress model, the simulator's only
 	// bandwidth charge: every send of a node serializes on one link, the
 	// analytic SB's proposals included. Off, no bandwidth is charged.
@@ -235,28 +232,28 @@ func (c Config) checked(backend core.Violations) Config {
 }
 
 // SimOnly lists the knobs set on c that cannot exist on real links: a
-// closed-form model of the consensus traffic, a modeled NIC, and a census
-// taken between two simulator events. RunReal panics on the first; the
-// public SDK's Validate reports them all as typed errors against the
-// Transport field.
+// modeled NIC and a census taken between two simulator events. RunReal
+// panics on the first; the public SDK's Validate reports them all as typed
+// errors against the Transport field.
 func (c Config) SimOnly() (out core.Violations) {
 	const field = "Transport"
-	out.Add(c.AnalyticSB, field, "the real transport runs message-level PBFT only; disable AnalyticSB")
 	out.Add(c.NIC, field, "the NIC bandwidth model is simulation-only; the real transport measures real links")
 	out.Add(c.SampleLiveSet > 0, field, "live-set sampling walks every replica from a simulator event; the real transport does not support it")
 	return out
 }
 
-// Conflicts lists the combinations of knobs on c that the simulator cannot
-// run: what the analytic SB model excludes. Run panics on the first; the
-// public SDK's Validate reports them all as typed errors, each under the
-// field named here.
-func (c Config) Conflicts() (out core.Violations) {
-	out.Add(c.AnalyticSB && (c.CrashFaults > 0 || c.ByzantineFaults > 0),
-		"AnalyticSB", "the analytic model does not support fault injection; use message-level PBFT")
-	out.Add(c.AnalyticSB && c.Scenario != nil,
-		"Scenario", "scenarios require message-level PBFT; disable AnalyticSB")
-	return out
+// AnalyticFrom is the cluster size from which Run simulates the
+// closed-form quorum-time SB (package sb) instead of message-level PBFT:
+// with m = n instances, message-level PBFT costs O(n^3) messages per block
+// round, which the figures' large cells cannot afford.
+const AnalyticFrom = 32
+
+// analytic reports whether Run simulates c with the analytic SB: from
+// AnalyticFrom replicas up, on a run with no crash, no Byzantine replica
+// and no scenario, none of which the closed form models. Stragglers it
+// does model.
+func (c Config) analytic() bool {
+	return c.N >= AnalyticFrom && c.CrashFaults == 0 && c.ByzantineFaults == 0 && c.Scenario == nil
 }
 
 // Result aggregates one run's measurements.

@@ -67,9 +67,7 @@ func TestRunEveryProtocolSmall(t *testing.T) {
 }
 
 func TestRunAnalyticSBSmall(t *testing.T) {
-	cfg := smallCfg(core.OrthrusMode())
-	cfg.AnalyticSB = true
-	res := Run(cfg)
+	res := run(smallCfg(core.OrthrusMode()), true)
 	if res.Confirmed == 0 {
 		t.Fatal("analytic SB run confirmed nothing")
 	}
@@ -85,18 +83,18 @@ func TestRunAnalyticSBSmall(t *testing.T) {
 func TestParamsResolveOnceForBothSBs(t *testing.T) {
 	for _, analytic := range []bool{false, true} {
 		cfg := smallCfg(core.OrthrusMode())
-		cfg.AnalyticSB, cfg.Duration, cfg.NIC = analytic, 2*time.Second, true
+		cfg.Duration, cfg.NIC = 2*time.Second, true
 		cfg.Params = core.Params{}
-		zero := Run(cfg)
+		zero := run(cfg, analytic)
 		cfg.Params = core.Params{}.WithDefaults()
-		explicit := Run(cfg)
+		explicit := run(cfg, analytic)
 		if zero.Confirmed == 0 || !reflect.DeepEqual(zero, explicit) {
 			t.Errorf("analytic=%v: zero Params and explicit defaults diverge:\n%d confirmed, %v (%d events, %d msgs)\n%d confirmed, %v (%d events, %d msgs)",
 				analytic, zero.Confirmed, zero.Latency, zero.Events, zero.Messages,
 				explicit.Confirmed, explicit.Latency, explicit.Events, explicit.Messages)
 		}
 		cfg.TxSize *= 20
-		if big := Run(cfg); big.Latency.Mean <= explicit.Latency.Mean {
+		if big := run(cfg, analytic); big.Latency.Mean <= explicit.Latency.Mean {
 			t.Errorf("analytic=%v: 20x TxSize did not raise latency: %v vs %v", analytic, big.Latency.Mean, explicit.Latency.Mean)
 		}
 	}
@@ -110,9 +108,7 @@ func TestAnalyticVsMessageLevelAgreeOnLatencyScale(t *testing.T) {
 	base.Net = WAN
 	base.LoadTPS = 200
 	msg := Run(base)
-	ana := base
-	ana.AnalyticSB = true
-	anaRes := Run(ana)
+	anaRes := run(base, true)
 	if msg.Latency.Count == 0 || anaRes.Latency.Count == 0 {
 		t.Fatal("missing samples")
 	}

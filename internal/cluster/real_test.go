@@ -305,9 +305,8 @@ func TestProcFaults(t *testing.T) {
 // ignore simulation-only configuration.
 func TestRunRealRejectsSimOnlyKnobs(t *testing.T) {
 	cases := map[string]Config{
-		"analytic": {N: 4, Protocol: core.OrthrusMode(), AnalyticSB: true},
-		"nic":      {N: 4, Protocol: core.OrthrusMode(), NIC: true},
-		"census":   {N: 4, Protocol: core.OrthrusMode(), SampleLiveSet: time.Second},
+		"nic":    {N: 4, Protocol: core.OrthrusMode(), NIC: true},
+		"census": {N: 4, Protocol: core.OrthrusMode(), SampleLiveSet: time.Second},
 	}
 	for name, cfg := range cases {
 		cfg := cfg

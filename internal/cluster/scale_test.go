@@ -9,9 +9,10 @@ import (
 	"repro/internal/workload"
 )
 
-// scaleCfg is a capped large-n configuration: the analytic SB (the regime
-// every n >= 32 figure cell runs in), a bounded transaction count and a
-// short window, so a 100-replica cluster run stays test-sized.
+// scaleCfg is a capped large-n configuration: fault-free, so from
+// AnalyticFrom up Run simulates the analytic SB (the regime every n >= 32
+// figure cell runs in), with a bounded transaction count and a short
+// window, so a 100-replica cluster run stays test-sized.
 func scaleCfg(mode core.Mode, n int) Config {
 	return Config{
 		N:        n,
@@ -29,8 +30,7 @@ func scaleCfg(mode core.Mode, n int) Config {
 			EpochLen:     64,
 			ViewTimeout:  10 * time.Second,
 		},
-		AnalyticSB: true,
-		Seed:       11,
+		Seed: 11,
 	}
 }
 
@@ -93,9 +93,10 @@ func TestLargeClusterDeterministic(t *testing.T) {
 
 // TestMessagesPerCommitGrowsWithN pins the F-scale message metric: the
 // modeled per-commit message cost at n = 50 must exceed n = 4 (PBFT
-// traffic is quadratic in n), and both must be recorded.
+// traffic is quadratic in n), both on the analytic SB, and both must be
+// recorded.
 func TestMessagesPerCommitGrowsWithN(t *testing.T) {
-	small := Run(scaleCfg(core.OrthrusMode(), 4))
+	small := run(scaleCfg(core.OrthrusMode(), 4), true)
 	large := Run(scaleCfg(core.OrthrusMode(), 50))
 	if small.Confirmed == 0 || large.Confirmed == 0 {
 		t.Fatalf("confirmations missing: n=4 %d, n=50 %d", small.Confirmed, large.Confirmed)

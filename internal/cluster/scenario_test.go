@@ -144,19 +144,6 @@ func TestLoadSurgePhases(t *testing.T) {
 	}
 }
 
-// TestScenarioRejectsAnalyticSB: scenarios mutate the message-level
-// network, so the closed-form SB must be rejected loudly.
-func TestScenarioRejectsAnalyticSB(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AnalyticSB + Scenario did not panic")
-		}
-	}()
-	cfg := scenarioBase(4, scenario.New("x").HealAt(time.Second).Build())
-	cfg.AnalyticSB = true
-	Run(cfg)
-}
-
 // TestLoadSurgeExtremeMultiplierTerminates: the submission loop must keep
 // advancing virtual time even when the surged interval truncates toward
 // zero (the multiplier is Validate-bounded, but the clamp is defense in

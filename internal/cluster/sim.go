@@ -28,9 +28,15 @@ var newAnalytic = sb.NewInstance
 // is also the client's and the reply's hop, and whose egress scale is a
 // straggler's — and one event loop that runs everything, replica verbs
 // inline. The collector's faults and ticks carry the global affinity
-// (NodeNone), sorting before same-instant deliveries.
-func Run(cfg Config) *Result {
-	cfg = cfg.checked(cfg.Conflicts())
+// (NodeNone), sorting before same-instant deliveries. The run's shape
+// picks the SB it simulates (Config.analytic).
+func Run(cfg Config) *Result { return run(cfg, cfg.analytic()) }
+
+// run is Run with the SB chosen by the caller: the analytic one when
+// analytic is set, message-level PBFT otherwise. Tests compare the two
+// through it.
+func run(cfg Config, analytic bool) *Result {
+	cfg = cfg.checked(nil)
 	n := cfg.N
 	sim := simPool.Get().(*simnet.Sim)
 	sim.Reset(cfg.Seed)
@@ -45,7 +51,7 @@ func Run(cfg Config) *Result {
 	} else {
 		model = simnet.NewWAN()
 	}
-	if cfg.AnalyticSB {
+	if analytic {
 		model.JitterFrac = 0 // closed-form times need deterministic delays
 	}
 	nw := simnet.NewNetwork(sim, n, model, func(msg any) int { return wire.ModeledSize(msg, cfg.TxSize) })
@@ -74,20 +80,20 @@ func Run(cfg Config) *Result {
 	res := c.res
 
 	// Shared analytic SB instances, created lazily per instance index.
-	var analytic map[int]*sb.Instance
-	if cfg.AnalyticSB {
-		analytic = make(map[int]*sb.Instance)
+	var insts map[int]*sb.Instance
+	if analytic {
+		insts = make(map[int]*sb.Instance)
 	}
 	replicas = c.replicas(func(i int, ccfg core.Config) *core.Replica {
-		if cfg.AnalyticSB {
+		if analytic {
 			ccfg.SB = func(instance int, hooks core.SBHooks) core.SB {
-				inst, ok := analytic[instance]
+				inst, ok := insts[instance]
 				if !ok {
 					inst = newAnalytic(sb.Config{
 						N: n, F: c.f, Instance: instance,
 						Window: cfg.Window, TxSize: cfg.TxSize,
 					}, sim, nw)
-					analytic[instance] = inst
+					insts[instance] = inst
 				}
 				return inst.Port(i, hooks.OnDeliver)
 			}

@@ -12,9 +12,10 @@
 // Scale: every experiment takes a scale in (0, 1] (see Scale); 1 runs the
 // full configuration (all replica counts up to 128, paper durations),
 // smaller values shrink durations and loads proportionally so the suite
-// stays laptop-friendly. Replica counts of 32 and above use the analytic SB
-// (validated against message-level PBFT in internal/sb); fault experiments
-// always use message-level PBFT at n = 16.
+// stays laptop-friendly. cluster.Run picks the SB: fault-free cells from
+// cluster.AnalyticFrom (32) replicas up run the analytic SB (validated
+// against message-level PBFT in internal/sb and internal/cluster); fault
+// experiments run message-level PBFT at n = 16.
 package experiments
 
 import (
@@ -93,9 +94,8 @@ func baseConfig(mode core.Mode, n int, net cluster.NetProfile, scale float64) cl
 			EpochLen:     256,
 			ViewTimeout:  10 * time.Second,
 		},
-		AnalyticSB: n >= 32,
-		NIC:        true,
-		Seed:       42,
+		NIC:  true,
+		Seed: 42,
 	}
 }
 
@@ -320,9 +320,10 @@ func scenarioProtocols() []core.Mode {
 // scaleReplicaCounts is the F-scale x-axis: the paper-range sizes
 // {4, 10, 25, 50, 100}, trimmed under small scales like replicaCounts so
 // quick runs stay quick, plus the large tier {250, 500, 1000} phased in
-// from scale 0.25 (one size per quarter-scale step). The n >= 32 cells
-// use the analytic SB (message-level simulation with m = n instances
-// costs O(n^3) per block round — infeasible at n = 100); smaller cells
+// from scale 0.25 (one size per quarter-scale step). The cells from
+// cluster.AnalyticFrom up run the analytic SB (message-level simulation
+// with m = n instances costs O(n^3) per block round — infeasible at
+// n = 100); smaller cells
 // run message-level PBFT, the regime the allocation pass targets, and
 // every cell runs under the NIC model. Tier cells run pulse-damped (see
 // scaleJob), so even the n = 1000 cell is seconds-scale rather than
@@ -345,7 +346,7 @@ func scaleReplicaCounts(scale float64) []int {
 
 // scaleJob is one F-scale cell. Durations are half the paper figures'
 // (the sweep has 15 cells and n = 100 dominates the suite's wall clock),
-// and the analytic cells (n >= 32) run at a quarter of the per-size
+// and the analytic cells (n >= cluster.AnalyticFrom) run at a quarter of the per-size
 // saturation load: every one of the n replicas executes every committed
 // transaction, so the n = 100 cell's host-side cost is O(load x n) — the
 // quarter load keeps the whole sweep's wall clock within the CI budget
@@ -360,7 +361,7 @@ func scaleJob(mode core.Mode, n int, scale float64) cluster.Config {
 	cfg.Duration = dur
 	cfg.Warmup = dur / 5
 	cfg.Drain = dur
-	if cfg.AnalyticSB {
+	if n >= cluster.AnalyticFrom {
 		cfg.LoadTPS /= 4
 	}
 	if n >= 250 {

@@ -66,13 +66,12 @@ func TestScaleRule(t *testing.T) {
 }
 
 func TestBaseConfigRegimes(t *testing.T) {
-	small := baseConfig(core.OrthrusMode(), 16, cluster.WAN, 1)
-	if small.AnalyticSB || !small.NIC {
-		t.Fatal("n=16 should be message-level with NIC")
-	}
-	big := baseConfig(core.OrthrusMode(), 64, cluster.WAN, 1)
-	if !big.AnalyticSB || !big.NIC {
-		t.Fatal("n=64 should be analytic with NIC")
+	// cluster.Run picks the SB by size; the NIC model is on on both sides
+	// of cluster.AnalyticFrom.
+	for _, n := range []int{16, 64} {
+		if !baseConfig(core.OrthrusMode(), n, cluster.WAN, 1).NIC {
+			t.Fatalf("n=%d should run under the NIC model", n)
+		}
 	}
 }
 

@@ -52,26 +52,24 @@ func SimGrid() []SimCell {
 		cfg.Workload = workload.Config{Accounts: 4000, Seed: 42}
 		cells = append(cells, SimCell{ID: fmt.Sprintf("%s/n=%d/%s", mode.Name, n, tier), Tier: tier, Cfg: cfg})
 	}
-	base := func(n int) cluster.Config {
-		return cluster.Config{
-			LoadTPS: 2000, Duration: 4 * time.Second, Warmup: time.Second, Drain: 8 * time.Second,
-			Params:     core.Params{BatchSize: 1024, BatchTimeout: 100 * time.Millisecond, EpochLen: 128},
-			AnalyticSB: n >= 32, NIC: true,
-		}
+	base := cluster.Config{
+		LoadTPS: 2000, Duration: 4 * time.Second, Warmup: time.Second, Drain: 8 * time.Second,
+		Params: core.Params{BatchSize: 1024, BatchTimeout: 100 * time.Millisecond, EpochLen: 128},
+		NIC:    true,
 	}
 	for _, mode := range []core.Mode{core.OrthrusMode(), baseline.ISSMode(), baseline.LadonMode()} {
 		for _, n := range []int{4, 10, 25} {
-			add(TierBase, mode, n, base(n))
+			add(TierBase, mode, n, base)
 		}
 	}
 	for _, n := range []int{50, 100} {
-		add(TierBase, core.OrthrusMode(), n, base(n))
+		add(TierBase, core.OrthrusMode(), n, base)
 	}
 	for _, n := range []int{250, 500, 1000} {
 		add(TierFScale, core.OrthrusMode(), n, cluster.Config{
 			LoadTPS: 100, Duration: 2 * time.Second, Warmup: 400 * time.Millisecond, Drain: 2 * time.Second,
-			Params:     core.Params{BatchSize: 4096, BatchTimeout: 500 * time.Millisecond, EpochLen: 1024},
-			AnalyticSB: true, NIC: true,
+			Params: core.Params{BatchSize: 4096, BatchTimeout: 500 * time.Millisecond, EpochLen: 1024},
+			NIC:    true,
 		})
 	}
 	const soakN, soakDur = 25, 120 * time.Second

@@ -49,10 +49,10 @@ const (
 	// sockets. Results are wall-clock measurements of this machine and
 	// are NOT deterministic or reproducible across runs; Net only labels
 	// the result. Faults and scenarios run as in the simulator, but a
-	// straggler slows only its proposal pulse. Validate rejects the analytic
-	// SB and live-set sampling. Observer callbacks stream in wall-clock
-	// time; the run stops once every replica that is up has confirmed
-	// every submission.
+	// straggler slows only its proposal pulse. It runs message-level PBFT
+	// at every size; Validate rejects live-set sampling. Observer
+	// callbacks stream in wall-clock time; the run stops once every
+	// replica that is up has confirmed every submission.
 	TransportProc
 )
 
@@ -71,7 +71,10 @@ func (t Transport) String() string {
 // executes — the SDK never panics on a bad configuration.
 type Config struct {
 	// Replicas is the cluster size n (the system runs m = n instances), at
-	// most MaxReplicas. Default 16.
+	// most MaxReplicas. Default 16. TransportSim simulates a fault-free run
+	// of 32 replicas or more on the closed-form quorum-time SB (whose
+	// proposals queue on the NIC, WithNIC) and every other run on
+	// message-level PBFT, which costs O(n^3) messages per block round.
 	Replicas int
 	// Protocol names a registered protocol (see Protocols). Default
 	// "Orthrus".
@@ -97,8 +100,9 @@ type Config struct {
 
 	// Scenario schedules mid-run fault and load events (crashes that
 	// recover, partitions that heal, moving stragglers, load surges); see
-	// package scenariodsl. Scenarios require message-level PBFT
-	// (AnalyticSB false) and report per-phase windows on the Result.
+	// package scenariodsl. A run with a scenario, like one with crash or
+	// Byzantine faults, simulates message-level PBFT at every size, and
+	// reports per-phase windows on the Result.
 	Scenario *scenariodsl.Scenario
 
 	// LoadTPS is the open-loop client submission rate. Default 1000.
@@ -148,9 +152,6 @@ type Config struct {
 	// bookkeeping event, so it requires the simulated transport.
 	SampleLiveSet time.Duration
 
-	// AnalyticSB swaps message-level PBFT for the closed-form quorum-time
-	// model (fault-free runs only; stragglers are supported).
-	AnalyticSB bool
 	// disableNIC turns off the 1 Gbps per-node egress queue model, which
 	// is otherwise active on every simulated run (WithNIC).
 	disableNIC bool
@@ -158,7 +159,8 @@ type Config struct {
 	// Transport selects the backend carrying replica messages:
 	// TransportSim (default, the deterministic simulator) or
 	// TransportProc (the in-process real transport under wall-clock
-	// time); see Transport for the restrictions real backends carry.
+	// time, message-level PBFT at every size); see Transport for the
+	// restrictions real backends carry.
 	Transport Transport
 
 	// Seed drives every random choice (network jitter, workload, preset
@@ -203,17 +205,9 @@ func NewConfig(opts ...Option) Config {
 	return c
 }
 
-// WithReplicas sets the cluster size n, in [1, MaxReplicas] (checked by
-// Validate).
+// WithReplicas sets the cluster size n (and thereby m = n SB instances),
+// in [1, MaxReplicas] (checked by Validate).
 func WithReplicas(n int) Option { return func(c *Config) { c.Replicas = n } }
-
-// WithClusterSize is WithReplicas under its deployment-facing name: it
-// sets the cluster size n (and thereby m = n SB instances), in
-// [1, MaxReplicas]. Validate reports out-of-range sizes as ErrInvalidConfig
-// before anything runs; quorum math for every registered protocol is
-// validated across this whole range — f = (n-1)/3 with commit quorum
-// ceil((n+f+1)/2), the classic 2f+1 at the paper's n = 3f+1 sizes.
-func WithClusterSize(n int) Option { return WithReplicas(n) }
 
 // WithProtocol selects a registered protocol by name (see Protocols).
 func WithProtocol(name string) Option { return func(c *Config) { c.Protocol = name } }
@@ -312,10 +306,6 @@ func WithPayments(fraction float64) Option {
 		c.PaymentFraction = fraction
 	}
 }
-
-// WithAnalyticSB swaps message-level PBFT for the closed-form quorum-time
-// model (fault-free runs only; its proposals queue on the NIC, WithNIC).
-func WithAnalyticSB() Option { return func(c *Config) { c.AnalyticSB = true } }
 
 // WithNIC toggles the 1 Gbps per-node egress model (on by default), the
 // simulator's only bandwidth charge: every send of a node serializes on
@@ -431,7 +421,6 @@ func (c Config) lower() (cluster.Config, error) {
 			CensorshipBlocks: c.CensorshipBlocks,
 		},
 		SampleLiveSet: c.SampleLiveSet,
-		AnalyticSB:    c.AnalyticSB,
 		// The NIC model is a simulation concept; the real transport
 		// measures real links, so it never applies there.
 		NIC:          !c.disableNIC && c.Transport == TransportSim,
@@ -455,7 +444,7 @@ func (c Config) lower() (cluster.Config, error) {
 	} else {
 		k.Protocol = p.New()
 	}
-	rules := append(append(k.Check(), k.Params.Check()...), k.Conflicts()...)
+	rules := append(k.Check(), k.Params.Check()...)
 	if c.Transport == TransportProc {
 		rules = append(rules, k.SimOnly()...)
 	}

@@ -41,8 +41,8 @@ func TestNewConfigDefaults(t *testing.T) {
 	if c.Replicas != 16 || c.Protocol != "Orthrus" || c.Net != WAN || c.Seed != 42 {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
-	if c.disableNIC || c.AnalyticSB {
-		t.Fatalf("NIC should default on, AnalyticSB off: %+v", c)
+	if c.disableNIC {
+		t.Fatalf("NIC should default on: %+v", c)
 	}
 	if c.PaymentFraction != 0 {
 		t.Fatalf("PaymentFraction should default 0 (paper default), got %g", c.PaymentFraction)
@@ -128,10 +128,9 @@ func TestOptionsSetFields(t *testing.T) {
 		c.Observer == nil || !c.CaptureState {
 		t.Fatalf("options not applied: %+v", c)
 	}
-	// WithFaults and WithAnalyticSB conflict with the scenario above; check
-	// them separately.
-	c2 := NewConfig(WithFaults(2, 3*time.Second), WithAnalyticSB())
-	if c2.CrashFaults != 2 || c2.CrashAt != 3*time.Second || !c2.AnalyticSB {
+	// WithFaults conflicts with the scenario above; check it separately.
+	c2 := NewConfig(WithFaults(2, 3*time.Second))
+	if c2.CrashFaults != 2 || c2.CrashAt != 3*time.Second {
 		t.Fatalf("fault options not applied: %+v", c2)
 	}
 }
@@ -191,9 +190,6 @@ func TestValidateTable(t *testing.T) {
 		{"huge epoch", []Option{WithEpochLen(1 << 62)}, "EpochLen"},
 		{"too many replicas", []Option{WithReplicas(MaxReplicas + 1)}, "exceed the supported maximum 1024"},
 		{"negative live-set interval", []Option{WithLiveSetSampling(-1)}, "SampleLiveSet"},
-		{"analytic with faults", []Option{WithAnalyticSB(), WithFaults(1, time.Second)}, "AnalyticSB"},
-		{"analytic with byzantine", []Option{WithAnalyticSB(), WithByzantine(1)}, "AnalyticSB"},
-		{"analytic with scenario", []Option{WithAnalyticSB(), WithScenario(scn)}, "Scenario"},
 		{"scenario out of range", []Option{WithReplicas(4), WithScenario(scn)}, "Scenario"},
 		{"genesis without transactions", []Option{WithGenesis(map[string]int64{"a": 1})}, "Genesis"},
 		{"trace and transactions", []Option{

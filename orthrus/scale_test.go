@@ -9,28 +9,28 @@ import (
 
 // TestClusterSizeValidation pins the SDK's large-n contract: sizes in
 // [1, MaxReplicas] validate, anything outside is an ErrInvalidConfig
-// naming the Replicas field, and WithClusterSize is WithReplicas.
+// naming the Replicas field.
 func TestClusterSizeValidation(t *testing.T) {
 	for _, n := range []int{1, 4, 100, MaxReplicas} {
-		cfg := NewConfig(WithClusterSize(n))
+		cfg := NewConfig(WithReplicas(n))
 		if err := cfg.Validate(); err != nil {
-			t.Fatalf("WithClusterSize(%d): %v", n, err)
+			t.Fatalf("WithReplicas(%d): %v", n, err)
 		}
 		if cfg.Replicas != n {
-			t.Fatalf("WithClusterSize(%d) set Replicas = %d", n, cfg.Replicas)
+			t.Fatalf("WithReplicas(%d) set Replicas = %d", n, cfg.Replicas)
 		}
 	}
 	for _, n := range []int{0, -3, MaxReplicas + 1, 100000} {
-		err := NewConfig(WithClusterSize(n)).Validate()
+		err := NewConfig(WithReplicas(n)).Validate()
 		if err == nil {
-			t.Fatalf("WithClusterSize(%d): expected validation error", n)
+			t.Fatalf("WithReplicas(%d): expected validation error", n)
 		}
 		if !errors.Is(err, ErrInvalidConfig) {
-			t.Fatalf("WithClusterSize(%d): %v does not wrap ErrInvalidConfig", n, err)
+			t.Fatalf("WithReplicas(%d): %v does not wrap ErrInvalidConfig", n, err)
 		}
 		var ve *ValidationError
 		if !errors.As(err, &ve) || ve.Field != "Replicas" {
-			t.Fatalf("WithClusterSize(%d): error %v does not name Replicas", n, err)
+			t.Fatalf("WithReplicas(%d): error %v does not name Replicas", n, err)
 		}
 	}
 }
@@ -43,7 +43,7 @@ func TestClusterSizeValidation(t *testing.T) {
 func TestQuorumMathPerProtocol(t *testing.T) {
 	for _, p := range Protocols() {
 		for _, n := range []int{4, 10, 25, 50, 100, MaxReplicas} {
-			if err := NewConfig(WithProtocol(p.Name()), WithClusterSize(n)).Validate(); err != nil {
+			if err := NewConfig(WithProtocol(p.Name()), WithReplicas(n)).Validate(); err != nil {
 				t.Fatalf("%s n=%d rejected: %v", p.Name(), n, err)
 			}
 			f := (n - 1) / 3

@@ -25,9 +25,8 @@ func mustPreset(t *testing.T, name string) *scenariodsl.Scenario {
 // runs, and the faults and scenarios that run on Proc are accepted.
 func TestWithTransportValidation(t *testing.T) {
 	bad := map[string][]Option{
-		"analytic": {WithTransport(TransportProc), WithAnalyticSB()},
-		"census":   {WithTransport(TransportProc), WithLiveSetSampling(time.Second)},
-		"range":    {func(c *Config) { c.Transport = Transport(99) }},
+		"census": {WithTransport(TransportProc), WithLiveSetSampling(time.Second)},
+		"range":  {func(c *Config) { c.Transport = Transport(99) }},
 	}
 	for name, opts := range bad {
 		opts := opts
