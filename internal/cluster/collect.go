@@ -40,9 +40,11 @@ type collector struct {
 
 	mu         sync.Mutex
 	clientDone bool     // the submission chain has ended
-	meta       []txMeta // in submission order
-	// byID finds a transaction's record by its ID, the one identity a
-	// transaction has. A reused ID points at its latest submission.
+	meta       []txMeta // in submission order, indexed by ordinal
+	// byID finds the latest submission of each content by its ID, the one
+	// identity a transaction has: a submission of content already
+	// submitted joins its twins (txMeta.twin), and a reply that carries no
+	// ordinal (a real transport's decoded copy) is found here.
 	byID map[types.TxID]int32
 	done int // transactions confirmed client-visibly
 	// confirmedAt counts, per replica, the transactions of this run it has
@@ -257,7 +259,7 @@ func (c *collector) next(t types.Time) {
 func submitNext(a, _ any) {
 	c := a.(*collector)
 	tx := c.gen.Next()
-	tx.ID() // hash outside the lock; submit reads the memo
+	tx.ID() // hash outside the lock; submit reads the cached digest
 	now := c.be.client.Now()
 	c.mu.Lock()
 	home := c.submit(tx, now)
@@ -300,37 +302,55 @@ func highest(n, k int) []int {
 	return ids
 }
 
-// submit opens tx's client-side record, stamping its submission time; it
-// returns the replica co-located with the client.
+// submit opens tx's client-side record, stamping its submission time and
+// its ordinal, the record's index; it returns the replica co-located with
+// the client. A submission of content already submitted joins the ring of
+// its twins.
 func (c *collector) submit(tx *types.Transaction, now types.Time) (home int) {
-	home = len(c.meta) % c.cfg.N
+	k := len(c.meta)
+	home = k % c.cfg.N
 	tx.SubmitNS = int64(now)
-	c.byID[tx.ID()] = int32(len(c.meta))
-	c.meta = append(c.meta, txMeta{submit: now, home: int32(home)})
+	tx.SetOrdinal(k)
+	m := txMeta{submit: now, home: int32(home)}
+	if prev, ok := c.byID[tx.ID()]; ok {
+		p := &c.meta[prev]
+		if m.twin = p.twin; m.twin == 0 {
+			m.twin = prev + 1
+		}
+		p.twin = int32(k) + 1
+	}
+	c.byID[tx.ID()] = int32(k)
+	c.meta = append(c.meta, m)
 	return home
 }
 
-// lookup returns tx's record, nil if this run never submitted it.
-func (c *collector) lookup(tx *types.Transaction) *txMeta {
-	if i, ok := c.byID[tx.ID()]; ok {
-		return &c.meta[i]
+// lookup returns the ordinal of tx's record: the one stamped on it (the
+// simulator's replicas report the submitted transaction or a copy of it),
+// else that of the latest submission of its content; -1 if this run never
+// submitted it.
+func (c *collector) lookup(tx *types.Transaction) int {
+	if k, ok := tx.Ordinal(); ok && k < len(c.meta) {
+		return k
 	}
-	return nil
+	if k, ok := c.byID[tx.ID()]; ok {
+		return int(k)
+	}
+	return -1
 }
 
 // confirm is the client-side confirmation accounting: replica confirmed tx
-// at st.Confirmed, and the (f+1)-th such reply makes it client-visible,
-// stamped on tx's record and counted in the tally OnWindow streams from.
+// at st.Confirmed. A replica confirms a content once, so its reply counts
+// for every submission of that content, tx's twins included (credit).
 // Replica 0 is the Fig. 6 observer: the first trace it reports for a
 // transaction it received from the client (not only inside a block) is
 // folded into the first four breakdown stages here; finish adds the fifth.
 func (c *collector) confirm(replica int, tx *types.Transaction, success bool, st core.StageTrace) {
-	m := c.lookup(tx)
-	if m == nil {
+	k := c.lookup(tx)
+	if k < 0 {
 		return
 	}
 	c.confirmedAt[replica]++
-	if replica == 0 && m.observed == 0 && st.Submit != 0 && st.Received != 0 {
+	if m := &c.meta[k]; replica == 0 && m.observed == 0 && st.Submit != 0 && st.Received != 0 {
 		m.observed = st.Confirmed
 		b := c.res.Breakdown
 		b.Add(metrics.StageSend, time.Duration(st.Received-st.Submit))
@@ -338,28 +358,39 @@ func (c *collector) confirm(replica int, tx *types.Transaction, success bool, st
 		b.Add(metrics.StagePartial, time.Duration(st.Delivered-st.Proposed))
 		b.Add(metrics.StageGlobal, time.Duration(st.Confirmed-st.Delivered))
 	}
+	for i := k; ; {
+		c.credit(i, replica, tx, success, st.Confirmed)
+		if i = int(c.meta[i].twin) - 1; i < 0 || i == k {
+			break
+		}
+	}
+	c.checkDrained() // a replica behind the client-visible reply, or the last one
+}
+
+// credit counts replica's reply, sent at confirmed, on record i: the
+// (f+1)-th makes the submission client-visible, stamped on its record and
+// counted in the tally OnWindow streams from.
+func (c *collector) credit(i, replica int, tx *types.Transaction, success bool, confirmed types.Time) {
+	m := &c.meta[i]
 	if m.done {
-		c.checkDrained() // a replica behind the client-visible reply
 		return
 	}
-	m.replies++
-	if m.replies < int32(c.f+1) {
+	if m.replies++; m.replies < int32(c.f+1) {
 		return
 	}
 	m.done, m.failed = true, !success
 	c.done++
-	m.reply = st.Confirmed + types.Time(c.be.replyHop(replica, int(m.home)))
+	m.reply = confirmed + types.Time(c.be.replyHop(replica, int(m.home)))
 	c.tally.Add(time.Duration(m.reply), m.latency())
 	if c.cfg.OnConfirm != nil {
 		c.cfg.OnConfirm(tx, success, m.reply)
 	}
-	c.checkDrained()
 }
 
 // checkDrained calls drained once every submission has confirmed
 // client-visibly and every replica that is up has confirmed each of them
-// (a reused ID is confirmed once), so a run stopped there ends with the
-// live replicas' states equal.
+// (a reused content is confirmed once), so a run stopped there ends with
+// the live replicas' states equal.
 func (c *collector) checkDrained() {
 	if c.be.drained == nil || !c.clientDone || c.done < len(c.meta) {
 		return

@@ -19,8 +19,11 @@ type txMeta struct {
 	observed types.Time // observer replica's confirm time; zero: no trace counted
 	home     int32      // replica co-located with the submitting client
 	replies  int32
-	done     bool
-	failed   bool // the client-visible reply reports an abort
+	// twin is the ordinal + 1 of the next submission of the same content
+	// in a ring through all of them (0: the content was submitted once).
+	twin   int32
+	done   bool
+	failed bool // the client-visible reply reports an abort
 }
 
 // latency is the client-observed latency: submission to the (f+1)-th reply,

@@ -38,6 +38,7 @@ func scenarioBase(n int, scn *scenario.Scenario) Config {
 // the simulator and both real clusters: a 2/2 split of a 4-replica cluster
 // leaves no side with a 2f+1 quorum, so no transaction commits during the
 // cut; after the heal the view changes complete and the backlog catches up.
+// The two real clusters, 12 s of wall-clock scenario each, run at once.
 func TestPartitionHealLiveness(t *testing.T) {
 	scn := scenario.New("split-heal").
 		PartitionAt(2*time.Second, []int{0, 1}, []int{2, 3}).
@@ -52,6 +53,7 @@ func TestPartitionHealLiveness(t *testing.T) {
 				if testing.Short() {
 					t.Skip("multi-second wall-clock run")
 				}
+				t.Parallel()
 				cfg.NIC = false // real links
 			}
 			checkPartitionHeal(t, run(t, cfg))

@@ -22,6 +22,11 @@ var simPool = sync.Pool{New: func() any { return simnet.New(0) }}
 // newAnalytic builds a run's analytic SB instances (tests count their hits).
 var newAnalytic = sb.NewInstance
 
+// simReplica, when set, adjusts each simulated replica's configuration
+// just before the replica is built (tests give every replica a private
+// resolver through it, as a real replica has, and observe the replicas).
+var simReplica func(i int, ccfg *core.Config)
+
 // Run executes one experiment inside the discrete-event simulator and
 // returns its measurements. It is the simulated backend of the shared
 // harness (collector): virtual time, the modeled network — whose base delay
@@ -29,7 +34,9 @@ var newAnalytic = sb.NewInstance
 // straggler's — and one event loop that runs everything, replica verbs
 // inline. The collector's faults and ticks carry the global affinity
 // (NodeNone), sorting before same-instant deliveries. The run's shape
-// picks the SB it simulates (Config.analytic).
+// picks the SB it simulates (Config.analytic). The replicas share the
+// transaction objects and one core.Resolver, which resolves each
+// transaction once for all of them.
 func Run(cfg Config) *Result { return run(cfg, cfg.analytic()) }
 
 // run is Run with the SB chosen by the caller: the analytic one when
@@ -84,7 +91,14 @@ func run(cfg Config, analytic bool) *Result {
 	if analytic {
 		insts = make(map[int]*sb.Instance)
 	}
+	// One resolver for the run: the replicas share the transaction objects,
+	// so each transaction is resolved once, not once per replica.
+	var resolver *core.Resolver
 	replicas = c.replicas(func(i int, ccfg core.Config) *core.Replica {
+		if resolver == nil {
+			resolver = core.NewResolver(ccfg)
+		}
+		ccfg.Resolver = resolver
 		if analytic {
 			ccfg.SB = func(instance int, hooks core.SBHooks) core.SB {
 				inst, ok := insts[instance]
@@ -97,6 +111,9 @@ func run(cfg Config, analytic bool) *Result {
 				}
 				return inst.Port(i, hooks.OnDeliver)
 			}
+		}
+		if simReplica != nil {
+			simReplica(i, &ccfg)
 		}
 		return core.NewReplica(ccfg, simnet.On(sim, i), c.net)
 	})

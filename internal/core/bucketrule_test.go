@@ -82,11 +82,11 @@ func TestOneBucketRule(t *testing.T) {
 				t.Logf("m=%d %+v: Route %v, want %v", m, tx.Ops, got, want)
 				return false
 			}
-			if r := split.track(tx).route(); !slices.Equal(r, want) {
+			if r := split.route(split.track(tx)); !slices.Equal(r, want) {
 				t.Logf("m=%d %+v: Orthrus tracker route %v, want %v", m, tx.Ops, r, want)
 				return false
 			}
-			if r := cut.track(tx).route(); !slices.Equal(r, want[:1]) {
+			if r := cut.route(cut.track(tx)); !slices.Equal(r, want[:1]) {
 				t.Logf("m=%d %+v: no-split tracker route %v, want %v", m, tx.Ops, r, want[:1])
 				return false
 			}

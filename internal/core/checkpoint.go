@@ -176,13 +176,20 @@ func (r *Replica) tryStabilize(e uint64, d [32]byte) {
 // again — so collecting it cannot change what a run measures.
 func (r *Replica) gcEpoch() {
 	r.buckets.GC()
-	// A released slot leaves the table once no bucket holds state for it.
+	// A released slot leaves the table once no bucket holds state for it,
+	// and its resolution once no replica's table holds it.
 	for _, s := range r.release {
 		t := r.tracker(s)
+		if r.escrowedHi != nil {
+			delete(r.escrowedHi, s)
+		}
 		*t = txTracker{gen: t.gen + 1}
 		r.buckets.Table().Unpin(s)
 	}
 	r.release = r.release[:0]
+	for _, s := range r.buckets.Table().Reap() {
+		r.resolver.drop(s)
+	}
 	// The engines' logs keep one epoch of hysteresis below the stable
 	// floor: a replica that crashed shortly before the boundary asks for
 	// blocks the boundary already covers, and serving them is the only

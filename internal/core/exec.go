@@ -2,9 +2,7 @@ package core
 
 import (
 	"math/bits"
-	"slices"
 
-	"repro/internal/ledger"
 	"repro/internal/partition"
 	"repro/internal/types"
 )
@@ -27,52 +25,40 @@ import (
 //     on every involved instance); later entries never overtake it, so
 //     shared-object operations run in exactly the global order everywhere.
 //
-//   - Execution addresses the ledger by handle. When a tracker starts,
-//     track resolves each op's key once to the store's ledger.Handle (and
-//     each payer's bucket, by handle); escrow, commit, abort, credit and
-//     shared assign then index slices. The tracker is the transaction's
-//     escrow record: the legs of an escrowed route entry hold, a failing
-//     leg returns the legs its own call held, and settle releases or
-//     returns exactly the legs that hold. Handles are replica-private,
-//     like slots: they never enter a message or a types.Transaction.
+//   - Execution addresses the ledger by handle. A transaction is resolved
+//     once per Resolver (resolve.go): each op's key to its ledger.Handle,
+//     its route, and each payer leg's instance. The replica's tracker holds
+//     only its own mutable state beside that immutable resolution; escrow,
+//     commit, abort, credit and shared assign then index slices. The
+//     tracker is the transaction's escrow record: the legs of an escrowed
+//     route entry hold, a failing leg returns the legs its own call held,
+//     and settle releases or returns exactly the legs that hold. Handles
+//     and slots are the resolver's: replicas sharing it (the simulator's)
+//     share them, and they never enter a message or a digest.
 
-// txTracker follows one transaction across the instances it was assigned
-// to: which instances escrowed its payer operations, how many global-log
-// occurrences have been processed, whether it is confirmed, and when this
-// replica first received it and first saw it proposed and delivered (zero:
-// not yet) — the stamps OnConfirm reports. Trackers live in Replica.trk,
-// addressed by the transaction's table slot.
+// txTracker is one replica's mutable state for one transaction, beside
+// its resolution: which route entries escrowed its payer operations, how
+// many global-log occurrences have been processed, whether it is
+// confirmed, and when this replica first received it and first saw it
+// proposed and delivered (zero: not yet) — the stamps OnConfirm reports.
+// Trackers live in Replica.trk, addressed by the transaction's slot; a
+// route longer than 64 entries keeps its further escrow bits in
+// Replica.escrowedHi.
 //
 // The tracker is also the transaction's escrow record (see Execution
 // model); holding keeps its open record counted in the ledger's
 // EscrowCount.
 type txTracker struct {
-	tx *types.Transaction // first copy seen; dropped once confirmed
-	// The route (every payer's bucket for Orthrus, the first otherwise) and
-	// each op's ledger handle are resolved once per slot: n route entries
-	// in arr and the handles in hs, unless either outgrows its array, when
-	// both live in wide.
-	wide         *wideRoute
-	arr          [4]int32
-	hs           [4]ledger.Handle
-	n            int32 // 0: the slot is not tracked
+	tx           *types.Transaction // first copy seen; dropped once confirmed
+	escrowedBits uint64             // bit i set: route entry i's payer legs hold
 	slot         partition.Slot
 	gen          uint32 // tracker incarnations of the slot; see txRef
 	occurSeen    int32  // glog occurrences processed so far
+	live         bool   // the slot is tracked
 	done         bool   // confirmed: committed or aborted
 	holding      bool   // some leg holds: a ledger escrow record is open
-	escrowedBits uint64 // bit i set: route()[i]'s payer legs hold
 
 	received, proposed, delivered types.Time
-}
-
-// wideRoute holds a route or op handles longer than the inline arrays, and
-// the escrow bits past 64 (the SDK allows that many distinct payer buckets
-// at large m).
-type wideRoute struct {
-	route      []int32
-	handles    []ledger.Handle
-	escrowedHi []uint64
 }
 
 // txRef is a slot with the tracker incarnation it was resolved for; once
@@ -88,91 +74,40 @@ type delivered struct {
 	refs []txRef
 }
 
-func (t *txTracker) route() []int32 {
-	if t.wide != nil {
-		return t.wide.route
-	}
-	return t.arr[:t.n]
-}
+// res returns the resolution of t's transaction: its slot's. The tracker
+// keeps no pointer to it, which the garbage collector would trace for
+// every transaction in flight.
+func (r *Replica) res(t *txTracker) *resolution { return r.resolver.at(t.slot) }
 
-// handle returns the ledger handle of the transaction's op i.
-func (t *txTracker) handle(i int) ledger.Handle {
-	if t.wide != nil {
-		return t.wide.handles[i]
-	}
-	return t.hs[i]
-}
+// route returns t's route.
+func (r *Replica) route(t *txTracker) []int32 { return r.res(t).routeOf() }
 
 const trkChunk = 512 // trackers per chunk of Replica.trk; chunks never move
 
 func (r *Replica) tracker(s partition.Slot) *txTracker { return &r.trk[s/trkChunk][s%trkChunk] }
 
-// track interns tx and returns its tracker, starting one (and pinning the
-// slot) if the slot has none.
+// track resolves tx and returns its tracker, starting one (and pinning the
+// slot in the replica's table) if the slot has none.
 func (r *Replica) track(tx *types.Transaction) *txTracker {
-	s := r.buckets.Table().Intern(tx)
+	s := r.resolver.resolve(tx)
 	for int(s) >= len(r.trk)*trkChunk {
 		r.trk = append(r.trk, make([]txTracker, trkChunk))
 	}
 	t := r.tracker(s)
-	if t.n == 0 {
-		r.resolve(t, tx)
-		t.tx, t.slot = tx, s
-		r.buckets.Table().Pin(s)
+	if !t.live {
+		t.tx, t.slot, t.live = tx, s, true
+		if r.buckets.Table().Pin(s) {
+			r.resolver.hold(s)
+		}
+		// The resolution's handles may be new to this replica's store.
+		if n := r.store.Cover(); n > len(r.promised) {
+			r.promised = append(r.promised, make([]types.Amount, n-len(r.promised))...)
+		}
 	}
 	return t
 }
 
-// resolve fills t's route and op handles for tx. The route is tx's
-// partition.Route, cut to its head unless the mode splits multi-payer
-// transactions.
-func (r *Replica) resolve(t *txTracker, tx *types.Transaction) {
-	hs := t.hs[:0]
-	for _, op := range tx.Ops {
-		if op.Type == types.Shared {
-			hs = append(hs, r.store.Record(op.Key))
-		} else {
-			hs = append(hs, r.account(op.Key))
-		}
-	}
-	route := partition.Route(t.arr[:0], tx, func(i int) int32 {
-		if i < 0 {
-			return r.bucketOf(r.account(tx.Client), tx.Client)
-		}
-		return r.bucketOf(hs[i], tx.Ops[i].Key)
-	})
-	if !r.cfg.Mode.SplitMultiPayer {
-		route = route[:1]
-	}
-	t.n = int32(len(route))
-	if len(route) <= len(t.arr) && len(hs) <= len(t.hs) {
-		copy(t.arr[:], route) // a route cut back to its head may have spilled
-		return
-	}
-	t.wide = &wideRoute{route: slices.Clone(route), handles: slices.Clone(hs)}
-}
-
-// account resolves owned key k to its ledger handle, extending the
-// replica's per-account slices to cover it.
-func (r *Replica) account(k types.Key) ledger.Handle {
-	a := r.store.Account(k)
-	for int(a) >= len(r.promised) {
-		r.promised = append(r.promised, 0)
-		r.payerBucket = append(r.payerBucket, -1)
-	}
-	return a
-}
-
-// bucketOf returns account a's bucket: k's partition.Assign, hashed once
-// per account.
-func (r *Replica) bucketOf(a ledger.Handle, k types.Key) int32 {
-	if r.payerBucket[a] < 0 {
-		r.payerBucket[a] = int32(partition.Assign(k, r.cfg.M))
-	}
-	return r.payerBucket[a]
-}
-
-// refsOf interns every transaction of b; the refs are carved from a shared
+// refsOf tracks every transaction of b; the refs are carved from a shared
 // chunk, one allocation per thousand rather than one per block.
 func (r *Replica) refsOf(b *types.Block) []txRef {
 	n := len(b.Txs)
@@ -189,31 +124,33 @@ func (r *Replica) refsOf(b *types.Block) []txRef {
 }
 
 // at resolves a ref taken at delivery; a transaction delivered again after
-// its tracker was released is interned afresh, as a new arrival would be.
+// its tracker was released is tracked afresh, as a new arrival would be.
 func (r *Replica) at(ref txRef, tx *types.Transaction) *txTracker {
-	if t := r.tracker(ref.slot); t.gen == ref.gen && t.n != 0 {
+	if t := r.tracker(ref.slot); t.gen == ref.gen && t.live {
 		return t
 	}
 	return r.track(tx)
 }
 
 // escrowed reports whether the given instance's payer ops escrowed.
-func (t *txTracker) escrowed(instance int) bool {
-	for i, inst := range t.route() {
+func (r *Replica) escrowed(t *txTracker, instance int) bool {
+	for i, inst := range r.route(t) {
 		if int(inst) == instance {
 			if i < 64 {
 				return t.escrowedBits&(1<<uint(i)) != 0
 			}
+			hi := r.escrowedHi[t.slot]
 			w := (i - 64) / 64
-			return w < len(t.wide.escrowedHi) && t.wide.escrowedHi[w]&(1<<uint((i-64)%64)) != 0
+			return w < len(hi) && hi[w]&(1<<uint((i-64)%64)) != 0
 		}
 	}
 	return false
 }
 
 // markEscrowed records a successful escrow phase on instance.
-func (t *txTracker) markEscrowed(instance int) {
-	for i, inst := range t.route() {
+func (r *Replica) markEscrowed(t *txTracker, instance int) {
+	route := r.route(t)
+	for i, inst := range route {
 		if int(inst) != instance {
 			continue
 		}
@@ -221,20 +158,25 @@ func (t *txTracker) markEscrowed(instance int) {
 			t.escrowedBits |= 1 << uint(i)
 			return
 		}
-		if t.wide.escrowedHi == nil {
-			t.wide.escrowedHi = make([]uint64, (len(t.wide.route)-64+63)/64)
+		if r.escrowedHi == nil {
+			r.escrowedHi = make(map[partition.Slot][]uint64)
 		}
-		t.wide.escrowedHi[(i-64)/64] |= 1 << uint((i-64)%64)
+		hi := r.escrowedHi[t.slot]
+		if hi == nil {
+			hi = make([]uint64, (len(route)-64+63)/64)
+			r.escrowedHi[t.slot] = hi
+		}
+		hi[(i-64)/64] |= 1 << uint((i-64)%64)
 		return
 	}
 }
 
 // escrowedCount returns the number of instances whose escrow phase
 // succeeded.
-func (t *txTracker) escrowedCount() int {
+func (r *Replica) escrowedCount(t *txTracker) int {
 	n := bits.OnesCount64(t.escrowedBits)
-	if t.wide != nil {
-		for _, w := range t.wide.escrowedHi {
+	if r.escrowedHi != nil {
+		for _, w := range r.escrowedHi[t.slot] {
 			n += bits.OnesCount64(w)
 		}
 	}
@@ -243,8 +185,8 @@ func (t *txTracker) escrowedCount() int {
 
 // ready reports whether the transaction's escrow phase concluded on every
 // instance it belongs to (successfully, or by failing and aborting it).
-func (t *txTracker) ready() bool {
-	return t.done || t.escrowedCount() == int(t.n)
+func (r *Replica) ready(t *txTracker) bool {
+	return t.done || r.escrowedCount(t) == int(r.res(t).n)
 }
 
 // confirm finalizes a transaction at this replica: exactly once per tx.
@@ -268,7 +210,7 @@ func (r *Replica) confirm(t *txTracker, success bool) {
 		})
 	}
 	t.tx = nil // stop pinning the decoded block (or submission) it sits in
-	if t.occurSeen >= t.n {
+	if t.occurSeen >= r.res(t).n {
 		r.release = append(r.release, t.slot)
 	}
 }
@@ -278,7 +220,7 @@ func (r *Replica) confirm(t *txTracker, success bool) {
 // last (here or in confirm) lists it for the next checkpoint GC to free.
 func (r *Replica) occurred(t *txTracker) {
 	t.occurSeen++
-	if t.done && t.occurSeen == t.n {
+	if t.done && t.occurSeen == r.res(t).n {
 		r.release = append(r.release, t.slot)
 	}
 }
@@ -334,7 +276,7 @@ func (r *Replica) execPartial(instance int, d delivered) {
 	for i := range d.b.Txs {
 		tx := &d.b.Txs[i]
 		t := r.at(d.refs[i], tx)
-		if t.done || t.escrowed(instance) {
+		if t.done || r.escrowed(t, instance) {
 			continue
 		}
 		if !r.escrowLegs(t, tx, instance) {
@@ -343,7 +285,7 @@ func (r *Replica) execPartial(instance int, d delivered) {
 			r.settle(t, tx, false)
 			continue
 		}
-		if t.escrowedCount() == int(t.n) && tx.Kind() == types.Payment {
+		if r.escrowedCount(t) == int(r.res(t).n) && tx.Kind() == types.Payment {
 			// All payer escrows committed: the payment is decided. Apply
 			// credits and confirm without waiting for the global log.
 			r.settle(t, tx, true)
@@ -351,19 +293,19 @@ func (r *Replica) execPartial(instance int, d delivered) {
 	}
 }
 
-// escrowLegs holds the payer legs of tx that legOf gives instance and, if
+// escrowLegs holds the payer legs of tx that run on instance and, if
 // every one held, marks the instance escrowed. A leg that fails returns
 // the legs this call held, so a failed call leaves nothing held.
 func (r *Replica) escrowLegs(t *txTracker, tx *types.Transaction, instance int) bool {
-	held := false
+	res, held := r.res(t), false
 	for i, op := range tx.Ops {
-		if !op.IsPayerOp() || r.legOf(t, i) != instance {
+		if !op.IsPayerOp() || res.leg(i) != instance {
 			continue
 		}
-		if !r.store.Hold(t.handle(i), op.Amount, op.Con) {
+		if !r.store.Hold(res.handle(i), op.Amount, op.Con) {
 			for j, op := range tx.Ops[:i] {
-				if op.IsPayerOp() && r.legOf(t, j) == instance {
-					r.store.Return(t.handle(j), op.Amount)
+				if op.IsPayerOp() && res.leg(j) == instance {
+					r.store.Return(res.handle(j), op.Amount)
 				}
 			}
 			return false
@@ -374,7 +316,7 @@ func (r *Replica) escrowLegs(t *txTracker, tx *types.Transaction, instance int) 
 		t.holding = true
 		r.store.OpenRecord()
 	}
-	t.markEscrowed(instance)
+	r.markEscrowed(t, instance)
 	return true
 }
 
@@ -383,15 +325,16 @@ func (r *Replica) escrowLegs(t *txTracker, tx *types.Transaction, instance int) 
 // when the credits apply too, and returned otherwise; either way it is
 // confirmed.
 func (r *Replica) settle(t *txTracker, tx *types.Transaction, ok bool) {
+	res := r.res(t)
 	if t.holding {
 		for i, op := range tx.Ops {
-			if !op.IsPayerOp() || !t.escrowed(r.legOf(t, i)) {
+			if !op.IsPayerOp() || !r.escrowed(t, res.leg(i)) {
 				continue
 			}
 			if ok {
-				r.store.Release(t.handle(i), op.Amount)
+				r.store.Release(res.handle(i), op.Amount)
 			} else {
-				r.store.Return(t.handle(i), op.Amount)
+				r.store.Return(res.handle(i), op.Amount)
 			}
 		}
 		t.holding = false
@@ -400,7 +343,7 @@ func (r *Replica) settle(t *txTracker, tx *types.Transaction, ok bool) {
 	if ok {
 		for i, op := range tx.Ops {
 			if op.Type == types.Owned && op.Kind == types.OpIncrement {
-				r.store.Add(t.handle(i), op.Amount)
+				r.store.Add(res.handle(i), op.Amount)
 			}
 		}
 	}
@@ -435,7 +378,7 @@ func (r *Replica) drainGlogQueue() {
 		for cur.next < len(cur.b.Txs) {
 			tx := &cur.b.Txs[cur.next]
 			t := r.at(cur.refs[cur.next], tx)
-			if t.occurSeen+1 < t.n {
+			if t.occurSeen+1 < r.res(t).n {
 				// Not the last occurrence of a multi-instance transaction:
 				// skip it here; the final occurrence executes it.
 				r.occurred(t)
@@ -445,7 +388,7 @@ func (r *Replica) drainGlogQueue() {
 			// The fast path settles a payment; a contract waits here until
 			// its escrow phase concluded on every instance.
 			fastPayment := r.cfg.Mode.FastPathPayments && tx.Kind() == types.Payment
-			if r.cfg.Mode.FastPathPayments && !fastPayment && !t.ready() {
+			if r.cfg.Mode.FastPathPayments && !fastPayment && !r.ready(t) {
 				return // wait for the escrow phase; order preserved
 			}
 			r.occurred(t)
@@ -470,7 +413,7 @@ func (r *Replica) execGlobal(t *txTracker) {
 	tx := t.tx
 	ok := true
 	if !r.cfg.Mode.FastPathPayments {
-		for _, instance := range t.route() {
+		for _, instance := range r.route(t) {
 			ok = ok && r.escrowLegs(t, tx, int(instance))
 		}
 	}
@@ -482,11 +425,12 @@ func (r *Replica) execGlobal(t *txTracker) {
 // applied — every replica executes the identical prefix in the identical
 // global position, so consistency across replicas is preserved.
 func (r *Replica) execShared(t *txTracker, tx *types.Transaction) bool {
+	res := r.res(t)
 	for i, op := range tx.Ops {
 		if op.Type != types.Shared {
 			continue
 		}
-		if _, err := r.store.Apply(t.handle(i), op); err != nil {
+		if _, err := r.store.Apply(res.handle(i), op); err != nil {
 			return false
 		}
 	}

@@ -1,5 +1,5 @@
 package core
 
-// TableCap exposes the transaction table's slot capacity to the external
-// test package.
-func (r *Replica) TableCap() int { return r.buckets.Table().Cap() }
+// TableCap exposes the number of transaction slots the replica's resolver
+// ever allocated to the external test package.
+func (r *Replica) TableCap() int { return r.resolver.Cap() }

@@ -55,13 +55,13 @@ func TestRouteOfSplitVsNoSplit(t *testing.T) {
 	}, 1)
 
 	orthrus := newBareReplica(t, OrthrusMode())
-	if got := orthrus.track(tx).route(); len(got) != 2 {
+	if got := orthrus.route(orthrus.track(tx)); len(got) != 2 {
 		t.Fatalf("split route = %v", got)
 	}
 	noSplit := OrthrusMode()
 	noSplit.SplitMultiPayer = false
 	base := newBareReplica(t, noSplit)
-	if got := base.track(tx).route(); len(got) != 1 {
+	if got := base.route(base.track(tx)); len(got) != 1 {
 		t.Fatalf("no-split route = %v", got)
 	}
 }
@@ -89,7 +89,8 @@ func TestRouteOfManyPayerBuckets(t *testing.T) {
 	}
 	tx := types.NewMultiPayment(payers[0], transfers, 1)
 
-	got := newBareReplicaM(t, OrthrusMode(), m).track(tx).route()
+	split := newBareReplicaM(t, OrthrusMode(), m)
+	got := split.route(split.track(tx))
 	if !slices.Equal(got, want) {
 		t.Fatalf("split route = %v, want %v", got, want)
 	}
@@ -97,12 +98,12 @@ func TestRouteOfManyPayerBuckets(t *testing.T) {
 	noSplit.SplitMultiPayer = false
 	r := newBareReplicaM(t, noSplit, m)
 	tr := r.track(tx)
-	if got := tr.route(); len(got) != 1 || got[0] != want[0] {
+	if got := r.route(tr); len(got) != 1 || got[0] != want[0] {
 		t.Fatalf("no-split route = %v, want the smallest bucket [%d]", got, want[0])
 	}
 	// The one route entry takes every payer leg, wherever its payer hashes.
 	for i, op := range tx.Ops {
-		if op.IsPayerOp() && r.legOf(tr, i) != int(want[0]) {
+		if op.IsPayerOp() && r.res(tr).leg(i) != int(want[0]) {
 			t.Fatalf("payer %s (bucket %d) is not handled on the route's one entry %d", op.Key, partition.Assign(op.Key, m), want[0])
 		}
 	}
@@ -113,7 +114,7 @@ func TestRouteOfMintFallsBackToClient(t *testing.T) {
 	mint := &types.Transaction{Client: "faucet", Ops: []types.Op{
 		{Key: "alice", Type: types.Owned, Kind: types.OpIncrement, Amount: 5},
 	}}
-	got := r.track(mint).route()
+	got := r.route(r.track(mint))
 	if len(got) != 1 || int(got[0]) != partition.Assign("faucet", 4) {
 		t.Fatalf("mint route = %v", got)
 	}
@@ -124,18 +125,18 @@ func TestLegFeasibleTracksPromisedDebits(t *testing.T) {
 	inst := partition.Assign("alice", 4)
 	tx1 := types.NewPayment("alice", "bob", 60, 1)
 	tx2 := types.NewPayment("alice", "bob", 60, 2)
-	if !r.legFeasible(tx1, r.track(tx1), inst) {
+	if !r.legFeasible(tx1, r.res(r.track(tx1)), inst) {
 		t.Fatal("tx1 should be feasible (balance 100)")
 	}
-	r.promiseDebits(tx1, r.track(tx1), inst)
-	if r.legFeasible(tx2, r.track(tx2), inst) {
+	r.promiseDebits(tx1, r.res(r.track(tx1)), inst)
+	if r.legFeasible(tx2, r.res(r.track(tx2)), inst) {
 		t.Fatal("tx2 feasible despite 60 already promised of 100")
 	}
 	// Releasing the promise (block executed) restores feasibility of the
 	// *remaining* balance only; after the escrow the real balance governs.
 	b := &types.Block{Instance: inst, Proposer: 0, Txs: []types.Transaction{*tx1}}
 	r.releaseProposedDebits(delivered{b, r.refsOf(b)})
-	if !r.legFeasible(tx2, r.track(tx2), inst) {
+	if !r.legFeasible(tx2, r.res(r.track(tx2)), inst) {
 		t.Fatal("promise not released")
 	}
 }
@@ -336,7 +337,7 @@ func TestGlogHeadBlockingPreservesOrder(t *testing.T) {
 	inst1 := partition.Assign("alice", 4)
 	// Track both transactions; only con2's escrow phase has run.
 	t1, t2 := r.track(con1), r.track(con2)
-	inst2 := int(t2.route()[0])
+	inst2 := int(r.route(t2)[0])
 	r.escrowLegs(t2, con2, inst2)
 
 	r.enqueueGlobal([]*types.Block{
@@ -380,29 +381,34 @@ func TestTrackerWideInstanceSets(t *testing.T) {
 	// Routes longer than 64 positions (a transaction with >64 distinct
 	// payer buckets at large m) must track escrow progress exactly; the
 	// inline word overflows into escrowedHi.
+	r := newBareReplicaM(t, OrthrusMode(), 128)
 	for _, width := range []int{1, 2, 63, 64, 65, 100, 128} {
-		tr := &txTracker{wide: &wideRoute{route: make([]int32, width)}, n: int32(width)}
-		for i := range tr.wide.route {
-			tr.wide.route[i] = int32(i * 3) // arbitrary distinct instance ids
+		id := types.NewPayment("alice", "bob", 1, uint64(width)).ID()
+		s, _ := r.resolver.intern(&id)
+		res := r.resolver.at(s)
+		res.n, res.wide = int32(width), &wideResolution{route: make([]int32, width)}
+		for i := range res.wide.route {
+			res.wide.route[i] = int32(i * 3) // arbitrary distinct instance ids
 		}
-		for i, r := range tr.route() {
-			inst := int(r)
-			if tr.escrowed(inst) {
+		tr := &txTracker{slot: s, live: true}
+		for i, route := range r.route(tr) {
+			inst := int(route)
+			if r.escrowed(tr, inst) {
 				t.Fatalf("width %d: position %d escrowed before marking", width, i)
 			}
-			tr.markEscrowed(inst)
-			if !tr.escrowed(inst) {
+			r.markEscrowed(tr, inst)
+			if !r.escrowed(tr, inst) {
 				t.Fatalf("width %d: position %d not escrowed after marking", width, i)
 			}
-			if got := tr.escrowedCount(); got != i+1 {
+			if got := r.escrowedCount(tr); got != i+1 {
 				t.Fatalf("width %d: escrowedCount = %d after %d marks", width, got, i+1)
 			}
 		}
-		if tr.escrowedCount() != width {
+		if !r.ready(tr) {
 			t.Fatalf("width %d: tracker not ready with every instance escrowed", width)
 		}
-		tr.markEscrowed(int(tr.route()[0])) // idempotent
-		if got := tr.escrowedCount(); got != width {
+		r.markEscrowed(tr, int(r.route(tr)[0])) // idempotent
+		if got := r.escrowedCount(tr); got != width {
 			t.Fatalf("width %d: re-mark changed count to %d", width, got)
 		}
 	}

@@ -39,6 +39,12 @@ type Config struct {
 	// Genesis initializes the ledger (same on every replica).
 	Genesis func(st *ledger.Store)
 
+	// Resolver resolves the replica's transactions and issues its ledger
+	// handles. Replicas of one process may share one built for their
+	// configuration (NewResolver); the simulator's do. Nil gives the
+	// replica a private one, as a real replica has.
+	Resolver *Resolver
+
 	// OnConfirm fires once per transaction when this replica confirms it
 	// (executed successfully or aborted), with the transaction's stage
 	// trace; st.Confirmed is the time of the confirmation.
@@ -119,22 +125,25 @@ type Replica struct {
 	// promised tracks, per ledger account handle, the amount this replica
 	// (as leader) has promised in proposed-but-not-yet-executed blocks, so
 	// feasibility validation of new batches does not double-spend a payer
-	// across pipelined blocks. payerBucket memoizes each account's bucket
-	// (-1: not yet hashed). Both cover every handle a tracker resolved.
-	promised    []types.Amount
-	payerBucket []int32
+	// across pipelined blocks. It covers every handle a tracker resolved.
+	promised []types.Amount
 
-	// Per-transaction state is addressed by slot: buckets.Table() interns a
-	// transaction once per arrival — SubmitTx, and each transaction of a
-	// delivered block — and trk holds its tracker. Slots are replica-private:
-	// they travel beside blocks (delivered.refs), never inside the
-	// Transaction or Block the simulator shares across replicas. release
-	// lists the finished trackers the next checkpoint GC frees; blockRefs
-	// holds a block's refs until the global ordering confirms it.
-	trk       [][]txTracker
-	release   []partition.Slot
-	refChunk  []txRef
-	blockRefs map[*types.Block][]txRef
+	// Per-transaction state is addressed by slot: the resolver resolves a
+	// transaction once per content — SubmitTx, and each transaction of a
+	// delivered block, find it through the transaction's memo — and its
+	// slot indexes both the replica's buckets.Table() record and its
+	// tracker in trk. Slots travel beside blocks (delivered.refs), never
+	// inside the Transaction or Block the simulator shares across
+	// replicas. release lists the finished trackers the next checkpoint
+	// GC frees; blockRefs holds a block's refs until the global ordering
+	// confirms it; escrowedHi holds the escrow bits of routes longer than
+	// 64 entries.
+	resolver   *Resolver
+	trk        [][]txTracker
+	release    []partition.Slot
+	refChunk   []txRef
+	blockRefs  map[*types.Block][]txRef
+	escrowedHi map[partition.Slot][]uint64
 
 	seqRefs []types.BlockRef // refs awaiting sequencer proposal
 
@@ -225,12 +234,18 @@ func NewReplica(cfg Config, sim types.Clock, nw types.Network) *Replica {
 		cfg.M = cfg.N
 	}
 	cfg.Params = cfg.Params.WithDefaults()
+	if cfg.Resolver == nil {
+		cfg.Resolver = NewResolver(cfg)
+	} else if !cfg.Resolver.fits(cfg) {
+		panic("core: a replica's Resolver was built for another M or mode")
+	}
 	r := &Replica{
 		cfg:          cfg,
 		sim:          sim,
 		nw:           nw,
 		buckets:      partition.NewSet(cfg.M),
-		store:        ledger.NewStore(),
+		store:        ledger.NewStoreIn(cfg.Resolver.dir),
+		resolver:     cfg.Resolver,
 		global:       cfg.Mode.NewGlobal(cfg.M),
 		state:        make(types.StateVector, cfg.M),
 		execState:    make(types.StateVector, cfg.M),
@@ -428,7 +443,7 @@ func (r *Replica) SubmitTx(tx *types.Transaction) error {
 		return err
 	}
 	t := r.track(tx)
-	for _, i := range t.route() {
+	for _, i := range r.route(t) {
 		r.buckets.Bucket(int(i)).PushSlot(tx, t.slot)
 	}
 	if t.received == 0 {
@@ -497,8 +512,8 @@ func (r *Replica) pulse(instance int) {
 			requeue = append(requeue, q) // Byzantine: silently skip
 			continue
 		}
-		if t := r.queued(q); r.legFeasible(q.Tx, t, instance) {
-			r.promiseDebits(q.Tx, t, instance)
+		if res := r.queued(q); r.legFeasible(q.Tx, res, instance) {
+			r.promiseDebits(q.Tx, res, instance)
 			batch = append(batch, q)
 		} else {
 			requeue = append(requeue, q)
@@ -523,38 +538,21 @@ func (r *Replica) pulse(instance int) {
 	_ = e.Propose(b) // CanPropose was checked; a race-free sim cannot fail here
 }
 
-// queued returns the tracker of a bucket entry. A queued transaction's
-// tracker is live unless stray occurrences (a Byzantine leader proposing it
-// off its route) let checkpoint GC release it; such an entry is resolved
-// afresh into a tracker of its own, which nothing keeps.
-func (r *Replica) queued(e partition.Entry) *txTracker {
-	if t := r.tracker(e.Slot); t.n != 0 {
-		return t
-	}
-	t := &txTracker{}
-	r.resolve(t, e.Tx)
-	return t
-}
+// queued returns the resolution of a bucket entry: its slot's, which the
+// table record queueing it keeps alive even when stray occurrences (a
+// Byzantine leader proposing it off its route) let checkpoint GC release
+// its tracker.
+func (r *Replica) queued(e partition.Entry) *resolution { return r.resolver.at(e.Slot) }
 
-// legOf is the one rule for where payer leg i (op i) of t's transaction
-// runs: a route of one entry takes every leg (the payers share a bucket, or
-// the mode does not split), a longer route splits them by payer bucket.
-func (r *Replica) legOf(t *txTracker, i int) int {
-	if t.n == 1 {
-		return int(t.route()[0])
-	}
-	return int(r.payerBucket[t.handle(i)])
-}
-
-// legFeasible reports whether the payer operations of tx handled by the
+// legFeasible reports whether the payer operations of tx that run on the
 // given instance could escrow under the current executed state, minus the
 // debits this leader has already promised elsewhere.
-func (r *Replica) legFeasible(tx *types.Transaction, t *txTracker, instance int) bool {
+func (r *Replica) legFeasible(tx *types.Transaction, res *resolution, instance int) bool {
 	for i, op := range tx.Ops {
-		if !op.IsPayerOp() || r.legOf(t, i) != instance {
+		if !op.IsPayerOp() || res.leg(i) != instance {
 			continue // not a leg this instance validates
 		}
-		if a := t.handle(i); r.store.BalanceOf(a)-r.promised[a]-op.Amount < op.Con {
+		if a := res.handle(i); r.store.BalanceOf(a)-r.promised[a]-op.Amount < op.Con {
 			return false
 		}
 	}
@@ -563,10 +561,10 @@ func (r *Replica) legFeasible(tx *types.Transaction, t *txTracker, instance int)
 
 // promiseDebits reserves the batch's debits against future feasibility
 // checks until the block executes.
-func (r *Replica) promiseDebits(tx *types.Transaction, t *txTracker, instance int) {
+func (r *Replica) promiseDebits(tx *types.Transaction, res *resolution, instance int) {
 	for i, op := range tx.Ops {
-		if op.IsPayerOp() && r.legOf(t, i) == instance {
-			r.promised[t.handle(i)] += op.Amount
+		if op.IsPayerOp() && res.leg(i) == instance {
+			r.promised[res.handle(i)] += op.Amount
 		}
 	}
 }
@@ -576,12 +574,12 @@ func (r *Replica) promiseDebits(tx *types.Transaction, t *txTracker, instance in
 func (r *Replica) releaseProposedDebits(d delivered) {
 	for i := range d.b.Txs {
 		tx := &d.b.Txs[i]
-		t := r.at(d.refs[i], tx)
+		res := r.res(r.at(d.refs[i], tx))
 		for j, op := range tx.Ops {
-			if !op.IsPayerOp() || r.legOf(t, j) != d.b.Instance {
+			if !op.IsPayerOp() || res.leg(j) != d.b.Instance {
 				continue
 			}
-			a := t.handle(j)
+			a := res.handle(j)
 			r.promised[a] = max(r.promised[a]-op.Amount, 0)
 		}
 	}

@@ -57,7 +57,7 @@ func TestEscrowRollback(t *testing.T) {
 		mode.SplitMultiPayer = false
 		r := newBareReplica(t, mode)
 		tx := pay("alice", brokeIn(func(int) bool { return true }))
-		deliverTo(r, int(r.track(tx).route()[0]), tx)
+		deliverTo(r, int(r.route(r.track(tx))[0]), tx)
 		settled(t, r)
 	})
 
@@ -80,7 +80,7 @@ func TestEscrowRollback(t *testing.T) {
 		r := newBareReplica(t, mode)
 		bob := partition.Assign("bob", 4)
 		tx := pay("bob", brokeIn(func(b int) bool { return b > bob }))
-		route := r.track(tx).route()
+		route := r.route(r.track(tx))
 		if len(route) != 2 || int(route[0]) != bob {
 			t.Fatalf("route %v, want bob's bucket %d first of two", route, bob)
 		}
@@ -96,18 +96,20 @@ func TestEscrowRollback(t *testing.T) {
 }
 
 // TestTrackerSize: a replica holds one tracker per transaction until
-// checkpoint GC, so its size is resident bytes per transaction; resolving
-// op handles in it must not grow it.
+// checkpoint GC, so its size is resident bytes per transaction per
+// replica. It holds only the replica's mutable state: what a resolution
+// holds (ID, handles, route, legs) is kept once per resolver.
 func TestTrackerSize(t *testing.T) {
-	if got := unsafe.Sizeof(txTracker{}); got > 104 {
-		t.Fatalf("txTracker is %d bytes, want at most 104", got)
+	if got := unsafe.Sizeof(txTracker{}); got > 56 {
+		t.Fatalf("txTracker is %d bytes, want at most 56", got)
 	}
 }
 
 // TestQueuedEntryOfReleasedTracker: checkpoint GC can release a tracker
 // while a route bucket still queues its transaction (stray global-log
-// occurrences finish it early), so a leader judging the entry resolves its
-// handles afresh instead of reading the released tracker's.
+// occurrences finish it early), so a leader judging the entry reads the
+// handles of the resolution its table record keeps, not the released
+// tracker.
 func TestQueuedEntryOfReleasedTracker(t *testing.T) {
 	r := newBareReplica(t, OrthrusMode())
 	credit := func(k types.Key) types.Op {

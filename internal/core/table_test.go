@@ -19,22 +19,35 @@ func submitShared(replica, tx any) { _ = replica.(*core.Replica).SubmitTx(tx.(*t
 // TestUnstampedSharedPointersAcrossShards runs a workload whose transaction
 // pointers — and, through the simulated network, block pointers — are
 // shared by all replicas, with one replica crashing and catching up by
-// state transfer. It proves that slots are
-// replica-private: a slot cached in the shared Transaction or Block would
-// point one replica at another's records (wrong outcomes, diverging
-// ledgers), and that the table drains after quiescence. ("Shards" in the
-// name: the replicas share one event loop, not goroutines.)
+// state transfer, once with a resolver per replica and once with one
+// resolver shared by all. What a replica stamps on a shared Transaction is
+// only its resolver's memo, which names that resolver: a memo read by
+// another replica's resolver, or a slot taken from it, would point one
+// replica at another's records (wrong outcomes, diverging ledgers). The
+// table drains after quiescence. ("Shards" in the name: the replicas share
+// one event loop, not goroutines.)
 func TestUnstampedSharedPointersAcrossShards(t *testing.T) {
+	for _, shared := range []bool{false, true} {
+		name := "private"
+		if shared {
+			name = "shared"
+		}
+		t.Run(name, func(t *testing.T) { sharedPointers(t, shared) })
+	}
+}
+
+func sharedPointers(t *testing.T, shared bool) {
 	const n, victim = 4, 2
 	sim := simnet.New(7)
 	nw := faultnet.Wrap(simnet.NewNetwork(sim, n, simnet.NewLAN(), modeledSize), n)
 	names := accountNames(12)
 	results := make([]map[types.TxID]bool, n) // results[i] is written by replica i only
 	replicas := make([]*core.Replica, n)
+	var resolver *core.Resolver
 	for i := range replicas {
 		i := i
 		results[i] = make(map[types.TxID]bool)
-		replicas[i] = core.NewReplica(core.Config{
+		cfg := core.Config{
 			N: n, F: 1, ID: i, M: n,
 			Mode: core.OrthrusMode(),
 			Params: core.Params{
@@ -50,7 +63,14 @@ func TestUnstampedSharedPointersAcrossShards(t *testing.T) {
 				}
 				results[i][tx.ID()] = success
 			},
-		}, simnet.On(sim, i), nw)
+		}
+		if shared {
+			if resolver == nil {
+				resolver = core.NewResolver(cfg)
+			}
+			cfg.Resolver = resolver
+		}
+		replicas[i] = core.NewReplica(cfg, simnet.On(sim, i), nw)
 	}
 	for _, r := range replicas {
 		r.Start()

@@ -7,15 +7,16 @@
 // stay atomic, and (b) payments are not blocked behind globally-ordered
 // contract transactions touching the same payer.
 //
-// The store interns each account key, and each record key, once to a
-// Handle: a dense index private to the store. Balances, holds and record
-// values live in slices indexed by it, so the handle operations (Hold,
-// Release, Return, Add, Apply) hash no key. A replica resolves a
-// transaction's handles once, when it starts tracking the transaction, and
-// its tracker is the transaction's escrow record: it knows which legs hold
-// and settles exactly those. The TxID-keyed calls (Escrow, CommitEscrow,
-// AbortEscrow) keep Algorithm 2's escrow log for callers without a record
-// of their own; they are thin wrappers over the same handle operations.
+// A Directory interns each account key, and each record key, once to a
+// Handle: a dense index, append-only. Every store built on a directory
+// shares its handles; a store keeps balances, holds and record values in
+// slices indexed by them, so the handle operations (Hold, Release, Return,
+// Add, Apply) hash no key. A transaction's handles are resolved once per
+// directory (core.Resolver), before a replica starts tracking it, and the
+// replica's tracker is the transaction's escrow record: it knows which legs
+// hold and settles exactly those. The TxID-keyed calls (Escrow, CommitEscrow, AbortEscrow) keep
+// Algorithm 2's escrow log for callers without a record of their own; they
+// are thin wrappers over the same handle operations.
 package ledger
 
 import (
@@ -26,19 +27,52 @@ import (
 	"repro/internal/types"
 )
 
-// Handle is a store-private dense index for one account or one shared
-// record (two separate spaces; Account and Record intern into them). It is
-// valid for the store's lifetime and means nothing to any other store, so
-// it never enters a message, a digest or a types.Transaction.
+// Handle is a dense index for one account or one shared record (two
+// separate spaces; Account and Record intern into them), issued by a
+// Directory. It is valid for the directory's lifetime and means the same to
+// every store built on that directory — the simulated replicas of one run
+// share one — and nothing to any other. It never enters a message or a
+// digest.
 type Handle int32
 
-// Store is one replica's object state. It is not safe for concurrent use;
-// replicas in the simulator are single-threaded event handlers.
+// Directory is an append-only map from keys to handles, one space for
+// accounts and one for shared records. It is not safe for concurrent use:
+// the stores sharing one run on one goroutine.
+type Directory struct {
+	accountOf   map[types.Key]Handle
+	accountKeys []types.Key
+	recordOf    map[types.Key]Handle
+	recordKeys  []types.Key
+}
+
+// NewDirectory creates an empty directory.
+func NewDirectory() *Directory {
+	return &Directory{accountOf: make(map[types.Key]Handle), recordOf: make(map[types.Key]Handle)}
+}
+
+// Account returns owned key k's handle, interning k on first sight.
+func (d *Directory) Account(k types.Key) Handle { return intern(d.accountOf, &d.accountKeys, k) }
+
+// Record returns shared key k's handle, interning k as Account does.
+func (d *Directory) Record(k types.Key) Handle { return intern(d.recordOf, &d.recordKeys, k) }
+
+func intern(of map[types.Key]Handle, keys *[]types.Key, k types.Key) Handle {
+	h, ok := of[k]
+	if !ok {
+		h = Handle(len(*keys))
+		*keys = append(*keys, k)
+		of[k] = h
+	}
+	return h
+}
+
+// Store is one replica's object state over a Directory. It is not safe for
+// concurrent use; replicas in the simulator are single-threaded event
+// handlers.
 type Store struct {
-	accountOf map[types.Key]Handle
-	accounts  []account
-	recordOf  map[types.Key]Handle
-	records   []record
+	dir      *Directory
+	accounts []account // by handle; covers every handle Cover has seen
+	records  []record
 	// elog: the TxID-keyed escrow log, each entry the holds its transaction
 	// took and must undo on abort (Algorithm 2's (o, tx) pairs).
 	elog map[types.TxID][]hold
@@ -51,8 +85,8 @@ type Store struct {
 	open int
 }
 
-// account is one owned object; its key lives only in accountOf. set marks
-// an account written at least once: Snapshot lists exactly those.
+// account is one owned object; its key lives only in the directory. set
+// marks an account written at least once: Snapshot lists exactly those.
 type account struct {
 	bal  types.Amount // balance, holds already deducted
 	held types.Amount // sum of the open holds on it
@@ -71,36 +105,41 @@ type hold struct {
 	amount types.Amount
 }
 
-// NewStore creates an empty store.
-func NewStore() *Store {
-	return &Store{
-		accountOf: make(map[types.Key]Handle),
-		recordOf:  make(map[types.Key]Handle),
-		elog:      make(map[types.TxID][]hold),
-	}
+// NewStore creates an empty store over a directory of its own.
+func NewStore() *Store { return NewStoreIn(NewDirectory()) }
+
+// NewStoreIn creates an empty store over directory d, which other stores
+// may share.
+func NewStoreIn(d *Directory) *Store {
+	return &Store{dir: d, elog: make(map[types.TxID][]hold)}
 }
 
 // Account returns owned key k's handle, interning k on first sight. An
 // interned account that was never written reads 0 and is not in Snapshot.
 func (s *Store) Account(k types.Key) Handle {
-	h, ok := s.accountOf[k]
-	if !ok {
-		h = Handle(len(s.accounts))
-		s.accounts = append(s.accounts, account{})
-		s.accountOf[k] = h
-	}
+	h := s.dir.Account(k)
+	s.Cover()
 	return h
 }
 
 // Record returns shared key k's handle, interning k as Account does.
 func (s *Store) Record(k types.Key) Handle {
-	h, ok := s.recordOf[k]
-	if !ok {
-		h = Handle(len(s.records))
-		s.records = append(s.records, record{})
-		s.recordOf[k] = h
-	}
+	h := s.dir.Record(k)
+	s.Cover()
 	return h
+}
+
+// Cover extends the store to every handle its directory has issued, which
+// other stores may have interned, and returns the number of accounts. The
+// handle operations take only covered handles.
+func (s *Store) Cover() int {
+	if n := len(s.dir.accountKeys); n > len(s.accounts) {
+		s.accounts = append(s.accounts, make([]account, n-len(s.accounts))...)
+	}
+	if n := len(s.dir.recordKeys); n > len(s.records) {
+		s.records = append(s.records, make([]record, n-len(s.records))...)
+	}
+	return len(s.accounts)
 }
 
 // Credit sets up an initial balance (genesis allocation).
@@ -116,7 +155,7 @@ func (s *Store) Add(a Handle, amount types.Amount) {
 // Balance returns the current balance of an owned object. Escrowed amounts
 // are already deducted (they are held until commit/abort).
 func (s *Store) Balance(k types.Key) types.Amount {
-	if h, ok := s.accountOf[k]; ok {
+	if h, ok := s.dir.accountOf[k]; ok && int(h) < len(s.accounts) {
 		return s.accounts[h].bal
 	}
 	return 0
@@ -127,7 +166,7 @@ func (s *Store) BalanceOf(a Handle) types.Amount { return s.accounts[a].bal }
 
 // SharedValue returns the current value of a shared object.
 func (s *Store) SharedValue(k types.Key) types.Amount {
-	if h, ok := s.recordOf[k]; ok {
+	if h, ok := s.dir.recordOf[k]; ok && int(h) < len(s.records) {
 		return s.records[h].val
 	}
 	return 0
@@ -295,14 +334,14 @@ type KV struct {
 // still compare equal.
 func (s *Store) Snapshot() Snapshot {
 	snap := Snapshot{Owned: make([]KV, 0, len(s.accounts)), Shared: make([]KV, 0, len(s.records))}
-	for k, h := range s.accountOf {
+	for h := range s.accounts {
 		if a := &s.accounts[h]; a.set {
-			snap.Owned = append(snap.Owned, KV{k, a.bal + a.held})
+			snap.Owned = append(snap.Owned, KV{s.dir.accountKeys[h], a.bal + a.held})
 		}
 	}
-	for k, h := range s.recordOf {
+	for h := range s.records {
 		if r := &s.records[h]; r.set {
-			snap.Shared = append(snap.Shared, KV{k, r.val})
+			snap.Shared = append(snap.Shared, KV{s.dir.recordKeys[h], r.val})
 		}
 	}
 	byKey := func(a, b KV) int { return cmp.Compare(a.Key, b.Key) }

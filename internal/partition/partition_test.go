@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/types"
 )
@@ -253,5 +254,14 @@ func TestSetAddNoPayerFallsBackToClientBucket(t *testing.T) {
 	}
 	if len(idx) != 1 || idx[0] != Assign("faucet", 4) {
 		t.Fatalf("idx = %v, want client bucket", idx)
+	}
+}
+
+// TestRecordSize: a replica holds one table record per transaction until
+// checkpoint GC, so its size is resident bytes per transaction per replica;
+// it holds no pointer, so the garbage collector never scans the records.
+func TestRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(rec{}); got > 16 {
+		t.Fatalf("a table record is %d bytes, want at most 16", got)
 	}
 }

@@ -1,41 +1,32 @@
 package partition
 
-import (
-	"encoding/binary"
-
-	"repro/internal/types"
-)
-
-// Slot is a replica-private handle for one interned transaction: a small
-// dense index into the Table's records and the per-transaction arrays its
-// owner keeps beside them. It is valid until the table frees it and must
-// never be stored in a message or a types.Transaction — the simulator
-// shares those by pointer across replicas.
+// Slot is the handle of one transaction in a Table: a small dense index
+// into the table's records and the per-transaction arrays its owner keeps
+// beside them. The owner chooses it — a replica uses the slot of the
+// transaction's resolution (core.Resolver), the same for every replica
+// sharing that resolver — and may reuse it once the table has released it
+// (Reap). A Slot never enters a message or a digest; a transaction
+// carries its resolution's slot only inside its types.Memo, which no
+// resolver but the issuing one reads.
 type Slot uint32
 
 // recChunk sizes the record store's chunks, which never move: growth copies
 // nothing and record pointers stay valid.
 const recChunk = 512
 
-// Table interns transactions to slots. A transaction is identified by its
-// ID, found through the ID's leading eight bytes and compared in full on a
-// hit, so two transactions sharing a prefix stay two. Lookup is one linear
-// probe of an open-addressed index. A record lives while its owner pins it
-// or a bucket holds state for it; freed slots are recycled.
+// Table holds one replica's bucket records, addressed by slot. A record
+// lives while its owner pins it or a bucket holds state for it; then the
+// table releases it and lists its slot for Reap.
 type Table struct {
-	index []entry // power-of-two open addressing, linear probing
-	shift uint    // 32 - log2(len(index))
 	recs  [][]rec
-	next  Slot // slots ever allocated
-	free  []Slot
 	live  int
-}
-
-// entry is one index cell: the transaction's 32-bit hash (its home cell is
-// the top bits) and slot+1, so the zero value means empty.
-type entry struct {
-	hash uint32
-	ref  uint32
+	freed []Slot // released since the last Reap
+	// more holds the memberships past a record's first, of a transaction
+	// in several buckets (a split multi-payer one); spare pools their
+	// slices for reuse. Records stay pointer-free, so the collector never
+	// scans them.
+	more  map[Slot][]member
+	spare [][]member
 }
 
 // member is one bucket's state for one transaction; clock and position
@@ -54,80 +45,64 @@ const (
 	listed                      // on the bucket's GC list
 )
 
-// rec is one interned transaction: its ID and its bucket memberships, the
-// first inline — a payment sits in one bucket.
+// rec is one transaction's bucket memberships, the first inline — a
+// payment sits in one bucket — and any others in Table.more (spill). held
+// marks a record counted live.
 type rec struct {
-	id     types.TxID
 	m0     member
 	pinned bool
-	more   []member
+	held   bool
+	spill  bool
 }
 
-func newTable() *Table {
-	return &Table{index: make([]entry, 1024), shift: 32 - 10}
-}
+func newTable() *Table { return &Table{more: make(map[Slot][]member)} }
 
-// Live returns the number of interned transactions.
+// Live returns the number of live records.
 func (t *Table) Live() int { return t.live }
 
-// Cap returns the number of slots ever allocated: every Slot is below it.
-func (t *Table) Cap() int { return int(t.next) }
+// Cap returns the number of record cells allocated: every slot the table
+// has held a record for is below it.
+func (t *Table) Cap() int { return len(t.recs) * recChunk }
 
-func (t *Table) rec(s Slot) *rec { return &t.recs[s/recChunk][s%recChunk] }
-
-func hash(id *types.TxID) uint32 {
-	return uint32(binary.BigEndian.Uint64(id[:8]) * 0x9E3779B97F4A7C15 >> 32)
+// cell returns s's record cell, growing the store to cover s.
+func (t *Table) cell(s Slot) *rec {
+	for int(s) >= len(t.recs)*recChunk {
+		t.recs = append(t.recs, make([]rec, recChunk))
+	}
+	return &t.recs[s/recChunk][s%recChunk]
 }
 
-// Intern returns tx's slot, allocating one on first sight.
-func (t *Table) Intern(tx *types.Transaction) Slot { return t.intern(tx.ID()) }
-
-// intern is Intern for a transaction ID.
-func (t *Table) intern(id types.TxID) Slot {
-	h, mask := hash(&id), len(t.index)-1
-	i := int(h >> t.shift)
-	for ; t.index[i].ref != 0; i = (i + 1) & mask {
-		if e := t.index[i]; e.hash == h && t.rec(Slot(e.ref-1)).id == id {
-			return Slot(e.ref - 1)
-		}
+// rec returns s's record, holding it live.
+func (t *Table) rec(s Slot) *rec {
+	r := t.cell(s)
+	if !r.held {
+		r.held = true
+		t.live++
 	}
-	var s Slot
-	if n := len(t.free); n > 0 {
-		s, t.free = t.free[n-1], t.free[:n-1]
-	} else {
-		s = t.next
-		t.next++
-		if int(s) == len(t.recs)*recChunk {
-			t.recs = append(t.recs, make([]rec, recChunk))
-		}
-	}
-	t.rec(s).id = id
-	t.index[i] = entry{hash: h, ref: uint32(s) + 1}
-	t.live++
-	if 2*t.live > len(t.index) {
-		old := t.index
-		t.index, t.shift = make([]entry, 2*len(old)), t.shift-1
-		for _, e := range old {
-			if e.ref != 0 {
-				j := int(e.hash >> t.shift)
-				for t.index[j].ref != 0 {
-					j = (j + 1) & (len(t.index) - 1)
-				}
-				t.index[j] = e
-			}
-		}
-	}
-	return s
+	return r
 }
 
-// Pin keeps s interned until Unpin, whatever the buckets hold for it.
-func (t *Table) Pin(s Slot) { t.rec(s).pinned = true }
+// Pin keeps s's record live until Unpin, whatever the buckets hold for
+// it. It reports whether the record was not live before.
+func (t *Table) Pin(s Slot) (fresh bool) {
+	fresh = !t.cell(s).held
+	t.rec(s).pinned = true
+	return fresh
+}
 
-// Unpin drops the owner's hold; the slot is freed once no bucket holds
-// state for it.
+// Unpin drops the owner's hold; the record is released once no bucket
+// holds state for it.
 func (t *Table) Unpin(s Slot) {
-	t.rec(s).pinned = false
+	t.cell(s).pinned = false
 	t.release(s)
+}
+
+// Reap returns the slots released since the last call; the slice is
+// reused by the next release.
+func (t *Table) Reap() []Slot {
+	out := t.freed
+	t.freed = t.freed[:0]
+	return out
 }
 
 // member returns bucket b's state for s, claiming an unused cell (flags 0,
@@ -140,45 +115,47 @@ func (t *Table) member(s Slot, b uint16) *member {
 	} else if r.m0.bucket == b {
 		return &r.m0
 	}
-	for i := range r.more {
-		if m := &r.more[i]; m.flags != 0 && m.bucket == b {
+	var more []member
+	if r.spill {
+		more = t.more[s]
+	}
+	for i := range more {
+		if m := &more[i]; m.flags != 0 && m.bucket == b {
 			return m
 		} else if m.flags == 0 && spare == nil {
 			spare = m
 		}
 	}
 	if spare == nil {
-		r.more = append(r.more, member{})
-		spare = &r.more[len(r.more)-1]
+		if more == nil && len(t.spare) > 0 {
+			more, t.spare = t.spare[len(t.spare)-1], t.spare[:len(t.spare)-1]
+		}
+		more = append(more, member{})
+		t.more[s], r.spill = more, true
+		spare = &more[len(more)-1]
 	}
 	*spare = member{bucket: b}
 	return spare
 }
 
-// release frees s if it is unpinned and no bucket holds state for it: the
-// index cell is removed by backward shift, so probes never meet tombstones.
+// release frees s if it is unpinned and no bucket holds state for it, and
+// lists it for Reap.
 func (t *Table) release(s Slot) {
-	r := t.rec(s)
-	if r.pinned || r.m0.flags != 0 {
+	r := t.cell(s)
+	if !r.held || r.pinned || r.m0.flags != 0 {
 		return
 	}
-	for i := range r.more {
-		if r.more[i].flags != 0 {
-			return
+	if r.spill {
+		more := t.more[s]
+		for i := range more {
+			if more[i].flags != 0 {
+				return
+			}
 		}
+		delete(t.more, s)
+		t.spare = append(t.spare, more[:0])
 	}
-	mask := len(t.index) - 1
-	i := int(hash(&r.id) >> t.shift)
-	for t.index[i].ref != uint32(s)+1 {
-		i = (i + 1) & mask
-	}
-	for j := (i + 1) & mask; t.index[j].ref != 0; j = (j + 1) & mask {
-		if (j-int(t.index[j].hash>>t.shift))&mask >= (j-i)&mask {
-			t.index[i], i = t.index[j], j
-		}
-	}
-	t.index[i] = entry{}
-	*r = rec{more: r.more[:0]}
-	t.free = append(t.free, s)
+	*r = rec{}
+	t.freed = append(t.freed, s)
 	t.live--
 }

@@ -80,13 +80,15 @@ func NewSharedAssign(record Key, value Amount) Op {
 }
 
 // Clone returns an independent copy of the transaction with its own Ops
-// slice (Payload stays shared read-only). The harness stamps per-run
-// fields on submitted transactions — SubmitNS, the lazily cached digest —
-// so a transaction reused across runs (especially concurrent ones) must be
+// slice (Payload stays shared read-only) and neither ordinal nor memo. The
+// harness stamps per-run fields on submitted transactions — SubmitNS, the
+// ordinal, the lazily cached digest — and a replica its memo, so a
+// transaction reused across runs (especially concurrent ones) must be
 // cloned per run.
 func (tx *Transaction) Clone() *Transaction {
 	cp := *tx
 	cp.Ops = append([]Op(nil), tx.Ops...)
+	cp.ordinal, cp.memo = 0, Memo{}
 	return &cp
 }
 

@@ -157,7 +157,37 @@ type Transaction struct {
 
 	id     TxID
 	hashed bool
+	// ordinal (the harness's submission number + 1, 0: none) and memo are
+	// what this process attached to the transaction. Struct copies carry
+	// them; Clone and the wire codec drop them, and no digest covers them.
+	ordinal uint32
+	memo    Memo
 }
+
+// Memo names what one resolver derived from a transaction's content: entry
+// Index of resolver Owner, in its incarnation Gen. The resolver that set it
+// is the only reader; any other, or a stale incarnation, ignores it. The
+// zero Memo names nothing.
+type Memo struct {
+	Owner      uint64
+	Index, Gen uint32
+}
+
+// Memo returns what SetMemo last stored on tx or on the transaction it was
+// copied from.
+func (tx *Transaction) Memo() Memo { return tx.memo }
+
+// SetMemo stores m on tx.
+func (tx *Transaction) SetMemo(m Memo) { tx.memo = m }
+
+// Ordinal returns the submission number SetOrdinal stamped on tx or on the
+// transaction it was copied from; ok is false if there is none.
+func (tx *Transaction) Ordinal() (i int, ok bool) {
+	return int(tx.ordinal) - 1, tx.ordinal != 0
+}
+
+// SetOrdinal stamps submission number i (0 <= i < 2^32-1) on tx.
+func (tx *Transaction) SetOrdinal(i int) { tx.ordinal = uint32(i) + 1 }
 
 // Kind derives the transaction class from its operations: any shared object
 // or non-commutative op makes it a contract transaction.

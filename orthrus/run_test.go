@@ -379,17 +379,21 @@ func TestTraceConfigReusable(t *testing.T) {
 // agrees, and no escrow is left open. The two submissions are 10 ms apart,
 // so the second reaches each replica while the first is still in its
 // transaction table (a confirmed record refuses re-submission until the
-// checkpoint GC frees it).
+// checkpoint GC frees it). The one content's replies complete both
+// submissions, so none is left unconfirmed and a Proc run stops as soon as
+// they have, well inside its duration and drain.
 func TestReusedTransactionRunsOnce(t *testing.T) {
 	backends := []Transport{TransportSim}
 	if !testing.Short() {
 		backends = append(backends, TransportProc)
 	}
+	const duration, drain = time.Second, time.Second
 	for _, tr := range backends {
 		t.Run(tr.String(), func(t *testing.T) {
+			start := time.Now()
 			res, err := Run(context.Background(),
 				WithTransport(tr), WithReplicas(4), WithNet(LAN), WithLoad(100),
-				WithDuration(time.Second), WithWarmup(200*time.Millisecond), WithDrain(time.Second),
+				WithDuration(duration), WithWarmup(200*time.Millisecond), WithDrain(drain),
 				WithBatching(16, 20*time.Millisecond), WithSeed(1),
 				WithGenesis(map[string]int64{"alice": 100}),
 				WithTransactions(Payment("alice", "bob", 10, 1), Payment("alice", "bob", 10, 1)),
@@ -397,11 +401,18 @@ func TestReusedTransactionRunsOnce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			took := time.Since(start)
 			if a, b := res.Balance("alice"), res.Balance("bob"); a != 90 || b != 10 {
 				t.Fatalf("alice=%d bob=%d, want 90 and 10: the reused transaction ran twice", a, b)
 			}
 			if !res.Converged || res.EscrowsOutstanding() != 0 {
 				t.Fatalf("converged=%v escrows outstanding=%d", res.Converged, res.EscrowsOutstanding())
+			}
+			if unconfirmed := res.Submitted - replies(res); res.Submitted != 2 || unconfirmed != 0 {
+				t.Fatalf("submitted %d, unconfirmed %d: every submission of the content must complete", res.Submitted, unconfirmed)
+			}
+			if tr == TransportProc && took > (duration+drain)*3/4 {
+				t.Fatalf("the Proc run took %v of its %v budget: it did not drain once both submissions confirmed", took, duration+drain)
 			}
 		})
 	}
