@@ -20,7 +20,10 @@
 // (event=start|net|stats|backpressure|wire-error|view-change|stop) to
 // stdout — stats and stop end in rejected=N, the messages the replica
 // refused as misattributed or malformed (0 among honest peers) — and shuts
-// down cleanly on SIGINT/SIGTERM or after -duration.
+// down cleanly on SIGINT/SIGTERM or after -duration. On the -load node each
+// stats line also reports confirm_p50_ms and confirm_p99_ms: the latency
+// of the client's transactions that the node's own replica confirmed in
+// that period (replica-local, not the client-visible f+1-th reply).
 //
 // A daemon that falls behind catches up from its peers' delivered-block
 // logs, and answers their catch-up requests from its own, like every
@@ -44,6 +47,7 @@ import (
 
 	_ "repro/internal/baseline" // register the comparison protocols
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/registry"
 	"repro/internal/transport"
 	"repro/internal/types"
@@ -215,11 +219,34 @@ func runNode(o nodeOptions, stdout, stderr io.Writer, stop <-chan struct{}) erro
 	ccfg.OnViewChange = func(instance int, view uint64, at types.Time) {
 		logf("view-change", "instance=%d view=%d", instance, view)
 	}
+	// lat holds the stats period's confirm latencies on the -load node,
+	// whose client is the cluster's only one, as this replica saw them.
+	// Client and node share one epoch, so both stamps are on one clock.
+	var lat []time.Duration
+	if o.load > 0 {
+		ccfg.OnConfirm = func(_ *types.Transaction, _ bool, st core.StageTrace) {
+			lat = append(lat, time.Duration(st.Confirmed-st.Submit))
+		}
+	}
 	replica := core.NewReplica(ccfg, node, tcp)
-	counters := func() string {
+	counters := func(latency string) string {
 		ok, failed := replica.Confirmed()
-		return fmt.Sprintf("blocks=%d confirmed=%d aborted=%d msgs=%d bytes=%d dropped=%d rejected=%d",
-			blocks, ok+failed, failed, tcp.Messages(), tcp.Bytes(), tcp.Dropped(), replica.Rejected())
+		return fmt.Sprintf("blocks=%d confirmed=%d aborted=%d%s msgs=%d bytes=%d dropped=%d rejected=%d",
+			blocks, ok+failed, failed, latency, tcp.Messages(), tcp.Bytes(), tcp.Dropped(), replica.Rejected())
+	}
+	// period renders the stats period's confirm latency on the -load node
+	// ("-" when nothing confirmed in it) and starts the next period.
+	period := func() string {
+		switch {
+		case o.load <= 0:
+			return ""
+		case len(lat) == 0:
+			return " confirm_p50_ms=- confirm_p99_ms=-"
+		}
+		s := metrics.Summarize(lat)
+		lat = lat[:0]
+		ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+		return fmt.Sprintf(" confirm_p50_ms=%.3f confirm_p99_ms=%.3f", ms(s.P50), ms(s.P99))
 	}
 
 	// Recurring stats line, scheduled on the node's own clock so it reads
@@ -231,7 +258,7 @@ func runNode(o nodeOptions, stdout, stderr io.Writer, stop <-chan struct{}) erro
 	var lastDropped, lastEncErrs, lastDecErrs uint64
 	var statsTick func(_, _ any)
 	statsTick = func(_, _ any) {
-		logf("stats", "%s", counters())
+		logf("stats", "%s", counters(period()))
 		if d := tcp.Dropped(); d > lastDropped {
 			logf("backpressure", "dropped=%d total=%d", d-lastDropped, d)
 			lastDropped = d
@@ -247,7 +274,8 @@ func runNode(o nodeOptions, stdout, stderr io.Writer, stop <-chan struct{}) erro
 	logf("start", "protocol=%s n=%d f=%d addr=%s seed=%d load=%g",
 		o.protocol, n, ccfg.F, tcp.Addr(), o.seed, o.load)
 	replica.Start()
-	node.Start(time.Now())
+	epoch := time.Now() // the node's clock and the client's submission stamps
+	node.Start(epoch)
 
 	// Built-in open-loop client: submit each transaction where
 	// core.SubmitRouter says (the censorship-resistant policy of Sec. V-B),
@@ -259,7 +287,6 @@ func runNode(o nodeOptions, stdout, stderr io.Writer, stop <-chan struct{}) erro
 		go func() {
 			defer clientWG.Done()
 			interval := time.Duration(float64(time.Second) / o.load)
-			epoch := time.Now()
 			router := core.NewSubmitRouter(n, ccfg.F)
 			for k := 0; ; k++ {
 				select {
@@ -307,6 +334,6 @@ func runNode(o nodeOptions, stdout, stderr io.Writer, stop <-chan struct{}) erro
 	clientWG.Wait()
 	tcp.Close()
 	node.Stop()
-	logf("stop", "reason=%s %s", reason, counters())
+	logf("stop", "reason=%s %s", reason, counters(""))
 	return nil
 }

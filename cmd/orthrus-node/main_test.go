@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -102,7 +103,10 @@ func TestRunUsageListsProtocols(t *testing.T) {
 	}
 }
 
-var statsRe = regexp.MustCompile(`event=stats blocks=(\d+) confirmed=(\d+)`)
+var (
+	statsRe   = regexp.MustCompile(`event=stats blocks=(\d+) confirmed=(\d+)`)
+	latencyRe = regexp.MustCompile(`event=stats .* confirm_p50_ms=(\S+) confirm_p99_ms=(\S+) `)
+)
 
 // lastStats returns the latest stats line's blocks and confirmed counts.
 func lastStats(out string) (blocks, confirmed int) {
@@ -198,6 +202,20 @@ func TestTCPLoopbackCluster(t *testing.T) {
 		}
 		if !strings.Contains(out, "event=stop reason=signal") {
 			t.Fatalf("node %d output missing clean stop line:\n%s", i, out)
+		}
+		// Only the -load node reports its client's confirm latency, and it
+		// did in some period: 0 < p50 <= p99.
+		lat := latencyRe.FindAllStringSubmatch(out, -1)
+		if i != 0 {
+			if strings.Contains(out, "confirm_p50_ms") {
+				t.Fatalf("node %d runs no client but reports confirm latency:\n%s", i, out)
+			}
+		} else if !slices.ContainsFunc(lat, func(m []string) bool {
+			p50, err1 := strconv.ParseFloat(m[1], 64)
+			p99, err2 := strconv.ParseFloat(m[2], 64)
+			return err1 == nil && err2 == nil && p50 > 0 && p50 <= p99
+		}) {
+			t.Fatalf("node 0 reported no period's confirm latency (%d stats lines with the fields):\n%s", len(lat), out)
 		}
 		// The sender rule must pass every honest frame: each stats line and
 		// the stop line end in rejected=0.

@@ -124,3 +124,29 @@ func TestRunRejectsFlagCombinations(t *testing.T) {
 		})
 	}
 }
+
+// TestRunNotesMessageLevelAtScale pins the line printed before a run at
+// n >= 32 that crash faults put on message-level PBFT (its estimated
+// messages and the measured envelope), and that a fault-free n = 32 run,
+// which simulates the analytic SB, prints none.
+func TestRunNotesMessageLevelAtScale(t *testing.T) {
+	const want = "orthrus-sim: n=32 with crash faults simulates message-level PBFT, not the analytic SB: " +
+		"about 2.0 million protocol messages (2n²·m votes per pulse x 30 pulses); " +
+		"3 s at 500 tps took 2.2 / 10.9 / 35.5 s of wall time at n = 32 / 48 / 64 on 2 vCPUs\n"
+	base := []string{"-n", "32", "-load", "100", "-duration", "1s"}
+	var out, errOut bytes.Buffer
+	if err := run(append(base, "-faults", "1", "-fault-at", "500ms"), &out, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	if errOut.String() != want {
+		t.Fatalf("stderr = %q, want %q", errOut.String(), want)
+	}
+	out.Reset()
+	errOut.Reset()
+	if err := run(base, &out, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	if errOut.Len() != 0 || !strings.Contains(out.String(), "n=32") {
+		t.Fatalf("fault-free n = 32 run: stderr %q, stdout %q", errOut.String(), out.String())
+	}
+}

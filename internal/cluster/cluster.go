@@ -313,6 +313,10 @@ type Result struct {
 	// recovery tests assert gap repair happened without pre-checkpoint
 	// replay.
 	StateTransferApplied uint64
+	// EarlyProposals counts the blocks proposed when a leader's instance
+	// drained, ahead of its pulse (core.Replica.EarlyProposals), summed
+	// across replicas.
+	EarlyProposals uint64
 
 	// Halted reports the run was stopped early by Config.Halt, at the 0.5 s
 	// boundary whose poll returned true. Every count, rate and window

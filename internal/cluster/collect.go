@@ -454,6 +454,7 @@ func (c *collector) finish() *Result {
 
 	for _, r := range c.reps {
 		res.StateTransferApplied += r.StateTransferApplied()
+		res.EarlyProposals += r.EarlyProposals()
 	}
 
 	if cfg.CaptureState {

@@ -128,7 +128,7 @@ func TestLegFeasibleTracksPromisedDebits(t *testing.T) {
 	if !r.legFeasible(tx1, r.res(r.track(tx1)), inst) {
 		t.Fatal("tx1 should be feasible (balance 100)")
 	}
-	r.promiseDebits(tx1, r.res(r.track(tx1)), inst)
+	r.promiseDebits(tx1, r.res(r.track(tx1)), inst, 1)
 	if r.legFeasible(tx2, r.res(r.track(tx2)), inst) {
 		t.Fatal("tx2 feasible despite 60 already promised of 100")
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"crypto/sha256"
+	"slices"
 	"time"
 
 	"repro/internal/ledger"
@@ -217,6 +218,11 @@ type Replica struct {
 	// allocated once, carried as the CallAfter operand for every pulse of
 	// that instance (the generation rides in the other operand).
 	pulseSlots []pulseSlot
+	// cutBuf and rejectBuf are cut's scratch: the entries it peeked (and
+	// the batch, filtered in place) and those it sends back to the bucket.
+	cutBuf, rejectBuf []partition.Entry
+	// early counts the proposals proposeDrained made (EarlyProposals).
+	early uint64
 }
 
 // pulseSlot names one instance's pulse loop for the closure-free
@@ -421,6 +427,10 @@ func (r *Replica) SetPulseScale(scale float64) {
 	r.pulseScale = scale
 }
 
+// EarlyProposals counts the blocks this replica proposed when its
+// instance's pipeline drained, ahead of the pulse (proposeDrained).
+func (r *Replica) EarlyProposals() uint64 { return r.early }
+
 // Store exposes the ledger for examples and invariant checks.
 func (r *Replica) Store() *ledger.Store { return r.store }
 
@@ -482,46 +492,104 @@ func pulseFire(a, b any) {
 	r.schedulePulse(p.instance)
 }
 
-// pulse attempts one proposal on an instance this replica currently leads.
+// pulse attempts one proposal on an instance this replica currently leads:
+// a block of whatever the bucket holds, an empty one included (the empty
+// block is the instance's heartbeat).
 func (r *Replica) pulse(instance int) {
-	e := r.sbs[instance]
-	if !e.CanPropose() {
+	if !r.mayPropose(instance) {
 		return
-	}
-	if r.sim.Now() < r.stalledUntil {
-		return // Mir-style global stall during view change
 	}
 	if instance == r.cfg.M {
-		r.pulseSequencer(e)
+		r.pulseSequencer(r.sbs[instance])
 		return
 	}
-	if r.epochPaused(instance) {
+	batch, _ := r.cut(instance, 0)
+	r.propose(instance, batch)
+}
+
+// proposeDrained is the drained-pipeline proposal: once a block delivers on
+// a worker instance this replica leads and nothing it proposed there is
+// still in flight, it proposes at once instead of idling until its pulse.
+//   - The batch must hold at least N transactions, so that each block's
+//     Θ(n²) agreement messages are spread over n transactions at least, and
+//     the pulse stays both the latency bound and the empty-block heartbeat.
+//   - The instance must be less than an epoch ahead of the replica's
+//     slowest one: a hot bucket that proposed at every delivery would
+//     otherwise run into the epoch run-ahead bound (epochPaused) and stall
+//     there until the pulse-driven instances caught up.
+//   - Only an honest full-speed leader does it: a straggler is modelled by
+//     its dilated pulse and a ByzantineMute leader by its crawl, each of
+//     which an early proposal would cut short.
+//
+// "Nothing in flight" is the engine's next sequence number equal to the
+// replica's delivered count, not InFlight, which the analytic SB does not
+// model (it reports 0).
+func (r *Replica) proposeDrained(instance int) {
+	if r.pulseScale != 1 || r.cfg.ByzantineMute || r.sbs[instance].NextProposeSeq() != r.state[instance] ||
+		r.buckets.Bucket(instance).Len() < r.cfg.N || r.state[instance] >= slices.Min(r.state)+r.cfg.EpochLen ||
+		!r.mayPropose(instance) {
 		return
 	}
-	// pullValidTx (Algorithm 1 line 6): pull the oldest transactions whose
-	// payer legs on this instance are feasible under the current executed
-	// state, accounting for debits already promised in pipelined blocks and
-	// earlier in this batch. Infeasible transactions are re-queued — their
-	// funds may arrive via a credit from another instance.
+	if batch, ok := r.cut(instance, r.cfg.N); ok {
+		r.early++
+		r.propose(instance, batch)
+	}
+}
+
+// mayPropose reports whether this replica may propose on instance now: it
+// leads it with room in the pipeline window, no Mir-style global stall
+// holds (view change), and a worker instance is not held at an epoch
+// barrier.
+func (r *Replica) mayPropose(instance int) bool {
+	if !r.sbs[instance].CanPropose() || r.sim.Now() < r.stalledUntil {
+		return false
+	}
+	return instance == r.cfg.M || !r.epochPaused(instance)
+}
+
+// cut is pullValidTx (Algorithm 1 line 6): it takes the oldest transactions
+// of the instance's bucket whose payer legs on this instance are feasible
+// under the current executed state, accounting for debits already promised
+// in pipelined blocks and earlier in this batch, and promises their debits.
+// Censored and infeasible transactions go back to the bucket's tail and
+// keep their age: their funds may arrive via a credit from another
+// instance. When fewer than floor transactions pass, cut leaves the bucket
+// and the promises as they were and reports false. The batch lives in a
+// scratch buffer that the next cut reuses.
+func (r *Replica) cut(instance, floor int) ([]partition.Entry, bool) {
 	bucket := r.buckets.Bucket(instance)
-	pulled := bucket.PullEntries(r.cfg.BatchSize)
-	batch := pulled[:0]
-	var requeue []partition.Entry
-	for _, q := range pulled {
+	peeked := bucket.PeekEntries(r.cutBuf[:0], r.cfg.BatchSize)
+	r.cutBuf = peeked
+	batch, rejected := peeked[:0], r.rejectBuf[:0]
+	for _, q := range peeked {
 		if r.cfg.Censor != nil && r.cfg.Censor(q.Tx) {
-			requeue = append(requeue, q) // Byzantine: silently skip
+			rejected = append(rejected, q) // Byzantine: silently skip
 			continue
 		}
 		if res := r.queued(q); r.legFeasible(q.Tx, res, instance) {
-			r.promiseDebits(q.Tx, res, instance)
+			r.promiseDebits(q.Tx, res, instance, 1)
 			batch = append(batch, q)
 		} else {
-			requeue = append(requeue, q)
+			rejected = append(rejected, q)
 		}
 	}
-	for _, q := range requeue {
+	r.rejectBuf = rejected
+	if len(batch) < floor {
+		for _, q := range batch {
+			r.promiseDebits(q.Tx, r.queued(q), instance, -1)
+		}
+		return nil, false
+	}
+	bucket.Drop(len(peeked))
+	for _, q := range rejected {
 		bucket.PushSlot(q.Tx, q.Slot)
 	}
+	return batch, true
+}
+
+// propose broadcasts batch as the instance's next block.
+func (r *Replica) propose(instance int, batch []partition.Entry) {
+	e := r.sbs[instance]
 	b := &types.Block{
 		Instance:  instance,
 		SN:        e.NextProposeSeq(),
@@ -535,7 +603,7 @@ func (r *Replica) pulse(instance int) {
 		b.Txs = append(b.Txs, *q.Tx)
 	}
 	r.rank.Observe(b.Rank)
-	_ = e.Propose(b) // CanPropose was checked; a race-free sim cannot fail here
+	_ = e.Propose(b) // mayPropose was checked; a race-free sim cannot fail here
 }
 
 // queued returns the resolution of a bucket entry: its slot's, which the
@@ -559,12 +627,13 @@ func (r *Replica) legFeasible(tx *types.Transaction, res *resolution, instance i
 	return true
 }
 
-// promiseDebits reserves the batch's debits against future feasibility
-// checks until the block executes.
-func (r *Replica) promiseDebits(tx *types.Transaction, res *resolution, instance int) {
+// promiseDebits reserves (sign 1) the batch's debits against future
+// feasibility checks until the block executes, or withdraws (sign -1) a
+// reservation of a batch that is not proposed after all.
+func (r *Replica) promiseDebits(tx *types.Transaction, res *resolution, instance int, sign types.Amount) {
 	for i, op := range tx.Ops {
 		if op.IsPayerOp() && res.leg(i) == instance {
-			r.promised[res.handle(i)] += op.Amount
+			r.promised[res.handle(i)] += sign * op.Amount
 		}
 	}
 }
@@ -702,6 +771,7 @@ func (r *Replica) onDeliver(instance int, b *types.Block) {
 	}
 
 	r.maybeFinishEpoch()
+	r.proposeDrained(instance)
 }
 
 // onViewChange reacts to a new view: Mir stalls everything for one timeout.

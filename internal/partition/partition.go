@@ -126,11 +126,11 @@ func (b *Bucket) list(m *member, s Slot) {
 }
 
 // Pull removes and returns up to max of the oldest transactions, in
-// arrival order. The leader calls it when assembling a block; pulled
-// transactions that fail feasibility are pushed back and keep their
-// original age (firstSeen survives re-queues).
+// arrival order. Pulled transactions that fail feasibility are pushed back
+// and keep their original age (firstSeen survives re-queues).
 func (b *Bucket) Pull(max int) []*types.Transaction {
-	es := b.PullEntries(max)
+	es := b.PeekEntries(nil, max)
+	b.Drop(len(es))
 	out := make([]*types.Transaction, len(es))
 	for i, e := range es {
 		out[i] = e.Tx
@@ -138,24 +138,38 @@ func (b *Bucket) Pull(max int) []*types.Transaction {
 	return out
 }
 
-// PullEntries is Pull with each transaction's slot.
-func (b *Bucket) PullEntries(max int) []Entry {
-	out := make([]Entry, 0, min(max, b.n))
-	k := 0
-	for ; k < len(b.queue) && len(out) < max; k++ {
+// PeekEntries appends up to max of the oldest queued transactions, with
+// their slots and in arrival order, to dst and returns the extended
+// slice; the queue is left as it was. A leader cuts its batch from a peek
+// and drops it from the queue only once it proposes the batch.
+func (b *Bucket) PeekEntries(dst []Entry, max int) []Entry {
+	for k, n := 0, 0; k < len(b.queue) && n < max; k++ {
 		if e := b.queue[k]; e.Tx != nil {
+			dst = append(dst, e)
+			n++
+		}
+	}
+	return dst
+}
+
+// Drop removes the k oldest queued transactions: those PeekEntries(k)
+// returns, as long as nothing was pushed or confirmed in between.
+func (b *Bucket) Drop(k int) {
+	i := 0
+	for ; i < len(b.queue) && k > 0; i++ {
+		if e := b.queue[i]; e.Tx != nil {
 			m := b.t.member(e.Slot, b.id)
 			m.flags &^= queued
 			b.list(m, e.Slot)
-			out = append(out, e)
+			b.n--
+			k--
 		}
 	}
-	b.queue, b.base, b.n = b.queue[k:], b.base+uint32(k), b.n-len(out)
-	return out
+	b.queue, b.base = b.queue[i:], b.base+uint32(i)
 }
 
 // Peek returns up to max of the oldest queued transactions without
-// removing them (diagnostics and tests; leaders use Pull).
+// removing them (diagnostics and tests; leaders use PeekEntries).
 func (b *Bucket) Peek(max int) []*types.Transaction {
 	out := make([]*types.Transaction, 0, min(max, b.n))
 	for k := 0; k < len(b.queue) && len(out) < max; k++ {

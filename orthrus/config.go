@@ -74,7 +74,11 @@ type Config struct {
 	// most MaxReplicas. Default 16. TransportSim simulates a fault-free run
 	// of 32 replicas or more on the closed-form quorum-time SB (whose
 	// proposals queue on the NIC, WithNIC) and every other run on
-	// message-level PBFT, which costs O(n^3) messages per block round.
+	// message-level PBFT, which costs O(n^3) messages per block round:
+	// about 2n²·m votes per pulse. Crash or Byzantine faults, or a
+	// Scenario, put a large cluster there too. On 2 vCPUs, 3 s at 500 tps
+	// with one crash took 2.2 / 10.9 / 35.5 s of wall time at n = 32 / 48 /
+	// 64, against 0.4 s fault-free at n = 32.
 	Replicas int
 	// Protocol names a registered protocol (see Protocols). Default
 	// "Orthrus".
@@ -102,7 +106,8 @@ type Config struct {
 	// recover, partitions that heal, moving stragglers, load surges); see
 	// package scenariodsl. A run with a scenario, like one with crash or
 	// Byzantine faults, simulates message-level PBFT at every size, and
-	// reports per-phase windows on the Result.
+	// reports per-phase windows on the Result. From 32 replicas up that is
+	// the costly path: see Replicas for the measured envelope.
 	Scenario *scenariodsl.Scenario
 
 	// LoadTPS is the open-loop client submission rate. Default 1000.
