@@ -9,10 +9,12 @@ import (
 )
 
 // TestDrainedProposalLAN pins a seeded LAN run at n = 4 whose leaders'
-// pipelines drain faster than the 20 ms pulse: the drained-pipeline
-// proposals fire, every submission confirms, and the run's count of them
-// and its mean latency are what they were when the rule went in. The same
-// run proposing on the pulse alone read a 12.359503 ms mean.
+// buckets fill to n² = 16 transactions well inside the 20 ms pulse: the
+// drained-pipeline proposals fire, at deliveries and at submissions, every
+// submission confirms, and the run's count of them and its mean latency
+// are what they were when the rule took its current form. The same run
+// proposing on the pulse alone read a 12.359503 ms mean; with the rule
+// checked at deliveries only, at a floor of n, 162 proposals and 12.11129 ms.
 func TestDrainedProposalLAN(t *testing.T) {
 	res := Run(Config{
 		N: 4, Protocol: core.OrthrusMode(), Net: LAN,
@@ -25,15 +27,15 @@ func TestDrainedProposalLAN(t *testing.T) {
 	if res.Unconfirmed != 0 {
 		t.Fatalf("%d of %d submissions unconfirmed", res.Unconfirmed, res.Submitted)
 	}
-	if res.EarlyProposals != 162 || res.Latency.Mean != 12111290*time.Nanosecond {
-		t.Fatalf("%d early proposals, mean latency %v; want 162, 12.11129ms", res.EarlyProposals, res.Latency.Mean)
+	if res.EarlyProposals != 555 || res.Latency.Mean != 8902375*time.Nanosecond {
+		t.Fatalf("%d early proposals, mean latency %v; want 555, 8.902375ms", res.EarlyProposals, res.Latency.Mean)
 	}
 }
 
 // TestDrainedProposalNeverOnWAN25: on a run shaped like the benchmark's
 // sim_wan25 (n = 25, 4-region WAN, NIC, 2000 tps, 100 ms pulse) no leader
-// holds n transactions when its pipeline drains, so the rule never fires and
-// the run is the pulse-driven one.
+// ever holds n² = 625 transactions, so the rule never fires and the run is
+// the pulse-driven one.
 func TestDrainedProposalNeverOnWAN25(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n = 25 message-level run")
@@ -51,9 +53,9 @@ func TestDrainedProposalNeverOnWAN25(t *testing.T) {
 }
 
 // TestDrainedProposalRealConverges runs the rule on both real clusters: at
-// 10 000 tps a leader's pipeline drains with more than n transactions
-// queued, so it proposes at the delivery, and every submission still
-// confirms on every replica and the replicas' ledgers agree.
+// 10 000 tps a leader's bucket reaches n² transactions between pulses, so
+// it proposes early, and every submission still confirms on every replica
+// and the replicas' ledgers agree.
 func TestDrainedProposalRealConverges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock runs")

@@ -223,6 +223,9 @@ type Replica struct {
 	cutBuf, rejectBuf []partition.Entry
 	// early counts the proposals proposeDrained made (EarlyProposals).
 	early uint64
+	// viewDelivered[i] records that worker instance i has delivered a block
+	// since its current view installed (proposeDrained's first-block guard).
+	viewDelivered []bool
 }
 
 // pulseSlot names one instance's pulse loop for the closure-free
@@ -264,6 +267,8 @@ func NewReplica(cfg Config, sim types.Clock, nw types.Network) *Replica {
 		bound:        make(map[uint64][][32]byte),
 		lastComplain: make([]uint64, cfg.M),
 		pulseScale:   1,
+
+		viewDelivered: make([]bool, cfg.M),
 	}
 	r.stResps = make([]*StateTransferResp, cfg.N)
 	if cfg.Genesis != nil {
@@ -453,11 +458,15 @@ func (r *Replica) SubmitTx(tx *types.Transaction) error {
 		return err
 	}
 	t := r.track(tx)
-	for _, i := range r.route(t) {
+	route := r.route(t)
+	for _, i := range route {
 		r.buckets.Bucket(int(i)).PushSlot(tx, t.slot)
 	}
 	if t.received == 0 {
 		t.received = r.sim.Now()
+	}
+	for _, i := range route {
+		r.proposeDrained(int(i))
 	}
 	return nil
 }
@@ -507,30 +516,45 @@ func (r *Replica) pulse(instance int) {
 	r.propose(instance, batch)
 }
 
-// proposeDrained is the drained-pipeline proposal: once a block delivers on
-// a worker instance this replica leads and nothing it proposed there is
-// still in flight, it proposes at once instead of idling until its pulse.
-//   - The batch must hold at least N transactions, so that each block's
-//     Θ(n²) agreement messages are spread over n transactions at least, and
-//     the pulse stays both the latency bound and the empty-block heartbeat.
-//   - The instance must be less than an epoch ahead of the replica's
-//     slowest one: a hot bucket that proposed at every delivery would
-//     otherwise run into the epoch run-ahead bound (epochPaused) and stall
-//     there until the pulse-driven instances caught up.
+// proposeDrained is the drained-pipeline proposal: a leader whose worker
+// instance has nothing in flight proposes as soon as the instance's bucket
+// holds a block's worth, instead of idling until its pulse. It is checked
+// at both moments that can make it true: a delivery that drains the
+// pipeline (onDeliver) and a submission that fills the bucket (SubmitTx).
+//   - The batch must hold at least n² transactions: a block costs about 2n²
+//     agreement messages, so the floor keeps them at about two per
+//     transaction, and the pulse stays both the latency bound and the
+//     empty-block heartbeat.
+//   - The instance must be level with the replica's slowest worker
+//     instance: a hot bucket that proposed at consensus speed would run
+//     ahead of the pulse-driven instances, and its blocks would wait for
+//     theirs in the global order and at the epoch run-ahead bound.
+//   - A lockstep order (StrictEpochBarrier: ISS, Mir) keeps the pulse: its
+//     global log takes the instances' blocks round-robin by sequence
+//     number, so a block proposed early leaves the instance's later blocks
+//     on sequence numbers the others reach a pulse later.
+//   - The instance must have delivered a block in its current view: the
+//     pulse makes a new view's first proposal, because an engine drops a
+//     proposal for a view it has not installed yet, and a proposal sent
+//     right after the NewView can overtake it on a reordering link.
 //   - Only an honest full-speed leader does it: a straggler is modelled by
 //     its dilated pulse and a ByzantineMute leader by its crawl, each of
 //     which an early proposal would cut short.
 //
-// "Nothing in flight" is the engine's next sequence number equal to the
-// replica's delivered count, not InFlight, which the analytic SB does not
-// model (it reports 0).
+// The cheap tests run first, since every submission comes here. "Nothing
+// in flight" is the engine's next sequence number equal to the replica's
+// delivered count, not InFlight, which the analytic SB does not model (it
+// reports 0).
 func (r *Replica) proposeDrained(instance int) {
-	if r.pulseScale != 1 || r.cfg.ByzantineMute || r.sbs[instance].NextProposeSeq() != r.state[instance] ||
-		r.buckets.Bucket(instance).Len() < r.cfg.N || r.state[instance] >= slices.Min(r.state)+r.cfg.EpochLen ||
-		!r.mayPropose(instance) {
+	floor := r.cfg.N * r.cfg.N
+	e := r.sbs[instance]
+	if r.buckets.Bucket(instance).Len() < floor || !e.IsLeader() ||
+		r.pulseScale != 1 || r.cfg.ByzantineMute || r.cfg.Mode.StrictEpochBarrier ||
+		!r.viewDelivered[instance] || e.NextProposeSeq() != r.state[instance] ||
+		r.state[instance] != slices.Min(r.state) || !r.mayPropose(instance) {
 		return
 	}
-	if batch, ok := r.cut(instance, r.cfg.N); ok {
+	if batch, ok := r.cut(instance, floor); ok {
 		r.early++
 		r.propose(instance, batch)
 	}
@@ -708,6 +732,7 @@ func (r *Replica) onDeliver(instance int, b *types.Block) {
 		r.cfg.OnBlockDeliver(instance, b)
 	}
 	r.state[instance] = b.SN + 1
+	r.viewDelivered[instance] = true
 	r.rank.Observe(b.Rank)
 	// Fold the block into the instance's rolling checkpoint digest. The
 	// concatenation runs through a stack buffer and the one-shot Sum256 —
@@ -774,8 +799,13 @@ func (r *Replica) onDeliver(instance int, b *types.Block) {
 	r.proposeDrained(instance)
 }
 
-// onViewChange reacts to a new view: Mir stalls everything for one timeout.
+// onViewChange reacts to a new view: the instance proposes early again only
+// after it delivers in the view (proposeDrained), and Mir stalls everything
+// for one timeout.
 func (r *Replica) onViewChange(instance int, view uint64) {
+	if instance < r.cfg.M {
+		r.viewDelivered[instance] = false
+	}
 	if instance < r.cfg.M && r.sbs[instance].Leader() != r.cfg.ID {
 		// Lost leadership: un-delivered promises of that instance may never
 		// execute. Dropping all promised debits is conservative for other
