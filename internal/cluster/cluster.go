@@ -276,7 +276,9 @@ type Result struct {
 	ThroughputTPS float64
 	// Latency summarizes the client-observed latency of the window's
 	// replies: submission to the (f+1)-th reply, including the reply's
-	// network delay. Count equals Confirmed.
+	// network delay. A submission of a content that already completed
+	// client-visibly is answered from that content's replies when it is
+	// submitted, at latency 0. Count equals Confirmed.
 	Latency metrics.Summary
 	// Windows bins every reply before the stop, the drain's included, over
 	// 0.5 s intervals by landing time (Fig. 7), up to the last bin with a

@@ -305,7 +305,9 @@ func highest(n, k int) []int {
 // submit opens tx's client-side record, stamping its submission time and
 // its ordinal, the record's index; it returns the replica co-located with
 // the client. A submission of content already submitted joins the ring of
-// its twins.
+// its twins and starts from the replies that content already has: a
+// replica confirms a content once, so a content that already completed
+// client-visibly completes this submission at once, with its outcome.
 func (c *collector) submit(tx *types.Transaction, now types.Time) (home int) {
 	k := len(c.meta)
 	home = k % c.cfg.N
@@ -318,9 +320,13 @@ func (c *collector) submit(tx *types.Transaction, now types.Time) (home int) {
 			m.twin = prev + 1
 		}
 		p.twin = int32(k) + 1
+		m.replies, m.failed = p.replies, p.failed
 	}
 	c.byID[tx.ID()] = int32(k)
 	c.meta = append(c.meta, m)
+	if m.replies > int32(c.f) {
+		c.complete(k, tx, !m.failed, now)
+	}
 	return home
 }
 
@@ -368,19 +374,23 @@ func (c *collector) confirm(replica int, tx *types.Transaction, success bool, st
 }
 
 // credit counts replica's reply, sent at confirmed, on record i: the
-// (f+1)-th makes the submission client-visible, stamped on its record and
-// counted in the tally OnWindow streams from.
+// (f+1)-th makes the submission client-visible.
 func (c *collector) credit(i, replica int, tx *types.Transaction, success bool, confirmed types.Time) {
 	m := &c.meta[i]
 	if m.done {
 		return
 	}
-	if m.replies++; m.replies < int32(c.f+1) {
-		return
+	if m.replies++; m.replies > int32(c.f) {
+		c.complete(i, tx, success, confirmed+types.Time(c.be.replyHop(replica, int(m.home))))
 	}
-	m.done, m.failed = true, !success
+}
+
+// complete makes record i client-visible with its reply landing at reply:
+// stamped on the record and counted in the tally OnWindow streams from.
+func (c *collector) complete(i int, tx *types.Transaction, success bool, reply types.Time) {
+	m := &c.meta[i]
+	m.done, m.failed, m.reply = true, !success, reply
 	c.done++
-	m.reply = confirmed + types.Time(c.be.replyHop(replica, int(m.home)))
 	c.tally.Add(time.Duration(m.reply), m.latency())
 	if c.cfg.OnConfirm != nil {
 		c.cfg.OnConfirm(tx, success, m.reply)

@@ -179,11 +179,10 @@ func (r *Replica) gcEpoch() {
 	// A released slot leaves the table once no bucket holds state for it,
 	// and its resolution once no replica's table holds it.
 	for _, s := range r.release {
-		t := r.tracker(s)
 		if r.escrowedHi != nil {
 			delete(r.escrowedHi, s)
 		}
-		*t = txTracker{gen: t.gen + 1}
+		*r.tracker(s) = txTracker{}
 		r.buckets.Table().Unpin(s)
 	}
 	r.release = r.release[:0]

@@ -35,6 +35,12 @@ import (
 //     and settle releases or returns exactly the legs that hold. Handles
 //     and slots are the resolver's: replicas sharing it (the simulator's)
 //     share them, and they never enter a message or a digest.
+//
+//   - The queues hold bare blocks. Delivery, the escrow phase and the
+//     global log each find a transaction's tracker through track, which
+//     reads the slot from the transaction's memo; only a transaction whose
+//     tracker the checkpoint GC released, or whose resolution it recycled,
+//     is looked up in the content index again.
 
 // txTracker is one replica's mutable state for one transaction, beside
 // its resolution: which route entries escrowed its payer operations, how
@@ -52,26 +58,12 @@ type txTracker struct {
 	tx           *types.Transaction // first copy seen; dropped once confirmed
 	escrowedBits uint64             // bit i set: route entry i's payer legs hold
 	slot         partition.Slot
-	gen          uint32 // tracker incarnations of the slot; see txRef
-	occurSeen    int32  // glog occurrences processed so far
-	live         bool   // the slot is tracked
-	done         bool   // confirmed: committed or aborted
-	holding      bool   // some leg holds: a ledger escrow record is open
+	occurSeen    int32 // glog occurrences processed so far
+	live         bool  // the slot is tracked
+	done         bool  // confirmed: committed or aborted
+	holding      bool  // some leg holds: a ledger escrow record is open
 
 	received, proposed, delivered types.Time
-}
-
-// txRef is a slot with the tracker incarnation it was resolved for; once
-// the checkpoint GC releases the tracker the ref no longer matches (at).
-type txRef struct {
-	slot partition.Slot
-	gen  uint32
-}
-
-// delivered is a block with its transactions' refs, aligned with b.Txs.
-type delivered struct {
-	b    *types.Block
-	refs []txRef
 }
 
 // res returns the resolution of t's transaction: its slot's. The tracker
@@ -87,7 +79,11 @@ const trkChunk = 512 // trackers per chunk of Replica.trk; chunks never move
 func (r *Replica) tracker(s partition.Slot) *txTracker { return &r.trk[s/trkChunk][s%trkChunk] }
 
 // track resolves tx and returns its tracker, starting one (and pinning the
-// slot in the replica's table) if the slot has none.
+// slot in the replica's table) if the slot has none. It is how every step
+// (delivery, escrow, the global log) finds the transaction's tracker: for a
+// transaction the replica has already resolved the memo names the slot, so
+// nothing is hashed. A transaction met again after the checkpoint GC
+// released its tracker is tracked afresh, as a new arrival would be.
 func (r *Replica) track(tx *types.Transaction) *txTracker {
 	s := r.resolver.resolve(tx)
 	for int(s) >= len(r.trk)*trkChunk {
@@ -105,31 +101,6 @@ func (r *Replica) track(tx *types.Transaction) *txTracker {
 		}
 	}
 	return t
-}
-
-// refsOf tracks every transaction of b; the refs are carved from a shared
-// chunk, one allocation per thousand rather than one per block.
-func (r *Replica) refsOf(b *types.Block) []txRef {
-	n := len(b.Txs)
-	if len(r.refChunk) < n {
-		r.refChunk = make([]txRef, max(n, 1024))
-	}
-	refs := r.refChunk[:n:n]
-	r.refChunk = r.refChunk[n:]
-	for i := range b.Txs {
-		t := r.track(&b.Txs[i])
-		refs[i] = txRef{t.slot, t.gen}
-	}
-	return refs
-}
-
-// at resolves a ref taken at delivery; a transaction delivered again after
-// its tracker was released is tracked afresh, as a new arrival would be.
-func (r *Replica) at(ref txRef, tx *types.Transaction) *txTracker {
-	if t := r.tracker(ref.slot); t.gen == ref.gen && t.live {
-		return t
-	}
-	return r.track(tx)
 }
 
 // escrowed reports whether the given instance's payer ops escrowed.
@@ -239,18 +210,18 @@ func (r *Replica) drainExecQueues() {
 				word &= word - 1
 				q, h := r.execQ[i], r.execQhead[i]
 				for h < len(q) {
-					d := q[h]
-					if r.cfg.Mode.FastPathPayments && !r.execState.Covers(d.b.State) {
+					b := q[h]
+					if r.cfg.Mode.FastPathPayments && !r.execState.Covers(b.State) {
 						break
 					}
-					q[h] = delivered{}
+					q[h] = nil
 					h++
-					r.execState[i] = d.b.SN + 1
+					r.execState[i] = b.SN + 1
 					if r.cfg.Mode.FastPathPayments {
-						r.execPartial(i, d)
+						r.execPartial(i, b)
 					}
-					if d.b.Proposer == r.cfg.ID {
-						r.releaseProposedDebits(d)
+					if b.Proposer == r.cfg.ID {
+						r.releaseProposedDebits(b)
 					}
 					progress = true
 				}
@@ -272,10 +243,10 @@ func (r *Replica) drainExecQueues() {
 // abort the whole transaction if any escrow fails; once every involved
 // instance has escrowed, commit payments immediately. Contract transactions
 // keep their escrows and wait for the global log.
-func (r *Replica) execPartial(instance int, d delivered) {
-	for i := range d.b.Txs {
-		tx := &d.b.Txs[i]
-		t := r.at(d.refs[i], tx)
+func (r *Replica) execPartial(instance int, b *types.Block) {
+	for i := range b.Txs {
+		tx := &b.Txs[i]
+		t := r.track(tx)
 		if t.done || r.escrowed(t, instance) {
 			continue
 		}
@@ -352,20 +323,14 @@ func (r *Replica) settle(t *txTracker, tx *types.Transaction, ok bool) {
 
 // glogCursor walks the transactions of one globally confirmed block.
 type glogCursor struct {
-	delivered
+	b    *types.Block
 	next int
 }
 
-// enqueueGlobal queues globally confirmed blocks for in-order execution,
-// reuniting each with the refs its delivery resolved.
+// enqueueGlobal queues globally confirmed blocks for in-order execution.
 func (r *Replica) enqueueGlobal(blocks []*types.Block) {
-	for _, gb := range blocks {
-		refs, ok := r.blockRefs[gb]
-		if !ok {
-			refs = r.refsOf(gb)
-		}
-		delete(r.blockRefs, gb)
-		r.glogQ = append(r.glogQ, glogCursor{delivered: delivered{gb, refs}})
+	for _, b := range blocks {
+		r.glogQ = append(r.glogQ, glogCursor{b: b})
 	}
 }
 
@@ -377,7 +342,7 @@ func (r *Replica) drainGlogQueue() {
 		cur := &r.glogQ[r.glogHead]
 		for cur.next < len(cur.b.Txs) {
 			tx := &cur.b.Txs[cur.next]
-			t := r.at(cur.refs[cur.next], tx)
+			t := r.track(tx)
 			if t.occurSeen+1 < r.res(t).n {
 				// Not the last occurrence of a multi-instance transaction:
 				// skip it here; the final occurrence executes it.

@@ -135,7 +135,7 @@ func TestLegFeasibleTracksPromisedDebits(t *testing.T) {
 	// Releasing the promise (block executed) restores feasibility of the
 	// *remaining* balance only; after the escrow the real balance governs.
 	b := &types.Block{Instance: inst, Proposer: 0, Txs: []types.Transaction{*tx1}}
-	r.releaseProposedDebits(delivered{b, r.refsOf(b)})
+	r.releaseProposedDebits(b)
 	if !r.legFeasible(tx2, r.res(r.track(tx2)), inst) {
 		t.Fatal("promise not released")
 	}

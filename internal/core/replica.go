@@ -112,7 +112,7 @@ type Replica struct {
 	// blocks awaiting their escrow phase: consuming advances the head and
 	// a fully drained queue rewinds to its backing array instead of
 	// sliding off it, so steady-state delivery appends allocate nothing.
-	execQ     [][]delivered
+	execQ     [][]*types.Block
 	execQhead []int
 	// execQocc marks instances with a non-empty execQ (bit per instance):
 	// the escrow fixed point visits only live queues instead of scanning
@@ -130,20 +130,16 @@ type Replica struct {
 	promised []types.Amount
 
 	// Per-transaction state is addressed by slot: the resolver resolves a
-	// transaction once per content — SubmitTx, and each transaction of a
-	// delivered block, find it through the transaction's memo — and its
-	// slot indexes both the replica's buckets.Table() record and its
-	// tracker in trk. Slots travel beside blocks (delivered.refs), never
-	// inside the Transaction or Block the simulator shares across
-	// replicas. release lists the finished trackers the next checkpoint
-	// GC frees; blockRefs holds a block's refs until the global ordering
-	// confirms it; escrowedHi holds the escrow bits of routes longer than
-	// 64 entries.
+	// transaction once per content, and its slot indexes both the
+	// replica's buckets.Table() record and its tracker in trk. Every step
+	// that meets the transaction (SubmitTx, delivery, escrow, the global
+	// log) finds the slot through track, which reads the transaction's
+	// memo; no slot travels beside a block. release lists the finished
+	// trackers the next checkpoint GC frees; escrowedHi holds the escrow
+	// bits of routes longer than 64 entries.
 	resolver   *Resolver
 	trk        [][]txTracker
 	release    []partition.Slot
-	refChunk   []txRef
-	blockRefs  map[*types.Block][]txRef
 	escrowedHi map[partition.Slot][]uint64
 
 	seqRefs []types.BlockRef // refs awaiting sequencer proposal
@@ -258,10 +254,9 @@ func NewReplica(cfg Config, sim types.Clock, nw types.Network) *Replica {
 		global:       cfg.Mode.NewGlobal(cfg.M),
 		state:        make(types.StateVector, cfg.M),
 		execState:    make(types.StateVector, cfg.M),
-		execQ:        make([][]delivered, cfg.M),
+		execQ:        make([][]*types.Block, cfg.M),
 		execQhead:    make([]int, cfg.M),
 		execQocc:     make([]uint64, (cfg.M+63)/64),
-		blockRefs:    make(map[*types.Block][]txRef),
 		ckptVotes:    make([]ckptVote, cfg.N),
 		instHash:     make([][32]byte, cfg.M),
 		bound:        make(map[uint64][][32]byte),
@@ -664,12 +659,12 @@ func (r *Replica) promiseDebits(tx *types.Transaction, res *resolution, instance
 
 // releaseProposedDebits undoes promiseDebits once a self-proposed block has
 // reached its escrow phase (the real escrow now holds the funds).
-func (r *Replica) releaseProposedDebits(d delivered) {
-	for i := range d.b.Txs {
-		tx := &d.b.Txs[i]
-		res := r.res(r.at(d.refs[i], tx))
+func (r *Replica) releaseProposedDebits(b *types.Block) {
+	for i := range b.Txs {
+		tx := &b.Txs[i]
+		res := r.res(r.track(tx))
 		for j, op := range tx.Ops {
-			if !op.IsPayerOp() || res.leg(j) != d.b.Instance {
+			if !op.IsPayerOp() || res.leg(j) != b.Instance {
 				continue
 			}
 			a := res.handle(j)
@@ -760,12 +755,12 @@ func (r *Replica) onDeliver(instance int, b *types.Block) {
 	// Intern the block's transactions, stamp their first proposal and
 	// delivery, and mark them in-flight so replaced leaders do not
 	// re-propose them from their bucket copies.
-	dl := delivered{b: b, refs: r.refsOf(b)}
 	bucket := r.buckets.Bucket(instance)
 	now := r.sim.Now()
-	for _, ref := range dl.refs {
-		bucket.MarkConfirmedSlot(ref.slot)
-		if t := r.tracker(ref.slot); t.delivered == 0 {
+	for i := range b.Txs {
+		t := r.track(&b.Txs[i])
+		bucket.MarkConfirmedSlot(t.slot)
+		if t.delivered == 0 {
 			t.proposed, t.delivered = types.Time(b.ProposeNS), now
 		}
 	}
@@ -784,9 +779,8 @@ func (r *Replica) onDeliver(instance int, b *types.Block) {
 	// Queue the block for its escrow phase (gated on state coverage) and
 	// feed the global ordering; whatever became globally confirmed joins
 	// the in-order global execution queue.
-	r.execQ[instance] = append(r.execQ[instance], dl)
+	r.execQ[instance] = append(r.execQ[instance], b)
 	r.execQocc[instance>>6] |= 1 << uint(instance&63)
-	r.blockRefs[b] = dl.refs
 	r.enqueueGlobal(r.global.OnWorkerDeliver(b))
 	r.drainExecQueues()
 

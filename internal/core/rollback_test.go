@@ -22,7 +22,7 @@ func brokeIn(ok func(bucket int) bool) types.Key {
 // phase.
 func deliverTo(r *Replica, instance int, tx *types.Transaction) {
 	b := &types.Block{Instance: instance, Txs: []types.Transaction{*tx}}
-	r.execPartial(instance, delivered{b, r.refsOf(b)})
+	r.execPartial(instance, b)
 }
 
 // TestEscrowRollback: a payment whose last payer leg cannot escrow aborts
@@ -128,13 +128,70 @@ func TestQueuedEntryOfReleasedTracker(t *testing.T) {
 	if !ok {
 		t.Fatal("transaction not queued in alice's bucket")
 	}
-	tr := r.tracker(e.Slot)
-	*tr = txTracker{gen: tr.gen + 1} // what gcEpoch leaves of a released tracker
+	*r.tracker(e.Slot) = txTracker{} // what gcEpoch leaves of a released tracker
 	if r.legFeasible(e.Tx, r.queued(e), inst) {
 		t.Fatal("200 from alice's 100 judged feasible")
 	}
 	r.store.Credit("alice", 100)
 	if !r.legFeasible(e.Tx, r.queued(e), inst) {
 		t.Fatal("200 from alice's 200 judged infeasible")
+	}
+}
+
+// TestTrackedAfreshAfterRelease: a block can carry a transaction again
+// after the checkpoint GC released its tracker (a leader proposing it off
+// its route, or a resubmission once its record was freed). A global-log
+// occurrence queued before that GC and a delivery after it both find a
+// fresh tracker, never the released one: the transaction is a new arrival
+// and executes again. That holds whether its resolution outlived the GC
+// (its bucket still queues it, so the memo still names the slot) or was
+// recycled for another transaction (the memo is stale and the content
+// index answers).
+func TestTrackedAfreshAfterRelease(t *testing.T) {
+	for _, kept := range []bool{true, false} {
+		t.Run(fmt.Sprintf("resolution kept %v", kept), func(t *testing.T) {
+			r := newBareReplica(t, OrthrusMode())
+			pay := types.NewPayment("alice", "bob", 10, 1)
+			inst := partition.Assign("alice", 4)
+			occurrence := func() []*types.Block {
+				return []*types.Block{{Instance: inst, Txs: []types.Transaction{*pay}}}
+			}
+			if kept {
+				if err := r.SubmitTx(pay); err != nil {
+					t.Fatal(err)
+				}
+			}
+			slot := r.track(pay).slot
+			deliverTo(r, inst, pay) // the fast path confirms it
+			r.enqueueGlobal(occurrence())
+			r.drainGlogQueue() // its one occurrence passes: the tracker is finished
+			r.enqueueGlobal(occurrence())
+			r.gcEpoch()
+			if r.tracker(slot).live {
+				t.Fatal("the checkpoint GC kept the finished tracker")
+			}
+			other := slot
+			if !kept {
+				other = r.track(types.NewPayment("bob", "carol", 5, 2)).slot
+				if other != slot {
+					t.Fatalf("slot %d was not recycled (got %d)", slot, other)
+				}
+			}
+			r.drainGlogQueue()
+			tr := r.track(pay)
+			if !tr.live || tr.done || tr.occurSeen != 1 {
+				t.Fatalf("occurrence after the GC: live %v done %v occurrences %d, want a fresh tracker that counted it", tr.live, tr.done, tr.occurSeen)
+			}
+			if kept != (tr.slot == slot) {
+				t.Fatalf("tracked at slot %d (released slot %d, resolution kept %v)", tr.slot, slot, kept)
+			}
+			deliverTo(r, inst, pay)
+			if a, b := r.store.Balance("alice"), r.store.Balance("bob"); a != 80 || b != 70 {
+				t.Fatalf("alice %d bob %d, want 80 and 70: the new arrival executes once more", a, b)
+			}
+			if ok, bad := r.Confirmed(); ok != 2 || bad != 0 || r.store.EscrowCount() != 0 {
+				t.Fatalf("confirmed %d ok / %d aborted, %d escrows open; want 2 / 0 / 0", ok, bad, r.store.EscrowCount())
+			}
+		})
 	}
 }

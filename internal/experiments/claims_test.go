@@ -4,33 +4,67 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 )
 
 // The paper's qualitative results (Sec. VII) as a table of claims over the
-// committed figure artifact. The gate reads the artifact and simulates
-// nothing. CI regenerates the artifact and diffs it against the committed
+// committed figure artifacts. The gate reads the artifacts and simulates
+// nothing. CI regenerates each artifact and diffs it against the committed
 // file before this runs, so the claims hold on every regeneration.
 // EXPERIMENTS.md ("Paper claims") lists the same table.
 
-// artifactPath is the committed output of
-// orthrus-bench -fig all,F-soak -scale 0.05 -json.
-const artifactPath = "../../docs/figures/scale-0.05.json"
-
-// artifact is the orthrus-bench/v2 document the claims read.
-type artifact struct {
-	Schema  string         `json:"schema"`
-	Scale   float64        `json:"scale"`
-	Figures []FigureResult `json:"figures"`
+// goldens are the committed artifacts, each the output of orthrus-bench
+// -scale <scale> -json for the figures it holds, with its record of the
+// cells where DQBFT beats Orthrus (dqbftAhead).
+var goldens = []struct {
+	path       string
+	scale      float64
+	dqbftAhead map[string]bool
+}{
+	// -fig all,F-soak: every figure, n = 8 and 16.
+	{"../../docs/figures/scale-0.05.json", 0.05, map[string]bool{
+		"3c/8/tput": true, "3c/16/tput": true, "3c/16/latency": true,
+		"4c/8/tput": true, "4c/16/tput": true, "4c/8/latency": true, "4c/16/latency": true,
+	}},
+	// -fig 3,4,F-scale: Figs 3-4 up to the paper's n = 32.
+	{"../../docs/figures/scale-0.25.json", 0.25, map[string]bool{
+		"3c/8/tput": true, "3c/16/tput": true, "3c/16/latency": true, "3c/32/tput": true, "3c/32/latency": true,
+		"4c/8/tput": true, "4c/16/tput": true, "4c/32/tput": true,
+		"4c/8/latency": true, "4c/16/latency": true, "4c/32/latency": true,
+	}},
 }
 
-// claim is one result of the paper: the figure panel it is about, the rows
-// it reads, the section that shows it, and the check over the artifact.
+// artifact is the orthrus-bench/v2 document the claims read, with its
+// golden's DQBFT record.
+type artifact struct {
+	Schema     string         `json:"schema"`
+	Scale      float64        `json:"scale"`
+	Figures    []FigureResult `json:"figures"`
+	dqbftAhead map[string]bool
+}
+
+// claim is one result of the paper: the figure panel it is about, the
+// artifact figures it reads (an artifact without all of them is skipped),
+// the rows it reads, the section that shows it, and the check over the
+// artifact.
 type claim struct {
-	figure, rows, section string
-	check                 func(t *testing.T, a *artifact)
+	figure        string
+	reads         []string
+	rows, section string
+	check         func(t *testing.T, a *artifact)
+}
+
+// holds reports whether the artifact has every figure in ids.
+func (a *artifact) holds(ids []string) bool {
+	for _, id := range ids {
+		if !slices.ContainsFunc(a.Figures, func(f FigureResult) bool { return f.Figure == id }) {
+			return false
+		}
+	}
+	return true
 }
 
 // figure returns the artifact's figure id.
@@ -98,20 +132,14 @@ func orthrusAhead(t *testing.T, rows []Row, tput bool, rivals ...string) {
 	}
 }
 
-// dqbftAhead is the known divergence from the paper in the straggler
-// panels: the cells where DQBFT beats Orthrus at scale 0.05, each as
-// "panel/n/metric". Whether the DQBFT baseline is the paper's DQBFT is
-// open (ROADMAP.md, "Baselines that are what their names say"); until that
-// is settled the claim fails when the set changes in either direction, so
-// a fix or a regression has to update this record.
-var dqbftAhead = map[string]bool{
-	"3c/8/tput": true, "3c/16/tput": true, "3c/16/latency": true,
-	"4c/8/tput": true, "4c/16/tput": true, "4c/8/latency": true, "4c/16/latency": true,
-}
-
 // checkDQBFTDivergence compares the panel's DQBFT-ahead cells with the
-// record.
-func checkDQBFTDivergence(t *testing.T, panel string, rows []Row) {
+// artifact's record, the known divergence from the paper in the straggler
+// panels: each cell where DQBFT beats Orthrus, as "panel/n/metric".
+// Whether the DQBFT baseline is the paper's DQBFT is open (ROADMAP.md,
+// "Baselines that are what their names say"); until that is settled the
+// claim fails when the set changes in either direction, so a fix or a
+// regression has to update the record.
+func checkDQBFTDivergence(t *testing.T, a *artifact, panel string, rows []Row) {
 	for _, n := range replicaAxis(rows) {
 		o, d := cell(t, rows, "Orthrus", n), cell(t, rows, "DQBFT", n)
 		for _, m := range []struct {
@@ -119,33 +147,33 @@ func checkDQBFTDivergence(t *testing.T, panel string, rows []Row) {
 			ahead  bool
 		}{{"tput", d.TputKTPS > o.TputKTPS}, {"latency", d.LatencyS < o.LatencyS}} {
 			key := fmt.Sprintf("%s/%d/%s", panel, n, m.metric)
-			if m.ahead != dqbftAhead[key] {
+			if m.ahead != a.dqbftAhead[key] {
 				t.Errorf("%s: DQBFT ahead = %v, recorded %v (Orthrus %.3f ktps %.3f s, DQBFT %.3f ktps %.3f s)",
-					key, m.ahead, dqbftAhead[key], o.TputKTPS, o.LatencyS, d.TputKTPS, d.LatencyS)
+					key, m.ahead, a.dqbftAhead[key], o.TputKTPS, o.LatencyS, d.TputKTPS, d.LatencyS)
 			}
 		}
 	}
 }
 
 var claims = []claim{
-	{"3a-3b", "Fig 3a/3b rows, every protocol at each n", "Sec. VII, Fig. 3: Orthrus has the lowest latency without stragglers",
+	{"3a-3b", []string{"3"}, "Fig 3a/3b rows, every protocol at each n", "Sec. VII, Fig. 3: Orthrus has the lowest latency without stragglers",
 		func(t *testing.T, a *artifact) {
 			orthrusAhead(t, a.table(t, "3", "Fig 3a/3b"), false, "ISS", "DQBFT", "Ladon")
 		}},
-	{"3c-3d", "Fig 3c/3d rows of Orthrus, ISS and Ladon at each n", "Sec. VII, Fig. 3: with a straggler Orthrus leads on latency and throughput",
+	{"3c-3d", []string{"3"}, "Fig 3c/3d rows of Orthrus, ISS and Ladon at each n", "Sec. VII, Fig. 3: with a straggler Orthrus leads on latency and throughput",
 		func(t *testing.T, a *artifact) {
 			orthrusAhead(t, a.table(t, "3", "Fig 3c/3d"), true, "ISS", "Ladon")
 		}},
-	{"4c-4d", "Fig 4c/4d rows of Orthrus, ISS and Ladon at each n", "Sec. VII, Fig. 4: the same on a LAN",
+	{"4c-4d", []string{"4"}, "Fig 4c/4d rows of Orthrus, ISS and Ladon at each n", "Sec. VII, Fig. 4: the same on a LAN",
 		func(t *testing.T, a *artifact) {
 			orthrusAhead(t, a.table(t, "4", "Fig 4c/4d"), true, "ISS", "Ladon")
 		}},
-	{"3c-4c-DQBFT", "Fig 3c/3d and 4c/4d rows of Orthrus and DQBFT at each n", "Sec. VII, Figs. 3-4: known divergence, recorded in dqbftAhead",
+	{"3c-4c-DQBFT", []string{"3", "4"}, "Fig 3c/3d and 4c/4d rows of Orthrus and DQBFT at each n", "Sec. VII, Figs. 3-4: known divergence, recorded in dqbftAhead",
 		func(t *testing.T, a *artifact) {
-			checkDQBFTDivergence(t, "3c", a.table(t, "3", "Fig 3c/3d"))
-			checkDQBFTDivergence(t, "4c", a.table(t, "4", "Fig 4c/4d"))
+			checkDQBFTDivergence(t, a, "3c", a.table(t, "3", "Fig 3c/3d"))
+			checkDQBFTDivergence(t, a, "4c", a.table(t, "4", "Fig 4c/4d"))
 		}},
-	{"5", "Fig 5 straggler rows, in payment-share order", "Sec. VII, Fig. 5: more payments, lower latency and higher throughput under a straggler",
+	{"5", []string{"5"}, "Fig 5 straggler rows, in payment-share order", "Sec. VII, Fig. 5: more payments, lower latency and higher throughput under a straggler",
 		func(t *testing.T, a *artifact) {
 			rows := a.table(t, "5", "Fig 5: payment proportion sweep, one straggler")
 			for i := 1; i < len(rows); i++ {
@@ -156,7 +184,7 @@ var claims = []claim{
 				}
 			}
 		}},
-	{"6", "Fig 6 global-ordering stage of Orthrus and ISS", "Sec. VII, Fig. 6: Orthrus's global ordering is a fraction of ISS's",
+	{"6", []string{"6"}, "Fig 6 global-ordering stage of Orthrus and ISS", "Sec. VII, Fig. 6: Orthrus's global ordering is a fraction of ISS's",
 		func(t *testing.T, a *artifact) {
 			stage := map[string]time.Duration{}
 			for _, b := range a.figure(t, "6").Breakdowns {
@@ -166,7 +194,7 @@ var claims = []claim{
 				t.Errorf("global ordering: Orthrus %v, ISS %v; want Orthrus at most half", o, iss)
 			}
 		}},
-	{"7", "Fig 7 series f = 1 and f = 5, bins from the crash to the end of submission", "Sec. VII, Fig. 7: a view change, and service throughout",
+	{"7", []string{"7"}, "Fig 7 series f = 1 and f = 5, bins from the crash to the end of submission", "Sec. VII, Fig. 7: a view change, and service throughout",
 		func(t *testing.T, a *artifact) {
 			for _, s := range a.figure(t, "7").Series {
 				if s.Faults == 0 {
@@ -183,7 +211,7 @@ var claims = []claim{
 				}
 			}
 		}},
-	{"8", "Fig 8 rows, in Byzantine-count order", "Sec. VII-E, Fig. 8: throughput falls with each undetectable fault and stays above zero",
+	{"8", []string{"8"}, "Fig 8 rows, in Byzantine-count order", "Sec. VII-E, Fig. 8: throughput falls with each undetectable fault and stays above zero",
 		func(t *testing.T, a *artifact) {
 			rows := a.table(t, "8", "Fig 8")
 			for i, r := range rows {
@@ -197,25 +225,37 @@ var claims = []claim{
 		}},
 }
 
-// TestPaperClaims checks every claim over the committed artifact, each as
-// its own subtest so one run reports every claim that fails.
+// TestPaperClaims checks every claim over each committed artifact that
+// holds the figures it reads, each claim as its own subtest and each
+// artifact as one of that, so one run reports every claim that fails.
 func TestPaperClaims(t *testing.T) {
-	raw, err := os.ReadFile(artifactPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a artifact
-	if err := json.Unmarshal(raw, &a); err != nil {
-		t.Fatal(err)
-	}
-	if a.Schema != "orthrus-bench/v2" || a.Scale != 0.05 {
-		t.Fatalf("artifact schema %q at scale %v; the claims read orthrus-bench/v2 at 0.05", a.Schema, a.Scale)
+	arts := make([]*artifact, len(goldens))
+	for i, g := range goldens {
+		raw, err := os.ReadFile(g.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := &artifact{dqbftAhead: g.dqbftAhead}
+		if err := json.Unmarshal(raw, a); err != nil {
+			t.Fatalf("%s: %v", g.path, err)
+		}
+		if a.Schema != "orthrus-bench/v2" || a.Scale != g.scale {
+			t.Fatalf("%s: schema %q at scale %v; the claims read orthrus-bench/v2 at %v", g.path, a.Schema, a.Scale, g.scale)
+		}
+		arts[i] = a
 	}
 	for _, c := range claims {
 		t.Run("Fig"+c.figure, func(t *testing.T) {
-			c.check(t, &a)
-			if t.Failed() {
-				t.Logf("claim over %s (%s)", c.rows, c.section)
+			for _, a := range arts {
+				if !a.holds(c.reads) {
+					continue
+				}
+				t.Run(fmt.Sprintf("scale-%v", a.Scale), func(t *testing.T) {
+					c.check(t, a)
+					if t.Failed() {
+						t.Logf("claim over %s (%s)", c.rows, c.section)
+					}
+				})
 			}
 		})
 	}

@@ -44,7 +44,9 @@ type Result struct {
 	ThroughputTPS float64
 	// Latency is the client-observed latency distribution of Confirmed's
 	// replies; its Count equals Confirmed, and a run with no reply in the
-	// window has a zero Latency.
+	// window has a zero Latency. A submission of a content that already
+	// completed client-visibly is answered from that content's replies
+	// when it is submitted, at latency 0.
 	Latency Latency
 	// Windows bins every client-visible reply, the drain's included, over
 	// 0.5 s intervals by landing time (Fig. 7's series), up to the last bin

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -373,46 +374,92 @@ func TestTraceConfigReusable(t *testing.T) {
 	}
 }
 
+// runReused runs the same payment submitted twice, 1/load apart, on a
+// 4-replica LAN cluster over backend tr, and checks what holds whenever
+// the second submission comes: alice is debited once, every replica
+// agrees, no escrow is left open, both submissions complete, and a Proc
+// run stops as soon as they have, well inside its duration and drain.
+func runReused(t *testing.T, tr Transport, load float64, opts ...Option) *Result {
+	t.Helper()
+	const duration, drain = time.Second, time.Second
+	start := time.Now()
+	res, err := Run(context.Background(), append([]Option{
+		WithTransport(tr), WithReplicas(4), WithNet(LAN), WithLoad(load),
+		WithDuration(duration), WithWarmup(reuseWarmup), WithDrain(drain),
+		WithBatching(16, 20*time.Millisecond), WithSeed(1),
+		WithGenesis(map[string]int64{"alice": 100}),
+		WithTransactions(Payment("alice", "bob", 10, 1), Payment("alice", "bob", 10, 1)),
+		WithFinalState()}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	took := time.Since(start)
+	if a, b := res.Balance("alice"), res.Balance("bob"); a != 90 || b != 10 {
+		t.Fatalf("alice=%d bob=%d, want 90 and 10: the reused transaction ran twice", a, b)
+	}
+	if !res.Converged || res.EscrowsOutstanding() != 0 {
+		t.Fatalf("converged=%v escrows outstanding=%d", res.Converged, res.EscrowsOutstanding())
+	}
+	if unconfirmed := res.Submitted - replies(res); res.Submitted != 2 || unconfirmed != 0 {
+		t.Fatalf("submitted %d, unconfirmed %d: every submission of the content must complete", res.Submitted, unconfirmed)
+	}
+	if tr == TransportProc && took > (duration+drain)*3/4 {
+		t.Fatalf("the Proc run took %v of its %v budget: it did not drain once both submissions confirmed", took, duration+drain)
+	}
+	return res
+}
+
+// reuseWarmup is runReused's warmup; the first submission is due at half
+// of it.
+const reuseWarmup = 200 * time.Millisecond
+
+// reuseBackends are the backends the reuse tests run on: Proc is
+// wall-clock, so -short leaves it out.
+func reuseBackends() []Transport {
+	if testing.Short() {
+		return []Transport{TransportSim}
+	}
+	return []Transport{TransportSim, TransportProc}
+}
+
 // TestReusedTransactionRunsOnce pins Payment's contract — a transaction is
 // its content, so submitting the same (from, to, amount, nonce) twice is
-// one transaction — on both backends: alice is debited once, every replica
-// agrees, and no escrow is left open. The two submissions are 10 ms apart,
+// one transaction — on both backends. The two submissions are 10 ms apart,
 // so the second reaches each replica while the first is still in its
 // transaction table (a confirmed record refuses re-submission until the
 // checkpoint GC frees it). The one content's replies complete both
-// submissions, so none is left unconfirmed and a Proc run stops as soon as
-// they have, well inside its duration and drain.
+// submissions.
 func TestReusedTransactionRunsOnce(t *testing.T) {
-	backends := []Transport{TransportSim}
-	if !testing.Short() {
-		backends = append(backends, TransportProc)
+	for _, tr := range reuseBackends() {
+		t.Run(tr.String(), func(t *testing.T) { runReused(t, tr, 100) })
 	}
-	const duration, drain = time.Second, time.Second
-	for _, tr := range backends {
+}
+
+// TestReusedAfterConfirmCompletes: the second submission of a content
+// comes 500 ms after the first, when every replica has long confirmed it,
+// and inside one checkpoint interval (two transactions finish no epoch),
+// so every replica refuses it as a confirmed content and no reply to it
+// will ever come. The client completes it at once from the replies the
+// content already has, with the content's outcome.
+func TestReusedAfterConfirmCompletes(t *testing.T) {
+	for _, tr := range reuseBackends() {
 		t.Run(tr.String(), func(t *testing.T) {
-			start := time.Now()
-			res, err := Run(context.Background(),
-				WithTransport(tr), WithReplicas(4), WithNet(LAN), WithLoad(100),
-				WithDuration(duration), WithWarmup(200*time.Millisecond), WithDrain(drain),
-				WithBatching(16, 20*time.Millisecond), WithSeed(1),
-				WithGenesis(map[string]int64{"alice": 100}),
-				WithTransactions(Payment("alice", "bob", 10, 1), Payment("alice", "bob", 10, 1)),
-				WithFinalState())
-			if err != nil {
-				t.Fatal(err)
-			}
-			took := time.Since(start)
-			if a, b := res.Balance("alice"), res.Balance("bob"); a != 90 || b != 10 {
-				t.Fatalf("alice=%d bob=%d, want 90 and 10: the reused transaction ran twice", a, b)
-			}
-			if !res.Converged || res.EscrowsOutstanding() != 0 {
-				t.Fatalf("converged=%v escrows outstanding=%d", res.Converged, res.EscrowsOutstanding())
-			}
-			if unconfirmed := res.Submitted - replies(res); res.Submitted != 2 || unconfirmed != 0 {
-				t.Fatalf("submitted %d, unconfirmed %d: every submission of the content must complete", res.Submitted, unconfirmed)
-			}
-			if tr == TransportProc && took > (duration+drain)*3/4 {
-				t.Fatalf("the Proc run took %v of its %v budget: it did not drain once both submissions confirmed", took, duration+drain)
+			var (
+				mu sync.Mutex
+				at []time.Duration
+			)
+			runReused(t, tr, 2, WithObserver(ObserverFuncs{Confirm: func(_ TxInfo, ok bool, d time.Duration) {
+				if !ok {
+					t.Error("the payment confirmed as aborted")
+				}
+				mu.Lock()
+				at = append(at, d)
+				mu.Unlock()
+			}}))
+			// The simulator submits at reuseWarmup/2 and 500 ms later; the
+			// late submission's reply lands as it is submitted.
+			if second := reuseWarmup/2 + 500*time.Millisecond; tr == TransportSim && (len(at) != 2 || at[0] >= second || at[1] != second) {
+				t.Fatalf("confirmations at %v, want the first before %v and the second at it", at, second)
 			}
 		})
 	}
